@@ -1,10 +1,12 @@
-"""Benchmark the JIT-compiled hot loops against their vectorized numpy
-twins: multipath ray tracing over a grid and expected-cost rewards over
-activation sets.
+"""Benchmark the hot kernels: multipath ray tracing (JIT-compiled loops
+against their vectorized numpy twin) and one round of layer planning (the
+shortest-path planner against the exhaustive enumeration it replaces).
 
-Run with numba active (default) to see the compiled speed, or with
-``BEAMCKM_NO_NUMBA=1`` to time the loop bodies as plain Python.  Each
-kernel is called once before timing so JIT compilation is not measured.
+Run with numba active (default) to see the compiled tracing speed, or
+with ``BEAMCKM_NO_NUMBA=1`` to time the tracing loop as plain Python.
+Each kernel is called once before timing so JIT compilation is not
+measured.  The planning comparison asserts that both planners pick the
+same layer on every tree.
 """
 
 import argparse
@@ -13,14 +15,9 @@ import time
 import numpy as np
 
 import beamckm as bc
-from beamckm.kernels import (
-    NUMBA_ENABLED,
-    activation_rewards_loops,
-    activation_rewards_numpy,
-    trace_paths_loops,
-    trace_paths_numpy,
-)
-from beamckm.strategy import enumerate_activations
+from beamckm import kernels
+from beamckm.kernels import NUMBA_ENABLED, trace_paths_loops, trace_paths_numpy
+from beamckm.strategy import enumerate_activations, pick_activation
 
 
 def bench(fn, *args, repeat=5):
@@ -50,40 +47,48 @@ def trace_workload(num_points: int):
             obstacles, wavelength, 1.0, 4)
 
 
-def reward_workload(num_trees: int, num_layers: int, seed: int = 99):
+def planning_workload(num_trees: int, num_layers: int, seed: int = 99):
+    """Random trees with at least two bottom candidates, as planned at the
+    root of an episode."""
     rng = np.random.default_rng(seed)
     n = 2**num_layers
-    acts_list = enumerate_activations(0, num_layers)
-    acts = np.zeros((len(acts_list), num_layers), dtype=np.uint8)
-    for z, layers in enumerate(acts_list):
-        acts[z, np.asarray(layers) - 1] = 1
     cases = []
-    for _ in range(num_trees):
+    while len(cases) < num_trees:
         mask = rng.random(n) < 0.4
-        if not mask.any():
-            mask[rng.integers(n)] = True
+        if mask.sum() < 2:
+            continue
         weights = np.where(mask, rng.uniform(0.5, 2.0, n), 0.0)
-        tree = bc.PrunedTree.from_bottom_weights(weights)
-        targets = tree.candidates(num_layers).astype(np.int64)
-        cases.append((tree.prefix_sums(), weights, targets))
-    return acts, cases
+        cases.append((bc.PrunedTree.from_bottom_weights(weights), weights))
+    return cases
 
 
-def run_rewards(fn, acts, cases, num_layers):
-    total = 0.0
-    for csum, weights, targets in cases:
-        total += fn(csum, acts, weights, targets, num_layers).sum()
-    return total
+def plan_by_enumeration(cases, num_layers):
+    acts = enumerate_activations(0, num_layers)
+    mat = np.zeros((len(acts), num_layers), dtype=np.uint8)
+    for z, layers in enumerate(acts):
+        mat[z, np.asarray(layers) - 1] = 1
+    out = []
+    for tree, weights in cases:
+        targets = tree.bottom_candidates().astype(np.int64)
+        rewards = kernels.activation_rewards(
+            tree.prefix_sums(), mat, weights, targets, num_layers
+        )
+        out.append(acts[pick_activation(acts, rewards)][0])
+    return out
+
+
+def plan_by_shortest_path(cases):
+    return [bc.optimal_layer(tree, weights) for tree, weights in cases]
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--points", type=int, default=4096,
                         help="grid points for the ray-tracing workload")
-    parser.add_argument("--trees", type=int, default=300,
-                        help="random trees for the reward workload")
-    parser.add_argument("--layers", type=int, default=7,
-                        help="codebook depth for the reward workload")
+    parser.add_argument("--trees", type=int, default=20,
+                        help="random trees per depth for the planning workload")
+    parser.add_argument("--layers", type=int, nargs="+", default=[5, 7, 9, 10],
+                        help="codebook depths for the planning workload")
     parser.add_argument("--repeat", type=int, default=5)
     args = parser.parse_args()
 
@@ -101,22 +106,17 @@ def main() -> int:
     print(f"  numpy  best={best_n * 1e3:8.2f} ms  avg={avg_n * 1e3:8.2f} ms")
     print(f"  outputs match: {same}   loops speedup vs numpy: {best_n / best_l:.2f}x")
 
-    acts, cases = reward_workload(args.trees, args.layers)
-    run_rewards(activation_rewards_loops, acts, cases[:2], args.layers)
-    run_rewards(activation_rewards_numpy, acts, cases[:2], args.layers)
-    tot_l, best_l, avg_l = bench(
-        run_rewards, activation_rewards_loops, acts, cases, args.layers,
-        repeat=args.repeat,
-    )
-    tot_n, best_n, avg_n = bench(
-        run_rewards, activation_rewards_numpy, acts, cases, args.layers,
-        repeat=args.repeat,
-    )
-    print(f"activation_rewards  {len(cases)} trees x {acts.shape[0]} activations:")
-    print(f"  loops  best={best_l * 1e3:8.2f} ms  avg={avg_l * 1e3:8.2f} ms")
-    print(f"  numpy  best={best_n * 1e3:8.2f} ms  avg={avg_n * 1e3:8.2f} ms")
-    print(f"  outputs match: {np.isclose(tot_l, tot_n)}   "
-          f"loops speedup vs numpy: {best_n / best_l:.2f}x")
+    print(f"layer planning, one round from the root, {args.trees} trees per depth:")
+    for num_layers in args.layers:
+        cases = planning_workload(args.trees, num_layers)
+        want, best_e, _ = bench(plan_by_enumeration, cases, num_layers, repeat=args.repeat)
+        got, best_d, _ = bench(plan_by_shortest_path, cases, repeat=args.repeat)
+        assert got == want, f"planners disagree at L={num_layers}"
+        n = len(cases)
+        print(f"  L={num_layers:2d}  {2 ** (num_layers - 1):4d} activations  "
+              f"enumeration={best_e / n * 1e3:8.3f} ms  "
+              f"shortest path={best_d / n * 1e3:7.3f} ms  "
+              f"speedup={best_e / best_d:6.1f}x  same layer: True")
     return 0
 
 

@@ -81,6 +81,11 @@ class ScenarioConfig:
             raise ValueError("scenario needs at least one user")
         if not self.snr_db:
             raise ValueError("scenario needs at least one SNR point")
+        _check_snrs(self.snr_db)
+        if not 0.0 < self.beta <= 1.0:
+            raise ValueError(f"beta must lie in (0, 1], got {self.beta}")
+        if not 0.0 < self.eta <= 1.0:
+            raise ValueError(f"eta must lie in (0, 1], got {self.eta}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         bad = [a for a in self.algorithms if a not in ALGORITHMS]
@@ -110,6 +115,13 @@ def _snr_value(x) -> float:
         except ValueError:
             raise ValueError(f"SNR entries must be numbers or 'inf', got {x!r}") from None
     return float(x)
+
+
+def _check_snrs(snrs) -> None:
+    """SNR points must be finite numbers or +inf (noiseless)."""
+    bad = [s for s in snrs if math.isnan(s) or s == -math.inf]
+    if bad:
+        raise ValueError(f"SNR entries must be numbers or 'inf', got {bad}")
 
 
 def scenario_from_dict(cfg: dict) -> ScenarioConfig:
@@ -392,6 +404,7 @@ def run_trials(
     n_trials = config.trials if trials is None else int(trials)
     base_seed = config.seed if seed is None else int(seed)
     snrs = config.snr_db if snr_db is None else tuple(_snr_value(v) for v in snr_db)
+    _check_snrs(snrs)
     codebook = build_codebook(config.array.num_antennas)
     priors = user_priors(config)
     K = len(priors)

@@ -1,14 +1,17 @@
-"""Hot numeric loops, JIT-compiled when numba is available.
+"""Hot numeric kernels.
 
-Two implementations exist for each kernel: an explicit-loop version that
-numba compiles, and a vectorized numpy version.  The active one is chosen
-at import time; set ``BEAMCKM_NO_NUMBA=1`` to force the numpy path (or it
-is used automatically when numba cannot be imported).  Both paths produce
-identical results; ``benchmarks/bench_kernels.py`` compares their speed.
+Path tracing and the single-target probe cost have two implementations:
+an explicit-loop version that numba compiles, and a vectorized numpy
+version.  The active one is chosen at import time; set
+``BEAMCKM_NO_NUMBA=1`` to force the numpy path (or it is used
+automatically when numba cannot be imported).  Both paths produce
+identical results.  The layer planner's pair weights and the activation
+reward oracle are numpy only.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 
 import numpy as np
@@ -289,24 +292,6 @@ def probe_cost_loops(csum, act, nt, L):
     return cost
 
 
-@njit(cache=True)
-def activation_rewards_loops(csum, acts, weights, targets, L):
-    """Expected-cost reward of every activation row in ``acts``.
-
-    Reward is the negative weight-average probe cost over the candidate
-    bottom beams listed in ``targets`` (1-based indices).
-    """
-    num_act = acts.shape[0]
-    out = np.zeros(num_act)
-    for z in range(num_act):
-        acc = 0.0
-        for t in range(targets.shape[0]):
-            nt = targets[t]
-            acc += weights[nt - 1] * probe_cost_loops(csum, acts[z], nt, L)
-        out[z] = -acc
-    return out
-
-
 def probe_cost_numpy(csum, act, nt, L):
     cost = 0
     prev = 0
@@ -326,7 +311,14 @@ def probe_cost_numpy(csum, act, nt, L):
     return cost
 
 
-def activation_rewards_numpy(csum, acts, weights, targets, L):
+def activation_rewards(csum, acts, weights, targets, L):
+    """Expected-cost reward of every activation row in ``acts``.
+
+    Reward is the negative weight-average probe cost over the candidate
+    bottom beams listed in ``targets`` (1-based indices).  Scoring every
+    activation is exponential in L; the planner uses :func:`pair_weights`
+    instead and this serves as its reference.
+    """
     num_act = acts.shape[0]
     out = np.zeros(num_act)
     t0 = targets - 1
@@ -350,11 +342,49 @@ def activation_rewards_numpy(csum, acts, weights, targets, L):
     return out
 
 
+def pair_weights(csum, weights, targets, L):
+    """Entry and hop weights of the weighted probe cost, per layer pair.
+
+    Returns ``(S, G)``, both indexed by 1-based layer.  ``S[q]`` (length
+    L+1) is the cost of entering at layer q: the summed target weight times
+    the candidate count at q.  ``G[p, q]`` ((L+1, L+1), nonzero only for
+    1 <= p < q <= L) is the cost of a step from active layer p to the next
+    active layer q: each target's weight times the candidate descendants at
+    q of its ancestor at p, counted only when there are two or more.  The
+    weighted probe cost of an activation l1 < .. < lk is then
+    ``S[l1] + G[l1, l2] + .. + G[lk-1, lk]``.
+    """
+    t0 = np.asarray(targets, dtype=np.int64) - 1
+    w = np.asarray(weights, dtype=np.float64)[t0]
+    p, q, up, shift, row, layer_row, layer_end = _layer_pairs(L)
+    S = np.zeros(L + 1)
+    S[1:] = w.sum() * csum[layer_row, layer_end]
+    anc = t0 >> up
+    cnt = csum[row, (anc + 1) << shift] - csum[row, anc << shift]
+    G = np.zeros((L + 1, L + 1))
+    G[p, q] = np.where(cnt >= 2, cnt, 0) @ w
+    return S, G
+
+
+@functools.lru_cache(maxsize=32)
+def _layer_pairs(L):
+    """Read-only index arrays for pair_weights: per layer pair
+    1 <= p < q <= L, p, q, the ancestor shift L-p, the subtree widening
+    q-p and the csum row q-1 (the last three as columns); per layer l, the
+    csum row and column of its candidate total."""
+    p, q = np.triu_indices(L, k=1)
+    p, q = p + 1, q + 1
+    layers = np.arange(1, L + 1)
+    out = (p, q, (L - p)[:, None], (q - p)[:, None], (q - 1)[:, None],
+           layers - 1, 1 << layers)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 if NUMBA_ENABLED:
     trace_paths = trace_paths_loops
-    activation_rewards = activation_rewards_loops
     probe_cost_single = probe_cost_loops
 else:
     trace_paths = trace_paths_numpy
-    activation_rewards = activation_rewards_numpy
     probe_cost_single = probe_cost_numpy

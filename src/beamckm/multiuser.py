@@ -2,7 +2,8 @@
 
 Every round picks one layer for the whole cell: each user's own
 reward-optimal layer is computed as in the single-user search, a shared
-layer is scored across users on normalized rewards, and the earliest of
+layer is planned as a shortest path over the users' normalized pair
+weights (same tie rule as the single-user planner), and the earliest of
 those wins.  Users whose own choice matches the round layer descend on
 their feedback; everyone else still hears the probes for free and prunes
 its location hypotheses by correlating the measured gain profile with the
@@ -25,12 +26,7 @@ from .beamtree import (
 from .channel import ChannelRealization, probe
 from .ckm import CkmGrid
 from .codebook import BeamId, HierarchicalCodebook, build_codebook
-from .strategy import (
-    _activation_matrix,
-    enumerate_activations,
-    optimal_layer,
-    pick_activation,
-)
+from .strategy import optimal_layer, shortest_plan
 
 
 @dataclass(frozen=True)
@@ -70,29 +66,43 @@ def map_gain_vector(ckm: CkmGrid, point: int, beams) -> tuple[np.ndarray, BeamId
     return g, beams[int(np.argmax(g))]
 
 
+def plan_path_counts(start: int, num_layers: int) -> np.ndarray:
+    """``(L+1, L+1)`` count of activations from ``start`` in which layer q
+    directly follows p (p == start: q is the entry layer)."""
+    L = num_layers
+    p = np.arange(L + 1)[:, None]
+    q = np.arange(L + 1)[None, :]
+    before = np.where(p == start, 1.0, 2.0 ** np.maximum(p - start - 1, 0))
+    after = 2.0 ** np.maximum(L - q - 1, 0)
+    return np.where((p >= start) & (q > p), before * after, 0.0)
+
+
 def joint_layer(trees, weights, from_layers) -> int:
-    """Shared probing layer: enumerate activations from the earliest
-    active root, score each by the sum of per-user rewards normalized by
-    the user's total absolute reward (layers at or above a user's root are
-    ignored for that user), and take the winner's earliest layer."""
+    """Shared probing layer: the first layer of the cheapest plan from the
+    earliest active root, where a plan's score is the sum over users of
+    its reward normalized by that user's summed absolute reward over all
+    plans.
+
+    Layers at or above a user's root are ignored for that user, so its
+    edge p -> q weighs 0 when q is at or above the root, its entry weight
+    ``S[q]`` when the step crosses the root, and its hop weight ``G[p, q]``
+    below it (``kernels.pair_weights``).  The normalizer is the sum of
+    those edge weights times the number of plans using each edge.  Ties
+    follow the single-user planner's rule."""
     L = trees[0].num_layers
-    common_from = min(from_layers)
-    acts = enumerate_activations(common_from, L)
-    mat = _activation_matrix(acts, L)
-    score = np.zeros(len(acts), dtype=np.float64)
+    start = min(from_layers)
+    paths = plan_path_counts(start, L)
+    total = np.zeros((L + 1, L + 1))
+    below = np.arange(L + 1)[:, None]
     for tree, w, fl in zip(trees, weights, from_layers):
-        m = mat
-        if fl > common_from:
-            m = mat.copy()
-            m[:, :fl] = 0
         targets = tree.bottom_candidates().astype(np.int64)
-        r = kernels.activation_rewards(
-            tree.prefix_sums(), m, np.asarray(w, dtype=np.float64), targets, L
-        )
-        norm = float(np.abs(r).sum())
+        entry, hops = kernels.pair_weights(tree.prefix_sums(), w, targets, L)
+        edges = np.where(below > fl, hops, entry[None, :])
+        edges[:, : fl + 1] = 0.0
+        norm = float((edges * paths).sum())
         if norm > 0.0:
-            score += r / norm
-    return acts[pick_activation(acts, score)][0]
+            total += edges / norm
+    return shortest_plan(total, start, L)[1][0]
 
 
 def select_round(single_layers, joint: int, num_layers: int) -> tuple[int, tuple[int, ...]]:

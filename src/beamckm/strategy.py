@@ -1,9 +1,18 @@
 """Reward-driven single-user beam search over the pruned tree.
 
-Each round enumerates every subset of the remaining layers (the bottom
-layer is always active), scores it by the weighted probe cost of resolving
-each candidate bottom beam, probes the candidates of the winner's earliest
-layer, and folds the feedback into the tree before re-planning.
+A plan ("activation") is the set of layers probed on the way down; the
+bottom layer is always in it.  Its cost is the expected probe count,
+weighted over the candidate bottom beams, and that cost is additive over
+consecutive active layers: an entry weight for the first layer plus a hop
+weight per later pair (``kernels.pair_weights``).  Each round therefore
+plans by a shortest path from the current root layer to the bottom layer
+instead of scoring all 2^(L-1) subsets, probes the candidates of the
+plan's first layer, and folds the feedback into the tree before
+re-planning.
+
+Tie rule: plans are ordered by lowest cost, where costs within a relative
+``PLAN_RTOL`` of each other tie, then by fewest layers, then by the
+deepest first layer (then the deepest second layer, and so on).
 """
 
 from __future__ import annotations
@@ -24,6 +33,9 @@ from .channel import ChannelRealization, probe
 from .ckm import CkmGrid
 from .codebook import BeamId, HierarchicalCodebook, build_codebook
 
+# plan costs this close, relative to the larger, tie (see the tie rule)
+PLAN_RTOL = 1e-12
+
 
 @dataclass(frozen=True)
 class ProbeRound:
@@ -39,7 +51,8 @@ class ProbeRound:
 
 def enumerate_activations(from_layer: int, num_layers: int) -> list[tuple[int, ...]]:
     """All layer subsets of {from_layer+1, .., L} that include L, as sorted
-    tuples, in deterministic bitmask order."""
+    tuples, in deterministic bitmask order (the exhaustive reference for
+    the shortest-path planner)."""
     if from_layer >= num_layers:
         raise ValueError("no layers left to activate")
     free = list(range(from_layer + 1, num_layers))
@@ -48,13 +61,6 @@ def enumerate_activations(from_layer: int, num_layers: int) -> list[tuple[int, .
         layers = tuple(l for i, l in enumerate(free) if (mask >> i) & 1)
         out.append(layers + (num_layers,))
     return out
-
-
-def _activation_matrix(acts: list[tuple[int, ...]], num_layers: int) -> np.ndarray:
-    mat = np.zeros((len(acts), num_layers), dtype=np.uint8)
-    for z, layers in enumerate(acts):
-        mat[z, np.asarray(layers) - 1] = 1
-    return mat
 
 
 def overhead_for_target(
@@ -79,24 +85,62 @@ def reward(tree: PrunedTree, weights, activation) -> float:
     """Negative weighted probe cost of an activation over all candidate
     bottom beams; ``weights`` is the bottom-layer weight vector."""
     L = tree.num_layers
-    layers = tuple(sorted(set(int(l) for l in activation)))
-    acts = _activation_matrix([layers], L)
+    act = np.zeros((1, L), dtype=np.uint8)
+    act[0, np.asarray(sorted(set(int(l) for l in activation))) - 1] = 1
     targets = tree.bottom_candidates().astype(np.int64)
     w = np.asarray(weights, dtype=np.float64)
-    return float(kernels.activation_rewards(tree.prefix_sums(), acts, w, targets, L)[0])
+    return float(kernels.activation_rewards(tree.prefix_sums(), act, w, targets, L)[0])
+
+
+def _costs_tie(a: float, b: float) -> bool:
+    """True when two plan costs agree to a relative ``PLAN_RTOL``."""
+    return abs(a - b) <= PLAN_RTOL * max(abs(a), abs(b))
 
 
 def pick_activation(acts: list[tuple[int, ...]], scores: np.ndarray) -> int:
-    """Index of the best activation: max score, then fewest layers, then
-    deepest earliest layer, then first in enumeration order."""
+    """Index of the best of the enumerated activations under the tie rule,
+    given their rewards (negative costs)."""
     best = 0
-    best_key = (scores[0], -len(acts[0]), acts[0][0])
     for z in range(1, len(acts)):
-        key = (scores[z], -len(acts[z]), acts[z][0])
-        if key > best_key:
+        if _costs_tie(scores[z], scores[best]):
+            if (-len(acts[z]), acts[z]) > (-len(acts[best]), acts[best]):
+                best = z
+        elif scores[z] > scores[best]:
             best = z
-            best_key = key
     return best
+
+
+def shortest_plan(edges: np.ndarray, start: int, num_layers: int) -> tuple[float, tuple[int, ...]]:
+    """Cheapest plan from ``start`` down to the bottom layer.
+
+    ``edges[p, q]`` is the cost of probing layer q right after layer p
+    (``p == start`` is the entry).  A backward pass keeps, per layer, the
+    best remaining plan under the tie rule.  The plans compared at a layer
+    differ in their next layer, so once cost and length tie the deeper
+    next layer wins: scanning upward, a later layer takes every tie.
+    Returns (cost, layers)."""
+    e = edges.tolist()
+    L = num_layers
+    cost = [0.0] * (L + 1)
+    size = [0] * (L + 1)
+    nxt = [0] * (L + 1)
+    for p in range(L - 1, start - 1, -1):
+        row = e[p]
+        best_c, best_n, best_q = row[p + 1] + cost[p + 1], size[p + 1] + 1, p + 1
+        for q in range(p + 2, L + 1):
+            c = row[q] + cost[q]
+            n = size[q] + 1
+            if _costs_tie(c, best_c):
+                if n > best_n:
+                    continue
+            elif c > best_c:
+                continue
+            best_c, best_n, best_q = c, n, q
+        cost[p], size[p], nxt[p] = best_c, best_n, best_q
+    layers = [nxt[start]]
+    while layers[-1] < L:
+        layers.append(nxt[layers[-1]])
+    return cost[start], tuple(layers)
 
 
 def best_activation(
@@ -104,13 +148,13 @@ def best_activation(
 ) -> tuple[tuple[int, ...], float]:
     """Winning activation and its reward for the current tree state."""
     L = tree.num_layers
-    acts = enumerate_activations(from_layer, L)
-    mat = _activation_matrix(acts, L)
+    if from_layer >= L:
+        raise ValueError("no layers left to activate")
     targets = tree.bottom_candidates().astype(np.int64)
-    w = np.asarray(weights, dtype=np.float64)
-    rewards = kernels.activation_rewards(tree.prefix_sums(), mat, w, targets, L)
-    z = pick_activation(acts, rewards)
-    return acts[z], float(rewards[z])
+    entry, edges = kernels.pair_weights(tree.prefix_sums(), weights, targets, L)
+    edges[from_layer] = entry
+    cost, layers = shortest_plan(edges, from_layer, L)
+    return layers, -cost
 
 
 def optimal_layer(tree: PrunedTree, weights, from_layer: int = 0) -> int:

@@ -5,6 +5,7 @@ session map fixture can drive run_trials directly.
 """
 
 import copy
+import dataclasses
 import json
 import math
 
@@ -121,6 +122,43 @@ class TestScenarioParsing:
         d["snr_db"] = ["loud"]
         with pytest.raises(ValueError, match="SNR"):
             bc.scenario_from_dict(d)
+
+    @pytest.mark.parametrize("value", ["nan", "NaN", float("nan"), "-inf"])
+    def test_non_numeric_snr_rejected(self, value):
+        d = scenario_dict()
+        d["snr_db"] = ["inf", value]
+        with pytest.raises(ValueError, match="SNR"):
+            bc.scenario_from_dict(d)
+
+    @pytest.mark.parametrize("value", [0.0, -0.5, 1.5, 2.0, float("nan")])
+    def test_beta_outside_unit_interval_rejected(self, value):
+        d = scenario_dict()
+        d["beta"] = value
+        with pytest.raises(ValueError, match="beta"):
+            bc.scenario_from_dict(d)
+
+    @pytest.mark.parametrize("value", [0.0, -0.1, 1.5, float("nan")])
+    def test_eta_outside_unit_interval_rejected(self, value):
+        d = scenario_dict()
+        d["eta"] = value
+        with pytest.raises(ValueError, match="eta"):
+            bc.scenario_from_dict(d)
+
+    def test_unit_thresholds_accepted(self):
+        d = scenario_dict()
+        d["beta"] = 1.0
+        d["eta"] = 1.0
+        cfg = bc.scenario_from_dict(d)
+        assert (cfg.beta, cfg.eta) == (1.0, 1.0)
+
+    def test_direct_construction_validated(self):
+        cfg = bc.scenario_from_dict(scenario_dict())
+        with pytest.raises(ValueError, match="SNR"):
+            dataclasses.replace(cfg, snr_db=(math.nan,))
+        with pytest.raises(ValueError, match="beta"):
+            dataclasses.replace(cfg, beta=0.0)
+        with pytest.raises(ValueError, match="eta"):
+            dataclasses.replace(cfg, eta=1.5)
 
     def test_unknown_algorithm_rejected(self):
         d = scenario_dict()
@@ -290,6 +328,12 @@ class TestRunTrials:
             assert rows[0].overhead == rows[1].overhead
             total = rows[0].overhead * 2
             assert total == round(total)  # shares add back to whole probes
+
+    @pytest.mark.parametrize("value", ["nan", math.nan, "-inf"])
+    def test_snr_override_rejected(self, small_scene, value):
+        cfg = self.config(algorithms=["alg1"], trials=1)
+        with pytest.raises(ValueError, match="SNR"):
+            bc.run_trials(cfg, small_scene["ckm"], snr_db=[10, value])
 
     def test_deterministic_for_fixed_seed(self, small_scene):
         cfg = self.config(trials=2)

@@ -1,4 +1,5 @@
-"""Compiled vs plain-numpy kernel parity and the backend toggle.
+"""Compiled vs plain-numpy kernel parity, the planner's pair weights, and
+the backend toggle.
 
 Both execution paths must be bit-identical on the same inputs; the
 BEAMCKM_NO_NUMBA environment flag selects the numpy path at import time.
@@ -12,6 +13,8 @@ import numpy as np
 
 import beamckm as bc
 from beamckm import kernels
+
+from test_planner import activation_matrix
 
 
 def random_geometry(rng, n_points=40, n_scat=3, n_obs=2):
@@ -76,21 +79,33 @@ class TestProbeCostParity:
                         b = kernels.probe_cost_numpy(csum, act, int(nt), num_layers)
                         assert a == b
 
-    def test_reward_paths_agree(self):
+
+class TestPairWeights:
+    def test_path_sums_match_activation_rewards(self):
+        # every activation's cost is its entry weight plus its hop weights
         rng = np.random.default_rng(77)
-        for _ in range(20):
-            tree, weights = random_tree_inputs(rng, 5)
-            csum = tree.prefix_sums()
-            targets = tree.bottom_candidates().astype(np.int64)
-            acts = np.zeros((16, 5), dtype=np.uint8)
-            acts[:, 4] = 1
-            for z in range(16):
-                for i in range(4):
-                    acts[z, i] = (z >> i) & 1
-            a = kernels.activation_rewards_loops(csum, acts, weights, targets, 5)
-            b = kernels.activation_rewards_numpy(csum, acts, weights, targets, 5)
-            # summation order differs between the paths: allow a few ULP
-            np.testing.assert_allclose(a, b, rtol=1e-12)
+        for num_layers in (1, 2, 5, 7):
+            for _ in range(10):
+                tree, weights = random_tree_inputs(rng, num_layers)
+                csum = tree.prefix_sums()
+                targets = tree.bottom_candidates().astype(np.int64)
+                entry, hops = kernels.pair_weights(csum, weights, targets, num_layers)
+                acts = bc.enumerate_activations(0, num_layers)
+                mat = activation_matrix(acts, num_layers)
+                rewards = kernels.activation_rewards(csum, mat, weights, targets, num_layers)
+                for layers, r in zip(acts, rewards):
+                    cost = entry[layers[0]] + sum(hops[p, q] for p, q in zip(layers, layers[1:]))
+                    np.testing.assert_allclose(cost, -r, rtol=1e-12)
+
+    def test_hop_weights_upper_triangular_from_layer_one(self):
+        rng = np.random.default_rng(5)
+        tree, weights = random_tree_inputs(rng, 4)
+        targets = tree.bottom_candidates().astype(np.int64)
+        entry, hops = kernels.pair_weights(tree.prefix_sums(), weights, targets, 4)
+        assert entry.shape == (5,) and hops.shape == (5, 5)
+        assert entry[0] == 0.0
+        np.testing.assert_array_equal(hops, np.triu(hops, k=1))
+        assert not hops[0].any()
 
 
 class TestBackendToggle:
