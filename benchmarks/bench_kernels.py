@@ -1,12 +1,8 @@
-"""Benchmark the hot kernels: multipath ray tracing (JIT-compiled loops
-against their vectorized numpy twin) and one round of layer planning (the
-shortest-path planner against the exhaustive enumeration it replaces).
+"""Benchmark one round of layer planning: the shortest-path planner
+against the exhaustive enumeration of activations it replaces.
 
-Run with numba active (default) to see the compiled tracing speed, or
-with ``BEAMCKM_NO_NUMBA=1`` to time the tracing loop as plain Python.
-Each kernel is called once before timing so JIT compilation is not
-measured.  The planning comparison asserts that both planners pick the
-same layer on every tree.
+The comparison asserts that both planners pick the same layer on every
+tree.
 """
 
 import argparse
@@ -16,7 +12,6 @@ import numpy as np
 
 import beamckm as bc
 from beamckm import kernels
-from beamckm.kernels import NUMBA_ENABLED, trace_paths_loops, trace_paths_numpy
 from beamckm.strategy import enumerate_activations, pick_activation
 
 
@@ -29,22 +24,6 @@ def bench(fn, *args, repeat=5):
         t1 = time.perf_counter()
         times.append(t1 - t0)
     return out, min(times), sum(times) / len(times)
-
-
-def trace_workload(num_points: int):
-    side = int(np.sqrt(num_points))
-    xs = np.linspace(0.0, 128.0, side)
-    gx, gy = np.meshgrid(xs, xs)
-    pts = np.column_stack([gx.ravel(), gy.ravel()])
-    bs = np.array([64.0, -1.0])
-    scat_pos = np.array([[20.0, 100.0], [120.0, 60.0], [36.0, 20.0]])
-    scat_refl = np.array([0.4, 0.5, 0.3])
-    scat_phase = np.array([0.3, -1.2, 2.1])
-    scat_vis = np.array([True, True, True])
-    obstacles = np.array([[72.0, 56.0, 100.0, 56.0]])
-    wavelength = 3e8 / 8e10
-    return (pts, bs, scat_pos, scat_refl, scat_phase, scat_vis,
-            obstacles, wavelength, 1.0, 4)
 
 
 def planning_workload(num_trees: int, num_layers: int, seed: int = 99):
@@ -83,28 +62,12 @@ def plan_by_shortest_path(cases):
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--points", type=int, default=4096,
-                        help="grid points for the ray-tracing workload")
     parser.add_argument("--trees", type=int, default=20,
                         help="random trees per depth for the planning workload")
     parser.add_argument("--layers", type=int, nargs="+", default=[5, 7, 9, 10],
                         help="codebook depths for the planning workload")
     parser.add_argument("--repeat", type=int, default=5)
     args = parser.parse_args()
-
-    mode = "numba JIT" if NUMBA_ENABLED else "pure Python (BEAMCKM_NO_NUMBA)"
-    print(f"loop kernels run as: {mode}")
-
-    tw = trace_workload(args.points)
-    trace_paths_loops(*tw)  # warm-up / JIT compile
-    trace_paths_numpy(*tw)
-    out_l, best_l, avg_l = bench(trace_paths_loops, *tw, repeat=args.repeat)
-    out_n, best_n, avg_n = bench(trace_paths_numpy, *tw, repeat=args.repeat)
-    same = all(np.allclose(a, b) for a, b in zip(out_l, out_n))
-    print(f"trace_paths     {tw[0].shape[0]} points:")
-    print(f"  loops  best={best_l * 1e3:8.2f} ms  avg={avg_l * 1e3:8.2f} ms")
-    print(f"  numpy  best={best_n * 1e3:8.2f} ms  avg={avg_n * 1e3:8.2f} ms")
-    print(f"  outputs match: {same}   loops speedup vs numpy: {best_n / best_l:.2f}x")
 
     print(f"layer planning, one round from the root, {args.trees} trees per depth:")
     for num_layers in args.layers:

@@ -97,7 +97,7 @@ class Environment:
         scat_vis = np.array(
             [
                 not bool(
-                    kernels._blocked_np(
+                    kernels._blocked(
                         np.atleast_1d(scat_pos[s, 0]), np.atleast_1d(scat_pos[s, 1]),
                         bs[0], bs[1], obstacles,
                     )[0]

@@ -16,13 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ArrayConfig, Environment, Obstacle, Scatterer, probe, synthesize_channel
+from .channel import ArrayConfig, Environment, Obstacle, Scatterer, synthesize_channel
 from .ckm import CkmGrid, GridSpec
 from .codebook import BeamId, HierarchicalCodebook, build_codebook
 from .lookahead import run_lookahead
 from .multiuser import run_multi_user
 from .position import PositionPrior, SubRegion, sample_true_position
-from .strategy import ProbeRound, run_single_user
+from .strategy import ProbeRound, probe_round, run_single_user
+
+# unused here; perfbench's tracer looks this name up on this module
+from .channel import probe  # noqa: F401
 
 ALGORITHMS = ("alg1", "alg2", "alg3", "baseline-hier", "baseline-exhaustive")
 
@@ -332,20 +335,14 @@ def baseline_hierarchical(
 ) -> tuple[BeamId, int, list[ProbeRound]]:
     """Map-blind bisection: probe both children at every layer, keep the
     stronger, always 2L probes."""
-    h = channel.vector(codebook.num_antennas) if hasattr(channel, "vector") else np.asarray(channel)
+    h = np.asarray(channel)
     L = codebook.num_layers
     idx = 1
-    overhead = 0
     transcript = []
     for layer in range(1, L + 1):
-        kids = (2 * idx - 1, 2 * idx)
-        mags = [
-            probe(h, codebook.codeword(BeamId(layer, k)), noise_std, rng) for k in kids
-        ]
-        idx = kids[int(np.argmax(mags))]
-        overhead += 2
-        transcript.append(ProbeRound(layer, kids, idx, 2))
-    return BeamId(L, idx), overhead, transcript
+        transcript.append(probe_round(h, codebook, layer, (2 * idx - 1, 2 * idx), noise_std, rng))
+        idx = transcript[-1].feedback
+    return BeamId(L, idx), 2 * L, transcript
 
 
 def baseline_exhaustive(
@@ -355,15 +352,10 @@ def baseline_exhaustive(
     rng: np.random.Generator | None = None,
 ) -> tuple[BeamId, int, list[ProbeRound]]:
     """Probe every bottom beam once, keep the strongest."""
-    h = channel.vector(codebook.num_antennas) if hasattr(channel, "vector") else np.asarray(channel)
     L = codebook.num_layers
-    n = codebook.num_antennas
-    mags = np.array(
-        [probe(h, codebook.codeword(BeamId(L, i)), noise_std, rng) for i in range(1, n + 1)]
-    )
-    idx = int(np.argmax(mags)) + 1
-    transcript = [ProbeRound(L, tuple(range(1, n + 1)), idx, n)]
-    return BeamId(L, idx), n, transcript
+    beams = range(1, codebook.num_antennas + 1)
+    r = probe_round(np.asarray(channel), codebook, L, beams, noise_std, rng)
+    return BeamId(L, r.feedback), r.probes, [r]
 
 
 def _finish(

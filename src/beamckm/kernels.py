@@ -1,95 +1,15 @@
-"""Hot numeric kernels.
-
-Path tracing and the single-target probe cost have two implementations:
-an explicit-loop version that numba compiles, and a vectorized numpy
-version.  The active one is chosen at import time; set
-``BEAMCKM_NO_NUMBA=1`` to force the numpy path (or it is used
-automatically when numba cannot be imported).  Both paths produce
-identical results.  The layer planner's pair weights and the activation
-reward oracle are numpy only.
+"""Hot numeric kernels, in numpy: path tracing, the single-target probe
+cost, the layer planner's pair weights and the activation reward oracle.
 """
 
 from __future__ import annotations
 
 import functools
-import os
 
 import numpy as np
 
-
-def _numba_requested() -> bool:
-    flag = os.environ.get("BEAMCKM_NO_NUMBA", "").strip().lower()
-    return flag not in ("1", "true", "yes")
-
-
+# beamckm has no compiled backend; kept for tools that record it
 NUMBA_ENABLED = False
-if _numba_requested():
-    try:
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - depends on host env
-        pass
-
-if not NUMBA_ENABLED:
-
-    def njit(*args, **kwargs):  # no-op decorator stand-in
-        def wrap(func):
-            return func
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-# ---------------------------------------------------------------------------
-# segment intersection (shared geometry helpers)
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True)
-def _orient(ax, ay, bx, by, cx, cy):
-    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-
-
-@njit(cache=True)
-def _on_segment(ax, ay, bx, by, px, py):
-    # collinearity assumed; checks bounding box
-    return (
-        min(ax, bx) <= px <= max(ax, bx)
-        and min(ay, by) <= py <= max(ay, by)
-    )
-
-
-@njit(cache=True)
-def _segments_cross(p1x, p1y, p2x, p2y, q1x, q1y, q2x, q2y):
-    o1 = _orient(p1x, p1y, p2x, p2y, q1x, q1y)
-    o2 = _orient(p1x, p1y, p2x, p2y, q2x, q2y)
-    o3 = _orient(q1x, q1y, q2x, q2y, p1x, p1y)
-    o4 = _orient(q1x, q1y, q2x, q2y, p2x, p2y)
-    if ((o1 > 0) != (o2 > 0)) and ((o3 > 0) != (o4 > 0)) and o1 != 0 and o2 != 0 and o3 != 0 and o4 != 0:
-        return True
-    # touching or collinear overlap counts as blocked
-    if o1 == 0 and _on_segment(p1x, p1y, p2x, p2y, q1x, q1y):
-        return True
-    if o2 == 0 and _on_segment(p1x, p1y, p2x, p2y, q2x, q2y):
-        return True
-    if o3 == 0 and _on_segment(q1x, q1y, q2x, q2y, p1x, p1y):
-        return True
-    if o4 == 0 and _on_segment(q1x, q1y, q2x, q2y, p2x, p2y):
-        return True
-    return False
-
-
-@njit(cache=True)
-def _blocked(ax, ay, bx, by, obstacles):
-    for i in range(obstacles.shape[0]):
-        if _segments_cross(
-            ax, ay, bx, by,
-            obstacles[i, 0], obstacles[i, 1], obstacles[i, 2], obstacles[i, 3],
-        ):
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -97,92 +17,22 @@ def _blocked(ax, ay, bx, by, obstacles):
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True)
-def trace_paths_loops(pts, bs, scat_pos, scat_refl, scat_phase, scat_vis,
-                      obstacles, wavelength, ple, max_paths):
-    """Per-point propagation paths; returns (angles, amps, phases, counts).
-
-    Slot order is strongest-first by amplitude (ties keep LoS before
-    scatterer paths, then scatterer declaration order).
-    """
-    num_pts = pts.shape[0]
-    num_sc = scat_pos.shape[0]
-    amp0 = wavelength / (4.0 * np.pi)
-    cand = num_sc + 1
-
-    angles = np.zeros((num_pts, max_paths))
-    amps = np.zeros((num_pts, max_paths))
-    phases = np.zeros((num_pts, max_paths))
-    counts = np.zeros(num_pts, dtype=np.int64)
-
-    c_ang = np.empty(cand)
-    c_amp = np.empty(cand)
-    c_phs = np.empty(cand)
-    taken = np.empty(cand, dtype=np.bool_)
-
-    for p in range(num_pts):
-        px = pts[p, 0]
-        py = pts[p, 1]
-        n = 0
-        dx = px - bs[0]
-        dy = py - bs[1]
-        dist = np.sqrt(dx * dx + dy * dy)
-        if not _blocked(bs[0], bs[1], px, py, obstacles):
-            c_ang[n] = dx / dist
-            c_amp[n] = amp0 / dist**ple
-            c_phs[n] = -2.0 * np.pi * np.mod(dist / wavelength, 1.0)
-            n += 1
-        for s in range(num_sc):
-            if not scat_vis[s]:
-                continue
-            sx = scat_pos[s, 0]
-            sy = scat_pos[s, 1]
-            d1x = sx - bs[0]
-            d1y = sy - bs[1]
-            d1 = np.sqrt(d1x * d1x + d1y * d1y)
-            d2x = px - sx
-            d2y = py - sy
-            d2 = np.sqrt(d2x * d2x + d2y * d2y)
-            if _blocked(sx, sy, px, py, obstacles):
-                continue
-            total = d1 + d2
-            c_ang[n] = d1x / d1
-            c_amp[n] = scat_refl[s] * amp0 / total**ple
-            c_phs[n] = -2.0 * np.pi * np.mod(total / wavelength, 1.0) + scat_phase[s]
-            n += 1
-        # stable top-k by amplitude
-        for i in range(n):
-            taken[i] = False
-        k = min(n, max_paths)
-        for slot in range(k):
-            best = -1
-            best_amp = -1.0
-            for i in range(n):
-                if not taken[i] and c_amp[i] > best_amp:
-                    best = i
-                    best_amp = c_amp[i]
-            taken[best] = True
-            angles[p, slot] = c_ang[best]
-            amps[p, slot] = c_amp[best]
-            phases[p, slot] = c_phs[best]
-        counts[p] = k
-    return angles, amps, phases, counts
-
-
-def _orient_np(ax, ay, bx, by, cx, cy):
+def _orient(ax, ay, bx, by, cx, cy):
     return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
 
 
-def _blocked_np(ax, ay, bx, by, obstacles):
-    """Vectorized over (ax, ay); a/b endpoints may be arrays or scalars."""
+def _blocked(ax, ay, bx, by, obstacles):
+    """Whether segment a-b crosses any obstacle; touching or collinear
+    overlap counts as blocked.  Vectorized over (ax, ay); a/b endpoints may
+    be arrays or scalars."""
     ax = np.asarray(ax, dtype=float)
     blocked = np.zeros(np.shape(ax), dtype=bool)
     for i in range(obstacles.shape[0]):
         q1x, q1y, q2x, q2y = obstacles[i]
-        o1 = _orient_np(ax, ay, bx, by, q1x, q1y)
-        o2 = _orient_np(ax, ay, bx, by, q2x, q2y)
-        o3 = _orient_np(q1x, q1y, q2x, q2y, ax, ay)
-        o4 = _orient_np(q1x, q1y, q2x, q2y, bx, by)
+        o1 = _orient(ax, ay, bx, by, q1x, q1y)
+        o2 = _orient(ax, ay, bx, by, q2x, q2y)
+        o3 = _orient(q1x, q1y, q2x, q2y, ax, ay)
+        o4 = _orient(q1x, q1y, q2x, q2y, bx, by)
         proper = (
             ((o1 > 0) != (o2 > 0))
             & ((o3 > 0) != (o4 > 0))
@@ -205,9 +55,13 @@ def _blocked_np(ax, ay, bx, by, obstacles):
     return blocked
 
 
-def trace_paths_numpy(pts, bs, scat_pos, scat_refl, scat_phase, scat_vis,
-                      obstacles, wavelength, ple, max_paths):
-    """Broadcast implementation of :func:`trace_paths_loops`."""
+def trace_paths(pts, bs, scat_pos, scat_refl, scat_phase, scat_vis,
+                obstacles, wavelength, ple, max_paths):
+    """Per-point propagation paths; returns (angles, amps, phases, counts).
+
+    Slot order is strongest-first by amplitude (ties keep LoS before
+    scatterer paths, then scatterer declaration order).
+    """
     num_pts = pts.shape[0]
     num_sc = scat_pos.shape[0]
     amp0 = wavelength / (4.0 * np.pi)
@@ -220,7 +74,7 @@ def trace_paths_numpy(pts, bs, scat_pos, scat_refl, scat_phase, scat_vis,
     dx = pts[:, 0] - bs[0]
     dy = pts[:, 1] - bs[1]
     dist = np.sqrt(dx * dx + dy * dy)
-    los_ok = ~_blocked_np(pts[:, 0], pts[:, 1], bs[0], bs[1], obstacles)
+    los_ok = ~_blocked(pts[:, 0], pts[:, 1], bs[0], bs[1], obstacles)
     c_ang[:, 0] = dx / dist
     c_amp[:, 0] = np.where(los_ok, amp0 / dist**ple, 0.0)
     c_phs[:, 0] = -2.0 * np.pi * np.mod(dist / wavelength, 1.0)
@@ -235,7 +89,7 @@ def trace_paths_numpy(pts, bs, scat_pos, scat_refl, scat_phase, scat_vis,
         d2x = pts[:, 0] - sx
         d2y = pts[:, 1] - sy
         d2 = np.sqrt(d2x * d2x + d2y * d2y)
-        ok = ~_blocked_np(pts[:, 0], pts[:, 1], sx, sy, obstacles)
+        ok = ~_blocked(pts[:, 0], pts[:, 1], sx, sy, obstacles)
         total = d1 + d2
         c_ang[:, s + 1] = d1x / d1
         c_amp[:, s + 1] = np.where(ok, scat_refl[s] * amp0 / total**ple, 0.0)
@@ -266,33 +120,13 @@ def trace_paths_numpy(pts, bs, scat_pos, scat_refl, scat_phase, scat_vis,
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True)
-def probe_cost_loops(csum, act, nt, L):
+def probe_cost_single(csum, act, nt, L):
     """Probe cost of resolving bottom beam ``nt`` under activation ``act``.
 
     The earliest active layer is searched exhaustively; every later active
     layer adds its candidate descendants of the ancestor fixed at the
     previous active layer, skipped when that count is below two.
     """
-    cost = 0
-    prev = 0
-    for l in range(1, L + 1):
-        if act[l - 1] == 0:
-            continue
-        if prev == 0:
-            cost += csum[l - 1, 1 << l]
-        else:
-            anc = (nt - 1) >> (L - prev)
-            a = anc << (l - prev)
-            b = (anc + 1) << (l - prev)
-            cnt = csum[l - 1, b] - csum[l - 1, a]
-            if cnt >= 2:
-                cost += cnt
-        prev = l
-    return cost
-
-
-def probe_cost_numpy(csum, act, nt, L):
     cost = 0
     prev = 0
     for l in range(1, L + 1):
@@ -380,11 +214,3 @@ def _layer_pairs(L):
     for a in out:
         a.flags.writeable = False
     return out
-
-
-if NUMBA_ENABLED:
-    trace_paths = trace_paths_loops
-    probe_cost_single = probe_cost_loops
-else:
-    trace_paths = trace_paths_numpy
-    probe_cost_single = probe_cost_numpy

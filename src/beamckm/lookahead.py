@@ -3,7 +3,8 @@
 Instead of scoring every layer subset, each round inspects only the
 candidate children and grandchildren below the current node and picks
 between probing one level down or skipping straight to two levels down,
-using the expected probe counts of the two options.
+using the expected probe counts of the two options.  The rounds run in
+``strategy.run_episode`` with this rule as the layer choice.
 """
 
 from __future__ import annotations
@@ -12,11 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamtree import apply_observation, candidate_beams, compute_point_weights
-from .channel import ChannelRealization, probe
+from .beamtree import compute_point_weights
 from .ckm import CkmGrid
 from .codebook import BeamId, HierarchicalCodebook, build_codebook
-from .strategy import ProbeRound
+from .strategy import ProbeRound, run_episode
+
+# unused here; perfbench's tracer looks these names up on this module
+from .beamtree import apply_observation, candidate_beams  # noqa: F401
+from .channel import probe  # noqa: F401
 
 FULL_TREE = "full-tree"
 SINGLE_CHAIN = "single-chain"
@@ -118,48 +122,9 @@ def run_lookahead(
     """Full lookahead episode; returns (chosen beam, probe count, rounds)."""
     if codebook is None:
         codebook = build_codebook(ckm.num_antennas)
-    if isinstance(channel, ChannelRealization):
-        h = channel.vector(ckm.num_antennas)
-    else:
-        h = np.asarray(channel)
     table = compute_point_weights(ckm, prior, beta, retain_beams=retain_beams)
-    tree = candidate_beams(table)
-    L = ckm.num_layers
-    overhead = 0
-    transcript: list[ProbeRound] = []
-    root: BeamId | None = None
-    while True:
-        bottom = tree.bottom_candidates()
-        if len(bottom) == 1:
-            chosen = BeamId(L, int(bottom[0]))
-            break
-        if root is not None and root.layer == L:
-            chosen = root
-            break
-        view = subtree_view(tree, table.layer_weights(), root)
-        kind = classify(view)
-        layer = next_layer(view, kind)
-        if kind == FORCED_DESCENT:
-            observed = BeamId(layer, int(view.children[0]))
-            transcript.append(ProbeRound(layer, (observed.index,), observed.index, 0))
-        else:
-            if layer == view.root_layer + 1:
-                cands = view.children
-            else:
-                cands = np.concatenate(view.grandchildren)
-                cands.sort()
-            mags = np.array(
-                [
-                    probe(h, codebook.codeword(BeamId(layer, int(n))), noise_std, rng)
-                    for n in cands
-                ]
-            )
-            fb = int(cands[int(np.argmax(mags))])
-            observed = BeamId(layer, fb)
-            overhead += len(cands)
-            transcript.append(
-                ProbeRound(layer, tuple(int(n) for n in cands), fb, len(cands))
-            )
-        tree = apply_observation(table, tree, observed)
-        root = observed
-    return chosen, overhead, transcript
+
+    def choose_layer(tree, root):
+        return next_layer(subtree_view(tree, table.layer_weights(), root))
+
+    return run_episode(np.asarray(channel), codebook, table, choose_layer, noise_std, rng)

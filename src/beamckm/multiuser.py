@@ -23,10 +23,10 @@ from .beamtree import (
     candidate_beams,
     compute_point_weights,
 )
-from .channel import ChannelRealization, probe
+from .channel import probe
 from .ckm import CkmGrid
 from .codebook import BeamId, HierarchicalCodebook, build_codebook
-from .strategy import optimal_layer, shortest_plan
+from .strategy import episode_outcome, optimal_layer, shortest_plan
 
 
 @dataclass(frozen=True)
@@ -166,8 +166,8 @@ def prune_user_points(
     smax = float(masked.max())
     surv = alive & (sims > eta * smax)
     if f_obs is not None:
-        peak = np.argmax(gm, axis=1)
-        surv &= np.array([beams[p] == f_obs for p in peak])
+        f_col = 2**f_obs.layer - 2 + f_obs.index - 1
+        surv &= cols[np.argmax(gm, axis=1)] == f_col
     if not surv.any():
         surv = alive & (masked == smax)
     table.kill_points(surv)
@@ -197,12 +197,7 @@ def run_multi_user(
     if codebook is None:
         codebook = build_codebook(ckm.num_antennas)
     L = ckm.num_layers
-    hs = []
-    for c in channels:
-        if isinstance(c, ChannelRealization):
-            hs.append(c.vector(ckm.num_antennas))
-        else:
-            hs.append(np.asarray(c))
+    hs = [np.asarray(c) for c in channels]
     tables = [compute_point_weights(ckm, p, beta, retain_beams=retain_beams) for p in priors]
     trees = [candidate_beams(t) for t in tables]
     roots: list[BeamId | None] = [None] * K
@@ -211,13 +206,8 @@ def run_multi_user(
     total = 0
     for _ in range(K * (L + 2) + 2):
         for k in range(K):
-            if chosen[k] is not None:
-                continue
-            bottom = trees[k].bottom_candidates()
-            if len(bottom) == 1:
-                chosen[k] = BeamId(L, int(bottom[0]))
-            elif roots[k] is not None and roots[k].layer == L:
-                chosen[k] = roots[k]
+            if chosen[k] is None:
+                chosen[k] = episode_outcome(trees[k], roots[k])
         active = [k for k in range(K) if chosen[k] is None]
         if not active:
             break

@@ -10,6 +10,12 @@ instead of scoring all 2^(L-1) subsets, probes the candidates of the
 plan's first layer, and folds the feedback into the tree before
 re-planning.
 
+The round itself is shared: ``run_episode`` is the search loop of every
+map-aided single-user strategy, which differ only in the layer-choice
+function they pass (this planner for alg1, ``lookahead.next_layer`` for
+alg2), and ``probe_round`` is also the probe step of the map-blind
+baselines.
+
 Tie rule: plans are ordered by lowest cost, where costs within a relative
 ``PLAN_RTOL`` of each other tie, then by fewest layers, then by the
 deepest first layer (then the deepest second layer, and so on).
@@ -29,7 +35,7 @@ from .beamtree import (
     candidate_beams,
     compute_point_weights,
 )
-from .channel import ChannelRealization, probe
+from .channel import probe
 from .ckm import CkmGrid
 from .codebook import BeamId, HierarchicalCodebook, build_codebook
 
@@ -167,6 +173,59 @@ def optimal_layer(tree: PrunedTree, weights, from_layer: int = 0) -> int:
     return act[0]
 
 
+def probe_round(
+    h: np.ndarray,
+    codebook: HierarchicalCodebook,
+    layer: int,
+    cands,
+    noise_std: float,
+    rng: np.random.Generator | None = None,
+) -> ProbeRound:
+    """Probe each candidate beam at ``layer`` and keep the strongest (the
+    first on ties); a single candidate is a free descent.  ``cands`` are
+    ascending 1-based indices as Python ints."""
+    probed = tuple(cands)
+    if len(probed) == 1:
+        return ProbeRound(layer, probed, probed[0], 0)
+    mags = [probe(h, codebook.codeword(BeamId(layer, n)), noise_std, rng) for n in probed]
+    return ProbeRound(layer, probed, probed[int(np.argmax(mags))], len(probed))
+
+
+def episode_outcome(tree: PrunedTree, root: BeamId | None) -> BeamId | None:
+    """The chosen bottom beam once the search is over: the sole bottom
+    candidate, or the root once it reaches the bottom layer; else None."""
+    bottom = tree.bottom_candidates()
+    if len(bottom) == 1:
+        return BeamId(tree.num_layers, int(bottom[0]))
+    if root is not None and root.layer == tree.num_layers:
+        return root
+    return None
+
+
+def run_episode(
+    h: np.ndarray,
+    codebook: HierarchicalCodebook,
+    table: BeamWeightTable,
+    choose_layer,
+    noise_std: float,
+    rng: np.random.Generator | None = None,
+) -> tuple[BeamId, int, list[ProbeRound]]:
+    """Map-aided search: each round probes the candidates under the root
+    at ``choose_layer(tree, root)`` and folds the feedback into the tree.
+    Returns (chosen bottom beam, probe count, rounds)."""
+    tree = candidate_beams(table)
+    transcript: list[ProbeRound] = []
+    root: BeamId | None = None
+    while (chosen := episode_outcome(tree, root)) is None:
+        layer = choose_layer(tree, root)
+        cands = tree.candidates_under(layer, root).tolist()
+        r = probe_round(h, codebook, layer, cands, noise_std, rng)
+        transcript.append(r)
+        root = BeamId(layer, r.feedback)
+        tree = apply_observation(table, tree, root)
+    return chosen, sum(r.probes for r in transcript), transcript
+
+
 def run_single_user(
     ckm: CkmGrid,
     prior,
@@ -180,44 +239,9 @@ def run_single_user(
     """Full search episode; returns (chosen bottom beam, probe count, rounds)."""
     if codebook is None:
         codebook = build_codebook(ckm.num_antennas)
-    if isinstance(channel, ChannelRealization):
-        h = channel.vector(ckm.num_antennas)
-    else:
-        h = np.asarray(channel)
     table = compute_point_weights(ckm, prior, beta, retain_beams=retain_beams)
-    tree = candidate_beams(table)
-    L = ckm.num_layers
-    overhead = 0
-    transcript: list[ProbeRound] = []
-    root: BeamId | None = None
-    while True:
-        bottom = tree.bottom_candidates()
-        if len(bottom) == 1:
-            chosen = BeamId(L, int(bottom[0]))
-            break
-        if root is not None and root.layer == L:
-            chosen = root
-            break
-        from_layer = 0 if root is None else root.layer
-        layer = optimal_layer(tree, table.bottom_weights(), from_layer)
-        cands = tree.candidates(layer)
-        if len(cands) == 1:
-            # nothing to compare; descend for free
-            observed = BeamId(layer, int(cands[0]))
-            transcript.append(ProbeRound(layer, (observed.index,), observed.index, 0))
-        else:
-            mags = np.array(
-                [
-                    probe(h, codebook.codeword(BeamId(layer, int(n))), noise_std, rng)
-                    for n in cands
-                ]
-            )
-            fb = int(cands[int(np.argmax(mags))])
-            observed = BeamId(layer, fb)
-            overhead += len(cands)
-            transcript.append(
-                ProbeRound(layer, tuple(int(n) for n in cands), fb, len(cands))
-            )
-        tree = apply_observation(table, tree, observed)
-        root = observed
-    return chosen, overhead, transcript
+
+    def choose_layer(tree, root):
+        return optimal_layer(tree, table.bottom_weights(), 0 if root is None else root.layer)
+
+    return run_episode(np.asarray(channel), codebook, table, choose_layer, noise_std, rng)

@@ -1,13 +1,7 @@
-"""Compiled vs plain-numpy kernel parity, the planner's pair weights, and
-the backend toggle.
+"""Path tracing against a scalar reference tracer, and the planner's pair
+weights against the activation reward oracle."""
 
-Both execution paths must be bit-identical on the same inputs; the
-BEAMCKM_NO_NUMBA environment flag selects the numpy path at import time.
-"""
-
-import os
-import subprocess
-import sys
+import math
 
 import numpy as np
 
@@ -15,6 +9,80 @@ import beamckm as bc
 from beamckm import kernels
 
 from test_planner import activation_matrix
+
+
+def _orient(ax, ay, bx, by, cx, cy):
+    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+
+
+def _on_segment(ax, ay, bx, by, px, py):
+    # collinearity assumed; checks the bounding box
+    return min(ax, bx) <= px <= max(ax, bx) and min(ay, by) <= py <= max(ay, by)
+
+
+def _crosses(p1, p2, q1, q2):
+    """Segments p1-p2 and q1-q2 meet; touching or collinear overlap counts."""
+    o1 = _orient(*p1, *p2, *q1)
+    o2 = _orient(*p1, *p2, *q2)
+    o3 = _orient(*q1, *q2, *p1)
+    o4 = _orient(*q1, *q2, *p2)
+    if 0.0 not in (o1, o2, o3, o4) and (o1 > 0) != (o2 > 0) and (o3 > 0) != (o4 > 0):
+        return True
+    return (
+        (o1 == 0 and _on_segment(*p1, *p2, *q1))
+        or (o2 == 0 and _on_segment(*p1, *p2, *q2))
+        or (o3 == 0 and _on_segment(*q1, *q2, *p1))
+        or (o4 == 0 and _on_segment(*q1, *q2, *p2))
+    )
+
+
+def _distance(a, b):
+    # the phase keeps only the fraction of distance / wavelength, so the
+    # rounding of the distance matters: written as in the kernel
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    return math.sqrt(dx * dx + dy * dy)
+
+
+def reference_trace(pts, bs, scat_pos, scat_refl, scat_phase, scat_vis,
+                    obstacles, wavelength, ple, max_paths):
+    """One point and one path at a time: the LoS path and one bounce per
+    visible scatterer, each kept unless a wall blocks a leg, then the
+    ``max_paths`` strongest in stable order (LoS first, then scatterers)."""
+    walls = [((float(o[0]), float(o[1])), (float(o[2]), float(o[3]))) for o in obstacles]
+    bs = (float(bs[0]), float(bs[1]))
+    amp0 = wavelength / (4.0 * math.pi)
+    out = [np.zeros((len(pts), max_paths)) for _ in range(3)]
+    counts = np.zeros(len(pts), dtype=np.int64)
+    for i, (px, py) in enumerate(pts):
+        p = (float(px), float(py))
+        paths = []  # (amplitude, angle, phase)
+        if not any(_crosses(bs, p, *w) for w in walls):
+            dist = _distance(bs, p)
+            paths.append((amp0 / dist**ple, (p[0] - bs[0]) / dist,
+                          -2.0 * math.pi * ((dist / wavelength) % 1.0)))
+        for s, (sx, sy) in enumerate(scat_pos):
+            sc = (float(sx), float(sy))
+            if not scat_vis[s] or any(_crosses(sc, p, *w) for w in walls):
+                continue
+            d1 = _distance(bs, sc)
+            total = d1 + _distance(sc, p)
+            paths.append((scat_refl[s] * amp0 / total**ple, (sc[0] - bs[0]) / d1,
+                          -2.0 * math.pi * ((total / wavelength) % 1.0) + scat_phase[s]))
+        kept = sorted(paths, key=lambda path: -path[0])[:max_paths]
+        counts[i] = len(kept)
+        for slot, (amp, angle, phase) in enumerate(kept):
+            out[0][i, slot], out[1][i, slot], out[2][i, slot] = angle, amp, phase
+    return out[0], out[1], out[2], counts
+
+
+def assert_matches_reference(args, max_paths):
+    got = kernels.trace_paths(*args, 0.00375, 1.0, max_paths)
+    want = reference_trace(*args, 0.00375, 1.0, max_paths)
+    np.testing.assert_array_equal(got[3], want[3])
+    for g, w in zip(got[:3], want[:3]):
+        assert g.shape == (len(args[0]), max_paths)
+        np.testing.assert_array_equal(g, w)
+    return want[3]
 
 
 def random_geometry(rng, n_points=40, n_scat=3, n_obs=2):
@@ -39,45 +107,39 @@ def random_tree_inputs(rng, num_layers):
     return tree, weights
 
 
-class TestPathTracingParity:
-    def test_loops_and_numpy_paths_agree(self):
+class TestPathTracingReference:
+    def test_random_scenes_match_reference(self):
         rng = np.random.default_rng(17)
-        for trial in range(10):
-            args = random_geometry(rng)
-            out_a = kernels.trace_paths_loops(*args, 0.00375, 1.0, 4)
-            out_b = kernels.trace_paths_numpy(*args, 0.00375, 1.0, 4)
-            for a, b in zip(out_a, out_b):
-                np.testing.assert_array_equal(a, b)
+        for _ in range(10):
+            assert_matches_reference(random_geometry(rng), 4)
 
-    def test_max_paths_truncation_agrees(self):
-        rng = np.random.default_rng(3)
-        args = random_geometry(rng, n_scat=6, n_obs=0)
+    def test_max_paths_truncation_matches_reference(self):
+        args = random_geometry(np.random.default_rng(3), n_scat=6, n_obs=0)
         for max_paths in (1, 2, 7):
-            out_a = kernels.trace_paths_loops(*args, 0.00375, 1.0, max_paths)
-            out_b = kernels.trace_paths_numpy(*args, 0.00375, 1.0, max_paths)
-            assert out_a[0].shape[1] <= max_paths
-            for a, b in zip(out_a, out_b):
-                np.testing.assert_array_equal(a, b)
+            assert assert_matches_reference(args, max_paths).max() == max_paths
 
-
-class TestProbeCostParity:
-    def test_probe_cost_paths_agree(self):
-        rng = np.random.default_rng(31)
-        for num_layers in (3, 4, 5):
-            for _ in range(20):
-                tree, _ = random_tree_inputs(rng, num_layers)
-                csum = tree.prefix_sums()
-                targets = tree.bottom_candidates()
-                for mask in range(2 ** (num_layers - 1)):
-                    act = np.zeros(num_layers, dtype=np.uint8)
-                    act[num_layers - 1] = 1
-                    for i in range(num_layers - 1):
-                        if (mask >> i) & 1:
-                            act[i] = 1
-                    for nt in targets:
-                        a = kernels.probe_cost_loops(csum, act, int(nt), num_layers)
-                        b = kernels.probe_cost_numpy(csum, act, int(nt), num_layers)
-                        assert a == b
+    def test_touching_and_collinear_walls_match_reference(self):
+        # integer geometry makes the orientation tests exactly zero: a wall
+        # collinear with the LoS ray, a wall whose end touches it, and one
+        # whose end lies exactly on a scatterer leg
+        xs, ys = np.meshgrid(np.arange(-4.0, 5.0), np.arange(1.0, 9.0))
+        pts = np.column_stack([xs.ravel(), ys.ravel()])
+        args = (
+            pts,
+            np.array([0.0, 0.0]),
+            np.array([[-6.0, 6.0], [6.0, 2.0]]),
+            np.array([0.5, 0.7]),
+            np.array([0.3, 1.9]),
+            np.array([True, True]),
+            np.array([[0.0, 2.0, 0.0, 4.0], [1.0, 1.0, 3.0, 1.0], [-2.0, 2.0, -2.0, 5.0]]),
+        )
+        counts = assert_matches_reference(args, 3)
+        los_blocked = {(0.0, 3.0), (0.0, 5.0), (2.0, 2.0), (3.0, 3.0), (-4.0, 4.0)}
+        walls = [((0.0, 2.0), (0.0, 4.0)), ((1.0, 1.0), (3.0, 1.0)), ((-2.0, 2.0), (-2.0, 5.0))]
+        for p in los_blocked:
+            assert any(_crosses((0.0, 0.0), p, *w) for w in walls), p
+        assert not any(_crosses((0.0, 0.0), (0.0, 1.0), *w) for w in walls)
+        assert counts.min() == 0 and counts.max() == 3
 
 
 class TestPairWeights:
@@ -106,22 +168,3 @@ class TestPairWeights:
         assert entry[0] == 0.0
         np.testing.assert_array_equal(hops, np.triu(hops, k=1))
         assert not hops[0].any()
-
-
-class TestBackendToggle:
-    def test_env_flag_selects_numpy_path(self):
-        code = (
-            "from beamckm import kernels; "
-            "print(kernels.NUMBA_ENABLED, kernels.trace_paths is kernels.trace_paths_numpy)"
-        )
-        env = dict(os.environ, BEAMCKM_NO_NUMBA="1")
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env
-        )
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.split() == ["False", "True"]
-
-    def test_default_import_reports_backend(self):
-        # whichever backend loaded, the dispatched names must be callable
-        assert kernels.trace_paths in (kernels.trace_paths_loops, kernels.trace_paths_numpy)
-        assert kernels.probe_cost_single in (kernels.probe_cost_loops, kernels.probe_cost_numpy)

@@ -292,3 +292,70 @@ class TestRunSingleUser:
         assert runs[0][0] == runs[1][0]
         assert runs[0][1] == runs[1][1]
         assert runs[0][2] == runs[1][2]
+
+
+class TestSharedEpisodeLoop:
+    """Round invariants that alg1, alg2 and both baselines share through
+    ``probe_round``, checked on noisy episodes of the small scene."""
+
+    EPISODES = {
+        "alg1": lambda ckm, prior, h, sigma, cb, rng: bc.run_single_user(
+            ckm, prior, h, sigma, 0.5, codebook=cb, rng=rng
+        ),
+        "alg2": lambda ckm, prior, h, sigma, cb, rng: bc.run_lookahead(
+            ckm, prior, h, sigma, 0.5, codebook=cb, rng=rng
+        ),
+        "baseline-hier": lambda ckm, prior, h, sigma, cb, rng: bc.baseline_hierarchical(
+            h, cb, sigma, rng
+        ),
+        "baseline-exhaustive": lambda ckm, prior, h, sigma, cb, rng: bc.baseline_exhaustive(
+            h, cb, sigma, rng
+        ),
+    }
+
+    @pytest.mark.parametrize("algo", list(EPISODES))
+    @pytest.mark.parametrize("snr_db", [0.0, 10.0])
+    def test_rounds_descend_under_previous_feedback(self, small_scene, algo, snr_db):
+        ckm, cb = small_scene["ckm"], small_scene["codebook"]
+        L = ckm.num_layers
+        # two regions whose best beams sometimes leave one bottom candidate
+        # before the bottom layer is probed
+        prior = bc.PositionPrior(
+            (bc.SubRegion(tuple(range(34, 40)), 0.5), bc.SubRegion(tuple(range(120, 128)), 0.5))
+        )
+        sigma = bc.noise_std_for_snr(snr_db, bc.reference_gain(ckm))
+        sole_candidate_endings = 0
+        for seed in range(8):
+            point = bc.sample_true_position(prior, np.random.default_rng(seed))
+            h = scene_channel(small_scene, point)
+            rng = np.random.default_rng(seed)
+            chosen, overhead, rounds = self.EPISODES[algo](ckm, prior, h, sigma, cb, rng)
+            assert overhead == sum(r.probes for r in rounds)
+            prev = None
+            for r in rounds:
+                assert r.feedback in r.probed
+                assert list(r.probed) == sorted(set(r.probed))
+                if r.probes == 0:
+                    assert len(r.probed) == 1
+                else:
+                    assert r.probes == len(r.probed) >= 2
+                if prev is not None:
+                    assert r.layer > prev.layer
+                    shift = r.layer - prev.layer
+                    lo, hi = (prev.index - 1) << shift, prev.index << shift
+                    assert all(lo < n <= hi for n in r.probed)
+                prev = bc.BeamId(r.layer, r.feedback)
+            assert chosen.layer == L
+            if prev is not None and prev.layer == L:
+                assert chosen == prev
+                continue
+            # otherwise the search stopped on a sole bottom candidate
+            assert algo in ("alg1", "alg2")
+            sole_candidate_endings += 1
+            table = bc.compute_point_weights(ckm, prior, 0.5)
+            tree = bc.candidate_beams(table)
+            for r in rounds:
+                tree = bc.apply_observation(table, tree, bc.BeamId(r.layer, r.feedback))
+            assert tree.bottom_candidates().tolist() == [chosen.index]
+        if algo in ("alg1", "alg2"):
+            assert sole_candidate_endings > 0
