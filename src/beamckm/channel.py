@@ -42,14 +42,6 @@ class ArrayConfig:
 
 
 @dataclass(frozen=True)
-class PropagationPath:
-    """One plane-wave departure: complex gain and sine-space angle."""
-
-    gain: complex
-    spatial_angle: float
-
-
-@dataclass(frozen=True)
 class Scatterer:
     position: tuple[float, float]
     reflection: float  # amplitude reflection coefficient, |.| <= 1
@@ -94,32 +86,8 @@ class Environment:
             dtype=float,
         ).reshape(len(self.obstacles), 4)
         bs = np.asarray(bs_position, dtype=float)
-        scat_vis = np.array(
-            [
-                not bool(
-                    kernels._blocked(
-                        np.atleast_1d(scat_pos[s, 0]), np.atleast_1d(scat_pos[s, 1]),
-                        bs[0], bs[1], obstacles,
-                    )[0]
-                )
-                for s in range(ns)
-            ],
-            dtype=bool,
-        ).reshape(ns)
+        scat_vis = ~kernels._blocked(scat_pos[:, 0], scat_pos[:, 1], bs[0], bs[1], obstacles)
         return bs, scat_pos, scat_refl, self._scat_phases, scat_vis, obstacles
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    paths: tuple[PropagationPath, ...]
-    receiver_position: tuple[float, float]
-
-    def vector(self, num_antennas: int) -> np.ndarray:
-        """Array response h = sum of gain * steering_vector over paths."""
-        h = np.zeros(num_antennas, dtype=np.complex128)
-        for p in self.paths:
-            h += p.gain * steering_vector(p.spatial_angle, num_antennas)
-        return h
 
 
 def steering_vector(angle: float, n_antennas: int) -> np.ndarray:
@@ -145,43 +113,45 @@ def trace_point_paths(env: Environment, array: ArrayConfig, positions: np.ndarra
     )
 
 
-def synthesize_channel(
-    env: Environment, array: ArrayConfig, position
-) -> ChannelRealization:
-    """Sparse multipath channel at one receiver position.
+def channel_vectors(angles, amps, phases, num_antennas: int) -> np.ndarray:
+    """(P, N) array responses of traced paths: row p sums
+    amp * e^{j phase} * steering vector over point p's slots, in slot order.
+
+    Empty slots have amplitude 0 and add nothing.  The map and the trials
+    both take their channels from here, so they agree bit for bit.
+    """
+    ant = np.arange(num_antennas)
+    h = np.zeros((angles.shape[0], num_antennas), dtype=np.complex128)
+    for s in range(angles.shape[1]):
+        coef = amps[:, s] * np.exp(1j * phases[:, s])
+        h += coef[:, None] * np.exp(-1j * np.pi * angles[:, s, None] * ant)
+    return h
+
+
+def synthesize_channel(env: Environment, array: ArrayConfig, position) -> np.ndarray:
+    """Sparse multipath channel vector (N,) at one receiver position.
 
     Contains the LoS path when unobstructed (angle = sine of the BS->UE
     direction measured from broadside, amplitude (lambda/4 pi)/d^ple) plus
     one bounce per visible scatterer, truncated to the max_paths strongest.
     """
-    pos = np.asarray(position, dtype=float).reshape(2)
-    angles, amps, phases, counts = trace_point_paths(env, array, pos[None, :])
-    n = int(counts[0])
-    if n == 0:
-        raise ValueError(f"no propagation path reaches position {tuple(pos)}")
-    paths = tuple(
-        PropagationPath(
-            gain=complex(amps[0, i] * np.exp(1j * phases[0, i])),
-            spatial_angle=float(angles[0, i]),
-        )
-        for i in range(n)
-    )
-    return ChannelRealization(paths=paths, receiver_position=(pos[0], pos[1]))
+    pos = np.asarray(position, dtype=float).reshape(1, 2)
+    angles, amps, phases, counts = trace_point_paths(env, array, pos)
+    if counts[0] == 0:
+        raise ValueError(f"no propagation path reaches position {tuple(pos[0])}")
+    return channel_vectors(angles, amps, phases, array.num_antennas)[0]
 
 
 def probe(
-    channel: ChannelRealization | np.ndarray,
+    channel: np.ndarray,
     codeword: np.ndarray,
     noise_std: float,
     rng: np.random.Generator | None = None,
 ) -> float:
     """Magnitude of the received pilot |h^H f + n|, n ~ CN(0, noise_std^2)."""
-    if isinstance(channel, ChannelRealization):
-        h = channel.vector(len(codeword))
-    else:
-        h = np.asarray(channel)
-        if h.shape != np.asarray(codeword).shape:
-            raise ValueError("channel/codeword dimension mismatch")
+    h = np.asarray(channel)
+    if h.shape != np.asarray(codeword).shape:
+        raise ValueError("channel/codeword dimension mismatch")
     y = np.vdot(h, codeword)
     if noise_std > 0.0:
         if rng is None:

@@ -2,7 +2,9 @@
 
 The map stores the noiseless gain magnitude |h^H f| of every codeword at
 every grid point, queried by nearest-grid-point lookup.  Maps persist in a
-little-endian binary container (magic ``BCKM``).
+little-endian binary container (magic ``BCKM``): a header with the grid,
+then one record per codeword.  Version 2 stores the grid extents; version
+1 files, which lack them, still load with extents of count x spacing.
 """
 
 from __future__ import annotations
@@ -13,11 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ArrayConfig, Environment, trace_point_paths
+from .channel import ArrayConfig, Environment, channel_vectors, trace_point_paths
 from .codebook import BeamId, HierarchicalCodebook
 
 FORMAT_MAGIC = b"BCKM"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+# magic, version, antennas, layers, nx, ny, spacings, origin, codewords
+_HEADER_V1 = "<4sIIIIIddddI"
+_EXTENTS = "<dd"  # v2 only, right after the v1 fields
 
 
 class CkmFormatError(ValueError):
@@ -143,14 +148,8 @@ def build_ckm(
     log-normal factor exp(sigma * Z), modelling an outdated map; the jitter
     stream is seeded separately from trial randomness.
     """
-    pts = grid.point_coords()
-    angles, amps, phases, _counts = trace_point_paths(env, array, pts)
     n_ant = array.num_antennas
-    ant = np.arange(n_ant)
-    h = np.zeros((pts.shape[0], n_ant), dtype=np.complex128)
-    for slot in range(angles.shape[1]):
-        coef = amps[:, slot] * np.exp(1j * phases[:, slot])
-        h += coef[:, None] * np.exp(-1j * np.pi * np.outer(angles[:, slot], ant))
+    h = channel_vectors(*trace_point_paths(env, array, grid.point_coords())[:3], n_ant)
     gains = np.abs(h.conj() @ codebook.matrix.T).T  # (num_cw, num_points)
     if staleness_sigma > 0.0:
         seed = env.rng_seed if staleness_seed is None else staleness_seed
@@ -170,17 +169,16 @@ def lookup_gain(ckm: CkmGrid, position, beam: BeamId) -> float:
 
 
 def save_ckm(ckm: CkmGrid) -> bytes:
-    """Serialize to the BCKM little-endian container."""
+    """Serialize to the BCKM little-endian container (current version)."""
     grid = ckm.grid
-    out = bytearray()
-    out += FORMAT_MAGIC
-    out += struct.pack(
-        "<IIIII", FORMAT_VERSION, ckm.num_antennas, ckm.num_layers, grid.nx, grid.ny
+    out = bytearray(
+        struct.pack(
+            _HEADER_V1, FORMAT_MAGIC, FORMAT_VERSION, ckm.num_antennas, ckm.num_layers,
+            grid.nx, grid.ny, grid.spacing_x, grid.spacing_y, grid.origin[0],
+            grid.origin[1], ckm.gains.shape[0],
+        )
     )
-    out += struct.pack(
-        "<dddd", grid.spacing_x, grid.spacing_y, grid.origin[0], grid.origin[1]
-    )
-    out += struct.pack("<I", ckm.gains.shape[0])
+    out += struct.pack(_EXTENTS, grid.extent_x, grid.extent_y)
     row = 0
     for layer in range(1, ckm.num_layers + 1):
         for index in range(1, 2**layer + 1):
@@ -192,22 +190,40 @@ def save_ckm(ckm: CkmGrid) -> bytes:
 
 def load_ckm(data: bytes) -> CkmGrid:
     """Parse a BCKM byte stream; raises CkmFormatError on malformed input."""
-    header = struct.calcsize("<4sIIIIIddddI")
+    header = struct.calcsize(_HEADER_V1)
     if len(data) < header:
         raise CkmFormatError("truncated header")
     (magic, version, n_ant, n_layers, nx, ny, dx, dy, ox, oy, n_cw) = struct.unpack_from(
-        "<4sIIIIIddddI", data, 0
+        _HEADER_V1, data, 0
     )
     if magic != FORMAT_MAGIC:
         raise CkmFormatError(f"bad magic {magic!r}")
-    if version != FORMAT_VERSION:
+    if version == 1:
+        ex, ey = nx * dx, ny * dy
+    elif version == 2:
+        if len(data) < header + struct.calcsize(_EXTENTS):
+            raise CkmFormatError("truncated header")
+        ex, ey = struct.unpack_from(_EXTENTS, data, header)
+        header += struct.calcsize(_EXTENTS)
+    else:
         raise CkmFormatError(f"unsupported format version {version}")
     if n_layers < 1 or n_ant != 2**n_layers:
         raise CkmFormatError(
             f"antenna count {n_ant} inconsistent with {n_layers} layers"
         )
-    if nx < 1 or ny < 1 or dx <= 0 or dy <= 0:
+    if (
+        nx < 1
+        or ny < 1
+        or not all(math.isfinite(v) and v > 0 for v in (dx, dy, ex, ey))
+        or not math.isfinite(ex / dx * (ey / dy))
+    ):
         raise CkmFormatError("invalid grid dimensions")
+    grid = GridSpec(extent_x=ex, extent_y=ey, spacing_x=dx, spacing_y=dy, origin=(ox, oy))
+    if (grid.nx, grid.ny) != (nx, ny):
+        raise CkmFormatError(
+            f"grid extents ({ex}, {ey}) at spacings ({dx}, {dy}) give "
+            f"{grid.nx}x{grid.ny} points, header says {nx}x{ny}"
+        )
     expected_cw = 2 ** (n_layers + 1) - 2
     if n_cw != expected_cw:
         raise CkmFormatError(
@@ -233,7 +249,4 @@ def load_ckm(data: bytes) -> CkmGrid:
         row = HierarchicalCodebook.row_of(BeamId(layer, index))
         gains[row] = np.frombuffer(data, dtype="<f4", count=n_pts, offset=off)
         off += 4 * n_pts
-    grid = GridSpec(
-        extent_x=nx * dx, extent_y=ny * dy, spacing_x=dx, spacing_y=dy, origin=(ox, oy)
-    )
     return CkmGrid(grid=grid, num_antennas=n_ant, num_layers=n_layers, gains=gains)

@@ -94,6 +94,7 @@ class ScenarioConfig:
         bad = [a for a in self.algorithms if a not in ALGORITHMS]
         if bad:
             raise ValueError(f"unknown algorithm(s) {bad}; valid: {list(ALGORITHMS)}")
+        user_priors(self)  # a region covering no grid point fails here, not mid-run
 
 
 def _check_keys(obj: dict, allowed: dict, where: str) -> None:
@@ -410,9 +411,7 @@ def run_trials(
         hs, gvecs, oracles = [], [], []
         for k in range(K):
             pos = ckm.grid.point_position(points[k])
-            h = synthesize_channel(config.environment, config.array, pos).vector(
-                config.array.num_antennas
-            )
+            h = synthesize_channel(config.environment, config.array, pos)
             g = np.abs(bottom @ np.conj(h))
             hs.append(h)
             gvecs.append(g)

@@ -72,9 +72,7 @@ def small_scene():
 def scene_channel(scene, point: int) -> np.ndarray:
     """Ground-truth channel vector at a grid point of the small scene."""
     pos = scene["grid"].point_position(point)
-    return bc.synthesize_channel(scene["env"], scene["array"], pos).vector(
-        scene["array"].num_antennas
-    )
+    return bc.synthesize_channel(scene["env"], scene["array"], pos)
 
 
 def exhaustive_best_beam(scene, h: np.ndarray) -> bc.BeamId:

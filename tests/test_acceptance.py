@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import beamckm as bc
-from beamckm.channel import synthesize_channel
+from beamckm.channel import trace_point_paths
 from beamckm.multiuser import prune_user_points
 from beamckm.position import sample_true_position
 from beamckm.strategy import enumerate_activations
@@ -138,21 +138,18 @@ class TestDeskScaleBehaviour:
         hits = {a: _hit_rate(_rows(desk, a, math.inf)) for a in bc.ALGORITHMS}
         ok = all(h >= 0.99 for h in hits.values())
 
-        # Re-derive each trial's channels to flag single-dominant rows
-        # (strongest path at least twice the runner-up, or a lone path).
+        # Re-trace each trial's paths to flag single-dominant rows
+        # (strongest path at least twice the runner-up, or a lone path;
+        # path slots come strongest first).
         priors = desk["priors"]
         single = {}
         for t in range(cfg.trials):
             rng = np.random.default_rng([cfg.seed, 101, t])
             pts = [sample_true_position(p, rng) for p in priors]
-            for k, pt in enumerate(pts):
-                pos = cfg.grid.point_position(pt)
-                amps = sorted(
-                    (abs(p.gain) for p in
-                     synthesize_channel(cfg.environment, cfg.array, pos).paths),
-                    reverse=True,
-                )
-                single[(t, k)] = len(amps) == 1 or amps[0] >= 2.0 * amps[1]
+            pos = np.array([cfg.grid.point_position(pt) for pt in pts])
+            _, amps, _, counts = trace_point_paths(cfg.environment, cfg.array, pos)
+            for k in range(len(pts)):
+                single[(t, k)] = counts[k] == 1 or amps[k, 0] >= 2.0 * amps[k, 1]
         frac = float(np.mean(list(single.values())))
         sd_hits = {}
         for algo in ("alg1", "alg2", "alg3"):

@@ -4,10 +4,13 @@ Oracles: nearest grid point by brute-force Euclidean distance, and map
 contents by probing a freshly synthesized channel at every grid point.
 """
 
+import math
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import beamckm as bc
 
@@ -19,6 +22,18 @@ def nearest_point_oracle(grid: bc.GridSpec, pos) -> int:
     coords = grid.point_coords()
     d2 = (coords[:, 0] - pos[0]) ** 2 + (coords[:, 1] - pos[1]) ** 2
     return int(np.flatnonzero(d2 == d2.min()).min())
+
+
+# v2 header: the 60 bytes of v1 (magic .. codeword count), then the extents
+V1_HEADER = 60
+RECORDS = V1_HEADER + 16
+
+
+def as_version_1(data: bytes) -> bytes:
+    """The same map in the v1 layout, which has no extents."""
+    v1 = bytearray(data[:V1_HEADER] + data[RECORDS:])
+    struct.pack_into("<I", v1, 4, 1)
+    return bytes(v1)
 
 
 def tiny_scene(n=8):
@@ -91,7 +106,7 @@ class TestBuildCkm:
         ckm = bc.build_ckm(env, array, cb, grid)
         assert ckm.gains.shape == (2 * 8 - 2, grid.num_points)
         for p in range(grid.num_points):
-            h = bc.synthesize_channel(env, array, grid.point_position(p)).vector(8)
+            h = bc.synthesize_channel(env, array, grid.point_position(p))
             direct = np.abs(cb.matrix @ h.conj())
             np.testing.assert_allclose(ckm.gains[:, p], direct, rtol=1e-5, atol=1e-12)
 
@@ -189,7 +204,8 @@ class TestBinaryFormat:
         data = bc.save_ckm(self.make())
         assert data[:4] == b"BCKM"
         version, n_ant, n_layers, nx, ny = struct.unpack_from("<IIIII", data, 4)
-        assert (version, n_ant, n_layers, nx, ny) == (1, 8, 3, 6, 5)
+        assert (version, n_ant, n_layers, nx, ny) == (2, 8, 3, 6, 5)
+        assert struct.unpack_from("<dd", data, V1_HEADER) == (6.0, 5.0)
 
     def test_truncated_header_rejected(self):
         with pytest.raises(bc.CkmFormatError, match="truncated"):
@@ -203,7 +219,7 @@ class TestBinaryFormat:
 
     def test_bad_version_rejected(self):
         data = bytearray(bc.save_ckm(self.make()))
-        struct.pack_into("<I", data, 4, 2)
+        struct.pack_into("<I", data, 4, 3)
         with pytest.raises(bc.CkmFormatError, match="version"):
             bc.load_ckm(bytes(data))
 
@@ -234,7 +250,7 @@ class TestBinaryFormat:
 
     def test_out_of_range_codeword_id_rejected(self):
         data = bytearray(bc.save_ckm(self.make()))
-        struct.pack_into("<HH", data, 60, 9, 1)  # layer 9 of 3
+        struct.pack_into("<HH", data, RECORDS, 9, 1)  # layer 9 of 3
         with pytest.raises(bc.CkmFormatError, match="out of range"):
             bc.load_ckm(bytes(data))
 
@@ -242,9 +258,67 @@ class TestBinaryFormat:
         ckm = self.make()
         data = bytearray(bc.save_ckm(ckm))
         record = 4 + 4 * ckm.grid.num_points
-        data[60 + record : 64 + record] = data[60:64]
+        data[RECORDS + record : RECORDS + 4 + record] = data[RECORDS : RECORDS + 4]
         with pytest.raises(bc.CkmFormatError, match="duplicate"):
             bc.load_ckm(bytes(data))
+
+    def test_version_1_still_loads(self):
+        ckm = self.make()
+        assert bc.load_ckm(as_version_1(bc.save_ckm(ckm))) == ckm
+
+    def test_version_1_rebuilds_extents_from_counts(self):
+        # v1 cannot say that a grid ends mid-cell: 0.3 m at 0.1 m spacing
+        # reloads as 3 x 0.1 m, whose count rounds up to 4
+        grid = bc.GridSpec(extent_x=0.3, extent_y=1.0, spacing_x=0.1, spacing_y=1.0)
+        ckm = bc.CkmGrid(grid, 2, 1, np.zeros((2, grid.num_points), dtype=np.float32))
+        data = bc.save_ckm(ckm)
+        assert bc.load_ckm(data) == ckm
+        with pytest.raises(bc.CkmFormatError, match="header says 3x1"):
+            bc.load_ckm(as_version_1(data))
+
+    def test_extents_inconsistent_with_counts_rejected(self):
+        data = bytearray(bc.save_ckm(self.make()))
+        struct.pack_into("<d", data, V1_HEADER, 7.5)  # 8 columns, header says 6
+        with pytest.raises(bc.CkmFormatError, match="header says 6x5"):
+            bc.load_ckm(bytes(data))
+
+    @pytest.mark.parametrize(
+        "offset, value",
+        [(V1_HEADER + 8, 0.0), (V1_HEADER + 8, -1.0), (V1_HEADER + 8, math.nan),
+         (V1_HEADER + 8, math.inf), (24, 1e-310)],  # extent_y; spacing_x overflowing the count
+    )
+    def test_bad_extent_rejected(self, offset, value):
+        data = bytearray(bc.save_ckm(self.make()))
+        struct.pack_into("<d", data, offset, value)
+        with pytest.raises(bc.CkmFormatError, match="grid"):
+            bc.load_ckm(bytes(data))
+
+    def test_truncated_extents_rejected(self):
+        data = bc.save_ckm(self.make())
+        with pytest.raises(bc.CkmFormatError, match="truncated"):
+            bc.load_ckm(data[: V1_HEADER + 8])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        extent=st.tuples(st.floats(1e-3, 20.0), st.floats(1e-3, 20.0)),
+        spacing=st.tuples(st.floats(0.1, 4.0), st.floats(0.1, 4.0)),
+        origin=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+        num_layers=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+    )
+    @example(extent=(0.1, 1.0), spacing=(0.2, 1.0), origin=(0.0, 0.0), num_layers=1, seed=0)
+    @example(extent=(0.3, 4.9), spacing=(0.1, 0.7), origin=(0.0, 0.0), num_layers=2, seed=1)
+    @example(extent=(64.5, 1.0), spacing=(1.0, 1.0), origin=(0.0, 0.0), num_layers=1, seed=2)
+    def test_round_trip_over_arbitrary_grids(self, extent, spacing, origin, num_layers, seed):
+        grid = bc.GridSpec(*extent, *spacing, origin=origin)
+        n_cw = 2 ** (num_layers + 1) - 2
+        gains = np.random.default_rng(seed).random((n_cw, grid.num_points), dtype=np.float32)
+        ckm = bc.CkmGrid(grid, 2**num_layers, num_layers, gains)
+        data = bc.save_ckm(ckm)
+        back = bc.load_ckm(data)
+        assert back.grid == grid
+        assert back == ckm
+        assert bc.save_ckm(back) == data
 
 
 class TestMapConsistency:
@@ -256,12 +330,11 @@ class TestMapConsistency:
         checked = 0
         for p in range(grid.num_points):
             try:
-                ch = bc.synthesize_channel(
+                h = bc.synthesize_channel(
                     small_scene["env"], small_scene["array"], grid.point_position(p)
                 )
             except ValueError:
                 continue
-            h = ch.vector(16)
             true_mags = np.abs(cb.matrix[2**4 - 2 :] @ h.conj())
             map_mags = ckm.bottom_gains[:, p]
             # skip near-ties that float32 storage could legitimately flip

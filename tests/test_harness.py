@@ -8,6 +8,7 @@ import copy
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ import beamckm as bc
 from beamckm import cli
 
 from conftest import toy_ckm
+
+DESK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "desk.json"
 
 
 def scenario_dict():
@@ -179,6 +182,21 @@ class TestScenarioParsing:
         d3["snr_db"] = []
         with pytest.raises(ValueError):
             bc.scenario_from_dict(d3)
+
+    def test_region_covering_no_grid_point_rejected(self, tmp_path):
+        # rejected when the config is built, before any map is
+        d = scenario_dict()
+        d["users"][0]["subregions"][1]["rect"] = [8.1, 12.1, 8.4, 12.4]
+        with pytest.raises(ValueError, match="covers no grid point"):
+            bc.scenario_from_dict(d)
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(d))
+        with pytest.raises(ValueError, match="covers no grid point"):
+            bc.load_scenario(path)
+        cfg = bc.scenario_from_dict(scenario_dict())
+        moved = dataclasses.replace(cfg.grid, origin=(100.0, 100.0))
+        with pytest.raises(ValueError, match="covers no grid point"):
+            dataclasses.replace(cfg, grid=moved)
 
     def test_load_scenario_reads_json(self, tmp_path):
         path = tmp_path / "scene.json"
@@ -361,6 +379,18 @@ class TestRunTrials:
         cfg = self.config()
         with pytest.raises(ValueError, match="unknown algorithm"):
             bc.run_trials(cfg, small_scene["ckm"], algorithms=["alg7"])
+
+    def test_user_level_with_the_bs_runs(self):
+        # cell centres at y = -1 sit level with the BS at (32, -1): the LoS
+        # leaves at spatial angle exactly 1, which the map accepts, so the
+        # trials must too
+        cfg = bc.load_scenario(DESK_CONFIG)
+        grid = dataclasses.replace(cfg.grid, origin=(0.0, -1.5))
+        user = bc.UserSpec((bc.RegionSpec(prior=1.0, rect=(40.0, -1.0, 42.0, -1.0)),))
+        cfg = dataclasses.replace(cfg, grid=grid, users=(user,), trials=3)
+        ckm = bc.build_ckm(cfg.environment, cfg.array, bc.build_codebook(32), grid)
+        records = bc.run_trials(cfg, ckm)
+        assert len(records) == 3 * len(cfg.snr_db) * len(bc.ALGORITHMS)
 
 
 class TestResultsCsv:
