@@ -17,12 +17,19 @@ from .codebook import BeamId
 from .position import PositionPrior
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
 class BeamWeightTable:
     """Mutable weight state for one user episode.
 
-    The per-point contribution matrix is fixed at construction; observations
-    only flip points or bottom beams dead.  ``uniform_fallback`` engages when
-    every contribution is gone (noise pruned everything), after which bottom
+    The per-point arrays (ids, masses, gains, threshold mask, contribution
+    matrix) are fixed at construction and read-only; observations only flip
+    points or bottom beams dead.  ``uniform_fallback`` engages when every
+    contribution is gone (noise pruned everything), after which bottom
     weights are uniform over the surviving subtree so that descent can finish.
     """
 
@@ -43,6 +50,7 @@ class BeamWeightTable:
         self.point_mass = np.asarray(point_mass, dtype=np.float64)
         self.gains = np.asarray(gains, dtype=np.float64)  # (P, total codewords)
         self.beta = beta
+        self.retain_beams = retain_beams
         self.num_layers = num_layers
         nb = 2**num_layers
         self.num_bottom = nb
@@ -60,9 +68,21 @@ class BeamWeightTable:
         # fixed per-point contribution to each bottom beam's weight
         self.contrib = self.point_mass[:, None] * bottom * keep
         self.keep = keep
+        for name in ("point_ids", "point_mass", "gains", "contrib", "keep"):
+            setattr(self, name, _read_only(getattr(self, name)))
         self.point_alive = np.ones(len(self.point_ids), dtype=bool)
         self.beam_alive = np.ones(nb, dtype=bool)
         self.uniform_fallback = False
+
+    def fresh_copy(self) -> "BeamWeightTable":
+        """This table in its initial state, for one more episode: fresh alive
+        masks and fallback flag; the fixed arrays are shared."""
+        out = object.__new__(BeamWeightTable)
+        out.__dict__.update(self.__dict__)
+        out.point_alive = np.ones(len(self.point_ids), dtype=bool)
+        out.beam_alive = np.ones(self.num_bottom, dtype=bool)
+        out.uniform_fallback = False
+        return out
 
     @property
     def alive_points(self) -> np.ndarray:
@@ -182,7 +202,7 @@ class PrunedTree:
 
 def compute_point_weights(
     ckm: CkmGrid,
-    prior: PositionPrior | np.ndarray,
+    prior: PositionPrior | np.ndarray | BeamWeightTable,
     beta: float,
     retain_beams: int | None = None,
     point_mass: np.ndarray | None = None,
@@ -190,8 +210,18 @@ def compute_point_weights(
     """Weight table from the map gains at the prior's candidate points.
 
     ``prior`` may be a PositionPrior or a raw array of grid-point indices
-    (then ``point_mass`` supplies the masses, default uniform).
+    (then ``point_mass`` supplies the masses, default uniform).  It may also
+    be a table already built from this map with the same ``beta`` and
+    ``retain_beams``; the result is then its ``fresh_copy()``, so a sweep
+    builds each user's table once and every episode starts from a copy.
     """
+    if isinstance(prior, BeamWeightTable):
+        built_for = (prior.beta, prior.retain_beams, prior.num_layers)
+        if built_for != (beta, retain_beams, ckm.num_layers):
+            raise ValueError("weight table was built for another beta, retain_beams or map")
+        if point_mass is not None:
+            raise ValueError("a built weight table already holds its point masses")
+        return prior.fresh_copy()
     if isinstance(prior, PositionPrior):
         point_ids = prior.all_points()
         mass = prior.point_masses()

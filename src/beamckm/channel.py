@@ -128,18 +128,23 @@ def channel_vectors(angles, amps, phases, num_antennas: int) -> np.ndarray:
     return h
 
 
-def synthesize_channel(env: Environment, array: ArrayConfig, position) -> np.ndarray:
-    """Sparse multipath channel vector (N,) at one receiver position.
+def synthesize_channel(env: Environment, array: ArrayConfig, positions) -> np.ndarray:
+    """Sparse multipath channel vectors at receiver positions, traced in one
+    batch: (N,) for one position (x, y), (P, N) for a (P, 2) array.
 
-    Contains the LoS path when unobstructed (angle = sine of the BS->UE
+    Each contains the LoS path when unobstructed (angle = sine of the BS->UE
     direction measured from broadside, amplitude (lambda/4 pi)/d^ple) plus
     one bounce per visible scatterer, truncated to the max_paths strongest.
+    Raises ValueError naming the first position that no path reaches.
     """
-    pos = np.asarray(position, dtype=float).reshape(1, 2)
-    angles, amps, phases, counts = trace_point_paths(env, array, pos)
-    if counts[0] == 0:
-        raise ValueError(f"no propagation path reaches position {tuple(pos[0])}")
-    return channel_vectors(angles, amps, phases, array.num_antennas)[0]
+    pos = np.asarray(positions, dtype=float)
+    pts = pos.reshape(-1, 2)
+    angles, amps, phases, counts = trace_point_paths(env, array, pts)
+    unreached = np.flatnonzero(counts == 0)
+    if unreached.size:
+        raise ValueError(f"no propagation path reaches position {tuple(pts[unreached[0]])}")
+    h = channel_vectors(angles, amps, phases, array.num_antennas)
+    return h[0] if pos.ndim == 1 else h
 
 
 def probe(

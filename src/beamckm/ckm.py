@@ -44,10 +44,22 @@ class GridSpec:
     origin: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
+        values = (self.extent_x, self.extent_y, self.spacing_x, self.spacing_y, *self.origin)
+        if len(self.origin) != 2 or not all(math.isfinite(v) for v in values):
+            raise ValueError(
+                "grid extents, spacings and origin (x, y) must be finite, got extents "
+                f"({self.extent_x}, {self.extent_y}), spacings ({self.spacing_x}, "
+                f"{self.spacing_y}), origin {self.origin}"
+            )
         if self.spacing_x <= 0 or self.spacing_y <= 0:
             raise ValueError("grid spacings must be positive")
         if self.extent_x <= 0 or self.extent_y <= 0:
             raise ValueError("grid extents must be positive")
+        if not math.isfinite(self.extent_x / self.spacing_x * (self.extent_y / self.spacing_y)):
+            raise ValueError(
+                f"grid of extents ({self.extent_x}, {self.extent_y}) at spacings "
+                f"({self.spacing_x}, {self.spacing_y}) has too many points to count"
+            )
 
     @property
     def nx(self) -> int:
@@ -211,14 +223,10 @@ def load_ckm(data: bytes) -> CkmGrid:
         raise CkmFormatError(
             f"antenna count {n_ant} inconsistent with {n_layers} layers"
         )
-    if (
-        nx < 1
-        or ny < 1
-        or not all(math.isfinite(v) and v > 0 for v in (dx, dy, ex, ey))
-        or not math.isfinite(ex / dx * (ey / dy))
-    ):
-        raise CkmFormatError("invalid grid dimensions")
-    grid = GridSpec(extent_x=ex, extent_y=ey, spacing_x=dx, spacing_y=dy, origin=(ox, oy))
+    try:
+        grid = GridSpec(extent_x=ex, extent_y=ey, spacing_x=dx, spacing_y=dy, origin=(ox, oy))
+    except ValueError as exc:
+        raise CkmFormatError(f"invalid grid dimensions: {exc}") from None
     if (grid.nx, grid.ny) != (nx, ny):
         raise CkmFormatError(
             f"grid extents ({ex}, {ey}) at spacings ({dx}, {dy}) give "

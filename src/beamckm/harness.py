@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .beamtree import compute_point_weights
 from .channel import ArrayConfig, Environment, Obstacle, Scatterer, synthesize_channel
 from .ckm import CkmGrid, GridSpec
 from .codebook import BeamId, HierarchicalCodebook, build_codebook
@@ -404,18 +405,34 @@ def run_trials(
     L = ckm.num_layers
     ref = reference_gain(ckm)
     bottom = codebook.layer_matrix(L)
-    records: list[TrialRecord] = []
+    # Every trial's positions first, then one traced batch of the distinct
+    # grid points, in order of first draw, so an unreachable point is
+    # reported as the first trial to draw it would.
+    trial_points = []
     for t in range(n_trials):
         pos_rng = np.random.default_rng([base_seed, 101, t])
-        points = [sample_true_position(priors[k], pos_rng) for k in range(K)]
-        hs, gvecs, oracles = [], [], []
-        for k in range(K):
-            pos = ckm.grid.point_position(points[k])
-            h = synthesize_channel(config.environment, config.array, pos)
-            g = np.abs(bottom @ np.conj(h))
-            hs.append(h)
-            gvecs.append(g)
-            oracles.append(BeamId(L, int(np.argmax(g)) + 1))
+        trial_points.append([sample_true_position(priors[k], pos_rng) for k in range(K)])
+    row_of: dict[int, int] = {}
+    for pts in trial_points:
+        for p in pts:
+            row_of.setdefault(p, len(row_of))
+    coords = np.array([ckm.grid.point_position(p) for p in row_of])
+    channels = synthesize_channel(config.environment, config.array, coords)
+    gains = [np.abs(bottom @ np.conj(h)) for h in channels]
+    best = [BeamId(L, int(np.argmax(g)) + 1) for g in gains]
+    # each user's weight table is built once; episodes start from copies
+    tables = None
+    if {"alg1", "alg2", "alg3"} & set(algos):
+        tables = [
+            compute_point_weights(ckm, p, config.beta, retain_beams=config.retain_beams)
+            for p in priors
+        ]
+    records: list[TrialRecord] = []
+    for t, pts in enumerate(trial_points):
+        rows = [row_of[p] for p in pts]
+        hs = [channels[r] for r in rows]
+        gvecs = [gains[r] for r in rows]
+        oracles = [best[r] for r in rows]
         for si, snr in enumerate(snrs):
             sigma = noise_std_for_snr(snr, ref)
             for algo in algos:
@@ -425,7 +442,7 @@ def run_trials(
                 if algo == "alg3":
                     chosen, total, _ = run_multi_user(
                         ckm,
-                        priors,
+                        tables,
                         hs,
                         sigma,
                         config.beta,
@@ -444,7 +461,7 @@ def run_trials(
                     if algo == "alg1":
                         ch, ov, _ = run_single_user(
                             ckm,
-                            priors[k],
+                            tables[k],
                             hs[k],
                             sigma,
                             config.beta,
@@ -455,7 +472,7 @@ def run_trials(
                     elif algo == "alg2":
                         ch, ov, _ = run_lookahead(
                             ckm,
-                            priors[k],
+                            tables[k],
                             hs[k],
                             sigma,
                             config.beta,

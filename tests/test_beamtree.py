@@ -303,3 +303,58 @@ class TestWeightTableState:
         table.restrict_to_subtree(bc.BeamId(1, 1))
         np.testing.assert_allclose(table.bottom_weights(), [0.2, 0.3, 0.0, 0.0])
         assert not table.uniform_fallback
+
+
+class TestTableCopies:
+    """A built table passed back to compute_point_weights yields a copy in
+    the initial state that shares the fixed arrays read-only."""
+
+    def setup_method(self):
+        bottom = np.random.default_rng(5).uniform(0.0, 1.0, size=(6, 8))
+        self.ckm = toy_ckm(bottom)
+        self.built = bc.compute_point_weights(self.ckm, np.arange(6), beta=0.3, retain_beams=3)
+
+    def test_copy_starts_fresh_and_leaves_the_source_alone(self):
+        first = bc.compute_point_weights(self.ckm, self.built, 0.3, retain_beams=3)
+        assert first is not self.built
+        first.kill_points(np.arange(6) < 2)
+        first.restrict_to_subtree(bc.BeamId(1, 2))
+        first.uniform_fallback = True
+        second = bc.compute_point_weights(self.ckm, self.built, 0.3, retain_beams=3)
+        for table in (self.built, second):
+            assert table.point_alive.all() and table.beam_alive.all()
+            assert not table.uniform_fallback
+        np.testing.assert_array_equal(second.bottom_weights(), self.built.bottom_weights())
+        np.testing.assert_array_equal(second.alive_points, np.arange(6))
+
+    def test_fixed_arrays_are_shared_read_only(self):
+        copy = self.built.fresh_copy()
+        for name in ("point_ids", "point_mass", "gains", "contrib", "keep"):
+            ours, theirs = getattr(copy, name), getattr(self.built, name)
+            assert ours is theirs
+            assert not ours.flags.writeable
+            with pytest.raises(ValueError):
+                ours[0] = 0
+        assert copy.point_alive is not self.built.point_alive
+        assert copy.beam_alive is not self.built.beam_alive
+
+    def test_caller_arrays_stay_writable(self):
+        gains = stack_layers(np.eye(4))
+        table = bc.BeamWeightTable(np.arange(4), np.full(4, 0.25), gains, 0.5, 2)
+        assert not table.gains.flags.writeable
+        gains[0, 0] = 2.0  # the caller's own array is untouched
+
+    @pytest.mark.parametrize(
+        "beta, retain, point_mass",
+        [(0.5, 3, None), (0.3, None, None), (0.3, 2, None), (0.3, 3, np.full(6, 1 / 6))],
+    )
+    def test_mismatched_inputs_rejected(self, beta, retain, point_mass):
+        with pytest.raises(ValueError):
+            bc.compute_point_weights(
+                self.ckm, self.built, beta, retain_beams=retain, point_mass=point_mass
+            )
+
+    def test_map_of_another_depth_rejected(self):
+        deeper = toy_ckm(np.ones((6, 16)))
+        with pytest.raises(ValueError, match="another"):
+            bc.compute_point_weights(deeper, self.built, 0.3, retain_beams=3)

@@ -202,6 +202,30 @@ class TestChannelField:
                 ref += gain * bc.steering_vector(float(angles[p, s]), n_ant)
             np.testing.assert_array_equal(field[p], ref)
 
+    @settings(max_examples=60, deadline=None)
+    @given(lattice_scenes(), st.data())
+    def test_batch_rows_equal_one_point_channels(self, scene, data):
+        """A batch of positions, in any order and with repeats, gives each
+        position's one-point channel bit for bit, or names the first
+        position in the batch that no path reaches."""
+        env, array, grid = scene
+        order = data.draw(st.lists(st.integers(0, grid.num_points - 1), min_size=1, max_size=12))
+        coords = np.array([grid.point_position(p) for p in order])
+        one_point = []
+        for pos in coords:
+            try:
+                one_point.append(bc.synthesize_channel(env, array, pos))
+            except ValueError as exc:
+                with pytest.raises(ValueError) as batch_exc:
+                    bc.synthesize_channel(env, array, coords)
+                assert str(batch_exc.value) == str(exc)
+                return
+        batch = bc.synthesize_channel(env, array, coords)
+        assert batch.shape == (len(order), array.num_antennas)
+        for h, row in zip(one_point, batch):
+            assert h.shape == (array.num_antennas,)
+            assert h.tobytes() == row.tobytes()
+
 
 class TestProbe:
     def test_noiseless_is_exact_inner_product(self):

@@ -53,6 +53,31 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             bc.GridSpec(extent_x=1.0, extent_y=-1.0, spacing_x=1.0, spacing_y=1.0)
 
+    @pytest.mark.parametrize(
+        "args, origin",
+        [
+            ((math.nan, 1.0, 1.0, 1.0), (0.0, 0.0)),
+            ((math.inf, 1.0, 1.0, 1.0), (0.0, 0.0)),
+            ((1.0, -math.inf, 1.0, 1.0), (0.0, 0.0)),
+            ((1.0, 1.0, math.nan, 1.0), (0.0, 0.0)),
+            ((1.0, 1.0, 1.0, math.inf), (0.0, 0.0)),
+            ((1.0, 1.0, 1.0, 1.0), (math.nan, 0.0)),
+            ((1.0, 1.0, 1.0, 1.0), (0.0, -math.inf)),
+            ((1.0, 1.0, 1.0, 1.0), (0.0, 0.0, 0.0)),
+        ],
+    )
+    def test_rejects_non_finite_values(self, args, origin):
+        with pytest.raises(ValueError, match="must be finite"):
+            bc.GridSpec(*args, origin=origin)
+
+    @pytest.mark.parametrize(
+        "args",
+        [(1.0, 1.0, 1e-310, 1.0), (1.0, 1.0, 1.0, 1e-310), (1e300, 1e300, 1e-10, 1e-10)],
+    )
+    def test_rejects_point_counts_that_overflow(self, args):
+        with pytest.raises(ValueError, match="too many points"):
+            bc.GridSpec(*args)
+
     def test_counts_round_up_partial_cells(self):
         grid = bc.GridSpec(extent_x=10.0, extent_y=7.0, spacing_x=3.0, spacing_y=2.0)
         assert (grid.nx, grid.ny, grid.num_points) == (4, 4, 16)

@@ -6,12 +6,15 @@ session map fixture can drive run_trials directly.
 
 import copy
 import dataclasses
+import functools
 import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import beamckm as bc
 from beamckm import cli
@@ -145,6 +148,23 @@ class TestScenarioParsing:
         d = scenario_dict()
         d["eta"] = value
         with pytest.raises(ValueError, match="eta"):
+            bc.scenario_from_dict(d)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("extent_x", float("nan"), "must be finite"),
+            ("extent_y", "inf", "must be finite"),
+            ("spacing_x", float("-inf"), "must be finite"),
+            ("origin", [0.0, float("nan")], "must be finite"),
+            ("spacing_x", 1e-310, "too many points"),
+            ("spacing_y", 1e-310, "too many points"),
+        ],
+    )
+    def test_non_finite_or_overflowing_grid_rejected(self, key, value, message):
+        d = scenario_dict()
+        d["grid"][key] = value
+        with pytest.raises(ValueError, match=message):
             bc.scenario_from_dict(d)
 
     def test_unit_thresholds_accepted(self):
@@ -391,6 +411,134 @@ class TestRunTrials:
         ckm = bc.build_ckm(cfg.environment, cfg.array, bc.build_codebook(32), grid)
         records = bc.run_trials(cfg, ckm)
         assert len(records) == 3 * len(cfg.snr_db) * len(bc.ALGORITHMS)
+
+
+def unreachable_band_config():
+    """The small scene's grid with no scatterers and a wall along y = 8: no
+    path reaches a cell centre above it.  User 1 lands there with prior 0.1."""
+    d = scenario_dict()
+    d["environment"] = {"obstacles": [{"start": [-1.0, 8.0], "end": [17.0, 8.0]}]}
+    d["users"] = [
+        {"subregions": [{"prior": 1.0, "rect": [2.0, 2.0, 8.0, 3.0]}]},
+        {
+            "subregions": [
+                {"prior": 0.9, "rect": [2.0, 4.0, 14.0, 6.0]},
+                {"prior": 0.1, "rect": [2.0, 10.0, 14.0, 12.0]},
+            ]
+        },
+    ]
+    d["trials"] = 30
+    d["seed"] = 0
+    return bc.scenario_from_dict(d)
+
+
+class TestUnreachedPosition:
+    def test_error_names_first_unreached_position_in_trial_order(self):
+        cfg = unreachable_band_config()
+        env, array, grid = cfg.environment, cfg.array, cfg.grid
+        ckm = bc.build_ckm(env, array, bc.build_codebook(16), grid)
+        # replay the draws: the first point no path reaches, in trial order
+        unreached = []
+        for t in range(cfg.trials):
+            rng = np.random.default_rng([cfg.seed, 101, t])
+            for prior in bc.user_priors(cfg):
+                p = bc.sample_true_position(prior, rng)
+                try:
+                    bc.synthesize_channel(env, array, grid.point_position(p))
+                except ValueError as exc:
+                    unreached.append((p, str(exc)))
+        assert len({p for p, _ in unreached}) > 1
+        first_point, first_message = unreached[0]
+        # trial order, not grid order, decides which point is named
+        assert first_point != min(p for p, _ in unreached)
+        assert "no propagation path reaches position" in first_message
+        for algos in (["baseline-hier"], ["alg1", "alg3"]):
+            with pytest.raises(ValueError) as exc:
+                bc.run_trials(cfg, ckm, algorithms=algos)
+            assert str(exc.value) == first_message
+
+
+def record_weight_tables(monkeypatch):
+    """Wrap compute_point_weights where the harness and each episode look it
+    up; returns {module name: [(argument, result), ...]}."""
+    from beamckm import harness, lookahead, multiuser, strategy
+
+    calls = {}
+    for module in (harness, strategy, lookahead, multiuser):
+        seen = calls.setdefault(module.__name__.rpartition(".")[2], [])
+        original = module.compute_point_weights
+
+        def wrapped(ckm, prior, *args, _original=original, _seen=seen, **kwargs):
+            table = _original(ckm, prior, *args, **kwargs)
+            _seen.append((prior, table))
+            return table
+
+        monkeypatch.setattr(module, "compute_point_weights", wrapped)
+    return calls
+
+
+class TestSweepInvariants:
+    """run_trials traces the channels of a sweep in one batch and builds each
+    user's weight table once; episodes start from copies of those tables."""
+
+    @staticmethod
+    def config(retain_beams=None):
+        d = scenario_dict()
+        d["users"].append({"subregions": [{"prior": 1.0, "rect": [10.0, 12.0, 14.0, 14.0]}]})
+        d["retain_beams"] = retain_beams
+        return bc.scenario_from_dict(d)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        short=st.integers(1, 3),
+        extra=st.integers(1, 3),
+        snrs=st.lists(st.sampled_from(["inf", 20.0, 0.0, -15.0]), min_size=1, max_size=2),
+        algos=st.lists(st.sampled_from(bc.ALGORITHMS), min_size=2, max_size=5, unique=True),
+        retain=st.sampled_from([None, 1, 3]),
+    )
+    def test_runs_compose(self, small_scene, seed, short, extra, snrs, algos, retain):
+        """A shorter run is the first rows of a longer one, and a run of
+        several algorithms is the single-algorithm runs interleaved."""
+        cfg = self.config(retain)
+        run = functools.partial(bc.run_trials, cfg, small_scene["ckm"], seed=seed, snr_db=snrs)
+        full = run(algorithms=algos, trials=short + extra)
+        head = run(algorithms=algos, trials=short)
+        assert head == full[: len(head)]
+        assert all(r.trial_id < short for r in head)
+        for algo in algos:
+            alone = run(algorithms=[algo], trials=short + extra)
+            assert alone == [r for r in full if r.algorithm == algo]
+
+    def test_shared_tables_stay_in_their_initial_state(self, small_scene, monkeypatch):
+        calls = record_weight_tables(monkeypatch)
+        cfg = self.config()
+        trials, snrs = 12, ["inf", -15.0, -25.0]
+        bc.run_trials(cfg, small_scene["ckm"], algorithms=["alg1", "alg2", "alg3"],
+                      trials=trials, snr_db=snrs)
+        shared = [table for _, table in calls["harness"]]
+        assert len(shared) == len(cfg.users)
+        copies = calls["strategy"] + calls["lookahead"] + calls["multiuser"]
+        assert len(copies) == trials * len(snrs) * 3 * len(cfg.users)
+        assert any(table.uniform_fallback for _, table in copies)
+        for source, table in copies:
+            assert any(source is s for s in shared)
+            for name in ("gains", "contrib", "keep"):
+                ours, theirs = getattr(table, name), getattr(source, name)
+                assert np.shares_memory(ours, theirs)
+                assert not ours.flags.writeable
+        for table in shared:
+            assert table.point_alive.all() and table.beam_alive.all()
+            assert not table.uniform_fallback
+
+    def test_tables_built_only_for_map_aided_algorithms(self, small_scene, monkeypatch):
+        calls = record_weight_tables(monkeypatch)
+        cfg = self.config()
+        bc.run_trials(cfg, small_scene["ckm"], algorithms=["baseline-hier", "baseline-exhaustive"],
+                      trials=2)
+        assert all(not seen for seen in calls.values())
+        bc.run_trials(cfg, small_scene["ckm"], algorithms=["alg2"], trials=2)
+        assert len(calls["harness"]) == len(cfg.users)
 
 
 class TestResultsCsv:
