@@ -2,7 +2,8 @@
 against the exhaustive enumeration of activations it replaces.
 
 The comparison asserts that both planners pick the same layer on every
-tree.
+tree.  Each timed call plans on fresh copies of the states, so the
+state's cached prefix sums and pair weights are computed in every call.
 """
 
 import argparse
@@ -27,8 +28,10 @@ def bench(fn, *args, repeat=5):
 
 
 def planning_workload(num_trees: int, num_layers: int, seed: int = 99):
-    """Random trees with at least two bottom candidates, as planned at the
-    root of an episode."""
+    """Search states of random trees with at least two bottom candidates,
+    as planned at the root of an episode.  Each state has one location
+    point whose bottom-beam gains are its weights; beta 0.2 keeps every
+    positive gain, since they lie within a factor 4 of each other."""
     rng = np.random.default_rng(seed)
     n = 2**num_layers
     cases = []
@@ -36,8 +39,9 @@ def planning_workload(num_trees: int, num_layers: int, seed: int = 99):
         mask = rng.random(n) < 0.4
         if mask.sum() < 2:
             continue
-        weights = np.where(mask, rng.uniform(0.5, 2.0, n), 0.0)
-        cases.append((bc.PrunedTree.from_bottom_weights(weights), weights))
+        gains = np.zeros((1, 2 * n - 2))
+        gains[0, n - 2 :] = np.where(mask, rng.uniform(0.5, 2.0, n), 0.0)
+        cases.append(bc.SearchState([0], [1.0], gains, 0.2, num_layers))
     return cases
 
 
@@ -47,27 +51,26 @@ def plan_by_enumeration(cases, num_layers):
     for z, layers in enumerate(acts):
         mat[z, np.asarray(layers) - 1] = 1
     out = []
-    for tree, weights in cases:
-        targets = tree.bottom_candidates().astype(np.int64)
+    for state in map(bc.SearchState.fresh_copy, cases):
         rewards = kernels.activation_rewards(
-            tree.prefix_sums(), mat, weights, targets, num_layers
+            state.prefix_sums(), mat, state.bottom_weights, state.bottom_candidates(), num_layers
         )
         out.append(acts[pick_activation(acts, rewards)][0])
     return out
 
 
 def plan_by_shortest_path(cases):
-    return [bc.optimal_layer(tree, weights) for tree, weights in cases]
+    return [bc.optimal_layer(state) for state in map(bc.SearchState.fresh_copy, cases)]
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--trees", type=int, default=20,
                         help="random trees per depth for the planning workload")
     parser.add_argument("--layers", type=int, nargs="+", default=[5, 7, 9, 10],
                         help="codebook depths for the planning workload")
     parser.add_argument("--repeat", type=int, default=5)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     print(f"layer planning, one round from the root, {args.trees} trees per depth:")
     for num_layers in args.layers:

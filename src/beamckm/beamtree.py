@@ -6,12 +6,17 @@ that clears the point's own threshold (a fraction beta of the point's best
 gain, optionally capped to the top-k survivors).  Upper-layer weights are
 pairwise sums of the layer below, so a beam is a search candidate exactly
 when some surviving point still backs a bottom beam underneath it.
+
+A ``SearchState`` is one user's search over that tree.  Each observation
+updates it once, and the update derives the layer weights and candidate
+masks; the prefix sums and the planner's pair weights follow on first use.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import kernels
 from .ckm import CkmGrid
 from .codebook import BeamId
 from .position import PositionPrior
@@ -23,14 +28,17 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return view
 
 
-class BeamWeightTable:
-    """Mutable weight state for one user episode.
+class SearchState:
+    """One user's pruned search tree and the weights that decide it.
 
     The per-point arrays (ids, masses, gains, threshold mask, contribution
-    matrix) are fixed at construction and read-only; observations only flip
-    points or bottom beams dead.  ``uniform_fallback`` engages when every
+    matrix) are fixed at construction and read-only.  ``update`` folds in an
+    observation: points and bottom beams drop out and the observed beam
+    becomes the ``root``.  ``uniform_fallback`` engages when every
     contribution is gone (noise pruned everything), after which bottom
-    weights are uniform over the surviving subtree so that descent can finish.
+    weights are uniform over the surviving bottom beams so that descent can
+    finish.  Everything derived from this (``layer_weights``, ``masks``,
+    ``prefix_sums()``, ``pair_weights()``) is read-only.
     """
 
     def __init__(
@@ -70,40 +78,83 @@ class BeamWeightTable:
         self.keep = keep
         for name in ("point_ids", "point_mass", "gains", "contrib", "keep"):
             setattr(self, name, _read_only(getattr(self, name)))
-        self.point_alive = np.ones(len(self.point_ids), dtype=bool)
-        self.beam_alive = np.ones(nb, dtype=bool)
-        self.uniform_fallback = False
+        self._reset()
 
-    def fresh_copy(self) -> "BeamWeightTable":
-        """This table in its initial state, for one more episode: fresh alive
-        masks and fallback flag; the fixed arrays are shared."""
-        out = object.__new__(BeamWeightTable)
+    def _reset(self) -> None:
+        self.point_alive = np.ones(len(self.point_ids), dtype=bool)
+        self.beam_alive = np.ones(self.num_bottom, dtype=bool)
+        self.uniform_fallback = False
+        self.root: BeamId | None = None
+        self._derive()
+
+    def fresh_copy(self) -> "SearchState":
+        """This state before any observation, for one more episode; the
+        fixed arrays are shared."""
+        out = object.__new__(SearchState)
         out.__dict__.update(self.__dict__)
-        out.point_alive = np.ones(len(self.point_ids), dtype=bool)
-        out.beam_alive = np.ones(self.num_bottom, dtype=bool)
-        out.uniform_fallback = False
+        out._reset()
         return out
+
+    def update(self, point_mask: np.ndarray, observed: BeamId | None = None) -> None:
+        """Fold one observation into the state.
+
+        Points not flagged in ``point_mask`` (aligned with the full point
+        list) leave the alive set.  An ``observed`` beam becomes the root and
+        restricts the bottom layer to its subtree.  If no bottom weight is
+        left, the uniform fallback engages: over the observed subtree when
+        there is one (also when it contradicts an earlier fallback subtree),
+        else over the bottom beams still alive."""
+        self.point_alive &= point_mask
+        if observed is not None:
+            shift = self.num_layers - observed.layer
+            span = np.zeros(self.num_bottom, dtype=bool)
+            span[(observed.index - 1) << shift : observed.index << shift] = True
+            self.beam_alive &= span
+            self.root = observed
+        self._derive()
+        if self.bottom_weights.max(initial=0.0) <= 0.0:
+            if observed is not None:
+                self.beam_alive = span
+            self.uniform_fallback = True
+            self._derive()
+
+    def _derive(self) -> None:
+        """Layer weights (index 0 = layer 1, pairwise-sum recursion) and
+        candidate masks of the alive points and beams; drops the lazy
+        caches.  The layers share one read-only buffer in codebook order."""
+        nb = self.num_bottom
+        flat = np.empty(2 * nb - 2)
+        if self.uniform_fallback:
+            flat[nb - 2 :] = self.beam_alive
+        else:
+            flat[nb - 2 :] = np.where(
+                self.beam_alive, self.contrib[self.point_alive].sum(axis=0), 0.0
+            )
+        for l in range(self.num_layers - 1, 0, -1):
+            below = flat[2 ** (l + 1) - 2 : 2 ** (l + 2) - 2]
+            flat[2**l - 2 : 2 ** (l + 1) - 2] = below[0::2] + below[1::2]
+        flat.flags.writeable = False
+        positive = flat > 0
+        positive.flags.writeable = False
+        spans = [slice(2**l - 2, 2 ** (l + 1) - 2) for l in range(1, self.num_layers + 1)]
+        self.layer_weights = tuple(flat[s] for s in spans)
+        self.masks = tuple(positive[s] for s in spans)
+        self._csum: np.ndarray | None = None
+        self._pairs: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def alive_points(self) -> np.ndarray:
         """Grid-point indices still in play."""
         return self.point_ids[self.point_alive]
 
+    @property
     def bottom_weights(self) -> np.ndarray:
-        if self.uniform_fallback:
-            return self.beam_alive.astype(np.float64)
-        w = self.contrib[self.point_alive].sum(axis=0)
-        return np.where(self.beam_alive, w, 0.0)
+        return self.layer_weights[-1]
 
-    def layer_weights(self) -> list[np.ndarray]:
-        """Weights per layer, index 0 = layer 1; pairwise-sum recursion."""
-        w = self.bottom_weights()
-        out = [w]
-        for _ in range(self.num_layers - 1):
-            w = w.reshape(-1, 2).sum(axis=1)
-            out.append(w)
-        out.reverse()
-        return out
+    @property
+    def root_layer(self) -> int:
+        """Layer of the root; 0 before the first observation."""
+        return 0 if self.root is None else self.root.layer
 
     def layer_gain_columns(self, layer: int, indices: np.ndarray) -> np.ndarray:
         """(P, len(indices)) per-point map gains of beams (layer, indices)."""
@@ -111,55 +162,9 @@ class BeamWeightTable:
         cols = start + np.asarray(indices, dtype=np.int64) - 1
         return self.gains[:, cols]
 
-    def kill_points(self, alive_mask: np.ndarray) -> None:
-        """Restrict alive points to those flagged in ``alive_mask`` (aligned
-        with the full point list)."""
-        self.point_alive &= alive_mask
-
-    def restrict_to_subtree(self, root: BeamId) -> None:
-        """Zero every bottom beam outside the root's descendant span; falls
-        back to a uniform subtree if nothing survives (also when a fallback
-        subtree is later contradicted by a new observation)."""
-        shift = self.num_layers - root.layer
-        lo = (root.index - 1) << shift
-        hi = root.index << shift
-        mask = np.zeros(self.num_bottom, dtype=bool)
-        mask[lo:hi] = True
-        self.beam_alive &= mask
-        if self.bottom_weights().max(initial=0.0) <= 0.0:
-            self.beam_alive = mask
-            self.uniform_fallback = True
-
-
-class PrunedTree:
-    """Candidate masks per layer plus the current search root."""
-
-    def __init__(self, masks: list[np.ndarray], root: BeamId | None = None):
-        self.masks = [np.asarray(m, dtype=bool) for m in masks]
-        self.num_layers = len(self.masks)
-        self.root = root
-        self._csum: np.ndarray | None = None
-
-    @classmethod
-    def from_bottom_weights(cls, weights, root: BeamId | None = None) -> "PrunedTree":
-        """Build candidate masks from raw bottom weights (test/toy helper)."""
-        w = np.asarray(weights, dtype=np.float64)
-        depth = int(np.log2(len(w)))
-        if 2**depth != len(w):
-            raise ValueError("bottom weight length must be a power of two")
-        masks = [w > 0]
-        for _ in range(depth - 1):
-            w = w.reshape(-1, 2).sum(axis=1)
-            masks.append(w > 0)
-        masks.reverse()
-        return cls(masks, root=root)
-
     def candidates(self, layer: int) -> np.ndarray:
         """1-based candidate indices at a layer, ascending."""
         return np.flatnonzero(self.masks[layer - 1]) + 1
-
-    def candidate_count(self, layer: int) -> int:
-        return int(self.masks[layer - 1].sum())
 
     def bottom_candidates(self) -> np.ndarray:
         return self.candidates(self.num_layers)
@@ -188,39 +193,41 @@ class PrunedTree:
                 counts = np.cumsum(self.masks[l - 1])
                 csum[l - 1, 1 : 2**l + 1] = counts
                 csum[l - 1, 2**l + 1 :] = counts[-1]
-            self._csum = csum
+            self._csum = _read_only(csum)
         return self._csum
 
-    def ancestor_closed(self) -> bool:
-        """True when every candidate's parent is also a candidate."""
-        for l in range(self.num_layers, 1, -1):
-            child_any = self.masks[l - 1].reshape(-1, 2).any(axis=1)
-            if np.any(child_any & ~self.masks[l - 2]):
-                return False
-        return True
+    def pair_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """Entry and hop weights of the planner over the bottom candidates
+        (``kernels.pair_weights``)."""
+        if self._pairs is None:
+            entry, hops = kernels.pair_weights(
+                self.prefix_sums(), self.bottom_weights, self.bottom_candidates(), self.num_layers
+            )
+            self._pairs = (_read_only(entry), _read_only(hops))
+        return self._pairs
 
 
 def compute_point_weights(
     ckm: CkmGrid,
-    prior: PositionPrior | np.ndarray | BeamWeightTable,
+    prior: PositionPrior | np.ndarray | SearchState,
     beta: float,
     retain_beams: int | None = None,
     point_mass: np.ndarray | None = None,
-) -> BeamWeightTable:
-    """Weight table from the map gains at the prior's candidate points.
+) -> SearchState:
+    """Search state from the map gains at the prior's candidate points.
 
     ``prior`` may be a PositionPrior or a raw array of grid-point indices
     (then ``point_mass`` supplies the masses, default uniform).  It may also
-    be a table already built from this map with the same ``beta`` and
+    be a state already built from this map with the same ``beta`` and
     ``retain_beams``; the result is then its ``fresh_copy()``, so a sweep
-    builds each user's table once and every episode starts from a copy.
+    builds each user's state once and every episode starts from a copy.
     """
-    if isinstance(prior, BeamWeightTable):
+    if isinstance(prior, SearchState):
         built_for = (prior.beta, prior.retain_beams, prior.num_layers)
         if built_for != (beta, retain_beams, ckm.num_layers):
-            raise ValueError("weight table was built for another beta, retain_beams or map")
+            raise ValueError("search state was built for another beta, retain_beams or map")
         if point_mass is not None:
-            raise ValueError("a built weight table already holds its point masses")
+            raise ValueError("a built search state already holds its point masses")
         return prior.fresh_copy()
     if isinstance(prior, PositionPrior):
         point_ids = prior.all_points()
@@ -234,40 +241,26 @@ def compute_point_weights(
         else:
             mass = np.asarray(point_mass, dtype=np.float64)
     gains = ckm.gains[:, point_ids].T.astype(np.float64)
-    return BeamWeightTable(
-        point_ids=point_ids,
-        point_mass=mass,
-        gains=gains,
-        beta=beta,
-        num_layers=ckm.num_layers,
-        retain_beams=retain_beams,
-    )
+    return SearchState(point_ids, mass, gains, beta, ckm.num_layers, retain_beams)
 
 
-def candidate_beams(table: BeamWeightTable) -> PrunedTree:
-    """Pruned tree of all beams with positive weight."""
-    layers = table.layer_weights()
-    if layers[-1].max(initial=0.0) <= 0.0:
+def candidate_beams(state: SearchState) -> SearchState:
+    """The state, once checked to have a beam with positive weight."""
+    if state.bottom_weights.max(initial=0.0) <= 0.0:
         raise ValueError("all bottom weights are zero; no candidate beams")
-    return PrunedTree([w > 0 for w in layers])
+    return state
 
 
-def apply_observation(
-    table: BeamWeightTable, tree: PrunedTree, observed: BeamId
-) -> PrunedTree:
-    """Fold one feedback result into the state; returns the rebuilt tree.
+def apply_observation(state: SearchState, observed: BeamId) -> None:
+    """Fold one feedback result into the state.
 
-    Points whose map-argmax among the just-probed candidates disagrees with
-    the observation are dropped, the bottom layer is restricted to the
-    observed beam's subtree, and weights are recomputed from what survives.
+    Points whose map-argmax among the candidates at the observed layer
+    disagrees with the observation are dropped, and the state descends to
+    the observed beam (``SearchState.update``).
     """
-    if not tree.is_candidate(observed):
+    if not state.is_candidate(observed):
         raise ValueError(f"observed beam {observed} is not a candidate")
-    cand = tree.candidates(observed.layer)
-    sub = table.layer_gain_columns(observed.layer, cand)
+    cand = state.candidates(observed.layer)
+    sub = state.layer_gain_columns(observed.layer, cand)
     winners = cand[np.argmax(sub, axis=1)]  # ties resolve to smaller index
-    table.kill_points(winners == observed.index)
-    table.restrict_to_subtree(observed)
-    out = candidate_beams(table)
-    out.root = observed
-    return out
+    state.update(winners == observed.index, observed)

@@ -27,8 +27,8 @@ class ArrayConfig:
 
     def __post_init__(self):
         n = self.num_antennas
-        if n < 1 or n & (n - 1) != 0:
-            raise ValueError(f"num_antennas must be a power of two, got {n}")
+        if n < 4 or n & (n - 1) != 0:
+            raise ValueError(f"num_antennas must be a power of two >= 4, got {n}")
         if self.carrier_frequency_hz <= 0:
             raise ValueError("carrier_frequency_hz must be positive")
 

@@ -92,9 +92,15 @@ class ScenarioConfig:
             raise ValueError(f"eta must lie in (0, 1], got {self.eta}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        bad = [a for a in self.algorithms if a not in ALGORITHMS]
-        if bad:
-            raise ValueError(f"unknown algorithm(s) {bad}; valid: {list(ALGORITHMS)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.retain_beams is not None and self.retain_beams < 1:
+            raise ValueError(f"retain_beams must be >= 1 or null, got {self.retain_beams}")
+        if not (math.isfinite(self.ckm_staleness_sigma) and self.ckm_staleness_sigma >= 0.0):
+            raise ValueError(
+                f"ckm_staleness_sigma must be finite and >= 0, got {self.ckm_staleness_sigma}"
+            )
+        _check_algorithms(self.algorithms)
         user_priors(self)  # a region covering no grid point fails here, not mid-run
 
 
@@ -108,6 +114,26 @@ def _check_keys(obj: dict, allowed: dict, where: str) -> None:
     missing = sorted(k for k, required in allowed.items() if required and k not in obj)
     if missing:
         raise ValueError(f"missing key(s) {missing} in {where}")
+
+
+def _check_algorithms(algos) -> None:
+    """A sweep runs each algorithm once: at least one, none repeated."""
+    bad = [a for a in algos if a not in ALGORITHMS]
+    if bad:
+        raise ValueError(f"unknown algorithm(s) {bad}; valid: {list(ALGORITHMS)}")
+    if not algos:
+        raise ValueError("algorithms must name at least one algorithm")
+    if len(set(algos)) != len(algos):
+        raise ValueError(f"algorithms must not repeat, got {list(algos)}")
+
+
+def _whole(value, field: str) -> int:
+    """An integer; fractions are rejected instead of truncated."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _snr_value(x) -> float:
@@ -157,7 +183,7 @@ def scenario_from_dict(cfg: dict) -> ScenarioConfig:
         "array",
     )
     array = ArrayConfig(
-        num_antennas=int(arr["num_antennas"]),
+        num_antennas=_whole(arr["num_antennas"], "num_antennas"),
         carrier_frequency_hz=float(arr["carrier_frequency_hz"]),
         bs_position=tuple(float(v) for v in arr["bs_position"]),
     )
@@ -213,9 +239,9 @@ def scenario_from_dict(cfg: dict) -> ScenarioConfig:
     environment = Environment(
         scatterers=tuple(scatterers),
         obstacles=tuple(obstacles),
-        max_paths=int(env.get("max_paths", 4)),
+        max_paths=_whole(env.get("max_paths", 4), "max_paths"),
         pathloss_exponent=float(env.get("pathloss_exponent", 1.0)),
-        rng_seed=int(env.get("rng_seed", 0)),
+        rng_seed=_whole(env.get("rng_seed", 0), "rng_seed"),
     )
     users = []
     for ui, u in enumerate(cfg["users"]):
@@ -246,13 +272,13 @@ def scenario_from_dict(cfg: dict) -> ScenarioConfig:
         environment=environment,
         users=tuple(users),
         snr_db=tuple(_snr_value(v) for v in cfg["snr_db"]),
-        trials=int(cfg.get("trials", 1000)),
-        seed=int(cfg.get("seed", 0)),
+        trials=_whole(cfg.get("trials", 1000), "trials"),
+        seed=_whole(cfg.get("seed", 0), "seed"),
         beta=float(cfg.get("beta", 0.5)),
         eta=float(cfg.get("eta", 0.9)),
         algorithms=tuple(cfg.get("algorithms", ALGORITHMS)),
         ckm_staleness_sigma=float(cfg.get("ckm_staleness_sigma", 0.0)),
-        retain_beams=None if retain is None else int(retain),
+        retain_beams=None if retain is None else _whole(retain, "retain_beams"),
         name=str(cfg.get("name", "scenario")),
     )
 
@@ -392,11 +418,11 @@ def run_trials(
     if ckm.grid != config.grid:
         raise ValueError("map grid does not match the scenario grid")
     algos = tuple(algorithms) if algorithms is not None else config.algorithms
-    bad = [a for a in algos if a not in ALGORITHMS]
-    if bad:
-        raise ValueError(f"unknown algorithm(s) {bad}")
-    n_trials = config.trials if trials is None else int(trials)
-    base_seed = config.seed if seed is None else int(seed)
+    _check_algorithms(algos)
+    n_trials = config.trials if trials is None else _whole(trials, "trials")
+    base_seed = config.seed if seed is None else _whole(seed, "seed")
+    if n_trials < 1 or base_seed < 0:
+        raise ValueError(f"trials must be >= 1 and seed >= 0, got {n_trials} and {base_seed}")
     snrs = config.snr_db if snr_db is None else tuple(_snr_value(v) for v in snr_db)
     _check_snrs(snrs)
     codebook = build_codebook(config.array.num_antennas)
@@ -420,10 +446,10 @@ def run_trials(
     channels = synthesize_channel(config.environment, config.array, coords)
     gains = [np.abs(bottom @ np.conj(h)) for h in channels]
     best = [BeamId(L, int(np.argmax(g)) + 1) for g in gains]
-    # each user's weight table is built once; episodes start from copies
-    tables = None
+    # each user's search state is built once; episodes start from copies
+    states = None
     if {"alg1", "alg2", "alg3"} & set(algos):
-        tables = [
+        states = [
             compute_point_weights(ckm, p, config.beta, retain_beams=config.retain_beams)
             for p in priors
         ]
@@ -435,58 +461,38 @@ def run_trials(
         oracles = [best[r] for r in rows]
         for si, snr in enumerate(snrs):
             sigma = noise_std_for_snr(snr, ref)
-            for algo in algos:
-                rngs = [
-                    np.random.default_rng([base_seed, 202, t, si, k]) for k in range(K)
-                ]
+            # every algorithm draws the same noise: seed once, rewind for the next
+            rngs = [np.random.default_rng([base_seed, 202, t, si, k]) for k in range(K)]
+            starts = [r.bit_generator.state for r in rngs] if len(algos) > 1 else []
+            for ai, algo in enumerate(algos):
+                if ai:
+                    for r, start in zip(rngs, starts):
+                        r.bit_generator.state = start
                 if algo == "alg3":
                     chosen, total, _ = run_multi_user(
-                        ckm,
-                        tables,
-                        hs,
-                        sigma,
-                        config.beta,
-                        config.eta,
-                        codebook=codebook,
-                        rngs=rngs,
-                        retain_beams=config.retain_beams,
+                        ckm, states, hs, sigma, config.beta, config.eta,
+                        codebook=codebook, rngs=rngs, retain_beams=config.retain_beams,
                     )
-                    share = total / K
+                    overheads = [total / K] * K
+                else:
+                    chosen, overheads = [], []
                     for k in range(K):
-                        records.append(
-                            _finish(t, algo, snr, k, share, chosen[k], oracles[k], gvecs[k], sigma)
-                        )
-                    continue
-                for k in range(K):
-                    if algo == "alg1":
-                        ch, ov, _ = run_single_user(
-                            ckm,
-                            tables[k],
-                            hs[k],
-                            sigma,
-                            config.beta,
-                            codebook=codebook,
-                            rng=rngs[k],
-                            retain_beams=config.retain_beams,
-                        )
-                    elif algo == "alg2":
-                        ch, ov, _ = run_lookahead(
-                            ckm,
-                            tables[k],
-                            hs[k],
-                            sigma,
-                            config.beta,
-                            codebook=codebook,
-                            rng=rngs[k],
-                            retain_beams=config.retain_beams,
-                        )
-                    elif algo == "baseline-hier":
-                        ch, ov, _ = baseline_hierarchical(hs[k], codebook, sigma, rngs[k])
-                    else:
-                        ch, ov, _ = baseline_exhaustive(hs[k], codebook, sigma, rngs[k])
-                    records.append(
-                        _finish(t, algo, snr, k, float(ov), ch, oracles[k], gvecs[k], sigma)
-                    )
+                        if algo in ("alg1", "alg2"):
+                            search = run_single_user if algo == "alg1" else run_lookahead
+                            ch, ov, _ = search(
+                                ckm, states[k], hs[k], sigma, config.beta,
+                                codebook=codebook, rng=rngs[k], retain_beams=config.retain_beams,
+                            )
+                        elif algo == "baseline-hier":
+                            ch, ov, _ = baseline_hierarchical(hs[k], codebook, sigma, rngs[k])
+                        else:
+                            ch, ov, _ = baseline_exhaustive(hs[k], codebook, sigma, rngs[k])
+                        chosen.append(ch)
+                        overheads.append(float(ov))
+                records.extend(
+                    _finish(t, algo, snr, k, overheads[k], chosen[k], oracles[k], gvecs[k], sigma)
+                    for k in range(K)
+                )
     return records
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamtree import compute_point_weights
+from .beamtree import SearchState, compute_point_weights
 from .ckm import CkmGrid
 from .codebook import BeamId, HierarchicalCodebook, build_codebook
 from .strategy import ProbeRound, run_episode
@@ -42,21 +42,22 @@ class SubtreeView:
     gc_weights: list[np.ndarray] | None
 
 
-def subtree_view(tree, layer_weights: list[np.ndarray], root: BeamId | None) -> SubtreeView:
-    """Collect the two levels below ``root`` from the current candidates."""
-    L = tree.num_layers
-    root_layer = 0 if root is None else root.layer
+def subtree_view(state: SearchState) -> SubtreeView:
+    """Collect the two levels below the state's root from its candidates."""
+    L = state.num_layers
+    root = state.root
+    root_layer = state.root_layer
     child_layer = root_layer + 1
     if child_layer > L:
         raise ValueError("node is already at the bottom layer")
-    children = tree.candidates_under(child_layer, root)
+    children = state.candidates_under(child_layer, root)
     if child_layer == L:
         return SubtreeView(root_layer, children, None, None)
     gcs = []
     gws = []
-    w = layer_weights[child_layer]  # list index layer-1, so this is layer child_layer+1
+    w = state.layer_weights[child_layer]  # index layer-1, so this is layer child_layer+1
     for c in children:
-        g = tree.candidates_under(child_layer + 1, BeamId(child_layer, int(c)))
+        g = state.candidates_under(child_layer + 1, BeamId(child_layer, int(c)))
         gcs.append(g)
         gws.append(w[g - 1])
     return SubtreeView(root_layer, children, gcs, gws)
@@ -122,9 +123,9 @@ def run_lookahead(
     """Full lookahead episode; returns (chosen beam, probe count, rounds)."""
     if codebook is None:
         codebook = build_codebook(ckm.num_antennas)
-    table = compute_point_weights(ckm, prior, beta, retain_beams=retain_beams)
+    state = compute_point_weights(ckm, prior, beta, retain_beams=retain_beams)
 
-    def choose_layer(tree, root):
-        return next_layer(subtree_view(tree, table.layer_weights(), root))
+    def choose_layer(state):
+        return next_layer(subtree_view(state))
 
-    return run_episode(np.asarray(channel), codebook, table, choose_layer, noise_std, rng)
+    return run_episode(np.asarray(channel), codebook, state, choose_layer, noise_std, rng)

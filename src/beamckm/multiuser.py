@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .beamtree import (
-    BeamWeightTable,
+    SearchState,
     apply_observation,
     candidate_beams,
     compute_point_weights,
@@ -77,7 +76,7 @@ def plan_path_counts(start: int, num_layers: int) -> np.ndarray:
     return np.where((p >= start) & (q > p), before * after, 0.0)
 
 
-def joint_layer(trees, weights, from_layers) -> int:
+def joint_layer(states) -> int:
     """Shared probing layer: the first layer of the cheapest plan from the
     earliest active root, where a plan's score is the sum over users of
     its reward normalized by that user's summed absolute reward over all
@@ -86,17 +85,17 @@ def joint_layer(trees, weights, from_layers) -> int:
     Layers at or above a user's root are ignored for that user, so its
     edge p -> q weighs 0 when q is at or above the root, its entry weight
     ``S[q]`` when the step crosses the root, and its hop weight ``G[p, q]``
-    below it (``kernels.pair_weights``).  The normalizer is the sum of
+    below it (``SearchState.pair_weights``).  The normalizer is the sum of
     those edge weights times the number of plans using each edge.  Ties
     follow the single-user planner's rule."""
-    L = trees[0].num_layers
-    start = min(from_layers)
+    L = states[0].num_layers
+    start = min(s.root_layer for s in states)
     paths = plan_path_counts(start, L)
     total = np.zeros((L + 1, L + 1))
     below = np.arange(L + 1)[:, None]
-    for tree, w, fl in zip(trees, weights, from_layers):
-        targets = tree.bottom_candidates().astype(np.int64)
-        entry, hops = kernels.pair_weights(tree.prefix_sums(), w, targets, L)
+    for state in states:
+        fl = state.root_layer
+        entry, hops = state.pair_weights()
         edges = np.where(below > fl, hops, entry[None, :])
         edges[:, : fl + 1] = 0.0
         norm = float((edges * paths).sum())
@@ -125,13 +124,13 @@ def select_round(single_layers, joint: int, num_layers: int) -> tuple[int, tuple
     return l_opt, flags
 
 
-def union_beams(trees, layer: int) -> np.ndarray:
-    """Deduplicated, ascending union of the trees' candidates at a layer."""
-    return np.unique(np.concatenate([t.candidates(layer) for t in trees]))
+def union_beams(states, layer: int) -> np.ndarray:
+    """Deduplicated, ascending union of the states' candidates at a layer."""
+    return np.unique(np.concatenate([s.candidates(layer) for s in states]))
 
 
 def prune_user_points(
-    table: BeamWeightTable,
+    state: SearchState,
     beams,
     g_obs: np.ndarray,
     f_obs: BeamId | None,
@@ -143,35 +142,36 @@ def prune_user_points(
     ``eta`` times the best alive similarity and, when the user descended
     on ``f_obs``, a map profile peaking on that same beam.  If nothing
     passes, the best-similarity points are kept; an all-zero ``g_obs``
-    prunes nothing.  Applies the cut to ``table`` and returns the
-    surviving grid-point ids."""
+    prunes nothing.  Applies the cut, and the descent to ``f_obs`` if
+    any, in one ``SearchState.update``; returns the surviving grid-point
+    ids."""
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"eta must lie in (0, 1], got {eta}")
     g_obs = np.asarray(g_obs, dtype=np.float64)
     if len(beams) != g_obs.size:
         raise ValueError("one observation per probed beam required")
-    alive = table.point_alive
+    alive = state.point_alive
     if not alive.any():
         raise ValueError("no alive points to prune")
     no = float(np.linalg.norm(g_obs))
-    if no == 0.0:
-        return table.alive_points
-    cols = np.array([2**b.layer - 2 + b.index - 1 for b in beams], dtype=np.int64)
-    gm = table.gains[:, cols]
-    nm = np.linalg.norm(gm, axis=1)
-    sims = np.zeros(gm.shape[0], dtype=np.float64)
-    ok = nm > 0.0
-    sims[ok] = (gm[ok] @ g_obs) / (no * nm[ok])
-    masked = np.where(alive, sims, -np.inf)
-    smax = float(masked.max())
-    surv = alive & (sims > eta * smax)
-    if f_obs is not None:
-        f_col = 2**f_obs.layer - 2 + f_obs.index - 1
-        surv &= cols[np.argmax(gm, axis=1)] == f_col
-    if not surv.any():
-        surv = alive & (masked == smax)
-    table.kill_points(surv)
-    return table.alive_points
+    surv = alive
+    if no != 0.0:
+        cols = np.array([2**b.layer - 2 + b.index - 1 for b in beams], dtype=np.int64)
+        gm = state.gains[:, cols]
+        nm = np.linalg.norm(gm, axis=1)
+        sims = np.zeros(gm.shape[0], dtype=np.float64)
+        ok = nm > 0.0
+        sims[ok] = (gm[ok] @ g_obs) / (no * nm[ok])
+        masked = np.where(alive, sims, -np.inf)
+        smax = float(masked.max())
+        surv = alive & (sims > eta * smax)
+        if f_obs is not None:
+            f_col = 2**f_obs.layer - 2 + f_obs.index - 1
+            surv &= cols[np.argmax(gm, axis=1)] == f_col
+        if not surv.any():
+            surv = alive & (masked == smax)
+    state.update(surv, f_obs)
+    return state.alive_points
 
 
 def run_multi_user(
@@ -198,41 +198,30 @@ def run_multi_user(
         codebook = build_codebook(ckm.num_antennas)
     L = ckm.num_layers
     hs = [np.asarray(c) for c in channels]
-    tables = [compute_point_weights(ckm, p, beta, retain_beams=retain_beams) for p in priors]
-    trees = [candidate_beams(t) for t in tables]
-    roots: list[BeamId | None] = [None] * K
+    states = [
+        candidate_beams(compute_point_weights(ckm, p, beta, retain_beams=retain_beams))
+        for p in priors
+    ]
     chosen: list[BeamId | None] = [None] * K
     transcripts: list[list[JointRound]] = [[] for _ in range(K)]
     total = 0
     for _ in range(K * (L + 2) + 2):
         for k in range(K):
             if chosen[k] is None:
-                chosen[k] = episode_outcome(trees[k], roots[k])
+                chosen[k] = episode_outcome(states[k])
         active = [k for k in range(K) if chosen[k] is None]
         if not active:
             break
-        singles = []
-        for k in range(K):
-            if chosen[k] is not None:
-                singles.append(L + 1)
-            else:
-                fl = 0 if roots[k] is None else roots[k].layer
-                singles.append(optimal_layer(trees[k], tables[k].bottom_weights(), fl))
-        fls = [0 if roots[k] is None else roots[k].layer for k in active]
-        shared = joint_layer(
-            [trees[k] for k in active],
-            [tables[k].bottom_weights() for k in active],
-            fls,
-        )
+        singles = [L + 1 if chosen[k] is not None else optimal_layer(states[k]) for k in range(K)]
+        shared = joint_layer([states[k] for k in active])
         l_opt, flags = select_round(singles, shared, L)
         matching = [k for k in range(K) if flags[k] == 1]
-        indices = union_beams([trees[k] for k in matching], l_opt)
+        indices = union_beams([states[k] for k in matching], l_opt)
         beams = [BeamId(l_opt, int(n)) for n in indices]
         if len(beams) == 1:
             observed = beams[0]
             for k in matching:
-                trees[k] = apply_observation(tables[k], trees[k], observed)
-                roots[k] = observed
+                apply_observation(states[k], observed)
                 transcripts[k].append(
                     JointRound(l_opt, (observed.index,), 1, observed.index, 0)
                 )
@@ -243,21 +232,8 @@ def run_multi_user(
             g_obs = np.array(
                 [probe(hs[k], cw, noise_std, rngs[k]) for cw in codewords]
             )
-            if flags[k] == 1:
-                f_obs = beams[int(np.argmax(g_obs))]
-            else:
-                f_obs = None
-            prune_user_points(tables[k], beams, g_obs, f_obs, eta)
-            if f_obs is not None:
-                tables[k].restrict_to_subtree(f_obs)
-                roots[k] = f_obs
-            if (
-                not tables[k].uniform_fallback
-                and tables[k].bottom_weights().max(initial=0.0) <= 0.0
-            ):
-                tables[k].uniform_fallback = True
-            trees[k] = candidate_beams(tables[k])
-            trees[k].root = roots[k]
+            f_obs = beams[int(np.argmax(g_obs))] if flags[k] == 1 else None
+            prune_user_points(states[k], beams, g_obs, f_obs, eta)
             transcripts[k].append(
                 JointRound(
                     l_opt,

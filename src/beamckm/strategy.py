@@ -29,8 +29,7 @@ import numpy as np
 
 from . import kernels
 from .beamtree import (
-    BeamWeightTable,
-    PrunedTree,
+    SearchState,
     apply_observation,
     candidate_beams,
     compute_point_weights,
@@ -69,33 +68,32 @@ def enumerate_activations(from_layer: int, num_layers: int) -> list[tuple[int, .
     return out
 
 
-def overhead_for_target(
-    tree: PrunedTree, activation, target: BeamId
-) -> int:
+def overhead_for_target(state: SearchState, activation, target: BeamId) -> int:
     """Probe count of resolving ``target`` when probing exactly the layers
     in ``activation``: exhaustive at the earliest layer, then per later
     active layer the candidate descendants of the ancestor fixed at the
     previous one (skipped when fewer than two — free descent)."""
-    L = tree.num_layers
+    L = state.num_layers
     layers = tuple(sorted(set(int(l) for l in activation)))
     if not layers or layers[-1] != L or layers[0] < 1:
         raise ValueError(f"activation {activation} must be within [1, {L}] and include {L}")
-    if target.layer != L or not tree.is_candidate(target):
+    if target.layer != L or not state.is_candidate(target):
         raise ValueError(f"target {target} is not a bottom-layer candidate")
     act = np.zeros(L, dtype=np.uint8)
     act[np.asarray(layers) - 1] = 1
-    return int(kernels.probe_cost_single(tree.prefix_sums(), act, target.index, L))
+    return int(kernels.probe_cost_single(state.prefix_sums(), act, target.index, L))
 
 
-def reward(tree: PrunedTree, weights, activation) -> float:
+def reward(state: SearchState, activation) -> float:
     """Negative weighted probe cost of an activation over all candidate
-    bottom beams; ``weights`` is the bottom-layer weight vector."""
-    L = tree.num_layers
+    bottom beams, weighted by the state's bottom weights."""
+    L = state.num_layers
     act = np.zeros((1, L), dtype=np.uint8)
     act[0, np.asarray(sorted(set(int(l) for l in activation))) - 1] = 1
-    targets = tree.bottom_candidates().astype(np.int64)
-    w = np.asarray(weights, dtype=np.float64)
-    return float(kernels.activation_rewards(tree.prefix_sums(), act, w, targets, L)[0])
+    targets = state.bottom_candidates()
+    return float(
+        kernels.activation_rewards(state.prefix_sums(), act, state.bottom_weights, targets, L)[0]
+    )
 
 
 def _costs_tie(a: float, b: float) -> bool:
@@ -149,28 +147,25 @@ def shortest_plan(edges: np.ndarray, start: int, num_layers: int) -> tuple[float
     return cost[start], tuple(layers)
 
 
-def best_activation(
-    tree: PrunedTree, weights, from_layer: int = 0
-) -> tuple[tuple[int, ...], float]:
-    """Winning activation and its reward for the current tree state."""
-    L = tree.num_layers
+def best_activation(state: SearchState) -> tuple[tuple[int, ...], float]:
+    """Winning activation below the root and its reward."""
+    L = state.num_layers
+    from_layer = state.root_layer
     if from_layer >= L:
         raise ValueError("no layers left to activate")
-    targets = tree.bottom_candidates().astype(np.int64)
-    entry, edges = kernels.pair_weights(tree.prefix_sums(), weights, targets, L)
+    entry, hops = state.pair_weights()
+    edges = hops.copy()
     edges[from_layer] = entry
     cost, layers = shortest_plan(edges, from_layer, L)
     return layers, -cost
 
 
-def optimal_layer(tree: PrunedTree, weights, from_layer: int = 0) -> int:
+def optimal_layer(state: SearchState) -> int:
     """Layer to probe next: the earliest layer of the best activation, or
     the sentinel L+1 when a single bottom candidate remains."""
-    L = tree.num_layers
-    if len(tree.bottom_candidates()) == 1:
-        return L + 1
-    act, _ = best_activation(tree, weights, from_layer)
-    return act[0]
+    if len(state.bottom_candidates()) == 1:
+        return state.num_layers + 1
+    return best_activation(state)[0][0]
 
 
 def probe_round(
@@ -191,38 +186,36 @@ def probe_round(
     return ProbeRound(layer, probed, probed[int(np.argmax(mags))], len(probed))
 
 
-def episode_outcome(tree: PrunedTree, root: BeamId | None) -> BeamId | None:
+def episode_outcome(state: SearchState) -> BeamId | None:
     """The chosen bottom beam once the search is over: the sole bottom
     candidate, or the root once it reaches the bottom layer; else None."""
-    bottom = tree.bottom_candidates()
+    bottom = state.bottom_candidates()
     if len(bottom) == 1:
-        return BeamId(tree.num_layers, int(bottom[0]))
-    if root is not None and root.layer == tree.num_layers:
-        return root
+        return BeamId(state.num_layers, int(bottom[0]))
+    if state.root_layer == state.num_layers:
+        return state.root
     return None
 
 
 def run_episode(
     h: np.ndarray,
     codebook: HierarchicalCodebook,
-    table: BeamWeightTable,
+    state: SearchState,
     choose_layer,
     noise_std: float,
     rng: np.random.Generator | None = None,
 ) -> tuple[BeamId, int, list[ProbeRound]]:
     """Map-aided search: each round probes the candidates under the root
-    at ``choose_layer(tree, root)`` and folds the feedback into the tree.
+    at ``choose_layer(state)`` and folds the feedback into the state.
     Returns (chosen bottom beam, probe count, rounds)."""
-    tree = candidate_beams(table)
+    candidate_beams(state)  # a state without candidates fails before any probe
     transcript: list[ProbeRound] = []
-    root: BeamId | None = None
-    while (chosen := episode_outcome(tree, root)) is None:
-        layer = choose_layer(tree, root)
-        cands = tree.candidates_under(layer, root).tolist()
+    while (chosen := episode_outcome(state)) is None:
+        layer = choose_layer(state)
+        cands = state.candidates_under(layer, state.root).tolist()
         r = probe_round(h, codebook, layer, cands, noise_std, rng)
         transcript.append(r)
-        root = BeamId(layer, r.feedback)
-        tree = apply_observation(table, tree, root)
+        apply_observation(state, BeamId(layer, r.feedback))
     return chosen, sum(r.probes for r in transcript), transcript
 
 
@@ -239,9 +232,5 @@ def run_single_user(
     """Full search episode; returns (chosen bottom beam, probe count, rounds)."""
     if codebook is None:
         codebook = build_codebook(ckm.num_antennas)
-    table = compute_point_weights(ckm, prior, beta, retain_beams=retain_beams)
-
-    def choose_layer(tree, root):
-        return optimal_layer(tree, table.bottom_weights(), 0 if root is None else root.layer)
-
-    return run_episode(np.asarray(channel), codebook, table, choose_layer, noise_std, rng)
+    state = compute_point_weights(ckm, prior, beta, retain_beams=retain_beams)
+    return run_episode(np.asarray(channel), codebook, state, optimal_layer, noise_std, rng)

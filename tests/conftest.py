@@ -1,4 +1,4 @@
-"""Shared fixtures: toy pruned trees, synthetic gain maps, a small scene.
+"""Shared fixtures: toy search states, synthetic gain maps, a small scene.
 
 The four-leaf tree (8 bottom slots with candidates {1, 2, 3, 5}) is the
 worked reference case used across the strategy tests; the synthetic map
@@ -47,9 +47,38 @@ def toy_ckm(bottom_gains: np.ndarray, full_gains: np.ndarray | None = None) -> b
     )
 
 
+def from_bottom_weights(weights, root: bc.BeamId | None = None) -> bc.SearchState:
+    """Toy search state whose bottom weights are exactly ``weights``: one
+    point whose bottom map gains are the weights, with beta low enough to
+    keep every positive one.  ``root`` only sets the layer that planning
+    starts from; the candidates are not restricted to its subtree."""
+    w = np.asarray(weights, dtype=np.float64)
+    depth = int(np.log2(len(w)))
+    if len(w) < 2 or 2**depth != len(w):
+        raise ValueError("bottom weight length must be a power of two")
+    positive = w[w > 0]
+    beta = 0.5 * positive.min() / positive.max() if positive.size else 1.0
+    state = bc.SearchState(np.zeros(1), np.ones(1), stack_layers(w[None, :]), beta, depth)
+    state.root = root
+    return state
+
+
+def candidate_count(state: bc.SearchState, layer: int) -> int:
+    return int(state.masks[layer - 1].sum())
+
+
+def ancestor_closed(masks) -> bool:
+    """True when every candidate's parent is also a candidate."""
+    for l in range(len(masks), 1, -1):
+        child_any = np.asarray(masks[l - 1]).reshape(-1, 2).any(axis=1)
+        if np.any(child_any & ~np.asarray(masks[l - 2])):
+            return False
+    return True
+
+
 @pytest.fixture
 def four_leaf_tree():
-    return bc.PrunedTree.from_bottom_weights(FOUR_LEAF_WEIGHTS)
+    return from_bottom_weights(FOUR_LEAF_WEIGHTS)
 
 
 @pytest.fixture(scope="session")

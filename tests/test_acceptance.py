@@ -317,20 +317,19 @@ class TestStructuralInvariants:
         ckm = desk["ckm"]
         notes = []
 
-        def layers_conserved(table) -> bool:
-            sums = [w.sum() for w in table.layer_weights()]
+        def layers_conserved(state) -> bool:
+            sums = [w.sum() for w in state.layer_weights]
             return bool(np.allclose(sums, sums[-1], rtol=1e-9, atol=0.0))
 
         # 1. weight conservation through a full descent with pruning
-        table = bc.compute_point_weights(ckm, desk["priors"][0], beta=cfg.beta)
-        tree = bc.candidate_beams(table)
-        conserved = layers_conserved(table)
+        state = bc.compute_point_weights(ckm, desk["priors"][0], beta=cfg.beta)
+        conserved = layers_conserved(state)
         node = None
         for layer in range(1, ckm.num_layers + 1):
-            cands = tree.candidates_under(layer, node)
+            cands = state.candidates_under(layer, node)
             node = bc.BeamId(layer, int(cands[0]))
-            tree = bc.apply_observation(table, tree, node)
-            conserved &= layers_conserved(table)
+            bc.apply_observation(state, node)
+            conserved &= layers_conserved(state)
         notes.append(f"layer sums conserved through descent: {conserved}")
 
         # 2. monotone point-set shrinkage: feed one hypothesis's own map

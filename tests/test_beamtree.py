@@ -1,4 +1,4 @@
-"""Weight tables, pruned candidate trees, and observation folding.
+"""Search states: weights, pruned candidate trees, and observation folding.
 
 Oracles: per-point threshold retention and the pairwise-sum layer
 recursion recomputed inline with plain numpy, then compared against the
@@ -7,10 +7,14 @@ module's bookkeeping.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import beamckm as bc
+from beamckm import kernels
+from beamckm.multiuser import prune_user_points
 
-from conftest import FOUR_LEAF_WEIGHTS, stack_layers, toy_ckm
+from conftest import ancestor_closed, candidate_count, from_bottom_weights, stack_layers, toy_ckm
 
 
 def threshold_keep_oracle(bottom_gains, beta, retain=None):
@@ -48,7 +52,7 @@ class TestThresholdRetention:
     def test_half_threshold_keeps_only_dominant_beam(self):
         ckm = toy_ckm(np.array([[1.0, 0.3, 0.05, 0.0]]))
         table = bc.compute_point_weights(ckm, np.array([0]), beta=0.5)
-        np.testing.assert_allclose(table.bottom_weights(), [1.0, 0.0, 0.0, 0.0])
+        np.testing.assert_allclose(table.bottom_weights, [1.0, 0.0, 0.0, 0.0])
         np.testing.assert_array_equal(
             bc.candidate_beams(table).bottom_candidates(), [1]
         )
@@ -56,17 +60,17 @@ class TestThresholdRetention:
     def test_low_threshold_keeps_all_nonzero(self):
         ckm = toy_ckm(np.array([[1.0, 0.3, 0.05, 0.0]]))
         table = bc.compute_point_weights(ckm, np.array([0]), beta=0.04)
-        np.testing.assert_allclose(table.bottom_weights(), [1.0, 0.3, 0.05, 0.0])
+        np.testing.assert_allclose(table.bottom_weights, [1.0, 0.3, 0.05, 0.0])
 
     def test_beta_one_keeps_only_argmax(self):
         ckm = toy_ckm(np.array([[0.9, 1.0, 0.3, 0.0]]))
         table = bc.compute_point_weights(ckm, np.array([0]), beta=1.0)
-        np.testing.assert_allclose(table.bottom_weights(), [0.0, 1.0, 0.0, 0.0])
+        np.testing.assert_allclose(table.bottom_weights, [0.0, 1.0, 0.0, 0.0])
 
     def test_beta_one_exact_tie_keeps_both(self):
         ckm = toy_ckm(np.array([[1.0, 1.0, 0.3, 0.0]]))
         table = bc.compute_point_weights(ckm, np.array([0]), beta=1.0)
-        np.testing.assert_array_equal(table.bottom_weights() > 0, [True, True, False, False])
+        np.testing.assert_array_equal(table.bottom_weights > 0, [True, True, False, False])
 
     def test_retain_cap_keeps_strongest_stable(self):
         ckm = toy_ckm(np.array([[0.5, 1.0, 1.0, 0.9]]))
@@ -85,7 +89,7 @@ class TestThresholdRetention:
             )
             keep = threshold_keep_oracle(stored, beta, retain)
             expected = (np.full(6, 1.0 / 6)[:, None] * stored * keep).sum(axis=0)
-            np.testing.assert_allclose(table.bottom_weights(), expected, rtol=1e-12)
+            np.testing.assert_allclose(table.bottom_weights, expected, rtol=1e-12)
 
     def test_parameter_validation(self):
         ckm = toy_ckm(np.ones((1, 4)))
@@ -103,7 +107,7 @@ class TestLayerRecursion:
     def test_pairwise_sum_example(self):
         ckm = toy_ckm(np.array([[1.0, 0.0, 2.0, 0.0]]))
         table = bc.compute_point_weights(ckm, np.array([0]), beta=0.1)
-        layers = table.layer_weights()
+        layers = table.layer_weights
         np.testing.assert_allclose(layers[-1], [1.0, 0.0, 2.0, 0.0])
         np.testing.assert_allclose(layers[0], [1.0, 2.0])
 
@@ -111,7 +115,7 @@ class TestLayerRecursion:
         rng = np.random.default_rng(23)
         ckm = toy_ckm(rng.uniform(0.0, 1.0, size=(5, 16)))
         table = bc.compute_point_weights(ckm, np.arange(5), beta=0.2)
-        layers = table.layer_weights()
+        layers = table.layer_weights
         totals = [w.sum() for w in layers]
         np.testing.assert_allclose(totals, totals[-1], rtol=1e-12)
         for got, want in zip(layers, layer_sum_oracle(layers[-1])):
@@ -122,7 +126,7 @@ class TestLayerRecursion:
         t1 = bc.compute_point_weights(toy_ckm(bottom), np.arange(3), beta=0.4)
         t2 = bc.compute_point_weights(toy_ckm(5.0 * bottom), np.arange(3), beta=0.4)
         np.testing.assert_allclose(
-            t2.bottom_weights(), 5.0 * t1.bottom_weights(), rtol=1e-6
+            t2.bottom_weights, 5.0 * t1.bottom_weights, rtol=1e-6
         )
         np.testing.assert_array_equal(t1.keep, t2.keep)
 
@@ -140,7 +144,7 @@ class TestPrunedTree:
         np.testing.assert_array_equal(four_leaf_tree.bottom_candidates(), [1, 2, 3, 5])
         np.testing.assert_array_equal(four_leaf_tree.candidates(2), [1, 2, 3])
         np.testing.assert_array_equal(four_leaf_tree.candidates(1), [1, 2])
-        assert four_leaf_tree.candidate_count(2) == 3
+        assert candidate_count(four_leaf_tree, 2) == 3
         assert four_leaf_tree.is_candidate(bc.BeamId(3, 5))
         assert not four_leaf_tree.is_candidate(bc.BeamId(3, 4))
 
@@ -173,7 +177,10 @@ class TestPrunedTree:
 
     def test_from_bottom_weights_requires_power_of_two(self):
         with pytest.raises(ValueError):
-            bc.PrunedTree.from_bottom_weights(np.ones(6))
+            from_bottom_weights(np.ones(6))
+        # the state itself needs gains over the whole codebook of its depth
+        with pytest.raises(ValueError, match="full codebook"):
+            bc.SearchState(np.arange(1), np.ones(1), np.ones((1, 10)), 0.5, 3)
 
     def test_candidate_trees_are_ancestor_closed(self):
         rng = np.random.default_rng(31)
@@ -181,98 +188,93 @@ class TestPrunedTree:
             w = rng.uniform(0.0, 1.0, size=16) * (rng.uniform(size=16) < 0.4)
             if w.max() <= 0:
                 continue
-            assert bc.PrunedTree.from_bottom_weights(w).ancestor_closed()
-        broken = bc.PrunedTree(
-            [np.array([True, False]), np.array([False, False, True, False])]
-        )
-        assert not broken.ancestor_closed()
+            assert ancestor_closed(from_bottom_weights(w).masks)
+        assert not ancestor_closed([np.array([True, False]), np.array([False, False, True, False])])
 
 
 class TestApplyObservation:
     def test_observing_right_half_leaves_single_leaf(self):
         ckm = four_point_ckm()
-        table = bc.compute_point_weights(ckm, np.arange(4), beta=0.5)
-        tree = bc.candidate_beams(table)
-        np.testing.assert_array_equal(tree.bottom_candidates(), [1, 2, 3, 5])
-        out = bc.apply_observation(table, tree, bc.BeamId(1, 2))
-        np.testing.assert_array_equal(out.bottom_candidates(), [5])
-        assert out.root == bc.BeamId(1, 2)
-        np.testing.assert_array_equal(table.alive_points, [3])
+        state = bc.compute_point_weights(ckm, np.arange(4), beta=0.5)
+        np.testing.assert_array_equal(bc.candidate_beams(state).bottom_candidates(), [1, 2, 3, 5])
+        bc.apply_observation(state, bc.BeamId(1, 2))
+        np.testing.assert_array_equal(state.bottom_candidates(), [5])
+        assert state.root == bc.BeamId(1, 2)
+        np.testing.assert_array_equal(state.alive_points, [3])
 
     def test_points_drop_when_argmax_disagrees(self):
         ckm = four_point_ckm()
-        table = bc.compute_point_weights(ckm, np.arange(4), beta=0.5)
-        tree = bc.candidate_beams(table)
-        out = bc.apply_observation(table, tree, bc.BeamId(1, 1))
+        state = bc.compute_point_weights(ckm, np.arange(4), beta=0.5)
+        bc.apply_observation(state, bc.BeamId(1, 1))
         # points backing beams 1, 2, 3 stay; the beam-5 point is gone
-        np.testing.assert_array_equal(table.alive_points, [0, 1, 2])
-        np.testing.assert_array_equal(out.bottom_candidates(), [1, 2, 3])
+        np.testing.assert_array_equal(state.alive_points, [0, 1, 2])
+        np.testing.assert_array_equal(state.bottom_candidates(), [1, 2, 3])
 
     def test_argmax_tie_counts_for_smaller_index(self):
         # both layer-1 wide beams read the same gain for this point: the
         # tie votes for beam 1, so observing beam 2 discards the point
         bottom = np.array([[1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]])
-        table = bc.compute_point_weights(toy_ckm(bottom), np.array([0]), beta=0.5)
-        tree = bc.candidate_beams(table)
-        out = bc.apply_observation(table, tree, bc.BeamId(1, 2))
-        assert table.alive_points.size == 0
-        assert table.uniform_fallback
+        state = bc.compute_point_weights(toy_ckm(bottom), np.array([0]), beta=0.5)
+        bc.apply_observation(state, bc.BeamId(1, 2))
+        assert state.alive_points.size == 0
+        assert state.uniform_fallback
 
     def test_non_candidate_observation_rejected(self):
         ckm = four_point_ckm()
-        table = bc.compute_point_weights(ckm, np.arange(4), beta=0.5)
-        tree = bc.candidate_beams(table)
+        state = bc.compute_point_weights(ckm, np.arange(4), beta=0.5)
         with pytest.raises(ValueError):
-            bc.apply_observation(table, tree, bc.BeamId(3, 4))
+            bc.apply_observation(state, bc.BeamId(3, 4))
 
     def test_contradictory_observation_falls_back_to_uniform_subtree(self):
         # both points bet on the left half; observing the right half wipes
         # them out and the subtree reverts to uniform weights
         bottom = np.tile(np.array([[1.0, 0.0, 0.0, 0.6]]), (2, 1))
-        table = bc.compute_point_weights(toy_ckm(bottom), np.arange(2), beta=0.5)
-        tree = bc.candidate_beams(table)
-        np.testing.assert_array_equal(tree.bottom_candidates(), [1, 4])
-        out = bc.apply_observation(table, tree, bc.BeamId(1, 2))
-        assert table.uniform_fallback
-        np.testing.assert_array_equal(out.bottom_candidates(), [3, 4])
-        np.testing.assert_allclose(table.bottom_weights(), [0.0, 0.0, 1.0, 1.0])
+        state = bc.compute_point_weights(toy_ckm(bottom), np.arange(2), beta=0.5)
+        np.testing.assert_array_equal(state.bottom_candidates(), [1, 4])
+        bc.apply_observation(state, bc.BeamId(1, 2))
+        assert state.uniform_fallback
+        np.testing.assert_array_equal(state.bottom_candidates(), [3, 4])
+        np.testing.assert_allclose(state.bottom_weights, [0.0, 0.0, 1.0, 1.0])
 
     def test_fallback_subtree_survives_second_contradiction(self):
         # once in fallback, a later observation pointing outside the current
         # fallback subtree must re-anchor on the new subtree instead of
         # leaving no candidates at all
         bottom = np.tile(np.array([[1.0, 0.0, 0.0, 0.6]]), (2, 1))
-        table = bc.compute_point_weights(toy_ckm(bottom), np.arange(2), beta=0.5)
-        tree = bc.candidate_beams(table)
-        bc.apply_observation(table, tree, bc.BeamId(1, 2))
-        assert table.uniform_fallback
-        table.restrict_to_subtree(bc.BeamId(2, 1))
-        np.testing.assert_allclose(table.bottom_weights(), [1.0, 0.0, 0.0, 0.0])
-        np.testing.assert_array_equal(
-            bc.candidate_beams(table).bottom_candidates(), [1]
-        )
+        state = bc.compute_point_weights(toy_ckm(bottom), np.arange(2), beta=0.5)
+        bc.apply_observation(state, bc.BeamId(1, 2))
+        assert state.uniform_fallback
+        state.update(np.ones(2, dtype=bool), bc.BeamId(2, 1))
+        np.testing.assert_allclose(state.bottom_weights, [1.0, 0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(bc.candidate_beams(state).bottom_candidates(), [1])
+        assert state.root == bc.BeamId(2, 1)
 
     def test_descent_chain_reaches_bottom(self):
         rng = np.random.default_rng(7)
         bottom = rng.uniform(0.05, 1.0, size=(6, 16))
-        table = bc.compute_point_weights(toy_ckm(bottom), np.arange(6), beta=0.3)
-        tree = bc.candidate_beams(table)
+        state = bc.compute_point_weights(toy_ckm(bottom), np.arange(6), beta=0.3)
         node = bc.BeamId(1, 1)
-        tree = bc.apply_observation(table, tree, node)
+        bc.apply_observation(state, node)
         for layer in range(2, 5):
-            cands = tree.candidates_under(layer, node)
+            cands = state.candidates_under(layer, node)
             assert cands.size >= 1
             node = bc.BeamId(layer, int(cands[0]))
-            tree = bc.apply_observation(table, tree, node)
-        assert tree.bottom_candidates().size >= 1
-        assert tree.root.layer == 4
+            bc.apply_observation(state, node)
+        assert state.bottom_candidates().size >= 1
+        assert state.root.layer == 4
 
     def test_all_zero_weights_have_no_candidates(self):
-        ckm = toy_ckm(np.array([[1.0, 0.0, 0.0, 0.0]]))
-        table = bc.compute_point_weights(ckm, np.array([0]), beta=0.5)
-        table.kill_points(np.array([False]))
+        # a prior whose only point has no map gain backs no beam at all
+        ckm = toy_ckm(np.zeros((1, 4)))
+        state = bc.compute_point_weights(ckm, np.array([0]), beta=0.5)
         with pytest.raises(ValueError):
-            bc.candidate_beams(table)
+            bc.candidate_beams(state)
+        # an update never leaves that state: dropping every point engages
+        # the uniform fallback instead
+        state = bc.compute_point_weights(toy_ckm(np.array([[1.0, 0.0, 0.0, 0.0]])), [0], 0.5)
+        state.update(np.array([False]))
+        assert state.uniform_fallback
+        np.testing.assert_array_equal(bc.candidate_beams(state).bottom_candidates(), [1, 2, 3, 4])
 
 
 class TestWeightTableState:
@@ -282,12 +284,12 @@ class TestWeightTableState:
             (bc.SubRegion((0,), 0.75), bc.SubRegion((1,), 0.25))
         )
         table = bc.compute_point_weights(ckm, prior, beta=0.5)
-        np.testing.assert_allclose(table.bottom_weights(), [0.75, 0.25, 0.0, 0.0])
+        np.testing.assert_allclose(table.bottom_weights, [0.75, 0.25, 0.0, 0.0])
 
     def test_raw_indices_default_to_uniform_mass(self):
         ckm = toy_ckm(np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]))
         table = bc.compute_point_weights(ckm, np.array([0, 1]), beta=0.5)
-        np.testing.assert_allclose(table.bottom_weights(), [0.5, 0.5, 0.0, 0.0])
+        np.testing.assert_allclose(table.bottom_weights, [0.5, 0.5, 0.0, 0.0])
 
     def test_layer_gain_columns_slice(self):
         rng = np.random.default_rng(11)
@@ -299,14 +301,14 @@ class TestWeightTableState:
 
     def test_restrict_without_kill_keeps_weights(self):
         bottom = np.array([[0.2, 0.3, 0.4, 0.1]])
-        table = bc.compute_point_weights(toy_ckm(bottom), np.array([0]), beta=0.1)
-        table.restrict_to_subtree(bc.BeamId(1, 1))
-        np.testing.assert_allclose(table.bottom_weights(), [0.2, 0.3, 0.0, 0.0])
-        assert not table.uniform_fallback
+        state = bc.compute_point_weights(toy_ckm(bottom), np.array([0]), beta=0.1)
+        state.update(np.ones(1, dtype=bool), bc.BeamId(1, 1))
+        np.testing.assert_allclose(state.bottom_weights, [0.2, 0.3, 0.0, 0.0])
+        assert not state.uniform_fallback
 
 
 class TestTableCopies:
-    """A built table passed back to compute_point_weights yields a copy in
+    """A built state passed back to compute_point_weights yields a copy in
     the initial state that shares the fixed arrays read-only."""
 
     def setup_method(self):
@@ -317,14 +319,16 @@ class TestTableCopies:
     def test_copy_starts_fresh_and_leaves_the_source_alone(self):
         first = bc.compute_point_weights(self.ckm, self.built, 0.3, retain_beams=3)
         assert first is not self.built
-        first.kill_points(np.arange(6) < 2)
-        first.restrict_to_subtree(bc.BeamId(1, 2))
-        first.uniform_fallback = True
+        first.update(np.arange(6) < 2, bc.BeamId(1, 2))
+        first.update(np.zeros(6, dtype=bool))
+        assert first.uniform_fallback
         second = bc.compute_point_weights(self.ckm, self.built, 0.3, retain_beams=3)
-        for table in (self.built, second):
-            assert table.point_alive.all() and table.beam_alive.all()
-            assert not table.uniform_fallback
-        np.testing.assert_array_equal(second.bottom_weights(), self.built.bottom_weights())
+        for state in (self.built, second):
+            assert state.point_alive.all() and state.beam_alive.all()
+            assert not state.uniform_fallback and state.root is None
+        np.testing.assert_array_equal(second.bottom_weights, self.built.bottom_weights)
+        for ours, theirs in zip(second.masks, self.built.masks):
+            np.testing.assert_array_equal(ours, theirs)
         np.testing.assert_array_equal(second.alive_points, np.arange(6))
 
     def test_fixed_arrays_are_shared_read_only(self):
@@ -340,7 +344,7 @@ class TestTableCopies:
 
     def test_caller_arrays_stay_writable(self):
         gains = stack_layers(np.eye(4))
-        table = bc.BeamWeightTable(np.arange(4), np.full(4, 0.25), gains, 0.5, 2)
+        table = bc.SearchState(np.arange(4), np.full(4, 0.25), gains, 0.5, 2)
         assert not table.gains.flags.writeable
         gains[0, 0] = 2.0  # the caller's own array is untouched
 
@@ -358,3 +362,160 @@ class TestTableCopies:
         deeper = toy_ckm(np.ones((6, 16)))
         with pytest.raises(ValueError, match="another"):
             bc.compute_point_weights(deeper, self.built, 0.3, retain_beams=3)
+
+
+def recomputed(state):
+    """Layer weights, masks, prefix sums and pair weights of the state's
+    alive masks and fallback flag, computed from scratch."""
+    if state.uniform_fallback:
+        bottom = state.beam_alive.astype(np.float64)
+    else:
+        bottom = np.where(state.beam_alive, state.contrib[state.point_alive].sum(axis=0), 0.0)
+    layers = layer_sum_oracle(bottom)
+    masks = [w > 0 for w in layers]
+    L = state.num_layers
+    csum = np.zeros((L, 2**L + 1), dtype=np.int64)
+    for l, mask in enumerate(masks, 1):
+        csum[l - 1, 1 : 2**l + 1] = np.cumsum(mask)
+        csum[l - 1, 2**l + 1 :] = mask.sum()
+    pairs = kernels.pair_weights(csum, bottom, np.flatnonzero(masks[-1]) + 1, L)
+    return layers, masks, csum, pairs
+
+
+class OldRules:
+    """The alive masks and fallback flag as the two-step rules had them:
+    cut points, restrict the bottom layer to the observed subtree (a
+    subtree left without weight reverts to uniform), and engage the
+    fallback without moving the beams when a cut alone empties the weights."""
+
+    def __init__(self, state):
+        self.state = state
+        self.point_alive = state.point_alive.copy()
+        self.beam_alive = state.beam_alive.copy()
+        self.fallback = False
+        self.root = None
+
+    def weights(self):
+        if self.fallback:
+            return self.beam_alive.astype(np.float64)
+        return np.where(self.beam_alive, self.state.contrib[self.point_alive].sum(axis=0), 0.0)
+
+    def fold(self, point_mask, observed):
+        self.point_alive &= point_mask
+        if observed is not None:
+            shift = self.state.num_layers - observed.layer
+            span = np.zeros_like(self.beam_alive)
+            span[(observed.index - 1) << shift : observed.index << shift] = True
+            self.beam_alive &= span
+            if self.weights().max(initial=0.0) <= 0.0:
+                self.beam_alive = span
+                self.fallback = True
+            self.root = observed
+        if not self.fallback and self.weights().max(initial=0.0) <= 0.0:
+            self.fallback = True
+
+
+@st.composite
+def observation_runs(draw):
+    """A random state and a sequence of feedback folds and pruning rounds,
+    with and without a descent; observations often contradict the points,
+    so the uniform fallback engages in many runs."""
+    L = draw(st.integers(2, 4))
+    P = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bottom = rng.uniform(0.0, 1.0, (P, 2**L)) * (rng.random((P, 2**L)) < 0.5)
+    mass = rng.dirichlet(np.ones(P))
+    state = bc.SearchState(
+        np.arange(P),
+        mass,
+        stack_layers(bottom),
+        draw(st.sampled_from([0.2, 0.5, 1.0])),
+        L,
+        draw(st.sampled_from([None, 1, 2])),
+    )
+    steps = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["observe", "prune", "prune-descend"]),
+                st.integers(1, L),
+                st.integers(0, 2**L - 1),
+                st.integers(0, 2**32 - 1),
+                st.booleans(),
+            ),
+            max_size=8,
+        )
+    )
+    return state, steps
+
+
+class TestSearchStateCache:
+    """After every update the cached derived arrays equal a from-scratch
+    computation on the same masks, bit for bit."""
+
+    @staticmethod
+    def assert_cache_matches(state):
+        layers, masks, csum, (entry, hops) = recomputed(state)
+        for ours, want in zip(state.layer_weights, layers, strict=True):
+            np.testing.assert_array_equal(ours, want)
+        for ours, want in zip(state.masks, masks, strict=True):
+            np.testing.assert_array_equal(ours, want)
+        np.testing.assert_array_equal(state.prefix_sums(), csum)
+        cached = state.pair_weights()
+        np.testing.assert_array_equal(cached[0], entry)
+        np.testing.assert_array_equal(cached[1], hops)
+        for a in (*state.layer_weights, *state.masks, state.prefix_sums(), *cached):
+            with pytest.raises(ValueError):
+                a[0] = 1
+        assert ancestor_closed(state.masks)
+
+    @settings(max_examples=150, deadline=None)
+    @given(observation_runs())
+    def test_updates_keep_the_cache_consistent(self, run):
+        built, steps = run
+        initial = recomputed(built)
+        if built.bottom_weights.max() <= 0.0:
+            with pytest.raises(ValueError):
+                bc.candidate_beams(built)
+            return
+        state = built.fresh_copy()
+        old = OldRules(state)
+        for kind, layer, pick, seed, check in steps:
+            L = state.num_layers
+            layer = max(layer, state.root_layer + 1)
+            if layer > L:
+                break
+            if kind == "observe":
+                cands = state.candidates_under(layer, state.root)
+                if cands.size == 0:
+                    break
+                observed = bc.BeamId(layer, int(cands[pick % cands.size]))
+                winners_before = state.layer_gain_columns(layer, state.candidates(layer))
+                won = state.candidates(layer)[np.argmax(winners_before, axis=1)]
+                bc.apply_observation(state, observed)
+                old.fold(won == observed.index, observed)
+            else:
+                if not state.point_alive.any():
+                    break
+                rng = np.random.default_rng(seed)
+                beams = [bc.BeamId(layer, n) for n in range(1, 2**layer + 1)]
+                g_obs = rng.uniform(0.0, 1.0, len(beams)) * (rng.random(len(beams)) < 0.7)
+                f_obs = beams[pick % len(beams)] if kind == "prune-descend" else None
+                before = state.point_alive.copy()
+                prune_user_points(state, beams, g_obs, f_obs, 0.9)
+                assert not (state.point_alive & ~before).any()
+                old.fold(state.point_alive, f_obs)
+            np.testing.assert_array_equal(state.point_alive, old.point_alive)
+            np.testing.assert_array_equal(state.beam_alive, old.beam_alive)
+            assert state.uniform_fallback == old.fallback
+            assert state.root == old.root
+            assert state.bottom_candidates().size >= 1
+            if check:
+                self.assert_cache_matches(state)
+        self.assert_cache_matches(state)
+        # the shared source is untouched, and a copy of either starts afresh
+        for copy in (built, built.fresh_copy(), state.fresh_copy()):
+            assert copy.point_alive.all() and copy.beam_alive.all()
+            assert not copy.uniform_fallback and copy.root is None
+            for ours, want in zip(copy.layer_weights, initial[0], strict=True):
+                np.testing.assert_array_equal(ours, want)
+            np.testing.assert_array_equal(copy.pair_weights()[1], initial[3][1])

@@ -167,6 +167,41 @@ class TestScenarioParsing:
         with pytest.raises(ValueError, match=message):
             bc.scenario_from_dict(d)
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            ("retain_beams", 0),
+            ("seed", -1),
+            ("array.num_antennas", 2),
+            ("array.num_antennas", 32.9),
+            ("trials", 1.7),
+            ("environment.max_paths", 2.5),
+            ("algorithms", []),
+            ("algorithms", ["alg1", "alg1"]),
+            ("ckm_staleness_sigma", float("nan")),
+            ("ckm_staleness_sigma", -1.0),
+        ],
+    )
+    def test_inputs_that_cannot_run_rejected_at_load(self, path, value):
+        # each loaded before, then failed in build_codebook or run_trials,
+        # was truncated by int(), or ran with wrong records
+        d = scenario_dict()
+        *parents, key = path.split(".")
+        target = d
+        for name in parents:
+            target = target[name]
+        target[key] = value
+        with pytest.raises(ValueError, match=key):
+            bc.scenario_from_dict(d)
+
+    def test_integral_numbers_accepted(self):
+        d = scenario_dict()
+        d["trials"] = 4.0
+        d["array"]["num_antennas"] = 16.0
+        cfg = bc.scenario_from_dict(d)
+        assert (cfg.trials, cfg.array.num_antennas) == (4, 16)
+        assert isinstance(cfg.trials, int)
+
     def test_unit_thresholds_accepted(self):
         d = scenario_dict()
         d["beta"] = 1.0
@@ -400,6 +435,21 @@ class TestRunTrials:
         with pytest.raises(ValueError, match="unknown algorithm"):
             bc.run_trials(cfg, small_scene["ckm"], algorithms=["alg7"])
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"algorithms": []}, "algorithms"),
+            ({"algorithms": ["alg1", "alg1"]}, "algorithms"),
+            ({"seed": -1}, "seed"),
+            ({"seed": 2.5}, "seed"),
+            ({"trials": 0}, "trials"),
+            ({"trials": 1.7}, "trials"),
+        ],
+    )
+    def test_overrides_that_cannot_run_rejected(self, small_scene, override, message):
+        with pytest.raises(ValueError, match=message):
+            bc.run_trials(self.config(), small_scene["ckm"], **override)
+
     def test_user_level_with_the_bs_runs(self):
         # cell centres at y = -1 sit level with the BS at (32, -1): the LoS
         # leaves at spatial angle exactly 1, which the map accepts, so the
@@ -479,7 +529,7 @@ def record_weight_tables(monkeypatch):
 
 class TestSweepInvariants:
     """run_trials traces the channels of a sweep in one batch and builds each
-    user's weight table once; episodes start from copies of those tables."""
+    user's search state once; episodes start from copies of those states."""
 
     @staticmethod
     def config(retain_beams=None):

@@ -8,6 +8,7 @@ import numpy as np
 import beamckm as bc
 from beamckm import kernels
 
+from conftest import from_bottom_weights
 from test_planner import activation_matrix
 
 
@@ -103,8 +104,7 @@ def random_tree_inputs(rng, num_layers):
         if mask.any():
             break
     weights = np.where(mask, rng.uniform(0.1, 3.0, n), 0.0)
-    tree = bc.PrunedTree.from_bottom_weights(weights)
-    return tree, weights
+    return from_bottom_weights(weights), weights
 
 
 class TestPathTracingReference:

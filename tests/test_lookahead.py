@@ -11,7 +11,13 @@ import pytest
 import beamckm as bc
 from beamckm import lookahead as la
 
-from conftest import exhaustive_best_beam, scene_channel, toy_ckm
+from conftest import (
+    FOUR_LEAF_WEIGHTS,
+    exhaustive_best_beam,
+    from_bottom_weights,
+    scene_channel,
+    toy_ckm,
+)
 
 
 def asym_view(wa, wb, wc, root_layer=2):
@@ -122,7 +128,9 @@ class TestSubtreeView:
             np.array([2.0, 1.0, 1.0, 0.0]),
             np.array([1.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0]),
         ]
-        view = la.subtree_view(four_leaf_tree, weights, None)
+        for have, want in zip(four_leaf_tree.layer_weights, weights):
+            np.testing.assert_array_equal(have, want)
+        view = la.subtree_view(four_leaf_tree)
         assert view.root_layer == 0
         np.testing.assert_array_equal(view.children, [1, 2])
         np.testing.assert_array_equal(view.grandchildren[0], [1, 2])
@@ -131,9 +139,9 @@ class TestSubtreeView:
         np.testing.assert_allclose(view.gc_weights[1], [1.0])
         assert la.classify(view) == la.ASYMMETRIC
 
-    def test_bottom_node_rejected(self, four_leaf_tree):
+    def test_bottom_node_rejected(self):
         with pytest.raises(ValueError):
-            la.subtree_view(four_leaf_tree, [], bc.BeamId(3, 1))
+            la.subtree_view(from_bottom_weights(FOUR_LEAF_WEIGHTS, root=bc.BeamId(3, 1)))
 
 
 class TestRunLookahead:

@@ -14,6 +14,7 @@ from beamckm import multiuser as mu
 from conftest import (
     FOUR_LEAF_WEIGHTS,
     exhaustive_best_beam,
+    from_bottom_weights,
     scene_channel,
     stack_layers,
     toy_ckm,
@@ -21,10 +22,10 @@ from conftest import (
 
 
 def make_table(profiles, num_layers=2, beta=0.5):
-    """Weight table over hand-written full gain rows (P, 2^(L+1) - 2)."""
+    """Search state over hand-written full gain rows (P, 2^(L+1) - 2)."""
     gains = np.asarray(profiles, dtype=np.float64)
     n = len(gains)
-    return bc.BeamWeightTable(
+    return bc.SearchState(
         point_ids=np.arange(n),
         point_mass=np.full(n, 1.0 / n),
         gains=gains,
@@ -100,8 +101,8 @@ class TestSelectRound:
 
 class TestUnionBeams:
     def test_deduplicated_ascending(self):
-        t1 = bc.PrunedTree.from_bottom_weights([1.0, 0.0, 1.0, 0.0])
-        t2 = bc.PrunedTree.from_bottom_weights([0.0, 0.0, 1.0, 1.0])
+        t1 = from_bottom_weights([1.0, 0.0, 1.0, 0.0])
+        t2 = from_bottom_weights([0.0, 0.0, 1.0, 1.0])
         np.testing.assert_array_equal(mu.union_beams([t1, t2], 2), [1, 3, 4])
         np.testing.assert_array_equal(mu.union_beams([t1, t2], 1), [1, 2])
         np.testing.assert_array_equal(mu.union_beams([t1], 2), [1, 3])
@@ -114,28 +115,25 @@ class TestJointLayer:
             w = rng.uniform(0.0, 1.0, size=16) * (rng.uniform(size=16) < 0.5)
             if (w > 0).sum() < 2:
                 continue
-            tree = bc.PrunedTree.from_bottom_weights(w)
             for fl in (0, 1, 2):
-                assert mu.joint_layer([tree], [w], [fl]) == bc.optimal_layer(
-                    tree, w, fl
-                )
+                state = from_bottom_weights(w, root=None if fl == 0 else bc.BeamId(fl, 1))
+                assert mu.joint_layer([state]) == bc.optimal_layer(state)
 
     def test_identical_users_agree_with_single(self):
-        tree = bc.PrunedTree.from_bottom_weights(FOUR_LEAF_WEIGHTS)
-        w = FOUR_LEAF_WEIGHTS
-        assert mu.joint_layer([tree, tree], [w, w], [0, 0]) == 3
+        tree = from_bottom_weights(FOUR_LEAF_WEIGHTS)
+        assert mu.joint_layer([tree, tree]) == 3
         skew = np.array([1.0, 1.0, 1.0, 0.0, 10.0, 0.0, 0.0, 0.0])
-        t2 = bc.PrunedTree.from_bottom_weights(skew)
-        assert mu.joint_layer([t2, t2], [skew, skew], [0, 0]) == 1
+        t2 = from_bottom_weights(skew)
+        assert mu.joint_layer([t2, t2]) == 1
 
     def test_per_user_normalization_ignores_weight_scale(self):
         w1 = FOUR_LEAF_WEIGHTS
         w2 = np.array([1.0, 1.0, 1.0, 0.0, 10.0, 0.0, 0.0, 0.0])
-        t1 = bc.PrunedTree.from_bottom_weights(w1)
-        t2 = bc.PrunedTree.from_bottom_weights(w2)
-        base = mu.joint_layer([t1, t2], [w1, w2], [0, 0])
-        assert mu.joint_layer([t1, t2], [1000.0 * w1, w2], [0, 0]) == base
-        assert mu.joint_layer([t1, t2], [w1, w2 / 1000.0], [0, 0]) == base
+        t1 = from_bottom_weights(w1)
+        t2 = from_bottom_weights(w2)
+        base = mu.joint_layer([t1, t2])
+        assert mu.joint_layer([from_bottom_weights(1000.0 * w1), t2]) == base
+        assert mu.joint_layer([t1, from_bottom_weights(w2 / 1000.0)]) == base
 
 
 class TestPrunePoints:
@@ -214,8 +212,8 @@ class TestPrunePoints:
             mu.prune_user_points(table, beams, np.ones(2), None, 1.5)
         with pytest.raises(ValueError):
             mu.prune_user_points(table, beams, np.ones(3), None, 0.9)
-        table.kill_points(np.array([False]))
-        with pytest.raises(ValueError):
+        table.update(np.array([False]))
+        with pytest.raises(ValueError, match="no alive points"):
             mu.prune_user_points(table, beams, np.ones(2), None, 0.9)
 
 

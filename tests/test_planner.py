@@ -17,7 +17,7 @@ from beamckm import kernels
 from beamckm import multiuser as mu
 from beamckm.strategy import enumerate_activations, pick_activation, shortest_plan
 
-from conftest import FOUR_LEAF_WEIGHTS
+from conftest import FOUR_LEAF_WEIGHTS, from_bottom_weights
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -30,7 +30,7 @@ def make_tree(num_layers, density, seed, integer):
         mask[rng.integers(n)] = True
     values = rng.integers(1, 4, n).astype(float) if integer else rng.uniform(0.1, 3.0, n)
     weights = np.where(mask, values, 0.0)
-    return bc.PrunedTree.from_bottom_weights(weights), weights
+    return from_bottom_weights(weights), weights
 
 
 @st.composite
@@ -66,6 +66,12 @@ def oracle_best(tree, weights, from_layer):
     return acts[z], float(rewards[z])
 
 
+def planning_from(tree, from_layer):
+    """The same toy state, planning from a root at ``from_layer``."""
+    tree.root = None if from_layer == 0 else bc.BeamId(from_layer, 1)
+    return tree
+
+
 def oracle_joint(trees_, weights, from_layers):
     L = trees_[0].num_layers
     acts = enumerate_activations(min(from_layers), L)
@@ -86,11 +92,11 @@ class TestSingleUserPlanner:
         L = tree.num_layers
         for from_layer in range(L):
             want_act, want_reward = oracle_best(tree, weights, from_layer)
-            act, got_reward = bc.best_activation(tree, weights, from_layer)
+            act, got_reward = bc.best_activation(planning_from(tree, from_layer))
             assert act[0] == want_act[0], (from_layer, act, want_act)
             assert got_reward == pytest.approx(want_reward, rel=1e-12, abs=0.0)
             if len(tree.bottom_candidates()) > 1:
-                assert bc.optimal_layer(tree, weights, from_layer) == want_act[0]
+                assert bc.optimal_layer(tree) == want_act[0]
 
     @PROPERTY
     @given(st.integers(2, 9).flatmap(lambda L: trees(L)), st.randoms(use_true_random=False))
@@ -113,7 +119,7 @@ class TestSingleUserPlanner:
         acts = enumerate_activations(0, 3)
         rewards = dict(zip(acts, enumerated_rewards(four_leaf_tree, FOUR_LEAF_WEIGHTS, acts)))
         assert rewards[(2, 3)] == rewards[(3,)] == -16.0
-        act, reward = bc.best_activation(four_leaf_tree, FOUR_LEAF_WEIGHTS)
+        act, reward = bc.best_activation(four_leaf_tree)
         assert (act, reward) == ((3,), -16.0)
 
     def test_rounding_level_difference_is_a_tie(self):
@@ -142,7 +148,7 @@ class TestSingleUserPlanner:
 
     def test_no_layers_left_rejected(self, four_leaf_tree):
         with pytest.raises(ValueError):
-            bc.best_activation(four_leaf_tree, FOUR_LEAF_WEIGHTS, 3)
+            bc.best_activation(planning_from(four_leaf_tree, 3))
 
 
 @st.composite
@@ -162,7 +168,7 @@ class TestJointPlanner:
         trees_ = [t for t, _ in users]
         weights = [w for _, w in users]
         want = oracle_joint(trees_, weights, from_layers)
-        assert mu.joint_layer(trees_, weights, from_layers) == want
+        assert mu.joint_layer([planning_from(t, fl) for t, fl in zip(trees_, from_layers)]) == want
 
     @PROPERTY
     @given(joint_cases(), st.randoms(use_true_random=False))
@@ -170,15 +176,8 @@ class TestJointPlanner:
         users, from_layers = case
         order = list(range(len(users)))
         rnd.shuffle(order)
-        a = mu.joint_layer(
-            [t for t, _ in users], [w for _, w in users], from_layers
-        )
-        b = mu.joint_layer(
-            [users[k][0] for k in order],
-            [users[k][1] for k in order],
-            [from_layers[k] for k in order],
-        )
-        assert a == b
+        states = [planning_from(t, fl) for (t, _), fl in zip(users, from_layers)]
+        assert mu.joint_layer(states) == mu.joint_layer([states[k] for k in order])
 
     @pytest.mark.parametrize("num_layers", range(1, 10))
     def test_path_counts_match_enumeration(self, num_layers):

@@ -13,7 +13,14 @@ import pytest
 import beamckm as bc
 from beamckm.strategy import enumerate_activations, pick_activation
 
-from conftest import FOUR_LEAF_WEIGHTS, exhaustive_best_beam, scene_channel, toy_ckm
+from conftest import (
+    FOUR_LEAF_WEIGHTS,
+    candidate_count,
+    exhaustive_best_beam,
+    from_bottom_weights,
+    scene_channel,
+    toy_ckm,
+)
 
 
 # ----------------------------------------------------------------------
@@ -65,14 +72,14 @@ def oracle_reward(bottom_candidates, num_layers, activation, weights) -> float:
 
 
 def random_tree(rng, num_layers):
-    """Random nonempty bottom candidate mask as a PrunedTree."""
+    """Random nonempty bottom candidate mask as a toy search state."""
     n = 2**num_layers
     while True:
         mask = rng.random(n) < 0.45
         if mask.any():
             break
     weights = np.where(mask, rng.uniform(0.5, 2.0, n), 0.0)
-    return bc.PrunedTree.from_bottom_weights(weights), weights
+    return from_bottom_weights(weights), weights
 
 
 FOUR_LEAF_CANDS = (1, 2, 3, 5)
@@ -128,7 +135,7 @@ class TestSimulationEquivalence:
 
     def test_single_candidate_chain_costs_one_probe(self):
         # the entry layer is always charged, even for a lone candidate
-        tree = bc.PrunedTree.from_bottom_weights([0.0, 0.0, 1.0, 0.0])
+        tree = from_bottom_weights([0.0, 0.0, 1.0, 0.0])
         assert bc.overhead_for_target(tree, (1, 2), bc.BeamId(2, 3)) == 1
         assert bc.overhead_for_target(tree, (2,), bc.BeamId(2, 3)) == 1
 
@@ -141,9 +148,7 @@ class TestReward:
     def test_unit_weight_rewards(self, four_leaf_tree):
         w = FOUR_LEAF_WEIGHTS
         for activation, expected in self.FROZEN:
-            np.testing.assert_allclose(
-                bc.reward(four_leaf_tree, w, activation), expected
-            )
+            np.testing.assert_allclose(bc.reward(four_leaf_tree, activation), expected)
             np.testing.assert_allclose(
                 oracle_reward(FOUR_LEAF_CANDS, 3, activation, w), expected
             )
@@ -155,38 +160,39 @@ class TestReward:
             cands = [int(n) for n in tree.bottom_candidates()]
             for activation in enumerate_activations(0, 4):
                 np.testing.assert_allclose(
-                    bc.reward(tree, weights, activation),
+                    bc.reward(tree, activation),
                     oracle_reward(cands, 4, activation, weights),
                 )
 
     def test_singleton_tree_reward_is_minus_weight(self):
-        tree = bc.PrunedTree.from_bottom_weights([0.0, 2.5, 0.0, 0.0])
-        np.testing.assert_allclose(bc.reward(tree, [0, 2.5, 0, 0], (2,)), -2.5)
+        tree = from_bottom_weights([0.0, 2.5, 0.0, 0.0])
+        np.testing.assert_allclose(bc.reward(tree, (2,)), -2.5)
 
 
 class TestOptimalLayer:
     def test_unit_weights_tiebreak_prefers_single_late_layer(self, four_leaf_tree):
         # {2,3} and {3} tie at -16; fewest layers picks {3}
-        act, rew = bc.best_activation(four_leaf_tree, FOUR_LEAF_WEIGHTS)
+        act, rew = bc.best_activation(four_leaf_tree)
         assert act == (3,)
         np.testing.assert_allclose(rew, -16.0)
-        assert bc.optimal_layer(four_leaf_tree, FOUR_LEAF_WEIGHTS) == 3
+        assert bc.optimal_layer(four_leaf_tree) == 3
 
-    def test_weights_favoring_isolated_leaf_pick_top_layer(self, four_leaf_tree):
-        w = np.array([1.0, 1.0, 1.0, 0.0, 10.0, 0.0, 0.0, 0.0])
-        act, _ = bc.best_activation(four_leaf_tree, w)
+    def test_weights_favoring_isolated_leaf_pick_top_layer(self):
+        state = from_bottom_weights([1.0, 1.0, 1.0, 0.0, 10.0, 0.0, 0.0, 0.0])
+        act, _ = bc.best_activation(state)
         assert act == (1, 3)
-        assert bc.optimal_layer(four_leaf_tree, w) == 1
+        assert bc.optimal_layer(state) == 1
 
-    def test_weights_concentrated_in_shared_subtree_skip_top(self, four_leaf_tree):
+    def test_weights_concentrated_in_shared_subtree_skip_top(self):
         # leaves 1 and 2 share every upper ancestor: probing layer 1 wastes
         # probes, so the bottom-only plan wins
-        w = np.array([10.0, 10.0, 0.1, 0.0, 0.1, 0.0, 0.0, 0.0])
-        assert bc.optimal_layer(four_leaf_tree, w) > 1
+        state = from_bottom_weights([10.0, 10.0, 0.1, 0.0, 0.1, 0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(state.bottom_candidates(), [1, 2, 3, 5])
+        assert bc.optimal_layer(state) > 1
 
     def test_singleton_returns_sentinel(self):
-        tree = bc.PrunedTree.from_bottom_weights([0, 0, 0, 0, 3.0, 0, 0, 0])
-        assert bc.optimal_layer(tree, [0, 0, 0, 0, 3.0, 0, 0, 0]) == 4  # L + 1
+        tree = from_bottom_weights([0, 0, 0, 0, 3.0, 0, 0, 0])
+        assert bc.optimal_layer(tree) == 4  # L + 1
 
     def test_choice_invariant_to_weight_scale(self):
         rng = np.random.default_rng(5)
@@ -194,8 +200,8 @@ class TestOptimalLayer:
             tree, weights = random_tree(rng, 4)
             if len(tree.bottom_candidates()) == 1:
                 continue
-            a = bc.best_activation(tree, weights)[0]
-            b = bc.best_activation(tree, weights * 37.5)[0]
+            a = bc.best_activation(tree)[0]
+            b = bc.best_activation(from_bottom_weights(weights * 37.5))[0]
             assert a == b
 
     def test_enumeration_always_contains_bottom_layer(self):
@@ -275,8 +281,8 @@ class TestRunSingleUser:
         )
         assert chosen.layer == ckm.num_layers
         # never worse than probing every candidate at every layer once
-        tree = bc.candidate_beams(bc.compute_point_weights(ckm, prior, 0.5))
-        bound = sum(tree.candidate_count(l) for l in range(1, ckm.num_layers + 1))
+        state = bc.candidate_beams(bc.compute_point_weights(ckm, prior, 0.5))
+        bound = sum(candidate_count(state, l) for l in range(1, ckm.num_layers + 1))
         assert overhead <= bound
 
     def test_same_seed_reproduces_episode(self, small_scene):
@@ -352,10 +358,9 @@ class TestSharedEpisodeLoop:
             # otherwise the search stopped on a sole bottom candidate
             assert algo in ("alg1", "alg2")
             sole_candidate_endings += 1
-            table = bc.compute_point_weights(ckm, prior, 0.5)
-            tree = bc.candidate_beams(table)
+            state = bc.compute_point_weights(ckm, prior, 0.5)
             for r in rounds:
-                tree = bc.apply_observation(table, tree, bc.BeamId(r.layer, r.feedback))
-            assert tree.bottom_candidates().tolist() == [chosen.index]
+                bc.apply_observation(state, bc.BeamId(r.layer, r.feedback))
+            assert state.bottom_candidates().tolist() == [chosen.index]
         if algo in ("alg1", "alg2"):
             assert sole_candidate_endings > 0
