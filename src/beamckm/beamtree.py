@@ -28,6 +28,16 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return view
 
 
+class _Lazy:
+    """Prefix sums and pair weights of one derived state, filled on first use."""
+
+    __slots__ = ("csum", "pairs")
+
+    def __init__(self):
+        self.csum: np.ndarray | None = None
+        self.pairs: tuple[np.ndarray, np.ndarray] | None = None
+
+
 class SearchState:
     """One user's pruned search tree and the weights that decide it.
 
@@ -79,20 +89,25 @@ class SearchState:
         for name in ("point_ids", "point_mass", "gains", "contrib", "keep"):
             setattr(self, name, _read_only(getattr(self, name)))
         self._reset()
+        self._derive()
+        # the derived state before any observation, shared by every fresh copy
+        self._initial = (self.layer_weights, self.masks, self._lazy)
 
     def _reset(self) -> None:
         self.point_alive = np.ones(len(self.point_ids), dtype=bool)
         self.beam_alive = np.ones(self.num_bottom, dtype=bool)
         self.uniform_fallback = False
         self.root: BeamId | None = None
-        self._derive()
 
     def fresh_copy(self) -> "SearchState":
-        """This state before any observation, for one more episode; the
-        fixed arrays are shared."""
+        """This state before any observation, for one more episode.  The
+        fixed arrays and the initial derived arrays are shared; prefix sums
+        and pair weights computed by any copy before its first update are
+        kept for the next copies."""
         out = object.__new__(SearchState)
         out.__dict__.update(self.__dict__)
         out._reset()
+        out.layer_weights, out.masks, out._lazy = self._initial
         return out
 
     def update(self, point_mask: np.ndarray, observed: BeamId | None = None) -> None:
@@ -120,7 +135,7 @@ class SearchState:
 
     def _derive(self) -> None:
         """Layer weights (index 0 = layer 1, pairwise-sum recursion) and
-        candidate masks of the alive points and beams; drops the lazy
+        candidate masks of the alive points and beams; starts new lazy
         caches.  The layers share one read-only buffer in codebook order."""
         nb = self.num_bottom
         flat = np.empty(2 * nb - 2)
@@ -139,8 +154,7 @@ class SearchState:
         spans = [slice(2**l - 2, 2 ** (l + 1) - 2) for l in range(1, self.num_layers + 1)]
         self.layer_weights = tuple(flat[s] for s in spans)
         self.masks = tuple(positive[s] for s in spans)
-        self._csum: np.ndarray | None = None
-        self._pairs: tuple[np.ndarray, np.ndarray] | None = None
+        self._lazy = _Lazy()
 
     @property
     def alive_points(self) -> np.ndarray:
@@ -186,25 +200,27 @@ class SearchState:
 
     def prefix_sums(self) -> np.ndarray:
         """(L, 2**L + 1) per-layer candidate-count prefix sums for kernels."""
-        if self._csum is None:
+        lazy = self._lazy
+        if lazy.csum is None:
             nb = 2**self.num_layers
             csum = np.zeros((self.num_layers, nb + 1), dtype=np.int64)
             for l in range(1, self.num_layers + 1):
                 counts = np.cumsum(self.masks[l - 1])
                 csum[l - 1, 1 : 2**l + 1] = counts
                 csum[l - 1, 2**l + 1 :] = counts[-1]
-            self._csum = _read_only(csum)
-        return self._csum
+            lazy.csum = _read_only(csum)
+        return lazy.csum
 
     def pair_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """Entry and hop weights of the planner over the bottom candidates
         (``kernels.pair_weights``)."""
-        if self._pairs is None:
+        lazy = self._lazy
+        if lazy.pairs is None:
             entry, hops = kernels.pair_weights(
                 self.prefix_sums(), self.bottom_weights, self.bottom_candidates(), self.num_layers
             )
-            self._pairs = (_read_only(entry), _read_only(hops))
-        return self._pairs
+            lazy.pairs = (_read_only(entry), _read_only(hops))
+        return lazy.pairs
 
 
 def compute_point_weights(

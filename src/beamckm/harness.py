@@ -17,7 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beamtree import compute_point_weights
-from .channel import ArrayConfig, Environment, Obstacle, Scatterer, synthesize_channel
+from .channel import (
+    ArrayConfig,
+    Environment,
+    Obstacle,
+    Scatterer,
+    responses,
+    synthesize_channel,
+)
 from .ckm import CkmGrid, GridSpec
 from .codebook import BeamId, HierarchicalCodebook, build_codebook
 from .lookahead import run_lookahead
@@ -101,7 +108,9 @@ class ScenarioConfig:
                 f"ckm_staleness_sigma must be finite and >= 0, got {self.ckm_staleness_sigma}"
             )
         _check_algorithms(self.algorithms)
-        user_priors(self)  # a region covering no grid point fails here, not mid-run
+        # a scatterer on the BS or a region covering no grid point fails here, not mid-run
+        self.environment.geometry_arrays(self.array.bs_position)
+        user_priors(self)
 
 
 def _check_keys(obj: dict, allowed: dict, where: str) -> None:
@@ -362,13 +371,14 @@ def baseline_hierarchical(
     rng: np.random.Generator | None = None,
 ) -> tuple[BeamId, int, list[ProbeRound]]:
     """Map-blind bisection: probe both children at every layer, keep the
-    stronger, always 2L probes."""
-    h = np.asarray(channel)
+    stronger, always 2L probes.  ``channel`` is a channel vector or its
+    ``Responses`` to ``codebook``."""
+    resp = responses(channel, codebook)
     L = codebook.num_layers
     idx = 1
     transcript = []
     for layer in range(1, L + 1):
-        transcript.append(probe_round(h, codebook, layer, (2 * idx - 1, 2 * idx), noise_std, rng))
+        transcript.append(probe_round(resp, layer, (2 * idx - 1, 2 * idx), noise_std, rng))
         idx = transcript[-1].feedback
     return BeamId(L, idx), 2 * L, transcript
 
@@ -379,10 +389,11 @@ def baseline_exhaustive(
     noise_std: float,
     rng: np.random.Generator | None = None,
 ) -> tuple[BeamId, int, list[ProbeRound]]:
-    """Probe every bottom beam once, keep the strongest."""
+    """Probe every bottom beam once, keep the strongest.  ``channel`` is a
+    channel vector or its ``Responses`` to ``codebook``."""
     L = codebook.num_layers
     beams = range(1, codebook.num_antennas + 1)
-    r = probe_round(np.asarray(channel), codebook, L, beams, noise_std, rng)
+    r = probe_round(responses(channel, codebook), L, beams, noise_std, rng)
     return BeamId(L, r.feedback), r.probes, [r]
 
 
@@ -445,6 +456,9 @@ def run_trials(
     coords = np.array([ckm.grid.point_position(p) for p in row_of])
     channels = synthesize_channel(config.environment, config.array, coords)
     gains = [np.abs(bottom @ np.conj(h)) for h in channels]
+    # each point's codeword responses, computed on first use and shared by
+    # every SNR and algorithm of this call
+    resps = [responses(h, codebook) for h in channels]
     best = [BeamId(L, int(np.argmax(g)) + 1) for g in gains]
     # each user's search state is built once; episodes start from copies
     states = None
@@ -456,7 +470,7 @@ def run_trials(
     records: list[TrialRecord] = []
     for t, pts in enumerate(trial_points):
         rows = [row_of[p] for p in pts]
-        hs = [channels[r] for r in rows]
+        resp = [resps[r] for r in rows]
         gvecs = [gains[r] for r in rows]
         oracles = [best[r] for r in rows]
         for si, snr in enumerate(snrs):
@@ -470,7 +484,7 @@ def run_trials(
                         r.bit_generator.state = start
                 if algo == "alg3":
                     chosen, total, _ = run_multi_user(
-                        ckm, states, hs, sigma, config.beta, config.eta,
+                        ckm, states, resp, sigma, config.beta, config.eta,
                         codebook=codebook, rngs=rngs, retain_beams=config.retain_beams,
                     )
                     overheads = [total / K] * K
@@ -480,13 +494,13 @@ def run_trials(
                         if algo in ("alg1", "alg2"):
                             search = run_single_user if algo == "alg1" else run_lookahead
                             ch, ov, _ = search(
-                                ckm, states[k], hs[k], sigma, config.beta,
+                                ckm, states[k], resp[k], sigma, config.beta,
                                 codebook=codebook, rng=rngs[k], retain_beams=config.retain_beams,
                             )
                         elif algo == "baseline-hier":
-                            ch, ov, _ = baseline_hierarchical(hs[k], codebook, sigma, rngs[k])
+                            ch, ov, _ = baseline_hierarchical(resp[k], codebook, sigma, rngs[k])
                         else:
-                            ch, ov, _ = baseline_exhaustive(hs[k], codebook, sigma, rngs[k])
+                            ch, ov, _ = baseline_exhaustive(resp[k], codebook, sigma, rngs[k])
                         chosen.append(ch)
                         overheads.append(float(ov))
                 records.extend(

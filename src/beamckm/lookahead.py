@@ -128,4 +128,4 @@ def run_lookahead(
     def choose_layer(state):
         return next_layer(subtree_view(state))
 
-    return run_episode(np.asarray(channel), codebook, state, choose_layer, noise_std, rng)
+    return run_episode(channel, codebook, state, choose_layer, noise_std, rng)

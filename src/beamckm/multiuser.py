@@ -22,10 +22,13 @@ from .beamtree import (
     candidate_beams,
     compute_point_weights,
 )
-from .channel import probe
+from .channel import probe_rows, responses
 from .ckm import CkmGrid
 from .codebook import BeamId, HierarchicalCodebook, build_codebook
 from .strategy import episode_outcome, optimal_layer, shortest_plan
+
+# unused here; perfbench's tracer looks this name up on this module
+from .channel import probe  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -186,7 +189,9 @@ def run_multi_user(
     retain_beams: int | None = None,
 ) -> tuple[list[BeamId], int, list[list[JointRound]]]:
     """Joint episode for all users; returns (chosen beams, total probe
-    count charged once per shared round, per-user round transcripts)."""
+    count charged once per shared round, per-user round transcripts).
+    Each of ``channels`` is a channel vector or its ``Responses`` to
+    ``codebook``."""
     K = len(priors)
     if len(channels) != K:
         raise ValueError("need one channel per user")
@@ -197,7 +202,7 @@ def run_multi_user(
     if codebook is None:
         codebook = build_codebook(ckm.num_antennas)
     L = ckm.num_layers
-    hs = [np.asarray(c) for c in channels]
+    resps = [responses(c, codebook) for c in channels]
     states = [
         candidate_beams(compute_point_weights(ckm, p, beta, retain_beams=retain_beams))
         for p in priors
@@ -226,12 +231,10 @@ def run_multi_user(
                     JointRound(l_opt, (observed.index,), 1, observed.index, 0)
                 )
             continue
-        codewords = [codebook.codeword(b) for b in beams]
+        rows = indices + (2**l_opt - 3)
         total += len(beams)
         for k in active:
-            g_obs = np.array(
-                [probe(hs[k], cw, noise_std, rngs[k]) for cw in codewords]
-            )
+            g_obs = probe_rows(resps[k], rows, noise_std, rngs[k])
             f_obs = beams[int(np.argmax(g_obs))] if flags[k] == 1 else None
             prune_user_points(states[k], beams, g_obs, f_obs, eta)
             transcripts[k].append(

@@ -34,9 +34,12 @@ from .beamtree import (
     candidate_beams,
     compute_point_weights,
 )
-from .channel import probe
+from .channel import Responses, probe_rows, responses
 from .ckm import CkmGrid
 from .codebook import BeamId, HierarchicalCodebook, build_codebook
+
+# unused here; perfbench's tracer looks this name up on this module
+from .channel import probe  # noqa: F401
 
 # plan costs this close, relative to the larger, tie (see the tie rule)
 PLAN_RTOL = 1e-12
@@ -169,20 +172,21 @@ def optimal_layer(state: SearchState) -> int:
 
 
 def probe_round(
-    h: np.ndarray,
-    codebook: HierarchicalCodebook,
+    resp: Responses,
     layer: int,
     cands,
     noise_std: float,
     rng: np.random.Generator | None = None,
 ) -> ProbeRound:
-    """Probe each candidate beam at ``layer`` and keep the strongest (the
-    first on ties); a single candidate is a free descent.  ``cands`` are
-    ascending 1-based indices as Python ints."""
+    """Probe each candidate beam at ``layer`` from the cached responses and
+    keep the strongest (the first on ties); a single candidate is a free
+    descent that draws no noise.  ``cands`` are ascending 1-based indices
+    as Python ints."""
     probed = tuple(cands)
     if len(probed) == 1:
         return ProbeRound(layer, probed, probed[0], 0)
-    mags = [probe(h, codebook.codeword(BeamId(layer, n)), noise_std, rng) for n in probed]
+    rows = np.array(probed, dtype=np.intp) + (2**layer - 3)
+    mags = probe_rows(resp, rows, noise_std, rng)
     return ProbeRound(layer, probed, probed[int(np.argmax(mags))], len(probed))
 
 
@@ -198,7 +202,7 @@ def episode_outcome(state: SearchState) -> BeamId | None:
 
 
 def run_episode(
-    h: np.ndarray,
+    channel,
     codebook: HierarchicalCodebook,
     state: SearchState,
     choose_layer,
@@ -207,13 +211,15 @@ def run_episode(
 ) -> tuple[BeamId, int, list[ProbeRound]]:
     """Map-aided search: each round probes the candidates under the root
     at ``choose_layer(state)`` and folds the feedback into the state.
+    ``channel`` is a channel vector or its ``Responses`` to ``codebook``.
     Returns (chosen bottom beam, probe count, rounds)."""
     candidate_beams(state)  # a state without candidates fails before any probe
+    resp = responses(channel, codebook)
     transcript: list[ProbeRound] = []
     while (chosen := episode_outcome(state)) is None:
         layer = choose_layer(state)
         cands = state.candidates_under(layer, state.root).tolist()
-        r = probe_round(h, codebook, layer, cands, noise_std, rng)
+        r = probe_round(resp, layer, cands, noise_std, rng)
         transcript.append(r)
         apply_observation(state, BeamId(layer, r.feedback))
     return chosen, sum(r.probes for r in transcript), transcript
@@ -233,4 +239,4 @@ def run_single_user(
     if codebook is None:
         codebook = build_codebook(ckm.num_antennas)
     state = compute_point_weights(ckm, prior, beta, retain_beams=retain_beams)
-    return run_episode(np.asarray(channel), codebook, state, optimal_layer, noise_std, rng)
+    return run_episode(channel, codebook, state, optimal_layer, noise_std, rng)

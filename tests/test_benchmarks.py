@@ -1,5 +1,6 @@
 """Smoke test of the committed benchmark script: a tiny run must finish
-and report that both planners chose the same layers."""
+and report that both planners chose the same layers and that the scalar
+and batched probes read the same magnitudes."""
 
 import importlib.util
 from pathlib import Path
@@ -12,5 +13,8 @@ def test_bench_kernels_runs(capsys):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert module.main(["--trees", "2", "--layers", "5", "7", "--repeat", "1"]) == 0
-    lines = [l.split() for l in capsys.readouterr().out.splitlines() if "same layer: True" in l]
+    out = capsys.readouterr().out.splitlines()
+    lines = [l.split() for l in out if "same layer: True" in l]
     assert [l[1] for l in lines] == ["5", "7"]
+    probes = [l.split()[0] for l in out if "same magnitudes: True" in l]
+    assert probes == ["N=32", "N=128", "N=1024"]

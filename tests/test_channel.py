@@ -260,6 +260,69 @@ class TestProbe:
         np.testing.assert_allclose(draws.mean(), sigma * np.sqrt(np.pi) / 2, rtol=0.01)
 
 
+class TestProbeRows:
+    """The batched probe over cached responses against the scalar ``probe``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        log_n=st.integers(2, 8),
+        sigma=st.sampled_from([0.0, 1e-12, 0.05, 1e3]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_batched_equals_scalar_bit_for_bit(self, log_n, sigma, seed, data):
+        n = 2**log_n
+        cb = bc.build_codebook(n)
+        draw = np.random.default_rng(seed)
+        h = draw.standard_normal(n) + 1j * draw.standard_normal(n)
+        resp = bc.Responses(h, cb.matrix)
+        scalar_rng = np.random.default_rng(seed + 1)
+        batch_rng = np.random.default_rng(seed + 1)
+        # two rounds on one cache: the second finds some rows computed
+        for _ in range(2):
+            size = data.draw(st.sampled_from([1, 2, int(draw.integers(1, 2 * n - 1))]))
+            rows = np.sort(draw.choice(2 * n - 2, size=size, replace=False))
+            want = np.array([bc.probe(h, cb.matrix[r], sigma, scalar_rng) for r in rows])
+            got = bc.probe_rows(resp, rows, sigma, batch_rng)
+            assert got.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
+            assert batch_rng.bit_generator.state == scalar_rng.bit_generator.state
+
+    def test_take_computes_each_response_once(self, monkeypatch):
+        cb = bc.build_codebook(16)
+        h = bc.steering_vector(0.3, 16) * (0.5 - 0.2j)
+        vdot = np.vdot
+        computed = []
+
+        def counting_vdot(a, b):
+            computed.append(b.tobytes())
+            return vdot(a, b)
+
+        monkeypatch.setattr(np, "vdot", counting_vdot)
+        resp = bc.Responses(h, cb.matrix)
+        for rows in ([1, 2, 5], [2, 5, 7, 9], [1, 2, 5, 7, 9], [9]):
+            got = resp.take(np.array(rows))
+            assert got.tolist() == [vdot(h, cb.matrix[r]) for r in rows]
+        assert sorted(computed) == sorted(cb.matrix[r].tobytes() for r in (1, 2, 5, 7, 9))
+        assert np.flatnonzero(resp.computed).tolist() == [1, 2, 5, 7, 9]
+
+    def test_shape_mismatch_rejected(self):
+        cb = bc.build_codebook(16)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            bc.Responses(np.ones(8, dtype=complex), cb.matrix)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            bc.responses(np.ones(32, dtype=complex), cb)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            bc.Responses(np.ones(16, dtype=complex), cb.matrix[0])
+
+    def test_responses_reuses_its_own_cache_only(self):
+        cb = bc.build_codebook(16)
+        resp = bc.responses(np.ones(16, dtype=complex), cb)
+        assert bc.responses(resp, cb) is resp
+        with pytest.raises(ValueError, match="another codebook"):
+            bc.responses(resp, bc.build_codebook(16))
+
+
 class TestGeometryEdgeCases:
     def test_touching_obstacle_counts_as_blocked(self):
         # ray grazing an endpoint of the wall is treated as blocked

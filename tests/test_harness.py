@@ -194,6 +194,31 @@ class TestScenarioParsing:
         with pytest.raises(ValueError, match=key):
             bc.scenario_from_dict(d)
 
+    @pytest.mark.parametrize(
+        "path, value, field",
+        [
+            ("array.carrier_frequency_hz", float("nan"), "carrier_frequency_hz"),
+            ("array.carrier_frequency_hz", float("inf"), "carrier_frequency_hz"),
+            ("array.bs_position", [8.0, float("nan")], "bs_position"),
+            ("array.bs_position", [8.0, -1.0, 0.0], "bs_position"),
+            ("environment.scatterers.0.position", [float("nan"), 12.0], "scatterer position"),
+            ("environment.scatterers.0.position", [8.0, -1.0], r"scatterers\[0\] position"),
+            ("environment.pathloss_exponent", float("nan"), "pathloss_exponent"),
+            ("environment.obstacles.0.end", [13.0, float("nan")], "obstacle end"),
+        ],
+    )
+    def test_bad_geometry_rejected_at_load(self, path, value, field):
+        # each loaded before, then failed in build_ckm with a misleading
+        # error or warning, or ran with the scatterer or wall ignored
+        d = scenario_dict()
+        *parents, key = path.split(".")
+        target = d
+        for name in parents:
+            target = target[int(name)] if name.isdigit() else target[name]
+        target[key] = value
+        with pytest.raises(ValueError, match=field):
+            bc.scenario_from_dict(d)
+
     def test_integral_numbers_accepted(self):
         d = scenario_dict()
         d["trials"] = 4.0
