@@ -256,6 +256,12 @@ def compute_point_weights(
             mass = np.full(len(point_ids), 1.0 / len(point_ids))
         else:
             mass = np.asarray(point_mass, dtype=np.float64)
+    outside = (point_ids < 0) | (point_ids >= ckm.grid.num_points)
+    if outside.any():
+        raise ValueError(
+            f"grid-point id {int(point_ids[outside.argmax()])} outside "
+            f"[0, {ckm.grid.num_points})"
+        )
     gains = ckm.gains[:, point_ids].T.astype(np.float64)
     return SearchState(point_ids, mass, gains, beta, ckm.num_layers, retain_beams)
 

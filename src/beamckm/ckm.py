@@ -122,6 +122,10 @@ class CkmGrid:
             raise ValueError(f"gains shape {self.gains.shape}, expected {expect}")
         if self.gains.dtype != np.float32:
             raise ValueError("gains must be float32")
+        # NaN propagates through both reductions, which need no temporary
+        lo, hi = float(self.gains.min()), float(self.gains.max())
+        if not (lo >= 0.0 and hi < math.inf):
+            raise ValueError(f"gains must be finite and >= 0, got min {lo}, max {hi}")
 
     def beam_row(self, beam: BeamId) -> np.ndarray:
         return self.gains[HierarchicalCodebook.row_of(beam)]
@@ -158,7 +162,8 @@ def build_ckm(
 
     ``staleness_sigma`` > 0 multiplies each stored gain by an independent
     log-normal factor exp(sigma * Z), modelling an outdated map; the jitter
-    stream is seeded separately from trial randomness.
+    stream is seeded separately from trial randomness.  A sigma that pushes
+    a gain past the float32 range is rejected.
     """
     n_ant = array.num_antennas
     h = channel_vectors(*trace_point_paths(env, array, grid.point_coords())[:3], n_ant)
@@ -167,6 +172,10 @@ def build_ckm(
         seed = env.rng_seed if staleness_seed is None else staleness_seed
         jit_rng = np.random.default_rng(seed)
         gains = gains * np.exp(staleness_sigma * jit_rng.standard_normal(gains.shape))
+        if not gains.max() <= np.finfo(np.float32).max:
+            raise ValueError(
+                f"staleness_sigma {staleness_sigma} pushes map gains past the float32 range"
+            )
     return CkmGrid(
         grid=grid,
         num_antennas=n_ant,
@@ -257,4 +266,7 @@ def load_ckm(data: bytes) -> CkmGrid:
         row = HierarchicalCodebook.row_of(BeamId(layer, index))
         gains[row] = np.frombuffer(data, dtype="<f4", count=n_pts, offset=off)
         off += 4 * n_pts
-    return CkmGrid(grid=grid, num_antennas=n_ant, num_layers=n_layers, gains=gains)
+    try:
+        return CkmGrid(grid=grid, num_antennas=n_ant, num_layers=n_layers, gains=gains)
+    except ValueError as exc:
+        raise CkmFormatError(f"invalid gains: {exc}") from None

@@ -4,12 +4,10 @@ Instead of scoring every layer subset, each round inspects only the
 candidate children and grandchildren below the current node and picks
 between probing one level down or skipping straight to two levels down,
 using the expected probe counts of the two options.  The rounds run in
-``strategy.run_episode`` with this rule as the layer choice.
+``strategy.run_episode`` with ``next_layer`` as the layer choice.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,89 +20,45 @@ from .strategy import ProbeRound, run_episode
 from .beamtree import apply_observation, candidate_beams  # noqa: F401
 from .channel import probe  # noqa: F401
 
-FULL_TREE = "full-tree"
-SINGLE_CHAIN = "single-chain"
-ASYMMETRIC = "asymmetric"
-FORCED_DESCENT = "forced-descent"
-TERMINAL = "terminal"
 
-
-@dataclass
-class SubtreeView:
-    """Candidate children/grandchildren below a node (the virtual root for
-    ``root=None``) plus the grandchild weights used to rank the options.
-
-    ``grandchildren`` is None when the child layer is already the bottom."""
-
-    root_layer: int
-    children: np.ndarray
-    grandchildren: list[np.ndarray] | None
-    gc_weights: list[np.ndarray] | None
-
-
-def subtree_view(state: SearchState) -> SubtreeView:
-    """Collect the two levels below the state's root from its candidates."""
-    L = state.num_layers
-    root = state.root
-    root_layer = state.root_layer
-    child_layer = root_layer + 1
-    if child_layer > L:
+def subtree_view(state: SearchState) -> tuple[np.ndarray, np.ndarray | None]:
+    """Candidate children and grandchildren below the state's root (1-based
+    ascending indices); the grandchildren are None when the children are
+    bottom beams."""
+    child_layer = state.root_layer + 1
+    if child_layer > state.num_layers:
         raise ValueError("node is already at the bottom layer")
-    children = state.candidates_under(child_layer, root)
-    if child_layer == L:
-        return SubtreeView(root_layer, children, None, None)
-    gcs = []
-    gws = []
-    w = state.layer_weights[child_layer]  # index layer-1, so this is layer child_layer+1
-    for c in children:
-        g = state.candidates_under(child_layer + 1, BeamId(child_layer, int(c)))
-        gcs.append(g)
-        gws.append(w[g - 1])
-    return SubtreeView(root_layer, children, gcs, gws)
+    children = state.candidates_under(child_layer, state.root)
+    if child_layer == state.num_layers:
+        return children, None
+    return children, state.candidates_under(child_layer + 1, state.root)
 
 
-def classify(view: SubtreeView) -> str:
-    """Name the local topology that decides between the two probe depths."""
-    nc = len(view.children)
-    if nc == 0:
-        raise ValueError("no candidate children below the node")
-    if nc == 1:
-        return FORCED_DESCENT
-    if view.grandchildren is None:
-        return TERMINAL
-    counts = sorted(len(g) for g in view.grandchildren)
-    if counts == [2, 2]:
-        return FULL_TREE
-    if counts == [1, 1]:
-        return SINGLE_CHAIN
-    if counts == [1, 2]:
-        return ASYMMETRIC
-    raise ValueError(f"unexpected grandchild counts {counts}")
+def next_layer(state: SearchState) -> int:
+    """Layer to probe below the state's root.
 
-
-def next_layer(view: SubtreeView, kind: str | None = None) -> int:
-    """Layer to probe below the node.
-
-    Full binary growth keeps the one-level step (two probes now, two
-    later); a single chain on both sides jumps two levels (two probes
-    total); the mixed case compares the expected counts of the two plans
-    and jumps only when the three-grandchild probe is expected cheaper.
+    A lone child or bottom children step one level.  Two children with
+    full binary growth below (4 grandchildren) also step: two probes now,
+    two later.  A single chain on both sides (2 grandchildren) jumps two
+    levels for two probes in total.  In the mixed case (3 grandchildren: a
+    pair a, b under one child and a lone c under the other) the stepwise
+    plan's expected count 4wa + 4wb + 2wc is compared with the jump's
+    3(wa + wb + wc), and the jump is taken only when strictly cheaper.
     """
-    if kind is None:
-        kind = classify(view)
-    l = view.root_layer
-    if kind in (FORCED_DESCENT, TERMINAL, FULL_TREE):
+    children, grandchildren = subtree_view(state)
+    if len(children) == 0:
+        raise ValueError("no candidate children below the node")
+    l = state.root_layer
+    if len(children) == 1 or grandchildren is None or len(grandchildren) == 4:
         return l + 1
-    if kind == SINGLE_CHAIN:
+    if len(grandchildren) == 2:
         return l + 2
-    if kind != ASYMMETRIC:
-        raise ValueError(f"unknown topology {kind!r}")
-    if len(view.grandchildren[0]) == 2:
-        pair, single = 0, 1
-    else:
-        pair, single = 1, 0
-    wa, wb = (float(x) for x in view.gc_weights[pair])
-    wc = float(view.gc_weights[single][0])
+    # the pair is the two grandchildren that share a parent
+    g = grandchildren.tolist()
+    pair, single = (g[:2], g[2]) if (g[0] + 1) // 2 == (g[1] + 1) // 2 else (g[1:], g[0])
+    w = state.layer_weights[l + 1]
+    wa, wb = (float(w[i - 1]) for i in pair)
+    wc = float(w[single - 1])
     t_stepwise = 4.0 * wa + 4.0 * wb + 2.0 * wc
     t_skip = 3.0 * (wa + wb + wc)
     return l + 1 if t_stepwise <= t_skip else l + 2
@@ -124,8 +78,4 @@ def run_lookahead(
     if codebook is None:
         codebook = build_codebook(ckm.num_antennas)
     state = compute_point_weights(ckm, prior, beta, retain_beams=retain_beams)
-
-    def choose_layer(state):
-        return next_layer(subtree_view(state))
-
-    return run_episode(channel, codebook, state, choose_layer, noise_std, rng)
+    return run_episode(channel, codebook, state, next_layer, noise_std, rng)

@@ -1,13 +1,11 @@
 """Joint beam search for several receivers sharing downlink probes.
 
 Every round picks one layer for the whole cell: each user's own
-reward-optimal layer is computed as in the single-user search, a shared
-layer is planned as a shortest path over the users' normalized pair
-weights (same tie rule as the single-user planner), and the earliest of
-those wins.  Users whose own choice matches the round layer descend on
-their feedback; everyone else still hears the probes for free and prunes
-its location hypotheses by correlating the measured gain profile with the
-per-point map profile.
+reward-optimal layer is computed as in the single-user search, and the
+earliest of those is probed.  Users whose own choice matches the round
+layer descend on their feedback; everyone else still hears the probes for
+free and prunes its location hypotheses by correlating the measured gain
+profile with the per-point map profile.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from .beamtree import (
 from .channel import probe_rows, responses
 from .ckm import CkmGrid
 from .codebook import BeamId, HierarchicalCodebook, build_codebook
-from .strategy import episode_outcome, optimal_layer, shortest_plan
+from .strategy import episode_outcome, optimal_layer
 
 # unused here; perfbench's tracer looks this name up on this module
 from .channel import probe  # noqa: F401
@@ -68,63 +66,22 @@ def map_gain_vector(ckm: CkmGrid, point: int, beams) -> tuple[np.ndarray, BeamId
     return g, beams[int(np.argmax(g))]
 
 
-def plan_path_counts(start: int, num_layers: int) -> np.ndarray:
-    """``(L+1, L+1)`` count of activations from ``start`` in which layer q
-    directly follows p (p == start: q is the entry layer)."""
-    L = num_layers
-    p = np.arange(L + 1)[:, None]
-    q = np.arange(L + 1)[None, :]
-    before = np.where(p == start, 1.0, 2.0 ** np.maximum(p - start - 1, 0))
-    after = 2.0 ** np.maximum(L - q - 1, 0)
-    return np.where((p >= start) & (q > p), before * after, 0.0)
-
-
-def joint_layer(states) -> int:
-    """Shared probing layer: the first layer of the cheapest plan from the
-    earliest active root, where a plan's score is the sum over users of
-    its reward normalized by that user's summed absolute reward over all
-    plans.
-
-    Layers at or above a user's root are ignored for that user, so its
-    edge p -> q weighs 0 when q is at or above the root, its entry weight
-    ``S[q]`` when the step crosses the root, and its hop weight ``G[p, q]``
-    below it (``SearchState.pair_weights``).  The normalizer is the sum of
-    those edge weights times the number of plans using each edge.  Ties
-    follow the single-user planner's rule."""
-    L = states[0].num_layers
-    start = min(s.root_layer for s in states)
-    paths = plan_path_counts(start, L)
-    total = np.zeros((L + 1, L + 1))
-    below = np.arange(L + 1)[:, None]
-    for state in states:
-        fl = state.root_layer
-        entry, hops = state.pair_weights()
-        edges = np.where(below > fl, hops, entry[None, :])
-        edges[:, : fl + 1] = 0.0
-        norm = float((edges * paths).sum())
-        if norm > 0.0:
-            total += edges / norm
-    return shortest_plan(total, start, L)[1][0]
-
-
-def select_round(single_layers, joint: int, num_layers: int) -> tuple[int, tuple[int, ...]]:
+def joint_layer(single_layers, num_layers: int) -> tuple[int, tuple[int, ...]]:
     """Round layer and per-user role flags.
 
     ``single_layers`` holds each user's own optimal layer, with the
     sentinel ``num_layers + 1`` marking finished users (flag -1).  The
-    round layer is the earliest among the joint choice and the active
-    users' own choices; if no user's own choice equals it, it falls back
-    to the earliest own choice so at least one user can descend."""
+    round probes at the earliest active user's own layer; users whose
+    own layer it is descend on their feedback (flag 1), the other active
+    users eavesdrop (flag 0)."""
     active = [l for l in single_layers if l <= num_layers]
     if not active:
-        raise ValueError("select_round needs at least one active user")
-    l_opt = min(min(active), joint)
-    if l_opt not in active:
-        l_opt = min(active)
+        raise ValueError("joint_layer needs at least one active user")
+    layer = min(active)
     flags = tuple(
-        -1 if l > num_layers else (1 if l == l_opt else 0) for l in single_layers
+        -1 if l > num_layers else (1 if l == layer else 0) for l in single_layers
     )
-    return l_opt, flags
+    return layer, flags
 
 
 def union_beams(states, layer: int) -> np.ndarray:
@@ -218,8 +175,7 @@ def run_multi_user(
         if not active:
             break
         singles = [L + 1 if chosen[k] is not None else optimal_layer(states[k]) for k in range(K)]
-        shared = joint_layer([states[k] for k in active])
-        l_opt, flags = select_round(singles, shared, L)
+        l_opt, flags = joint_layer(singles, L)
         matching = [k for k in range(K) if flags[k] == 1]
         indices = union_beams([states[k] for k in matching], l_opt)
         beams = [BeamId(l_opt, int(n)) for n in indices]

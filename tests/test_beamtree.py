@@ -286,6 +286,22 @@ class TestWeightTableState:
         table = bc.compute_point_weights(ckm, prior, beta=0.5)
         np.testing.assert_allclose(table.bottom_weights, [0.75, 0.25, 0.0, 0.0])
 
+    @pytest.mark.parametrize(
+        "points, bad",
+        [
+            (np.array([-1]), -1),
+            (np.array([0, 2, 1]), 2),
+            (np.array([1, 7, -3]), 7),
+            (bc.PositionPrior((bc.SubRegion((-5, 3), 1.0),)), -5),
+            (bc.PositionPrior((bc.SubRegion((0,), 0.5), bc.SubRegion((1, 2), 0.5))), 2),
+        ],
+    )
+    def test_point_ids_outside_grid_rejected(self, points, bad):
+        # a two-point grid: -1 would read the last point, 2 is past the end
+        ckm = toy_ckm(np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]))
+        with pytest.raises(ValueError, match=rf"grid-point id {bad} outside \[0, 2\)"):
+            bc.compute_point_weights(ckm, points, beta=0.5)
+
     def test_raw_indices_default_to_uniform_mass(self):
         ckm = toy_ckm(np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]))
         table = bc.compute_point_weights(ckm, np.array([0, 1]), beta=0.5)

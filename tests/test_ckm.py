@@ -184,6 +184,20 @@ class TestBuildCkm:
         assert abs(z.mean()) < 0.2
         assert 0.85 < z.std() < 1.15
 
+    def test_staleness_overflow_rejected(self):
+        # exp(200 Z) passes the float32 range for about a third of the gains
+        array, env, grid, cb = tiny_scene()
+        with pytest.raises(ValueError, match="staleness_sigma"):
+            bc.build_ckm(env, array, cb, grid, staleness_sigma=200.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -3.0])
+    def test_unusable_gains_rejected(self, bad):
+        grid = bc.GridSpec(extent_x=2.0, extent_y=1.0, spacing_x=1.0, spacing_y=1.0)
+        gains = np.ones((6, 2), np.float32)
+        gains[4, 1] = bad
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            bc.CkmGrid(grid=grid, num_antennas=4, num_layers=2, gains=gains)
+
     def test_grid_table_shape_and_dtype_enforced(self):
         grid = bc.GridSpec(extent_x=2.0, extent_y=1.0, spacing_x=1.0, spacing_y=1.0)
         with pytest.raises(ValueError):
@@ -285,6 +299,16 @@ class TestBinaryFormat:
         record = 4 + 4 * ckm.grid.num_points
         data[RECORDS + record : RECORDS + 4 + record] = data[RECORDS : RECORDS + 4]
         with pytest.raises(bc.CkmFormatError, match="duplicate"):
+            bc.load_ckm(bytes(data))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -3.0])
+    def test_unusable_gain_rejected(self, bad):
+        ckm = self.make()
+        data = bytearray(bc.save_ckm(ckm))
+        # the third gain of the second codeword record
+        record = 4 + 4 * ckm.grid.num_points
+        struct.pack_into("<f", data, RECORDS + record + 4 + 2 * 4, bad)
+        with pytest.raises(bc.CkmFormatError, match="invalid gains"):
             bc.load_ckm(bytes(data))
 
     def test_version_1_still_loads(self):

@@ -1,0 +1,72 @@
+"""Golden records: short paired sweeps must write byte-identical results.
+
+``run_trials`` output is a deterministic function of (scenario, map,
+trials, seed), so a refactor or speed-up that claims to keep behaviour can
+be checked by hashing the ``write_results_csv`` bytes of short sweeps.
+Each case runs all five algorithms at SNR inf, 10, 0 and -10 dB, seed 0,
+on the desk scene (12 trials) and the large scene (6 trials), at the
+configured beta and at beta 0.2 with ``retain_beams`` 2.
+
+The hashes were taken with numpy 2.4 and OpenBLAS 0.3 on x86-64. Another
+BLAS or numpy build may round the map gains differently and move them. A
+change that moves any of them on this platform changes records: it must
+name the records that moved, and why, in CHANGES.md.
+"""
+
+import dataclasses
+import hashlib
+import math
+from pathlib import Path
+
+import pytest
+
+import beamckm as bc
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+SNRS = (math.inf, 10.0, 0.0, -10.0)
+
+GOLDEN = {
+    ("desk", "configured"): "195b3dfd613ffb3300fefc9076635521ecbef0cf11311644e53272819cffd732",
+    ("desk", "beta0.2-retain2"): "c1ba54cfc82d24029b78bfc720d8c925701d0eb28f2f85ba85fd1dcd5ea7030a",
+    ("large", "configured"): "47a3dcdb638585384d5657a757ec133d35066b95f2bafc25c7981232c20d195f",
+    ("large", "beta0.2-retain2"): "2b0deed23482301e810583bff85f465e6bbd741aa9f0182a379d2fd2c7486d49",
+}
+
+TRIALS = {"desk": 12, "large": 6}
+
+VARIANTS = {
+    "configured": {},
+    "beta0.2-retain2": {"beta": 0.2, "retain_beams": 2},
+}
+
+
+@pytest.fixture(scope="module")
+def scenes():
+    out = {}
+    for name in TRIALS:
+        config = bc.load_scenario(CONFIGS / f"{name}.json")
+        ckm = bc.build_ckm(
+            config.environment,
+            config.array,
+            bc.build_codebook(config.array.num_antennas),
+            config.grid,
+            staleness_sigma=config.ckm_staleness_sigma,
+        )
+        out[name] = (config, ckm)
+    return out
+
+
+CASES = sorted(GOLDEN)
+
+
+@pytest.mark.parametrize("scene, variant", CASES, ids=[f"{s}-{v}" for s, v in CASES])
+def test_records_hash(scenes, scene, variant, tmp_path):
+    config, ckm = scenes[scene]
+    config = dataclasses.replace(config, **VARIANTS[variant])
+    records = bc.run_trials(
+        config, ckm, algorithms=bc.ALGORITHMS, trials=TRIALS[scene], seed=0, snr_db=SNRS
+    )
+    path = tmp_path / "records.csv"
+    bc.write_results_csv(records, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN[(scene, variant)]

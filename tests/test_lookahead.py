@@ -1,8 +1,10 @@
-"""Local-topology classification and the two-level descent policy.
+"""The two-level descent policy of the lookahead search.
 
-The depth decision is frozen by hand-computed expected probe counts:
-stepwise costs 4*wa + 4*wb + 2*wc and the two-level jump costs
-3*(wa + wb + wc) for a branch pair (wa, wb) and a lone chain wc.
+Each case is a toy search state (``from_bottom_weights``) whose candidates
+below the root have one local topology.  The depth decision is frozen by
+hand-computed expected probe counts: stepwise costs 4*wa + 4*wb + 2*wc and
+the two-level jump costs 3*(wa + wb + wc) for a branch pair (wa, wb) and a
+lone chain wc.
 """
 
 import numpy as np
@@ -19,14 +21,21 @@ from conftest import (
     toy_ckm,
 )
 
+# planning from layer 2 of a 16-beam tree: the children are layer-3 beams
+# 1 and 2, the grandchildren bottom beams 1-4
+ROOT2 = bc.BeamId(2, 1)
 
-def asym_view(wa, wb, wc, root_layer=2):
-    return la.SubtreeView(
-        root_layer=root_layer,
-        children=np.array([1, 2]),
-        grandchildren=[np.array([1, 2]), np.array([3])],
-        gc_weights=[np.array([wa, wb], dtype=float), np.array([wc], dtype=float)],
-    )
+
+def below_root2(*grandchild_weights):
+    """State at ``ROOT2`` whose bottom beams 1-4 weigh the given values."""
+    w = np.zeros(16)
+    w[: len(grandchild_weights)] = grandchild_weights
+    return from_bottom_weights(w, root=ROOT2)
+
+
+def asym_state(wa, wb, wc):
+    """Pair (1, 2) under child 1 and the lone grandchild 3 under child 2."""
+    return below_root2(wa, wb, wc, 0.0)
 
 
 def one_hot_ckm():
@@ -39,86 +48,53 @@ def one_hot_ckm():
 
 class TestClassify:
     def test_full_tree(self):
-        view = la.SubtreeView(
-            1,
-            np.array([1, 2]),
-            [np.array([1, 2]), np.array([3, 4])],
-            [np.ones(2), np.ones(2)],
-        )
-        assert la.classify(view) == la.FULL_TREE
+        assert la.next_layer(below_root2(1.0, 1.0, 1.0, 1.0)) == 3
+        assert la.next_layer(from_bottom_weights(np.ones(8))) == 1
 
     def test_single_chain(self):
-        view = la.SubtreeView(
-            1,
-            np.array([1, 2]),
-            [np.array([2]), np.array([3])],
-            [np.ones(1), np.ones(1)],
-        )
-        assert la.classify(view) == la.SINGLE_CHAIN
+        assert la.next_layer(below_root2(0.0, 1.0, 1.0, 0.0)) == 4
 
     def test_asymmetric_either_side(self):
-        assert la.classify(asym_view(1.0, 1.0, 1.0)) == la.ASYMMETRIC
-        flipped = la.SubtreeView(
-            2,
-            np.array([1, 2]),
-            [np.array([1]), np.array([3, 4])],
-            [np.ones(1), np.ones(2)],
-        )
-        assert la.classify(flipped) == la.ASYMMETRIC
+        # equal weights jump, a concentrated lone chain steps, whichever
+        # child holds the pair
+        assert la.next_layer(asym_state(1.0, 1.0, 1.0)) == 4
+        assert la.next_layer(below_root2(1.0, 0.0, 1.0, 1.0)) == 4
+        assert la.next_layer(asym_state(0.1, 0.1, 0.8)) == 3
+        assert la.next_layer(below_root2(0.8, 0.0, 0.1, 0.1)) == 3
 
     def test_forced_descent_and_terminal(self):
-        lone = la.SubtreeView(2, np.array([2]), [np.array([3])], [np.ones(1)])
-        assert la.classify(lone) == la.FORCED_DESCENT
-        bottom = la.SubtreeView(3, np.array([5, 6]), None, None)
-        assert la.classify(bottom) == la.TERMINAL
+        # a lone child steps even though two chains hang below it
+        assert la.next_layer(below_root2(0.0, 0.0, 1.0, 1.0)) == 3
+        w = np.zeros(16)
+        w[[4, 5]] = 1.0
+        assert la.next_layer(from_bottom_weights(w, root=bc.BeamId(3, 3))) == 4
 
     def test_empty_and_malformed_views_rejected(self):
-        with pytest.raises(ValueError):
-            la.classify(la.SubtreeView(1, np.array([]), None, None))
-        broken = la.SubtreeView(
-            1,
-            np.array([1, 2]),
-            [np.array([]), np.array([3, 4])],
-            [np.ones(0), np.ones(2)],
-        )
-        with pytest.raises(ValueError):
-            la.classify(broken)
+        # no candidate below the root
+        empty = from_bottom_weights(np.r_[np.zeros(8), np.ones(8)], root=ROOT2)
+        with pytest.raises(ValueError, match="no candidate children"):
+            la.next_layer(empty)
 
 
 class TestNextLayer:
     def test_equal_weights_jump_two_levels(self):
-        # stepwise 4+4+2 = 10 beats 3*3 = 9 only on the jump side
-        assert la.next_layer(asym_view(1.0, 1.0, 1.0)) == 4
+        # stepwise 4+4+2 = 10 against the jump's 3*3 = 9
+        assert la.next_layer(asym_state(1.0, 1.0, 1.0)) == 4
 
     def test_concentrated_chain_steps_one_level(self):
         # stepwise 0.4+0.4+1.6 = 2.4 < 3.0
-        assert la.next_layer(asym_view(0.1, 0.1, 0.8)) == 3
+        assert la.next_layer(asym_state(0.1, 0.1, 0.8)) == 3
 
     def test_exact_tie_prefers_stepwise(self):
         # wa + wb == wc makes both plans cost the same
-        assert la.next_layer(asym_view(0.5, 0.5, 1.0)) == 3
+        assert la.next_layer(asym_state(0.5, 0.5, 1.0)) == 3
 
     def test_fixed_topologies(self):
-        full = la.SubtreeView(
-            2,
-            np.array([1, 2]),
-            [np.array([1, 2]), np.array([3, 4])],
-            [np.ones(2), np.ones(2)],
-        )
-        chain = la.SubtreeView(
-            2,
-            np.array([1, 2]),
-            [np.array([2]), np.array([3])],
-            [np.ones(1), np.ones(1)],
-        )
-        assert la.next_layer(full) == 3
-        assert la.next_layer(chain) == 4
-        assert la.next_layer(la.SubtreeView(2, np.array([2]), [np.array([3])], [np.ones(1)])) == 3
-        assert la.next_layer(la.SubtreeView(3, np.array([5, 6]), None, None)) == 4
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            la.next_layer(asym_view(1.0, 1.0, 1.0), kind="sideways")
+        # weights never matter outside the mixed case
+        for scale in (0.01, 1.0, 100.0):
+            assert la.next_layer(below_root2(scale, 1.0, 2.0, 3.0)) == 3
+            assert la.next_layer(below_root2(0.0, scale, 1.0, 0.0)) == 4
+            assert la.next_layer(below_root2(0.0, 0.0, scale, 1.0)) == 3
 
 
 class TestSubtreeView:
@@ -130,14 +106,17 @@ class TestSubtreeView:
         ]
         for have, want in zip(four_leaf_tree.layer_weights, weights):
             np.testing.assert_array_equal(have, want)
-        view = la.subtree_view(four_leaf_tree)
-        assert view.root_layer == 0
-        np.testing.assert_array_equal(view.children, [1, 2])
-        np.testing.assert_array_equal(view.grandchildren[0], [1, 2])
-        np.testing.assert_array_equal(view.grandchildren[1], [3])
-        np.testing.assert_allclose(view.gc_weights[0], [2.0, 1.0])
-        np.testing.assert_allclose(view.gc_weights[1], [1.0])
-        assert la.classify(view) == la.ASYMMETRIC
+        children, grandchildren = la.subtree_view(four_leaf_tree)
+        np.testing.assert_array_equal(children, [1, 2])
+        np.testing.assert_array_equal(grandchildren, [1, 2, 3])
+        # pair weights 2 and 1, lone chain 1: stepwise 14 against the jump's 12
+        assert la.next_layer(four_leaf_tree) == 2
+        # one level above the bottom, the children are bottom beams
+        children, grandchildren = la.subtree_view(
+            from_bottom_weights(FOUR_LEAF_WEIGHTS, root=bc.BeamId(2, 1))
+        )
+        np.testing.assert_array_equal(children, [1, 2])
+        assert grandchildren is None
 
     def test_bottom_node_rejected(self):
         with pytest.raises(ValueError):

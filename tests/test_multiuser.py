@@ -12,7 +12,6 @@ import beamckm as bc
 from beamckm import multiuser as mu
 
 from conftest import (
-    FOUR_LEAF_WEIGHTS,
     exhaustive_best_beam,
     from_bottom_weights,
     scene_channel,
@@ -76,27 +75,30 @@ class TestMapGainVector:
 
 class TestSelectRound:
     def test_earliest_active_layer_wins(self):
-        l_opt, flags = mu.select_round([3, 5, 6], 4, 5)
-        assert l_opt == 3
-        assert flags == (1, 0, -1)
+        layer, flags = mu.joint_layer([5, 3, 6], 5)
+        assert layer == 3
+        assert flags == (0, 1, -1)
 
     def test_joint_layer_wins_when_it_matches_a_user(self):
-        l_opt, flags = mu.select_round([3, 5], 3, 5)
-        assert (l_opt, flags) == (3, (1, 0))
+        # the round layer is the one its descending users planned
+        assert mu.joint_layer([3, 5], 5) == (3, (1, 0))
+        assert mu.joint_layer([5, 3], 5) == (3, (0, 1))
 
     def test_unmatched_joint_falls_back_to_own_choice(self):
-        # nobody's own plan starts at the joint layer: keep the earliest
-        # own plan so the round still advances a user
-        l_opt, flags = mu.select_round([4, 5], 2, 5)
-        assert (l_opt, flags) == (4, (1, 0))
+        # no round probes a layer at which no user's own plan starts, so
+        # every round advances at least one user
+        for singles in ([4, 5], [6, 2, 6], [1, 1], [5, 4, 3]):
+            layer, flags = mu.joint_layer(singles, 5)
+            assert layer in singles
+            assert 1 in flags
 
     def test_all_users_finished_rejected(self):
         with pytest.raises(ValueError):
-            mu.select_round([6, 6], 3, 5)
+            mu.joint_layer([6, 6], 5)
 
     def test_multiple_users_can_match(self):
-        l_opt, flags = mu.select_round([2, 2, 4], 2, 5)
-        assert (l_opt, flags) == (2, (1, 1, 0))
+        layer, flags = mu.joint_layer([2, 2, 4], 5)
+        assert (layer, flags) == (2, (1, 1, 0))
 
 
 class TestUnionBeams:
@@ -106,34 +108,6 @@ class TestUnionBeams:
         np.testing.assert_array_equal(mu.union_beams([t1, t2], 2), [1, 3, 4])
         np.testing.assert_array_equal(mu.union_beams([t1, t2], 1), [1, 2])
         np.testing.assert_array_equal(mu.union_beams([t1], 2), [1, 3])
-
-
-class TestJointLayer:
-    def test_single_user_reduces_to_standalone_choice(self):
-        rng = np.random.default_rng(77)
-        for _ in range(25):
-            w = rng.uniform(0.0, 1.0, size=16) * (rng.uniform(size=16) < 0.5)
-            if (w > 0).sum() < 2:
-                continue
-            for fl in (0, 1, 2):
-                state = from_bottom_weights(w, root=None if fl == 0 else bc.BeamId(fl, 1))
-                assert mu.joint_layer([state]) == bc.optimal_layer(state)
-
-    def test_identical_users_agree_with_single(self):
-        tree = from_bottom_weights(FOUR_LEAF_WEIGHTS)
-        assert mu.joint_layer([tree, tree]) == 3
-        skew = np.array([1.0, 1.0, 1.0, 0.0, 10.0, 0.0, 0.0, 0.0])
-        t2 = from_bottom_weights(skew)
-        assert mu.joint_layer([t2, t2]) == 1
-
-    def test_per_user_normalization_ignores_weight_scale(self):
-        w1 = FOUR_LEAF_WEIGHTS
-        w2 = np.array([1.0, 1.0, 1.0, 0.0, 10.0, 0.0, 0.0, 0.0])
-        t1 = from_bottom_weights(w1)
-        t2 = from_bottom_weights(w2)
-        base = mu.joint_layer([t1, t2])
-        assert mu.joint_layer([from_bottom_weights(1000.0 * w1), t2]) == base
-        assert mu.joint_layer([t1, from_bottom_weights(w2 / 1000.0)]) == base
 
 
 class TestPrunePoints:

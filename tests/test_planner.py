@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 import beamckm as bc
 from beamckm import kernels
-from beamckm import multiuser as mu
 from beamckm.strategy import enumerate_activations, pick_activation, shortest_plan
 
 from conftest import FOUR_LEAF_WEIGHTS, from_bottom_weights
@@ -50,11 +49,10 @@ def activation_matrix(acts, num_layers):
     return mat
 
 
-def enumerated_rewards(tree, weights, acts, mask_through=0):
-    """Rewards of ``acts`` with layers <= ``mask_through`` dropped."""
+def enumerated_rewards(tree, weights, acts):
+    """Rewards of the activations ``acts``."""
     L = tree.num_layers
     mat = activation_matrix(acts, L)
-    mat[:, :mask_through] = 0
     targets = tree.bottom_candidates().astype(np.int64)
     return kernels.activation_rewards(tree.prefix_sums(), mat, weights, targets, L)
 
@@ -70,18 +68,6 @@ def planning_from(tree, from_layer):
     """The same toy state, planning from a root at ``from_layer``."""
     tree.root = None if from_layer == 0 else bc.BeamId(from_layer, 1)
     return tree
-
-
-def oracle_joint(trees_, weights, from_layers):
-    L = trees_[0].num_layers
-    acts = enumerate_activations(min(from_layers), L)
-    score = np.zeros(len(acts))
-    for tree, w, fl in zip(trees_, weights, from_layers):
-        r = enumerated_rewards(tree, w, acts, mask_through=fl)
-        norm = np.abs(r).sum()
-        if norm > 0.0:
-            score += r / norm
-    return acts[pick_activation(acts, score)][0]
 
 
 class TestSingleUserPlanner:
@@ -149,41 +135,3 @@ class TestSingleUserPlanner:
     def test_no_layers_left_rejected(self, four_leaf_tree):
         with pytest.raises(ValueError):
             bc.best_activation(planning_from(four_leaf_tree, 3))
-
-
-@st.composite
-def joint_cases(draw):
-    L = draw(st.integers(2, 9))
-    K = draw(st.integers(1, 4))
-    users = [draw(trees(L)) for _ in range(K)]
-    from_layers = [draw(st.integers(0, L - 1)) for _ in range(K)]
-    return users, from_layers
-
-
-class TestJointPlanner:
-    @PROPERTY
-    @given(joint_cases())
-    def test_matches_enumerated_joint_score(self, case):
-        users, from_layers = case
-        trees_ = [t for t, _ in users]
-        weights = [w for _, w in users]
-        want = oracle_joint(trees_, weights, from_layers)
-        assert mu.joint_layer([planning_from(t, fl) for t, fl in zip(trees_, from_layers)]) == want
-
-    @PROPERTY
-    @given(joint_cases(), st.randoms(use_true_random=False))
-    def test_user_order_never_changes_the_layer(self, case, rnd):
-        users, from_layers = case
-        order = list(range(len(users)))
-        rnd.shuffle(order)
-        states = [planning_from(t, fl) for (t, _), fl in zip(users, from_layers)]
-        assert mu.joint_layer(states) == mu.joint_layer([states[k] for k in order])
-
-    @pytest.mark.parametrize("num_layers", range(1, 10))
-    def test_path_counts_match_enumeration(self, num_layers):
-        for start in range(num_layers):
-            want = np.zeros((num_layers + 1, num_layers + 1))
-            for act in enumerate_activations(start, num_layers):
-                for p, q in zip((start,) + act, act):
-                    want[p, q] += 1
-            np.testing.assert_array_equal(mu.plan_path_counts(start, num_layers), want)

@@ -1,9 +1,12 @@
-"""Every lookup site that the per-layer benchmark tracer wraps must exist.
+"""Every lookup site that the per-layer benchmark tracer wraps must exist
+and stay on the runtime path.
 
 ``perfbench/tracer.py`` patches beamckm functions by (module, attribute)
 name. A refactor that drops one of those names would only show when a
-traced benchmark run crashes, so this loads the tracer by path, without
-importing the benchmark runner, and resolves each site here.
+traced benchmark run crashes, and one that stops calling a wrapped name
+would only show as a metric that reads 0. So this loads the tracer by
+path, without importing the benchmark runner, resolves each site, and runs
+a short traced sweep.
 """
 
 import importlib
@@ -12,7 +15,11 @@ from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+import beamckm as bc
+
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
+CONFIGS = ROOT / "configs"
 
 
 def load_tracer():
@@ -36,3 +43,32 @@ def test_site_resolves(module_name, attr, span):
     assert callable(getattr(module, attr))
     # the span names the function the site is expected to hold
     assert getattr(module, attr).__name__ == span.rpartition(".")[2]
+
+
+def test_traced_sweep_reaches_every_episode_and_decision_site():
+    """A traced desk sweep writes the untraced records, and each episode
+    function and per-round decision the tracer reports on runs under it.
+
+    A site that still resolves but has left the runtime path would record
+    no span here, and its per-layer metrics would read 0."""
+    tracer_module = load_tracer()
+    config = bc.load_scenario(CONFIGS / "desk.json")
+    ckm = bc.build_ckm(
+        config.environment, config.array, bc.build_codebook(config.array.num_antennas), config.grid
+    )
+
+    def sweep():
+        return bc.run_trials(config, ckm, algorithms=bc.ALGORITHMS, trials=2, seed=0)
+
+    plain = sweep()
+    tracer = tracer_module.Tracer()
+    with tracer.installed():
+        traced = sweep()
+    assert traced == plain
+    recorded = {span[0] for span in tracer.spans}
+    expected = set(tracer_module.EPISODES) | {
+        "multiuser.joint_layer",
+        "lookahead.subtree_view",
+        "strategy.optimal_layer",
+    }
+    assert expected <= recorded, sorted(expected - recorded)
