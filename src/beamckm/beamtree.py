@@ -228,22 +228,19 @@ def compute_point_weights(
     prior: PositionPrior | np.ndarray | SearchState,
     beta: float,
     retain_beams: int | None = None,
-    point_mass: np.ndarray | None = None,
 ) -> SearchState:
     """Search state from the map gains at the prior's candidate points.
 
     ``prior`` may be a PositionPrior or a raw array of grid-point indices
-    (then ``point_mass`` supplies the masses, default uniform).  It may also
-    be a state already built from this map with the same ``beta`` and
-    ``retain_beams``; the result is then its ``fresh_copy()``, so a sweep
-    builds each user's state once and every episode starts from a copy.
+    of uniform mass.  It may also be a state already built from this map
+    with the same ``beta`` and ``retain_beams``; the result is then its
+    ``fresh_copy()``, so a sweep builds each user's state once and every
+    episode starts from a copy.
     """
     if isinstance(prior, SearchState):
         built_for = (prior.beta, prior.retain_beams, prior.num_layers)
         if built_for != (beta, retain_beams, ckm.num_layers):
             raise ValueError("search state was built for another beta, retain_beams or map")
-        if point_mass is not None:
-            raise ValueError("a built search state already holds its point masses")
         return prior.fresh_copy()
     if isinstance(prior, PositionPrior):
         point_ids = prior.all_points()
@@ -252,10 +249,7 @@ def compute_point_weights(
         point_ids = np.asarray(prior, dtype=np.int64)
         if point_ids.size == 0:
             raise ValueError("empty point set")
-        if point_mass is None:
-            mass = np.full(len(point_ids), 1.0 / len(point_ids))
-        else:
-            mass = np.asarray(point_mass, dtype=np.float64)
+        mass = np.full(len(point_ids), 1.0 / len(point_ids))
     outside = (point_ids < 0) | (point_ids >= ckm.grid.num_points)
     if outside.any():
         raise ValueError(

@@ -51,10 +51,6 @@ class ArrayConfig:
     def wavelength(self) -> float:
         return SPEED_OF_LIGHT / self.carrier_frequency_hz
 
-    @property
-    def antenna_spacing(self) -> float:
-        return self.wavelength / 2.0
-
 
 @dataclass(frozen=True)
 class Scatterer:
@@ -113,15 +109,6 @@ class Environment:
             raise ValueError(f"scatterers[{on_bs[0]}] position coincides with the BS position")
         scat_vis = ~kernels._blocked(scat_pos[:, 0], scat_pos[:, 1], bs[0], bs[1], obstacles)
         return bs, scat_pos, scat_refl, self._scat_phases, scat_vis, obstacles
-
-
-def steering_vector(angle: float, n_antennas: int) -> np.ndarray:
-    """ULA response [1, e^{-j pi angle}, ..., e^{-j pi angle (n-1)}]."""
-    if n_antennas < 1:
-        raise ValueError("n_antennas must be >= 1")
-    if not -1.0 <= angle < 1.0:
-        raise ValueError(f"spatial angle must lie in [-1, 1), got {angle}")
-    return np.exp(-1j * np.pi * angle * np.arange(n_antennas))
 
 
 def trace_point_paths(env: Environment, array: ArrayConfig, positions: np.ndarray):

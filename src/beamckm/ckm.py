@@ -1,10 +1,10 @@
 """Beam channel-knowledge map: per-codeword gain maps over a quantized area.
 
 The map stores the noiseless gain magnitude |h^H f| of every codeword at
-every grid point, queried by nearest-grid-point lookup.  Maps persist in a
-little-endian binary container (magic ``BCKM``): a header with the grid,
-then one record per codeword.  Version 2 stores the grid extents; version
-1 files, which lack them, still load with extents of count x spacing.
+every grid point.  Maps persist in a little-endian binary container
+(magic ``BCKM``): a header with the grid, then one record per codeword.
+Version 2 stores the grid extents; version 1 files, which lack them,
+still load with extents of count x spacing.
 """
 
 from __future__ import annotations
@@ -127,9 +127,6 @@ class CkmGrid:
         if not (lo >= 0.0 and hi < math.inf):
             raise ValueError(f"gains must be finite and >= 0, got min {lo}, max {hi}")
 
-    def beam_row(self, beam: BeamId) -> np.ndarray:
-        return self.gains[HierarchicalCodebook.row_of(beam)]
-
     def layer_gains(self, layer: int) -> np.ndarray:
         """(2**layer, num_points) slice of one layer, index order."""
         start = 2**layer - 2
@@ -182,11 +179,6 @@ def build_ckm(
         num_layers=codebook.num_layers,
         gains=np.ascontiguousarray(gains, dtype=np.float32),
     )
-
-
-def lookup_gain(ckm: CkmGrid, position, beam: BeamId) -> float:
-    """Stored gain at the grid point nearest to ``position``."""
-    return float(ckm.beam_row(beam)[ckm.grid.snap_index(position)])
 
 
 def save_ckm(ckm: CkmGrid) -> bytes:

@@ -15,10 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-PARENT = "parent"
-LEFT = "left-child"
-RIGHT = "right-child"
-
 
 @dataclass(frozen=True, order=True)
 class BeamId:
@@ -41,33 +37,6 @@ def num_layers(num_antennas: int) -> int:
     return math.ceil(math.log2(num_antennas))
 
 
-def beam_support(beam: BeamId) -> tuple[float, float]:
-    """Half-open sine-space interval covered by a beam.
-
-    Layer l tiles [-1, 1) into 2**l equal intervals; beam n covers
-    [-1 + (n-1)/2**(l-1), -1 + n/2**(l-1)).
-    """
-    scale = 2.0 ** (beam.layer - 1)
-    return (-1.0 + (beam.index - 1) / scale, -1.0 + beam.index / scale)
-
-
-def navigate(beam: BeamId, direction: str, max_layer: int | None = None) -> BeamId:
-    """Move to the parent or one of the two children of a beam."""
-    if direction == PARENT:
-        if beam.layer == 1:
-            raise ValueError("layer-1 beams have no parent")
-        return BeamId(beam.layer - 1, (beam.index + 1) // 2)
-    if direction == LEFT:
-        child = BeamId(beam.layer + 1, 2 * beam.index - 1)
-    elif direction == RIGHT:
-        child = BeamId(beam.layer + 1, 2 * beam.index)
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
-    if max_layer is not None and child.layer > max_layer:
-        raise ValueError(f"children of layer {max_layer} do not exist")
-    return child
-
-
 def bottom_angles(num_antennas: int) -> np.ndarray:
     """Center angles of the bottom-layer DFT beams, spacing 2/N."""
     n = np.arange(1, num_antennas + 1)
@@ -86,19 +55,10 @@ class HierarchicalCodebook:
         self.num_layers = num_layers(num_antennas)
         self._cw = codewords  # (total, N) complex
 
-    @property
-    def num_codewords(self) -> int:
-        return self._cw.shape[0]
-
     @staticmethod
     def row_of(beam: BeamId) -> int:
         """Row of a beam in the canonical codeword matrix."""
         return 2**beam.layer - 2 + beam.index - 1
-
-    @staticmethod
-    def beam_of_row(row: int) -> BeamId:
-        layer = int(math.floor(math.log2(row + 2)))
-        return BeamId(layer, row - (2**layer - 2) + 1)
 
     def codeword(self, beam: BeamId) -> np.ndarray:
         if beam.layer > self.num_layers:
@@ -113,12 +73,6 @@ class HierarchicalCodebook:
     @property
     def matrix(self) -> np.ndarray:
         return self._cw
-
-    def beams(self):
-        """All beams in canonical (layer, index) order."""
-        for layer in range(1, self.num_layers + 1):
-            for index in range(1, 2**layer + 1):
-                yield BeamId(layer, index)
 
 
 def build_codebook(num_antennas: int) -> HierarchicalCodebook:

@@ -22,6 +22,7 @@ from .channel import (
     Environment,
     Obstacle,
     Scatterer,
+    _check_point,
     responses,
     synthesize_channel,
 )
@@ -64,6 +65,14 @@ class RegionSpec:
     def __post_init__(self):
         if (self.rect is None) == (self.points is None):
             raise ValueError("region needs exactly one of 'rect' or 'points'")
+        if self.rect is not None:
+            r = np.asarray(self.rect, dtype=float)
+            if r.shape != (4,) or not np.isfinite(r).all():
+                raise ValueError(
+                    f"rect must be four finite numbers [x0, y0, x1, y1], got {self.rect!r}"
+                )
+        for k, p in enumerate(self.points or ()):
+            _check_point(p, f"points[{k}]")
 
 
 @dataclass(frozen=True)
@@ -264,15 +273,15 @@ def scenario_from_dict(cfg: dict) -> ScenarioConfig:
             )
             rect = r.get("rect")
             pts = r.get("points")
-            regions.append(
-                RegionSpec(
+            try:
+                region = RegionSpec(
                     prior=float(r["prior"]),
                     rect=None if rect is None else tuple(float(v) for v in rect),
-                    points=None
-                    if pts is None
-                    else tuple((float(p[0]), float(p[1])) for p in pts),
+                    points=None if pts is None else tuple(tuple(float(v) for v in p) for p in pts),
                 )
-            )
+            except ValueError as exc:
+                raise ValueError(f"users[{ui}].subregions[{ri}]: {exc}") from None
+            regions.append(region)
         users.append(UserSpec(subregions=tuple(regions)))
     retain = cfg.get("retain_beams")
     return ScenarioConfig(

@@ -1,5 +1,5 @@
-"""Hot numeric kernels, in numpy: path tracing, the single-target probe
-cost, the layer planner's pair weights and the activation reward oracle.
+"""Hot numeric kernels, in numpy: path tracing, the layer planner's pair
+weights and the activation reward oracle.
 """
 
 from __future__ import annotations
@@ -120,31 +120,7 @@ def trace_paths(pts, bs, scat_pos, scat_refl, scat_phase, scat_vis,
 # ---------------------------------------------------------------------------
 
 
-def probe_cost_single(csum, act, nt, L):
-    """Probe cost of resolving bottom beam ``nt`` under activation ``act``.
-
-    The earliest active layer is searched exhaustively; every later active
-    layer adds its candidate descendants of the ancestor fixed at the
-    previous active layer, skipped when that count is below two.
-    """
-    cost = 0
-    prev = 0
-    for l in range(1, L + 1):
-        if act[l - 1] == 0:
-            continue
-        if prev == 0:
-            cost += int(csum[l - 1, 1 << l])
-        else:
-            anc = (nt - 1) >> (L - prev)
-            a = anc << (l - prev)
-            b = (anc + 1) << (l - prev)
-            cnt = int(csum[l - 1, b] - csum[l - 1, a])
-            if cnt >= 2:
-                cost += cnt
-        prev = l
-    return cost
-
-
+# the planner's reference, kept here because perfbench's tracer wraps it
 def activation_rewards(csum, acts, weights, targets, L):
     """Expected-cost reward of every activation row in ``acts``.
 

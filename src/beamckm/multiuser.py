@@ -43,29 +43,6 @@ class JointRound:
     probes: int
 
 
-def similarity(g_obs: np.ndarray, g_map: np.ndarray) -> float:
-    """Cosine similarity between an observed and a map gain profile;
-    defined as 0 when either profile is all-zero."""
-    a = np.asarray(g_obs, dtype=np.float64)
-    b = np.asarray(g_map, dtype=np.float64)
-    if a.ndim != 1 or a.shape != b.shape:
-        raise ValueError(f"profiles must be equal-length vectors, got {a.shape} vs {b.shape}")
-    if a.size == 0:
-        raise ValueError("profiles must be non-empty")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(a @ b / (na * nb))
-
-
-def map_gain_vector(ckm: CkmGrid, point: int, beams) -> tuple[np.ndarray, BeamId]:
-    """Map gain profile of a grid point over ``beams`` plus the profile's
-    best beam (ties go to the earliest list position)."""
-    g = np.array([float(ckm.beam_row(b)[point]) for b in beams], dtype=np.float64)
-    return g, beams[int(np.argmax(g))]
-
-
 def joint_layer(single_layers, num_layers: int) -> tuple[int, tuple[int, ...]]:
     """Round layer and per-user role flags.
 

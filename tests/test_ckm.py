@@ -209,13 +209,13 @@ class TestBuildCkm:
 class TestLookup:
     def test_lookup_uses_nearest_point(self):
         ckm = toy_ckm(np.array([[3.0, 0.0, 0.0, 0.0], [7.0, 0.0, 0.0, 0.0]]))
-        beam = bc.BeamId(2, 1)
-        assert bc.lookup_gain(ckm, (0.9, 0.5), beam) == 3.0
-        assert bc.lookup_gain(ckm, (1.1, 0.5), beam) == 7.0
+        gains = ckm.bottom_gains[0]  # beam (2, 1) at each grid point
+        assert gains[ckm.grid.snap_index((0.9, 0.5))] == 3.0
+        assert gains[ckm.grid.snap_index((1.1, 0.5))] == 7.0
 
     def test_lookup_tie_takes_smaller_index(self):
         ckm = toy_ckm(np.array([[3.0, 0.0, 0.0, 0.0], [7.0, 0.0, 0.0, 0.0]]))
-        assert bc.lookup_gain(ckm, (1.0, 0.5), bc.BeamId(2, 1)) == 3.0
+        assert ckm.bottom_gains[0, ckm.grid.snap_index((1.0, 0.5))] == 3.0
 
     def test_row_accessors_agree_with_layout(self):
         rng = np.random.default_rng(5)
@@ -223,7 +223,7 @@ class TestLookup:
         np.testing.assert_array_equal(ckm.layer_gains(1), ckm.gains[0:2])
         np.testing.assert_array_equal(ckm.layer_gains(3), ckm.gains[6:14])
         np.testing.assert_array_equal(ckm.bottom_gains, ckm.layer_gains(3))
-        np.testing.assert_array_equal(ckm.beam_row(bc.BeamId(2, 3)), ckm.gains[4])
+        np.testing.assert_array_equal(ckm.layer_gains(2)[2], ckm.gains[4])
 
 
 class TestBinaryFormat:

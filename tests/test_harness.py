@@ -20,8 +20,10 @@ import beamckm as bc
 from beamckm import cli
 
 from conftest import toy_ckm
+from oracles import steering_vector
 
 DESK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "desk.json"
+DEEP_CONFIG = DESK_CONFIG.with_name("deep.json")
 
 
 def scenario_dict():
@@ -219,6 +221,29 @@ class TestScenarioParsing:
         with pytest.raises(ValueError, match=field):
             bc.scenario_from_dict(d)
 
+    @pytest.mark.parametrize(
+        "shape, value",
+        [
+            ("points", [[3.0, 4.0, 99.0]]),
+            ("points", [[float("nan"), 4.0]]),
+            ("points", [[float("inf"), 4.0]]),
+            ("points", [[3.0]]),
+            ("rect", [8.0, 12.0, 16.0]),
+            ("rect", [8.0, 12.0, 16.0, 13.0, 1.0]),
+            ("rect", [8.0, float("nan"), 16.0, 13.0]),
+        ],
+    )
+    def test_bad_region_geometry_rejected_at_load(self, shape, value):
+        # before, a third point coordinate was silently dropped, and the
+        # others failed in region_points with an error naming no region (a
+        # NaN conversion, OverflowError, IndexError or bare unpacking error)
+        d = scenario_dict()
+        region = d["users"][0]["subregions"][1]
+        del region["rect"]
+        region[shape] = value
+        with pytest.raises(ValueError, match=rf"users\[0\]\.subregions\[1\]: {shape}"):
+            bc.scenario_from_dict(d)
+
     def test_integral_numbers_accepted(self):
         d = scenario_dict()
         d["trials"] = 4.0
@@ -321,6 +346,23 @@ class TestRegions:
             bc.region_points(grid, region), [8 * 16 + 11, 9 * 16 + 12]
         )
 
+    def test_bad_geometry_rejected_when_built(self):
+        with pytest.raises(ValueError, match="rect must be four finite numbers"):
+            bc.RegionSpec(prior=1.0, rect=(2.0, 2.0, 8.0))
+        with pytest.raises(ValueError, match="rect must be four finite numbers"):
+            bc.RegionSpec(prior=1.0, rect=(2.0, 2.0, math.inf, 3.0))
+        with pytest.raises(ValueError, match=r"points\[1\] must be two finite coordinates"):
+            bc.RegionSpec(prior=1.0, points=((12.0, 8.5), (12.0, math.nan)))
+
+    def test_point_regions_load_as_coordinate_pairs(self):
+        d = scenario_dict()
+        region = d["users"][0]["subregions"][1]
+        del region["rect"]
+        region["points"] = [[12, 8.5], [12.9, 9.4]]
+        cfg = bc.scenario_from_dict(d)
+        assert cfg.users[0].subregions[1].points == ((12.0, 8.5), (12.9, 9.4))
+        np.testing.assert_array_equal(bc.user_priors(cfg)[0].all_points()[-2:], [139, 156])
+
     def test_duplicate_snapped_points_rejected(self):
         grid = self.grid()
         region = bc.RegionSpec(prior=1.0, points=((12.0, 8.5), (11.6, 8.4)))
@@ -358,7 +400,7 @@ class TestNoiseScale:
 class TestBaselines:
     def test_hierarchical_costs_two_per_layer(self, small_scene):
         cb = small_scene["codebook"]
-        h = 0.7 * bc.steering_vector(bc.bottom_angles(16)[4], 16)
+        h = 0.7 * steering_vector(bc.bottom_angles(16)[4], 16)
         chosen, overhead, rounds = bc.baseline_hierarchical(h, cb, 0.0)
         assert chosen == bc.BeamId(4, 5)
         assert overhead == 2 * 4
@@ -372,7 +414,7 @@ class TestBaselines:
 
     def test_exhaustive_probes_everything_once(self, small_scene):
         cb = small_scene["codebook"]
-        h = 0.7 * bc.steering_vector(bc.bottom_angles(16)[11], 16)
+        h = 0.7 * steering_vector(bc.bottom_angles(16)[11], 16)
         chosen, overhead, rounds = bc.baseline_exhaustive(h, cb, 0.0)
         assert chosen == bc.BeamId(4, 12)
         assert overhead == 16
@@ -614,6 +656,27 @@ class TestSweepInvariants:
         assert all(not seen for seen in calls.values())
         bc.run_trials(cfg, small_scene["ckm"], algorithms=["alg2"], trials=2)
         assert len(calls["harness"]) == len(cfg.users)
+
+
+class TestDeepConfig:
+    """``configs/deep.json``, the large scene at 512 antennas (L = 9): a short
+    sweep of every algorithm at planning depth."""
+
+    def test_short_sweep_invariants(self):
+        cfg = bc.load_scenario(DEEP_CONFIG)
+        L, N = 9, 512
+        assert cfg.array.num_antennas == N and cfg.algorithms == bc.ALGORITHMS
+        ckm = bc.build_ckm(cfg.environment, cfg.array, bc.build_codebook(N), cfg.grid)
+        records = bc.run_trials(cfg, ckm, trials=3, snr_db=["inf", 10, 0])
+        assert len(records) == 3 * 3 * len(bc.ALGORITHMS) * len(cfg.users)
+        assert all(r.chosen.layer == L and r.oracle.layer == L for r in records)
+        for r in records:
+            if r.algorithm == "baseline-hier":
+                assert r.overhead == 2 * L
+            elif r.algorithm == "baseline-exhaustive":
+                assert r.overhead == N
+                if r.snr_db == math.inf:
+                    assert r.chosen == r.oracle
 
 
 class TestResultsCsv:

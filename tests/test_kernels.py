@@ -5,10 +5,10 @@ import math
 
 import numpy as np
 
-import beamckm as bc
 from beamckm import kernels
 
 from conftest import from_bottom_weights
+from oracles import enumerate_activations
 from test_planner import activation_matrix
 
 
@@ -152,7 +152,7 @@ class TestPairWeights:
                 csum = tree.prefix_sums()
                 targets = tree.bottom_candidates().astype(np.int64)
                 entry, hops = kernels.pair_weights(csum, weights, targets, num_layers)
-                acts = bc.enumerate_activations(0, num_layers)
+                acts = enumerate_activations(0, num_layers)
                 mat = activation_matrix(acts, num_layers)
                 rewards = kernels.activation_rewards(csum, mat, weights, targets, num_layers)
                 for layers, r in zip(acts, rewards):

@@ -20,6 +20,7 @@ from conftest import (
     scene_channel,
     toy_ckm,
 )
+from oracles import steering_vector
 
 # planning from layer 2 of a 16-beam tree: the children are layer-3 beams
 # 1 and 2, the grandchildren bottom beams 1-4
@@ -129,7 +130,7 @@ class TestRunLookahead:
         # for the right half pins the only leaf there with no more probes
         ckm = one_hot_ckm()
         cb = bc.build_codebook(8)
-        h = bc.steering_vector(-1 + 9 / 8, 8)  # center of bottom beam 5
+        h = steering_vector(-1 + 9 / 8, 8)  # center of bottom beam 5
         chosen, overhead, rounds = bc.run_lookahead(ckm, _prior4(), h, 0.0, 0.5, codebook=cb)
         assert chosen == bc.BeamId(3, 5)
         assert overhead == 3
@@ -139,7 +140,7 @@ class TestRunLookahead:
     def test_toy_jump_left_half_needs_two_more(self):
         ckm = one_hot_ckm()
         cb = bc.build_codebook(8)
-        h = bc.steering_vector(-1 + 1 / 8, 8)  # center of bottom beam 1
+        h = steering_vector(-1 + 1 / 8, 8)  # center of bottom beam 1
         chosen, overhead, rounds = bc.run_lookahead(ckm, _prior4(), h, 0.0, 0.5, codebook=cb)
         assert chosen == bc.BeamId(3, 1)
         assert overhead == 5
@@ -149,7 +150,7 @@ class TestRunLookahead:
         ckm = toy_ckm(np.ones((1, 16)))
         cb = bc.build_codebook(16)
         prior = bc.PositionPrior((bc.SubRegion((0,), 1.0),))
-        h = 0.9 * bc.steering_vector(bc.bottom_angles(16)[10], 16)
+        h = 0.9 * steering_vector(bc.bottom_angles(16)[10], 16)
         chosen, overhead, rounds = bc.run_lookahead(ckm, prior, h, 0.0, 0.5, codebook=cb)
         assert chosen == bc.BeamId(4, 11)
         assert overhead == 2 * 4
@@ -163,7 +164,7 @@ class TestRunLookahead:
         ckm = toy_ckm(bottom)
         cb = bc.build_codebook(16)
         prior = bc.PositionPrior((bc.SubRegion((0, 1), 1.0),))
-        h = bc.steering_vector(bc.bottom_angles(16)[5], 16)
+        h = steering_vector(bc.bottom_angles(16)[5], 16)
         chosen, overhead, rounds = bc.run_lookahead(ckm, prior, h, 0.0, 0.5, codebook=cb)
         assert chosen == bc.BeamId(4, 6)
         assert overhead == 2
@@ -176,7 +177,7 @@ class TestRunLookahead:
         bottom[0, 9] = 1.0
         ckm = toy_ckm(bottom)
         prior = bc.PositionPrior((bc.SubRegion((0,), 1.0),))
-        h = bc.steering_vector(bc.bottom_angles(16)[9], 16)
+        h = steering_vector(bc.bottom_angles(16)[9], 16)
         chosen, overhead, rounds = bc.run_lookahead(ckm, prior, h, 0.0, 0.5)
         assert chosen == bc.BeamId(4, 10)
         assert overhead == 0
@@ -187,7 +188,7 @@ class TestRunLookahead:
         cb = bc.build_codebook(16)
         prior = bc.PositionPrior((bc.SubRegion((0,), 1.0),))
         for leaf in [0, 3, 8, 15]:
-            h = bc.steering_vector(bc.bottom_angles(16)[leaf], 16)
+            h = steering_vector(bc.bottom_angles(16)[leaf], 16)
             a = bc.run_single_user(ckm, prior, h, 0.0, 0.5, codebook=cb)
             b = bc.run_lookahead(ckm, prior, h, 0.0, 0.5, codebook=cb)
             assert a[0] == b[0]

@@ -7,6 +7,8 @@ the same layers as the standalone reward search.
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import beamckm as bc
 from beamckm import multiuser as mu
@@ -16,8 +18,8 @@ from conftest import (
     from_bottom_weights,
     scene_channel,
     stack_layers,
-    toy_ckm,
 )
+from oracles import similarity
 
 
 def make_table(profiles, num_layers=2, beta=0.5):
@@ -40,37 +42,28 @@ def table_from_bottom(bottom, beta=0.5):
 
 class TestSimilarity:
     def test_hand_value(self):
-        assert bc.similarity([1.0, 1.0], [1.0, 0.0]) == pytest.approx(1 / np.sqrt(2))
+        assert similarity([1.0, 1.0], [1.0, 0.0]) == pytest.approx(1 / np.sqrt(2))
 
     def test_identical_profiles_score_one(self):
-        assert bc.similarity([0.3, 0.4, 0.1], [0.3, 0.4, 0.1]) == pytest.approx(1.0)
+        assert similarity([0.3, 0.4, 0.1], [0.3, 0.4, 0.1]) == pytest.approx(1.0)
 
     def test_zero_profile_scores_zero(self):
-        assert bc.similarity([1.0, 2.0], [0.0, 0.0]) == 0.0
-        assert bc.similarity([0.0, 0.0], [1.0, 2.0]) == 0.0
+        assert similarity([1.0, 2.0], [0.0, 0.0]) == 0.0
+        assert similarity([0.0, 0.0], [1.0, 2.0]) == 0.0
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(3)
         a, b = rng.uniform(0.1, 1.0, size=(2, 6))
-        assert bc.similarity(a, 17.0 * b) == pytest.approx(bc.similarity(a, b))
-        assert bc.similarity(0.01 * a, b) == pytest.approx(bc.similarity(a, b))
+        assert similarity(a, 17.0 * b) == pytest.approx(similarity(a, b))
+        assert similarity(0.01 * a, b) == pytest.approx(similarity(a, b))
 
     def test_shape_errors(self):
         with pytest.raises(ValueError):
-            bc.similarity([1.0, 2.0], [1.0, 2.0, 3.0])
+            similarity([1.0, 2.0], [1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
-            bc.similarity([], [])
+            similarity([], [])
         with pytest.raises(ValueError):
-            bc.similarity(np.ones((2, 2)), np.ones((2, 2)))
-
-
-class TestMapGainVector:
-    def test_profile_and_peak(self):
-        ckm = toy_ckm(np.array([[0.2, 0.9, 0.1, 0.4]]))
-        beams = [bc.BeamId(2, 2), bc.BeamId(2, 4), bc.BeamId(1, 1)]
-        g, best = mu.map_gain_vector(ckm, 0, beams)
-        np.testing.assert_allclose(g, [0.9, 0.4, 0.9], rtol=1e-6)
-        assert best == bc.BeamId(2, 2)  # tie with the layer-1 beam: first wins
+            similarity(np.ones((2, 2)), np.ones((2, 2)))
 
 
 class TestSelectRound:
@@ -189,6 +182,72 @@ class TestPrunePoints:
         table.update(np.array([False]))
         with pytest.raises(ValueError, match="no alive points"):
             mu.prune_user_points(table, beams, np.ones(2), None, 0.9)
+
+
+def survivors_by_loop(state, beams, g_obs, f_obs, eta):
+    """The pruning rule one alive point at a time: similarities from
+    ``oracles.similarity``, the eta cut against the best of them, the
+    peak-beam rule for a descending user, and the best-similarity points
+    when nothing passes; an all-zero observation keeps every point.
+    Returns (survivors, similarity per alive point)."""
+    cols = [bc.HierarchicalCodebook.row_of(b) for b in beams]
+    alive = np.flatnonzero(state.point_alive).tolist()
+    if not np.any(g_obs):
+        return alive, {}
+    sims = {p: similarity(g_obs, state.gains[p, cols]) for p in alive}
+    best = max(sims.values())
+    keep = [
+        p
+        for p in alive
+        if sims[p] > eta * best
+        and (f_obs is None or beams[int(np.argmax(state.gains[p, cols]))] == f_obs)
+    ]
+    return keep or [p for p in alive if sims[p] == best], sims
+
+
+@st.composite
+def pruning_rounds(draw):
+    """A search state over random per-point gain tables (some entries and
+    some whole points zero, some points already dead), one layer's probed
+    beams, an observation (sometimes all zero), eta and the descent beam."""
+    L = draw(st.integers(2, 5))
+    P = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gains = rng.uniform(0.0, 1.0, (P, 2 ** (L + 1) - 2))
+    gains *= rng.random(gains.shape) < draw(st.sampled_from([0.3, 0.7, 1.0]))
+    gains[rng.random(P) < 0.1] = 0.0
+    state = bc.SearchState(np.arange(P), np.full(P, 1.0 / P), gains, 0.5, L)
+    alive = rng.random(P) < draw(st.sampled_from([0.5, 1.0]))
+    alive[rng.integers(P)] = True
+    state.update(alive)
+    layer = draw(st.integers(1, L))
+    width = draw(st.integers(2, 2**layer))
+    indices = np.sort(rng.choice(np.arange(1, 2**layer + 1), width, replace=False))
+    beams = [bc.BeamId(layer, int(n)) for n in indices]
+    g_obs = np.zeros(width) if draw(st.integers(0, 4)) == 0 else rng.uniform(0.0, 2.0, width)
+    eta = draw(st.one_of(st.just(1.0), st.floats(0.05, 0.999)))
+    f_obs = draw(st.one_of(st.none(), st.sampled_from(beams)))
+    return state, beams, g_obs, f_obs, eta
+
+
+class TestPruningKernelAgainstLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(pruning_rounds())
+    def test_survivors_match_the_scalar_definition(self, case):
+        state, beams, g_obs, f_obs, eta = case
+        want, sims = survivors_by_loop(state, beams, g_obs, f_obs, eta)
+        # the kernel's cosine may round differently from the scalar one, so
+        # rounds that decide within rounding of a boundary are skipped: two
+        # distinct similarities, or a similarity and the cut, within 1e-9
+        # (exact ties, at similarity zero, both compute alike)
+        if sims:
+            best = max(sims.values())
+            values = sorted(set(sims.values()))
+            assume(all(b - a > 1e-9 for a, b in zip(values, values[1:])))
+            assume(all(abs(v - eta * best) > 1e-9 for v in values if v != best))
+        got = mu.prune_user_points(state, beams, g_obs, f_obs, eta)
+        np.testing.assert_array_equal(got, want)
+        assert state.root == f_obs
 
 
 class TestRunMultiUser:

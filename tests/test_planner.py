@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 
 import beamckm as bc
 from beamckm import kernels
-from beamckm.strategy import enumerate_activations, pick_activation, shortest_plan
+from beamckm.strategy import shortest_plan
 
 from conftest import FOUR_LEAF_WEIGHTS, from_bottom_weights
+from oracles import enumerate_activations, pick_activation
 
 PROPERTY = settings(max_examples=60, deadline=None)
 

