@@ -177,7 +177,9 @@ class SearchState:
         return self.gains[:, cols]
 
     def candidates(self, layer: int) -> np.ndarray:
-        """1-based candidate indices at a layer, ascending."""
+        """1-based candidate indices at a layer, ascending.  An update keeps
+        every alive bottom beam under the root, so below the root's layer
+        these are all descendants of the root."""
         return np.flatnonzero(self.masks[layer - 1]) + 1
 
     def bottom_candidates(self) -> np.ndarray:
@@ -187,16 +189,6 @@ class SearchState:
         if beam.layer > self.num_layers:
             return False
         return bool(self.masks[beam.layer - 1][beam.index - 1])
-
-    def candidates_under(self, layer: int, node: BeamId | None) -> np.ndarray:
-        """Candidates at ``layer`` descending from ``node`` (all if None)."""
-        cands = self.candidates(layer)
-        if node is None or node.layer >= layer:
-            return cands
-        shift = layer - node.layer
-        lo = (node.index - 1) << shift
-        hi = node.index << shift
-        return cands[(cands > lo) & (cands <= hi)]
 
     def prefix_sums(self) -> np.ndarray:
         """(L, 2**L + 1) per-layer candidate-count prefix sums for kernels."""

@@ -120,7 +120,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        # bad input (a config, map or results file) is the user's to fix: one line, no traceback
+        print(f"beamckm: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -10,8 +10,13 @@ so algorithm comparisons are common-random-number comparisons.
 from __future__ import annotations
 
 import csv
+import dataclasses
+import functools
 import json
 import math
+import numbers
+import types
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +76,8 @@ class RegionSpec:
                 raise ValueError(
                     f"rect must be four finite numbers [x0, y0, x1, y1], got {self.rect!r}"
                 )
+            if r[2] < r[0] or r[3] < r[1]:
+                raise ValueError(f"rect {self.rect} has negative extent")
         for k, p in enumerate(self.points or ()):
             _check_point(p, f"points[{k}]")
 
@@ -122,18 +129,6 @@ class ScenarioConfig:
         user_priors(self)
 
 
-def _check_keys(obj: dict, allowed: dict, where: str) -> None:
-    """Strict schema guard: unknown keys are config bugs, not extensions."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{where} must be a JSON object")
-    unknown = sorted(set(obj) - set(allowed))
-    if unknown:
-        raise ValueError(f"unknown key(s) {unknown} in {where}")
-    missing = sorted(k for k, required in allowed.items() if required and k not in obj)
-    if missing:
-        raise ValueError(f"missing key(s) {missing} in {where}")
-
-
 def _check_algorithms(algos) -> None:
     """A sweep runs each algorithm once: at least one, none repeated."""
     bad = [a for a in algos if a not in ALGORITHMS]
@@ -154,18 +149,6 @@ def _whole(value, field: str) -> int:
     return int(value)
 
 
-def _snr_value(x) -> float:
-    if isinstance(x, str):
-        s = x.strip().lower()
-        if s in ("inf", "infinity"):
-            return math.inf
-        try:
-            return float(s)
-        except ValueError:
-            raise ValueError(f"SNR entries must be numbers or 'inf', got {x!r}") from None
-    return float(x)
-
-
 def _check_snrs(snrs) -> None:
     """SNR points must be finite numbers or +inf (noiseless)."""
     bad = [s for s in snrs if math.isnan(s) or s == -math.inf]
@@ -173,132 +156,66 @@ def _check_snrs(snrs) -> None:
         raise ValueError(f"SNR entries must be numbers or 'inf', got {bad}")
 
 
+@functools.cache
+def _schema(tp) -> tuple[dict[str, bool], dict]:
+    """A config dataclass's JSON keys (init fields, each flagged required
+    when it has no default) and its resolved field types."""
+    keys = {
+        f.name: f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        for f in dataclasses.fields(tp)
+        if f.init
+    }
+    return keys, typing.get_type_hints(tp)
+
+
+def _from_json(tp, value, path: str):
+    """Parsed JSON ``value`` as type ``tp``, read from the config
+    dataclasses' own fields; every error names the JSON path."""
+    where = path or "scenario"
+    if dataclasses.is_dataclass(tp):
+        if not isinstance(value, dict):
+            raise ValueError(f"{where} must be a JSON object")
+        keys, hints = _schema(tp)
+        unknown = sorted(set(value) - set(keys))
+        if unknown:
+            raise ValueError(f"unknown key(s) {unknown} in {where}")
+        missing = sorted(k for k, required in keys.items() if required and k not in value)
+        if missing:
+            raise ValueError(f"missing key(s) {missing} in {where}")
+        kwargs = {
+            k: _from_json(hints[k], v, f"{path}.{k}" if path else k) for k, v in value.items()
+        }
+        try:
+            return tp(**kwargs)
+        except ValueError as exc:
+            if not path:
+                raise
+            raise ValueError(f"{path}: {exc}") from None
+    args = typing.get_args(tp)
+    if isinstance(tp, types.UnionType):  # X | None
+        return None if value is None else _from_json(args[0], value, path)
+    if typing.get_origin(tp) is tuple:  # fixed lengths are the dataclass's own check
+        if not isinstance(value, list):
+            raise ValueError(f"{where} must be a list, got {value!r}")
+        return tuple(_from_json(args[0], v, f"{where}[{i}]") for i, v in enumerate(value))
+    if tp is int:
+        return _whole(value, where)
+    if tp is float:
+        # a real number, or a numeric string such as "inf"
+        if isinstance(value, (numbers.Real, str)) and not isinstance(value, bool):
+            try:
+                return float(value)
+            except (ValueError, OverflowError):
+                pass
+        raise ValueError(f"{where} must be a number, got {value!r}")
+    if not isinstance(value, str):  # str is the schema's last leaf type
+        raise ValueError(f"{where} must be a string, got {value!r}")
+    return value
+
+
 def scenario_from_dict(cfg: dict) -> ScenarioConfig:
     """Build a validated config from a parsed JSON object."""
-    _check_keys(
-        cfg,
-        {
-            "array": True,
-            "grid": True,
-            "environment": True,
-            "users": True,
-            "snr_db": True,
-            "trials": False,
-            "seed": False,
-            "beta": False,
-            "eta": False,
-            "algorithms": False,
-            "ckm_staleness_sigma": False,
-            "retain_beams": False,
-            "name": False,
-        },
-        "scenario",
-    )
-    arr = cfg["array"]
-    _check_keys(
-        arr,
-        {"num_antennas": True, "carrier_frequency_hz": True, "bs_position": True},
-        "array",
-    )
-    array = ArrayConfig(
-        num_antennas=_whole(arr["num_antennas"], "num_antennas"),
-        carrier_frequency_hz=float(arr["carrier_frequency_hz"]),
-        bs_position=tuple(float(v) for v in arr["bs_position"]),
-    )
-    gr = cfg["grid"]
-    _check_keys(
-        gr,
-        {
-            "extent_x": True,
-            "extent_y": True,
-            "spacing_x": True,
-            "spacing_y": True,
-            "origin": False,
-        },
-        "grid",
-    )
-    grid = GridSpec(
-        extent_x=float(gr["extent_x"]),
-        extent_y=float(gr["extent_y"]),
-        spacing_x=float(gr["spacing_x"]),
-        spacing_y=float(gr["spacing_y"]),
-        origin=tuple(float(v) for v in gr.get("origin", (0.0, 0.0))),
-    )
-    env = cfg["environment"]
-    _check_keys(
-        env,
-        {
-            "scatterers": False,
-            "obstacles": False,
-            "max_paths": False,
-            "pathloss_exponent": False,
-            "rng_seed": False,
-        },
-        "environment",
-    )
-    scatterers = []
-    for i, s in enumerate(env.get("scatterers", [])):
-        _check_keys(s, {"position": True, "reflection": True}, f"scatterers[{i}]")
-        scatterers.append(
-            Scatterer(
-                position=tuple(float(v) for v in s["position"]),
-                reflection=float(s["reflection"]),
-            )
-        )
-    obstacles = []
-    for i, o in enumerate(env.get("obstacles", [])):
-        _check_keys(o, {"start": True, "end": True}, f"obstacles[{i}]")
-        obstacles.append(
-            Obstacle(
-                start=tuple(float(v) for v in o["start"]),
-                end=tuple(float(v) for v in o["end"]),
-            )
-        )
-    environment = Environment(
-        scatterers=tuple(scatterers),
-        obstacles=tuple(obstacles),
-        max_paths=_whole(env.get("max_paths", 4), "max_paths"),
-        pathloss_exponent=float(env.get("pathloss_exponent", 1.0)),
-        rng_seed=_whole(env.get("rng_seed", 0), "rng_seed"),
-    )
-    users = []
-    for ui, u in enumerate(cfg["users"]):
-        _check_keys(u, {"subregions": True}, f"users[{ui}]")
-        regions = []
-        for ri, r in enumerate(u["subregions"]):
-            _check_keys(
-                r,
-                {"prior": True, "rect": False, "points": False},
-                f"users[{ui}].subregions[{ri}]",
-            )
-            rect = r.get("rect")
-            pts = r.get("points")
-            try:
-                region = RegionSpec(
-                    prior=float(r["prior"]),
-                    rect=None if rect is None else tuple(float(v) for v in rect),
-                    points=None if pts is None else tuple(tuple(float(v) for v in p) for p in pts),
-                )
-            except ValueError as exc:
-                raise ValueError(f"users[{ui}].subregions[{ri}]: {exc}") from None
-            regions.append(region)
-        users.append(UserSpec(subregions=tuple(regions)))
-    retain = cfg.get("retain_beams")
-    return ScenarioConfig(
-        array=array,
-        grid=grid,
-        environment=environment,
-        users=tuple(users),
-        snr_db=tuple(_snr_value(v) for v in cfg["snr_db"]),
-        trials=_whole(cfg.get("trials", 1000), "trials"),
-        seed=_whole(cfg.get("seed", 0), "seed"),
-        beta=float(cfg.get("beta", 0.5)),
-        eta=float(cfg.get("eta", 0.9)),
-        algorithms=tuple(cfg.get("algorithms", ALGORITHMS)),
-        ckm_staleness_sigma=float(cfg.get("ckm_staleness_sigma", 0.0)),
-        retain_beams=None if retain is None else _whole(retain, "retain_beams"),
-        name=str(cfg.get("name", "scenario")),
-    )
+    return _from_json(ScenarioConfig, cfg, "")
 
 
 def load_scenario(path) -> ScenarioConfig:
@@ -310,8 +227,6 @@ def region_points(grid: GridSpec, region: RegionSpec) -> np.ndarray:
     """Grid-point indices covered by one region, ascending."""
     if region.rect is not None:
         x0, y0, x1, y1 = region.rect
-        if x1 < x0 or y1 < y0:
-            raise ValueError(f"rect {region.rect} has negative extent")
         coords = grid.point_coords()
         inside = (
             (coords[:, 0] >= x0)
@@ -332,12 +247,15 @@ def region_points(grid: GridSpec, region: RegionSpec) -> np.ndarray:
 def user_priors(config: ScenarioConfig) -> list[PositionPrior]:
     """One location prior per user from its declared regions."""
     priors = []
-    for user in config.users:
-        subs = tuple(
-            SubRegion(points=tuple(int(i) for i in region_points(config.grid, r)), prior=r.prior)
-            for r in user.subregions
-        )
-        priors.append(PositionPrior(subregions=subs))
+    for i, user in enumerate(config.users):
+        subs = []
+        for j, r in enumerate(user.subregions):
+            try:
+                points = tuple(int(k) for k in region_points(config.grid, r))
+                subs.append(SubRegion(points=points, prior=r.prior))
+            except ValueError as exc:
+                raise ValueError(f"users[{i}].subregions[{j}]: {exc}") from None
+        priors.append(PositionPrior(subregions=tuple(subs)))
     return priors
 
 
@@ -443,7 +361,9 @@ def run_trials(
     base_seed = config.seed if seed is None else _whole(seed, "seed")
     if n_trials < 1 or base_seed < 0:
         raise ValueError(f"trials must be >= 1 and seed >= 0, got {n_trials} and {base_seed}")
-    snrs = config.snr_db if snr_db is None else tuple(_snr_value(v) for v in snr_db)
+    snrs = (
+        config.snr_db if snr_db is None else _from_json(tuple[float, ...], list(snr_db), "snr_db")
+    )
     _check_snrs(snrs)
     codebook = build_codebook(config.array.num_antennas)
     priors = user_priors(config)
@@ -549,23 +469,28 @@ def read_results_csv(path) -> list[TrialRecord]:
     out = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if tuple(header) != CSV_FIELDS:
             raise ValueError(f"unexpected results header {header}")
         for row in reader:
-            out.append(
-                TrialRecord(
-                    trial_id=int(row[0]),
-                    algorithm=row[1],
-                    snr_db=float(row[2]),
-                    user_id=int(row[3]),
-                    overhead=float(row[4]),
-                    chosen=BeamId(int(row[5]), int(row[6])),
-                    oracle=BeamId(int(row[7]), int(row[8])),
-                    gain_ratio_db=float(row[9]),
-                    se_bps_hz=float(row[10]),
+            try:
+                if len(row) != len(CSV_FIELDS):
+                    raise ValueError(f"{len(row)} fields, expected {len(CSV_FIELDS)}")
+                out.append(
+                    TrialRecord(
+                        trial_id=int(row[0]),
+                        algorithm=row[1],
+                        snr_db=float(row[2]),
+                        user_id=int(row[3]),
+                        overhead=float(row[4]),
+                        chosen=BeamId(int(row[5]), int(row[6])),
+                        oracle=BeamId(int(row[7]), int(row[8])),
+                        gain_ratio_db=float(row[9]),
+                        se_bps_hz=float(row[10]),
+                    )
                 )
-            )
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     return out
 
 

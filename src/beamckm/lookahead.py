@@ -28,10 +28,10 @@ def subtree_view(state: SearchState) -> tuple[np.ndarray, np.ndarray | None]:
     child_layer = state.root_layer + 1
     if child_layer > state.num_layers:
         raise ValueError("node is already at the bottom layer")
-    children = state.candidates_under(child_layer, state.root)
+    children = state.candidates(child_layer)
     if child_layer == state.num_layers:
         return children, None
-    return children, state.candidates_under(child_layer + 1, state.root)
+    return children, state.candidates(child_layer + 1)
 
 
 def next_layer(state: SearchState) -> int:

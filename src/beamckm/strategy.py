@@ -162,7 +162,7 @@ def run_episode(
     transcript: list[ProbeRound] = []
     while (chosen := episode_outcome(state)) is None:
         layer = choose_layer(state)
-        cands = state.candidates_under(layer, state.root).tolist()
+        cands = state.candidates(layer).tolist()
         r = probe_round(resp, layer, cands, noise_std, rng)
         transcript.append(r)
         apply_observation(state, BeamId(layer, r.feedback))

@@ -50,12 +50,17 @@ def toy_ckm(bottom_gains: np.ndarray, full_gains: np.ndarray | None = None) -> b
 def from_bottom_weights(weights, root: bc.BeamId | None = None) -> bc.SearchState:
     """Toy search state whose bottom weights are exactly ``weights``: one
     point whose bottom map gains are the weights, with beta low enough to
-    keep every positive one.  ``root`` only sets the layer that planning
-    starts from; the candidates are not restricted to its subtree."""
-    w = np.asarray(weights, dtype=np.float64)
+    keep every positive one.  ``root`` sets the layer that planning starts
+    from and, as an observation of it would, drops the weights outside its
+    subtree."""
+    w = np.array(weights, dtype=np.float64)
     depth = int(np.log2(len(w)))
     if len(w) < 2 or 2**depth != len(w):
         raise ValueError("bottom weight length must be a power of two")
+    if root is not None:
+        shift = depth - root.layer
+        w[: (root.index - 1) << shift] = 0.0
+        w[root.index << shift :] = 0.0
     positive = w[w > 0]
     beta = 0.5 * positive.min() / positive.max() if positive.size else 1.0
     state = bc.SearchState(np.zeros(1), np.ones(1), stack_layers(w[None, :]), beta, depth)

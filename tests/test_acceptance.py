@@ -324,9 +324,8 @@ class TestStructuralInvariants:
         # 1. weight conservation through a full descent with pruning
         state = bc.compute_point_weights(ckm, desk["priors"][0], beta=cfg.beta)
         conserved = layers_conserved(state)
-        node = None
         for layer in range(1, ckm.num_layers + 1):
-            cands = state.candidates_under(layer, node)
+            cands = state.candidates(layer)
             node = bc.BeamId(layer, int(cands[0]))
             bc.apply_observation(state, node)
             conserved &= layers_conserved(state)

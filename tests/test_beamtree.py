@@ -148,24 +148,6 @@ class TestPrunedTree:
         assert four_leaf_tree.is_candidate(bc.BeamId(3, 5))
         assert not four_leaf_tree.is_candidate(bc.BeamId(3, 4))
 
-    def test_candidates_under_restricts_to_descendants(self, four_leaf_tree):
-        np.testing.assert_array_equal(
-            four_leaf_tree.candidates_under(3, bc.BeamId(1, 1)), [1, 2, 3]
-        )
-        np.testing.assert_array_equal(
-            four_leaf_tree.candidates_under(3, bc.BeamId(1, 2)), [5]
-        )
-        np.testing.assert_array_equal(
-            four_leaf_tree.candidates_under(3, bc.BeamId(2, 2)), [3]
-        )
-        np.testing.assert_array_equal(
-            four_leaf_tree.candidates_under(2, None), [1, 2, 3]
-        )
-        # a node at or below the queried layer imposes no restriction
-        np.testing.assert_array_equal(
-            four_leaf_tree.candidates_under(1, bc.BeamId(2, 1)), [1, 2]
-        )
-
     def test_prefix_sums_match_cumsum(self, four_leaf_tree):
         csum = four_leaf_tree.prefix_sums()
         assert csum.shape == (3, 9)
@@ -256,7 +238,7 @@ class TestApplyObservation:
         node = bc.BeamId(1, 1)
         bc.apply_observation(state, node)
         for layer in range(2, 5):
-            cands = state.candidates_under(layer, node)
+            cands = state.candidates(layer)
             assert cands.size >= 1
             node = bc.BeamId(layer, int(cands[0]))
             bc.apply_observation(state, node)
@@ -496,7 +478,7 @@ class TestSearchStateCache:
             if layer > L:
                 break
             if kind == "observe":
-                cands = state.candidates_under(layer, state.root)
+                cands = state.candidates(layer)
                 if cands.size == 0:
                     break
                 observed = bc.BeamId(layer, int(cands[pick % cands.size]))
@@ -530,3 +512,32 @@ class TestSearchStateCache:
             for ours, want in zip(copy.layer_weights, initial[0], strict=True):
                 np.testing.assert_array_equal(ours, want)
             np.testing.assert_array_equal(copy.pair_weights()[1], initial[3][1])
+
+
+class TestRootSubtree:
+    @settings(max_examples=150, deadline=None)
+    @given(observation_runs())
+    def test_positive_weights_stay_under_the_root(self, run):
+        # so candidates(layer) below the root's layer are the root's descendants
+        state, steps = run
+        if state.bottom_weights.max() <= 0.0:
+            return
+        L = state.num_layers
+        for kind, layer, pick, seed, _ in steps:
+            layer = max(layer, state.root_layer + 1)
+            if layer > L or not state.point_alive.any():
+                break
+            if kind == "observe":
+                cands = state.candidates(layer)
+                bc.apply_observation(state, bc.BeamId(layer, int(cands[pick % cands.size])))
+            else:
+                rng = np.random.default_rng(seed)
+                beams = [bc.BeamId(layer, n) for n in range(1, 2**layer + 1)]
+                g_obs = rng.uniform(0.0, 1.0, len(beams)) * (rng.random(len(beams)) < 0.7)
+                f_obs = beams[pick % len(beams)] if kind == "prune-descend" else None
+                prune_user_points(state, beams, g_obs, f_obs, 0.9)
+            if state.root is not None:
+                shift = L - state.root.layer
+                lo, hi = (state.root.index - 1) << shift, state.root.index << shift
+                positive = np.flatnonzero(state.bottom_weights > 0.0)
+                assert ((positive >= lo) & (positive < hi)).all()

@@ -26,6 +26,29 @@ DESK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "desk.json"
 DEEP_CONFIG = DESK_CONFIG.with_name("deep.json")
 
 
+def json_paths(node, path=()):
+    """The key path of every node below ``node`` in a parsed JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield path + (key,)
+        if isinstance(child, (dict, list)):
+            yield from json_paths(child, path + (key,))
+
+
+DESK = json.loads(DESK_CONFIG.read_text())
+DESK_NODES = list(json_paths(DESK))
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**400), 10**400)
+    | st.floats()
+    | st.sampled_from(["inf", " -Infinity ", "nan", "1e3", "alg1"])
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
 def scenario_dict():
     return {
         "array": {
@@ -128,7 +151,7 @@ class TestScenarioParsing:
     def test_bad_snr_entry_rejected(self):
         d = scenario_dict()
         d["snr_db"] = ["loud"]
-        with pytest.raises(ValueError, match="SNR"):
+        with pytest.raises(ValueError, match=r"snr_db\[0\]"):
             bc.scenario_from_dict(d)
 
     @pytest.mark.parametrize("value", ["nan", "NaN", float("nan"), "-inf"])
@@ -243,6 +266,55 @@ class TestScenarioParsing:
         region[shape] = value
         with pytest.raises(ValueError, match=rf"users\[0\]\.subregions\[1\]: {shape}"):
             bc.scenario_from_dict(d)
+
+    @pytest.mark.parametrize(
+        "rect, message",
+        [
+            ([8.1, 12.1, 8.4, 12.4], "covers no grid point"),
+            ([9.0, 12.0, 8.0, 13.0], "has negative extent"),
+        ],
+    )
+    def test_region_errors_name_the_region(self, rect, message):
+        d = scenario_dict()
+        d["users"][0]["subregions"][1]["rect"] = rect
+        with pytest.raises(ValueError, match=rf"^users\[0\]\.subregions\[1\]: rect .* {message}"):
+            bc.scenario_from_dict(d)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("beta", True, "beta must be a number, got True"),
+            ("name", 5, "name must be a string, got 5"),
+            ("algorithms", "alg1", "algorithms must be a list, got 'alg1'"),
+            ("array.bs_position", 5, r"array\.bs_position must be a list, got 5"),
+        ],
+    )
+    def test_wrong_json_types_rejected_with_their_path(self, key, value, message):
+        # before, these loaded as 1.0, "5" and ("a", "l", "g", "1"), and the
+        # last raised a bare TypeError
+        d = scenario_dict()
+        *parents, leaf = key.split(".")
+        target = d
+        for name in parents:
+            target = target[name]
+        target[leaf] = value
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            bc.scenario_from_dict(d)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.sampled_from(DESK_NODES), JSON_VALUES)
+    def test_any_one_node_replaced_loads_or_raises_value_error(self, path, value):
+        d = copy.deepcopy(DESK)
+        *parents, key = path
+        target = d
+        for name in parents:
+            target = target[name]
+        target[key] = value
+        try:
+            cfg = bc.scenario_from_dict(d)
+        except ValueError:
+            return
+        assert isinstance(cfg, bc.ScenarioConfig)
 
     def test_integral_numbers_accepted(self):
         d = scenario_dict()
@@ -697,6 +769,20 @@ class TestResultsCsv:
         with pytest.raises(ValueError, match="header"):
             bc.read_results_csv(path)
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            pytest.param("0,alg1,10.0,0,3.0", "5 fields, expected 11", id="short-row"),
+            pytest.param("0,alg1,10.0,0,x,4,2,4,2,0.0,5.0", "could not convert", id="not-a-number"),
+        ],
+    )
+    def test_malformed_rows_rejected_with_line_number(self, tmp_path, row, message):
+        path = tmp_path / "rows.csv"
+        good = "0,alg1,10.0,0,3.0,4,2,4,2,0.0,5.0"
+        path.write_text("\n".join([",".join(bc.harness.CSV_FIELDS), good, row, good]) + "\n")
+        with pytest.raises(ValueError, match=f"line 3: {message}"):
+            bc.read_results_csv(path)
+
 
 def hand_records():
     B = bc.BeamId
@@ -754,6 +840,30 @@ class TestSummarize:
 
 
 class TestCli:
+    @pytest.mark.parametrize("bad", ["config", "truncated-ckm", "missing-file"])
+    def test_bad_input_fails_in_one_line(self, tmp_path, capsys, bad):
+        d = scenario_dict()
+        cfg, ckm, out = (str(tmp_path / name) for name in ("scene.json", "scene.ckm", "out.csv"))
+        Path(cfg).write_text(json.dumps(d))
+        assert cli.main(["build-ckm", "--config", cfg, "--out", ckm]) == 0
+        if bad == "config":
+            d["array"]["carrier_frequency_hz"] = None
+            Path(cfg).write_text(json.dumps(d))
+            argv = ["build-ckm", "--config", cfg, "--out", ckm]
+            named = "array.carrier_frequency_hz must be a number, got None"
+        elif bad == "truncated-ckm":
+            Path(ckm).write_bytes(Path(ckm).read_bytes()[:-7])
+            argv = ["run", "--config", cfg, "--ckm", ckm, "--out", out]
+            named = "payload length"
+        else:
+            argv = ["summarize", "--in", str(tmp_path / "none.csv"), "--out", out]
+            named = "No such file"
+        capsys.readouterr()
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("beamckm: error: ") and named in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_full_pipeline(self, tmp_path, capsys):
         cfg_path = tmp_path / "scene.json"
         cfg_path.write_text(json.dumps(scenario_dict()))
