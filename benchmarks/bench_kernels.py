@@ -3,8 +3,9 @@
 Layer planning: the shortest-path planner against the exhaustive
 enumeration of activations it replaces.  The comparison asserts that both
 planners pick the same layer on every tree.  Each timed call builds its
-search states anew (fresh copies would share the cached prefix sums and
-pair weights), so both planners pay for deriving them in every call.
+search states anew (fresh copies would share the initial pair weights), so
+both planners pay for the states and their pair weights in every call; the
+enumeration also builds its prefix sums (``oracles.prefix_sums``).
 
 Probing: one exhaustive round over the bottom layer at N = 32, 128 and
 1024 antennas, by one scalar ``probe`` per beam and by one ``probe_rows``
@@ -25,7 +26,7 @@ from beamckm import kernels
 
 # the enumeration planner is a test oracle; this script is run by path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from oracles import enumerate_activations, pick_activation  # noqa: E402
+from oracles import enumerate_activations, pick_activation, prefix_sums  # noqa: E402
 
 
 def bench(fn, *args, repeat=5):
@@ -69,7 +70,7 @@ def plan_by_enumeration(cases, num_layers):
     out = []
     for state in build_states(cases, num_layers):
         rewards = kernels.activation_rewards(
-            state.prefix_sums(), mat, state.bottom_weights, state.bottom_candidates(), num_layers
+            prefix_sums(state), mat, state.bottom_weights, state.bottom_candidates(), num_layers
         )
         out.append(acts[pick_activation(acts, rewards)][0])
     return out

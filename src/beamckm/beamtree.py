@@ -8,15 +8,15 @@ pairwise sums of the layer below, so a beam is a search candidate exactly
 when some surviving point still backs a bottom beam underneath it.
 
 A ``SearchState`` is one user's search over that tree.  Each observation
-updates it once, and the update derives the layer weights and candidate
-masks; the prefix sums and the planner's pair weights follow on first use.
+updates it once, and the update derives one flat view of the tree: the
+weights and the candidate rows, both in codebook row order.  Every query
+slices that view; the planner's pair weights follow on first use.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import kernels
 from .ckm import CkmGrid
 from .codebook import BeamId
 from .position import PositionPrior
@@ -28,16 +28,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return view
 
 
-class _Lazy:
-    """Prefix sums and pair weights of one derived state, filled on first use."""
-
-    __slots__ = ("csum", "pairs")
-
-    def __init__(self):
-        self.csum: np.ndarray | None = None
-        self.pairs: tuple[np.ndarray, np.ndarray] | None = None
-
-
 class SearchState:
     """One user's pruned search tree and the weights that decide it.
 
@@ -47,8 +37,13 @@ class SearchState:
     becomes the ``root``.  ``uniform_fallback`` engages when every
     contribution is gone (noise pruned everything), after which bottom
     weights are uniform over the surviving bottom beams so that descent can
-    finish.  Everything derived from this (``layer_weights``, ``masks``,
-    ``prefix_sums()``, ``pair_weights()``) is read-only.
+    finish.
+
+    Each update derives ``weights``, one weight per codeword in codebook
+    row order (``HierarchicalCodebook.row_of``), and ``rows``, the
+    ascending rows of positive weight: the candidates of every layer.
+    Both are read-only, as is everything sliced or computed from them
+    (``layer_weights``, ``candidate_rows``, ``pair_weights()``).
     """
 
     def __init__(
@@ -86,12 +81,22 @@ class SearchState:
         # fixed per-point contribution to each bottom beam's weight
         self.contrib = self.point_mass[:, None] * bottom * keep
         self.keep = keep
-        for name in ("point_ids", "point_mass", "gains", "contrib", "keep"):
+        # first codebook row of layers 1..L+1 (the last is one past the bottom)
+        self._first_rows = 2 ** np.arange(1, num_layers + 2) - 2
+        # per layer pair 1 <= p < q <= L: p, q, and as columns the ancestor
+        # shift L-p, the subtree widening q-p and the first row of layer q
+        p, q = np.triu_indices(num_layers, k=1)
+        p, q = p + 1, q + 1
+        self._pair_index = tuple(
+            _read_only(a)
+            for a in (p, q, (num_layers - p)[:, None], (q - p)[:, None], (2**q - 2)[:, None])
+        )
+        for name in ("point_ids", "point_mass", "gains", "contrib", "keep", "_first_rows"):
             setattr(self, name, _read_only(getattr(self, name)))
         self._reset()
         self._derive()
         # the derived state before any observation, shared by every fresh copy
-        self._initial = (self.layer_weights, self.masks, self._lazy)
+        self._initial = (self.weights, self.rows, self._starts, self.pair_weights())
 
     def _reset(self) -> None:
         self.point_alive = np.ones(len(self.point_ids), dtype=bool)
@@ -101,13 +106,12 @@ class SearchState:
 
     def fresh_copy(self) -> "SearchState":
         """This state before any observation, for one more episode.  The
-        fixed arrays and the initial derived arrays are shared; prefix sums
-        and pair weights computed by any copy before its first update are
-        kept for the next copies."""
+        fixed arrays and the initial derived arrays, pair weights included,
+        are shared read-only."""
         out = object.__new__(SearchState)
         out.__dict__.update(self.__dict__)
         out._reset()
-        out.layer_weights, out.masks, out._lazy = self._initial
+        out.weights, out.rows, out._starts, out._pairs = self._initial
         return out
 
     def update(self, point_mask: np.ndarray, observed: BeamId | None = None) -> None:
@@ -134,9 +138,9 @@ class SearchState:
             self._derive()
 
     def _derive(self) -> None:
-        """Layer weights (index 0 = layer 1, pairwise-sum recursion) and
-        candidate masks of the alive points and beams; starts new lazy
-        caches.  The layers share one read-only buffer in codebook order."""
+        """Weights of the alive points and beams (bottom layer, then the
+        pairwise-sum recursion upward), the candidate rows, and where each
+        layer's candidates start among them; clears the pair weights."""
         nb = self.num_bottom
         flat = np.empty(2 * nb - 2)
         if self.uniform_fallback:
@@ -149,12 +153,13 @@ class SearchState:
             below = flat[2 ** (l + 1) - 2 : 2 ** (l + 2) - 2]
             flat[2**l - 2 : 2 ** (l + 1) - 2] = below[0::2] + below[1::2]
         flat.flags.writeable = False
-        positive = flat > 0
-        positive.flags.writeable = False
-        spans = [slice(2**l - 2, 2 ** (l + 1) - 2) for l in range(1, self.num_layers + 1)]
-        self.layer_weights = tuple(flat[s] for s in spans)
-        self.masks = tuple(positive[s] for s in spans)
-        self._lazy = _Lazy()
+        rows = np.flatnonzero(flat > 0)
+        rows.flags.writeable = False
+        self.weights = flat
+        self.rows = rows
+        # layer l's candidates are rows[_starts[l - 1] : _starts[l]]
+        self._starts = tuple(rows.searchsorted(self._first_rows).tolist())
+        self._pairs = None
 
     @property
     def alive_points(self) -> np.ndarray:
@@ -163,24 +168,26 @@ class SearchState:
 
     @property
     def bottom_weights(self) -> np.ndarray:
-        return self.layer_weights[-1]
+        return self.weights[self.num_bottom - 2 :]
 
     @property
     def root_layer(self) -> int:
         """Layer of the root; 0 before the first observation."""
         return 0 if self.root is None else self.root.layer
 
-    def layer_gain_columns(self, layer: int, indices: np.ndarray) -> np.ndarray:
-        """(P, len(indices)) per-point map gains of beams (layer, indices)."""
-        start = 2**layer - 2
-        cols = start + np.asarray(indices, dtype=np.int64) - 1
-        return self.gains[:, cols]
+    def layer_weights(self, layer: int) -> np.ndarray:
+        """Weights of the beams at a layer, index order."""
+        return self.weights[2**layer - 2 : 2 ** (layer + 1) - 2]
+
+    def candidate_rows(self, layer: int) -> np.ndarray:
+        """Codebook rows of the candidates at a layer, ascending."""
+        return self.rows[self._starts[layer - 1] : self._starts[layer]]
 
     def candidates(self, layer: int) -> np.ndarray:
         """1-based candidate indices at a layer, ascending.  An update keeps
         every alive bottom beam under the root, so below the root's layer
         these are all descendants of the root."""
-        return np.flatnonzero(self.masks[layer - 1]) + 1
+        return self.candidate_rows(layer) - (2**layer - 3)
 
     def bottom_candidates(self) -> np.ndarray:
         return self.candidates(self.num_layers)
@@ -188,31 +195,34 @@ class SearchState:
     def is_candidate(self, beam: BeamId) -> bool:
         if beam.layer > self.num_layers:
             return False
-        return bool(self.masks[beam.layer - 1][beam.index - 1])
-
-    def prefix_sums(self) -> np.ndarray:
-        """(L, 2**L + 1) per-layer candidate-count prefix sums for kernels."""
-        lazy = self._lazy
-        if lazy.csum is None:
-            nb = 2**self.num_layers
-            csum = np.zeros((self.num_layers, nb + 1), dtype=np.int64)
-            for l in range(1, self.num_layers + 1):
-                counts = np.cumsum(self.masks[l - 1])
-                csum[l - 1, 1 : 2**l + 1] = counts
-                csum[l - 1, 2**l + 1 :] = counts[-1]
-            lazy.csum = _read_only(csum)
-        return lazy.csum
+        return bool(self.weights[2**beam.layer - 3 + beam.index] > 0)
 
     def pair_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """Entry and hop weights of the planner over the bottom candidates
-        (``kernels.pair_weights``)."""
-        lazy = self._lazy
-        if lazy.pairs is None:
-            entry, hops = kernels.pair_weights(
-                self.prefix_sums(), self.bottom_weights, self.bottom_candidates(), self.num_layers
-            )
-            lazy.pairs = (_read_only(entry), _read_only(hops))
-        return lazy.pairs
+        """Entry and hop weights of the weighted probe cost, per layer pair.
+
+        Returns ``(S, G)``, both indexed by 1-based layer.  ``S[q]`` (length
+        L+1) is the cost of entering at layer q: the summed bottom-candidate
+        weight times the candidate count at q.  ``G[p, q]`` ((L+1, L+1),
+        nonzero only for 1 <= p < q <= L) is the cost of a step from active
+        layer p to the next active layer q: each bottom candidate's weight
+        times the candidates at q under its ancestor at p, counted only when
+        there are two or more.  The weighted probe cost of an activation
+        l1 < .. < lk is then ``S[l1] + G[l1, l2] + .. + G[lk-1, lk]``.
+        """
+        if self._pairs is None:
+            L = self.num_layers
+            p, q, up, widen, first = self._pair_index
+            bottom = self.candidate_rows(L)
+            w = self.weights[bottom]
+            S = np.zeros(L + 1)
+            S[1:] = w.sum() * np.diff(self._starts)
+            # rows of each bottom candidate's subtree at q under its ancestor at p
+            lo = first + (((bottom - (self.num_bottom - 2)) >> up) << widen)
+            cnt = self.rows.searchsorted(lo + (1 << widen)) - self.rows.searchsorted(lo)
+            G = np.zeros((L + 1, L + 1))
+            G[p, q] = np.where(cnt >= 2, cnt, 0) @ w
+            self._pairs = (_read_only(S), _read_only(G))
+        return self._pairs
 
 
 def compute_point_weights(
@@ -268,7 +278,6 @@ def apply_observation(state: SearchState, observed: BeamId) -> None:
     """
     if not state.is_candidate(observed):
         raise ValueError(f"observed beam {observed} is not a candidate")
-    cand = state.candidates(observed.layer)
-    sub = state.layer_gain_columns(observed.layer, cand)
-    winners = cand[np.argmax(sub, axis=1)]  # ties resolve to smaller index
-    state.update(winners == observed.index, observed)
+    rows = state.candidate_rows(observed.layer)
+    winners = rows[np.argmax(state.gains[:, rows], axis=1)]  # ties resolve to smaller index
+    state.update(winners == 2**observed.layer - 3 + observed.index, observed)

@@ -204,11 +204,12 @@ def probe_rows(
 ) -> np.ndarray:
     """Received pilot magnitudes ``|h^H f + n|`` of distinct codeword
     ``rows`` (an integer array), in order: the same arithmetic and the same
-    noise draws as one ``probe`` per row."""
+    noise draws as one ``probe`` per row.  Noise needs a generator, so that
+    every draw comes from a seeded stream."""
     y = resp.take(rows)
     if noise_std > 0.0:
         if rng is None:
-            rng = np.random.default_rng()
+            raise ValueError("a noisy probe needs an rng")
         z = rng.standard_normal((len(rows), 2))
         y = y + noise_std / np.sqrt(2.0) * (z[:, 0] + 1j * z[:, 1])
     return np.abs(y)
@@ -220,14 +221,15 @@ def probe(
     noise_std: float,
     rng: np.random.Generator | None = None,
 ) -> float:
-    """Magnitude of the received pilot |h^H f + n|, n ~ CN(0, noise_std^2)."""
+    """Magnitude of the received pilot |h^H f + n|, n ~ CN(0, noise_std^2).
+    Noise needs a generator, so that every draw comes from a seeded stream."""
     h = np.asarray(channel)
     if h.shape != np.asarray(codeword).shape:
         raise ValueError("channel/codeword dimension mismatch")
     y = np.vdot(h, codeword)
     if noise_std > 0.0:
         if rng is None:
-            rng = np.random.default_rng()
+            raise ValueError("a noisy probe needs an rng")
         re, im = rng.standard_normal(2)
         y = y + noise_std / np.sqrt(2.0) * (re + 1j * im)
     return float(np.abs(y))

@@ -26,7 +26,8 @@ class BeamId:
     def __post_init__(self):
         if self.layer < 1:
             raise ValueError(f"layer must be >= 1, got {self.layer}")
-        if not 1 <= self.index <= 2**self.layer:
+        # bit_length, not 2**layer, so a huge layer costs no big integer
+        if self.index < 1 or int(self.index - 1).bit_length() > self.layer:
             raise ValueError(
                 f"index {self.index} out of range for layer {self.layer}"
             )
@@ -56,6 +57,11 @@ class HierarchicalCodebook:
         self._cw = codewords  # (total, N) complex
 
     @staticmethod
+    def layer_start(layer: int) -> int:
+        """Row of a layer's first beam in the canonical codeword matrix."""
+        return 2**layer - 2
+
+    @staticmethod
     def row_of(beam: BeamId) -> int:
         """Row of a beam in the canonical codeword matrix."""
         return 2**beam.layer - 2 + beam.index - 1
@@ -67,7 +73,7 @@ class HierarchicalCodebook:
 
     def layer_matrix(self, layer: int) -> np.ndarray:
         """(2**layer, N) view of one layer's codewords, index order."""
-        start = 2**layer - 2
+        start = self.layer_start(layer)
         return self._cw[start : start + 2**layer]
 
     @property

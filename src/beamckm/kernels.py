@@ -1,10 +1,8 @@
-"""Hot numeric kernels, in numpy: path tracing, the layer planner's pair
-weights and the activation reward oracle.
+"""Hot numeric kernels, in numpy: path tracing and the activation reward
+oracle.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -116,7 +114,8 @@ def trace_paths(pts, bs, scat_pos, scat_refl, scat_phase, scat_vis,
 #
 # csum holds per-layer prefix sums of the candidate masks: csum[l-1, i] is
 # the number of candidate beams at layer l with index <= i (1-based), padded
-# with the row total beyond 2**l entries.
+# with the row total beyond 2**l entries (the tests' ``oracles.prefix_sums``
+# builds it from a search state).
 # ---------------------------------------------------------------------------
 
 
@@ -126,8 +125,8 @@ def activation_rewards(csum, acts, weights, targets, L):
 
     Reward is the negative weight-average probe cost over the candidate
     bottom beams listed in ``targets`` (1-based indices).  Scoring every
-    activation is exponential in L; the planner uses :func:`pair_weights`
-    instead and this serves as its reference.
+    activation is exponential in L; the planner uses
+    ``SearchState.pair_weights`` instead and this serves as its reference.
     """
     num_act = acts.shape[0]
     out = np.zeros(num_act)
@@ -149,44 +148,4 @@ def activation_rewards(csum, acts, weights, targets, L):
                 cost += np.where(cnt >= 2, cnt, 0)
             prev = l
         out[z] = -float((w * cost).sum())
-    return out
-
-
-def pair_weights(csum, weights, targets, L):
-    """Entry and hop weights of the weighted probe cost, per layer pair.
-
-    Returns ``(S, G)``, both indexed by 1-based layer.  ``S[q]`` (length
-    L+1) is the cost of entering at layer q: the summed target weight times
-    the candidate count at q.  ``G[p, q]`` ((L+1, L+1), nonzero only for
-    1 <= p < q <= L) is the cost of a step from active layer p to the next
-    active layer q: each target's weight times the candidate descendants at
-    q of its ancestor at p, counted only when there are two or more.  The
-    weighted probe cost of an activation l1 < .. < lk is then
-    ``S[l1] + G[l1, l2] + .. + G[lk-1, lk]``.
-    """
-    t0 = np.asarray(targets, dtype=np.int64) - 1
-    w = np.asarray(weights, dtype=np.float64)[t0]
-    p, q, up, shift, row, layer_row, layer_end = _layer_pairs(L)
-    S = np.zeros(L + 1)
-    S[1:] = w.sum() * csum[layer_row, layer_end]
-    anc = t0 >> up
-    cnt = csum[row, (anc + 1) << shift] - csum[row, anc << shift]
-    G = np.zeros((L + 1, L + 1))
-    G[p, q] = np.where(cnt >= 2, cnt, 0) @ w
-    return S, G
-
-
-@functools.lru_cache(maxsize=32)
-def _layer_pairs(L):
-    """Read-only index arrays for pair_weights: per layer pair
-    1 <= p < q <= L, p, q, the ancestor shift L-p, the subtree widening
-    q-p and the csum row q-1 (the last three as columns); per layer l, the
-    csum row and column of its candidate total."""
-    p, q = np.triu_indices(L, k=1)
-    p, q = p + 1, q + 1
-    layers = np.arange(1, L + 1)
-    out = (p, q, (L - p)[:, None], (q - p)[:, None], (q - 1)[:, None],
-           layers - 1, 1 << layers)
-    for a in out:
-        a.flags.writeable = False
     return out

@@ -56,7 +56,7 @@ def next_layer(state: SearchState) -> int:
     # the pair is the two grandchildren that share a parent
     g = grandchildren.tolist()
     pair, single = (g[:2], g[2]) if (g[0] + 1) // 2 == (g[1] + 1) // 2 else (g[1:], g[0])
-    w = state.layer_weights[l + 1]
+    w = state.layer_weights(l + 2)
     wa, wb = (float(w[i - 1]) for i in pair)
     wc = float(w[single - 1])
     t_stepwise = 4.0 * wa + 4.0 * wb + 2.0 * wc

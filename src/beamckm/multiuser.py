@@ -62,20 +62,22 @@ def joint_layer(single_layers, num_layers: int) -> tuple[int, tuple[int, ...]]:
 
 
 def union_beams(states, layer: int) -> np.ndarray:
-    """Deduplicated, ascending union of the states' candidates at a layer."""
-    return np.unique(np.concatenate([s.candidates(layer) for s in states]))
+    """Deduplicated, ascending union of the states' candidate codebook rows
+    at a layer."""
+    return np.unique(np.concatenate([s.candidate_rows(layer) for s in states]))
 
 
 def prune_user_points(
     state: SearchState,
-    beams,
+    rows: np.ndarray,
     g_obs: np.ndarray,
     f_obs: BeamId | None,
     eta: float,
 ) -> np.ndarray:
     """Drop location hypotheses inconsistent with a round's measurements.
 
-    Survivors need map profiles whose similarity to ``g_obs`` exceeds
+    ``rows`` are the codebook rows of the probed beams, one per entry of
+    ``g_obs``.  Survivors need map profiles whose similarity to ``g_obs`` exceeds
     ``eta`` times the best alive similarity and, when the user descended
     on ``f_obs``, a map profile peaking on that same beam.  If nothing
     passes, the best-similarity points are kept; an all-zero ``g_obs``
@@ -85,7 +87,7 @@ def prune_user_points(
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"eta must lie in (0, 1], got {eta}")
     g_obs = np.asarray(g_obs, dtype=np.float64)
-    if len(beams) != g_obs.size:
+    if len(rows) != g_obs.size:
         raise ValueError("one observation per probed beam required")
     alive = state.point_alive
     if not alive.any():
@@ -93,8 +95,7 @@ def prune_user_points(
     no = float(np.linalg.norm(g_obs))
     surv = alive
     if no != 0.0:
-        cols = np.array([2**b.layer - 2 + b.index - 1 for b in beams], dtype=np.int64)
-        gm = state.gains[:, cols]
+        gm = state.gains[:, rows]
         nm = np.linalg.norm(gm, axis=1)
         sims = np.zeros(gm.shape[0], dtype=np.float64)
         ok = nm > 0.0
@@ -103,8 +104,7 @@ def prune_user_points(
         smax = float(masked.max())
         surv = alive & (sims > eta * smax)
         if f_obs is not None:
-            f_col = 2**f_obs.layer - 2 + f_obs.index - 1
-            surv &= cols[np.argmax(gm, axis=1)] == f_col
+            surv &= rows[np.argmax(gm, axis=1)] == HierarchicalCodebook.row_of(f_obs)
         if not surv.any():
             surv = alive & (masked == smax)
     state.update(surv, f_obs)
@@ -154,30 +154,22 @@ def run_multi_user(
         singles = [L + 1 if chosen[k] is not None else optimal_layer(states[k]) for k in range(K)]
         l_opt, flags = joint_layer(singles, L)
         matching = [k for k in range(K) if flags[k] == 1]
-        indices = union_beams([states[k] for k in matching], l_opt)
-        beams = [BeamId(l_opt, int(n)) for n in indices]
-        if len(beams) == 1:
-            observed = beams[0]
+        rows = union_beams([states[k] for k in matching], l_opt)
+        probed = tuple((rows - (HierarchicalCodebook.layer_start(l_opt) - 1)).tolist())
+        if len(probed) == 1:
+            observed = BeamId(l_opt, probed[0])
             for k in matching:
                 apply_observation(states[k], observed)
-                transcripts[k].append(
-                    JointRound(l_opt, (observed.index,), 1, observed.index, 0)
-                )
+                transcripts[k].append(JointRound(l_opt, probed, 1, probed[0], 0))
             continue
-        rows = indices + (2**l_opt - 3)
-        total += len(beams)
+        total += len(probed)
         for k in active:
             g_obs = probe_rows(resps[k], rows, noise_std, rngs[k])
-            f_obs = beams[int(np.argmax(g_obs))] if flags[k] == 1 else None
-            prune_user_points(states[k], beams, g_obs, f_obs, eta)
+            feedback = probed[int(np.argmax(g_obs))] if flags[k] == 1 else None
+            f_obs = None if feedback is None else BeamId(l_opt, feedback)
+            prune_user_points(states[k], rows, g_obs, f_obs, eta)
             transcripts[k].append(
-                JointRound(
-                    l_opt,
-                    tuple(int(n) for n in indices),
-                    int(flags[k]),
-                    None if f_obs is None else f_obs.index,
-                    len(beams),
-                )
+                JointRound(l_opt, probed, int(flags[k]), feedback, len(probed))
             )
     else:
         raise RuntimeError("joint search exceeded its round budget")

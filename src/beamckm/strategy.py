@@ -4,7 +4,7 @@ A plan ("activation") is the set of layers probed on the way down; the
 bottom layer is always in it.  Its cost is the expected probe count,
 weighted over the candidate bottom beams, and that cost is additive over
 consecutive active layers: an entry weight for the first layer plus a hop
-weight per later pair (``kernels.pair_weights``).  Each round therefore
+weight per later pair (``SearchState.pair_weights``).  Each round therefore
 plans by a shortest path from the current root layer to the bottom layer
 instead of scoring all 2^(L-1) subsets, probes the candidates of the
 plan's first layer, and folds the feedback into the tree before

@@ -69,7 +69,12 @@ def from_bottom_weights(weights, root: bc.BeamId | None = None) -> bc.SearchStat
 
 
 def candidate_count(state: bc.SearchState, layer: int) -> int:
-    return int(state.masks[layer - 1].sum())
+    return len(state.candidates(layer))
+
+
+def layer_masks(state: bc.SearchState) -> list[np.ndarray]:
+    """Candidate mask of each layer 1..L, from the state's weights."""
+    return [state.layer_weights(l) > 0 for l in range(1, state.num_layers + 1)]
 
 
 def ancestor_closed(masks) -> bool:

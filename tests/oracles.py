@@ -1,10 +1,10 @@
 """Reference implementations that the tests compare the runtime code with.
 
 Each one computes a quantity the package computes another way: the
-planner's probe cost one target and one layer at a time, its plan by
-enumerating every activation, the pruning kernel's cosine one profile at
-a time, and the array response and beam support in closed form.  None of
-them runs in a sweep or a map build.
+planner's probe cost one target and one layer at a time, its pair weights
+from per-layer prefix sums, its plan by enumerating every activation, the
+pruning kernel's cosine one profile at a time, and the array response and
+beam support in closed form.  None of them runs in a sweep or a map build.
 """
 
 import numpy as np
@@ -50,9 +50,37 @@ def similarity(g_obs: np.ndarray, g_map: np.ndarray) -> float:
     return float(a @ b / (na * nb))
 
 
-# csum holds per-layer prefix sums of the candidate masks, as returned by
-# ``SearchState.prefix_sums()``: csum[l-1, i] is the number of candidate
-# beams at layer l with index <= i (1-based).
+def prefix_sums(state: SearchState) -> np.ndarray:
+    """(L, 2**L + 1) per-layer candidate-count prefix sums of a state, the
+    ``csum`` input of ``kernels.activation_rewards`` and of the oracles
+    below: csum[l-1, i] is the number of candidate beams at layer l with
+    index <= i (1-based), padded with the layer's total beyond 2**l."""
+    L = state.num_layers
+    csum = np.zeros((L, 2**L + 1), dtype=np.int64)
+    for l in range(1, L + 1):
+        counts = np.cumsum(state.layer_weights(l) > 0)
+        csum[l - 1, 1 : 2**l + 1] = counts
+        csum[l - 1, 2**l + 1 :] = counts[-1]
+    return csum
+
+
+def pair_weights(csum, weights, targets, L):
+    """``SearchState.pair_weights`` from prefix sums, for bottom-layer
+    ``weights`` and the 1-based bottom ``targets`` in any order: each
+    subtree's candidate count is a difference of two prefix sums."""
+    t0 = np.asarray(targets, dtype=np.int64) - 1
+    w = np.asarray(weights, dtype=np.float64)[t0]
+    p, q = np.triu_indices(L, k=1)
+    p, q = p + 1, q + 1
+    S = np.zeros(L + 1)
+    S[1:] = w.sum() * csum[np.arange(L), 1 << np.arange(1, L + 1)]
+    shift = (q - p)[:, None]
+    anc = t0 >> (L - p)[:, None]
+    row = (q - 1)[:, None]
+    cnt = csum[row, (anc + 1) << shift] - csum[row, anc << shift]
+    G = np.zeros((L + 1, L + 1))
+    G[p, q] = np.where(cnt >= 2, cnt, 0) @ w
+    return S, G
 
 
 def probe_cost_single(csum, act, nt, L):
@@ -107,7 +135,7 @@ def overhead_for_target(state: SearchState, activation, target: BeamId) -> int:
         raise ValueError(f"target {target} is not a bottom-layer candidate")
     act = np.zeros(L, dtype=np.uint8)
     act[np.asarray(layers) - 1] = 1
-    return int(probe_cost_single(state.prefix_sums(), act, target.index, L))
+    return int(probe_cost_single(prefix_sums(state), act, target.index, L))
 
 
 def reward(state: SearchState, activation) -> float:
@@ -118,7 +146,7 @@ def reward(state: SearchState, activation) -> float:
     act[0, np.asarray(sorted(set(int(l) for l in activation))) - 1] = 1
     targets = state.bottom_candidates()
     return float(
-        kernels.activation_rewards(state.prefix_sums(), act, state.bottom_weights, targets, L)[0]
+        kernels.activation_rewards(prefix_sums(state), act, state.bottom_weights, targets, L)[0]
     )
 
 

@@ -11,10 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import beamckm as bc
-from beamckm import kernels
 from beamckm.multiuser import prune_user_points
 
-from conftest import ancestor_closed, candidate_count, from_bottom_weights, stack_layers, toy_ckm
+from conftest import (
+    ancestor_closed,
+    candidate_count,
+    from_bottom_weights,
+    layer_masks,
+    stack_layers,
+    toy_ckm,
+)
+from oracles import pair_weights, prefix_sums
 
 
 def threshold_keep_oracle(bottom_gains, beta, retain=None):
@@ -107,15 +114,14 @@ class TestLayerRecursion:
     def test_pairwise_sum_example(self):
         ckm = toy_ckm(np.array([[1.0, 0.0, 2.0, 0.0]]))
         table = bc.compute_point_weights(ckm, np.array([0]), beta=0.1)
-        layers = table.layer_weights
-        np.testing.assert_allclose(layers[-1], [1.0, 0.0, 2.0, 0.0])
-        np.testing.assert_allclose(layers[0], [1.0, 2.0])
+        np.testing.assert_allclose(table.layer_weights(2), [1.0, 0.0, 2.0, 0.0])
+        np.testing.assert_allclose(table.layer_weights(1), [1.0, 2.0])
 
     def test_total_weight_identical_across_layers(self):
         rng = np.random.default_rng(23)
         ckm = toy_ckm(rng.uniform(0.0, 1.0, size=(5, 16)))
         table = bc.compute_point_weights(ckm, np.arange(5), beta=0.2)
-        layers = table.layer_weights
+        layers = [table.layer_weights(l) for l in range(1, 5)]
         totals = [w.sum() for w in layers]
         np.testing.assert_allclose(totals, totals[-1], rtol=1e-12)
         for got, want in zip(layers, layer_sum_oracle(layers[-1])):
@@ -149,10 +155,10 @@ class TestPrunedTree:
         assert not four_leaf_tree.is_candidate(bc.BeamId(3, 4))
 
     def test_prefix_sums_match_cumsum(self, four_leaf_tree):
-        csum = four_leaf_tree.prefix_sums()
+        csum = prefix_sums(four_leaf_tree)
         assert csum.shape == (3, 9)
         for l in range(1, 4):
-            mask = four_leaf_tree.masks[l - 1]
+            mask = four_leaf_tree.layer_weights(l) > 0
             expect = np.concatenate([[0], np.cumsum(mask)])
             np.testing.assert_array_equal(csum[l - 1, : 2**l + 1], expect)
             np.testing.assert_array_equal(csum[l - 1, 2**l + 1 :], mask.sum())
@@ -170,7 +176,7 @@ class TestPrunedTree:
             w = rng.uniform(0.0, 1.0, size=16) * (rng.uniform(size=16) < 0.4)
             if w.max() <= 0:
                 continue
-            assert ancestor_closed(from_bottom_weights(w).masks)
+            assert ancestor_closed(layer_masks(from_bottom_weights(w)))
         assert not ancestor_closed([np.array([True, False]), np.array([False, False, True, False])])
 
 
@@ -289,13 +295,14 @@ class TestWeightTableState:
         table = bc.compute_point_weights(ckm, np.array([0, 1]), beta=0.5)
         np.testing.assert_allclose(table.bottom_weights, [0.5, 0.5, 0.0, 0.0])
 
-    def test_layer_gain_columns_slice(self):
+    def test_candidate_rows_index_the_gain_columns(self):
         rng = np.random.default_rng(11)
-        bottom = rng.uniform(size=(3, 8))
-        ckm = toy_ckm(bottom)
-        table = bc.compute_point_weights(ckm, np.arange(3), beta=0.5)
-        cols = table.layer_gain_columns(3, np.array([2, 5]))
-        np.testing.assert_allclose(cols, bottom[:, [1, 4]], rtol=1e-6)
+        bottom = rng.uniform(size=(3, 8)) * (rng.random((3, 8)) < 0.5)
+        table = bc.compute_point_weights(toy_ckm(bottom), np.arange(3), beta=0.5)
+        rows = table.candidate_rows(3)
+        np.testing.assert_array_equal(rows, 6 + np.flatnonzero(table.contrib.sum(axis=0) > 0))
+        np.testing.assert_array_equal(table.candidates(3), rows - 5)
+        np.testing.assert_allclose(table.gains[:, rows], bottom[:, rows - 6], rtol=1e-6)
 
     def test_restrict_without_kill_keeps_weights(self):
         bottom = np.array([[0.2, 0.3, 0.4, 0.1]])
@@ -325,8 +332,8 @@ class TestTableCopies:
             assert state.point_alive.all() and state.beam_alive.all()
             assert not state.uniform_fallback and state.root is None
         np.testing.assert_array_equal(second.bottom_weights, self.built.bottom_weights)
-        for ours, theirs in zip(second.masks, self.built.masks):
-            np.testing.assert_array_equal(ours, theirs)
+        np.testing.assert_array_equal(second.weights, self.built.weights)
+        np.testing.assert_array_equal(second.rows, self.built.rows)
         np.testing.assert_array_equal(second.alive_points, np.arange(6))
 
     def test_fixed_arrays_are_shared_read_only(self):
@@ -358,8 +365,9 @@ class TestTableCopies:
 
 
 def recomputed(state):
-    """Layer weights, masks, prefix sums and pair weights of the state's
-    alive masks and fallback flag, computed from scratch."""
+    """Flat weights, candidate rows, per-layer candidates, prefix sums and
+    pair weights of the state's alive masks and fallback flag, computed
+    from scratch; the pair weights from the prefix sums (the oracle)."""
     if state.uniform_fallback:
         bottom = state.beam_alive.astype(np.float64)
     else:
@@ -371,8 +379,10 @@ def recomputed(state):
     for l, mask in enumerate(masks, 1):
         csum[l - 1, 1 : 2**l + 1] = np.cumsum(mask)
         csum[l - 1, 2**l + 1 :] = mask.sum()
-    pairs = kernels.pair_weights(csum, bottom, np.flatnonzero(masks[-1]) + 1, L)
-    return layers, masks, csum, pairs
+    cands = [np.flatnonzero(mask) + 1 for mask in masks]
+    pairs = pair_weights(csum, bottom, cands[-1], L)
+    weights = np.concatenate(layers)
+    return weights, np.flatnonzero(weights > 0), cands, csum, pairs
 
 
 class OldRules:
@@ -442,24 +452,34 @@ def observation_runs(draw):
 
 
 class TestSearchStateCache:
-    """After every update the cached derived arrays equal a from-scratch
-    computation on the same masks, bit for bit."""
+    """After every update the derived arrays equal a from-scratch
+    computation on the same masks, bit for bit, and are read-only."""
 
     @staticmethod
     def assert_cache_matches(state):
-        layers, masks, csum, (entry, hops) = recomputed(state)
-        for ours, want in zip(state.layer_weights, layers, strict=True):
-            np.testing.assert_array_equal(ours, want)
-        for ours, want in zip(state.masks, masks, strict=True):
-            np.testing.assert_array_equal(ours, want)
-        np.testing.assert_array_equal(state.prefix_sums(), csum)
+        weights, rows, cands, csum, (entry, hops) = recomputed(state)
+        L = state.num_layers
+        np.testing.assert_array_equal(state.weights, weights)
+        np.testing.assert_array_equal(state.rows, rows)
+        for layer, want in enumerate(cands, 1):
+            np.testing.assert_array_equal(state.candidates(layer), want)
+        np.testing.assert_array_equal(prefix_sums(state), csum)
         cached = state.pair_weights()
         np.testing.assert_array_equal(cached[0], entry)
         np.testing.assert_array_equal(cached[1], hops)
-        for a in (*state.layer_weights, *state.masks, state.prefix_sums(), *cached):
-            with pytest.raises(ValueError):
-                a[0] = 1
-        assert ancestor_closed(state.masks)
+        derived = (
+            state.weights,
+            state.rows,
+            state.bottom_weights,
+            *(state.layer_weights(l) for l in range(1, L + 1)),
+            *(state.candidate_rows(l) for l in range(1, L + 1)),
+            *cached,
+        )
+        for a in derived:
+            assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            state.weights[0] = 1
+        assert ancestor_closed(layer_masks(state))
 
     @settings(max_examples=150, deadline=None)
     @given(observation_runs())
@@ -482,19 +502,20 @@ class TestSearchStateCache:
                 if cands.size == 0:
                     break
                 observed = bc.BeamId(layer, int(cands[pick % cands.size]))
-                winners_before = state.layer_gain_columns(layer, state.candidates(layer))
-                won = state.candidates(layer)[np.argmax(winners_before, axis=1)]
+                winners_before = state.gains[:, 2**layer - 3 + cands]
+                won = cands[np.argmax(winners_before, axis=1)]
                 bc.apply_observation(state, observed)
                 old.fold(won == observed.index, observed)
             else:
                 if not state.point_alive.any():
                     break
                 rng = np.random.default_rng(seed)
-                beams = [bc.BeamId(layer, n) for n in range(1, 2**layer + 1)]
-                g_obs = rng.uniform(0.0, 1.0, len(beams)) * (rng.random(len(beams)) < 0.7)
-                f_obs = beams[pick % len(beams)] if kind == "prune-descend" else None
+                rows = np.arange(2**layer - 2, 2 ** (layer + 1) - 2)
+                g_obs = rng.uniform(0.0, 1.0, len(rows)) * (rng.random(len(rows)) < 0.7)
+                descend = kind == "prune-descend"
+                f_obs = bc.BeamId(layer, pick % len(rows) + 1) if descend else None
                 before = state.point_alive.copy()
-                prune_user_points(state, beams, g_obs, f_obs, 0.9)
+                prune_user_points(state, rows, g_obs, f_obs, 0.9)
                 assert not (state.point_alive & ~before).any()
                 old.fold(state.point_alive, f_obs)
             np.testing.assert_array_equal(state.point_alive, old.point_alive)
@@ -509,9 +530,9 @@ class TestSearchStateCache:
         for copy in (built, built.fresh_copy(), state.fresh_copy()):
             assert copy.point_alive.all() and copy.beam_alive.all()
             assert not copy.uniform_fallback and copy.root is None
-            for ours, want in zip(copy.layer_weights, initial[0], strict=True):
-                np.testing.assert_array_equal(ours, want)
-            np.testing.assert_array_equal(copy.pair_weights()[1], initial[3][1])
+            np.testing.assert_array_equal(copy.weights, initial[0])
+            np.testing.assert_array_equal(copy.rows, initial[1])
+            np.testing.assert_array_equal(copy.pair_weights()[1], initial[4][1])
 
 
 class TestRootSubtree:
@@ -532,10 +553,11 @@ class TestRootSubtree:
                 bc.apply_observation(state, bc.BeamId(layer, int(cands[pick % cands.size])))
             else:
                 rng = np.random.default_rng(seed)
-                beams = [bc.BeamId(layer, n) for n in range(1, 2**layer + 1)]
-                g_obs = rng.uniform(0.0, 1.0, len(beams)) * (rng.random(len(beams)) < 0.7)
-                f_obs = beams[pick % len(beams)] if kind == "prune-descend" else None
-                prune_user_points(state, beams, g_obs, f_obs, 0.9)
+                rows = np.arange(2**layer - 2, 2 ** (layer + 1) - 2)
+                g_obs = rng.uniform(0.0, 1.0, len(rows)) * (rng.random(len(rows)) < 0.7)
+                descend = kind == "prune-descend"
+                f_obs = bc.BeamId(layer, pick % len(rows) + 1) if descend else None
+                prune_user_points(state, rows, g_obs, f_obs, 0.9)
             if state.root is not None:
                 shift = L - state.root.layer
                 lo, hi = (state.root.index - 1) << shift, state.root.index << shift

@@ -252,6 +252,12 @@ class TestProbe:
         with pytest.raises(ValueError):
             bc.probe(np.ones(8, dtype=complex), np.ones(4, dtype=complex), 0.0)
 
+    def test_noise_without_rng_rejected(self):
+        h = np.ones(4, dtype=complex)
+        assert bc.probe(h, h / 2.0, 0.0) == 2.0
+        with pytest.raises(ValueError, match="needs an rng"):
+            bc.probe(h, h / 2.0, 0.1)
+
     def test_zero_channel_noise_magnitude_is_rayleigh(self):
         # |n| with n ~ CN(0, sigma^2) has mean sigma * sqrt(pi) / 2
         sigma = 0.7
@@ -289,6 +295,14 @@ class TestProbeRows:
             assert got.dtype == np.float64
             assert got.tobytes() == want.tobytes()
             assert batch_rng.bit_generator.state == scalar_rng.bit_generator.state
+
+    def test_noise_without_rng_rejected(self):
+        cb = bc.build_codebook(16)
+        resp = bc.Responses(np.ones(16, dtype=complex), cb.matrix)
+        rows = np.array([0, 1])
+        assert bc.probe_rows(resp, rows, 0.0).shape == (2,)
+        with pytest.raises(ValueError, match="needs an rng"):
+            bc.probe_rows(resp, rows, 0.1)
 
     def test_take_computes_each_response_once(self, monkeypatch):
         cb = bc.build_codebook(16)

@@ -5,6 +5,8 @@ the wide beam whose support contains an angle must out-gain its siblings,
 otherwise noiseless bisection cannot work.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,18 @@ class TestBeamId:
             bc.BeamId(0, 1)
         with pytest.raises(ValueError):
             bc.BeamId(2, 0)
+
+    def test_huge_layer_checked_without_a_big_integer(self):
+        # comparing index with 2**layer would build a 10**8-bit integer
+        tracemalloc.start()
+        try:
+            bc.BeamId(10**8, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        with pytest.raises(ValueError):
+            bc.BeamId(3, 9)
 
     def test_ordering_is_layer_major(self):
         assert bc.BeamId(1, 2) < bc.BeamId(2, 1) < bc.BeamId(2, 3)

@@ -5,7 +5,9 @@ trials, seed), so a refactor or speed-up that claims to keep behaviour can
 be checked by hashing the ``write_results_csv`` bytes of short sweeps.
 Each case runs all five algorithms at SNR inf, 10, 0 and -10 dB, seed 0,
 on the desk scene (12 trials) and the large scene (6 trials), at the
-configured beta and at beta 0.2 with ``retain_beams`` 2.
+configured beta and at beta 0.2 with ``retain_beams`` 2, and on the deep
+scene (512 antennas, L=9, the deepest planner; 4 trials) at its
+configured beta.
 
 The hashes were taken with numpy 2.4 and OpenBLAS 0.3 on x86-64. Another
 BLAS or numpy build may round the map gains differently and move them. A
@@ -31,9 +33,10 @@ GOLDEN = {
     ("desk", "beta0.2-retain2"): "c1ba54cfc82d24029b78bfc720d8c925701d0eb28f2f85ba85fd1dcd5ea7030a",
     ("large", "configured"): "47a3dcdb638585384d5657a757ec133d35066b95f2bafc25c7981232c20d195f",
     ("large", "beta0.2-retain2"): "2b0deed23482301e810583bff85f465e6bbd741aa9f0182a379d2fd2c7486d49",
+    ("deep", "configured"): "20dd97941bb369b99b2ce4fd0ddff637d64fedf37eec8dc092550431767a2f0d",
 }
 
-TRIALS = {"desk": 12, "large": 6}
+TRIALS = {"desk": 12, "large": 6, "deep": 4}
 
 VARIANTS = {
     "configured": {},

@@ -8,7 +8,7 @@ import numpy as np
 from beamckm import kernels
 
 from conftest import from_bottom_weights
-from oracles import enumerate_activations
+from oracles import enumerate_activations, prefix_sums
 from test_planner import activation_matrix
 
 
@@ -149,9 +149,9 @@ class TestPairWeights:
         for num_layers in (1, 2, 5, 7):
             for _ in range(10):
                 tree, weights = random_tree_inputs(rng, num_layers)
-                csum = tree.prefix_sums()
+                csum = prefix_sums(tree)
                 targets = tree.bottom_candidates().astype(np.int64)
-                entry, hops = kernels.pair_weights(csum, weights, targets, num_layers)
+                entry, hops = tree.pair_weights()
                 acts = enumerate_activations(0, num_layers)
                 mat = activation_matrix(acts, num_layers)
                 rewards = kernels.activation_rewards(csum, mat, weights, targets, num_layers)
@@ -161,9 +161,8 @@ class TestPairWeights:
 
     def test_hop_weights_upper_triangular_from_layer_one(self):
         rng = np.random.default_rng(5)
-        tree, weights = random_tree_inputs(rng, 4)
-        targets = tree.bottom_candidates().astype(np.int64)
-        entry, hops = kernels.pair_weights(tree.prefix_sums(), weights, targets, 4)
+        tree, _ = random_tree_inputs(rng, 4)
+        entry, hops = tree.pair_weights()
         assert entry.shape == (5,) and hops.shape == (5, 5)
         assert entry[0] == 0.0
         np.testing.assert_array_equal(hops, np.triu(hops, k=1))

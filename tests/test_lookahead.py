@@ -105,8 +105,8 @@ class TestSubtreeView:
             np.array([2.0, 1.0, 1.0, 0.0]),
             np.array([1.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0]),
         ]
-        for have, want in zip(four_leaf_tree.layer_weights, weights):
-            np.testing.assert_array_equal(have, want)
+        for layer, want in enumerate(weights, 1):
+            np.testing.assert_array_equal(four_leaf_tree.layer_weights(layer), want)
         children, grandchildren = la.subtree_view(four_leaf_tree)
         np.testing.assert_array_equal(children, [1, 2])
         np.testing.assert_array_equal(grandchildren, [1, 2, 3])

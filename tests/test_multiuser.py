@@ -96,11 +96,12 @@ class TestSelectRound:
 
 class TestUnionBeams:
     def test_deduplicated_ascending(self):
+        # codebook rows: layer 1 beams 1, 2 are rows 0, 1; layer 2 beams 1..4 rows 2..5
         t1 = from_bottom_weights([1.0, 0.0, 1.0, 0.0])
         t2 = from_bottom_weights([0.0, 0.0, 1.0, 1.0])
-        np.testing.assert_array_equal(mu.union_beams([t1, t2], 2), [1, 3, 4])
-        np.testing.assert_array_equal(mu.union_beams([t1, t2], 1), [1, 2])
-        np.testing.assert_array_equal(mu.union_beams([t1], 2), [1, 3])
+        np.testing.assert_array_equal(mu.union_beams([t1, t2], 2), [2, 4, 5])
+        np.testing.assert_array_equal(mu.union_beams([t1, t2], 1), [0, 1])
+        np.testing.assert_array_equal(mu.union_beams([t1], 2), [2, 4])
 
 
 class TestPrunePoints:
@@ -111,7 +112,7 @@ class TestPrunePoints:
         gains[:, 2:4] = profiles  # bottom beams 1 and 2
         gains[:, 0] = np.max(profiles, axis=1)  # consistent wide beam
         table = make_table(gains)
-        return table, [bc.BeamId(2, 1), bc.BeamId(2, 2)]
+        return table, np.array([2, 3])  # codebook rows of beams (2, 1) and (2, 2)
 
     def test_relative_threshold(self):
         # similarities to (1, 0): exactly 1.0, 0.95, 0.5
@@ -122,49 +123,49 @@ class TestPrunePoints:
                 [0.5, np.sqrt(0.75)],
             ]
         )
-        table, beams = self.two_beam_setup(profiles)
-        alive = mu.prune_user_points(table, beams, np.array([1.0, 0.0]), None, 0.9)
+        table, rows = self.two_beam_setup(profiles)
+        alive = mu.prune_user_points(table, rows, np.array([1.0, 0.0]), None, 0.9)
         np.testing.assert_array_equal(alive, [0, 1])
 
     def test_descending_user_needs_matching_peak(self):
         profiles = np.array([[1.0, 0.9], [0.9, 1.0]])
-        table, beams = self.two_beam_setup(profiles)
+        table, rows = self.two_beam_setup(profiles)
         alive = mu.prune_user_points(
-            table, beams, np.array([1.0, 0.9]), bc.BeamId(2, 1), 0.9
+            table, rows, np.array([1.0, 0.9]), bc.BeamId(2, 1), 0.9
         )
         np.testing.assert_array_equal(alive, [0])
 
     def test_empty_cut_keeps_best_similarity(self):
         profiles = np.array([[1.0, 0.0], [0.95, np.sqrt(1 - 0.95**2)]])
-        table, beams = self.two_beam_setup(profiles)
-        alive = mu.prune_user_points(table, beams, np.array([1.0, 0.0]), None, 1.0)
+        table, rows = self.two_beam_setup(profiles)
+        alive = mu.prune_user_points(table, rows, np.array([1.0, 0.0]), None, 1.0)
         np.testing.assert_array_equal(alive, [0])
 
     def test_peak_conflict_falls_back_to_best_similarity(self):
         # every point peaks on beam 2, the user descended on beam 1: the
         # beam cut empties, so the best-similarity point is retained
         profiles = np.array([[0.5, 1.0], [0.1, 1.0]])
-        table, beams = self.two_beam_setup(profiles)
+        table, rows = self.two_beam_setup(profiles)
         alive = mu.prune_user_points(
-            table, beams, np.array([0.6, 1.0]), bc.BeamId(2, 1), 0.9
+            table, rows, np.array([0.6, 1.0]), bc.BeamId(2, 1), 0.9
         )
         np.testing.assert_array_equal(alive, [0])
 
     def test_zero_observation_prunes_nothing(self):
         profiles = np.array([[1.0, 0.0], [0.0, 1.0]])
-        table, beams = self.two_beam_setup(profiles)
-        alive = mu.prune_user_points(table, beams, np.zeros(2), None, 0.9)
+        table, rows = self.two_beam_setup(profiles)
+        alive = mu.prune_user_points(table, rows, np.zeros(2), None, 0.9)
         np.testing.assert_array_equal(alive, [0, 1])
 
     def test_alive_set_only_shrinks(self):
         rng = np.random.default_rng(8)
         profiles = rng.uniform(0.0, 1.0, size=(20, 2))
-        table, beams = self.two_beam_setup(profiles)
+        table, rows = self.two_beam_setup(profiles)
         before = set(table.alive_points.tolist())
         for _ in range(4):
             g = rng.uniform(0.0, 1.0, size=2)
             now = set(
-                mu.prune_user_points(table, beams, g, None, 0.85).tolist()
+                mu.prune_user_points(table, rows, g, None, 0.85).tolist()
             )
             assert now <= before
             assert now
@@ -172,35 +173,36 @@ class TestPrunePoints:
 
     def test_validation(self):
         profiles = np.array([[1.0, 0.0]])
-        table, beams = self.two_beam_setup(profiles)
+        table, rows = self.two_beam_setup(profiles)
         with pytest.raises(ValueError):
-            mu.prune_user_points(table, beams, np.ones(2), None, 0.0)
+            mu.prune_user_points(table, rows, np.ones(2), None, 0.0)
         with pytest.raises(ValueError):
-            mu.prune_user_points(table, beams, np.ones(2), None, 1.5)
+            mu.prune_user_points(table, rows, np.ones(2), None, 1.5)
         with pytest.raises(ValueError):
-            mu.prune_user_points(table, beams, np.ones(3), None, 0.9)
+            mu.prune_user_points(table, rows, np.ones(3), None, 0.9)
         table.update(np.array([False]))
         with pytest.raises(ValueError, match="no alive points"):
-            mu.prune_user_points(table, beams, np.ones(2), None, 0.9)
+            mu.prune_user_points(table, rows, np.ones(2), None, 0.9)
 
 
-def survivors_by_loop(state, beams, g_obs, f_obs, eta):
+def survivors_by_loop(state, rows, g_obs, f_obs, eta):
     """The pruning rule one alive point at a time: similarities from
     ``oracles.similarity``, the eta cut against the best of them, the
     peak-beam rule for a descending user, and the best-similarity points
     when nothing passes; an all-zero observation keeps every point.
     Returns (survivors, similarity per alive point)."""
-    cols = [bc.HierarchicalCodebook.row_of(b) for b in beams]
+    cols = rows.tolist()
     alive = np.flatnonzero(state.point_alive).tolist()
     if not np.any(g_obs):
         return alive, {}
     sims = {p: similarity(g_obs, state.gains[p, cols]) for p in alive}
     best = max(sims.values())
+    f_row = None if f_obs is None else bc.HierarchicalCodebook.row_of(f_obs)
     keep = [
         p
         for p in alive
         if sims[p] > eta * best
-        and (f_obs is None or beams[int(np.argmax(state.gains[p, cols]))] == f_obs)
+        and (f_row is None or cols[int(np.argmax(state.gains[p, cols]))] == f_row)
     ]
     return keep or [p for p in alive if sims[p] == best], sims
 
@@ -208,8 +210,9 @@ def survivors_by_loop(state, beams, g_obs, f_obs, eta):
 @st.composite
 def pruning_rounds(draw):
     """A search state over random per-point gain tables (some entries and
-    some whole points zero, some points already dead), one layer's probed
-    beams, an observation (sometimes all zero), eta and the descent beam."""
+    some whole points zero, some points already dead), the codebook rows
+    of one layer's probed beams, an observation (sometimes all zero), eta
+    and the descent beam."""
     L = draw(st.integers(2, 5))
     P = draw(st.integers(1, 30))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -223,19 +226,20 @@ def pruning_rounds(draw):
     layer = draw(st.integers(1, L))
     width = draw(st.integers(2, 2**layer))
     indices = np.sort(rng.choice(np.arange(1, 2**layer + 1), width, replace=False))
-    beams = [bc.BeamId(layer, int(n)) for n in indices]
+    rows = indices + (2**layer - 3)
     g_obs = np.zeros(width) if draw(st.integers(0, 4)) == 0 else rng.uniform(0.0, 2.0, width)
     eta = draw(st.one_of(st.just(1.0), st.floats(0.05, 0.999)))
+    beams = [bc.BeamId(layer, int(n)) for n in indices]
     f_obs = draw(st.one_of(st.none(), st.sampled_from(beams)))
-    return state, beams, g_obs, f_obs, eta
+    return state, rows, g_obs, f_obs, eta
 
 
 class TestPruningKernelAgainstLoop:
     @settings(max_examples=200, deadline=None)
     @given(pruning_rounds())
     def test_survivors_match_the_scalar_definition(self, case):
-        state, beams, g_obs, f_obs, eta = case
-        want, sims = survivors_by_loop(state, beams, g_obs, f_obs, eta)
+        state, rows, g_obs, f_obs, eta = case
+        want, sims = survivors_by_loop(state, rows, g_obs, f_obs, eta)
         # the kernel's cosine may round differently from the scalar one, so
         # rounds that decide within rounding of a boundary are skipped: two
         # distinct similarities, or a similarity and the cut, within 1e-9
@@ -245,7 +249,7 @@ class TestPruningKernelAgainstLoop:
             values = sorted(set(sims.values()))
             assume(all(b - a > 1e-9 for a, b in zip(values, values[1:])))
             assume(all(abs(v - eta * best) > 1e-9 for v in values if v != best))
-        got = mu.prune_user_points(state, beams, g_obs, f_obs, eta)
+        got = mu.prune_user_points(state, rows, g_obs, f_obs, eta)
         np.testing.assert_array_equal(got, want)
         assert state.root == f_obs
 

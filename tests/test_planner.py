@@ -2,7 +2,7 @@
 
 The oracle scores every activation with ``kernels.activation_rewards`` and
 picks the winner with the documented tie rule (``pick_activation``); the
-planner under test runs a shortest path over ``kernels.pair_weights``.
+planner under test runs a shortest path over ``SearchState.pair_weights``.
 Trees come from Hypothesis-drawn depth, density and seed; integer weights
 make exact ties common, real weights make them rare.
 """
@@ -17,7 +17,7 @@ from beamckm import kernels
 from beamckm.strategy import shortest_plan
 
 from conftest import FOUR_LEAF_WEIGHTS, from_bottom_weights
-from oracles import enumerate_activations, pick_activation
+from oracles import enumerate_activations, pair_weights, pick_activation, prefix_sums
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -55,7 +55,7 @@ def enumerated_rewards(tree, weights, acts):
     L = tree.num_layers
     mat = activation_matrix(acts, L)
     targets = tree.bottom_candidates().astype(np.int64)
-    return kernels.activation_rewards(tree.prefix_sums(), mat, weights, targets, L)
+    return kernels.activation_rewards(prefix_sums(tree), mat, weights, targets, L)
 
 
 def oracle_best(tree, weights, from_layer):
@@ -93,11 +93,11 @@ class TestSingleUserPlanner:
         targets = tree.bottom_candidates().astype(np.int64)
         shuffled = targets.copy()
         rnd.shuffle(shuffled)
-        csum = tree.prefix_sums()
+        csum = prefix_sums(tree)
         for from_layer in range(L):
             plans = []
-            for order in (targets, shuffled):
-                entry, edges = kernels.pair_weights(csum, weights, order, L)
+            for entry, edges in (tree.pair_weights(), pair_weights(csum, weights, shuffled, L)):
+                edges = edges.copy()
                 edges[from_layer] = entry
                 plans.append(shortest_plan(edges, from_layer, L)[1])
             assert plans[0] == plans[1]
