@@ -2,8 +2,10 @@
 
 The propagation model is a deterministic stand-in for ray tracing: a LoS
 path plus one single-bounce path per visible point scatterer, with segment
-obstacles that can block either leg.  Everything is a pure function of
-(environment seed, geometry), so repeated calls are bit-identical.
+obstacles that can block either leg.  ``trace_point_paths`` traces it from
+the ``Environment`` and ``ArrayConfig`` themselves, vectorized over
+receivers.  Everything is a pure function of (environment seed, geometry),
+so repeated calls are bit-identical.
 
 Probing reads a channel's noiseless codeword responses from a
 ``Responses`` cache, which computes each one on first use: a response is
@@ -17,8 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from . import kernels
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -94,34 +94,107 @@ class Environment:
         phases = rng.uniform(0.0, 2.0 * np.pi, size=len(self.scatterers))
         object.__setattr__(self, "_scat_phases", phases)
 
-    def geometry_arrays(self, bs_position):
-        """Packed arrays consumed by the path-tracing kernels."""
-        ns = len(self.scatterers)
-        scat_pos = np.array([s.position for s in self.scatterers], dtype=float).reshape(ns, 2)
-        scat_refl = np.array([s.reflection for s in self.scatterers], dtype=float)
-        obstacles = np.array(
-            [[o.start[0], o.start[1], o.end[0], o.end[1]] for o in self.obstacles],
-            dtype=float,
-        ).reshape(len(self.obstacles), 4)
-        bs = np.asarray(bs_position, dtype=float)
-        on_bs = np.flatnonzero(np.all(scat_pos == bs, axis=1))
-        if on_bs.size:
-            raise ValueError(f"scatterers[{on_bs[0]}] position coincides with the BS position")
-        scat_vis = ~kernels._blocked(scat_pos[:, 0], scat_pos[:, 1], bs[0], bs[1], obstacles)
-        return bs, scat_pos, scat_refl, self._scat_phases, scat_vis, obstacles
+
+def _orient(ax, ay, bx, by, cx, cy):
+    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
 
 
-def trace_point_paths(env: Environment, array: ArrayConfig, positions: np.ndarray):
-    """Path parameters (angles, amps, phases, counts) for many receivers."""
-    bs, scat_pos, scat_refl, scat_phase, scat_vis, obstacles = env.geometry_arrays(
-        array.bs_position
+def _on_segment(sx, sy, ex, ey, px, py):
+    # collinearity is tested by the caller; this checks the bounding box
+    return (
+        (np.minimum(sx, ex) <= px) & (px <= np.maximum(sx, ex))
+        & (np.minimum(sy, ey) <= py) & (py <= np.maximum(sy, ey))
     )
-    pts = np.asarray(positions, dtype=float).reshape(-1, 2)
+
+
+def _blocked(ax, ay, bx, by, walls):
+    """Whether segment a-b crosses any wall row (x1, y1, x2, y2); touching
+    or collinear overlap counts as blocked.  Vectorized over (ax, ay); b
+    may be an array or a point."""
+    ax = np.asarray(ax, dtype=float)
+    blocked = np.zeros(np.shape(ax), dtype=bool)
+    for q1x, q1y, q2x, q2y in walls:
+        o1 = _orient(ax, ay, bx, by, q1x, q1y)
+        o2 = _orient(ax, ay, bx, by, q2x, q2y)
+        o3 = _orient(q1x, q1y, q2x, q2y, ax, ay)
+        o4 = _orient(q1x, q1y, q2x, q2y, bx, by)
+        proper = (
+            ((o1 > 0) != (o2 > 0))
+            & ((o3 > 0) != (o4 > 0))
+            & (o1 != 0) & (o2 != 0) & (o3 != 0) & (o4 != 0)
+        )
+        touch = (
+            ((o1 == 0) & _on_segment(ax, ay, bx, by, q1x, q1y))
+            | ((o2 == 0) & _on_segment(ax, ay, bx, by, q2x, q2y))
+            | ((o3 == 0) & _on_segment(q1x, q1y, q2x, q2y, ax, ay))
+            | ((o4 == 0) & _on_segment(q1x, q1y, q2x, q2y, bx, by))
+        )
+        blocked |= proper | touch
+    return blocked
+
+
+def _receiver_points(positions) -> np.ndarray:
+    """(P, 2) float array of one (x, y) position or a (P, 2) array of them."""
+    pts = np.asarray(positions, dtype=float)
+    if pts.ndim not in (1, 2) or pts.shape[-1] != 2:
+        raise ValueError(f"positions must have shape (2,) or (P, 2), got {pts.shape}")
+    return pts.reshape(-1, 2)
+
+
+def trace_point_paths(env: Environment, array: ArrayConfig, positions):
+    """Path parameters (angles, amps, phases, counts) at receiver positions,
+    one row per point of a (2,) or (P, 2) array.
+
+    Each point has a LoS path and one bounce per scatterer that sees the BS,
+    each dropped when a wall blocks a leg.  The survivors fill
+    min(max_paths, scatterers + 1) slots strongest-first by amplitude (ties
+    keep LoS before scatterer paths, then declaration order); empty slots
+    are zero.  A scatterer or receiver on the BS raises ValueError.
+    """
+    pts = _receiver_points(positions)
+    bs = np.asarray(array.bs_position, dtype=float)
+    for i, scat in enumerate(env.scatterers):
+        if np.array_equal(scat.position, bs):
+            raise ValueError(f"scatterers[{i}] position coincides with the BS position")
     if np.any(np.all(pts == bs, axis=1)):
         raise ValueError("receiver position coincides with the BS")
-    return kernels.trace_paths(
-        pts, bs, scat_pos, scat_refl, scat_phase, scat_vis, obstacles,
-        array.wavelength, env.pathloss_exponent, env.max_paths,
+    walls = np.array([(*o.start, *o.end) for o in env.obstacles], dtype=float).reshape(-1, 4)
+    wavelength, ple = array.wavelength, env.pathloss_exponent
+    amp0 = wavelength / (4.0 * np.pi)
+    px, py = pts[:, 0], pts[:, 1]
+    # slot 0 is LoS, slot s the bounce off scatterer s - 1
+    c_ang, c_amp, c_phs = np.zeros((3, len(pts), len(env.scatterers) + 1))
+
+    dx, dy = px - bs[0], py - bs[1]
+    dist = np.sqrt(dx * dx + dy * dy)
+    c_ang[:, 0] = dx / dist
+    c_amp[:, 0] = np.where(_blocked(px, py, bs[0], bs[1], walls), 0.0, amp0 / dist**ple)
+    c_phs[:, 0] = -2.0 * np.pi * np.mod(dist / wavelength, 1.0)
+
+    for s, (scat, phase) in enumerate(zip(env.scatterers, env._scat_phases), start=1):
+        sx, sy = scat.position
+        if _blocked(sx, sy, bs[0], bs[1], walls):
+            continue
+        d1x, d1y = sx - bs[0], sy - bs[1]
+        d1 = np.sqrt(d1x * d1x + d1y * d1y)
+        d2x, d2y = px - sx, py - sy
+        total = d1 + np.sqrt(d2x * d2x + d2y * d2y)
+        c_ang[:, s] = d1x / d1
+        c_amp[:, s] = np.where(
+            _blocked(px, py, sx, sy, walls), 0.0, scat.reflection * amp0 / total**ple
+        )
+        c_phs[:, s] = -2.0 * np.pi * np.mod(total / wavelength, 1.0) + phase
+
+    width = min(env.max_paths, c_amp.shape[1])
+    sel = np.argsort(-c_amp, axis=1, kind="stable")[:, :width]
+    rows = np.arange(len(pts))[:, None]
+    amps = c_amp[rows, sel]
+    keep = amps > 0.0
+    return (
+        np.where(keep, c_ang[rows, sel], 0.0),
+        np.where(keep, amps, 0.0),
+        np.where(keep, c_phs[rows, sel], 0.0),
+        keep.sum(axis=1),
     )
 
 
@@ -149,14 +222,13 @@ def synthesize_channel(env: Environment, array: ArrayConfig, positions) -> np.nd
     one bounce per visible scatterer, truncated to the max_paths strongest.
     Raises ValueError naming the first position that no path reaches.
     """
-    pos = np.asarray(positions, dtype=float)
-    pts = pos.reshape(-1, 2)
+    pts = _receiver_points(positions)
     angles, amps, phases, counts = trace_point_paths(env, array, pts)
     unreached = np.flatnonzero(counts == 0)
     if unreached.size:
         raise ValueError(f"no propagation path reaches position {tuple(pts[unreached[0]])}")
     h = channel_vectors(angles, amps, phases, array.num_antennas)
-    return h[0] if pos.ndim == 1 else h
+    return h[0] if np.ndim(positions) == 1 else h
 
 
 class Responses:

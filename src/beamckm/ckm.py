@@ -73,21 +73,22 @@ class GridSpec:
     def num_points(self) -> int:
         return self.nx * self.ny
 
+    def cell_center(self, ix, iy):
+        """(x, y) center of column ``ix`` and row ``iy``; ints or arrays."""
+        return (
+            self.origin[0] + (ix + 0.5) * self.spacing_x,
+            self.origin[1] + (iy + 0.5) * self.spacing_y,
+        )
+
     def point_coords(self) -> np.ndarray:
         """(num_points, 2) array of cell-center positions, row-major."""
-        ix = np.arange(self.nx)
-        iy = np.arange(self.ny)
-        x = self.origin[0] + (ix + 0.5) * self.spacing_x
-        y = self.origin[1] + (iy + 0.5) * self.spacing_y
+        x, y = self.cell_center(np.arange(self.nx), np.arange(self.ny))
         xx, yy = np.meshgrid(x, y)  # rows vary in y
         return np.column_stack([xx.ravel(), yy.ravel()])
 
     def point_position(self, index: int) -> tuple[float, float]:
         iy, ix = divmod(int(index), self.nx)
-        return (
-            self.origin[0] + (ix + 0.5) * self.spacing_x,
-            self.origin[1] + (iy + 0.5) * self.spacing_y,
-        )
+        return self.cell_center(ix, iy)
 
     def snap_index(self, position) -> int:
         """Nearest grid point; ties and out-of-extent positions resolve

@@ -30,6 +30,7 @@ from .channel import (
     _check_point,
     responses,
     synthesize_channel,
+    trace_point_paths,
 )
 from .ckm import CkmGrid, GridSpec
 from .codebook import BeamId, HierarchicalCodebook, build_codebook
@@ -125,7 +126,7 @@ class ScenarioConfig:
             )
         _check_algorithms(self.algorithms)
         # a scatterer on the BS or a region covering no grid point fails here, not mid-run
-        self.environment.geometry_arrays(self.array.bs_position)
+        trace_point_paths(self.environment, self.array, np.empty((0, 2)))
         user_priors(self)
 
 
@@ -227,17 +228,12 @@ def region_points(grid: GridSpec, region: RegionSpec) -> np.ndarray:
     """Grid-point indices covered by one region, ascending."""
     if region.rect is not None:
         x0, y0, x1, y1 = region.rect
-        coords = grid.point_coords()
-        inside = (
-            (coords[:, 0] >= x0)
-            & (coords[:, 0] <= x1)
-            & (coords[:, 1] >= y0)
-            & (coords[:, 1] <= y1)
-        )
-        idx = np.flatnonzero(inside)
-        if idx.size == 0:
+        x, y = grid.cell_center(np.arange(grid.nx), np.arange(grid.ny))
+        ix = np.flatnonzero((x >= x0) & (x <= x1))
+        iy = np.flatnonzero((y >= y0) & (y <= y1))
+        if ix.size == 0 or iy.size == 0:
             raise ValueError(f"rect {region.rect} covers no grid point")
-        return idx
+        return (iy[:, None] * grid.nx + ix).ravel()
     idx = np.array([grid.snap_index(p) for p in region.points], dtype=np.int64)
     if len(np.unique(idx)) != len(idx):
         raise ValueError("explicit point list snaps onto duplicate grid points")

@@ -135,6 +135,37 @@ class TestSynthesizeChannel:
         np.testing.assert_allclose(sorted(amps_cut, reverse=True), amps_full[:3])
 
 
+class TestTracePointPaths:
+    def test_width_is_capped_by_the_scene(self):
+        # one scatterer: at most two paths, however large max_paths is
+        array = make_array(bs=(0.0, 0.0))
+        env = bc.Environment(scatterers=(bc.Scatterer((-4.0, 5.0), 0.5),), max_paths=64)
+        traced = trace_point_paths(env, array, np.array([[0.0, 10.0], [3.0, 4.0]]))
+        for part in traced[:3]:
+            assert part.shape == (2, 2)
+        np.testing.assert_array_equal(traced[3], [2, 2])
+
+    def test_no_receivers_still_checks_the_scene(self):
+        array = make_array(bs=(0.0, 0.0))
+        traced = trace_point_paths(bc.Environment(), array, np.empty((0, 2)))
+        assert [part.shape for part in traced] == [(0, 1), (0, 1), (0, 1), (0,)]
+        on_bs = bc.Environment(scatterers=(bc.Scatterer((0.0, 0.0), 0.5),))
+        with pytest.raises(ValueError, match=r"scatterers\[0\] position coincides"):
+            trace_point_paths(on_bs, array, np.empty((0, 2)))
+
+    @pytest.mark.parametrize(
+        "positions",
+        [np.full((4, 3), 2.0), [5.0, 6.0, 7.0, 8.0], np.full((1, 2, 2), 3.0), 5.0, [[5.0], [6.0]]],
+        ids=["rows-of-3", "flat-4", "3-d", "scalar", "rows-of-1"],
+    )
+    def test_malformed_positions_rejected(self, positions):
+        # these once traced made-up points, dropped points or failed in reshape
+        array, env = make_array(), bc.Environment()
+        for fn in (bc.synthesize_channel, trace_point_paths):
+            with pytest.raises(ValueError, match=r"shape \(2,\) or \(P, 2\)"):
+                fn(env, array, positions)
+
+
 @st.composite
 def lattice_scenes(draw):
     """Small scenes on the integer lattice: cell centres, the BS, the

@@ -4,8 +4,10 @@ Oracles: nearest grid point by brute-force Euclidean distance, and map
 contents by probing a freshly synthesized channel at every grid point.
 """
 
+import dataclasses
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +15,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import beamckm as bc
+from beamckm.channel import trace_point_paths
 
 from conftest import toy_ckm
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def nearest_point_oracle(grid: bc.GridSpec, pos) -> int:
@@ -134,6 +139,18 @@ class TestBuildCkm:
             h = bc.synthesize_channel(env, array, grid.point_position(p))
             direct = np.abs(cb.matrix @ h.conj())
             np.testing.assert_allclose(ckm.gains[:, p], direct, rtol=1e-5, atol=1e-12)
+
+    def test_max_paths_beyond_the_scene_changes_no_byte(self):
+        # desk has three scatterers, so slots past the fourth stay empty
+        config = bc.load_scenario(CONFIGS / "desk.json")
+        env, array, grid = config.environment, config.array, config.grid
+        cb = bc.build_codebook(array.num_antennas)
+        wide = dataclasses.replace(env, max_paths=64)
+        traced = trace_point_paths(wide, array, grid.point_coords())
+        assert traced[0].shape == (grid.num_points, len(env.scatterers) + 1)
+        assert bc.save_ckm(bc.build_ckm(wide, array, cb, grid)) == bc.save_ckm(
+            bc.build_ckm(env, array, cb, grid)
+        )
 
     def test_blocked_points_store_zero_gain(self):
         # a full-width wall: points beyond it reach nothing and map to zero

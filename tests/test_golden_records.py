@@ -7,7 +7,8 @@ Each case runs all five algorithms at SNR inf, 10, 0 and -10 dB, seed 0,
 on the desk scene (12 trials) and the large scene (6 trials), at the
 configured beta and at beta 0.2 with ``retain_beams`` 2, and on the deep
 scene (512 antennas, L=9, the deepest planner; 4 trials) at its
-configured beta.
+configured beta.  The maps those sweeps read are pinned by their
+``save_ckm`` bytes.
 
 The hashes were taken with numpy 2.4 and OpenBLAS 0.3 on x86-64. Another
 BLAS or numpy build may round the map gains differently and move them. A
@@ -34,6 +35,13 @@ GOLDEN = {
     ("large", "configured"): "47a3dcdb638585384d5657a757ec133d35066b95f2bafc25c7981232c20d195f",
     ("large", "beta0.2-retain2"): "2b0deed23482301e810583bff85f465e6bbd741aa9f0182a379d2fd2c7486d49",
     ("deep", "configured"): "20dd97941bb369b99b2ce4fd0ddff637d64fedf37eec8dc092550431767a2f0d",
+}
+
+# sha256 of the ``save_ckm`` bytes of each scene's map
+MAP_GOLDEN = {
+    "desk": "d318397857f66da0988cae7924ed30c98cc4d9026025a08b2928ecf40e764a01",
+    "large": "a7d7a1782ed26f59ce9dc2e1d85e9dd84b96a74676c72e223df2827f44dfe392",
+    "deep": "71795386de1b5b94f03628c388372e8ac2ac5487787da0196c726aa557c3bf32",
 }
 
 TRIALS = {"desk": 12, "large": 6, "deep": 4}
@@ -73,3 +81,9 @@ def test_records_hash(scenes, scene, variant, tmp_path):
     path = tmp_path / "records.csv"
     bc.write_results_csv(records, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN[(scene, variant)]
+
+
+@pytest.mark.parametrize("scene", sorted(MAP_GOLDEN))
+def test_map_hash(scenes, scene):
+    _, ckm = scenes[scene]
+    assert hashlib.sha256(bc.save_ckm(ckm)).hexdigest() == MAP_GOLDEN[scene]

@@ -9,6 +9,7 @@ import dataclasses
 import functools
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -230,6 +231,11 @@ class TestScenarioParsing:
             ("environment.scatterers.0.position", [8.0, -1.0], r"scatterers\[0\] position"),
             ("environment.pathloss_exponent", float("nan"), "pathloss_exponent"),
             ("environment.obstacles.0.end", [13.0, float("nan")], "obstacle end"),
+            (
+                "environment.scatterers.1.position",
+                [8.0, -1.0],
+                r"scatterers\[1\] position coincides with the BS position",
+            ),
         ],
     )
     def test_bad_geometry_rejected_at_load(self, path, value, field):
@@ -410,6 +416,33 @@ class TestRegions:
             bc.region_points(grid, bc.RegionSpec(prior=1.0, rect=(5.0, 5.0, 4.0, 6.0)))
         with pytest.raises(ValueError, match="covers no grid point"):
             bc.region_points(grid, bc.RegionSpec(prior=1.0, rect=(2.1, 2.1, 2.4, 2.4)))
+
+    def test_rect_ids_match_every_center_test(self):
+        # an offset, non-square grid whose rects cut through rows and columns
+        grid = bc.GridSpec(extent_x=7.0, extent_y=4.5, spacing_x=1.0, spacing_y=0.5, origin=(-3, 2))
+        coords = grid.point_coords()
+        for rect in [(-3.0, 2.0, 4.0, 6.5), (-1.2, 2.6, 1.5, 3.3), (0.5, 4.25, 0.5, 6.0)]:
+            x0, y0, x1, y1 = rect
+            inside = (
+                (coords[:, 0] >= x0) & (coords[:, 0] <= x1)
+                & (coords[:, 1] >= y0) & (coords[:, 1] <= y1)
+            )
+            idx = bc.region_points(grid, bc.RegionSpec(prior=1.0, rect=rect))
+            np.testing.assert_array_equal(idx, np.flatnonzero(inside))
+
+    def test_rect_lookup_memory_follows_the_axes(self):
+        # testing all 4e6 cell centers of this grid takes tens of MB
+        grid = bc.GridSpec(extent_x=2000.0, extent_y=2000.0, spacing_x=1.0, spacing_y=1.0)
+        region = bc.RegionSpec(prior=1.0, rect=(100.0, 200.0, 107.0, 207.0))
+        tracemalloc.start()
+        try:
+            idx = bc.region_points(grid, region)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        want = (np.arange(200, 207)[:, None] * 2000 + np.arange(100, 107)).ravel()
+        np.testing.assert_array_equal(idx, want)
 
     def test_points_snap_to_grid(self):
         grid = self.grid()

@@ -6,6 +6,14 @@ import math
 import numpy as np
 
 from beamckm import kernels
+from beamckm.channel import (
+    SPEED_OF_LIGHT,
+    ArrayConfig,
+    Environment,
+    Obstacle,
+    Scatterer,
+    trace_point_paths,
+)
 
 from conftest import from_bottom_weights
 from oracles import enumerate_activations, prefix_sums
@@ -44,13 +52,14 @@ def _distance(a, b):
     return math.sqrt(dx * dx + dy * dy)
 
 
-def reference_trace(pts, bs, scat_pos, scat_refl, scat_phase, scat_vis,
-                    obstacles, wavelength, ple, max_paths):
+def reference_trace(env, array, pts):
     """One point and one path at a time: the LoS path and one bounce per
-    visible scatterer, each kept unless a wall blocks a leg, then the
-    ``max_paths`` strongest in stable order (LoS first, then scatterers)."""
-    walls = [((float(o[0]), float(o[1])), (float(o[2]), float(o[3]))) for o in obstacles]
-    bs = (float(bs[0]), float(bs[1]))
+    scatterer that sees the BS, each kept unless a wall blocks a leg, then
+    the ``max_paths`` strongest in stable order (LoS first, then
+    scatterers), zero-padded to ``max_paths`` slots."""
+    walls = [(tuple(map(float, o.start)), tuple(map(float, o.end))) for o in env.obstacles]
+    bs = tuple(map(float, array.bs_position))
+    wavelength, ple, max_paths = array.wavelength, env.pathloss_exponent, env.max_paths
     amp0 = wavelength / (4.0 * math.pi)
     out = [np.zeros((len(pts), max_paths)) for _ in range(3)]
     counts = np.zeros(len(pts), dtype=np.int64)
@@ -61,14 +70,14 @@ def reference_trace(pts, bs, scat_pos, scat_refl, scat_phase, scat_vis,
             dist = _distance(bs, p)
             paths.append((amp0 / dist**ple, (p[0] - bs[0]) / dist,
                           -2.0 * math.pi * ((dist / wavelength) % 1.0)))
-        for s, (sx, sy) in enumerate(scat_pos):
-            sc = (float(sx), float(sy))
-            if not scat_vis[s] or any(_crosses(sc, p, *w) for w in walls):
+        for scat, phase in zip(env.scatterers, env._scat_phases):
+            sc = tuple(map(float, scat.position))
+            if any(_crosses(bs, sc, *w) or _crosses(sc, p, *w) for w in walls):
                 continue
             d1 = _distance(bs, sc)
             total = d1 + _distance(sc, p)
-            paths.append((scat_refl[s] * amp0 / total**ple, (sc[0] - bs[0]) / d1,
-                          -2.0 * math.pi * ((total / wavelength) % 1.0) + scat_phase[s]))
+            paths.append((scat.reflection * amp0 / total**ple, (sc[0] - bs[0]) / d1,
+                          -2.0 * math.pi * ((total / wavelength) % 1.0) + phase))
         kept = sorted(paths, key=lambda path: -path[0])[:max_paths]
         counts[i] = len(kept)
         for slot, (amp, angle, phase) in enumerate(kept):
@@ -76,25 +85,42 @@ def reference_trace(pts, bs, scat_pos, scat_refl, scat_phase, scat_vis,
     return out[0], out[1], out[2], counts
 
 
-def assert_matches_reference(args, max_paths):
-    got = kernels.trace_paths(*args, 0.00375, 1.0, max_paths)
-    want = reference_trace(*args, 0.00375, 1.0, max_paths)
+def scene(bs, scat_pos, scat_refl, walls, max_paths, seed=0):
+    """Environment and 80 GHz array (wavelength about 3.75 mm) of a test scene."""
+    env = Environment(
+        scatterers=tuple(Scatterer(tuple(p), r) for p, r in zip(scat_pos, scat_refl)),
+        obstacles=tuple(Obstacle(tuple(w[:2]), tuple(w[2:])) for w in walls),
+        max_paths=max_paths,
+        rng_seed=seed,
+    )
+    return env, ArrayConfig(4, SPEED_OF_LIGHT / 0.00375, tuple(bs))
+
+
+def assert_matches_reference(env, array, pts):
+    """The trace equals the reference in its min(max_paths, scatterers + 1)
+    slots, and the reference leaves every further slot empty."""
+    got = trace_point_paths(env, array, pts)
+    want = reference_trace(env, array, pts)
+    width = min(env.max_paths, len(env.scatterers) + 1)
     np.testing.assert_array_equal(got[3], want[3])
     for g, w in zip(got[:3], want[:3]):
-        assert g.shape == (len(args[0]), max_paths)
-        np.testing.assert_array_equal(g, w)
+        assert g.shape == (len(pts), width)
+        np.testing.assert_array_equal(g, w[:, :width])
+        assert not w[:, width:].any()
     return want[3]
 
 
-def random_geometry(rng, n_points=40, n_scat=3, n_obs=2):
+def random_scene(rng, max_paths, n_points=40, n_scat=3, n_obs=2):
     pts = rng.uniform(0.5, 19.5, size=(n_points, 2))
-    bs = np.array([10.0, -1.0])
-    scat_pos = rng.uniform(1.0, 19.0, size=(n_scat, 2))
-    scat_refl = rng.uniform(0.2, 0.9, size=n_scat)
-    scat_phase = rng.uniform(0, 2 * np.pi, size=n_scat)
-    scat_vis = rng.random(n_scat) < 0.8
-    obstacles = rng.uniform(2.0, 18.0, size=(n_obs, 4))
-    return pts, bs, scat_pos, scat_refl, scat_phase, scat_vis, obstacles
+    env, array = scene(
+        (10.0, -1.0),
+        rng.uniform(1.0, 19.0, size=(n_scat, 2)),
+        rng.uniform(0.2, 0.9, size=n_scat),
+        rng.uniform(2.0, 18.0, size=(n_obs, 4)),
+        max_paths,
+        seed=int(rng.integers(1000)),
+    )
+    return env, array, pts
 
 
 def random_tree_inputs(rng, num_layers):
@@ -111,12 +137,13 @@ class TestPathTracingReference:
     def test_random_scenes_match_reference(self):
         rng = np.random.default_rng(17)
         for _ in range(10):
-            assert_matches_reference(random_geometry(rng), 4)
+            assert_matches_reference(*random_scene(rng, 4))
 
     def test_max_paths_truncation_matches_reference(self):
-        args = random_geometry(np.random.default_rng(3), n_scat=6, n_obs=0)
-        for max_paths in (1, 2, 7):
-            assert assert_matches_reference(args, max_paths).max() == max_paths
+        for max_paths in (1, 2, 7, 9):
+            env, array, pts = random_scene(np.random.default_rng(3), max_paths, n_scat=6, n_obs=0)
+            counts = assert_matches_reference(env, array, pts)
+            assert counts.max() == min(max_paths, 7)
 
     def test_touching_and_collinear_walls_match_reference(self):
         # integer geometry makes the orientation tests exactly zero: a wall
@@ -124,22 +151,26 @@ class TestPathTracingReference:
         # whose end lies exactly on a scatterer leg
         xs, ys = np.meshgrid(np.arange(-4.0, 5.0), np.arange(1.0, 9.0))
         pts = np.column_stack([xs.ravel(), ys.ravel()])
-        args = (
-            pts,
-            np.array([0.0, 0.0]),
-            np.array([[-6.0, 6.0], [6.0, 2.0]]),
-            np.array([0.5, 0.7]),
-            np.array([0.3, 1.9]),
-            np.array([True, True]),
-            np.array([[0.0, 2.0, 0.0, 4.0], [1.0, 1.0, 3.0, 1.0], [-2.0, 2.0, -2.0, 5.0]]),
-        )
-        counts = assert_matches_reference(args, 3)
-        los_blocked = {(0.0, 3.0), (0.0, 5.0), (2.0, 2.0), (3.0, 3.0), (-4.0, 4.0)}
         walls = [((0.0, 2.0), (0.0, 4.0)), ((1.0, 1.0), (3.0, 1.0)), ((-2.0, 2.0), (-2.0, 5.0))]
+        scats = [(-6.0, 5.0), (7.0, 2.0)]
+        env, array = scene((0.0, 0.0), scats, [0.5, 0.7], [(*a, *b) for a, b in walls], 3)
+        # both scatterers see the BS, so every slot can fill
+        for sc in scats:
+            assert not any(_crosses((0.0, 0.0), sc, *w) for w in walls), sc
+        counts = assert_matches_reference(env, array, pts)
+        los_blocked = {(0.0, 3.0), (0.0, 5.0), (2.0, 2.0), (3.0, 3.0), (-4.0, 4.0)}
         for p in los_blocked:
             assert any(_crosses((0.0, 0.0), p, *w) for w in walls), p
         assert not any(_crosses((0.0, 0.0), (0.0, 1.0), *w) for w in walls)
         assert counts.min() == 0 and counts.max() == 3
+
+    def test_hidden_scatterer_adds_no_path(self):
+        # the wall between the BS and the scatterer also cuts the LoS to
+        # points behind it, so those points keep nothing
+        env, array = scene((0.0, 0.0), [(0.0, 6.0)], [0.9], [(-3.0, 3.0, 3.0, 3.0)], 4)
+        pts = np.array([[0.0, 8.0], [5.0, 1.0]])
+        counts = assert_matches_reference(env, array, pts)
+        np.testing.assert_array_equal(counts, [0, 1])
 
 
 class TestPairWeights:

@@ -70,5 +70,30 @@ def test_traced_sweep_reaches_every_episode_and_decision_site():
         "multiuser.joint_layer",
         "lookahead.subtree_view",
         "strategy.optimal_layer",
+        "channel.synthesize_channel",
+        "channel.trace_point_paths",
     }
     assert expected <= recorded, sorted(expected - recorded)
+
+
+def test_traced_map_build_reaches_the_tracer_site():
+    """A traced map build writes the untraced map, and its path tracing runs
+    under the ``ckm`` site, inside the build's span."""
+    ckm_module = importlib.import_module("beamckm.ckm")
+    config = bc.load_scenario(CONFIGS / "desk.json")
+    grid = bc.GridSpec(16.0, 8.0, 2.0, 2.0, config.grid.origin)
+
+    def build():
+        return ckm_module.build_ckm(
+            config.environment, config.array, bc.build_codebook(config.array.num_antennas), grid
+        )
+
+    plain = build()
+    tracer = load_tracer().Tracer()
+    with tracer.installed():
+        traced = build()
+    assert traced == plain
+    builds = [i for i, span in enumerate(tracer.spans) if span[0] == "ckm.build_ckm"]
+    assert len(builds) == 1
+    traces = [span for span in tracer.spans if span[0] == "channel.trace_point_paths"]
+    assert [span[3] for span in traces] == builds
