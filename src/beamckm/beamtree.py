@@ -11,6 +11,11 @@ A ``SearchState`` is one user's search over that tree.  Each observation
 updates it once, and the update derives one flat view of the tree: the
 weights and the candidate rows, both in codebook row order.  Every query
 slices that view; the planner's pair weights follow on first use.
+
+A state is a function of the prior, the map, beta and the feedback path,
+so the map-aided searches of a sweep walk one tree of cached states per
+user (``strategy.run_episode``): each state keeps its ``children`` by
+observed beam and its ``plans`` by layer-choice function.
 """
 
 from __future__ import annotations
@@ -44,6 +49,9 @@ class SearchState:
     ascending rows of positive weight: the candidates of every layer.
     Both are read-only, as is everything sliced or computed from them
     (``layer_weights``, ``candidate_rows``, ``pair_weights()``).
+
+    ``children`` and ``plans`` cache the search below this state.  An
+    update sets both to None: a state folded in place drops its cache.
     """
 
     def __init__(
@@ -93,25 +101,30 @@ class SearchState:
         )
         for name in ("point_ids", "point_mass", "gains", "contrib", "keep", "_first_rows"):
             setattr(self, name, _read_only(getattr(self, name)))
-        self._reset()
-        self._derive()
-        # the derived state before any observation, shared by every fresh copy
-        self._initial = (self.weights, self.rows, self._starts, self.pair_weights())
-
-    def _reset(self) -> None:
         self.point_alive = np.ones(len(self.point_ids), dtype=bool)
-        self.beam_alive = np.ones(self.num_bottom, dtype=bool)
+        self.beam_alive = np.ones(nb, dtype=bool)
         self.uniform_fallback = False
         self.root: BeamId | None = None
+        self._derive()
+        self.pair_weights()
+        self.children: dict | None = {}
+        self.plans: dict | None = {}
+        # this state before any observation, never folded in place: the
+        # source of every fresh copy, which shares its pair weights and cache
+        origin = self.copy()
+        origin._origin = self._origin = origin
 
     def fresh_copy(self) -> "SearchState":
-        """This state before any observation, for one more episode.  The
-        fixed arrays and the initial derived arrays, pair weights included,
-        are shared read-only."""
+        """This state before any observation, for one more episode: a copy
+        that shares the initial derived arrays, pair weights and cache."""
+        return self._origin.copy()
+
+    def copy(self) -> "SearchState":
+        """This state with its own alive masks over the shared read-only
+        arrays: an update of the copy leaves this state and its cache alone."""
         out = object.__new__(SearchState)
         out.__dict__.update(self.__dict__)
-        out._reset()
-        out.weights, out.rows, out._starts, out._pairs = self._initial
+        out.point_alive, out.beam_alive = self.point_alive.copy(), self.beam_alive.copy()
         return out
 
     def update(self, point_mask: np.ndarray, observed: BeamId | None = None) -> None:
@@ -140,7 +153,8 @@ class SearchState:
     def _derive(self) -> None:
         """Weights of the alive points and beams (bottom layer, then the
         pairwise-sum recursion upward), the candidate rows, and where each
-        layer's candidates start among them; clears the pair weights."""
+        layer's candidates start among them; clears the pair weights and
+        the search cache."""
         nb = self.num_bottom
         flat = np.empty(2 * nb - 2)
         if self.uniform_fallback:
@@ -159,7 +173,7 @@ class SearchState:
         self.rows = rows
         # layer l's candidates are rows[_starts[l - 1] : _starts[l]]
         self._starts = tuple(rows.searchsorted(self._first_rows).tolist())
-        self._pairs = None
+        self._pairs = self.children = self.plans = None
 
     @property
     def alive_points(self) -> np.ndarray:
@@ -236,8 +250,8 @@ def compute_point_weights(
     ``prior`` may be a PositionPrior or a raw array of grid-point indices
     of uniform mass.  It may also be a state already built from this map
     with the same ``beta`` and ``retain_beams``; the result is then its
-    ``fresh_copy()``, so a sweep builds each user's state once and every
-    episode starts from a copy.
+    ``fresh_copy()``, so a sweep builds each user's state once, every
+    episode starts from a copy, and the copies share one search cache.
     """
     if isinstance(prior, SearchState):
         built_for = (prior.beta, prior.retain_beams, prior.num_layers)

@@ -385,7 +385,8 @@ def run_trials(
     # every SNR and algorithm of this call
     resps = [responses(h, codebook) for h in channels]
     best = [BeamId(L, int(np.argmax(g)) + 1) for g in gains]
-    # each user's search state is built once; episodes start from copies
+    # each user's search state is built once: alg1 and alg2 walk its cached
+    # tree, alg3 starts from copies
     states = None
     if {"alg1", "alg2", "alg3"} & set(algos):
         states = [
@@ -400,9 +401,13 @@ def run_trials(
         oracles = [best[r] for r in rows]
         for si, snr in enumerate(snrs):
             sigma = noise_std_for_snr(snr, ref)
-            # every algorithm draws the same noise: seed once, rewind for the next
-            rngs = [np.random.default_rng([base_seed, 202, t, si, k]) for k in range(K)]
-            starts = [r.bit_generator.state for r in rngs] if len(algos) > 1 else []
+            # every algorithm draws the same noise: seed once, rewind for the
+            # next; a noiseless probe draws nothing, so it gets no generator
+            rngs, starts = [None] * K, []
+            if sigma:
+                rngs = [np.random.default_rng([base_seed, 202, t, si, k]) for k in range(K)]
+                if len(algos) > 1:
+                    starts = [r.bit_generator.state for r in rngs]
             for ai, algo in enumerate(algos):
                 if ai:
                     for r, start in zip(rngs, starts):

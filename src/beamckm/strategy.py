@@ -16,6 +16,12 @@ function they pass (this planner for alg1, ``lookahead.next_layer`` for
 alg2), and ``probe_round`` is also the probe step of the map-blind
 baselines.
 
+The state after a round depends only on the state before it and the
+observed beam; noise only picks the branch.  So ``run_episode`` walks a
+tree of cached states: each state derives its plan per layer choice and
+its child per observed beam once, and every later episode of a sweep
+that reaches it reuses them.
+
 Tie rule: plans are ordered by lowest cost, where costs within a relative
 ``PLAN_RTOL`` of each other tie, then by fewest layers, then by the
 deepest first layer (then the deepest second layer, and so on).
@@ -154,19 +160,33 @@ def run_episode(
     rng: np.random.Generator | None = None,
 ) -> tuple[BeamId, int, list[ProbeRound]]:
     """Map-aided search: each round probes the candidates under the root
-    at ``choose_layer(state)`` and folds the feedback into the state.
-    ``channel`` is a channel vector or its ``Responses`` to ``codebook``.
-    Returns (chosen bottom beam, probe count, rounds)."""
-    candidate_beams(state)  # a state without candidates fails before any probe
+    at ``choose_layer(state)`` and moves to the child state that folds in
+    the feedback (``apply_observation`` on a copy), leaving ``state`` as
+    it was.  ``channel`` is a channel vector or its ``Responses`` to
+    ``codebook``.  Returns (chosen bottom beam, probe count, rounds)."""
     resp = responses(channel, codebook)
     transcript: list[ProbeRound] = []
-    while (chosen := episode_outcome(state)) is None:
-        layer = choose_layer(state)
-        cands = state.candidates(layer).tolist()
+    while True:
+        if state.plans is None:  # a state folded in place caches afresh
+            state.children, state.plans = {}, {}
+        plan = state.plans.get(choose_layer)
+        if plan is None:
+            # a state without candidates fails before any probe
+            chosen = episode_outcome(candidate_beams(state))
+            layer = choose_layer(state) if chosen is None else None
+            cands = tuple(state.candidates(layer).tolist()) if chosen is None else None
+            plan = state.plans[choose_layer] = (chosen, layer, cands)
+        chosen, layer, cands = plan
+        if chosen is not None:
+            return chosen, sum(r.probes for r in transcript), transcript
         r = probe_round(resp, layer, cands, noise_std, rng)
         transcript.append(r)
-        apply_observation(state, BeamId(layer, r.feedback))
-    return chosen, sum(r.probes for r in transcript), transcript
+        child = state.children.get((layer, r.feedback))
+        if child is None:
+            child = state.copy()
+            apply_observation(child, BeamId(layer, r.feedback))
+            state.children[layer, r.feedback] = child
+        state = child
 
 
 def run_single_user(

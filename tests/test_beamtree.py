@@ -11,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import beamckm as bc
+from beamckm.lookahead import next_layer
 from beamckm.multiuser import prune_user_points
+from beamckm.strategy import optimal_layer, run_episode
 
 from conftest import (
     ancestor_closed,
@@ -563,3 +565,76 @@ class TestRootSubtree:
                 lo, hi = (state.root.index - 1) << shift, state.root.index << shift
                 positive = np.flatnonzero(state.bottom_weights > 0.0)
                 assert ((positive >= lo) & (positive < hi)).all()
+
+
+def cached_states(state, path=()):
+    """Every state cached below ``state``, each with the observations that
+    lead to it from ``state``."""
+    for (layer, index), child in (state.children or {}).items():
+        here = path + (bc.BeamId(layer, index),)
+        yield here, child
+        yield from cached_states(child, here)
+
+
+class TestSearchTreeCache:
+    """The states that ``run_episode`` caches below a built state are those
+    that folding the same observations into a fresh copy gives."""
+
+    @staticmethod
+    def searched_tree(seed):
+        """A sparse random map's built state, after noisy alg1 and alg2
+        episodes from it: the feedback is close to random, so observations
+        often contradict every point and the uniform fallback engages."""
+        rng = np.random.default_rng(seed)
+        bottom = rng.uniform(0.0, 1.0, (6, 16)) * (rng.random((6, 16)) < 0.3)
+        built = bc.compute_point_weights(toy_ckm(bottom), np.arange(6), beta=0.5)
+        cb = bc.build_codebook(16)
+        for k in range(30):
+            h = rng.normal(size=16) + 1j * rng.normal(size=16)
+            for choose in (optimal_layer, next_layer):
+                run_episode(h, cb, built, choose, 10.0, np.random.default_rng(k))
+        return built
+
+    def test_cached_children_equal_replayed_observations(self):
+        built = self.searched_tree(3)
+        walked = list(cached_states(built))
+        assert len(walked) > 10
+        assert any(child.uniform_fallback for _, child in walked)
+        assert any(not child.uniform_fallback for _, child in walked)
+        for path, child in walked:
+            replay = built.fresh_copy()
+            for observed in path:
+                bc.apply_observation(replay, observed)
+            for name in ("weights", "rows", "point_alive", "beam_alive"):
+                np.testing.assert_array_equal(getattr(child, name), getattr(replay, name))
+            assert child.root == replay.root == path[-1]
+            assert child.uniform_fallback == replay.uniform_fallback
+
+    def test_built_state_is_left_in_its_initial_state(self):
+        built = self.searched_tree(4)
+        initial = recomputed(built.fresh_copy())
+        assert built.point_alive.all() and built.beam_alive.all()
+        assert built.root is None and not built.uniform_fallback
+        np.testing.assert_array_equal(built.weights, initial[0])
+        np.testing.assert_array_equal(built.rows, initial[1])
+
+    def test_copies_share_the_initial_cache_until_an_update(self):
+        built = self.searched_tree(5)
+        copy = built.fresh_copy()
+        assert copy.children is built.children and copy.plans is built.plans
+        observed = bc.BeamId(1, int(copy.candidates(1)[0]))
+        bc.apply_observation(copy, observed)
+        assert copy.children is None and copy.plans is None
+        assert built.fresh_copy().children is built.children
+
+    def test_copy_folds_without_touching_the_original(self):
+        built = self.searched_tree(6)
+        path, node = max(cached_states(built), key=lambda item: len(item[0]))
+        before = {name: getattr(node, name).copy() for name in ("point_alive", "beam_alive")}
+        copy = node.copy()
+        assert copy.root == node.root == path[-1]
+        copy.update(np.zeros(len(copy.point_ids), dtype=bool))
+        assert copy.uniform_fallback and copy.children is None
+        for name, want in before.items():
+            np.testing.assert_array_equal(getattr(node, name), want)
+        assert node.children is not None and node.plans is not None

@@ -753,6 +753,34 @@ class TestSweepInvariants:
             assert table.point_alive.all() and table.beam_alive.all()
             assert not table.uniform_fallback
 
+    def test_alg3_between_the_cached_searches_changes_no_record(self, small_scene):
+        """alg3 folds observations into copies of the states whose cached
+        trees alg1 and alg2 walk; every algorithm's records equal those of
+        its own call."""
+        cfg = self.config()
+        run = functools.partial(
+            bc.run_trials, cfg, small_scene["ckm"], trials=10, snr_db=["inf", 0.0, -15.0]
+        )
+        mixed = run(algorithms=("alg1", "alg3", "alg2"))
+        for algo in ("alg1", "alg3", "alg2"):
+            alone = run(algorithms=(algo,))
+            assert alone == [r for r in mixed if r.algorithm == algo]
+
+    def test_noiseless_points_seed_no_noise_generator(self, small_scene, monkeypatch):
+        seeds = []
+        default_rng = np.random.default_rng
+
+        def counted(seed=None):
+            seeds.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counted)
+        bc.run_trials(self.config(), small_scene["ckm"], algorithms=bc.ALGORITHMS, trials=3,
+                      snr_db=["inf", 10.0])
+        # [seed, 202, trial, SNR index, user]: only the 10 dB point seeds noise
+        noise = [s for s in seeds if isinstance(s, list) and s[1] == 202]
+        assert len(noise) == 3 * 2 and all(s[3] == 1 for s in noise)
+
     def test_tables_built_only_for_map_aided_algorithms(self, small_scene, monkeypatch):
         calls = record_weight_tables(monkeypatch)
         cfg = self.config()

@@ -7,10 +7,14 @@ candidate sets and counts probes by the stated rules, sharing no code
 with the implementation under test.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import beamckm as bc
+from beamckm.lookahead import next_layer
+from beamckm.strategy import run_episode
 
 from conftest import (
     FOUR_LEAF_WEIGHTS,
@@ -370,3 +374,92 @@ class TestSharedEpisodeLoop:
             assert state.bottom_candidates().tolist() == [chosen.index]
         if algo in ("alg1", "alg2"):
             assert sole_candidate_endings > 0
+
+
+class TestSearchTreeCache:
+    """``run_episode`` walks a tree of cached states below the state it is
+    given: it leaves that state as it was, and an episode through a state
+    already reached derives nothing again."""
+
+    PRIOR = bc.PositionPrior(
+        (bc.SubRegion(tuple(range(34, 40)), 0.5), bc.SubRegion(tuple(range(120, 128)), 0.5))
+    )
+
+    @pytest.mark.parametrize("choose_layer", [bc.optimal_layer, next_layer])
+    def test_episode_leaves_its_state_unchanged(self, small_scene, choose_layer):
+        ckm, cb = small_scene["ckm"], small_scene["codebook"]
+        names = ("point_alive", "beam_alive", "weights", "rows")
+        for seed in range(6):
+            # a built state, a fresh copy of it, and a state already folded once
+            built = bc.compute_point_weights(ckm, self.PRIOR, 0.5)
+            folded = built.fresh_copy()
+            bc.apply_observation(folded, bc.BeamId(1, int(folded.candidates(1)[seed % 2 - 1])))
+            h = scene_channel(small_scene, 36 + seed)
+            for state in (built, built.fresh_copy(), folded):
+                before = {name: getattr(state, name).copy() for name in names}
+                root, fallback = state.root, state.uniform_fallback
+                for _ in range(2):
+                    rng = np.random.default_rng(seed)
+                    assert run_episode(h, cb, state, choose_layer, 0.05, rng)[2]
+                for name, want in before.items():
+                    np.testing.assert_array_equal(getattr(state, name), want)
+                assert state.root == root and state.uniform_fallback == fallback
+
+    def test_second_episode_reuses_the_cached_children(self, small_scene, monkeypatch):
+        from beamckm import strategy
+
+        ckm, cb = small_scene["ckm"], small_scene["codebook"]
+        built = bc.compute_point_weights(ckm, self.PRIOR, 0.5)
+        derived = []
+        original = strategy.apply_observation
+
+        def counted(state, observed):
+            derived.append(observed)
+            original(state, observed)
+
+        monkeypatch.setattr(strategy, "apply_observation", counted)
+        h = scene_channel(small_scene, 37)
+
+        def episode():
+            rng = np.random.default_rng(9)
+            return bc.run_single_user(ckm, built, h, 0.05, 0.5, codebook=cb, rng=rng)
+
+        def path(rounds):
+            node, nodes = built, []
+            for r in rounds:
+                node = node.children[r.layer, r.feedback]
+                nodes.append(node)
+            return nodes
+
+        first = episode()
+        assert len(derived) == len(first[2]) >= 2
+        nodes = path(first[2])
+        second = episode()
+        assert second == first
+        assert len(derived) == len(first[2])
+        assert all(a is b for a, b in zip(path(second[2]), nodes, strict=True))
+
+    def test_desk_sweep_derives_fewer_children_than_it_plays_rounds(self, monkeypatch):
+        from beamckm import harness, strategy
+
+        cfg = bc.load_scenario(Path(__file__).resolve().parent.parent / "configs" / "desk.json")
+        ckm = bc.build_ckm(
+            cfg.environment, cfg.array, bc.build_codebook(cfg.array.num_antennas), cfg.grid
+        )
+        derived, rounds = [], []
+        apply_observation, run_single_user = strategy.apply_observation, harness.run_single_user
+
+        def counted_fold(state, observed):
+            derived.append(observed)
+            apply_observation(state, observed)
+
+        def counted_episode(*args, **kwargs):
+            result = run_single_user(*args, **kwargs)
+            rounds.append(len(result[2]))
+            return result
+
+        monkeypatch.setattr(strategy, "apply_observation", counted_fold)
+        monkeypatch.setattr(harness, "run_single_user", counted_episode)
+        records = bc.run_trials(cfg, ckm, algorithms=["alg1"], trials=200, seed=0)
+        assert len(rounds) == len(records) == 200 * len(cfg.snr_db) * len(cfg.users)
+        assert 0 < len(derived) < sum(rounds)
