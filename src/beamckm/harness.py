@@ -366,7 +366,8 @@ def run_trials(
     K = len(priors)
     L = ckm.num_layers
     ref = reference_gain(ckm)
-    bottom = codebook.layer_matrix(L)
+    # row blocks OpenBLAS multiplies on this thread, bit for bit as one product
+    blocks = np.split(codebook.layer_matrix(L), max(1, 2**L // max(4, 2048 // 2**L)))
     # Every trial's positions first, then one traced batch of the distinct
     # grid points, in order of first draw, so an unreachable point is
     # reported as the first trial to draw it would.
@@ -380,7 +381,7 @@ def run_trials(
             row_of.setdefault(p, len(row_of))
     coords = np.array([ckm.grid.point_position(p) for p in row_of])
     channels = synthesize_channel(config.environment, config.array, coords)
-    gains = [np.abs(bottom @ np.conj(h)) for h in channels]
+    gains = [np.abs(np.concatenate([b @ hc for b in blocks])) for hc in np.conj(channels)]
     # each point's codeword responses, computed on first use and shared by
     # every SNR and algorithm of this call
     resps = [responses(h, codebook) for h in channels]
