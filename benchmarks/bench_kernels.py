@@ -3,7 +3,7 @@
 Layer planning: the shortest-path planner against the exhaustive
 enumeration of activations it replaces.  The comparison asserts that both
 planners pick the same layer on every tree.  Each timed call builds its
-search states anew (fresh copies would share the initial pair weights), so
+search states anew (copies of one state would share its pair weights), so
 both planners pay for the states and their pair weights in every call; the
 enumeration also builds its prefix sums (``oracles.prefix_sums``).
 

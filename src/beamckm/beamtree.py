@@ -109,19 +109,11 @@ class SearchState:
         self.pair_weights()
         self.children: dict | None = {}
         self.plans: dict | None = {}
-        # this state before any observation, never folded in place: the
-        # source of every fresh copy, which shares its pair weights and cache
-        origin = self.copy()
-        origin._origin = self._origin = origin
-
-    def fresh_copy(self) -> "SearchState":
-        """This state before any observation, for one more episode: a copy
-        that shares the initial derived arrays, pair weights and cache."""
-        return self._origin.copy()
 
     def copy(self) -> "SearchState":
         """This state with its own alive masks over the shared read-only
-        arrays: an update of the copy leaves this state and its cache alone."""
+        arrays, pair weights and search cache: an update of the copy leaves
+        this state and its cache alone."""
         out = object.__new__(SearchState)
         out.__dict__.update(self.__dict__)
         out.point_alive, out.beam_alive = self.point_alive.copy(), self.beam_alive.copy()
@@ -250,14 +242,15 @@ def compute_point_weights(
     ``prior`` may be a PositionPrior or a raw array of grid-point indices
     of uniform mass.  It may also be a state already built from this map
     with the same ``beta`` and ``retain_beams``; the result is then its
-    ``fresh_copy()``, so a sweep builds each user's state once, every
-    episode starts from a copy, and the copies share one search cache.
+    ``copy()``, so a sweep builds each user's state once and every episode
+    starts from a copy that shares its search cache; a sweep never folds
+    a built state in place, so each copy starts before any observation.
     """
     if isinstance(prior, SearchState):
         built_for = (prior.beta, prior.retain_beams, prior.num_layers)
         if built_for != (beta, retain_beams, ckm.num_layers):
             raise ValueError("search state was built for another beta, retain_beams or map")
-        return prior.fresh_copy()
+        return prior.copy()
     if isinstance(prior, PositionPrior):
         point_ids = prior.all_points()
         mass = prior.point_masses()

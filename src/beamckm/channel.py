@@ -257,17 +257,6 @@ class Responses:
         return self.values[rows]
 
 
-def responses(channel, codebook) -> Responses:
-    """The cached responses of ``channel`` to every codeword of ``codebook``:
-    ``channel`` itself when it is already a cache for that codebook, else a
-    new empty cache."""
-    if isinstance(channel, Responses):
-        if channel.codewords is not codebook.matrix:
-            raise ValueError("responses were cached for another codebook")
-        return channel
-    return Responses(channel, codebook.matrix)
-
-
 def probe_rows(
     resp: Responses,
     rows: np.ndarray,

@@ -221,7 +221,8 @@ def load_ckm(data: bytes) -> CkmGrid:
         header += struct.calcsize(_EXTENTS)
     else:
         raise CkmFormatError(f"unsupported format version {version}")
-    if n_layers < 1 or n_ant != 2**n_layers:
+    # n_ant is a uint32: bound the layers before building 2**n_layers
+    if not 1 <= n_layers <= 31 or n_ant != 2**n_layers:
         raise CkmFormatError(
             f"antenna count {n_ant} inconsistent with {n_layers} layers"
         )

@@ -26,14 +26,14 @@ from .channel import (
     ArrayConfig,
     Environment,
     Obstacle,
+    Responses,
     Scatterer,
     _check_point,
-    responses,
     synthesize_channel,
     trace_point_paths,
 )
 from .ckm import CkmGrid, GridSpec
-from .codebook import BeamId, HierarchicalCodebook, build_codebook
+from .codebook import BeamId, build_codebook, num_layers
 from .lookahead import run_lookahead
 from .multiuser import run_multi_user
 from .position import PositionPrior, SubRegion, sample_true_position
@@ -151,10 +151,13 @@ def _whole(value, field: str) -> int:
 
 
 def _check_snrs(snrs) -> None:
-    """SNR points must be finite numbers or +inf (noiseless)."""
+    """SNR points must be finite numbers or +inf (noiseless), none repeated:
+    ``summarize`` groups records by SNR, so a repeat would double a group."""
     bad = [s for s in snrs if math.isnan(s) or s == -math.inf]
     if bad:
         raise ValueError(f"SNR entries must be numbers or 'inf', got {bad}")
+    if len(set(snrs)) != len(snrs):
+        raise ValueError(f"SNR points must not repeat, got {list(snrs)}")
 
 
 @functools.cache
@@ -271,12 +274,15 @@ class TrialRecord:
 
 
 def reference_gain(ckm: CkmGrid) -> float:
-    """Scene-scale matched gain: median over grid points of the best
-    bottom-layer map gain.  SNR settings are relative to this, so a
-    configured SNR describes a typical aligned link, not the raw transmit
-    power."""
+    """Scene-scale matched gain: median of the best bottom-layer map gain
+    over the grid points that some path reaches.  SNR settings are relative
+    to this, so a configured SNR describes a typical aligned link, not the
+    raw transmit power, however much of the grid is shadowed."""
     best = ckm.bottom_gains.max(axis=0).astype(np.float64)
-    return float(np.median(best))
+    reached = best[best > 0.0]
+    if reached.size == 0:
+        raise ValueError("no grid point of the map has a positive gain")
+    return float(np.median(reached))
 
 
 def noise_std_for_snr(snr_db: float, ref_gain: float) -> float:
@@ -288,16 +294,13 @@ def noise_std_for_snr(snr_db: float, ref_gain: float) -> float:
 
 
 def baseline_hierarchical(
-    channel,
-    codebook: HierarchicalCodebook,
+    resp: Responses,
     noise_std: float,
     rng: np.random.Generator | None = None,
 ) -> tuple[BeamId, int, list[ProbeRound]]:
-    """Map-blind bisection: probe both children at every layer, keep the
-    stronger, always 2L probes.  ``channel`` is a channel vector or its
-    ``Responses`` to ``codebook``."""
-    resp = responses(channel, codebook)
-    L = codebook.num_layers
+    """Map-blind bisection over a point's cached responses: probe both
+    children at every layer, keep the stronger, always 2L probes."""
+    L = num_layers(resp.codewords.shape[1])
     idx = 1
     transcript = []
     for layer in range(1, L + 1):
@@ -307,16 +310,15 @@ def baseline_hierarchical(
 
 
 def baseline_exhaustive(
-    channel,
-    codebook: HierarchicalCodebook,
+    resp: Responses,
     noise_std: float,
     rng: np.random.Generator | None = None,
 ) -> tuple[BeamId, int, list[ProbeRound]]:
-    """Probe every bottom beam once, keep the strongest.  ``channel`` is a
-    channel vector or its ``Responses`` to ``codebook``."""
-    L = codebook.num_layers
-    beams = range(1, codebook.num_antennas + 1)
-    r = probe_round(responses(channel, codebook), L, beams, noise_std, rng)
+    """Probe every bottom beam once from a point's cached responses, keep
+    the strongest."""
+    n = resp.codewords.shape[1]
+    L = num_layers(n)
+    r = probe_round(resp, L, range(1, n + 1), noise_std, rng)
     return BeamId(L, r.feedback), r.probes, [r]
 
 
@@ -384,7 +386,7 @@ def run_trials(
     gains = [np.abs(np.concatenate([b @ hc for b in blocks])) for hc in np.conj(channels)]
     # each point's codeword responses, computed on first use and shared by
     # every SNR and algorithm of this call
-    resps = [responses(h, codebook) for h in channels]
+    resps = [Responses(h, codebook.matrix) for h in channels]
     best = [BeamId(L, int(np.argmax(g)) + 1) for g in gains]
     # each user's search state is built once: alg1 and alg2 walk its cached
     # tree, alg3 starts from copies
@@ -416,7 +418,7 @@ def run_trials(
                 if algo == "alg3":
                     chosen, total, _ = run_multi_user(
                         ckm, states, resp, sigma, config.beta, config.eta,
-                        codebook=codebook, rngs=rngs, retain_beams=config.retain_beams,
+                        rngs=rngs, retain_beams=config.retain_beams,
                     )
                     overheads = [total / K] * K
                 else:
@@ -426,12 +428,12 @@ def run_trials(
                             search = run_single_user if algo == "alg1" else run_lookahead
                             ch, ov, _ = search(
                                 ckm, states[k], resp[k], sigma, config.beta,
-                                codebook=codebook, rng=rngs[k], retain_beams=config.retain_beams,
+                                rng=rngs[k], retain_beams=config.retain_beams,
                             )
                         elif algo == "baseline-hier":
-                            ch, ov, _ = baseline_hierarchical(resp[k], codebook, sigma, rngs[k])
+                            ch, ov, _ = baseline_hierarchical(resp[k], sigma, rngs[k])
                         else:
-                            ch, ov, _ = baseline_exhaustive(resp[k], codebook, sigma, rngs[k])
+                            ch, ov, _ = baseline_exhaustive(resp[k], sigma, rngs[k])
                         chosen.append(ch)
                         overheads.append(float(ov))
                 records.extend(

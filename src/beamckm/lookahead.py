@@ -12,8 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from .beamtree import SearchState, compute_point_weights
+from .channel import Responses
 from .ckm import CkmGrid
-from .codebook import BeamId, HierarchicalCodebook, build_codebook
+from .codebook import BeamId
 from .strategy import ProbeRound, run_episode
 
 # unused here; perfbench's tracer looks these names up on this module
@@ -67,15 +68,12 @@ def next_layer(state: SearchState) -> int:
 def run_lookahead(
     ckm: CkmGrid,
     prior,
-    channel,
+    resp: Responses,
     noise_std: float,
     beta: float,
-    codebook: HierarchicalCodebook | None = None,
     rng: np.random.Generator | None = None,
     retain_beams: int | None = None,
 ) -> tuple[BeamId, int, list[ProbeRound]]:
     """Full lookahead episode; returns (chosen beam, probe count, rounds)."""
-    if codebook is None:
-        codebook = build_codebook(ckm.num_antennas)
     state = compute_point_weights(ckm, prior, beta, retain_beams=retain_beams)
-    return run_episode(channel, codebook, state, next_layer, noise_std, rng)
+    return run_episode(resp, state, next_layer, noise_std, rng)

@@ -10,8 +10,6 @@ profile with the per-point map profile.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .beamtree import (
@@ -20,27 +18,13 @@ from .beamtree import (
     candidate_beams,
     compute_point_weights,
 )
-from .channel import probe_rows, responses
+from .channel import probe_rows
 from .ckm import CkmGrid
-from .codebook import BeamId, HierarchicalCodebook, build_codebook
-from .strategy import episode_outcome, optimal_layer
+from .codebook import BeamId, HierarchicalCodebook
+from .strategy import ProbeRound, episode_outcome, optimal_layer
 
 # unused here; perfbench's tracer looks this name up on this module
 from .channel import probe  # noqa: F401
-
-
-@dataclass(frozen=True)
-class JointRound:
-    """One shared round as one user saw it: the probed beam indices, the
-    user's role that round (1 descended on feedback, 0 eavesdropped), its
-    feedback index if any, and the round's probe count (0 for a free
-    descent)."""
-
-    layer: int
-    probed: tuple[int, ...]
-    indicator: int
-    feedback: int | None
-    probes: int
 
 
 def joint_layer(single_layers, num_layers: int) -> tuple[int, tuple[int, ...]]:
@@ -114,35 +98,30 @@ def prune_user_points(
 def run_multi_user(
     ckm: CkmGrid,
     priors,
-    channels,
+    resps,
     noise_std: float,
     beta: float,
     eta: float = 0.9,
-    codebook: HierarchicalCodebook | None = None,
     rngs=None,
     retain_beams: int | None = None,
-) -> tuple[list[BeamId], int, list[list[JointRound]]]:
-    """Joint episode for all users; returns (chosen beams, total probe
-    count charged once per shared round, per-user round transcripts).
-    Each of ``channels`` is a channel vector or its ``Responses`` to
-    ``codebook``."""
+) -> tuple[list[BeamId], int, list[list[ProbeRound]]]:
+    """Joint episode for all users over each user's point ``Responses``;
+    returns (chosen beams, total probe count charged once per shared
+    round, per-user round transcripts)."""
     K = len(priors)
-    if len(channels) != K:
-        raise ValueError("need one channel per user")
+    if len(resps) != K:
+        raise ValueError("need one Responses per user")
     if rngs is None:
         rngs = [None] * K
     if len(rngs) != K:
         raise ValueError("need one rng (or None) per user")
-    if codebook is None:
-        codebook = build_codebook(ckm.num_antennas)
     L = ckm.num_layers
-    resps = [responses(c, codebook) for c in channels]
     states = [
         candidate_beams(compute_point_weights(ckm, p, beta, retain_beams=retain_beams))
         for p in priors
     ]
     chosen: list[BeamId | None] = [None] * K
-    transcripts: list[list[JointRound]] = [[] for _ in range(K)]
+    transcripts: list[list[ProbeRound]] = [[] for _ in range(K)]
     total = 0
     for _ in range(K * (L + 2) + 2):
         for k in range(K):
@@ -160,7 +139,7 @@ def run_multi_user(
             observed = BeamId(l_opt, probed[0])
             for k in matching:
                 apply_observation(states[k], observed)
-                transcripts[k].append(JointRound(l_opt, probed, 1, probed[0], 0))
+                transcripts[k].append(ProbeRound(l_opt, probed, probed[0], 0))
             continue
         total += len(probed)
         for k in active:
@@ -169,7 +148,7 @@ def run_multi_user(
             f_obs = None if feedback is None else BeamId(l_opt, feedback)
             prune_user_points(states[k], rows, g_obs, f_obs, eta)
             transcripts[k].append(
-                JointRound(l_opt, probed, int(flags[k]), feedback, len(probed))
+                ProbeRound(l_opt, probed, feedback, len(probed), int(flags[k]))
             )
     else:
         raise RuntimeError("joint search exceeded its round budget")

@@ -39,9 +39,9 @@ from .beamtree import (
     candidate_beams,
     compute_point_weights,
 )
-from .channel import Responses, probe_rows, responses
+from .channel import Responses, probe_rows
 from .ckm import CkmGrid
-from .codebook import BeamId, HierarchicalCodebook, build_codebook
+from .codebook import BeamId
 
 # unused here; perfbench's tracer looks this name up on this module
 from .channel import probe  # noqa: F401
@@ -52,14 +52,18 @@ PLAN_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class ProbeRound:
-    """One feedback round: beams probed at a layer and the winning index.
+    """One round as one user saw it: the beams probed at a layer, the
+    winning index the user fed back, and the round's probe count.
 
-    ``probes`` is 0 for free descents (single-candidate traversals)."""
+    ``probes`` is 0 for free descents (single-candidate traversals).
+    ``indicator`` is the user's role in an alg3 round: 1 descended on its
+    feedback, 0 eavesdropped, with ``feedback`` None."""
 
     layer: int
     probed: tuple[int, ...]
-    feedback: int
+    feedback: int | None
     probes: int
+    indicator: int = 1
 
 
 def _costs_tie(a: float, b: float) -> bool:
@@ -152,8 +156,7 @@ def episode_outcome(state: SearchState) -> BeamId | None:
 
 
 def run_episode(
-    channel,
-    codebook: HierarchicalCodebook,
+    resp: Responses,
     state: SearchState,
     choose_layer,
     noise_std: float,
@@ -162,9 +165,7 @@ def run_episode(
     """Map-aided search: each round probes the candidates under the root
     at ``choose_layer(state)`` and moves to the child state that folds in
     the feedback (``apply_observation`` on a copy), leaving ``state`` as
-    it was.  ``channel`` is a channel vector or its ``Responses`` to
-    ``codebook``.  Returns (chosen bottom beam, probe count, rounds)."""
-    resp = responses(channel, codebook)
+    it was.  Returns (chosen bottom beam, probe count, rounds)."""
     transcript: list[ProbeRound] = []
     while True:
         if state.plans is None:  # a state folded in place caches afresh
@@ -192,15 +193,12 @@ def run_episode(
 def run_single_user(
     ckm: CkmGrid,
     prior,
-    channel,
+    resp: Responses,
     noise_std: float,
     beta: float,
-    codebook: HierarchicalCodebook | None = None,
     rng: np.random.Generator | None = None,
     retain_beams: int | None = None,
 ) -> tuple[BeamId, int, list[ProbeRound]]:
     """Full search episode; returns (chosen bottom beam, probe count, rounds)."""
-    if codebook is None:
-        codebook = build_codebook(ckm.num_antennas)
     state = compute_point_weights(ckm, prior, beta, retain_beams=retain_beams)
-    return run_episode(channel, codebook, state, optimal_layer, noise_std, rng)
+    return run_episode(resp, state, optimal_layer, noise_std, rng)

@@ -114,6 +114,12 @@ def scene_channel(scene, point: int) -> np.ndarray:
     return bc.synthesize_channel(scene["env"], scene["array"], pos)
 
 
+def responses_of(h: np.ndarray) -> bc.Responses:
+    """The episode input for a channel vector: its (initially empty) cache
+    of responses to the codebook of its array size."""
+    return bc.Responses(h, bc.build_codebook(len(h)).matrix)
+
+
 def exhaustive_best_beam(scene, h: np.ndarray) -> bc.BeamId:
     """Brute-force argmax bottom beam for a channel (independent oracle)."""
     cb = scene["codebook"]

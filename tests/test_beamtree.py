@@ -339,7 +339,7 @@ class TestTableCopies:
         np.testing.assert_array_equal(second.alive_points, np.arange(6))
 
     def test_fixed_arrays_are_shared_read_only(self):
-        copy = self.built.fresh_copy()
+        copy = self.built.copy()
         for name in ("point_ids", "point_mass", "gains", "contrib", "keep"):
             ours, theirs = getattr(copy, name), getattr(self.built, name)
             assert ours is theirs
@@ -492,7 +492,7 @@ class TestSearchStateCache:
             with pytest.raises(ValueError):
                 bc.candidate_beams(built)
             return
-        state = built.fresh_copy()
+        state = built.copy()
         old = OldRules(state)
         for kind, layer, pick, seed, check in steps:
             L = state.num_layers
@@ -528,8 +528,8 @@ class TestSearchStateCache:
             if check:
                 self.assert_cache_matches(state)
         self.assert_cache_matches(state)
-        # the shared source is untouched, and a copy of either starts afresh
-        for copy in (built, built.fresh_copy(), state.fresh_copy()):
+        # the shared source is untouched, and a copy of it starts afresh
+        for copy in (built, built.copy()):
             assert copy.point_alive.all() and copy.beam_alive.all()
             assert not copy.uniform_fallback and copy.root is None
             np.testing.assert_array_equal(copy.weights, initial[0])
@@ -578,7 +578,7 @@ def cached_states(state, path=()):
 
 class TestSearchTreeCache:
     """The states that ``run_episode`` caches below a built state are those
-    that folding the same observations into a fresh copy gives."""
+    that folding the same observations into a copy of the built state gives."""
 
     @staticmethod
     def searched_tree(seed):
@@ -590,9 +590,9 @@ class TestSearchTreeCache:
         built = bc.compute_point_weights(toy_ckm(bottom), np.arange(6), beta=0.5)
         cb = bc.build_codebook(16)
         for k in range(30):
-            h = rng.normal(size=16) + 1j * rng.normal(size=16)
+            resp = bc.Responses(rng.normal(size=16) + 1j * rng.normal(size=16), cb.matrix)
             for choose in (optimal_layer, next_layer):
-                run_episode(h, cb, built, choose, 10.0, np.random.default_rng(k))
+                run_episode(resp, built, choose, 10.0, np.random.default_rng(k))
         return built
 
     def test_cached_children_equal_replayed_observations(self):
@@ -602,7 +602,7 @@ class TestSearchTreeCache:
         assert any(child.uniform_fallback for _, child in walked)
         assert any(not child.uniform_fallback for _, child in walked)
         for path, child in walked:
-            replay = built.fresh_copy()
+            replay = built.copy()
             for observed in path:
                 bc.apply_observation(replay, observed)
             for name in ("weights", "rows", "point_alive", "beam_alive"):
@@ -612,7 +612,7 @@ class TestSearchTreeCache:
 
     def test_built_state_is_left_in_its_initial_state(self):
         built = self.searched_tree(4)
-        initial = recomputed(built.fresh_copy())
+        initial = recomputed(built.copy())
         assert built.point_alive.all() and built.beam_alive.all()
         assert built.root is None and not built.uniform_fallback
         np.testing.assert_array_equal(built.weights, initial[0])
@@ -620,12 +620,12 @@ class TestSearchTreeCache:
 
     def test_copies_share_the_initial_cache_until_an_update(self):
         built = self.searched_tree(5)
-        copy = built.fresh_copy()
+        copy = built.copy()
         assert copy.children is built.children and copy.plans is built.plans
         observed = bc.BeamId(1, int(copy.candidates(1)[0]))
         bc.apply_observation(copy, observed)
         assert copy.children is None and copy.plans is None
-        assert built.fresh_copy().children is built.children
+        assert built.copy().children is built.children
 
     def test_copy_folds_without_touching_the_original(self):
         built = self.searched_tree(6)

@@ -358,16 +358,7 @@ class TestProbeRows:
         with pytest.raises(ValueError, match="dimension mismatch"):
             bc.Responses(np.ones(8, dtype=complex), cb.matrix)
         with pytest.raises(ValueError, match="dimension mismatch"):
-            bc.responses(np.ones(32, dtype=complex), cb)
-        with pytest.raises(ValueError, match="dimension mismatch"):
             bc.Responses(np.ones(16, dtype=complex), cb.matrix[0])
-
-    def test_responses_reuses_its_own_cache_only(self):
-        cb = bc.build_codebook(16)
-        resp = bc.responses(np.ones(16, dtype=complex), cb)
-        assert bc.responses(resp, cb) is resp
-        with pytest.raises(ValueError, match="another codebook"):
-            bc.responses(resp, bc.build_codebook(16))
 
 
 class TestGeometryEdgeCases:

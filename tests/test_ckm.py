@@ -7,6 +7,7 @@ contents by probing a freshly synthesized channel at every grid point.
 import dataclasses
 import math
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -284,6 +285,19 @@ class TestBinaryFormat:
         struct.pack_into("<I", data, 8, 16)  # claim 16 antennas with 3 layers
         with pytest.raises(bc.CkmFormatError, match="antenna"):
             bc.load_ckm(bytes(data))
+
+    def test_huge_layer_count_rejected_cheaply(self):
+        # a 76-byte header; computing 2**n_layers alone would take 12.5 MB
+        header = bytearray(bc.save_ckm(self.make())[:RECORDS])
+        struct.pack_into("<I", header, 12, 10**8)
+        tracemalloc.start()
+        try:
+            with pytest.raises(bc.CkmFormatError, match="antenna"):
+                bc.load_ckm(bytes(header))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     def test_bad_grid_dimensions_rejected(self):
         data = bytearray(bc.save_ckm(self.make()))

@@ -162,6 +162,13 @@ class TestScenarioParsing:
         with pytest.raises(ValueError, match="SNR"):
             bc.scenario_from_dict(d)
 
+    @pytest.mark.parametrize("snrs", [[10, 10.0], ["inf", 0, "inf"]])
+    def test_repeated_snr_rejected(self, snrs):
+        d = scenario_dict()
+        d["snr_db"] = snrs
+        with pytest.raises(ValueError, match="must not repeat"):
+            bc.scenario_from_dict(d)
+
     @pytest.mark.parametrize("value", [0.0, -0.5, 1.5, 2.0, float("nan")])
     def test_beta_outside_unit_interval_rejected(self, value):
         d = scenario_dict()
@@ -495,6 +502,14 @@ class TestNoiseScale:
         expect = np.median(ckm.bottom_gains.max(axis=0).astype(np.float64))
         assert bc.reference_gain(ckm) == pytest.approx(expect)
 
+    def test_reference_gain_skips_unreached_points(self):
+        # six of nine points shadowed: the median over all of them would be 0
+        bottom = np.zeros((9, 8))
+        bottom[[1, 4, 7], 2] = [0.5, 1.0, 2.0]
+        assert bc.reference_gain(toy_ckm(bottom)) == pytest.approx(1.0)
+        with pytest.raises(ValueError, match="positive gain"):
+            bc.reference_gain(toy_ckm(np.zeros((9, 8))))
+
     def test_noise_std_follows_snr(self):
         assert bc.noise_std_for_snr(0.0, 0.5) == pytest.approx(0.5)
         assert bc.noise_std_for_snr(20.0, 0.5) == pytest.approx(0.05)
@@ -506,7 +521,7 @@ class TestBaselines:
     def test_hierarchical_costs_two_per_layer(self, small_scene):
         cb = small_scene["codebook"]
         h = 0.7 * steering_vector(bc.bottom_angles(16)[4], 16)
-        chosen, overhead, rounds = bc.baseline_hierarchical(h, cb, 0.0)
+        chosen, overhead, rounds = bc.baseline_hierarchical(bc.Responses(h, cb.matrix), 0.0)
         assert chosen == bc.BeamId(4, 5)
         assert overhead == 2 * 4
         assert [r.layer for r in rounds] == [1, 2, 3, 4]
@@ -520,7 +535,7 @@ class TestBaselines:
     def test_exhaustive_probes_everything_once(self, small_scene):
         cb = small_scene["codebook"]
         h = 0.7 * steering_vector(bc.bottom_angles(16)[11], 16)
-        chosen, overhead, rounds = bc.baseline_exhaustive(h, cb, 0.0)
+        chosen, overhead, rounds = bc.baseline_exhaustive(bc.Responses(h, cb.matrix), 0.0)
         assert chosen == bc.BeamId(4, 12)
         assert overhead == 16
         assert rounds[0].probed == tuple(range(1, 17))
@@ -579,6 +594,12 @@ class TestRunTrials:
         cfg = self.config(algorithms=["alg1"], trials=1)
         with pytest.raises(ValueError, match="SNR"):
             bc.run_trials(cfg, small_scene["ckm"], snr_db=[10, value])
+
+    def test_repeated_snr_override_rejected(self, small_scene):
+        # a repeat would merge into one summary group and double its overhead
+        cfg = self.config(algorithms=["baseline-exhaustive"], trials=1)
+        with pytest.raises(ValueError, match="must not repeat"):
+            bc.run_trials(cfg, small_scene["ckm"], snr_db=[10.0, 10.0])
 
     def test_deterministic_for_fixed_seed(self, small_scene):
         cfg = self.config(trials=2)
@@ -715,7 +736,9 @@ class TestSweepInvariants:
         seed=st.integers(0, 2**16),
         short=st.integers(1, 3),
         extra=st.integers(1, 3),
-        snrs=st.lists(st.sampled_from(["inf", 20.0, 0.0, -15.0]), min_size=1, max_size=2),
+        snrs=st.lists(
+            st.sampled_from(["inf", 20.0, 0.0, -15.0]), min_size=1, max_size=2, unique=True
+        ),
         algos=st.lists(st.sampled_from(bc.ALGORITHMS), min_size=2, max_size=5, unique=True),
         retain=st.sampled_from([None, 1, 3]),
     )

@@ -17,6 +17,7 @@ from conftest import (
     FOUR_LEAF_WEIGHTS,
     exhaustive_best_beam,
     from_bottom_weights,
+    responses_of,
     scene_channel,
     toy_ckm,
 )
@@ -129,9 +130,8 @@ class TestRunLookahead:
         # equal-weight asymmetric root: jump to layer 2, and the feedback
         # for the right half pins the only leaf there with no more probes
         ckm = one_hot_ckm()
-        cb = bc.build_codebook(8)
         h = steering_vector(-1 + 9 / 8, 8)  # center of bottom beam 5
-        chosen, overhead, rounds = bc.run_lookahead(ckm, _prior4(), h, 0.0, 0.5, codebook=cb)
+        chosen, overhead, rounds = bc.run_lookahead(ckm, _prior4(), responses_of(h), 0.0, 0.5)
         assert chosen == bc.BeamId(3, 5)
         assert overhead == 3
         assert [r.layer for r in rounds] == [2]
@@ -139,19 +139,17 @@ class TestRunLookahead:
 
     def test_toy_jump_left_half_needs_two_more(self):
         ckm = one_hot_ckm()
-        cb = bc.build_codebook(8)
         h = steering_vector(-1 + 1 / 8, 8)  # center of bottom beam 1
-        chosen, overhead, rounds = bc.run_lookahead(ckm, _prior4(), h, 0.0, 0.5, codebook=cb)
+        chosen, overhead, rounds = bc.run_lookahead(ckm, _prior4(), responses_of(h), 0.0, 0.5)
         assert chosen == bc.BeamId(3, 1)
         assert overhead == 5
         assert [r.layer for r in rounds] == [2, 3]
 
     def test_complete_tree_costs_two_per_layer(self):
         ckm = toy_ckm(np.ones((1, 16)))
-        cb = bc.build_codebook(16)
         prior = bc.PositionPrior((bc.SubRegion((0,), 1.0),))
         h = 0.9 * steering_vector(bc.bottom_angles(16)[10], 16)
-        chosen, overhead, rounds = bc.run_lookahead(ckm, prior, h, 0.0, 0.5, codebook=cb)
+        chosen, overhead, rounds = bc.run_lookahead(ckm, prior, responses_of(h), 0.0, 0.5)
         assert chosen == bc.BeamId(4, 11)
         assert overhead == 2 * 4
         assert [r.layer for r in rounds] == [1, 2, 3, 4]
@@ -162,10 +160,9 @@ class TestRunLookahead:
         bottom[0, 4] = 1.0  # bottom beam 5
         bottom[1, 5] = 1.0  # bottom beam 6
         ckm = toy_ckm(bottom)
-        cb = bc.build_codebook(16)
         prior = bc.PositionPrior((bc.SubRegion((0, 1), 1.0),))
         h = steering_vector(bc.bottom_angles(16)[5], 16)
-        chosen, overhead, rounds = bc.run_lookahead(ckm, prior, h, 0.0, 0.5, codebook=cb)
+        chosen, overhead, rounds = bc.run_lookahead(ckm, prior, responses_of(h), 0.0, 0.5)
         assert chosen == bc.BeamId(4, 6)
         assert overhead == 2
         free = [r for r in rounds if r.probes == 0]
@@ -178,19 +175,18 @@ class TestRunLookahead:
         ckm = toy_ckm(bottom)
         prior = bc.PositionPrior((bc.SubRegion((0,), 1.0),))
         h = steering_vector(bc.bottom_angles(16)[9], 16)
-        chosen, overhead, rounds = bc.run_lookahead(ckm, prior, h, 0.0, 0.5)
+        chosen, overhead, rounds = bc.run_lookahead(ckm, prior, responses_of(h), 0.0, 0.5)
         assert chosen == bc.BeamId(4, 10)
         assert overhead == 0
         assert rounds == []
 
     def test_matches_plan_search_on_complete_tree(self):
         ckm = toy_ckm(np.ones((1, 16)))
-        cb = bc.build_codebook(16)
         prior = bc.PositionPrior((bc.SubRegion((0,), 1.0),))
         for leaf in [0, 3, 8, 15]:
             h = steering_vector(bc.bottom_angles(16)[leaf], 16)
-            a = bc.run_single_user(ckm, prior, h, 0.0, 0.5, codebook=cb)
-            b = bc.run_lookahead(ckm, prior, h, 0.0, 0.5, codebook=cb)
+            a = bc.run_single_user(ckm, prior, responses_of(h), 0.0, 0.5)
+            b = bc.run_lookahead(ckm, prior, responses_of(h), 0.0, 0.5)
             assert a[0] == b[0]
             assert a[1] == b[1] == 8
 
@@ -203,9 +199,7 @@ class TestRunLookahead:
         for _ in range(25):
             point = bc.sample_true_position(prior, rng)
             h = scene_channel(small_scene, point)
-            chosen, overhead, rounds = bc.run_lookahead(
-                ckm, prior, h, 0.0, 0.5, codebook=small_scene["codebook"]
-            )
+            chosen, overhead, rounds = bc.run_lookahead(ckm, prior, responses_of(h), 0.0, 0.5)
             assert chosen == exhaustive_best_beam(small_scene, h)
             assert overhead == sum(r.probes for r in rounds)
             assert overhead <= 2 * ckm.num_layers
@@ -218,7 +212,7 @@ class TestRunLookahead:
         for _ in range(2):
             rng = np.random.default_rng(42)
             runs.append(
-                bc.run_lookahead(ckm, prior, h, 0.05, 0.5, codebook=small_scene["codebook"], rng=rng)
+                bc.run_lookahead(ckm, prior, responses_of(h), 0.05, 0.5, rng=rng)
             )
         assert runs[0] == runs[1]
 

@@ -16,6 +16,7 @@ from beamckm import multiuser as mu
 from conftest import (
     exhaustive_best_beam,
     from_bottom_weights,
+    responses_of,
     scene_channel,
     stack_layers,
 )
@@ -257,7 +258,6 @@ class TestPruningKernelAgainstLoop:
 class TestRunMultiUser:
     def test_single_user_matches_standalone_search(self, small_scene):
         ckm = small_scene["ckm"]
-        cb = small_scene["codebook"]
         rng = np.random.default_rng(29)
         prior = bc.PositionPrior(
             (bc.SubRegion(tuple(range(34, 40)), 0.5), bc.SubRegion(tuple(range(200, 208)), 0.5))
@@ -265,18 +265,17 @@ class TestRunMultiUser:
         for _ in range(15):
             point = bc.sample_true_position(prior, rng)
             h = scene_channel(small_scene, point)
-            solo = bc.run_single_user(ckm, prior, h, 0.0, 0.5, codebook=cb)
-            joint = bc.run_multi_user(ckm, [prior], [h], 0.0, 0.5, codebook=cb)
+            solo = bc.run_single_user(ckm, prior, responses_of(h), 0.0, 0.5)
+            joint = bc.run_multi_user(ckm, [prior], [responses_of(h)], 0.0, 0.5)
             assert joint[0][0] == solo[0]
             assert joint[1] <= solo[1]
 
     def test_clone_users_share_every_probe(self, small_scene):
         ckm = small_scene["ckm"]
-        cb = small_scene["codebook"]
         prior = bc.PositionPrior((bc.SubRegion(tuple(range(36, 42)), 1.0),))
-        h = scene_channel(small_scene, 38)
-        single = bc.run_multi_user(ckm, [prior], [h], 0.0, 0.5, codebook=cb)
-        twin = bc.run_multi_user(ckm, [prior, prior], [h, h], 0.0, 0.5, codebook=cb)
+        resp = responses_of(scene_channel(small_scene, 38))
+        single = bc.run_multi_user(ckm, [prior], [resp], 0.0, 0.5)
+        twin = bc.run_multi_user(ckm, [prior, prior], [resp, resp], 0.0, 0.5)
         assert twin[0][0] == twin[0][1] == single[0][0]
         assert twin[1] == single[1]  # the clone rides along for free
         assert twin[2][0] == twin[2][1]
@@ -284,7 +283,6 @@ class TestRunMultiUser:
 
     def test_three_users_noiseless_find_their_beams(self, small_scene):
         ckm = small_scene["ckm"]
-        cb = small_scene["codebook"]
         priors = [
             bc.PositionPrior((bc.SubRegion(tuple(range(32, 38)), 1.0),)),
             bc.PositionPrior((bc.SubRegion(tuple(range(118, 124)), 1.0),)),
@@ -292,29 +290,25 @@ class TestRunMultiUser:
         ]
         points = [34, 120, 233]
         hs = [scene_channel(small_scene, p) for p in points]
-        chosen, total, transcripts = bc.run_multi_user(
-            ckm, priors, hs, 0.0, 0.5, codebook=cb
-        )
+        resps = [responses_of(h) for h in hs]
+        chosen, total, transcripts = bc.run_multi_user(ckm, priors, resps, 0.0, 0.5)
         for k in range(3):
             assert chosen[k] == exhaustive_best_beam(small_scene, hs[k])
         assert total > 0
         solo_total = sum(
-            bc.run_single_user(ckm, priors[k], hs[k], 0.0, 0.5, codebook=cb)[1]
+            bc.run_single_user(ckm, priors[k], resps[k], 0.0, 0.5)[1]
             for k in range(3)
         )
         assert total <= solo_total
 
     def test_eavesdropping_rounds_occur_and_are_free_rides(self, small_scene):
         ckm = small_scene["ckm"]
-        cb = small_scene["codebook"]
         priors = [
             bc.PositionPrior((bc.SubRegion(tuple(range(36, 39)), 1.0),)),
             bc.PositionPrior((bc.SubRegion(tuple(range(96, 128)), 1.0),)),
         ]
-        hs = [scene_channel(small_scene, 37), scene_channel(small_scene, 100)]
-        chosen, total, transcripts = bc.run_multi_user(
-            ckm, priors, hs, 0.0, 0.5, codebook=cb
-        )
+        resps = [responses_of(scene_channel(small_scene, p)) for p in (37, 100)]
+        chosen, total, transcripts = bc.run_multi_user(ckm, priors, resps, 0.0, 0.5)
         indicators = [r.indicator for t in transcripts for r in t]
         assert 0 in indicators, "expected at least one eavesdropped round"
         for t in transcripts:
@@ -328,38 +322,34 @@ class TestRunMultiUser:
 
     def test_transcript_rounds_are_sorted_unique(self, small_scene):
         ckm = small_scene["ckm"]
-        cb = small_scene["codebook"]
         priors = [
             bc.PositionPrior((bc.SubRegion(tuple(range(40, 56)), 1.0),)),
             bc.PositionPrior((bc.SubRegion(tuple(range(160, 176)), 1.0),)),
         ]
-        hs = [scene_channel(small_scene, 44), scene_channel(small_scene, 165)]
-        _, _, transcripts = bc.run_multi_user(ckm, priors, hs, 0.0, 0.5, codebook=cb)
+        resps = [responses_of(scene_channel(small_scene, p)) for p in (44, 165)]
+        _, _, transcripts = bc.run_multi_user(ckm, priors, resps, 0.0, 0.5)
         for t in transcripts:
             for r in t:
                 assert list(r.probed) == sorted(set(r.probed))
 
     def test_seeded_noise_is_reproducible(self, small_scene):
         ckm = small_scene["ckm"]
-        cb = small_scene["codebook"]
         priors = [
             bc.PositionPrior((bc.SubRegion(tuple(range(36, 42)), 1.0),)),
             bc.PositionPrior((bc.SubRegion(tuple(range(96, 104)), 1.0),)),
         ]
-        hs = [scene_channel(small_scene, 38), scene_channel(small_scene, 100)]
+        resps = [responses_of(scene_channel(small_scene, p)) for p in (38, 100)]
         runs = []
         for _ in range(2):
             rngs = [np.random.default_rng([5, k]) for k in range(2)]
-            runs.append(
-                bc.run_multi_user(ckm, priors, hs, 0.02, 0.5, codebook=cb, rngs=rngs)
-            )
+            runs.append(bc.run_multi_user(ckm, priors, resps, 0.02, 0.5, rngs=rngs))
         assert runs[0] == runs[1]
 
     def test_argument_validation(self, small_scene):
         ckm = small_scene["ckm"]
         prior = bc.PositionPrior((bc.SubRegion((40,), 1.0),))
-        h = scene_channel(small_scene, 40)
+        resp = responses_of(scene_channel(small_scene, 40))
+        with pytest.raises(ValueError, match="one Responses per user"):
+            bc.run_multi_user(ckm, [prior, prior], [resp], 0.0, 0.5)
         with pytest.raises(ValueError):
-            bc.run_multi_user(ckm, [prior, prior], [h], 0.0, 0.5)
-        with pytest.raises(ValueError):
-            bc.run_multi_user(ckm, [prior], [h], 0.0, 0.5, rngs=[None, None])
+            bc.run_multi_user(ckm, [prior], [resp], 0.0, 0.5, rngs=[None, None])

@@ -21,6 +21,7 @@ from conftest import (
     candidate_count,
     exhaustive_best_beam,
     from_bottom_weights,
+    responses_of,
     scene_channel,
     toy_ckm,
 )
@@ -242,10 +243,9 @@ class TestRunSingleUser:
 
     def test_unit_weights_probe_bottom_directly(self):
         ckm = self._one_hot_ckm()
-        cb = bc.build_codebook(8)
         h = steering_vector(-1 + 9 / 8, 8)  # center angle of bottom beam 5
         chosen, overhead, rounds = bc.run_single_user(
-            ckm, np.arange(4), h, 0.0, 0.5, codebook=cb
+            ckm, np.arange(4), responses_of(h), 0.0, 0.5
         )
         assert chosen == bc.BeamId(3, 5)
         assert overhead == 4  # the frozen bottom-only plan
@@ -253,13 +253,12 @@ class TestRunSingleUser:
 
     def test_skewed_weights_enter_at_top(self):
         ckm = self._one_hot_ckm()
-        cb = bc.build_codebook(8)
         h = steering_vector(-1 + 9 / 8, 8)
         # weight point 3 ten times the others via region priors (10:1 mass)
         prior = bc.PositionPrior(
             (bc.SubRegion((0, 1, 2), 3 / 13), bc.SubRegion((3,), 10 / 13))
         )
-        chosen, overhead, rounds = bc.run_single_user(ckm, prior, h, 0.0, 0.5, codebook=cb)
+        chosen, overhead, rounds = bc.run_single_user(ckm, prior, responses_of(h), 0.0, 0.5)
         assert chosen == bc.BeamId(3, 5)
         assert overhead == 2  # probe the two top beams, then free descent
         assert [r.layer for r in rounds if r.probes] == [1]
@@ -274,9 +273,7 @@ class TestRunSingleUser:
         for _ in range(25):
             point = bc.sample_true_position(prior, rng)
             h = scene_channel(small_scene, point)
-            chosen, overhead, rounds = bc.run_single_user(
-                ckm, prior, h, 0.0, 0.5, codebook=small_scene["codebook"]
-            )
+            chosen, overhead, rounds = bc.run_single_user(ckm, prior, responses_of(h), 0.0, 0.5)
             assert chosen == exhaustive_best_beam(small_scene, h)
             assert overhead == sum(r.probes for r in rounds)
             assert overhead <= 2 * ckm.num_layers
@@ -286,9 +283,7 @@ class TestRunSingleUser:
         prior = bc.PositionPrior((bc.SubRegion(tuple(range(64, 96)), 1.0),))
         h = scene_channel(small_scene, 70)
         rng = np.random.default_rng(0)
-        chosen, overhead, _ = bc.run_single_user(
-            ckm, prior, h, 1e9, 0.5, codebook=small_scene["codebook"], rng=rng
-        )
+        chosen, overhead, _ = bc.run_single_user(ckm, prior, responses_of(h), 1e9, 0.5, rng=rng)
         assert chosen.layer == ckm.num_layers
         # never worse than probing every candidate at every layer once
         state = bc.candidate_beams(bc.compute_point_weights(ckm, prior, 0.5))
@@ -303,7 +298,7 @@ class TestRunSingleUser:
         for _ in range(2):
             rng = np.random.default_rng(42)
             runs.append(
-                bc.run_single_user(ckm, prior, h, 0.05, 0.5, codebook=small_scene["codebook"], rng=rng)
+                bc.run_single_user(ckm, prior, responses_of(h), 0.05, 0.5, rng=rng)
             )
         assert runs[0][0] == runs[1][0]
         assert runs[0][1] == runs[1][1]
@@ -315,24 +310,24 @@ class TestSharedEpisodeLoop:
     ``probe_round``, checked on noisy episodes of the small scene."""
 
     EPISODES = {
-        "alg1": lambda ckm, prior, h, sigma, cb, rng: bc.run_single_user(
-            ckm, prior, h, sigma, 0.5, codebook=cb, rng=rng
+        "alg1": lambda ckm, prior, resp, sigma, rng: bc.run_single_user(
+            ckm, prior, resp, sigma, 0.5, rng=rng
         ),
-        "alg2": lambda ckm, prior, h, sigma, cb, rng: bc.run_lookahead(
-            ckm, prior, h, sigma, 0.5, codebook=cb, rng=rng
+        "alg2": lambda ckm, prior, resp, sigma, rng: bc.run_lookahead(
+            ckm, prior, resp, sigma, 0.5, rng=rng
         ),
-        "baseline-hier": lambda ckm, prior, h, sigma, cb, rng: bc.baseline_hierarchical(
-            h, cb, sigma, rng
+        "baseline-hier": lambda ckm, prior, resp, sigma, rng: bc.baseline_hierarchical(
+            resp, sigma, rng
         ),
-        "baseline-exhaustive": lambda ckm, prior, h, sigma, cb, rng: bc.baseline_exhaustive(
-            h, cb, sigma, rng
+        "baseline-exhaustive": lambda ckm, prior, resp, sigma, rng: bc.baseline_exhaustive(
+            resp, sigma, rng
         ),
     }
 
     @pytest.mark.parametrize("algo", list(EPISODES))
     @pytest.mark.parametrize("snr_db", [0.0, 10.0])
     def test_rounds_descend_under_previous_feedback(self, small_scene, algo, snr_db):
-        ckm, cb = small_scene["ckm"], small_scene["codebook"]
+        ckm = small_scene["ckm"]
         L = ckm.num_layers
         # two regions whose best beams sometimes leave one bottom candidate
         # before the bottom layer is probed
@@ -345,7 +340,7 @@ class TestSharedEpisodeLoop:
             point = bc.sample_true_position(prior, np.random.default_rng(seed))
             h = scene_channel(small_scene, point)
             rng = np.random.default_rng(seed)
-            chosen, overhead, rounds = self.EPISODES[algo](ckm, prior, h, sigma, cb, rng)
+            chosen, overhead, rounds = self.EPISODES[algo](ckm, prior, responses_of(h), sigma, rng)
             assert overhead == sum(r.probes for r in rounds)
             prev = None
             for r in rounds:
@@ -390,17 +385,17 @@ class TestSearchTreeCache:
         ckm, cb = small_scene["ckm"], small_scene["codebook"]
         names = ("point_alive", "beam_alive", "weights", "rows")
         for seed in range(6):
-            # a built state, a fresh copy of it, and a state already folded once
+            # a built state, a copy of it, and a state already folded once
             built = bc.compute_point_weights(ckm, self.PRIOR, 0.5)
-            folded = built.fresh_copy()
+            folded = built.copy()
             bc.apply_observation(folded, bc.BeamId(1, int(folded.candidates(1)[seed % 2 - 1])))
-            h = scene_channel(small_scene, 36 + seed)
-            for state in (built, built.fresh_copy(), folded):
+            resp = bc.Responses(scene_channel(small_scene, 36 + seed), cb.matrix)
+            for state in (built, built.copy(), folded):
                 before = {name: getattr(state, name).copy() for name in names}
                 root, fallback = state.root, state.uniform_fallback
                 for _ in range(2):
                     rng = np.random.default_rng(seed)
-                    assert run_episode(h, cb, state, choose_layer, 0.05, rng)[2]
+                    assert run_episode(resp, state, choose_layer, 0.05, rng)[2]
                 for name, want in before.items():
                     np.testing.assert_array_equal(getattr(state, name), want)
                 assert state.root == root and state.uniform_fallback == fallback
@@ -418,11 +413,11 @@ class TestSearchTreeCache:
             original(state, observed)
 
         monkeypatch.setattr(strategy, "apply_observation", counted)
-        h = scene_channel(small_scene, 37)
+        resp = bc.Responses(scene_channel(small_scene, 37), cb.matrix)
 
         def episode():
             rng = np.random.default_rng(9)
-            return bc.run_single_user(ckm, built, h, 0.05, 0.5, codebook=cb, rng=rng)
+            return bc.run_single_user(ckm, built, resp, 0.05, 0.5, rng=rng)
 
         def path(rounds):
             node, nodes = built, []
