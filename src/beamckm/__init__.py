@@ -49,7 +49,6 @@ from .harness import (
     run_trials,
     scenario_from_dict,
     summarize,
-    user_priors,
     write_cdf_csv,
     write_results_csv,
     write_summary_csv,
@@ -109,7 +108,6 @@ __all__ = [
     "scenario_from_dict",
     "summarize",
     "synthesize_channel",
-    "user_priors",
     "write_cdf_csv",
     "write_results_csv",
     "write_summary_csv",

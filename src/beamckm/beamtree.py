@@ -24,13 +24,7 @@ import numpy as np
 
 from .ckm import CkmGrid
 from .codebook import BeamId
-from .position import PositionPrior
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    view = a.view()
-    view.flags.writeable = False
-    return view
+from .position import PositionPrior, _read_only
 
 
 class SearchState:
@@ -50,8 +44,8 @@ class SearchState:
     Both are read-only, as is everything sliced or computed from them
     (``layer_weights``, ``candidate_rows``, ``pair_weights()``).
 
-    ``children`` and ``plans`` cache the search below this state.  An
-    update sets both to None: a state folded in place drops its cache.
+    ``children`` and ``plans`` cache the search below this state.  Every
+    update starts both afresh: a state folded in place drops its cache.
     """
 
     def __init__(
@@ -107,8 +101,6 @@ class SearchState:
         self.root: BeamId | None = None
         self._derive()
         self.pair_weights()
-        self.children: dict | None = {}
-        self.plans: dict | None = {}
 
     def copy(self) -> "SearchState":
         """This state with its own alive masks over the shared read-only
@@ -146,7 +138,7 @@ class SearchState:
         """Weights of the alive points and beams (bottom layer, then the
         pairwise-sum recursion upward), the candidate rows, and where each
         layer's candidates start among them; clears the pair weights and
-        the search cache."""
+        starts an empty search cache."""
         nb = self.num_bottom
         flat = np.empty(2 * nb - 2)
         if self.uniform_fallback:
@@ -159,13 +151,17 @@ class SearchState:
             below = flat[2 ** (l + 1) - 2 : 2 ** (l + 2) - 2]
             flat[2**l - 2 : 2 ** (l + 1) - 2] = below[0::2] + below[1::2]
         flat.flags.writeable = False
-        rows = np.flatnonzero(flat > 0)
+        positive = flat > 0
+        rows = np.flatnonzero(positive)
         rows.flags.writeable = False
         self.weights = flat
         self.rows = rows
+        # _below[r]: candidate rows before codebook row r
+        self._below = np.concatenate(([0], np.cumsum(positive)))
         # layer l's candidates are rows[_starts[l - 1] : _starts[l]]
-        self._starts = tuple(rows.searchsorted(self._first_rows).tolist())
-        self._pairs = self.children = self.plans = None
+        self._starts = tuple(self._below[self._first_rows].tolist())
+        self._pairs = None
+        self.children, self.plans = {}, {}
 
     @property
     def alive_points(self) -> np.ndarray:
@@ -224,7 +220,7 @@ class SearchState:
             S[1:] = w.sum() * np.diff(self._starts)
             # rows of each bottom candidate's subtree at q under its ancestor at p
             lo = first + (((bottom - (self.num_bottom - 2)) >> up) << widen)
-            cnt = self.rows.searchsorted(lo + (1 << widen)) - self.rows.searchsorted(lo)
+            cnt = self._below[lo + (1 << widen)] - self._below[lo]
             G = np.zeros((L + 1, L + 1))
             G[p, q] = np.where(cnt >= 2, cnt, 0) @ w
             self._pairs = (_read_only(S), _read_only(G))
@@ -233,14 +229,13 @@ class SearchState:
 
 def compute_point_weights(
     ckm: CkmGrid,
-    prior: PositionPrior | np.ndarray | SearchState,
+    prior: PositionPrior | SearchState,
     beta: float,
     retain_beams: int | None = None,
 ) -> SearchState:
     """Search state from the map gains at the prior's candidate points.
 
-    ``prior`` may be a PositionPrior or a raw array of grid-point indices
-    of uniform mass.  It may also be a state already built from this map
+    ``prior`` may also be a state already built from this map
     with the same ``beta`` and ``retain_beams``; the result is then its
     ``copy()``, so a sweep builds each user's state once and every episode
     starts from a copy that shares its search cache; a sweep never folds
@@ -251,22 +246,16 @@ def compute_point_weights(
         if built_for != (beta, retain_beams, ckm.num_layers):
             raise ValueError("search state was built for another beta, retain_beams or map")
         return prior.copy()
-    if isinstance(prior, PositionPrior):
-        point_ids = prior.all_points()
-        mass = prior.point_masses()
-    else:
-        point_ids = np.asarray(prior, dtype=np.int64)
-        if point_ids.size == 0:
-            raise ValueError("empty point set")
-        mass = np.full(len(point_ids), 1.0 / len(point_ids))
+    point_ids = prior.points
     outside = (point_ids < 0) | (point_ids >= ckm.grid.num_points)
     if outside.any():
         raise ValueError(
             f"grid-point id {int(point_ids[outside.argmax()])} outside "
             f"[0, {ckm.grid.num_points})"
         )
-    gains = ckm.gains[:, point_ids].T.astype(np.float64)
-    return SearchState(point_ids, mass, gains, beta, ckm.num_layers, retain_beams)
+    # one C-ordered row per point: the contribution sums depend on this layout
+    gains = np.take(ckm.gains, point_ids, axis=1).T.astype(np.float64, order="C")
+    return SearchState(point_ids, prior.masses, gains, beta, ckm.num_layers, retain_beams)
 
 
 def candidate_beams(state: SearchState) -> SearchState:

@@ -80,15 +80,10 @@ class GridSpec:
             self.origin[1] + (iy + 0.5) * self.spacing_y,
         )
 
-    def point_coords(self) -> np.ndarray:
-        """(num_points, 2) array of cell-center positions, row-major."""
-        x, y = self.cell_center(np.arange(self.nx), np.arange(self.ny))
-        xx, yy = np.meshgrid(x, y)  # rows vary in y
-        return np.column_stack([xx.ravel(), yy.ravel()])
-
-    def point_position(self, index: int) -> tuple[float, float]:
-        iy, ix = divmod(int(index), self.nx)
-        return self.cell_center(ix, iy)
+    def positions(self, ids) -> np.ndarray:
+        """(len(ids), 2) cell-center positions of grid-point indices."""
+        iy, ix = np.divmod(np.asarray(ids, dtype=np.int64), self.nx)
+        return np.column_stack(self.cell_center(ix, iy))
 
     def snap_index(self, position) -> int:
         """Nearest grid point; ties and out-of-extent positions resolve
@@ -154,21 +149,20 @@ def build_ckm(
     codebook: HierarchicalCodebook,
     grid: GridSpec,
     staleness_sigma: float = 0.0,
-    staleness_seed: int | None = None,
 ) -> CkmGrid:
     """Evaluate |h(point)^H f| for every (codeword, grid point).
 
     ``staleness_sigma`` > 0 multiplies each stored gain by an independent
     log-normal factor exp(sigma * Z), modelling an outdated map; the jitter
-    stream is seeded separately from trial randomness.  A sigma that pushes
-    a gain past the float32 range is rejected.
+    stream is seeded from ``env.rng_seed``, apart from trial randomness.  A
+    sigma that pushes a gain past the float32 range is rejected.
     """
     n_ant = array.num_antennas
-    h = channel_vectors(*trace_point_paths(env, array, grid.point_coords())[:3], n_ant)
+    coords = grid.positions(np.arange(grid.num_points))
+    h = channel_vectors(*trace_point_paths(env, array, coords)[:3], n_ant)
     gains = np.abs(h.conj() @ codebook.matrix.T).T  # (num_cw, num_points)
     if staleness_sigma > 0.0:
-        seed = env.rng_seed if staleness_seed is None else staleness_seed
-        jit_rng = np.random.default_rng(seed)
+        jit_rng = np.random.default_rng(env.rng_seed)
         gains = gains * np.exp(staleness_sigma * jit_rng.standard_normal(gains.shape))
         if not gains.max() <= np.finfo(np.float32).max:
             raise ValueError(

@@ -17,7 +17,7 @@ import math
 import numbers
 import types
 import typing
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -103,6 +103,8 @@ class ScenarioConfig:
     ckm_staleness_sigma: float = 0.0
     retain_beams: int | None = None
     name: str = "scenario"
+    # one location prior per user, resolved on this grid
+    priors: tuple[PositionPrior, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.users:
@@ -127,7 +129,16 @@ class ScenarioConfig:
         _check_algorithms(self.algorithms)
         # a scatterer on the BS or a region covering no grid point fails here, not mid-run
         trace_point_paths(self.environment, self.array, np.empty((0, 2)))
-        user_priors(self)
+        priors = []
+        for i, user in enumerate(self.users):
+            subs = []
+            for j, r in enumerate(user.subregions):
+                try:
+                    subs.append(SubRegion(points=region_points(self.grid, r), prior=r.prior))
+                except ValueError as exc:
+                    raise ValueError(f"users[{i}].subregions[{j}]: {exc}") from None
+            priors.append(PositionPrior(subregions=tuple(subs)))
+        object.__setattr__(self, "priors", tuple(priors))
 
 
 def _check_algorithms(algos) -> None:
@@ -243,21 +254,6 @@ def region_points(grid: GridSpec, region: RegionSpec) -> np.ndarray:
     return idx
 
 
-def user_priors(config: ScenarioConfig) -> list[PositionPrior]:
-    """One location prior per user from its declared regions."""
-    priors = []
-    for i, user in enumerate(config.users):
-        subs = []
-        for j, r in enumerate(user.subregions):
-            try:
-                points = tuple(int(k) for k in region_points(config.grid, r))
-                subs.append(SubRegion(points=points, prior=r.prior))
-            except ValueError as exc:
-                raise ValueError(f"users[{i}].subregions[{j}]: {exc}") from None
-        priors.append(PositionPrior(subregions=tuple(subs)))
-    return priors
-
-
 @dataclass(frozen=True)
 class TrialRecord:
     """One user's outcome for one (trial, algorithm, SNR) cell."""
@@ -364,7 +360,7 @@ def run_trials(
     )
     _check_snrs(snrs)
     codebook = build_codebook(config.array.num_antennas)
-    priors = user_priors(config)
+    priors = config.priors
     K = len(priors)
     L = ckm.num_layers
     ref = reference_gain(ckm)
@@ -381,8 +377,9 @@ def run_trials(
     for pts in trial_points:
         for p in pts:
             row_of.setdefault(p, len(row_of))
-    coords = np.array([ckm.grid.point_position(p) for p in row_of])
-    channels = synthesize_channel(config.environment, config.array, coords)
+    channels = synthesize_channel(
+        config.environment, config.array, ckm.grid.positions(np.fromiter(row_of, np.int64))
+    )
     gains = [np.abs(np.concatenate([b @ hc for b in blocks])) for hc in np.conj(channels)]
     # each point's codeword responses, computed on first use and shared by
     # every SNR and algorithm of this call

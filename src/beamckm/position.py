@@ -9,26 +9,45 @@ import numpy as np
 PRIOR_SUM_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class SubRegion:
-    """Grid-point indices forming one uncertainty region with its prior mass."""
+def _read_only(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
 
-    points: tuple[int, ...]
+
+@dataclass(frozen=True, eq=False)
+class SubRegion:
+    """Grid-point indices forming one uncertainty region with its prior mass.
+
+    ``points`` may be any int sequence; it is kept as a read-only int64 array.
+    """
+
+    points: np.ndarray
     prior: float
 
     def __post_init__(self):
-        if len(self.points) == 0:
+        points = np.asarray(self.points, dtype=np.int64)
+        if points.size == 0:
             raise ValueError("subregion must contain at least one point")
         if not 0.0 < self.prior <= 1.0:
             raise ValueError(f"prior must lie in (0, 1], got {self.prior}")
+        object.__setattr__(self, "points", _read_only(points))
 
     @property
     def num_points(self) -> int:
         return len(self.points)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PositionPrior:
+    """Disjoint subregions whose priors sum to one.
+
+    ``points`` (every subregion's grid-point indices, declaration order)
+    and ``masses`` (each point's probability, aligned with ``points``) are
+    read-only arrays built once here, as are the subregion draw
+    probabilities that ``sample_true_position`` reads.
+    """
+
     subregions: tuple[SubRegion, ...]
 
     def __post_init__(self):
@@ -37,28 +56,29 @@ class PositionPrior:
         total = sum(s.prior for s in self.subregions)
         if abs(total - 1.0) > PRIOR_SUM_TOL:
             raise ValueError(f"subregion priors sum to {total}, expected 1")
-        seen: set[int] = set()
-        for s in self.subregions:
-            overlap = seen.intersection(s.points)
-            if overlap:
-                raise ValueError(f"subregions overlap at grid points {sorted(overlap)}")
-            seen.update(s.points)
-
-    def all_points(self) -> np.ndarray:
-        """Grid-point indices of every subregion, declaration order."""
-        return np.concatenate([np.asarray(s.points, dtype=np.int64) for s in self.subregions])
-
-    def point_masses(self) -> np.ndarray:
-        """Per-point probability aligned with all_points(); sums to 1."""
-        return np.concatenate(
-            [np.full(s.num_points, s.prior / s.num_points) for s in self.subregions]
+        arrays = [s.points for s in self.subregions]
+        points = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+        repeated = _repeated(points)
+        if repeated:
+            raise ValueError(f"subregions overlap or repeat grid points {repeated}")
+        masses = np.repeat(
+            [s.prior / s.num_points for s in self.subregions],
+            [s.num_points for s in self.subregions],
         )
+        object.__setattr__(self, "points", _read_only(points))
+        object.__setattr__(self, "masses", _read_only(masses))
+        priors = np.array([s.prior for s in self.subregions])
+        object.__setattr__(self, "_draw_p", _read_only(priors / priors.sum()))
+
+
+def _repeated(points: np.ndarray) -> list[int]:
+    """Up to ten distinct values that occur more than once, ascending."""
+    ordered = np.sort(points)
+    return np.unique(ordered[1:][ordered[1:] == ordered[:-1]])[:10].tolist()
 
 
 def sample_true_position(prior: PositionPrior, rng: np.random.Generator) -> int:
     """Draw a grid-point index: subregion by prior, then uniform within it."""
-    priors = np.array([s.prior for s in prior.subregions])
-    s = rng.choice(len(priors), p=priors / priors.sum())
+    s = rng.choice(len(prior.subregions), p=prior._draw_p)
     reg = prior.subregions[s]
     return int(reg.points[rng.integers(reg.num_points)])
-

@@ -168,8 +168,6 @@ def run_episode(
     it was.  Returns (chosen bottom beam, probe count, rounds)."""
     transcript: list[ProbeRound] = []
     while True:
-        if state.plans is None:  # a state folded in place caches afresh
-            state.children, state.plans = {}, {}
         plan = state.plans.get(choose_layer)
         if plan is None:
             # a state without candidates fails before any probe

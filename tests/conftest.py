@@ -47,6 +47,11 @@ def toy_ckm(bottom_gains: np.ndarray, full_gains: np.ndarray | None = None) -> b
     )
 
 
+def uniform_prior(ids) -> bc.PositionPrior:
+    """Location prior of uniform mass over the given grid-point indices."""
+    return bc.PositionPrior((bc.SubRegion(ids, 1.0),))
+
+
 def from_bottom_weights(weights, root: bc.BeamId | None = None) -> bc.SearchState:
     """Toy search state whose bottom weights are exactly ``weights``: one
     point whose bottom map gains are the weights, with beta low enough to
@@ -110,7 +115,7 @@ def small_scene():
 
 def scene_channel(scene, point: int) -> np.ndarray:
     """Ground-truth channel vector at a grid point of the small scene."""
-    pos = scene["grid"].point_position(point)
+    pos = scene["grid"].positions([point])[0]
     return bc.synthesize_channel(scene["env"], scene["array"], pos)
 
 

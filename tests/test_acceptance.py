@@ -56,7 +56,7 @@ def desk():
         "cfg": cfg,
         "codebook": codebook,
         "ckm": ckm,
-        "priors": bc.user_priors(cfg),
+        "priors": cfg.priors,
         "records": records,
         "sweep_time": sweep_time,
     }
@@ -146,7 +146,7 @@ class TestDeskScaleBehaviour:
         for t in range(cfg.trials):
             rng = np.random.default_rng([cfg.seed, 101, t])
             pts = [sample_true_position(p, rng) for p in priors]
-            pos = np.array([cfg.grid.point_position(pt) for pt in pts])
+            pos = cfg.grid.positions(pts)
             _, amps, _, counts = trace_point_paths(cfg.environment, cfg.array, pos)
             for k in range(len(pts)):
                 single[(t, k)] = counts[k] == 1 or amps[k, 0] >= 2.0 * amps[k, 1]

@@ -22,6 +22,7 @@ from conftest import (
     layer_masks,
     stack_layers,
     toy_ckm,
+    uniform_prior,
 )
 from oracles import pair_weights, prefix_sums
 
@@ -60,7 +61,7 @@ def four_point_ckm():
 class TestThresholdRetention:
     def test_half_threshold_keeps_only_dominant_beam(self):
         ckm = toy_ckm(np.array([[1.0, 0.3, 0.05, 0.0]]))
-        table = bc.compute_point_weights(ckm, np.array([0]), beta=0.5)
+        table = bc.compute_point_weights(ckm, uniform_prior(np.array([0])), beta=0.5)
         np.testing.assert_allclose(table.bottom_weights, [1.0, 0.0, 0.0, 0.0])
         np.testing.assert_array_equal(
             bc.candidate_beams(table).bottom_candidates(), [1]
@@ -68,22 +69,22 @@ class TestThresholdRetention:
 
     def test_low_threshold_keeps_all_nonzero(self):
         ckm = toy_ckm(np.array([[1.0, 0.3, 0.05, 0.0]]))
-        table = bc.compute_point_weights(ckm, np.array([0]), beta=0.04)
+        table = bc.compute_point_weights(ckm, uniform_prior(np.array([0])), beta=0.04)
         np.testing.assert_allclose(table.bottom_weights, [1.0, 0.3, 0.05, 0.0])
 
     def test_beta_one_keeps_only_argmax(self):
         ckm = toy_ckm(np.array([[0.9, 1.0, 0.3, 0.0]]))
-        table = bc.compute_point_weights(ckm, np.array([0]), beta=1.0)
+        table = bc.compute_point_weights(ckm, uniform_prior(np.array([0])), beta=1.0)
         np.testing.assert_allclose(table.bottom_weights, [0.0, 1.0, 0.0, 0.0])
 
     def test_beta_one_exact_tie_keeps_both(self):
         ckm = toy_ckm(np.array([[1.0, 1.0, 0.3, 0.0]]))
-        table = bc.compute_point_weights(ckm, np.array([0]), beta=1.0)
+        table = bc.compute_point_weights(ckm, uniform_prior(np.array([0])), beta=1.0)
         np.testing.assert_array_equal(table.bottom_weights > 0, [True, True, False, False])
 
     def test_retain_cap_keeps_strongest_stable(self):
         ckm = toy_ckm(np.array([[0.5, 1.0, 1.0, 0.9]]))
-        table = bc.compute_point_weights(ckm, np.array([0]), beta=0.1, retain_beams=2)
+        table = bc.compute_point_weights(ckm, uniform_prior([0]), beta=0.1, retain_beams=2)
         np.testing.assert_array_equal(
             bc.candidate_beams(table).bottom_candidates(), [2, 3]
         )
@@ -94,7 +95,7 @@ class TestThresholdRetention:
         stored = ckm.bottom_gains.T.astype(np.float64)  # what the table reads
         for beta, retain in [(0.3, None), (0.7, None), (0.5, 3), (1.0, 1)]:
             table = bc.compute_point_weights(
-                ckm, np.arange(6), beta=beta, retain_beams=retain
+                ckm, uniform_prior(np.arange(6)), beta=beta, retain_beams=retain
             )
             keep = threshold_keep_oracle(stored, beta, retain)
             expected = (np.full(6, 1.0 / 6)[:, None] * stored * keep).sum(axis=0)
@@ -103,26 +104,26 @@ class TestThresholdRetention:
     def test_parameter_validation(self):
         ckm = toy_ckm(np.ones((1, 4)))
         with pytest.raises(ValueError):
-            bc.compute_point_weights(ckm, np.array([0]), beta=0.0)
+            bc.compute_point_weights(ckm, uniform_prior(np.array([0])), beta=0.0)
         with pytest.raises(ValueError):
-            bc.compute_point_weights(ckm, np.array([0]), beta=1.5)
+            bc.compute_point_weights(ckm, uniform_prior(np.array([0])), beta=1.5)
         with pytest.raises(ValueError):
-            bc.compute_point_weights(ckm, np.array([0]), beta=0.5, retain_beams=0)
+            bc.compute_point_weights(ckm, uniform_prior([0]), beta=0.5, retain_beams=0)
         with pytest.raises(ValueError):
-            bc.compute_point_weights(ckm, np.array([], dtype=int), beta=0.5)
+            bc.compute_point_weights(ckm, uniform_prior(np.array([], dtype=int)), beta=0.5)
 
 
 class TestLayerRecursion:
     def test_pairwise_sum_example(self):
         ckm = toy_ckm(np.array([[1.0, 0.0, 2.0, 0.0]]))
-        table = bc.compute_point_weights(ckm, np.array([0]), beta=0.1)
+        table = bc.compute_point_weights(ckm, uniform_prior(np.array([0])), beta=0.1)
         np.testing.assert_allclose(table.layer_weights(2), [1.0, 0.0, 2.0, 0.0])
         np.testing.assert_allclose(table.layer_weights(1), [1.0, 2.0])
 
     def test_total_weight_identical_across_layers(self):
         rng = np.random.default_rng(23)
         ckm = toy_ckm(rng.uniform(0.0, 1.0, size=(5, 16)))
-        table = bc.compute_point_weights(ckm, np.arange(5), beta=0.2)
+        table = bc.compute_point_weights(ckm, uniform_prior(np.arange(5)), beta=0.2)
         layers = [table.layer_weights(l) for l in range(1, 5)]
         totals = [w.sum() for w in layers]
         np.testing.assert_allclose(totals, totals[-1], rtol=1e-12)
@@ -131,8 +132,8 @@ class TestLayerRecursion:
 
     def test_weights_scale_with_gains(self):
         bottom = np.random.default_rng(1).uniform(0.1, 1.0, size=(3, 8))
-        t1 = bc.compute_point_weights(toy_ckm(bottom), np.arange(3), beta=0.4)
-        t2 = bc.compute_point_weights(toy_ckm(5.0 * bottom), np.arange(3), beta=0.4)
+        t1 = bc.compute_point_weights(toy_ckm(bottom), uniform_prior(range(3)), beta=0.4)
+        t2 = bc.compute_point_weights(toy_ckm(5.0 * bottom), uniform_prior(range(3)), beta=0.4)
         np.testing.assert_allclose(
             t2.bottom_weights, 5.0 * t1.bottom_weights, rtol=1e-6
         )
@@ -142,7 +143,7 @@ class TestLayerRecursion:
         bottom = np.random.default_rng(2).uniform(0.0, 1.0, size=(4, 16))
         counts = []
         for beta in [0.1, 0.3, 0.5, 0.7, 0.9, 1.0]:
-            table = bc.compute_point_weights(toy_ckm(bottom), np.arange(4), beta=beta)
+            table = bc.compute_point_weights(toy_ckm(bottom), uniform_prior(range(4)), beta=beta)
             counts.append(len(bc.candidate_beams(table).bottom_candidates()))
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
@@ -185,7 +186,7 @@ class TestPrunedTree:
 class TestApplyObservation:
     def test_observing_right_half_leaves_single_leaf(self):
         ckm = four_point_ckm()
-        state = bc.compute_point_weights(ckm, np.arange(4), beta=0.5)
+        state = bc.compute_point_weights(ckm, uniform_prior(np.arange(4)), beta=0.5)
         np.testing.assert_array_equal(bc.candidate_beams(state).bottom_candidates(), [1, 2, 3, 5])
         bc.apply_observation(state, bc.BeamId(1, 2))
         np.testing.assert_array_equal(state.bottom_candidates(), [5])
@@ -194,7 +195,7 @@ class TestApplyObservation:
 
     def test_points_drop_when_argmax_disagrees(self):
         ckm = four_point_ckm()
-        state = bc.compute_point_weights(ckm, np.arange(4), beta=0.5)
+        state = bc.compute_point_weights(ckm, uniform_prior(np.arange(4)), beta=0.5)
         bc.apply_observation(state, bc.BeamId(1, 1))
         # points backing beams 1, 2, 3 stay; the beam-5 point is gone
         np.testing.assert_array_equal(state.alive_points, [0, 1, 2])
@@ -204,14 +205,14 @@ class TestApplyObservation:
         # both layer-1 wide beams read the same gain for this point: the
         # tie votes for beam 1, so observing beam 2 discards the point
         bottom = np.array([[1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]])
-        state = bc.compute_point_weights(toy_ckm(bottom), np.array([0]), beta=0.5)
+        state = bc.compute_point_weights(toy_ckm(bottom), uniform_prior(np.array([0])), beta=0.5)
         bc.apply_observation(state, bc.BeamId(1, 2))
         assert state.alive_points.size == 0
         assert state.uniform_fallback
 
     def test_non_candidate_observation_rejected(self):
         ckm = four_point_ckm()
-        state = bc.compute_point_weights(ckm, np.arange(4), beta=0.5)
+        state = bc.compute_point_weights(ckm, uniform_prior(np.arange(4)), beta=0.5)
         with pytest.raises(ValueError):
             bc.apply_observation(state, bc.BeamId(3, 4))
 
@@ -219,7 +220,7 @@ class TestApplyObservation:
         # both points bet on the left half; observing the right half wipes
         # them out and the subtree reverts to uniform weights
         bottom = np.tile(np.array([[1.0, 0.0, 0.0, 0.6]]), (2, 1))
-        state = bc.compute_point_weights(toy_ckm(bottom), np.arange(2), beta=0.5)
+        state = bc.compute_point_weights(toy_ckm(bottom), uniform_prior(np.arange(2)), beta=0.5)
         np.testing.assert_array_equal(state.bottom_candidates(), [1, 4])
         bc.apply_observation(state, bc.BeamId(1, 2))
         assert state.uniform_fallback
@@ -231,7 +232,7 @@ class TestApplyObservation:
         # fallback subtree must re-anchor on the new subtree instead of
         # leaving no candidates at all
         bottom = np.tile(np.array([[1.0, 0.0, 0.0, 0.6]]), (2, 1))
-        state = bc.compute_point_weights(toy_ckm(bottom), np.arange(2), beta=0.5)
+        state = bc.compute_point_weights(toy_ckm(bottom), uniform_prior(np.arange(2)), beta=0.5)
         bc.apply_observation(state, bc.BeamId(1, 2))
         assert state.uniform_fallback
         state.update(np.ones(2, dtype=bool), bc.BeamId(2, 1))
@@ -242,7 +243,7 @@ class TestApplyObservation:
     def test_descent_chain_reaches_bottom(self):
         rng = np.random.default_rng(7)
         bottom = rng.uniform(0.05, 1.0, size=(6, 16))
-        state = bc.compute_point_weights(toy_ckm(bottom), np.arange(6), beta=0.3)
+        state = bc.compute_point_weights(toy_ckm(bottom), uniform_prior(np.arange(6)), beta=0.3)
         node = bc.BeamId(1, 1)
         bc.apply_observation(state, node)
         for layer in range(2, 5):
@@ -256,12 +257,13 @@ class TestApplyObservation:
     def test_all_zero_weights_have_no_candidates(self):
         # a prior whose only point has no map gain backs no beam at all
         ckm = toy_ckm(np.zeros((1, 4)))
-        state = bc.compute_point_weights(ckm, np.array([0]), beta=0.5)
+        state = bc.compute_point_weights(ckm, uniform_prior(np.array([0])), beta=0.5)
         with pytest.raises(ValueError):
             bc.candidate_beams(state)
         # an update never leaves that state: dropping every point engages
         # the uniform fallback instead
-        state = bc.compute_point_weights(toy_ckm(np.array([[1.0, 0.0, 0.0, 0.0]])), [0], 0.5)
+        ckm = toy_ckm(np.array([[1.0, 0.0, 0.0, 0.0]]))
+        state = bc.compute_point_weights(ckm, uniform_prior([0]), 0.5)
         state.update(np.array([False]))
         assert state.uniform_fallback
         np.testing.assert_array_equal(bc.candidate_beams(state).bottom_candidates(), [1, 2, 3, 4])
@@ -279,9 +281,9 @@ class TestWeightTableState:
     @pytest.mark.parametrize(
         "points, bad",
         [
-            (np.array([-1]), -1),
-            (np.array([0, 2, 1]), 2),
-            (np.array([1, 7, -3]), 7),
+            (uniform_prior([-1]), -1),
+            (uniform_prior([0, 2, 1]), 2),
+            (uniform_prior([1, 7, -3]), 7),
             (bc.PositionPrior((bc.SubRegion((-5, 3), 1.0),)), -5),
             (bc.PositionPrior((bc.SubRegion((0,), 0.5), bc.SubRegion((1, 2), 0.5))), 2),
         ],
@@ -294,13 +296,13 @@ class TestWeightTableState:
 
     def test_raw_indices_default_to_uniform_mass(self):
         ckm = toy_ckm(np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]))
-        table = bc.compute_point_weights(ckm, np.array([0, 1]), beta=0.5)
+        table = bc.compute_point_weights(ckm, uniform_prior(np.array([0, 1])), beta=0.5)
         np.testing.assert_allclose(table.bottom_weights, [0.5, 0.5, 0.0, 0.0])
 
     def test_candidate_rows_index_the_gain_columns(self):
         rng = np.random.default_rng(11)
         bottom = rng.uniform(size=(3, 8)) * (rng.random((3, 8)) < 0.5)
-        table = bc.compute_point_weights(toy_ckm(bottom), np.arange(3), beta=0.5)
+        table = bc.compute_point_weights(toy_ckm(bottom), uniform_prior(np.arange(3)), beta=0.5)
         rows = table.candidate_rows(3)
         np.testing.assert_array_equal(rows, 6 + np.flatnonzero(table.contrib.sum(axis=0) > 0))
         np.testing.assert_array_equal(table.candidates(3), rows - 5)
@@ -308,7 +310,7 @@ class TestWeightTableState:
 
     def test_restrict_without_kill_keeps_weights(self):
         bottom = np.array([[0.2, 0.3, 0.4, 0.1]])
-        state = bc.compute_point_weights(toy_ckm(bottom), np.array([0]), beta=0.1)
+        state = bc.compute_point_weights(toy_ckm(bottom), uniform_prior(np.array([0])), beta=0.1)
         state.update(np.ones(1, dtype=bool), bc.BeamId(1, 1))
         np.testing.assert_allclose(state.bottom_weights, [0.2, 0.3, 0.0, 0.0])
         assert not state.uniform_fallback
@@ -321,7 +323,9 @@ class TestTableCopies:
     def setup_method(self):
         bottom = np.random.default_rng(5).uniform(0.0, 1.0, size=(6, 8))
         self.ckm = toy_ckm(bottom)
-        self.built = bc.compute_point_weights(self.ckm, np.arange(6), beta=0.3, retain_beams=3)
+        self.built = bc.compute_point_weights(
+            self.ckm, uniform_prior(range(6)), beta=0.3, retain_beams=3
+        )
 
     def test_copy_starts_fresh_and_leaves_the_source_alone(self):
         first = bc.compute_point_weights(self.ckm, self.built, 0.3, retain_beams=3)
@@ -570,7 +574,7 @@ class TestRootSubtree:
 def cached_states(state, path=()):
     """Every state cached below ``state``, each with the observations that
     lead to it from ``state``."""
-    for (layer, index), child in (state.children or {}).items():
+    for (layer, index), child in state.children.items():
         here = path + (bc.BeamId(layer, index),)
         yield here, child
         yield from cached_states(child, here)
@@ -587,7 +591,7 @@ class TestSearchTreeCache:
         often contradict every point and the uniform fallback engages."""
         rng = np.random.default_rng(seed)
         bottom = rng.uniform(0.0, 1.0, (6, 16)) * (rng.random((6, 16)) < 0.3)
-        built = bc.compute_point_weights(toy_ckm(bottom), np.arange(6), beta=0.5)
+        built = bc.compute_point_weights(toy_ckm(bottom), uniform_prior(np.arange(6)), beta=0.5)
         cb = bc.build_codebook(16)
         for k in range(30):
             resp = bc.Responses(rng.normal(size=16) + 1j * rng.normal(size=16), cb.matrix)
@@ -624,7 +628,8 @@ class TestSearchTreeCache:
         assert copy.children is built.children and copy.plans is built.plans
         observed = bc.BeamId(1, int(copy.candidates(1)[0]))
         bc.apply_observation(copy, observed)
-        assert copy.children is None and copy.plans is None
+        assert copy.children == {} and copy.plans == {}
+        assert copy.children is not built.children and copy.plans is not built.plans
         assert built.copy().children is built.children
 
     def test_copy_folds_without_touching_the_original(self):
@@ -634,7 +639,7 @@ class TestSearchTreeCache:
         copy = node.copy()
         assert copy.root == node.root == path[-1]
         copy.update(np.zeros(len(copy.point_ids), dtype=bool))
-        assert copy.uniform_fallback and copy.children is None
+        assert copy.uniform_fallback and copy.children == {} and copy.plans == {}
         for name, want in before.items():
             np.testing.assert_array_equal(getattr(node, name), want)
-        assert node.children is not None and node.plans is not None
+        assert node.children is not copy.children and node.plans is not copy.plans

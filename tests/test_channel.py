@@ -196,7 +196,7 @@ def lattice_scenes(draw):
 
 def map_field(env, array, grid):
     """The channel field behind build_ckm: one row per grid point."""
-    traced = trace_point_paths(env, array, grid.point_coords())
+    traced = trace_point_paths(env, array, grid.positions(np.arange(grid.num_points)))
     return bc.channel_vectors(*traced[:3], array.num_antennas), traced
 
 
@@ -210,7 +210,7 @@ class TestChannelField:
         gains = np.abs(field.conj() @ cb.matrix.T).T.astype(np.float32)
         np.testing.assert_array_equal(bc.build_ckm(env, array, cb, grid).gains, gains)
         for p in range(grid.num_points):
-            pos = grid.point_position(p)
+            pos = grid.positions([p])[0]
             if counts[p] == 0:
                 with pytest.raises(ValueError, match="no propagation path"):
                     bc.synthesize_channel(env, array, pos)
@@ -243,7 +243,7 @@ class TestChannelField:
         position in the batch that no path reaches."""
         env, array, grid = scene
         order = data.draw(st.lists(st.integers(0, grid.num_points - 1), min_size=1, max_size=12))
-        coords = np.array([grid.point_position(p) for p in order])
+        coords = grid.positions(order)
         one_point = []
         for pos in coords:
             try:

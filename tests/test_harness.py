@@ -402,7 +402,7 @@ class TestRegions:
         grid = self.grid()
         region = bc.RegionSpec(prior=1.0, rect=(2.0, 2.0, 8.0, 3.0))
         idx = bc.region_points(grid, region)
-        coords = grid.point_coords()
+        coords = grid.positions(np.arange(grid.num_points))
         inside = np.flatnonzero(
             (coords[:, 0] >= 2.0)
             & (coords[:, 0] <= 8.0)
@@ -427,7 +427,7 @@ class TestRegions:
     def test_rect_ids_match_every_center_test(self):
         # an offset, non-square grid whose rects cut through rows and columns
         grid = bc.GridSpec(extent_x=7.0, extent_y=4.5, spacing_x=1.0, spacing_y=0.5, origin=(-3, 2))
-        coords = grid.point_coords()
+        coords = grid.positions(np.arange(grid.num_points))
         for rect in [(-3.0, 2.0, 4.0, 6.5), (-1.2, 2.6, 1.5, 3.3), (0.5, 4.25, 0.5, 6.0)]:
             x0, y0, x1, y1 = rect
             inside = (
@@ -473,7 +473,7 @@ class TestRegions:
         region["points"] = [[12, 8.5], [12.9, 9.4]]
         cfg = bc.scenario_from_dict(d)
         assert cfg.users[0].subregions[1].points == ((12.0, 8.5), (12.9, 9.4))
-        np.testing.assert_array_equal(bc.user_priors(cfg)[0].all_points()[-2:], [139, 156])
+        np.testing.assert_array_equal(cfg.priors[0].points[-2:], [139, 156])
 
     def test_duplicate_snapped_points_rejected(self):
         grid = self.grid()
@@ -481,14 +481,44 @@ class TestRegions:
         with pytest.raises(ValueError, match="duplicate"):
             bc.region_points(grid, region)
 
+    def test_fine_grid_loads_in_memory_of_its_covered_points(self):
+        # 4.1e7 grid points, 1.6e6 of them in a prior: the priors hold
+        # about 25 MB of int64 ids and float64 masses, and the per-axis rect
+        # tests about 10 MB; a Python int per covered point would take more
+        d = copy.deepcopy(DESK)
+        d["grid"]["spacing_x"] = 1e-4
+        tracemalloc.start()
+        try:
+            cfg = bc.scenario_from_dict(d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 48_000_000
+        assert sum(p.points.size for p in cfg.priors) == 1_560_000
+        for prior in cfg.priors:
+            assert prior.points.dtype == np.int64 and not prior.points.flags.writeable
+
+    def test_priors_follow_a_replaced_grid(self):
+        cfg = bc.scenario_from_dict(scenario_dict())
+        fine = dataclasses.replace(cfg, grid=bc.GridSpec(16.0, 16.0, 0.5, 0.5))
+        assert cfg.priors[0].points.size == 14
+        assert fine.priors[0].points.size == 4 * 14
+        for c in (cfg, fine):
+            centers = c.grid.positions(c.priors[0].points)
+            # rects [2, 2, 8, 3] and [8, 12, 16, 13]
+            low = centers[:, 1] <= 3.0
+            assert ((centers[low] >= [2.0, 2.0]) & (centers[low] <= [8.0, 3.0])).all()
+            assert ((centers[~low] >= [8.0, 12.0]) & (centers[~low] <= [16.0, 13.0])).all()
+        np.testing.assert_allclose(fine.priors[0].masses.sum(), 1.0)
+
     def test_user_priors_masses(self):
         cfg = bc.scenario_from_dict(scenario_dict())
-        priors = bc.user_priors(cfg)
+        priors = cfg.priors
         assert len(priors) == 1
-        masses = priors[0].point_masses()
+        masses = priors[0].masses
         np.testing.assert_allclose(masses.sum(), 1.0)
         np.testing.assert_array_equal(
-            priors[0].all_points(), list(range(34, 40)) + list(range(200, 208))
+            priors[0].points, list(range(34, 40)) + list(range(200, 208))
         )
         np.testing.assert_allclose(masses[:6], 0.5 / 6)
         np.testing.assert_allclose(masses[6:], 0.5 / 8)
@@ -684,10 +714,10 @@ class TestUnreachedPosition:
         unreached = []
         for t in range(cfg.trials):
             rng = np.random.default_rng([cfg.seed, 101, t])
-            for prior in bc.user_priors(cfg):
+            for prior in cfg.priors:
                 p = bc.sample_true_position(prior, rng)
                 try:
-                    bc.synthesize_channel(env, array, grid.point_position(p))
+                    bc.synthesize_channel(env, array, grid.positions([p])[0])
                 except ValueError as exc:
                     unreached.append((p, str(exc)))
         assert len({p for p, _ in unreached}) > 1

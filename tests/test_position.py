@@ -41,19 +41,23 @@ class TestValidation:
         with pytest.raises(ValueError):
             bc.PositionPrior((bc.SubRegion((0, 1), 0.5), bc.SubRegion((1, 2), 0.5)))
 
+    def test_point_repeated_within_a_subregion_rejected(self):
+        with pytest.raises(ValueError, match=r"repeat grid points \[4\]"):
+            bc.PositionPrior((bc.SubRegion((4, 9, 4), 1.0),))
+
     def test_single_full_region_accepted(self):
         prior = bc.PositionPrior((bc.SubRegion((4, 9), 1.0),))
-        np.testing.assert_array_equal(prior.all_points(), [4, 9])
+        np.testing.assert_array_equal(prior.points, [4, 9])
 
 
 class TestMasses:
     def test_uniform_split_within_each_region(self):
         prior = two_region_prior()
-        masses = prior.point_masses()
+        masses = prior.masses
         np.testing.assert_allclose(masses, 0.1)
         np.testing.assert_allclose(masses.sum(), 1.0)
         np.testing.assert_array_equal(
-            prior.all_points(), [0, 1, 2, 3, 4, 5, 6, 10, 11, 12]
+            prior.points, [0, 1, 2, 3, 4, 5, 6, 10, 11, 12]
         )
 
     def test_unequal_regions(self):
@@ -61,7 +65,7 @@ class TestMasses:
             (bc.SubRegion((0, 1), 0.6), bc.SubRegion((5, 6, 7), 0.4))
         )
         np.testing.assert_allclose(
-            prior.point_masses(), [0.3, 0.3, 0.4 / 3, 0.4 / 3, 0.4 / 3]
+            prior.masses, [0.3, 0.3, 0.4 / 3, 0.4 / 3, 0.4 / 3]
         )
 
 
@@ -72,8 +76,8 @@ class TestSampling:
         draws = np.array(
             [bc.sample_true_position(prior, rng) for _ in range(100_000)]
         )
-        pts = prior.all_points()
-        masses = prior.point_masses()
+        pts = prior.points
+        masses = prior.masses
         freq = np.array([(draws == p).mean() for p in pts])
         assert set(np.unique(draws)) <= set(pts.tolist())
         np.testing.assert_allclose(freq, masses, atol=0.01)

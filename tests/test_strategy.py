@@ -24,6 +24,7 @@ from conftest import (
     responses_of,
     scene_channel,
     toy_ckm,
+    uniform_prior,
 )
 from oracles import (
     enumerate_activations,
@@ -245,7 +246,7 @@ class TestRunSingleUser:
         ckm = self._one_hot_ckm()
         h = steering_vector(-1 + 9 / 8, 8)  # center angle of bottom beam 5
         chosen, overhead, rounds = bc.run_single_user(
-            ckm, np.arange(4), responses_of(h), 0.0, 0.5
+            ckm, uniform_prior(range(4)), responses_of(h), 0.0, 0.5
         )
         assert chosen == bc.BeamId(3, 5)
         assert overhead == 4  # the frozen bottom-only plan
