@@ -44,6 +44,10 @@ from .channel import probe  # noqa: F401
 
 ALGORITHMS = ("alg1", "alg2", "alg3", "baseline-hier", "baseline-exhaustive")
 
+# most grid points one rect region may cover: a prior keeps 16 bytes per
+# covered point, so this caps a region's prior at 160 MB
+MAX_REGION_POINTS = 10**7
+
 CSV_FIELDS = (
     "trial_id",
     "algorithm",
@@ -247,6 +251,11 @@ def region_points(grid: GridSpec, region: RegionSpec) -> np.ndarray:
         iy = np.flatnonzero((y >= y0) & (y <= y1))
         if ix.size == 0 or iy.size == 0:
             raise ValueError(f"rect {region.rect} covers no grid point")
+        if ix.size * iy.size > MAX_REGION_POINTS:
+            raise ValueError(
+                f"rect {region.rect} covers {ix.size * iy.size} grid points, "
+                f"more than {MAX_REGION_POINTS}"
+            )
         return (iy[:, None] * grid.nx + ix).ravel()
     idx = np.array([grid.snap_index(p) for p in region.points], dtype=np.int64)
     if len(np.unique(idx)) != len(idx):
@@ -444,26 +453,21 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def write_results_csv(records, path) -> None:
+def _write_csv(path, header, rows) -> None:
+    """A header line, then one line per row of already formatted fields."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(CSV_FIELDS)
-        for r in records:
-            w.writerow(
-                [
-                    r.trial_id,
-                    r.algorithm,
-                    _fmt(r.snr_db),
-                    r.user_id,
-                    _fmt(r.overhead),
-                    r.chosen.layer,
-                    r.chosen.index,
-                    r.oracle.layer,
-                    r.oracle.index,
-                    _fmt(r.gain_ratio_db),
-                    _fmt(r.se_bps_hz),
-                ]
-            )
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def write_results_csv(records, path) -> None:
+    _write_csv(path, CSV_FIELDS, (
+        (r.trial_id, r.algorithm, _fmt(r.snr_db), r.user_id, _fmt(r.overhead),
+         r.chosen.layer, r.chosen.index, r.oracle.layer, r.oracle.index,
+         _fmt(r.gain_ratio_db), _fmt(r.se_bps_hz))
+        for r in records
+    ))
 
 
 def read_results_csv(path) -> list[TrialRecord]:
@@ -520,7 +524,6 @@ def summarize(records, cdf_kinds=()) -> tuple[list[dict], dict]:
         for r in rows:
             per_trial[r.trial_id] = per_trial.get(r.trial_id, 0.0) + r.overhead
         totals = np.array(sorted(per_trial.values()), dtype=np.float64)
-        totals_by_id = np.array([per_trial[t] for t in sorted(per_trial)])
         gains = np.array([r.gain_ratio_db for r in rows])
         stats.append(
             {
@@ -535,41 +538,26 @@ def summarize(records, cdf_kinds=()) -> tuple[list[dict], dict]:
                 "mean_se_bps_hz": float(np.mean([r.se_bps_hz for r in rows])),
             }
         )
-        if "overhead" in tables:
-            tables["overhead"].extend(
-                {"algorithm": algo, "snr_db": snr, "value": v, "cdf": c}
-                for v, c in _cdf(totals_by_id)
-            )
-        if "gain" in tables:
-            tables["gain"].extend(
-                {"algorithm": algo, "snr_db": snr, "value": v, "cdf": c}
-                for v, c in _cdf(gains)
-            )
+        for kind, values in (("overhead", totals), ("gain", gains)):
+            if kind in tables:
+                tables[kind].extend(
+                    {"algorithm": algo, "snr_db": snr, "value": v, "cdf": c}
+                    for v, c in _cdf(values)
+                )
     return stats, tables
 
 
 def write_summary_csv(stats: list[dict], path) -> None:
-    fields = (
-        "algorithm",
-        "snr_db",
-        "trials",
-        "users",
-        "mean_overhead",
-        "median_overhead",
-        "hit_rate",
-        "mean_gain_ratio_db",
-        "mean_se_bps_hz",
-    )
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(fields)
-        for row in stats:
-            w.writerow([row[f] if f in ("algorithm", "trials", "users") else _fmt(row[f]) for f in fields])
+    measures = ("mean_overhead", "median_overhead", "hit_rate", "mean_gain_ratio_db", "mean_se_bps_hz")
+    _write_csv(path, ("algorithm", "snr_db", "trials", "users", *measures), (
+        (row["algorithm"], _fmt(row["snr_db"]), row["trials"], row["users"],
+         *(_fmt(row[m]) for m in measures))
+        for row in stats
+    ))
 
 
 def write_cdf_csv(table: list[dict], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(("algorithm", "snr_db", "value", "cdf"))
-        for row in table:
-            w.writerow([row["algorithm"], _fmt(row["snr_db"]), _fmt(row["value"]), _fmt(row["cdf"])])
+    _write_csv(path, ("algorithm", "snr_db", "value", "cdf"), (
+        (row["algorithm"], _fmt(row["snr_db"]), _fmt(row["value"]), _fmt(row["cdf"]))
+        for row in table
+    ))

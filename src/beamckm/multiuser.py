@@ -1,6 +1,6 @@
 """Joint beam search for several receivers sharing downlink probes.
 
-Every round picks one layer for the whole cell: each user's own
+Every round picks one layer for the whole cell: each active user's own
 reward-optimal layer is computed as in the single-user search, and the
 earliest of those is probed.  Users whose own choice matches the round
 layer descend on their feedback; everyone else still hears the probes for
@@ -12,37 +12,25 @@ from __future__ import annotations
 
 import numpy as np
 
-from .beamtree import (
-    SearchState,
-    apply_observation,
-    candidate_beams,
-    compute_point_weights,
-)
+from .beamtree import SearchState, candidate_beams, compute_point_weights
 from .channel import probe_rows
 from .ckm import CkmGrid
 from .codebook import BeamId, HierarchicalCodebook
 from .strategy import ProbeRound, episode_outcome, optimal_layer
 
-# unused here; perfbench's tracer looks this name up on this module
+# unused here; perfbench's tracer looks these names up on this module
+from .beamtree import apply_observation  # noqa: F401
 from .channel import probe  # noqa: F401
 
 
-def joint_layer(single_layers, num_layers: int) -> tuple[int, tuple[int, ...]]:
-    """Round layer and per-user role flags.
-
-    ``single_layers`` holds each user's own optimal layer, with the
-    sentinel ``num_layers + 1`` marking finished users (flag -1).  The
-    round probes at the earliest active user's own layer; users whose
-    own layer it is descend on their feedback (flag 1), the other active
-    users eavesdrop (flag 0)."""
-    active = [l for l in single_layers if l <= num_layers]
-    if not active:
+def joint_layer(own_layers) -> tuple[int, tuple[int, ...]]:
+    """Round layer and role flags of the active users from their own
+    optimal layers: the earliest is probed; users whose own layer it is
+    descend on their feedback (flag 1), the others eavesdrop (flag 0)."""
+    if not own_layers:
         raise ValueError("joint_layer needs at least one active user")
-    layer = min(active)
-    flags = tuple(
-        -1 if l > num_layers else (1 if l == layer else 0) for l in single_layers
-    )
-    return layer, flags
+    layer = min(own_layers)
+    return layer, tuple(int(l == layer) for l in own_layers)
 
 
 def union_beams(states, layer: int) -> np.ndarray:
@@ -115,7 +103,6 @@ def run_multi_user(
         rngs = [None] * K
     if len(rngs) != K:
         raise ValueError("need one rng (or None) per user")
-    L = ckm.num_layers
     states = [
         candidate_beams(compute_point_weights(ckm, p, beta, retain_beams=retain_beams))
         for p in priors
@@ -123,33 +110,23 @@ def run_multi_user(
     chosen: list[BeamId | None] = [None] * K
     transcripts: list[list[ProbeRound]] = [[] for _ in range(K)]
     total = 0
-    for _ in range(K * (L + 2) + 2):
+    for _ in range(K * (ckm.num_layers + 2) + 2):
         for k in range(K):
             if chosen[k] is None:
                 chosen[k] = episode_outcome(states[k])
         active = [k for k in range(K) if chosen[k] is None]
         if not active:
             break
-        singles = [L + 1 if chosen[k] is not None else optimal_layer(states[k]) for k in range(K)]
-        l_opt, flags = joint_layer(singles, L)
-        matching = [k for k in range(K) if flags[k] == 1]
-        rows = union_beams([states[k] for k in matching], l_opt)
+        l_opt, flags = joint_layer([optimal_layer(states[k]) for k in active])
+        rows = union_beams([states[k] for k, f in zip(active, flags) if f], l_opt)
         probed = tuple((rows - (HierarchicalCodebook.layer_start(l_opt) - 1)).tolist())
-        if len(probed) == 1:
-            observed = BeamId(l_opt, probed[0])
-            for k in matching:
-                apply_observation(states[k], observed)
-                transcripts[k].append(ProbeRound(l_opt, probed, probed[0], 0))
-            continue
         total += len(probed)
-        for k in active:
+        for k, flag in zip(active, flags):
             g_obs = probe_rows(resps[k], rows, noise_std, rngs[k])
-            feedback = probed[int(np.argmax(g_obs))] if flags[k] == 1 else None
+            feedback = probed[int(np.argmax(g_obs))] if flag else None
             f_obs = None if feedback is None else BeamId(l_opt, feedback)
             prune_user_points(states[k], rows, g_obs, f_obs, eta)
-            transcripts[k].append(
-                ProbeRound(l_opt, probed, feedback, len(probed), int(flags[k]))
-            )
+            transcripts[k].append(ProbeRound(l_opt, probed, feedback, len(probed), flag))
     else:
         raise RuntimeError("joint search exceeded its round budget")
     return chosen, total, transcripts

@@ -25,6 +25,14 @@ that reaches it reuses them.
 Tie rule: plans are ordered by lowest cost, where costs within a relative
 ``PLAN_RTOL`` of each other tie, then by fewest layers, then by the
 deepest first layer (then the deepest second layer, and so on).
+
+Invariant: an unfinished search (two or more bottom candidates) plans a
+first layer with two or more candidates.  A plan that instead starts on
+layers of one candidate each pays the bottom-candidate weight W to
+enter, nothing per hop among them, and nW on to its first layer of
+n >= 2 candidates (the bottom at the latest); entering there directly
+costs nW, W less, far beyond ``PLAN_RTOL``.  Only alg2 descends for
+free; alg3 probes a user's own first layer.
 """
 
 from __future__ import annotations
@@ -55,7 +63,7 @@ class ProbeRound:
     """One round as one user saw it: the beams probed at a layer, the
     winning index the user fed back, and the round's probe count.
 
-    ``probes`` is 0 for free descents (single-candidate traversals).
+    ``probes`` is 0 for alg2's free descents (single-candidate steps).
     ``indicator`` is the user's role in an alg3 round: 1 descended on its
     feedback, 0 eavesdropped, with ``feedback`` None."""
 
@@ -118,10 +126,7 @@ def best_activation(state: SearchState) -> tuple[tuple[int, ...], float]:
 
 
 def optimal_layer(state: SearchState) -> int:
-    """Layer to probe next: the earliest layer of the best activation, or
-    the sentinel L+1 when a single bottom candidate remains."""
-    if len(state.bottom_candidates()) == 1:
-        return state.num_layers + 1
+    """Layer to probe next: the earliest layer of the best activation."""
     return best_activation(state)[0][0]
 
 
@@ -146,13 +151,10 @@ def probe_round(
 
 def episode_outcome(state: SearchState) -> BeamId | None:
     """The chosen bottom beam once the search is over: the sole bottom
-    candidate, or the root once it reaches the bottom layer; else None."""
+    candidate, else None.  A root at the bottom layer is always the sole
+    candidate (``SearchState.update`` keeps only its span)."""
     bottom = state.bottom_candidates()
-    if len(bottom) == 1:
-        return BeamId(state.num_layers, int(bottom[0]))
-    if state.root_layer == state.num_layers:
-        return state.root
-    return None
+    return BeamId(state.num_layers, int(bottom[0])) if len(bottom) == 1 else None
 
 
 def run_episode(

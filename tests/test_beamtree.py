@@ -5,6 +5,8 @@ recursion recomputed inline with plain numpy, then compared against the
 module's bookkeeping.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 import beamckm as bc
 from beamckm.lookahead import next_layer
 from beamckm.multiuser import prune_user_points
-from beamckm.strategy import optimal_layer, run_episode
+from beamckm.strategy import episode_outcome, optimal_layer, run_episode
 
 from conftest import (
     ancestor_closed,
@@ -541,6 +543,28 @@ class TestSearchStateCache:
             np.testing.assert_array_equal(copy.pair_weights()[1], initial[4][1])
 
 
+def folded_states(state, steps):
+    """``state`` after each step of an ``observation_runs`` sequence, folded
+    in place; stops at a step with no layer below the root or no alive
+    point."""
+    L = state.num_layers
+    for kind, layer, pick, seed, _ in steps:
+        layer = max(layer, state.root_layer + 1)
+        if layer > L or not state.point_alive.any():
+            return
+        if kind == "observe":
+            cands = state.candidates(layer)
+            bc.apply_observation(state, bc.BeamId(layer, int(cands[pick % cands.size])))
+        else:
+            rng = np.random.default_rng(seed)
+            rows = np.arange(2**layer - 2, 2 ** (layer + 1) - 2)
+            g_obs = rng.uniform(0.0, 1.0, len(rows)) * (rng.random(len(rows)) < 0.7)
+            descend = kind == "prune-descend"
+            f_obs = bc.BeamId(layer, pick % len(rows) + 1) if descend else None
+            prune_user_points(state, rows, g_obs, f_obs, 0.9)
+        yield state
+
+
 class TestRootSubtree:
     @settings(max_examples=150, deadline=None)
     @given(observation_runs())
@@ -550,25 +574,31 @@ class TestRootSubtree:
         if state.bottom_weights.max() <= 0.0:
             return
         L = state.num_layers
-        for kind, layer, pick, seed, _ in steps:
-            layer = max(layer, state.root_layer + 1)
-            if layer > L or not state.point_alive.any():
-                break
-            if kind == "observe":
-                cands = state.candidates(layer)
-                bc.apply_observation(state, bc.BeamId(layer, int(cands[pick % cands.size])))
-            else:
-                rng = np.random.default_rng(seed)
-                rows = np.arange(2**layer - 2, 2 ** (layer + 1) - 2)
-                g_obs = rng.uniform(0.0, 1.0, len(rows)) * (rng.random(len(rows)) < 0.7)
-                descend = kind == "prune-descend"
-                f_obs = bc.BeamId(layer, pick % len(rows) + 1) if descend else None
-                prune_user_points(state, rows, g_obs, f_obs, 0.9)
+        for state in folded_states(state, steps):
             if state.root is not None:
                 shift = L - state.root.layer
                 lo, hi = (state.root.index - 1) << shift, state.root.index << shift
                 positive = np.flatnonzero(state.bottom_weights > 0.0)
                 assert ((positive >= lo) & (positive < hi)).all()
+
+
+class TestPlannerInvariant:
+    """``strategy``'s invariant on any state the searches can reach,
+    uniform-fallback states included: a root at the bottom layer leaves
+    one bottom candidate, and an unfinished search plans a first layer
+    with two or more candidates, so alg1 never descends for free."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(observation_runs())
+    def test_unfinished_states_plan_two_or_more_candidates(self, run):
+        state, steps = run
+        if state.bottom_weights.max() <= 0.0:
+            return
+        for state in itertools.chain([state], folded_states(state, steps)):
+            if state.root_layer == state.num_layers:
+                assert len(state.bottom_candidates()) == 1
+            if episode_outcome(state) is None:
+                assert len(state.candidates(optimal_layer(state))) >= 2
 
 
 def cached_states(state, path=()):

@@ -498,6 +498,18 @@ class TestRegions:
         for prior in cfg.priors:
             assert prior.points.dtype == np.int64 and not prior.points.flags.writeable
 
+    def test_region_covering_too_many_points_rejected(self):
+        # 7e5 columns x 17 rows: about 1.2e7 covered points, whose ids and
+        # masses alone would take 190 MB; the count is checked from the
+        # per-axis hits before any id array is built
+        d = copy.deepcopy(DESK)
+        d["grid"]["spacing_x"] = 1e-5
+        d["users"] = [{"subregions": [{"prior": 1.0, "rect": [10.0, 38.0, 17.0, 55.0]}]}]
+        with pytest.raises(
+            ValueError, match=r"^users\[0\]\.subregions\[0\]: rect .* covers 11900\d\d\d grid points"
+        ):
+            bc.scenario_from_dict(d)
+
     def test_priors_follow_a_replaced_grid(self):
         cfg = bc.scenario_from_dict(scenario_dict())
         fine = dataclasses.replace(cfg, grid=bc.GridSpec(16.0, 16.0, 0.5, 0.5))

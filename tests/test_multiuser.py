@@ -68,31 +68,33 @@ class TestSimilarity:
 
 
 class TestSelectRound:
+    """``joint_layer`` takes the active users' own layers only."""
+
     def test_earliest_active_layer_wins(self):
-        layer, flags = mu.joint_layer([5, 3, 6], 5)
+        layer, flags = mu.joint_layer([5, 3, 4])
         assert layer == 3
-        assert flags == (0, 1, -1)
+        assert flags == (0, 1, 0)
 
     def test_joint_layer_wins_when_it_matches_a_user(self):
         # the round layer is the one its descending users planned
-        assert mu.joint_layer([3, 5], 5) == (3, (1, 0))
-        assert mu.joint_layer([5, 3], 5) == (3, (0, 1))
+        assert mu.joint_layer([3, 5]) == (3, (1, 0))
+        assert mu.joint_layer([5, 3]) == (3, (0, 1))
 
     def test_unmatched_joint_falls_back_to_own_choice(self):
         # no round probes a layer at which no user's own plan starts, so
         # every round advances at least one user
-        for singles in ([4, 5], [6, 2, 6], [1, 1], [5, 4, 3]):
-            layer, flags = mu.joint_layer(singles, 5)
+        for singles in ([4, 5], [5, 2, 5], [1, 1], [5, 4, 3]):
+            layer, flags = mu.joint_layer(singles)
             assert layer in singles
             assert 1 in flags
 
     def test_all_users_finished_rejected(self):
+        # finished users are left out, so no active user is an empty list
         with pytest.raises(ValueError):
-            mu.joint_layer([6, 6], 5)
+            mu.joint_layer([])
 
     def test_multiple_users_can_match(self):
-        layer, flags = mu.joint_layer([2, 2, 4], 5)
-        assert (layer, flags) == (2, (1, 1, 0))
+        assert mu.joint_layer([2, 2, 4]) == (2, (1, 1, 0))
 
 
 class TestUnionBeams:

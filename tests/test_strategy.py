@@ -7,6 +7,7 @@ candidate sets and counts probes by the stated rules, sharing no code
 with the implementation under test.
 """
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -201,10 +202,6 @@ class TestOptimalLayer:
         state = from_bottom_weights([10.0, 10.0, 0.1, 0.0, 0.1, 0.0, 0.0, 0.0])
         np.testing.assert_array_equal(state.bottom_candidates(), [1, 2, 3, 5])
         assert bc.optimal_layer(state) > 1
-
-    def test_singleton_returns_sentinel(self):
-        tree = from_bottom_weights([0, 0, 0, 0, 3.0, 0, 0, 0])
-        assert bc.optimal_layer(tree) == 4  # L + 1
 
     def test_choice_invariant_to_weight_scale(self):
         rng = np.random.default_rng(5)
@@ -459,3 +456,40 @@ class TestSearchTreeCache:
         records = bc.run_trials(cfg, ckm, algorithms=["alg1"], trials=200, seed=0)
         assert len(rounds) == len(records) == 200 * len(cfg.snr_db) * len(cfg.users)
         assert 0 < len(derived) < sum(rounds)
+
+
+class TestFreeDescents:
+    """Only alg2 descends for free: alg1's plans and alg3's joint rounds
+    never start on a layer with one candidate (the invariant in
+    ``strategy``'s docstring), checked over the golden sweep settings."""
+
+    @pytest.mark.parametrize("scene, trials", [("desk", 12), ("large", 6)])
+    def test_no_alg1_or_alg3_round_probes_nothing(self, monkeypatch, scene, trials):
+        from beamckm import harness
+
+        cfg = bc.load_scenario(Path(__file__).resolve().parent.parent / "configs" / f"{scene}.json")
+        ckm = bc.build_ckm(
+            cfg.environment, cfg.array, bc.build_codebook(cfg.array.num_antennas), cfg.grid
+        )
+        rounds = {"alg1": [], "alg2": [], "alg3": []}
+
+        def recorded(algo, episode):
+            def run(*args, **kwargs):
+                result = episode(*args, **kwargs)
+                per_user = result[2] if algo == "alg3" else [result[2]]
+                rounds[algo].extend(r for user in per_user for r in user)
+                return result
+
+            return run
+
+        monkeypatch.setattr(harness, "run_single_user", recorded("alg1", harness.run_single_user))
+        monkeypatch.setattr(harness, "run_lookahead", recorded("alg2", harness.run_lookahead))
+        monkeypatch.setattr(harness, "run_multi_user", recorded("alg3", harness.run_multi_user))
+        for variant in ({}, {"beta": 0.2, "retain_beams": 2}):
+            bc.run_trials(
+                dataclasses.replace(cfg, **variant), ckm, algorithms=list(rounds),
+                trials=trials, seed=0, snr_db=[float("inf"), 10.0, 0.0, -10.0],
+            )
+        assert all(rounds.values())
+        assert not [r for r in rounds["alg1"] + rounds["alg3"] if r.probes == 0]
+        assert any(r.probes == 0 for r in rounds["alg2"])
