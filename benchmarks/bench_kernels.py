@@ -23,6 +23,7 @@ import numpy as np
 
 import beamckm as bc
 from beamckm import kernels
+from beamckm.codebook import beam_index, layer_rows, layer_start
 
 # the enumeration planner is a test oracle; this script is run by path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
@@ -52,8 +53,8 @@ def planning_workload(num_trees: int, num_layers: int, seed: int = 99):
         mask = rng.random(n) < 0.4
         if mask.sum() < 2:
             continue
-        gains = np.zeros((1, 2 * n - 2))
-        gains[0, n - 2 :] = np.where(mask, rng.uniform(0.5, 2.0, n), 0.0)
+        gains = np.zeros((1, layer_start(num_layers + 1)))
+        gains[0, layer_rows(num_layers)] = np.where(mask, rng.uniform(0.5, 2.0, n), 0.0)
         cases.append(gains)
     return cases
 
@@ -68,9 +69,11 @@ def plan_by_enumeration(cases, num_layers):
     for z, layers in enumerate(acts):
         mat[z, np.asarray(layers) - 1] = 1
     out = []
+    bottom = layer_rows(num_layers)
     for state in build_states(cases, num_layers):
+        targets = beam_index(state.candidate_rows(num_layers), num_layers)
         rewards = kernels.activation_rewards(
-            prefix_sums(state), mat, state.bottom_weights, state.bottom_candidates(), num_layers
+            prefix_sums(state), mat, state.weights[bottom], targets, num_layers
         )
         out.append(acts[pick_activation(acts, rewards)][0])
     return out
@@ -126,7 +129,7 @@ def main(argv=None) -> int:
         codebook = bc.build_codebook(n)
         draw = np.random.default_rng(n)
         h = draw.standard_normal(n) + 1j * draw.standard_normal(n)
-        rows = np.arange(n - 2, 2 * n - 2)
+        rows = np.arange(codebook.matrix.shape[0])[layer_rows(codebook.num_layers)]
         resp = bc.Responses(h, codebook.matrix)
         want, best_s, _ = bench(probe_by_scalar, h, codebook, 0.1, 11, repeat=args.repeat)
         cold, best_c, _ = bench(probe_cold, h, codebook, rows, 0.1, 11, repeat=args.repeat)

@@ -9,8 +9,11 @@ when some surviving point still backs a bottom beam underneath it.
 
 A ``SearchState`` is one user's search over that tree.  Each observation
 updates it once, and the update derives one flat view of the tree: the
-weights and the candidate rows, both in codebook row order.  Every query
-slices that view; the planner's pair weights follow on first use.
+weights and the candidate rows, both in codebook row order.  Every search
+works on that view, a layer's ``candidate_rows`` and ``weights[row]``;
+only the ``codebook`` module knows which rows hold which beam, and
+(layer, index) pairs appear only where a beam is named (``BeamId``,
+``strategy.ProbeRound``).  The planner's pair weights follow on first use.
 
 A state is a function of the prior, the map, beta and the feedback path,
 so the map-aided searches of a sweep walk one tree of cached states per
@@ -23,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .ckm import CkmGrid
-from .codebook import BeamId
+from .codebook import BeamId, layer_rows, layer_start, row_of
 from .position import PositionPrior, _read_only
 
 
@@ -39,10 +42,10 @@ class SearchState:
     finish.
 
     Each update derives ``weights``, one weight per codeword in codebook
-    row order (``HierarchicalCodebook.row_of``), and ``rows``, the
-    ascending rows of positive weight: the candidates of every layer.
-    Both are read-only, as is everything sliced or computed from them
-    (``layer_weights``, ``candidate_rows``, ``pair_weights()``).
+    row order (``codebook.row_of``), and ``rows``, the ascending rows of
+    positive weight: the candidates of every layer.  Both are read-only,
+    as is everything sliced or computed from them (``candidate_rows``,
+    ``pair_weights()``).
 
     ``children`` and ``plans`` cache the search below this state.  Every
     update starts both afresh: a state folded in place drops its cache.
@@ -68,10 +71,9 @@ class SearchState:
         self.retain_beams = retain_beams
         self.num_layers = num_layers
         nb = 2**num_layers
-        self.num_bottom = nb
-        bottom = self.gains[:, 2**num_layers - 2 :]
-        if bottom.shape[1] != nb:
+        if self.gains.shape[1:] != (layer_start(num_layers + 1),):
             raise ValueError("gain matrix does not cover the full codebook")
+        bottom = self.gains[:, layer_rows(num_layers)]
         # per-point threshold: beta * best bottom gain at that point
         gamma = self.beta * bottom.max(axis=1, keepdims=True)
         keep = bottom >= gamma
@@ -84,14 +86,14 @@ class SearchState:
         self.contrib = self.point_mass[:, None] * bottom * keep
         self.keep = keep
         # first codebook row of layers 1..L+1 (the last is one past the bottom)
-        self._first_rows = 2 ** np.arange(1, num_layers + 2) - 2
+        self._first_rows = layer_start(np.arange(1, num_layers + 2))
         # per layer pair 1 <= p < q <= L: p, q, and as columns the ancestor
         # shift L-p, the subtree widening q-p and the first row of layer q
         p, q = np.triu_indices(num_layers, k=1)
         p, q = p + 1, q + 1
         self._pair_index = tuple(
             _read_only(a)
-            for a in (p, q, (num_layers - p)[:, None], (q - p)[:, None], (2**q - 2)[:, None])
+            for a in (p, q, (num_layers - p)[:, None], (q - p)[:, None], layer_start(q)[:, None])
         )
         for name in ("point_ids", "point_mass", "gains", "contrib", "keep", "_first_rows"):
             setattr(self, name, _read_only(getattr(self, name)))
@@ -123,12 +125,12 @@ class SearchState:
         self.point_alive &= point_mask
         if observed is not None:
             shift = self.num_layers - observed.layer
-            span = np.zeros(self.num_bottom, dtype=bool)
+            span = np.zeros_like(self.beam_alive)
             span[(observed.index - 1) << shift : observed.index << shift] = True
             self.beam_alive &= span
             self.root = observed
         self._derive()
-        if self.bottom_weights.max(initial=0.0) <= 0.0:
+        if not self.candidate_rows(self.num_layers).size:
             if observed is not None:
                 self.beam_alive = span
             self.uniform_fallback = True
@@ -139,17 +141,17 @@ class SearchState:
         pairwise-sum recursion upward), the candidate rows, and where each
         layer's candidates start among them; clears the pair weights and
         starts an empty search cache."""
-        nb = self.num_bottom
-        flat = np.empty(2 * nb - 2)
+        L = self.num_layers
+        flat = np.empty(layer_start(L + 1))
         if self.uniform_fallback:
-            flat[nb - 2 :] = self.beam_alive
+            flat[layer_rows(L)] = self.beam_alive
         else:
-            flat[nb - 2 :] = np.where(
+            flat[layer_rows(L)] = np.where(
                 self.beam_alive, self.contrib[self.point_alive].sum(axis=0), 0.0
             )
-        for l in range(self.num_layers - 1, 0, -1):
-            below = flat[2 ** (l + 1) - 2 : 2 ** (l + 2) - 2]
-            flat[2**l - 2 : 2 ** (l + 1) - 2] = below[0::2] + below[1::2]
+        for l in range(L - 1, 0, -1):
+            below = flat[layer_rows(l + 1)]
+            flat[layer_rows(l)] = below[0::2] + below[1::2]
         flat.flags.writeable = False
         positive = flat > 0
         rows = np.flatnonzero(positive)
@@ -169,35 +171,15 @@ class SearchState:
         return self.point_ids[self.point_alive]
 
     @property
-    def bottom_weights(self) -> np.ndarray:
-        return self.weights[self.num_bottom - 2 :]
-
-    @property
     def root_layer(self) -> int:
         """Layer of the root; 0 before the first observation."""
         return 0 if self.root is None else self.root.layer
 
-    def layer_weights(self, layer: int) -> np.ndarray:
-        """Weights of the beams at a layer, index order."""
-        return self.weights[2**layer - 2 : 2 ** (layer + 1) - 2]
-
     def candidate_rows(self, layer: int) -> np.ndarray:
-        """Codebook rows of the candidates at a layer, ascending."""
+        """Codebook rows of the candidates at a layer, ascending.  An update
+        keeps every alive bottom beam under the root, so below the root's
+        layer these are all descendants of the root."""
         return self.rows[self._starts[layer - 1] : self._starts[layer]]
-
-    def candidates(self, layer: int) -> np.ndarray:
-        """1-based candidate indices at a layer, ascending.  An update keeps
-        every alive bottom beam under the root, so below the root's layer
-        these are all descendants of the root."""
-        return self.candidate_rows(layer) - (2**layer - 3)
-
-    def bottom_candidates(self) -> np.ndarray:
-        return self.candidates(self.num_layers)
-
-    def is_candidate(self, beam: BeamId) -> bool:
-        if beam.layer > self.num_layers:
-            return False
-        return bool(self.weights[2**beam.layer - 3 + beam.index] > 0)
 
     def pair_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """Entry and hop weights of the weighted probe cost, per layer pair.
@@ -219,7 +201,7 @@ class SearchState:
             S = np.zeros(L + 1)
             S[1:] = w.sum() * np.diff(self._starts)
             # rows of each bottom candidate's subtree at q under its ancestor at p
-            lo = first + (((bottom - (self.num_bottom - 2)) >> up) << widen)
+            lo = first + (((bottom - layer_start(L)) >> up) << widen)
             cnt = self._below[lo + (1 << widen)] - self._below[lo]
             G = np.zeros((L + 1, L + 1))
             G[p, q] = np.where(cnt >= 2, cnt, 0) @ w
@@ -260,7 +242,7 @@ def compute_point_weights(
 
 def candidate_beams(state: SearchState) -> SearchState:
     """The state, once checked to have a beam with positive weight."""
-    if state.bottom_weights.max(initial=0.0) <= 0.0:
+    if not state.candidate_rows(state.num_layers).size:
         raise ValueError("all bottom weights are zero; no candidate beams")
     return state
 
@@ -272,8 +254,9 @@ def apply_observation(state: SearchState, observed: BeamId) -> None:
     disagrees with the observation are dropped, and the state descends to
     the observed beam (``SearchState.update``).
     """
-    if not state.is_candidate(observed):
+    row = row_of(observed) if observed.layer <= state.num_layers else None
+    if row is None or not state.weights[row] > 0:
         raise ValueError(f"observed beam {observed} is not a candidate")
     rows = state.candidate_rows(observed.layer)
     winners = rows[np.argmax(state.gains[:, rows], axis=1)]  # ties resolve to smaller index
-    state.update(winners == 2**observed.layer - 3 + observed.index, observed)
+    state.update(winners == row, observed)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ArrayConfig, Environment, channel_vectors, trace_point_paths
-from .codebook import BeamId, HierarchicalCodebook
+from .codebook import BeamId, HierarchicalCodebook, layer_rows, layer_start, row_of
 
 FORMAT_MAGIC = b"BCKM"
 FORMAT_VERSION = 2
@@ -104,7 +104,7 @@ class CkmGrid:
     """Gain map for every codeword of one codebook over one grid.
 
     ``gains`` is float32 with one row per codeword in canonical order
-    (layer-major, index ascending), one column per grid point.
+    (``codebook.row_of``), one column per grid point.
     """
 
     grid: GridSpec
@@ -113,7 +113,7 @@ class CkmGrid:
     gains: np.ndarray
 
     def __post_init__(self):
-        expect = (2 ** (self.num_layers + 1) - 2, self.grid.num_points)
+        expect = (layer_start(self.num_layers + 1), self.grid.num_points)
         if self.gains.shape != expect:
             raise ValueError(f"gains shape {self.gains.shape}, expected {expect}")
         if self.gains.dtype != np.float32:
@@ -122,15 +122,6 @@ class CkmGrid:
         lo, hi = float(self.gains.min()), float(self.gains.max())
         if not (lo >= 0.0 and hi < math.inf):
             raise ValueError(f"gains must be finite and >= 0, got min {lo}, max {hi}")
-
-    def layer_gains(self, layer: int) -> np.ndarray:
-        """(2**layer, num_points) slice of one layer, index order."""
-        start = 2**layer - 2
-        return self.gains[start : start + 2**layer]
-
-    @property
-    def bottom_gains(self) -> np.ndarray:
-        return self.layer_gains(self.num_layers)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CkmGrid):
@@ -187,12 +178,10 @@ def save_ckm(ckm: CkmGrid) -> bytes:
         )
     )
     out += struct.pack(_EXTENTS, grid.extent_x, grid.extent_y)
-    row = 0
     for layer in range(1, ckm.num_layers + 1):
-        for index in range(1, 2**layer + 1):
+        for index, gains in enumerate(ckm.gains[layer_rows(layer)], 1):
             out += struct.pack("<HH", layer, index)
-            out += ckm.gains[row].astype("<f4", copy=False).tobytes()
-            row += 1
+            out += gains.astype("<f4", copy=False).tobytes()
     return bytes(out)
 
 
@@ -229,8 +218,7 @@ def load_ckm(data: bytes) -> CkmGrid:
             f"grid extents ({ex}, {ey}) at spacings ({dx}, {dy}) give "
             f"{grid.nx}x{grid.ny} points, header says {nx}x{ny}"
         )
-    expected_cw = 2 ** (n_layers + 1) - 2
-    if n_cw != expected_cw:
+    if n_cw != layer_start(n_layers + 1):
         raise CkmFormatError(
             f"codeword count {n_cw} inconsistent with {n_layers} layers"
         )
@@ -251,7 +239,7 @@ def load_ckm(data: bytes) -> CkmGrid:
         if (layer, index) in seen:
             raise CkmFormatError(f"duplicate codeword id ({layer},{index})")
         seen.add((layer, index))
-        row = HierarchicalCodebook.row_of(BeamId(layer, index))
+        row = row_of(BeamId(layer, index))
         gains[row] = np.frombuffer(data, dtype="<f4", count=n_pts, offset=off)
         off += 4 * n_pts
     try:

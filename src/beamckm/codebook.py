@@ -6,6 +6,10 @@ beams below it.  The bottom layer is the orthogonal DFT codebook; upper
 layers are synthesized by summing the member DFT columns with per-column
 phase alignment (a plain sum puts deep nulls inside the covered interval,
 which makes layer-by-layer descent unreliable).
+
+This module owns the row layout that the codeword matrix, the gain map and
+the search states share (``row_of`` and its helpers); no other module
+spells it out.
 """
 
 from __future__ import annotations
@@ -44,37 +48,41 @@ def bottom_angles(num_antennas: int) -> np.ndarray:
     return -1.0 + (2.0 * n - 1.0) / num_antennas
 
 
-class HierarchicalCodebook:
-    """All codewords of the L-layer hierarchy, each with unit norm.
+def layer_start(layer):
+    """Row of a layer's first beam (``layer`` an int or an integer array);
+    layer L+1's start is the codeword count of an L-layer codebook."""
+    return 2**layer - 2
 
-    Codewords are stored in one matrix in canonical order: layer 1 first,
-    indices ascending within a layer.
-    """
+
+def layer_rows(layer: int) -> slice:
+    """Rows of one layer's beams, index order."""
+    return slice(layer_start(layer), layer_start(layer + 1))
+
+
+def row_of(beam: BeamId) -> int:
+    """Row of a beam in the canonical codeword order."""
+    return layer_start(beam.layer) + beam.index - 1
+
+
+def beam_index(rows, layer: int):
+    """1-based indices of ``layer``'s rows (an int or an array): ``row_of``'s inverse."""
+    return rows - (layer_start(layer) - 1)
+
+
+class HierarchicalCodebook:
+    """All codewords of the L-layer hierarchy, each with unit norm, one per
+    row in canonical order: layer 1 first, indices ascending within a
+    layer (``row_of``)."""
 
     def __init__(self, num_antennas: int, codewords: np.ndarray):
         self.num_antennas = num_antennas
         self.num_layers = num_layers(num_antennas)
         self._cw = codewords  # (total, N) complex
 
-    @staticmethod
-    def layer_start(layer: int) -> int:
-        """Row of a layer's first beam in the canonical codeword matrix."""
-        return 2**layer - 2
-
-    @staticmethod
-    def row_of(beam: BeamId) -> int:
-        """Row of a beam in the canonical codeword matrix."""
-        return 2**beam.layer - 2 + beam.index - 1
-
     def codeword(self, beam: BeamId) -> np.ndarray:
         if beam.layer > self.num_layers:
             raise ValueError(f"beam {beam} beyond layer {self.num_layers}")
-        return self._cw[self.row_of(beam)]
-
-    def layer_matrix(self, layer: int) -> np.ndarray:
-        """(2**layer, N) view of one layer's codewords, index order."""
-        start = self.layer_start(layer)
-        return self._cw[start : start + 2**layer]
+        return self._cw[row_of(beam)]
 
     @property
     def matrix(self) -> np.ndarray:
@@ -95,15 +103,12 @@ def build_codebook(num_antennas: int) -> HierarchicalCodebook:
     # that adjacent member columns add constructively across the whole support
     align = np.exp(1j * np.pi * angles * (n_ant - 1) / 2.0)
 
-    total = 2 ** (depth + 1) - 2
-    cw = np.empty((total, n_ant), dtype=np.complex128)
-    cw[2**depth - 2 :] = bottom
+    cw = np.empty((layer_start(depth + 1), n_ant), dtype=np.complex128)
+    cw[layer_rows(depth)] = bottom
+    aligned = align[:, None] * bottom
     for layer in range(depth - 1, 0, -1):
-        members = 2 ** (depth - layer)
-        start = 2**layer - 2
-        for idx in range(2**layer):
-            lo = idx * members
-            sel = slice(lo, lo + members)
-            v = (align[sel, None] * bottom[sel]).sum(axis=0)
-            cw[start + idx] = v / np.linalg.norm(v)
+        # each beam sums its 2**(depth - layer) member columns; a per-row
+        # norm keeps the bits a batched norm(axis=1) would not
+        block = aligned.reshape(2**layer, -1, n_ant).sum(axis=1)
+        cw[layer_rows(layer)] = block / np.array([np.linalg.norm(v) for v in block])[:, None]
     return HierarchicalCodebook(n_ant, cw)

@@ -33,7 +33,7 @@ from .channel import (
     trace_point_paths,
 )
 from .ckm import CkmGrid, GridSpec
-from .codebook import BeamId, build_codebook, num_layers
+from .codebook import BeamId, build_codebook, layer_rows, layer_start, num_layers
 from .lookahead import run_lookahead
 from .multiuser import run_multi_user
 from .position import PositionPrior, SubRegion, sample_true_position
@@ -283,7 +283,7 @@ def reference_gain(ckm: CkmGrid) -> float:
     over the grid points that some path reaches.  SNR settings are relative
     to this, so a configured SNR describes a typical aligned link, not the
     raw transmit power, however much of the grid is shadowed."""
-    best = ckm.bottom_gains.max(axis=0).astype(np.float64)
+    best = ckm.gains[layer_rows(ckm.num_layers)].max(axis=0).astype(np.float64)
     reached = best[best > 0.0]
     if reached.size == 0:
         raise ValueError("no grid point of the map has a positive gain")
@@ -309,7 +309,8 @@ def baseline_hierarchical(
     idx = 1
     transcript = []
     for layer in range(1, L + 1):
-        transcript.append(probe_round(resp, layer, (2 * idx - 1, 2 * idx), noise_std, rng))
+        pair = layer_start(layer) + np.arange(2 * idx - 2, 2 * idx)
+        transcript.append(probe_round(resp, layer, pair, (2 * idx - 1, 2 * idx), noise_std, rng))
         idx = transcript[-1].feedback
     return BeamId(L, idx), 2 * L, transcript
 
@@ -323,7 +324,8 @@ def baseline_exhaustive(
     the strongest."""
     n = resp.codewords.shape[1]
     L = num_layers(n)
-    r = probe_round(resp, L, range(1, n + 1), noise_std, rng)
+    rows = layer_start(L) + np.arange(n)
+    r = probe_round(resp, L, rows, tuple(range(1, n + 1)), noise_std, rng)
     return BeamId(L, r.feedback), r.probes, [r]
 
 
@@ -374,7 +376,7 @@ def run_trials(
     L = ckm.num_layers
     ref = reference_gain(ckm)
     # row blocks OpenBLAS multiplies on this thread, bit for bit as one product
-    blocks = np.split(codebook.layer_matrix(L), max(1, 2**L // max(4, 2048 // 2**L)))
+    blocks = np.split(codebook.matrix[layer_rows(L)], max(1, 2**L // max(4, 2048 // 2**L)))
     # Every trial's positions first, then one traced batch of the distinct
     # grid points, in order of first draw, so an unreachable point is
     # reported as the first trial to draw it would.

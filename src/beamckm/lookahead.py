@@ -23,16 +23,16 @@ from .channel import probe  # noqa: F401
 
 
 def subtree_view(state: SearchState) -> tuple[np.ndarray, np.ndarray | None]:
-    """Candidate children and grandchildren below the state's root (1-based
-    ascending indices); the grandchildren are None when the children are
-    bottom beams."""
+    """Candidate children and grandchildren below the state's root, as
+    ascending codebook rows; the grandchildren are None when the children
+    are bottom beams."""
     child_layer = state.root_layer + 1
     if child_layer > state.num_layers:
         raise ValueError("node is already at the bottom layer")
-    children = state.candidates(child_layer)
+    children = state.candidate_rows(child_layer)
     if child_layer == state.num_layers:
         return children, None
-    return children, state.candidates(child_layer + 1)
+    return children, state.candidate_rows(child_layer + 1)
 
 
 def next_layer(state: SearchState) -> int:
@@ -54,12 +54,10 @@ def next_layer(state: SearchState) -> int:
         return l + 1
     if len(grandchildren) == 2:
         return l + 2
-    # the pair is the two grandchildren that share a parent
+    # the pair is the two grandchildren that share a parent (rows 2k, 2k + 1)
     g = grandchildren.tolist()
-    pair, single = (g[:2], g[2]) if (g[0] + 1) // 2 == (g[1] + 1) // 2 else (g[1:], g[0])
-    w = state.layer_weights(l + 2)
-    wa, wb = (float(w[i - 1]) for i in pair)
-    wc = float(w[single - 1])
+    pair, single = (g[:2], g[2]) if g[0] // 2 == g[1] // 2 else (g[1:], g[0])
+    wa, wb, wc = (float(state.weights[r]) for r in (*pair, single))
     t_stepwise = 4.0 * wa + 4.0 * wb + 2.0 * wc
     t_skip = 3.0 * (wa + wb + wc)
     return l + 1 if t_stepwise <= t_skip else l + 2

@@ -15,7 +15,7 @@ import numpy as np
 from .beamtree import SearchState, candidate_beams, compute_point_weights
 from .channel import probe_rows
 from .ckm import CkmGrid
-from .codebook import BeamId, HierarchicalCodebook
+from .codebook import BeamId, beam_index, row_of
 from .strategy import ProbeRound, episode_outcome, optimal_layer
 
 # unused here; perfbench's tracer looks these names up on this module
@@ -76,7 +76,7 @@ def prune_user_points(
         smax = float(masked.max())
         surv = alive & (sims > eta * smax)
         if f_obs is not None:
-            surv &= rows[np.argmax(gm, axis=1)] == HierarchicalCodebook.row_of(f_obs)
+            surv &= rows[np.argmax(gm, axis=1)] == row_of(f_obs)
         if not surv.any():
             surv = alive & (masked == smax)
     state.update(surv, f_obs)
@@ -119,7 +119,7 @@ def run_multi_user(
             break
         l_opt, flags = joint_layer([optimal_layer(states[k]) for k in active])
         rows = union_beams([states[k] for k, f in zip(active, flags) if f], l_opt)
-        probed = tuple((rows - (HierarchicalCodebook.layer_start(l_opt) - 1)).tolist())
+        probed = tuple(beam_index(rows, l_opt).tolist())
         total += len(probed)
         for k, flag in zip(active, flags):
             g_obs = probe_rows(resps[k], rows, noise_std, rngs[k])

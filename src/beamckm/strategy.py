@@ -14,7 +14,8 @@ The round itself is shared: ``run_episode`` is the search loop of every
 map-aided single-user strategy, which differ only in the layer-choice
 function they pass (this planner for alg1, ``lookahead.next_layer`` for
 alg2), and ``probe_round`` is also the probe step of the map-blind
-baselines.
+baselines.  Rounds probe codebook rows (``codebook.row_of``); a
+``ProbeRound`` names the probed beams by their 1-based indices.
 
 The state after a round depends only on the state before it and the
 observed beam; noise only picks the branch.  So ``run_episode`` walks a
@@ -49,7 +50,7 @@ from .beamtree import (
 )
 from .channel import Responses, probe_rows
 from .ckm import CkmGrid
-from .codebook import BeamId
+from .codebook import BeamId, beam_index
 
 # unused here; perfbench's tracer looks this name up on this module
 from .channel import probe  # noqa: F401
@@ -133,18 +134,17 @@ def optimal_layer(state: SearchState) -> int:
 def probe_round(
     resp: Responses,
     layer: int,
-    cands,
+    rows: np.ndarray,
+    probed: tuple[int, ...],
     noise_std: float,
     rng: np.random.Generator | None = None,
 ) -> ProbeRound:
-    """Probe each candidate beam at ``layer`` from the cached responses and
-    keep the strongest (the first on ties); a single candidate is a free
-    descent that draws no noise.  ``cands`` are ascending 1-based indices
-    as Python ints."""
-    probed = tuple(cands)
+    """Probe the beams at ``layer`` in the ascending codebook ``rows``,
+    whose 1-based indices are ``probed``, from the cached responses and
+    keep the strongest (the first on ties); a single beam is a free
+    descent that draws no noise."""
     if len(probed) == 1:
         return ProbeRound(layer, probed, probed[0], 0)
-    rows = np.array(probed, dtype=np.intp) + (2**layer - 3)
     mags = probe_rows(resp, rows, noise_std, rng)
     return ProbeRound(layer, probed, probed[int(np.argmax(mags))], len(probed))
 
@@ -153,8 +153,9 @@ def episode_outcome(state: SearchState) -> BeamId | None:
     """The chosen bottom beam once the search is over: the sole bottom
     candidate, else None.  A root at the bottom layer is always the sole
     candidate (``SearchState.update`` keeps only its span)."""
-    bottom = state.bottom_candidates()
-    return BeamId(state.num_layers, int(bottom[0])) if len(bottom) == 1 else None
+    L = state.num_layers
+    bottom = state.candidate_rows(L)
+    return BeamId(L, int(beam_index(bottom[0], L))) if len(bottom) == 1 else None
 
 
 def run_episode(
@@ -174,13 +175,16 @@ def run_episode(
         if plan is None:
             # a state without candidates fails before any probe
             chosen = episode_outcome(candidate_beams(state))
-            layer = choose_layer(state) if chosen is None else None
-            cands = tuple(state.candidates(layer).tolist()) if chosen is None else None
-            plan = state.plans[choose_layer] = (chosen, layer, cands)
-        chosen, layer, cands = plan
+            plan = (chosen, None, None, None)
+            if chosen is None:
+                layer = choose_layer(state)
+                rows = state.candidate_rows(layer)
+                plan = (None, layer, rows, tuple(beam_index(rows, layer).tolist()))
+            state.plans[choose_layer] = plan
+        chosen, layer, rows, probed = plan
         if chosen is not None:
             return chosen, sum(r.probes for r in transcript), transcript
-        r = probe_round(resp, layer, cands, noise_std, rng)
+        r = probe_round(resp, layer, rows, probed, noise_std, rng)
         transcript.append(r)
         child = state.children.get((layer, r.feedback))
         if child is None:

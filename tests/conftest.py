@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import beamckm as bc
+from beamckm.codebook import beam_index, layer_rows
 
 # bottom-layer weight pattern whose candidates are {1, 2, 3, 5} of 8
 FOUR_LEAF_WEIGHTS = np.array([1.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0])
@@ -73,13 +74,31 @@ def from_bottom_weights(weights, root: bc.BeamId | None = None) -> bc.SearchStat
     return state
 
 
+def candidates(state: bc.SearchState, layer: int) -> np.ndarray:
+    """1-based candidate indices at a layer, ascending."""
+    return beam_index(state.candidate_rows(layer), layer)
+
+
+def bottom_candidates(state: bc.SearchState) -> np.ndarray:
+    return candidates(state, state.num_layers)
+
+
+def layer_weights(state: bc.SearchState, layer: int) -> np.ndarray:
+    """Weights of the beams at a layer, index order."""
+    return state.weights[layer_rows(layer)]
+
+
+def bottom_weights(state: bc.SearchState) -> np.ndarray:
+    return layer_weights(state, state.num_layers)
+
+
 def candidate_count(state: bc.SearchState, layer: int) -> int:
-    return len(state.candidates(layer))
+    return len(state.candidate_rows(layer))
 
 
 def layer_masks(state: bc.SearchState) -> list[np.ndarray]:
     """Candidate mask of each layer 1..L, from the state's weights."""
-    return [state.layer_weights(l) > 0 for l in range(1, state.num_layers + 1)]
+    return [layer_weights(state, l) > 0 for l in range(1, state.num_layers + 1)]
 
 
 def ancestor_closed(masks) -> bool:

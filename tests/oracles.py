@@ -11,7 +11,7 @@ import numpy as np
 
 from beamckm import kernels
 from beamckm.beamtree import SearchState
-from beamckm.codebook import BeamId
+from beamckm.codebook import BeamId, beam_index, layer_rows, row_of
 from beamckm.strategy import _costs_tie
 
 
@@ -58,7 +58,7 @@ def prefix_sums(state: SearchState) -> np.ndarray:
     L = state.num_layers
     csum = np.zeros((L, 2**L + 1), dtype=np.int64)
     for l in range(1, L + 1):
-        counts = np.cumsum(state.layer_weights(l) > 0)
+        counts = np.cumsum(state.weights[layer_rows(l)] > 0)
         csum[l - 1, 1 : 2**l + 1] = counts
         csum[l - 1, 2**l + 1 :] = counts[-1]
     return csum
@@ -131,7 +131,7 @@ def overhead_for_target(state: SearchState, activation, target: BeamId) -> int:
     layers = tuple(sorted(set(int(l) for l in activation)))
     if not layers or layers[-1] != L or layers[0] < 1:
         raise ValueError(f"activation {activation} must be within [1, {L}] and include {L}")
-    if target.layer != L or not state.is_candidate(target):
+    if target.layer != L or not state.weights[row_of(target)] > 0:
         raise ValueError(f"target {target} is not a bottom-layer candidate")
     act = np.zeros(L, dtype=np.uint8)
     act[np.asarray(layers) - 1] = 1
@@ -144,10 +144,9 @@ def reward(state: SearchState, activation) -> float:
     L = state.num_layers
     act = np.zeros((1, L), dtype=np.uint8)
     act[0, np.asarray(sorted(set(int(l) for l in activation))) - 1] = 1
-    targets = state.bottom_candidates()
-    return float(
-        kernels.activation_rewards(prefix_sums(state), act, state.bottom_weights, targets, L)[0]
-    )
+    targets = beam_index(state.candidate_rows(L), L)
+    weights = state.weights[layer_rows(L)]
+    return float(kernels.activation_rewards(prefix_sums(state), act, weights, targets, L)[0])
 
 
 def pick_activation(acts: list[tuple[int, ...]], scores: np.ndarray) -> int:

@@ -13,15 +13,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import beamckm as bc
+from beamckm.codebook import layer_rows, layer_start, row_of
 from beamckm.lookahead import next_layer
 from beamckm.multiuser import prune_user_points
 from beamckm.strategy import episode_outcome, optimal_layer, run_episode
 
 from conftest import (
     ancestor_closed,
+    bottom_candidates,
+    bottom_weights,
     candidate_count,
+    candidates,
     from_bottom_weights,
     layer_masks,
+    layer_weights,
     stack_layers,
     toy_ckm,
     uniform_prior,
@@ -64,44 +69,44 @@ class TestThresholdRetention:
     def test_half_threshold_keeps_only_dominant_beam(self):
         ckm = toy_ckm(np.array([[1.0, 0.3, 0.05, 0.0]]))
         table = bc.compute_point_weights(ckm, uniform_prior(np.array([0])), beta=0.5)
-        np.testing.assert_allclose(table.bottom_weights, [1.0, 0.0, 0.0, 0.0])
+        np.testing.assert_allclose(bottom_weights(table), [1.0, 0.0, 0.0, 0.0])
         np.testing.assert_array_equal(
-            bc.candidate_beams(table).bottom_candidates(), [1]
+            bottom_candidates(bc.candidate_beams(table)), [1]
         )
 
     def test_low_threshold_keeps_all_nonzero(self):
         ckm = toy_ckm(np.array([[1.0, 0.3, 0.05, 0.0]]))
         table = bc.compute_point_weights(ckm, uniform_prior(np.array([0])), beta=0.04)
-        np.testing.assert_allclose(table.bottom_weights, [1.0, 0.3, 0.05, 0.0])
+        np.testing.assert_allclose(bottom_weights(table), [1.0, 0.3, 0.05, 0.0])
 
     def test_beta_one_keeps_only_argmax(self):
         ckm = toy_ckm(np.array([[0.9, 1.0, 0.3, 0.0]]))
         table = bc.compute_point_weights(ckm, uniform_prior(np.array([0])), beta=1.0)
-        np.testing.assert_allclose(table.bottom_weights, [0.0, 1.0, 0.0, 0.0])
+        np.testing.assert_allclose(bottom_weights(table), [0.0, 1.0, 0.0, 0.0])
 
     def test_beta_one_exact_tie_keeps_both(self):
         ckm = toy_ckm(np.array([[1.0, 1.0, 0.3, 0.0]]))
         table = bc.compute_point_weights(ckm, uniform_prior(np.array([0])), beta=1.0)
-        np.testing.assert_array_equal(table.bottom_weights > 0, [True, True, False, False])
+        np.testing.assert_array_equal(bottom_weights(table) > 0, [True, True, False, False])
 
     def test_retain_cap_keeps_strongest_stable(self):
         ckm = toy_ckm(np.array([[0.5, 1.0, 1.0, 0.9]]))
         table = bc.compute_point_weights(ckm, uniform_prior([0]), beta=0.1, retain_beams=2)
         np.testing.assert_array_equal(
-            bc.candidate_beams(table).bottom_candidates(), [2, 3]
+            bottom_candidates(bc.candidate_beams(table)), [2, 3]
         )
 
     def test_retention_matches_oracle_on_random_gains(self):
         rng = np.random.default_rng(17)
         ckm = toy_ckm(rng.uniform(0.0, 1.0, size=(6, 8)))
-        stored = ckm.bottom_gains.T.astype(np.float64)  # what the table reads
+        stored = ckm.gains[layer_rows(ckm.num_layers)].T.astype(np.float64)  # what the table reads
         for beta, retain in [(0.3, None), (0.7, None), (0.5, 3), (1.0, 1)]:
             table = bc.compute_point_weights(
                 ckm, uniform_prior(np.arange(6)), beta=beta, retain_beams=retain
             )
             keep = threshold_keep_oracle(stored, beta, retain)
             expected = (np.full(6, 1.0 / 6)[:, None] * stored * keep).sum(axis=0)
-            np.testing.assert_allclose(table.bottom_weights, expected, rtol=1e-12)
+            np.testing.assert_allclose(bottom_weights(table), expected, rtol=1e-12)
 
     def test_parameter_validation(self):
         ckm = toy_ckm(np.ones((1, 4)))
@@ -119,14 +124,14 @@ class TestLayerRecursion:
     def test_pairwise_sum_example(self):
         ckm = toy_ckm(np.array([[1.0, 0.0, 2.0, 0.0]]))
         table = bc.compute_point_weights(ckm, uniform_prior(np.array([0])), beta=0.1)
-        np.testing.assert_allclose(table.layer_weights(2), [1.0, 0.0, 2.0, 0.0])
-        np.testing.assert_allclose(table.layer_weights(1), [1.0, 2.0])
+        np.testing.assert_allclose(layer_weights(table, 2), [1.0, 0.0, 2.0, 0.0])
+        np.testing.assert_allclose(layer_weights(table, 1), [1.0, 2.0])
 
     def test_total_weight_identical_across_layers(self):
         rng = np.random.default_rng(23)
         ckm = toy_ckm(rng.uniform(0.0, 1.0, size=(5, 16)))
         table = bc.compute_point_weights(ckm, uniform_prior(np.arange(5)), beta=0.2)
-        layers = [table.layer_weights(l) for l in range(1, 5)]
+        layers = [layer_weights(table, l) for l in range(1, 5)]
         totals = [w.sum() for w in layers]
         np.testing.assert_allclose(totals, totals[-1], rtol=1e-12)
         for got, want in zip(layers, layer_sum_oracle(layers[-1])):
@@ -137,7 +142,7 @@ class TestLayerRecursion:
         t1 = bc.compute_point_weights(toy_ckm(bottom), uniform_prior(range(3)), beta=0.4)
         t2 = bc.compute_point_weights(toy_ckm(5.0 * bottom), uniform_prior(range(3)), beta=0.4)
         np.testing.assert_allclose(
-            t2.bottom_weights, 5.0 * t1.bottom_weights, rtol=1e-6
+            bottom_weights(t2), 5.0 * bottom_weights(t1), rtol=1e-6
         )
         np.testing.assert_array_equal(t1.keep, t2.keep)
 
@@ -146,24 +151,24 @@ class TestLayerRecursion:
         counts = []
         for beta in [0.1, 0.3, 0.5, 0.7, 0.9, 1.0]:
             table = bc.compute_point_weights(toy_ckm(bottom), uniform_prior(range(4)), beta=beta)
-            counts.append(len(bc.candidate_beams(table).bottom_candidates()))
+            counts.append(len(bottom_candidates(bc.candidate_beams(table))))
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
 
 class TestPrunedTree:
     def test_four_leaf_candidate_layers(self, four_leaf_tree):
-        np.testing.assert_array_equal(four_leaf_tree.bottom_candidates(), [1, 2, 3, 5])
-        np.testing.assert_array_equal(four_leaf_tree.candidates(2), [1, 2, 3])
-        np.testing.assert_array_equal(four_leaf_tree.candidates(1), [1, 2])
+        np.testing.assert_array_equal(bottom_candidates(four_leaf_tree), [1, 2, 3, 5])
+        np.testing.assert_array_equal(candidates(four_leaf_tree, 2), [1, 2, 3])
+        np.testing.assert_array_equal(candidates(four_leaf_tree, 1), [1, 2])
         assert candidate_count(four_leaf_tree, 2) == 3
-        assert four_leaf_tree.is_candidate(bc.BeamId(3, 5))
-        assert not four_leaf_tree.is_candidate(bc.BeamId(3, 4))
+        assert four_leaf_tree.weights[row_of(bc.BeamId(3, 5))] > 0
+        assert not four_leaf_tree.weights[row_of(bc.BeamId(3, 4))] > 0
 
     def test_prefix_sums_match_cumsum(self, four_leaf_tree):
         csum = prefix_sums(four_leaf_tree)
         assert csum.shape == (3, 9)
         for l in range(1, 4):
-            mask = four_leaf_tree.layer_weights(l) > 0
+            mask = layer_weights(four_leaf_tree, l) > 0
             expect = np.concatenate([[0], np.cumsum(mask)])
             np.testing.assert_array_equal(csum[l - 1, : 2**l + 1], expect)
             np.testing.assert_array_equal(csum[l - 1, 2**l + 1 :], mask.sum())
@@ -189,9 +194,9 @@ class TestApplyObservation:
     def test_observing_right_half_leaves_single_leaf(self):
         ckm = four_point_ckm()
         state = bc.compute_point_weights(ckm, uniform_prior(np.arange(4)), beta=0.5)
-        np.testing.assert_array_equal(bc.candidate_beams(state).bottom_candidates(), [1, 2, 3, 5])
+        np.testing.assert_array_equal(bottom_candidates(bc.candidate_beams(state)), [1, 2, 3, 5])
         bc.apply_observation(state, bc.BeamId(1, 2))
-        np.testing.assert_array_equal(state.bottom_candidates(), [5])
+        np.testing.assert_array_equal(bottom_candidates(state), [5])
         assert state.root == bc.BeamId(1, 2)
         np.testing.assert_array_equal(state.alive_points, [3])
 
@@ -201,7 +206,7 @@ class TestApplyObservation:
         bc.apply_observation(state, bc.BeamId(1, 1))
         # points backing beams 1, 2, 3 stay; the beam-5 point is gone
         np.testing.assert_array_equal(state.alive_points, [0, 1, 2])
-        np.testing.assert_array_equal(state.bottom_candidates(), [1, 2, 3])
+        np.testing.assert_array_equal(bottom_candidates(state), [1, 2, 3])
 
     def test_argmax_tie_counts_for_smaller_index(self):
         # both layer-1 wide beams read the same gain for this point: the
@@ -223,11 +228,11 @@ class TestApplyObservation:
         # them out and the subtree reverts to uniform weights
         bottom = np.tile(np.array([[1.0, 0.0, 0.0, 0.6]]), (2, 1))
         state = bc.compute_point_weights(toy_ckm(bottom), uniform_prior(np.arange(2)), beta=0.5)
-        np.testing.assert_array_equal(state.bottom_candidates(), [1, 4])
+        np.testing.assert_array_equal(bottom_candidates(state), [1, 4])
         bc.apply_observation(state, bc.BeamId(1, 2))
         assert state.uniform_fallback
-        np.testing.assert_array_equal(state.bottom_candidates(), [3, 4])
-        np.testing.assert_allclose(state.bottom_weights, [0.0, 0.0, 1.0, 1.0])
+        np.testing.assert_array_equal(bottom_candidates(state), [3, 4])
+        np.testing.assert_allclose(bottom_weights(state), [0.0, 0.0, 1.0, 1.0])
 
     def test_fallback_subtree_survives_second_contradiction(self):
         # once in fallback, a later observation pointing outside the current
@@ -238,8 +243,8 @@ class TestApplyObservation:
         bc.apply_observation(state, bc.BeamId(1, 2))
         assert state.uniform_fallback
         state.update(np.ones(2, dtype=bool), bc.BeamId(2, 1))
-        np.testing.assert_allclose(state.bottom_weights, [1.0, 0.0, 0.0, 0.0])
-        np.testing.assert_array_equal(bc.candidate_beams(state).bottom_candidates(), [1])
+        np.testing.assert_allclose(bottom_weights(state), [1.0, 0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(bottom_candidates(bc.candidate_beams(state)), [1])
         assert state.root == bc.BeamId(2, 1)
 
     def test_descent_chain_reaches_bottom(self):
@@ -249,11 +254,11 @@ class TestApplyObservation:
         node = bc.BeamId(1, 1)
         bc.apply_observation(state, node)
         for layer in range(2, 5):
-            cands = state.candidates(layer)
+            cands = candidates(state, layer)
             assert cands.size >= 1
             node = bc.BeamId(layer, int(cands[0]))
             bc.apply_observation(state, node)
-        assert state.bottom_candidates().size >= 1
+        assert bottom_candidates(state).size >= 1
         assert state.root.layer == 4
 
     def test_all_zero_weights_have_no_candidates(self):
@@ -268,7 +273,7 @@ class TestApplyObservation:
         state = bc.compute_point_weights(ckm, uniform_prior([0]), 0.5)
         state.update(np.array([False]))
         assert state.uniform_fallback
-        np.testing.assert_array_equal(bc.candidate_beams(state).bottom_candidates(), [1, 2, 3, 4])
+        np.testing.assert_array_equal(bottom_candidates(bc.candidate_beams(state)), [1, 2, 3, 4])
 
 
 class TestWeightTableState:
@@ -278,7 +283,7 @@ class TestWeightTableState:
             (bc.SubRegion((0,), 0.75), bc.SubRegion((1,), 0.25))
         )
         table = bc.compute_point_weights(ckm, prior, beta=0.5)
-        np.testing.assert_allclose(table.bottom_weights, [0.75, 0.25, 0.0, 0.0])
+        np.testing.assert_allclose(bottom_weights(table), [0.75, 0.25, 0.0, 0.0])
 
     @pytest.mark.parametrize(
         "points, bad",
@@ -299,7 +304,7 @@ class TestWeightTableState:
     def test_raw_indices_default_to_uniform_mass(self):
         ckm = toy_ckm(np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]))
         table = bc.compute_point_weights(ckm, uniform_prior(np.array([0, 1])), beta=0.5)
-        np.testing.assert_allclose(table.bottom_weights, [0.5, 0.5, 0.0, 0.0])
+        np.testing.assert_allclose(bottom_weights(table), [0.5, 0.5, 0.0, 0.0])
 
     def test_candidate_rows_index_the_gain_columns(self):
         rng = np.random.default_rng(11)
@@ -307,14 +312,14 @@ class TestWeightTableState:
         table = bc.compute_point_weights(toy_ckm(bottom), uniform_prior(np.arange(3)), beta=0.5)
         rows = table.candidate_rows(3)
         np.testing.assert_array_equal(rows, 6 + np.flatnonzero(table.contrib.sum(axis=0) > 0))
-        np.testing.assert_array_equal(table.candidates(3), rows - 5)
+        np.testing.assert_array_equal(candidates(table, 3), rows - 5)
         np.testing.assert_allclose(table.gains[:, rows], bottom[:, rows - 6], rtol=1e-6)
 
     def test_restrict_without_kill_keeps_weights(self):
         bottom = np.array([[0.2, 0.3, 0.4, 0.1]])
         state = bc.compute_point_weights(toy_ckm(bottom), uniform_prior(np.array([0])), beta=0.1)
         state.update(np.ones(1, dtype=bool), bc.BeamId(1, 1))
-        np.testing.assert_allclose(state.bottom_weights, [0.2, 0.3, 0.0, 0.0])
+        np.testing.assert_allclose(bottom_weights(state), [0.2, 0.3, 0.0, 0.0])
         assert not state.uniform_fallback
 
 
@@ -339,7 +344,7 @@ class TestTableCopies:
         for state in (self.built, second):
             assert state.point_alive.all() and state.beam_alive.all()
             assert not state.uniform_fallback and state.root is None
-        np.testing.assert_array_equal(second.bottom_weights, self.built.bottom_weights)
+        np.testing.assert_array_equal(bottom_weights(second), bottom_weights(self.built))
         np.testing.assert_array_equal(second.weights, self.built.weights)
         np.testing.assert_array_equal(second.rows, self.built.rows)
         np.testing.assert_array_equal(second.alive_points, np.arange(6))
@@ -470,7 +475,7 @@ class TestSearchStateCache:
         np.testing.assert_array_equal(state.weights, weights)
         np.testing.assert_array_equal(state.rows, rows)
         for layer, want in enumerate(cands, 1):
-            np.testing.assert_array_equal(state.candidates(layer), want)
+            np.testing.assert_array_equal(candidates(state, layer), want)
         np.testing.assert_array_equal(prefix_sums(state), csum)
         cached = state.pair_weights()
         np.testing.assert_array_equal(cached[0], entry)
@@ -478,8 +483,8 @@ class TestSearchStateCache:
         derived = (
             state.weights,
             state.rows,
-            state.bottom_weights,
-            *(state.layer_weights(l) for l in range(1, L + 1)),
+            bottom_weights(state),
+            *(layer_weights(state, l) for l in range(1, L + 1)),
             *(state.candidate_rows(l) for l in range(1, L + 1)),
             *cached,
         )
@@ -494,7 +499,7 @@ class TestSearchStateCache:
     def test_updates_keep_the_cache_consistent(self, run):
         built, steps = run
         initial = recomputed(built)
-        if built.bottom_weights.max() <= 0.0:
+        if bottom_weights(built).max() <= 0.0:
             with pytest.raises(ValueError):
                 bc.candidate_beams(built)
             return
@@ -506,11 +511,11 @@ class TestSearchStateCache:
             if layer > L:
                 break
             if kind == "observe":
-                cands = state.candidates(layer)
+                cands = candidates(state, layer)
                 if cands.size == 0:
                     break
                 observed = bc.BeamId(layer, int(cands[pick % cands.size]))
-                winners_before = state.gains[:, 2**layer - 3 + cands]
+                winners_before = state.gains[:, state.candidate_rows(layer)]
                 won = cands[np.argmax(winners_before, axis=1)]
                 bc.apply_observation(state, observed)
                 old.fold(won == observed.index, observed)
@@ -518,7 +523,7 @@ class TestSearchStateCache:
                 if not state.point_alive.any():
                     break
                 rng = np.random.default_rng(seed)
-                rows = np.arange(2**layer - 2, 2 ** (layer + 1) - 2)
+                rows = np.arange(layer_start(layer), layer_start(layer + 1))
                 g_obs = rng.uniform(0.0, 1.0, len(rows)) * (rng.random(len(rows)) < 0.7)
                 descend = kind == "prune-descend"
                 f_obs = bc.BeamId(layer, pick % len(rows) + 1) if descend else None
@@ -530,7 +535,7 @@ class TestSearchStateCache:
             np.testing.assert_array_equal(state.beam_alive, old.beam_alive)
             assert state.uniform_fallback == old.fallback
             assert state.root == old.root
-            assert state.bottom_candidates().size >= 1
+            assert bottom_candidates(state).size >= 1
             if check:
                 self.assert_cache_matches(state)
         self.assert_cache_matches(state)
@@ -553,11 +558,11 @@ def folded_states(state, steps):
         if layer > L or not state.point_alive.any():
             return
         if kind == "observe":
-            cands = state.candidates(layer)
+            cands = candidates(state, layer)
             bc.apply_observation(state, bc.BeamId(layer, int(cands[pick % cands.size])))
         else:
             rng = np.random.default_rng(seed)
-            rows = np.arange(2**layer - 2, 2 ** (layer + 1) - 2)
+            rows = np.arange(layer_start(layer), layer_start(layer + 1))
             g_obs = rng.uniform(0.0, 1.0, len(rows)) * (rng.random(len(rows)) < 0.7)
             descend = kind == "prune-descend"
             f_obs = bc.BeamId(layer, pick % len(rows) + 1) if descend else None
@@ -571,14 +576,14 @@ class TestRootSubtree:
     def test_positive_weights_stay_under_the_root(self, run):
         # so candidates(layer) below the root's layer are the root's descendants
         state, steps = run
-        if state.bottom_weights.max() <= 0.0:
+        if bottom_weights(state).max() <= 0.0:
             return
         L = state.num_layers
         for state in folded_states(state, steps):
             if state.root is not None:
                 shift = L - state.root.layer
                 lo, hi = (state.root.index - 1) << shift, state.root.index << shift
-                positive = np.flatnonzero(state.bottom_weights > 0.0)
+                positive = np.flatnonzero(bottom_weights(state) > 0.0)
                 assert ((positive >= lo) & (positive < hi)).all()
 
 
@@ -592,13 +597,13 @@ class TestPlannerInvariant:
     @given(observation_runs())
     def test_unfinished_states_plan_two_or_more_candidates(self, run):
         state, steps = run
-        if state.bottom_weights.max() <= 0.0:
+        if bottom_weights(state).max() <= 0.0:
             return
         for state in itertools.chain([state], folded_states(state, steps)):
             if state.root_layer == state.num_layers:
-                assert len(state.bottom_candidates()) == 1
+                assert len(bottom_candidates(state)) == 1
             if episode_outcome(state) is None:
-                assert len(state.candidates(optimal_layer(state))) >= 2
+                assert len(candidates(state, optimal_layer(state))) >= 2
 
 
 def cached_states(state, path=()):
@@ -656,7 +661,7 @@ class TestSearchTreeCache:
         built = self.searched_tree(5)
         copy = built.copy()
         assert copy.children is built.children and copy.plans is built.plans
-        observed = bc.BeamId(1, int(copy.candidates(1)[0]))
+        observed = bc.BeamId(1, int(candidates(copy, 1)[0]))
         bc.apply_observation(copy, observed)
         assert copy.children == {} and copy.plans == {}
         assert copy.children is not built.children and copy.plans is not built.plans

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import beamckm as bc
 from beamckm.channel import trace_point_paths
+from beamckm.codebook import layer_rows, layer_start
 
 from conftest import toy_ckm
 
@@ -227,21 +228,21 @@ class TestBuildCkm:
 class TestLookup:
     def test_lookup_uses_nearest_point(self):
         ckm = toy_ckm(np.array([[3.0, 0.0, 0.0, 0.0], [7.0, 0.0, 0.0, 0.0]]))
-        gains = ckm.bottom_gains[0]  # beam (2, 1) at each grid point
+        gains = ckm.gains[layer_rows(2)][0]  # beam (2, 1) at each grid point
         assert gains[ckm.grid.snap_index((0.9, 0.5))] == 3.0
         assert gains[ckm.grid.snap_index((1.1, 0.5))] == 7.0
 
     def test_lookup_tie_takes_smaller_index(self):
         ckm = toy_ckm(np.array([[3.0, 0.0, 0.0, 0.0], [7.0, 0.0, 0.0, 0.0]]))
-        assert ckm.bottom_gains[0, ckm.grid.snap_index((1.0, 0.5))] == 3.0
+        assert ckm.gains[layer_rows(2)][0, ckm.grid.snap_index((1.0, 0.5))] == 3.0
 
     def test_row_accessors_agree_with_layout(self):
         rng = np.random.default_rng(5)
         ckm = toy_ckm(rng.uniform(0.1, 1.0, size=(3, 8)))
-        np.testing.assert_array_equal(ckm.layer_gains(1), ckm.gains[0:2])
-        np.testing.assert_array_equal(ckm.layer_gains(3), ckm.gains[6:14])
-        np.testing.assert_array_equal(ckm.bottom_gains, ckm.layer_gains(3))
-        np.testing.assert_array_equal(ckm.layer_gains(2)[2], ckm.gains[4])
+        np.testing.assert_array_equal(ckm.gains[layer_rows(1)], ckm.gains[0:2])
+        np.testing.assert_array_equal(ckm.gains[layer_rows(3)], ckm.gains[6:14])
+        assert ckm.gains.shape[0] == layer_start(ckm.num_layers + 1) == 14
+        np.testing.assert_array_equal(ckm.gains[layer_rows(2)][2], ckm.gains[4])
 
 
 class TestBinaryFormat:
@@ -256,6 +257,16 @@ class TestBinaryFormat:
         assert back == ckm
         assert back.gains.tobytes() == ckm.gains.tobytes()
         assert bc.save_ckm(back) == data
+
+    def test_records_in_any_order_load_into_canonical_rows(self):
+        ckm = self.make()
+        data = bc.save_ckm(ckm)
+        record = 4 + 4 * ckm.grid.num_points
+        body = data[RECORDS:]
+        records = [body[i : i + record] for i in range(0, len(body), record)]
+        back = bc.load_ckm(data[:RECORDS] + b"".join(reversed(records)))
+        assert back == ckm
+        assert back.gains.tobytes() == ckm.gains.tobytes()
 
     def test_header_fields(self):
         data = bc.save_ckm(self.make())
@@ -391,7 +402,7 @@ class TestBinaryFormat:
     @example(extent=(64.5, 1.0), spacing=(1.0, 1.0), origin=(0.0, 0.0), num_layers=1, seed=2)
     def test_round_trip_over_arbitrary_grids(self, extent, spacing, origin, num_layers, seed):
         grid = bc.GridSpec(*extent, *spacing, origin=origin)
-        n_cw = 2 ** (num_layers + 1) - 2
+        n_cw = layer_start(num_layers + 1)
         gains = np.random.default_rng(seed).random((n_cw, grid.num_points), dtype=np.float32)
         ckm = bc.CkmGrid(grid, 2**num_layers, num_layers, gains)
         data = bc.save_ckm(ckm)
@@ -415,8 +426,8 @@ class TestMapConsistency:
                 )
             except ValueError:
                 continue
-            true_mags = np.abs(cb.matrix[2**4 - 2 :] @ h.conj())
-            map_mags = ckm.bottom_gains[:, p]
+            true_mags = np.abs(cb.matrix[layer_rows(4)] @ h.conj())
+            map_mags = ckm.gains[layer_rows(4), p]
             # skip near-ties that float32 storage could legitimately flip
             order = np.sort(true_mags)
             if order[-1] - order[-2] < 1e-6 * order[-1]:

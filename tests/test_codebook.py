@@ -5,13 +5,15 @@ the wide beam whose support contains an angle must out-gain its siblings,
 otherwise noiseless bisection cannot work.
 """
 
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import beamckm as bc
-from beamckm.codebook import bottom_angles
+from beamckm.codebook import beam_index, bottom_angles, layer_rows, layer_start, row_of
 
 from oracles import beam_support
 
@@ -108,11 +110,35 @@ class TestBuildCodebook:
             np.testing.assert_allclose(cb.codeword(bc.BeamId(3, n)), expected, atol=1e-12)
 
     def test_row_mapping_round_trip(self):
+        # rows enumerate the beams in BeamId order, one layer per slice, and
+        # the index helper inverts row_of, at every depth up to 10
+        for depth in range(1, 11):
+            beams = sorted(bc.BeamId(l, n) for l in range(1, depth + 1) for n in range(1, 2**l + 1))
+            total = layer_start(depth + 1)
+            assert [row_of(beam) for beam in beams] == list(range(total))
+            for l in range(1, depth + 1):
+                rows = np.arange(total)[layer_rows(l)]
+                assert rows.tolist() == [row_of(b) for b in beams if b.layer == l]
+                np.testing.assert_array_equal(beam_index(rows, l), np.arange(1, 2**l + 1))
+            assert all(beam_index(row_of(b), b.layer) == b.index for b in beams)
         cb = bc.build_codebook(16)
         beams = [bc.BeamId(l, n) for l in range(1, 5) for n in range(1, 2**l + 1)]
-        assert [cb.row_of(beam) for beam in beams] == list(range(cb.matrix.shape[0]))
+        assert cb.matrix.shape[0] == len(beams)
         for row, beam in enumerate(beams):
             np.testing.assert_array_equal(cb.codeword(beam), cb.matrix[row])
+
+    def test_only_the_codebook_spells_the_row_layout(self):
+        # row offsets such as ``2**layer - 2`` or ``2 ** (l + 1) - 3``
+        offset = re.compile(r"2\s*\*\*\s*(?:[\w.]+(?:\([^()]*\))?|\([^()]*\))\s*-\s*[23]\b")
+        src = Path(bc.__file__).parent
+        found = [
+            f"{path.name}:{i}: {line.strip()}"
+            for path in sorted(src.glob("*.py"))
+            if path.name != "codebook.py"
+            for i, line in enumerate(path.read_text().splitlines(), 1)
+            if offset.search(line)
+        ]
+        assert found == []
 
     def test_wide_beam_spans_its_members(self):
         # an upper codeword is the normalized phase-aligned sum of the
@@ -121,7 +147,7 @@ class TestBuildCodebook:
         angles = bottom_angles(8)
         members = slice(0, 4)  # beams 1..4 sit under (1, 1)
         align = np.exp(1j * np.pi * angles[members] * (8 - 1) / 2.0)
-        raw = (align[:, None] * cb.layer_matrix(3)[members]).sum(axis=0)
+        raw = (align[:, None] * cb.matrix[layer_rows(3)][members]).sum(axis=0)
         np.testing.assert_allclose(
             cb.codeword(bc.BeamId(1, 1)), raw / np.linalg.norm(raw), atol=1e-12
         )
@@ -139,7 +165,7 @@ class TestDescentProperty:
         thetas = np.random.default_rng(8).uniform(-1.0, 1.0, size=2000)
         steer = np.exp(-1j * np.pi * np.outer(thetas, np.arange(num_antennas)))
         for layer in range(1, depth + 1):
-            gains = np.abs(steer @ cb.layer_matrix(layer).conj().T)
+            gains = np.abs(steer @ cb.matrix[layer_rows(layer)].conj().T)
             supports = np.array(
                 [beam_support(bc.BeamId(layer, n)) for n in range(1, 2**layer + 1)]
             )

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import beamckm as bc
 from beamckm import cli
+from beamckm.codebook import layer_rows
 
 from conftest import toy_ckm
 from oracles import steering_vector
@@ -541,7 +542,7 @@ class TestNoiseScale:
         rng = np.random.default_rng(6)
         bottom = rng.uniform(0.0, 2.0, size=(9, 8))
         ckm = toy_ckm(bottom)
-        expect = np.median(ckm.bottom_gains.max(axis=0).astype(np.float64))
+        expect = np.median(ckm.gains[layer_rows(ckm.num_layers)].max(axis=0).astype(np.float64))
         assert bc.reference_gain(ckm) == pytest.approx(expect)
 
     def test_reference_gain_skips_unreached_points(self):

@@ -15,7 +15,7 @@ from beamckm.channel import (
     trace_point_paths,
 )
 
-from conftest import from_bottom_weights
+from conftest import bottom_candidates, from_bottom_weights
 from oracles import enumerate_activations, prefix_sums
 from test_planner import activation_matrix
 
@@ -181,7 +181,7 @@ class TestPairWeights:
             for _ in range(10):
                 tree, weights = random_tree_inputs(rng, num_layers)
                 csum = prefix_sums(tree)
-                targets = tree.bottom_candidates().astype(np.int64)
+                targets = bottom_candidates(tree).astype(np.int64)
                 entry, hops = tree.pair_weights()
                 acts = enumerate_activations(0, num_layers)
                 mat = activation_matrix(acts, num_layers)

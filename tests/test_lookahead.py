@@ -12,11 +12,13 @@ import pytest
 
 import beamckm as bc
 from beamckm import lookahead as la
+from beamckm.codebook import row_of
 
 from conftest import (
     FOUR_LEAF_WEIGHTS,
     exhaustive_best_beam,
     from_bottom_weights,
+    layer_weights,
     responses_of,
     scene_channel,
     toy_ckm,
@@ -107,17 +109,18 @@ class TestSubtreeView:
             np.array([1.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0]),
         ]
         for layer, want in enumerate(weights, 1):
-            np.testing.assert_array_equal(four_leaf_tree.layer_weights(layer), want)
+            np.testing.assert_array_equal(layer_weights(four_leaf_tree, layer), want)
+        # the view holds codebook rows
         children, grandchildren = la.subtree_view(four_leaf_tree)
-        np.testing.assert_array_equal(children, [1, 2])
-        np.testing.assert_array_equal(grandchildren, [1, 2, 3])
+        np.testing.assert_array_equal(children, [row_of(bc.BeamId(1, n)) for n in (1, 2)])
+        np.testing.assert_array_equal(grandchildren, [row_of(bc.BeamId(2, n)) for n in (1, 2, 3)])
         # pair weights 2 and 1, lone chain 1: stepwise 14 against the jump's 12
         assert la.next_layer(four_leaf_tree) == 2
         # one level above the bottom, the children are bottom beams
         children, grandchildren = la.subtree_view(
             from_bottom_weights(FOUR_LEAF_WEIGHTS, root=bc.BeamId(2, 1))
         )
-        np.testing.assert_array_equal(children, [1, 2])
+        np.testing.assert_array_equal(children, [row_of(bc.BeamId(3, n)) for n in (1, 2)])
         assert grandchildren is None
 
     def test_bottom_node_rejected(self):

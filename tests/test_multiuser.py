@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import beamckm as bc
 from beamckm import multiuser as mu
+from beamckm.codebook import layer_start, row_of
 
 from conftest import (
     exhaustive_best_beam,
@@ -200,7 +201,7 @@ def survivors_by_loop(state, rows, g_obs, f_obs, eta):
         return alive, {}
     sims = {p: similarity(g_obs, state.gains[p, cols]) for p in alive}
     best = max(sims.values())
-    f_row = None if f_obs is None else bc.HierarchicalCodebook.row_of(f_obs)
+    f_row = None if f_obs is None else row_of(f_obs)
     keep = [
         p
         for p in alive
@@ -219,7 +220,7 @@ def pruning_rounds(draw):
     L = draw(st.integers(2, 5))
     P = draw(st.integers(1, 30))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    gains = rng.uniform(0.0, 1.0, (P, 2 ** (L + 1) - 2))
+    gains = rng.uniform(0.0, 1.0, (P, layer_start(L + 1)))
     gains *= rng.random(gains.shape) < draw(st.sampled_from([0.3, 0.7, 1.0]))
     gains[rng.random(P) < 0.1] = 0.0
     state = bc.SearchState(np.arange(P), np.full(P, 1.0 / P), gains, 0.5, L)
@@ -229,10 +230,10 @@ def pruning_rounds(draw):
     layer = draw(st.integers(1, L))
     width = draw(st.integers(2, 2**layer))
     indices = np.sort(rng.choice(np.arange(1, 2**layer + 1), width, replace=False))
-    rows = indices + (2**layer - 3)
+    beams = [bc.BeamId(layer, int(n)) for n in indices]
+    rows = np.array([row_of(b) for b in beams])
     g_obs = np.zeros(width) if draw(st.integers(0, 4)) == 0 else rng.uniform(0.0, 2.0, width)
     eta = draw(st.one_of(st.just(1.0), st.floats(0.05, 0.999)))
-    beams = [bc.BeamId(layer, int(n)) for n in indices]
     f_obs = draw(st.one_of(st.none(), st.sampled_from(beams)))
     return state, rows, g_obs, f_obs, eta
 

@@ -16,7 +16,7 @@ import beamckm as bc
 from beamckm import kernels
 from beamckm.strategy import shortest_plan
 
-from conftest import FOUR_LEAF_WEIGHTS, from_bottom_weights
+from conftest import FOUR_LEAF_WEIGHTS, bottom_candidates, from_bottom_weights
 from oracles import enumerate_activations, pair_weights, pick_activation, prefix_sums
 
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -54,7 +54,7 @@ def enumerated_rewards(tree, weights, acts):
     """Rewards of the activations ``acts``."""
     L = tree.num_layers
     mat = activation_matrix(acts, L)
-    targets = tree.bottom_candidates().astype(np.int64)
+    targets = bottom_candidates(tree).astype(np.int64)
     return kernels.activation_rewards(prefix_sums(tree), mat, weights, targets, L)
 
 
@@ -82,7 +82,7 @@ class TestSingleUserPlanner:
             act, got_reward = bc.best_activation(planning_from(tree, from_layer))
             assert act[0] == want_act[0], (from_layer, act, want_act)
             assert got_reward == pytest.approx(want_reward, rel=1e-12, abs=0.0)
-            if len(tree.bottom_candidates()) > 1:
+            if len(bottom_candidates(tree)) > 1:
                 assert bc.optimal_layer(tree) == want_act[0]
 
     @PROPERTY
@@ -90,7 +90,7 @@ class TestSingleUserPlanner:
     def test_target_order_never_changes_the_plan(self, case, rnd):
         tree, weights = case
         L = tree.num_layers
-        targets = tree.bottom_candidates().astype(np.int64)
+        targets = bottom_candidates(tree).astype(np.int64)
         shuffled = targets.copy()
         rnd.shuffle(shuffled)
         csum = prefix_sums(tree)

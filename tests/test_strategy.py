@@ -19,7 +19,9 @@ from beamckm.strategy import run_episode
 
 from conftest import (
     FOUR_LEAF_WEIGHTS,
+    bottom_candidates,
     candidate_count,
+    candidates,
     exhaustive_best_beam,
     from_bottom_weights,
     responses_of,
@@ -135,7 +137,7 @@ class TestSimulationEquivalence:
         rng = np.random.default_rng(2024 + num_layers)
         for _ in range(40):
             tree, _ = random_tree(rng, num_layers)
-            cands = [int(n) for n in tree.bottom_candidates()]
+            cands = [int(n) for n in bottom_candidates(tree)]
             for activation in enumerate_activations(0, num_layers):
                 for target in cands:
                     expected = simulated_probe_count(
@@ -170,7 +172,7 @@ class TestReward:
         rng = np.random.default_rng(99)
         for _ in range(25):
             tree, weights = random_tree(rng, 4)
-            cands = [int(n) for n in tree.bottom_candidates()]
+            cands = [int(n) for n in bottom_candidates(tree)]
             for activation in enumerate_activations(0, 4):
                 np.testing.assert_allclose(
                     reward(tree, activation),
@@ -200,14 +202,14 @@ class TestOptimalLayer:
         # leaves 1 and 2 share every upper ancestor: probing layer 1 wastes
         # probes, so the bottom-only plan wins
         state = from_bottom_weights([10.0, 10.0, 0.1, 0.0, 0.1, 0.0, 0.0, 0.0])
-        np.testing.assert_array_equal(state.bottom_candidates(), [1, 2, 3, 5])
+        np.testing.assert_array_equal(bottom_candidates(state), [1, 2, 3, 5])
         assert bc.optimal_layer(state) > 1
 
     def test_choice_invariant_to_weight_scale(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             tree, weights = random_tree(rng, 4)
-            if len(tree.bottom_candidates()) == 1:
+            if len(bottom_candidates(tree)) == 1:
                 continue
             a = bc.best_activation(tree)[0]
             b = bc.best_activation(from_bottom_weights(weights * 37.5))[0]
@@ -364,7 +366,7 @@ class TestSharedEpisodeLoop:
             state = bc.compute_point_weights(ckm, prior, 0.5)
             for r in rounds:
                 bc.apply_observation(state, bc.BeamId(r.layer, r.feedback))
-            assert state.bottom_candidates().tolist() == [chosen.index]
+            assert bottom_candidates(state).tolist() == [chosen.index]
         if algo in ("alg1", "alg2"):
             assert sole_candidate_endings > 0
 
@@ -386,7 +388,7 @@ class TestSearchTreeCache:
             # a built state, a copy of it, and a state already folded once
             built = bc.compute_point_weights(ckm, self.PRIOR, 0.5)
             folded = built.copy()
-            bc.apply_observation(folded, bc.BeamId(1, int(folded.candidates(1)[seed % 2 - 1])))
+            bc.apply_observation(folded, bc.BeamId(1, int(candidates(folded, 1)[seed % 2 - 1])))
             resp = bc.Responses(scene_channel(small_scene, 36 + seed), cb.matrix)
             for state in (built, built.copy(), folded):
                 before = {name: getattr(state, name).copy() for name in names}
