@@ -23,7 +23,7 @@ import numpy as np
 
 import beamckm as bc
 from beamckm import kernels
-from beamckm.codebook import beam_index, layer_rows, layer_start
+from beamckm.codebook import beam_index, layer_rows, layer_start, layers_of, row_of
 
 # the enumeration planner is a test oracle; this script is run by path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
@@ -59,8 +59,8 @@ def planning_workload(num_trees: int, num_layers: int, seed: int = 99):
     return cases
 
 
-def build_states(cases, num_layers):
-    return [bc.SearchState([0], [1.0], gains, 0.2, num_layers) for gains in cases]
+def build_states(cases):
+    return [bc.SearchState([0], [1.0], gains, 0.2) for gains in cases]
 
 
 def plan_by_enumeration(cases, num_layers):
@@ -70,7 +70,7 @@ def plan_by_enumeration(cases, num_layers):
         mat[z, np.asarray(layers) - 1] = 1
     out = []
     bottom = layer_rows(num_layers)
-    for state in build_states(cases, num_layers):
+    for state in build_states(cases):
         targets = beam_index(state.candidate_rows(num_layers), num_layers)
         rewards = kernels.activation_rewards(
             prefix_sums(state), mat, state.weights[bottom], targets, num_layers
@@ -80,7 +80,7 @@ def plan_by_enumeration(cases, num_layers):
 
 
 def plan_by_shortest_path(cases, num_layers):
-    return [bc.optimal_layer(state) for state in build_states(cases, num_layers)]
+    return [bc.optimal_layer(state) for state in build_states(cases)]
 
 
 PROBE_ANTENNAS = (32, 128, 1024)
@@ -88,10 +88,10 @@ PROBE_ANTENNAS = (32, 128, 1024)
 
 def probe_by_scalar(h, codebook, sigma, seed):
     rng = np.random.default_rng(seed)
-    L = codebook.num_layers
+    L = layers_of(len(codebook))
     return np.array([
-        bc.probe(h, codebook.codeword(bc.BeamId(L, n)), sigma, rng)
-        for n in range(1, codebook.num_antennas + 1)
+        bc.probe(h, codebook[row_of(bc.BeamId(L, n))], sigma, rng)
+        for n in range(1, 2**L + 1)
     ])
 
 
@@ -100,7 +100,7 @@ def probe_by_rows(resp, rows, sigma, seed):
 
 
 def probe_cold(h, codebook, rows, sigma, seed):
-    return probe_by_rows(bc.Responses(h, codebook.matrix), rows, sigma, seed)
+    return probe_by_rows(bc.Responses(h, codebook), rows, sigma, seed)
 
 
 def main(argv=None) -> int:
@@ -129,8 +129,8 @@ def main(argv=None) -> int:
         codebook = bc.build_codebook(n)
         draw = np.random.default_rng(n)
         h = draw.standard_normal(n) + 1j * draw.standard_normal(n)
-        rows = np.arange(codebook.matrix.shape[0])[layer_rows(codebook.num_layers)]
-        resp = bc.Responses(h, codebook.matrix)
+        rows = np.arange(len(codebook))[layer_rows(layers_of(len(codebook)))]
+        resp = bc.Responses(h, codebook)
         want, best_s, _ = bench(probe_by_scalar, h, codebook, 0.1, 11, repeat=args.repeat)
         cold, best_c, _ = bench(probe_cold, h, codebook, rows, 0.1, 11, repeat=args.repeat)
         warm, best_w, _ = bench(probe_by_rows, resp, rows, 0.1, 11, repeat=args.repeat)

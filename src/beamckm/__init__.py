@@ -28,7 +28,6 @@ from .ckm import (
 )
 from .codebook import (
     BeamId,
-    HierarchicalCodebook,
     bottom_angles,
     build_codebook,
     num_layers,
@@ -68,7 +67,6 @@ __all__ = [
     "CkmGrid",
     "Environment",
     "GridSpec",
-    "HierarchicalCodebook",
     "Obstacle",
     "PositionPrior",
     "RegionSpec",

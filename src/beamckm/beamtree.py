@@ -26,20 +26,21 @@ from __future__ import annotations
 import numpy as np
 
 from .ckm import CkmGrid
-from .codebook import BeamId, layer_rows, layer_start, row_of
+from .codebook import BeamId, layer_rows, layer_start, layers_of, row_of
 from .position import PositionPrior, _read_only
 
 
 class SearchState:
     """One user's pruned search tree and the weights that decide it.
 
-    The per-point arrays (ids, masses, gains, threshold mask, contribution
-    matrix) are fixed at construction and read-only.  ``update`` folds in an
-    observation: points and bottom beams drop out and the observed beam
-    becomes the ``root``.  ``uniform_fallback`` engages when every
-    contribution is gone (noise pruned everything), after which bottom
-    weights are uniform over the surviving bottom beams so that descent can
-    finish.
+    ``gains`` holds one row per point and one column per codeword, so its
+    width fixes the depth ``num_layers`` (``codebook.layers_of``).  The
+    per-point arrays (ids, masses, gains, contribution matrix) are fixed at
+    construction and read-only.  ``update`` folds in an observation: points
+    and bottom beams drop out and the observed beam becomes the ``root``.
+    ``uniform_fallback`` engages when every contribution is gone (noise
+    pruned everything), after which bottom weights are uniform over the
+    surviving bottom beams so that descent can finish.
 
     Each update derives ``weights``, one weight per codeword in codebook
     row order (``codebook.row_of``), and ``rows``, the ascending rows of
@@ -57,7 +58,6 @@ class SearchState:
         point_mass: np.ndarray,
         gains: np.ndarray,
         beta: float,
-        num_layers: int,
         retain_beams: int | None = None,
     ):
         if not 0.0 < beta <= 1.0:
@@ -69,10 +69,10 @@ class SearchState:
         self.gains = np.asarray(gains, dtype=np.float64)  # (P, total codewords)
         self.beta = beta
         self.retain_beams = retain_beams
-        self.num_layers = num_layers
+        if self.gains.ndim != 2:
+            raise ValueError(f"gains shape {self.gains.shape}, expected (points, codewords)")
+        self.num_layers = num_layers = layers_of(self.gains.shape[1])
         nb = 2**num_layers
-        if self.gains.shape[1:] != (layer_start(num_layers + 1),):
-            raise ValueError("gain matrix does not cover the full codebook")
         bottom = self.gains[:, layer_rows(num_layers)]
         # per-point threshold: beta * best bottom gain at that point
         gamma = self.beta * bottom.max(axis=1, keepdims=True)
@@ -84,7 +84,6 @@ class SearchState:
             keep &= rank < retain_beams
         # fixed per-point contribution to each bottom beam's weight
         self.contrib = self.point_mass[:, None] * bottom * keep
-        self.keep = keep
         # first codebook row of layers 1..L+1 (the last is one past the bottom)
         self._first_rows = layer_start(np.arange(1, num_layers + 2))
         # per layer pair 1 <= p < q <= L: p, q, and as columns the ancestor
@@ -95,7 +94,7 @@ class SearchState:
             _read_only(a)
             for a in (p, q, (num_layers - p)[:, None], (q - p)[:, None], layer_start(q)[:, None])
         )
-        for name in ("point_ids", "point_mass", "gains", "contrib", "keep", "_first_rows"):
+        for name in ("point_ids", "point_mass", "gains", "contrib", "_first_rows"):
             setattr(self, name, _read_only(getattr(self, name)))
         self.point_alive = np.ones(len(self.point_ids), dtype=bool)
         self.beam_alive = np.ones(nb, dtype=bool)
@@ -237,7 +236,7 @@ def compute_point_weights(
         )
     # one C-ordered row per point: the contribution sums depend on this layout
     gains = np.take(ckm.gains, point_ids, axis=1).T.astype(np.float64, order="C")
-    return SearchState(point_ids, prior.masses, gains, beta, ckm.num_layers, retain_beams)
+    return SearchState(point_ids, prior.masses, gains, beta, retain_beams)
 
 
 def candidate_beams(state: SearchState) -> SearchState:

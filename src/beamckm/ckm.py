@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channel import ArrayConfig, Environment, channel_vectors, trace_point_paths
-from .codebook import BeamId, HierarchicalCodebook, layer_rows, layer_start, row_of
+from .codebook import BeamId, layer_rows, layer_start, layers_of, num_layers, row_of
 
 FORMAT_MAGIC = b"BCKM"
 FORMAT_VERSION = 2
@@ -104,18 +104,21 @@ class CkmGrid:
     """Gain map for every codeword of one codebook over one grid.
 
     ``gains`` is float32 with one row per codeword in canonical order
-    (``codebook.row_of``), one column per grid point.
+    (``codebook.row_of``), one column per grid point.  The row count fixes
+    the codebook's depth ``num_layers`` and array size ``num_antennas``.
     """
 
     grid: GridSpec
-    num_antennas: int
-    num_layers: int
     gains: np.ndarray
+    num_layers: int = field(init=False)
+    num_antennas: int = field(init=False)
 
     def __post_init__(self):
-        expect = (layer_start(self.num_layers + 1), self.grid.num_points)
-        if self.gains.shape != expect:
-            raise ValueError(f"gains shape {self.gains.shape}, expected {expect}")
+        shape = self.gains.shape
+        if len(shape) != 2 or shape[1] != self.grid.num_points:
+            raise ValueError(f"gains shape {shape}, expected (codewords, {self.grid.num_points})")
+        object.__setattr__(self, "num_layers", layers_of(shape[0]))
+        object.__setattr__(self, "num_antennas", 2**self.num_layers)
         if self.gains.dtype != np.float32:
             raise ValueError("gains must be float32")
         # NaN propagates through both reductions, which need no temporary
@@ -126,22 +129,19 @@ class CkmGrid:
     def __eq__(self, other) -> bool:
         if not isinstance(other, CkmGrid):
             return NotImplemented
-        return (
-            self.grid == other.grid
-            and self.num_antennas == other.num_antennas
-            and self.num_layers == other.num_layers
-            and np.array_equal(self.gains, other.gains)
-        )
+        return self.grid == other.grid and np.array_equal(self.gains, other.gains)
 
 
 def build_ckm(
     env: Environment,
     array: ArrayConfig,
-    codebook: HierarchicalCodebook,
+    codebook: np.ndarray,
     grid: GridSpec,
     staleness_sigma: float = 0.0,
 ) -> CkmGrid:
     """Evaluate |h(point)^H f| for every (codeword, grid point).
+
+    ``codebook`` is the array's codeword matrix (``build_codebook``).
 
     ``staleness_sigma`` > 0 multiplies each stored gain by an independent
     log-normal factor exp(sigma * Z), modelling an outdated map; the jitter
@@ -149,9 +149,11 @@ def build_ckm(
     sigma that pushes a gain past the float32 range is rejected.
     """
     n_ant = array.num_antennas
+    if np.shape(codebook) != (layer_start(num_layers(n_ant) + 1), n_ant):
+        raise ValueError(f"codebook shape {np.shape(codebook)} does not fit {n_ant} antennas")
     coords = grid.positions(np.arange(grid.num_points))
     h = channel_vectors(*trace_point_paths(env, array, coords)[:3], n_ant)
-    gains = np.abs(h.conj() @ codebook.matrix.T).T  # (num_cw, num_points)
+    gains = np.abs(h.conj() @ codebook.T).T  # (num_cw, num_points)
     if staleness_sigma > 0.0:
         jit_rng = np.random.default_rng(env.rng_seed)
         gains = gains * np.exp(staleness_sigma * jit_rng.standard_normal(gains.shape))
@@ -159,12 +161,7 @@ def build_ckm(
             raise ValueError(
                 f"staleness_sigma {staleness_sigma} pushes map gains past the float32 range"
             )
-    return CkmGrid(
-        grid=grid,
-        num_antennas=n_ant,
-        num_layers=codebook.num_layers,
-        gains=np.ascontiguousarray(gains, dtype=np.float32),
-    )
+    return CkmGrid(grid, np.ascontiguousarray(gains, dtype=np.float32))
 
 
 def save_ckm(ckm: CkmGrid) -> bytes:
@@ -243,6 +240,6 @@ def load_ckm(data: bytes) -> CkmGrid:
         gains[row] = np.frombuffer(data, dtype="<f4", count=n_pts, offset=off)
         off += 4 * n_pts
     try:
-        return CkmGrid(grid=grid, num_antennas=n_ant, num_layers=n_layers, gains=gains)
+        return CkmGrid(grid, gains)
     except ValueError as exc:
         raise CkmFormatError(f"invalid gains: {exc}") from None

@@ -7,9 +7,11 @@ layers are synthesized by summing the member DFT columns with per-column
 phase alignment (a plain sum puts deep nulls inside the covered interval,
 which makes layer-by-layer descent unreliable).
 
-This module owns the row layout that the codeword matrix, the gain map and
-the search states share (``row_of`` and its helpers); no other module
-spells it out.
+The codebook is a plain read-only (2N-2, N) complex matrix, one unit-norm
+codeword per row.  This module owns the row layout that the codeword
+matrix, the gain map and the search states share (``row_of`` and its
+helpers, and ``layers_of``, which reads the depth off a row count); no
+other module spells it out.
 """
 
 from __future__ import annotations
@@ -54,6 +56,15 @@ def layer_start(layer):
     return 2**layer - 2
 
 
+def layers_of(num_rows: int) -> int:
+    """Depth L >= 1 of a codebook of ``num_rows`` codewords, the inverse of
+    ``layer_start(L + 1)``; a count that is no whole codebook is a ValueError."""
+    layers = (int(num_rows) + 2).bit_length() - 2
+    if layers < 1 or layer_start(layers + 1) != num_rows:
+        raise ValueError(f"{num_rows} rows are no full codebook of 2**(L+1) - 2 rows")
+    return layers
+
+
 def layer_rows(layer: int) -> slice:
     """Rows of one layer's beams, index order."""
     return slice(layer_start(layer), layer_start(layer + 1))
@@ -69,28 +80,11 @@ def beam_index(rows, layer: int):
     return rows - (layer_start(layer) - 1)
 
 
-class HierarchicalCodebook:
-    """All codewords of the L-layer hierarchy, each with unit norm, one per
-    row in canonical order: layer 1 first, indices ascending within a
-    layer (``row_of``)."""
-
-    def __init__(self, num_antennas: int, codewords: np.ndarray):
-        self.num_antennas = num_antennas
-        self.num_layers = num_layers(num_antennas)
-        self._cw = codewords  # (total, N) complex
-
-    def codeword(self, beam: BeamId) -> np.ndarray:
-        if beam.layer > self.num_layers:
-            raise ValueError(f"beam {beam} beyond layer {self.num_layers}")
-        return self._cw[row_of(beam)]
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self._cw
-
-
-def build_codebook(num_antennas: int) -> HierarchicalCodebook:
-    """Construct the full hierarchy for a power-of-two array size >= 4."""
+def build_codebook(num_antennas: int) -> np.ndarray:
+    """All codewords of the hierarchy for a power-of-two array size N >= 4:
+    a read-only (2N-2, N) complex matrix, one unit-norm codeword per row in
+    canonical order (layer 1 first, indices ascending within a layer;
+    ``row_of``)."""
     if num_antennas < 4 or num_antennas & (num_antennas - 1) != 0:
         raise ValueError(f"num_antennas must be a power of two >= 4, got {num_antennas}")
     n_ant = num_antennas
@@ -111,4 +105,5 @@ def build_codebook(num_antennas: int) -> HierarchicalCodebook:
         # norm keeps the bits a batched norm(axis=1) would not
         block = aligned.reshape(2**layer, -1, n_ant).sum(axis=1)
         cw[layer_rows(layer)] = block / np.array([np.linalg.norm(v) for v in block])[:, None]
-    return HierarchicalCodebook(n_ant, cw)
+    cw.flags.writeable = False
+    return cw

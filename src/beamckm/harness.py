@@ -33,7 +33,7 @@ from .channel import (
     trace_point_paths,
 )
 from .ckm import CkmGrid, GridSpec
-from .codebook import BeamId, build_codebook, layer_rows, layer_start, num_layers
+from .codebook import BeamId, build_codebook, layer_rows, layer_start, layers_of
 from .lookahead import run_lookahead
 from .multiuser import run_multi_user
 from .position import PositionPrior, SubRegion, sample_true_position
@@ -305,7 +305,7 @@ def baseline_hierarchical(
 ) -> tuple[BeamId, int, list[ProbeRound]]:
     """Map-blind bisection over a point's cached responses: probe both
     children at every layer, keep the stronger, always 2L probes."""
-    L = num_layers(resp.codewords.shape[1])
+    L = layers_of(resp.codewords.shape[0])
     idx = 1
     transcript = []
     for layer in range(1, L + 1):
@@ -322,10 +322,9 @@ def baseline_exhaustive(
 ) -> tuple[BeamId, int, list[ProbeRound]]:
     """Probe every bottom beam once from a point's cached responses, keep
     the strongest."""
-    n = resp.codewords.shape[1]
-    L = num_layers(n)
-    rows = layer_start(L) + np.arange(n)
-    r = probe_round(resp, L, rows, tuple(range(1, n + 1)), noise_std, rng)
+    L = layers_of(resp.codewords.shape[0])
+    rows = layer_start(L) + np.arange(2**L)
+    r = probe_round(resp, L, rows, tuple(range(1, 2**L + 1)), noise_std, rng)
     return BeamId(L, r.feedback), r.probes, [r]
 
 
@@ -376,7 +375,7 @@ def run_trials(
     L = ckm.num_layers
     ref = reference_gain(ckm)
     # row blocks OpenBLAS multiplies on this thread, bit for bit as one product
-    blocks = np.split(codebook.matrix[layer_rows(L)], max(1, 2**L // max(4, 2048 // 2**L)))
+    blocks = np.split(codebook[layer_rows(L)], max(1, 2**L // max(4, 2048 // 2**L)))
     # Every trial's positions first, then one traced batch of the distinct
     # grid points, in order of first draw, so an unreachable point is
     # reported as the first trial to draw it would.
@@ -394,7 +393,7 @@ def run_trials(
     gains = [np.abs(np.concatenate([b @ hc for b in blocks])) for hc in np.conj(channels)]
     # each point's codeword responses, computed on first use and shared by
     # every SNR and algorithm of this call
-    resps = [Responses(h, codebook.matrix) for h in channels]
+    resps = [Responses(h, codebook) for h in channels]
     best = [BeamId(L, int(np.argmax(g)) + 1) for g in gains]
     # each user's search state is built once: alg1 and alg2 walk its cached
     # tree, alg3 starts from copies

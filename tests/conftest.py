@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import beamckm as bc
-from beamckm.codebook import beam_index, layer_rows
+from beamckm.codebook import beam_index, layer_rows, layers_of, row_of
 
 # bottom-layer weight pattern whose candidates are {1, 2, 3, 5} of 8
 FOUR_LEAF_WEIGHTS = np.array([1.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0])
@@ -34,18 +34,12 @@ def toy_ckm(bottom_gains: np.ndarray, full_gains: np.ndarray | None = None) -> b
     (P, 2N-2) is supplied."""
     bottom_gains = np.asarray(bottom_gains, dtype=np.float64)
     n_points, n_beams = bottom_gains.shape
-    depth = int(np.log2(n_beams))
-    assert 2**depth == n_beams
+    assert 2 ** int(np.log2(n_beams)) == n_beams
     full = stack_layers(bottom_gains) if full_gains is None else np.asarray(full_gains)
     grid = bc.GridSpec(
         extent_x=float(n_points), extent_y=1.0, spacing_x=1.0, spacing_y=1.0
     )
-    return bc.CkmGrid(
-        grid=grid,
-        num_antennas=n_beams,
-        num_layers=depth,
-        gains=np.ascontiguousarray(full.T, dtype=np.float32),
-    )
+    return bc.CkmGrid(grid, np.ascontiguousarray(full.T, dtype=np.float32))
 
 
 def uniform_prior(ids) -> bc.PositionPrior:
@@ -69,7 +63,7 @@ def from_bottom_weights(weights, root: bc.BeamId | None = None) -> bc.SearchStat
         w[root.index << shift :] = 0.0
     positive = w[w > 0]
     beta = 0.5 * positive.min() / positive.max() if positive.size else 1.0
-    state = bc.SearchState(np.zeros(1), np.ones(1), stack_layers(w[None, :]), beta, depth)
+    state = bc.SearchState(np.zeros(1), np.ones(1), stack_layers(w[None, :]), beta)
     state.root = root
     return state
 
@@ -141,17 +135,14 @@ def scene_channel(scene, point: int) -> np.ndarray:
 def responses_of(h: np.ndarray) -> bc.Responses:
     """The episode input for a channel vector: its (initially empty) cache
     of responses to the codebook of its array size."""
-    return bc.Responses(h, bc.build_codebook(len(h)).matrix)
+    return bc.Responses(h, bc.build_codebook(len(h)))
 
 
 def exhaustive_best_beam(scene, h: np.ndarray) -> bc.BeamId:
     """Brute-force argmax bottom beam for a channel (independent oracle)."""
     cb = scene["codebook"]
-    L = cb.num_layers
-    mags = [
-        abs(np.vdot(h, cb.codeword(bc.BeamId(L, i))))
-        for i in range(1, cb.num_antennas + 1)
-    ]
+    L = layers_of(len(cb))
+    mags = [abs(np.vdot(h, cb[row_of(bc.BeamId(L, i))])) for i in range(1, 2**L + 1)]
     return bc.BeamId(L, int(np.argmax(mags)) + 1)
 
 

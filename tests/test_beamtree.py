@@ -144,7 +144,7 @@ class TestLayerRecursion:
         np.testing.assert_allclose(
             bottom_weights(t2), 5.0 * bottom_weights(t1), rtol=1e-6
         )
-        np.testing.assert_array_equal(t1.keep, t2.keep)
+        np.testing.assert_array_equal(t1.contrib > 0, t2.contrib > 0)
 
     def test_candidates_shrink_as_beta_grows(self):
         bottom = np.random.default_rng(2).uniform(0.0, 1.0, size=(4, 16))
@@ -178,7 +178,9 @@ class TestPrunedTree:
             from_bottom_weights(np.ones(6))
         # the state itself needs gains over the whole codebook of its depth
         with pytest.raises(ValueError, match="full codebook"):
-            bc.SearchState(np.arange(1), np.ones(1), np.ones((1, 10)), 0.5, 3)
+            bc.SearchState(np.arange(1), np.ones(1), np.ones((1, 10)), 0.5)
+        with pytest.raises(ValueError, match="shape"):
+            bc.SearchState(np.arange(1), np.ones(1), np.ones(14), 0.5)
 
     def test_candidate_trees_are_ancestor_closed(self):
         rng = np.random.default_rng(31)
@@ -351,7 +353,7 @@ class TestTableCopies:
 
     def test_fixed_arrays_are_shared_read_only(self):
         copy = self.built.copy()
-        for name in ("point_ids", "point_mass", "gains", "contrib", "keep"):
+        for name in ("point_ids", "point_mass", "gains", "contrib"):
             ours, theirs = getattr(copy, name), getattr(self.built, name)
             assert ours is theirs
             assert not ours.flags.writeable
@@ -362,7 +364,7 @@ class TestTableCopies:
 
     def test_caller_arrays_stay_writable(self):
         gains = stack_layers(np.eye(4))
-        table = bc.SearchState(np.arange(4), np.full(4, 0.25), gains, 0.5, 2)
+        table = bc.SearchState(np.arange(4), np.full(4, 0.25), gains, 0.5)
         assert not table.gains.flags.writeable
         gains[0, 0] = 2.0  # the caller's own array is untouched
 
@@ -446,7 +448,6 @@ def observation_runs(draw):
         mass,
         stack_layers(bottom),
         draw(st.sampled_from([0.2, 0.5, 1.0])),
-        L,
         draw(st.sampled_from([None, 1, 2])),
     )
     steps = draw(
@@ -629,7 +630,7 @@ class TestSearchTreeCache:
         built = bc.compute_point_weights(toy_ckm(bottom), uniform_prior(np.arange(6)), beta=0.5)
         cb = bc.build_codebook(16)
         for k in range(30):
-            resp = bc.Responses(rng.normal(size=16) + 1j * rng.normal(size=16), cb.matrix)
+            resp = bc.Responses(rng.normal(size=16) + 1j * rng.normal(size=16), cb)
             for choose in (optimal_layer, next_layer):
                 run_episode(resp, built, choose, 10.0, np.random.default_rng(k))
         return built

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import beamckm as bc
 from beamckm.channel import trace_point_paths
+from beamckm.codebook import row_of
 
 from oracles import steering_vector
 
@@ -207,7 +208,7 @@ class TestChannelField:
         env, array, grid = scene
         field, (_, _, _, counts) = map_field(env, array, grid)
         cb = bc.build_codebook(array.num_antennas)
-        gains = np.abs(field.conj() @ cb.matrix.T).T.astype(np.float32)
+        gains = np.abs(field.conj() @ cb.T).T.astype(np.float32)
         np.testing.assert_array_equal(bc.build_ckm(env, array, cb, grid).gains, gains)
         for p in range(grid.num_points):
             pos = grid.positions([p])[0]
@@ -270,7 +271,7 @@ class TestProbe:
         cb = bc.build_codebook(16)
         angle = bc.bottom_angles(16)[6]
         h = 0.8 * steering_vector(angle, 16)
-        mags = [bc.probe(h, cb.codeword(bc.BeamId(4, i)), 0.0) for i in range(1, 17)]
+        mags = [bc.probe(h, cb[row_of(bc.BeamId(4, i))], 0.0) for i in range(1, 17)]
         assert int(np.argmax(mags)) + 1 == 7
 
     def test_orthogonal_beam_reads_zero(self):
@@ -314,14 +315,14 @@ class TestProbeRows:
         cb = bc.build_codebook(n)
         draw = np.random.default_rng(seed)
         h = draw.standard_normal(n) + 1j * draw.standard_normal(n)
-        resp = bc.Responses(h, cb.matrix)
+        resp = bc.Responses(h, cb)
         scalar_rng = np.random.default_rng(seed + 1)
         batch_rng = np.random.default_rng(seed + 1)
         # two rounds on one cache: the second finds some rows computed
         for _ in range(2):
             size = data.draw(st.sampled_from([1, 2, int(draw.integers(1, 2 * n - 1))]))
             rows = np.sort(draw.choice(2 * n - 2, size=size, replace=False))
-            want = np.array([bc.probe(h, cb.matrix[r], sigma, scalar_rng) for r in rows])
+            want = np.array([bc.probe(h, cb[r], sigma, scalar_rng) for r in rows])
             got = bc.probe_rows(resp, rows, sigma, batch_rng)
             assert got.dtype == np.float64
             assert got.tobytes() == want.tobytes()
@@ -329,7 +330,7 @@ class TestProbeRows:
 
     def test_noise_without_rng_rejected(self):
         cb = bc.build_codebook(16)
-        resp = bc.Responses(np.ones(16, dtype=complex), cb.matrix)
+        resp = bc.Responses(np.ones(16, dtype=complex), cb)
         rows = np.array([0, 1])
         assert bc.probe_rows(resp, rows, 0.0).shape == (2,)
         with pytest.raises(ValueError, match="needs an rng"):
@@ -346,19 +347,19 @@ class TestProbeRows:
             return vdot(a, b)
 
         monkeypatch.setattr(np, "vdot", counting_vdot)
-        resp = bc.Responses(h, cb.matrix)
+        resp = bc.Responses(h, cb)
         for rows in ([1, 2, 5], [2, 5, 7, 9], [1, 2, 5, 7, 9], [9]):
             got = resp.take(np.array(rows))
-            assert got.tolist() == [vdot(h, cb.matrix[r]) for r in rows]
-        assert sorted(computed) == sorted(cb.matrix[r].tobytes() for r in (1, 2, 5, 7, 9))
+            assert got.tolist() == [vdot(h, cb[r]) for r in rows]
+        assert sorted(computed) == sorted(cb[r].tobytes() for r in (1, 2, 5, 7, 9))
         assert np.flatnonzero(resp.computed).tolist() == [1, 2, 5, 7, 9]
 
     def test_shape_mismatch_rejected(self):
         cb = bc.build_codebook(16)
         with pytest.raises(ValueError, match="dimension mismatch"):
-            bc.Responses(np.ones(8, dtype=complex), cb.matrix)
+            bc.Responses(np.ones(8, dtype=complex), cb)
         with pytest.raises(ValueError, match="dimension mismatch"):
-            bc.Responses(np.ones(16, dtype=complex), cb.matrix[0])
+            bc.Responses(np.ones(16, dtype=complex), cb[0])
 
 
 class TestGeometryEdgeCases:

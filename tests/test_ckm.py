@@ -139,8 +139,13 @@ class TestBuildCkm:
         assert ckm.gains.shape == (2 * 8 - 2, grid.num_points)
         for p in range(grid.num_points):
             h = bc.synthesize_channel(env, array, grid.positions([p])[0])
-            direct = np.abs(cb.matrix @ h.conj())
+            direct = np.abs(cb @ h.conj())
             np.testing.assert_allclose(ckm.gains[:, p], direct, rtol=1e-5, atol=1e-12)
+
+    def test_codebook_of_another_array_rejected(self):
+        array, env, grid, _ = tiny_scene(32)
+        with pytest.raises(ValueError, match="codebook"):
+            bc.build_ckm(env, array, bc.build_codebook(16), grid)
 
     def test_max_paths_beyond_the_scene_changes_no_byte(self):
         # desk has three scatterers, so slots past the fourth stay empty
@@ -215,14 +220,20 @@ class TestBuildCkm:
         gains = np.ones((6, 2), np.float32)
         gains[4, 1] = bad
         with pytest.raises(ValueError, match="finite and >= 0"):
-            bc.CkmGrid(grid=grid, num_antennas=4, num_layers=2, gains=gains)
+            bc.CkmGrid(grid, gains)
 
     def test_grid_table_shape_and_dtype_enforced(self):
         grid = bc.GridSpec(extent_x=2.0, extent_y=1.0, spacing_x=1.0, spacing_y=1.0)
+        # the row count must be a whole codebook's, 2**(L+1) - 2 for L >= 1
+        for rows in (0, 1, 5, 10, 12):
+            with pytest.raises(ValueError, match="codebook"):
+                bc.CkmGrid(grid, np.zeros((rows, 2), np.float32))
         with pytest.raises(ValueError):
-            bc.CkmGrid(grid=grid, num_antennas=4, num_layers=2, gains=np.zeros((5, 2), np.float32))
-        with pytest.raises(ValueError):
-            bc.CkmGrid(grid=grid, num_antennas=4, num_layers=2, gains=np.zeros((6, 2)))
+            bc.CkmGrid(grid, np.zeros((6, 2)))
+        with pytest.raises(ValueError, match="shape"):
+            bc.CkmGrid(grid, np.zeros(12, np.float32))
+        with pytest.raises(ValueError, match="shape"):
+            bc.CkmGrid(grid, np.zeros((6, 3), np.float32))
 
 
 class TestLookup:
@@ -257,6 +268,13 @@ class TestBinaryFormat:
         assert back == ckm
         assert back.gains.tobytes() == ckm.gains.tobytes()
         assert bc.save_ckm(back) == data
+        # a map's depth and array size follow from its row count alone
+        grid = bc.GridSpec(extent_x=3.0, extent_y=1.0, spacing_x=1.0, spacing_y=1.0)
+        for layers in range(1, 6):
+            zeros = np.zeros((layer_start(layers + 1), grid.num_points), np.float32)
+            ckm = bc.CkmGrid(grid, zeros)
+            assert (ckm.num_layers, ckm.num_antennas) == (layers, 2**layers)
+            assert bc.load_ckm(bc.save_ckm(ckm)) == ckm
 
     def test_records_in_any_order_load_into_canonical_rows(self):
         ckm = self.make()
@@ -361,7 +379,7 @@ class TestBinaryFormat:
         # v1 cannot say that a grid ends mid-cell: 0.3 m at 0.1 m spacing
         # reloads as 3 x 0.1 m, whose count rounds up to 4
         grid = bc.GridSpec(extent_x=0.3, extent_y=1.0, spacing_x=0.1, spacing_y=1.0)
-        ckm = bc.CkmGrid(grid, 2, 1, np.zeros((2, grid.num_points), dtype=np.float32))
+        ckm = bc.CkmGrid(grid, np.zeros((2, grid.num_points), dtype=np.float32))
         data = bc.save_ckm(ckm)
         assert bc.load_ckm(data) == ckm
         with pytest.raises(bc.CkmFormatError, match="header says 3x1"):
@@ -404,7 +422,7 @@ class TestBinaryFormat:
         grid = bc.GridSpec(*extent, *spacing, origin=origin)
         n_cw = layer_start(num_layers + 1)
         gains = np.random.default_rng(seed).random((n_cw, grid.num_points), dtype=np.float32)
-        ckm = bc.CkmGrid(grid, 2**num_layers, num_layers, gains)
+        ckm = bc.CkmGrid(grid, gains)
         data = bc.save_ckm(ckm)
         back = bc.load_ckm(data)
         assert back.grid == grid
@@ -426,7 +444,7 @@ class TestMapConsistency:
                 )
             except ValueError:
                 continue
-            true_mags = np.abs(cb.matrix[layer_rows(4)] @ h.conj())
+            true_mags = np.abs(cb[layer_rows(4)] @ h.conj())
             map_mags = ckm.gains[layer_rows(4), p]
             # skip near-ties that float32 storage could legitimately flip
             order = np.sort(true_mags)

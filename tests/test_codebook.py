@@ -13,7 +13,14 @@ import numpy as np
 import pytest
 
 import beamckm as bc
-from beamckm.codebook import beam_index, bottom_angles, layer_rows, layer_start, row_of
+from beamckm.codebook import (
+    beam_index,
+    bottom_angles,
+    layer_rows,
+    layer_start,
+    layers_of,
+    row_of,
+)
 
 from oracles import beam_support
 
@@ -90,24 +97,30 @@ class TestBottomAngles:
 class TestBuildCodebook:
     def test_sizes(self):
         cb = bc.build_codebook(8)
-        assert cb.num_layers == 3
-        assert cb.matrix.shape == (14, 8)
+        assert layers_of(cb.shape[0]) == 3
+        assert cb.shape == (14, 8)
+        assert cb.dtype == np.complex128
 
     def test_rejects_bad_sizes(self):
         for bad in (6, 2, 0):
             with pytest.raises(ValueError):
                 bc.build_codebook(bad)
 
+    def test_matrix_is_read_only(self):
+        cb = bc.build_codebook(32)
+        with pytest.raises(ValueError, match="read-only"):
+            cb[row_of(bc.BeamId(5, 1))] = 0.0
+
     def test_unit_norms(self):
         cb = bc.build_codebook(32)
-        np.testing.assert_allclose(np.linalg.norm(cb.matrix, axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(np.linalg.norm(cb, axis=1), 1.0, atol=1e-12)
 
     def test_bottom_layer_is_dft(self):
         cb = bc.build_codebook(8)
         angles = bottom_angles(8)
         for n in range(1, 9):
             expected = np.exp(-1j * np.pi * angles[n - 1] * np.arange(8)) / np.sqrt(8)
-            np.testing.assert_allclose(cb.codeword(bc.BeamId(3, n)), expected, atol=1e-12)
+            np.testing.assert_allclose(cb[row_of(bc.BeamId(3, n))], expected, atol=1e-12)
 
     def test_row_mapping_round_trip(self):
         # rows enumerate the beams in BeamId order, one layer per slice, and
@@ -115,6 +128,10 @@ class TestBuildCodebook:
         for depth in range(1, 11):
             beams = sorted(bc.BeamId(l, n) for l in range(1, depth + 1) for n in range(1, 2**l + 1))
             total = layer_start(depth + 1)
+            assert layers_of(total) == depth
+            for bad in (total - 1, total + 1):
+                with pytest.raises(ValueError, match="codebook"):
+                    layers_of(bad)
             assert [row_of(beam) for beam in beams] == list(range(total))
             for l in range(1, depth + 1):
                 rows = np.arange(total)[layer_rows(l)]
@@ -123,9 +140,9 @@ class TestBuildCodebook:
             assert all(beam_index(row_of(b), b.layer) == b.index for b in beams)
         cb = bc.build_codebook(16)
         beams = [bc.BeamId(l, n) for l in range(1, 5) for n in range(1, 2**l + 1)]
-        assert cb.matrix.shape[0] == len(beams)
+        assert cb.shape[0] == len(beams)
         for row, beam in enumerate(beams):
-            np.testing.assert_array_equal(cb.codeword(beam), cb.matrix[row])
+            np.testing.assert_array_equal(cb[row_of(beam)], cb[row])
 
     def test_only_the_codebook_spells_the_row_layout(self):
         # row offsets such as ``2**layer - 2`` or ``2 ** (l + 1) - 3``
@@ -147,9 +164,9 @@ class TestBuildCodebook:
         angles = bottom_angles(8)
         members = slice(0, 4)  # beams 1..4 sit under (1, 1)
         align = np.exp(1j * np.pi * angles[members] * (8 - 1) / 2.0)
-        raw = (align[:, None] * cb.matrix[layer_rows(3)][members]).sum(axis=0)
+        raw = (align[:, None] * cb[layer_rows(3)][members]).sum(axis=0)
         np.testing.assert_allclose(
-            cb.codeword(bc.BeamId(1, 1)), raw / np.linalg.norm(raw), atol=1e-12
+            cb[row_of(bc.BeamId(1, 1))], raw / np.linalg.norm(raw), atol=1e-12
         )
 
 
@@ -159,13 +176,13 @@ class TestDescentProperty:
     @pytest.mark.parametrize("num_antennas", [16, 32])
     def test_containing_beam_beats_sibling_everywhere(self, num_antennas):
         cb = bc.build_codebook(num_antennas)
-        depth = cb.num_layers
+        depth = layers_of(len(cb))
         # random interior angles: exactly on a support edge both siblings
         # tie by symmetry, so edges are excluded by sampling
         thetas = np.random.default_rng(8).uniform(-1.0, 1.0, size=2000)
         steer = np.exp(-1j * np.pi * np.outer(thetas, np.arange(num_antennas)))
         for layer in range(1, depth + 1):
-            gains = np.abs(steer @ cb.matrix[layer_rows(layer)].conj().T)
+            gains = np.abs(steer @ cb[layer_rows(layer)].conj().T)
             supports = np.array(
                 [beam_support(bc.BeamId(layer, n)) for n in range(1, 2**layer + 1)]
             )

@@ -564,7 +564,7 @@ class TestBaselines:
     def test_hierarchical_costs_two_per_layer(self, small_scene):
         cb = small_scene["codebook"]
         h = 0.7 * steering_vector(bc.bottom_angles(16)[4], 16)
-        chosen, overhead, rounds = bc.baseline_hierarchical(bc.Responses(h, cb.matrix), 0.0)
+        chosen, overhead, rounds = bc.baseline_hierarchical(bc.Responses(h, cb), 0.0)
         assert chosen == bc.BeamId(4, 5)
         assert overhead == 2 * 4
         assert [r.layer for r in rounds] == [1, 2, 3, 4]
@@ -578,7 +578,7 @@ class TestBaselines:
     def test_exhaustive_probes_everything_once(self, small_scene):
         cb = small_scene["codebook"]
         h = 0.7 * steering_vector(bc.bottom_angles(16)[11], 16)
-        chosen, overhead, rounds = bc.baseline_exhaustive(bc.Responses(h, cb.matrix), 0.0)
+        chosen, overhead, rounds = bc.baseline_exhaustive(bc.Responses(h, cb), 0.0)
         assert chosen == bc.BeamId(4, 12)
         assert overhead == 16
         assert rounds[0].probed == tuple(range(1, 17))
@@ -654,14 +654,14 @@ class TestRunTrials:
 
     def test_mismatched_map_rejected(self, small_scene):
         cfg = self.config()
-        wrong_n = bc.CkmGrid(
-            grid=cfg.grid,
-            num_antennas=8,
-            num_layers=3,
-            gains=np.zeros((14, cfg.grid.num_points), dtype=np.float32),
-        )
+        # 14 rows make a 3-layer, 8-antenna map, whatever array it came from
+        wrong_n = bc.CkmGrid(cfg.grid, np.zeros((14, cfg.grid.num_points), dtype=np.float32))
+        assert (wrong_n.num_layers, wrong_n.num_antennas) == (3, 8)
         with pytest.raises(ValueError, match="antenna"):
             bc.run_trials(cfg, wrong_n)
+        wide = self.config(array={**scenario_dict()["array"], "num_antennas": 32})
+        with pytest.raises(ValueError, match="antenna"):
+            bc.run_trials(wide, wrong_n)
         wrong_grid = toy_ckm(np.ones((2, 16)))
         with pytest.raises(ValueError, match="grid"):
             bc.run_trials(cfg, wrong_grid)
@@ -811,7 +811,7 @@ class TestSweepInvariants:
         assert any(table.uniform_fallback for _, table in copies)
         for source, table in copies:
             assert any(source is s for s in shared)
-            for name in ("gains", "contrib", "keep"):
+            for name in ("gains", "contrib"):
                 ours, theirs = getattr(table, name), getattr(source, name)
                 assert np.shares_memory(ours, theirs)
                 assert not ours.flags.writeable

@@ -24,7 +24,7 @@ from conftest import (
 from oracles import similarity
 
 
-def make_table(profiles, num_layers=2, beta=0.5):
+def make_table(profiles, beta=0.5):
     """Search state over hand-written full gain rows (P, 2^(L+1) - 2)."""
     gains = np.asarray(profiles, dtype=np.float64)
     n = len(gains)
@@ -33,13 +33,11 @@ def make_table(profiles, num_layers=2, beta=0.5):
         point_mass=np.full(n, 1.0 / n),
         gains=gains,
         beta=beta,
-        num_layers=num_layers,
     )
 
 
 def table_from_bottom(bottom, beta=0.5):
-    return make_table(stack_layers(np.asarray(bottom, dtype=float)),
-                      num_layers=int(np.log2(np.shape(bottom)[1])), beta=beta)
+    return make_table(stack_layers(np.asarray(bottom, dtype=float)), beta=beta)
 
 
 class TestSimilarity:
@@ -223,7 +221,7 @@ def pruning_rounds(draw):
     gains = rng.uniform(0.0, 1.0, (P, layer_start(L + 1)))
     gains *= rng.random(gains.shape) < draw(st.sampled_from([0.3, 0.7, 1.0]))
     gains[rng.random(P) < 0.1] = 0.0
-    state = bc.SearchState(np.arange(P), np.full(P, 1.0 / P), gains, 0.5, L)
+    state = bc.SearchState(np.arange(P), np.full(P, 1.0 / P), gains, 0.5)
     alive = rng.random(P) < draw(st.sampled_from([0.5, 1.0]))
     alive[rng.integers(P)] = True
     state.update(alive)

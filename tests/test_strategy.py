@@ -389,7 +389,7 @@ class TestSearchTreeCache:
             built = bc.compute_point_weights(ckm, self.PRIOR, 0.5)
             folded = built.copy()
             bc.apply_observation(folded, bc.BeamId(1, int(candidates(folded, 1)[seed % 2 - 1])))
-            resp = bc.Responses(scene_channel(small_scene, 36 + seed), cb.matrix)
+            resp = bc.Responses(scene_channel(small_scene, 36 + seed), cb)
             for state in (built, built.copy(), folded):
                 before = {name: getattr(state, name).copy() for name in names}
                 root, fallback = state.root, state.uniform_fallback
@@ -413,7 +413,7 @@ class TestSearchTreeCache:
             original(state, observed)
 
         monkeypatch.setattr(strategy, "apply_observation", counted)
-        resp = bc.Responses(scene_channel(small_scene, 37), cb.matrix)
+        resp = bc.Responses(scene_channel(small_scene, 37), cb)
 
         def episode():
             rng = np.random.default_rng(9)
