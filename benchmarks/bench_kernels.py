@@ -1,4 +1,4 @@
-"""Benchmark two stages of a search round.
+"""Benchmark two stages of a search round and the map build.
 
 Layer planning: the shortest-path planner against the exhaustive
 enumeration of activations it replaces.  The comparison asserts that both
@@ -12,6 +12,13 @@ Probing: one exhaustive round over the bottom layer at N = 32, 128 and
 call, on an empty response cache (every response computed) and on a
 filled one (as a further SNR point or algorithm of a sweep finds it).
 The comparison asserts equal magnitudes bit for bit under the same noise.
+
+Map build: on the large scene's grid at ``--map-spacing`` (0.5 m, 65,536
+points, by default), ``channel_vectors`` with one steering vector per
+distinct angle against the oracle with one per (point, slot), asserting
+equal bytes; then ``build_ckm``, and its chunk loop with a clock on each
+stage (path tracing, channel synthesis, gain product), which must write
+the same gains.
 """
 
 import argparse
@@ -22,11 +29,14 @@ from pathlib import Path
 import numpy as np
 
 import beamckm as bc
-from beamckm import kernels
+from beamckm import ckm, kernels
+from beamckm.channel import channel_vectors, trace_point_paths
 from beamckm.codebook import beam_index, layer_rows, layer_start, layers_of, row_of
 
+ROOT = Path(__file__).resolve().parent.parent
 # the enumeration planner is a test oracle; this script is run by path
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+sys.path.insert(0, str(ROOT / "tests"))
+from oracles import channel_vectors as oracle_channel_vectors  # noqa: E402
 from oracles import enumerate_activations, pick_activation, prefix_sums  # noqa: E402
 
 
@@ -103,12 +113,66 @@ def probe_cold(h, codebook, rows, sigma, seed):
     return probe_by_rows(bc.Responses(h, codebook), rows, sigma, seed)
 
 
+MAP_STAGES = ("trace", "synthesis", "gain product")
+
+
+def staged_build(config, grid, codebook):
+    """``build_ckm``'s chunk loop (no staleness) with a clock on each stage:
+    the gains and the seconds spent per stage."""
+    env, array = config.environment, config.array
+    gains = np.empty((len(codebook), grid.num_points), dtype=np.float32)
+    spent = dict.fromkeys(MAP_STAGES, 0.0)
+    for start in range(0, grid.num_points, ckm._CHUNK_POINTS):
+        cols = slice(start, min(start + ckm._CHUNK_POINTS, grid.num_points))
+        t0 = time.perf_counter()
+        traced = trace_point_paths(env, array, grid.positions(np.arange(cols.start, cols.stop)))
+        t1 = time.perf_counter()
+        h = channel_vectors(*traced[:3], array.num_antennas)
+        t2 = time.perf_counter()
+        gains[:, cols] = np.abs(h.conj() @ codebook.T).T
+        t3 = time.perf_counter()
+        for stage, dt in zip(MAP_STAGES, (t1 - t0, t2 - t1, t3 - t2)):
+            spent[stage] += dt
+    return gains, spent
+
+
+def bench_map_build(spacing: float, repeat: int) -> None:
+    config = bc.load_scenario(ROOT / "configs" / "large.json")
+    g = config.grid
+    grid = bc.GridSpec(g.extent_x, g.extent_y, spacing, spacing, g.origin)
+    n_ant = config.array.num_antennas
+    book = bc.build_codebook(n_ant)
+    print(f"map build, large scene at {spacing} m spacing, "
+          f"{grid.num_points} points, {n_ant} antennas:")
+    coords = grid.positions(np.arange(grid.num_points))
+    paths = trace_point_paths(config.environment, config.array, coords)[:3]
+    want, best_o, _ = bench(oracle_channel_vectors, *paths, n_ant, repeat=repeat)
+    got, best_n, _ = bench(channel_vectors, *paths, n_ant, repeat=repeat)
+    assert got.tobytes() == want.tobytes(), "channel_vectors disagrees with its oracle"
+    del want, got
+    print(f"  channel_vectors  per (point, slot)={best_o:7.3f} s  "
+          f"per distinct angle={best_n:7.3f} s  speedup={best_o / best_n:5.1f}x  "
+          f"{len(np.unique(paths[0]))} of {paths[0].size} slot angles distinct  "
+          "same channels: True")
+    built, best_b, _ = bench(bc.build_ckm, config.environment, config.array, book, grid,
+                             repeat=repeat)
+    runs = [staged_build(config, grid, book) for _ in range(repeat)]
+    staged, spent = min(runs, key=lambda run: sum(run[1].values()))
+    assert staged.tobytes() == built.gains.tobytes(), "staged build disagrees with build_ckm"
+    total = sum(spent.values())
+    split = "  ".join(f"{k}={v:6.3f} s ({v / total:4.0%})" for k, v in spent.items())
+    print(f"  build_ckm={best_b:7.3f} s ({grid.num_points / best_b:,.0f} points/s)  "
+          f"chunks of {ckm._CHUNK_POINTS}: {split}  same gains: True")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--trees", type=int, default=20,
                         help="random trees per depth for the planning workload")
     parser.add_argument("--layers", type=int, nargs="+", default=[5, 7, 9, 10],
                         help="codebook depths for the planning workload")
+    parser.add_argument("--map-spacing", type=float, default=0.5,
+                        help="grid spacing in metres of the large scene's map build")
     parser.add_argument("--repeat", type=int, default=5)
     args = parser.parse_args(argv)
 
@@ -139,6 +203,8 @@ def main(argv=None) -> int:
               f"probe_rows empty cache={best_c * 1e3:7.3f} ms  "
               f"filled cache={best_w * 1e3:7.3f} ms  "
               f"speedup={best_s / best_c:5.1f}x / {best_s / best_w:6.1f}x  same magnitudes: True")
+
+    bench_map_build(args.map_spacing, args.repeat)
     return 0
 
 

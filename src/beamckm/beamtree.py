@@ -71,6 +71,11 @@ class SearchState:
         self.retain_beams = retain_beams
         if self.gains.ndim != 2:
             raise ValueError(f"gains shape {self.gains.shape}, expected (points, codewords)")
+        if not self.point_ids.shape == self.point_mass.shape == (len(self.gains),):
+            raise ValueError(
+                f"point_ids {self.point_ids.shape}, point_mass {self.point_mass.shape} and "
+                f"gains {self.gains.shape} must hold one entry or row per point"
+            )
         self.num_layers = num_layers = layers_of(self.gains.shape[1])
         nb = 2**num_layers
         bottom = self.gains[:, layer_rows(num_layers)]

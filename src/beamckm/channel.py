@@ -203,13 +203,16 @@ def channel_vectors(angles, amps, phases, num_antennas: int) -> np.ndarray:
     amp * e^{j phase} * steering vector over point p's slots, in slot order.
 
     Empty slots have amplitude 0 and add nothing.  The map and the trials
-    both take their channels from here, so they agree bit for bit.
+    both take their channels from here, so they agree bit for bit.  ``exp``
+    is elementwise, so one steering vector per distinct angle keeps the bits.
     """
-    ant = np.arange(num_antennas)
+    distinct, which = np.unique(angles, return_inverse=True)
+    steer = np.exp(-1j * np.pi * distinct[:, None] * np.arange(num_antennas))
+    which = which.reshape(angles.shape)
     h = np.zeros((angles.shape[0], num_antennas), dtype=np.complex128)
     for s in range(angles.shape[1]):
         coef = amps[:, s] * np.exp(1j * phases[:, s])
-        h += coef[:, None] * np.exp(-1j * np.pi * angles[:, s, None] * ant)
+        h += coef[:, None] * steer[which[:, s]]
     return h
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -23,6 +24,8 @@ FORMAT_VERSION = 2
 # magic, version, antennas, layers, nx, ny, spacings, origin, codewords
 _HEADER_V1 = "<4sIIIIIddddI"
 _EXTENTS = "<dd"  # v2 only, right after the v1 fields
+# grid points traced, synthesized and multiplied at a time by build_ckm
+_CHUNK_POINTS = 1024
 
 
 class CkmFormatError(ValueError):
@@ -126,6 +129,15 @@ class CkmGrid:
         if not (lo >= 0.0 and hi < math.inf):
             raise ValueError(f"gains must be finite and >= 0, got min {lo}, max {hi}")
 
+    @cached_property
+    def reference_gain(self) -> float:
+        """``harness.reference_gain``, computed on first use and kept."""
+        best = self.gains[layer_rows(self.num_layers)].max(axis=0).astype(np.float64)
+        reached = best[best > 0.0]
+        if reached.size == 0:
+            raise ValueError("no grid point of the map has a positive gain")
+        return float(np.median(reached))
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, CkmGrid):
             return NotImplemented
@@ -141,7 +153,9 @@ def build_ckm(
 ) -> CkmGrid:
     """Evaluate |h(point)^H f| for every (codeword, grid point).
 
-    ``codebook`` is the array's codeword matrix (``build_codebook``).
+    ``codebook`` is the array's codeword matrix (``build_codebook``).  Each
+    chunk of grid points is traced, synthesized and multiplied in turn and
+    written into one float32 map: no array spans the grid's channels.
 
     ``staleness_sigma`` > 0 multiplies each stored gain by an independent
     log-normal factor exp(sigma * Z), modelling an outdated map; the jitter
@@ -151,17 +165,23 @@ def build_ckm(
     n_ant = array.num_antennas
     if np.shape(codebook) != (layer_start(num_layers(n_ant) + 1), n_ant):
         raise ValueError(f"codebook shape {np.shape(codebook)} does not fit {n_ant} antennas")
-    coords = grid.positions(np.arange(grid.num_points))
-    h = channel_vectors(*trace_point_paths(env, array, coords)[:3], n_ant)
-    gains = np.abs(h.conj() @ codebook.T).T  # (num_cw, num_points)
+    gains = np.empty((len(codebook), grid.num_points), dtype=np.float32)
     if staleness_sigma > 0.0:
         jit_rng = np.random.default_rng(env.rng_seed)
-        gains = gains * np.exp(staleness_sigma * jit_rng.standard_normal(gains.shape))
-        if not gains.max() <= np.finfo(np.float32).max:
-            raise ValueError(
-                f"staleness_sigma {staleness_sigma} pushes map gains past the float32 range"
-            )
-    return CkmGrid(grid, np.ascontiguousarray(gains, dtype=np.float32))
+        jitter = np.exp(staleness_sigma * jit_rng.standard_normal(gains.shape))
+    for start in range(0, grid.num_points, _CHUNK_POINTS):
+        cols = slice(start, min(start + _CHUNK_POINTS, grid.num_points))
+        coords = grid.positions(np.arange(cols.start, cols.stop))
+        h = channel_vectors(*trace_point_paths(env, array, coords)[:3], n_ant)
+        chunk = np.abs(h.conj() @ codebook.T).T  # (num_cw, points of the chunk)
+        if staleness_sigma > 0.0:
+            chunk = chunk * jitter[:, cols]
+            if not chunk.max() <= np.finfo(np.float32).max:
+                raise ValueError(
+                    f"staleness_sigma {staleness_sigma} pushes map gains past the float32 range"
+                )
+        gains[:, cols] = chunk
+    return CkmGrid(grid, gains)
 
 
 def save_ckm(ckm: CkmGrid) -> bytes:

@@ -282,12 +282,8 @@ def reference_gain(ckm: CkmGrid) -> float:
     """Scene-scale matched gain: median of the best bottom-layer map gain
     over the grid points that some path reaches.  SNR settings are relative
     to this, so a configured SNR describes a typical aligned link, not the
-    raw transmit power, however much of the grid is shadowed."""
-    best = ckm.gains[layer_rows(ckm.num_layers)].max(axis=0).astype(np.float64)
-    reached = best[best > 0.0]
-    if reached.size == 0:
-        raise ValueError("no grid point of the map has a positive gain")
-    return float(np.median(reached))
+    raw transmit power, however much of the grid is shadowed.  Kept per map."""
+    return ckm.reference_gain
 
 
 def noise_std_for_snr(snr_db: float, ref_gain: float) -> float:

@@ -3,8 +3,9 @@
 Each one computes a quantity the package computes another way: the
 planner's probe cost one target and one layer at a time, its pair weights
 from per-layer prefix sums, its plan by enumerating every activation, the
-pruning kernel's cosine one profile at a time, and the array response and
-beam support in closed form.  None of them runs in a sweep or a map build.
+pruning kernel's cosine one profile at a time, the channel vectors with one
+steering vector per (point, slot), and the array response and beam support
+in closed form.  None of them runs in a sweep or a map build.
 """
 
 import numpy as np
@@ -22,6 +23,18 @@ def steering_vector(angle: float, n_antennas: int) -> np.ndarray:
     if not -1.0 <= angle < 1.0:
         raise ValueError(f"spatial angle must lie in [-1, 1), got {angle}")
     return np.exp(-1j * np.pi * angle * np.arange(n_antennas))
+
+
+def channel_vectors(angles, amps, phases, num_antennas: int) -> np.ndarray:
+    """``channel.channel_vectors`` with one complex ``exp`` per (point, slot,
+    antenna): each slot's steering vectors are computed for every point,
+    however many points share its angle."""
+    ant = np.arange(num_antennas)
+    h = np.zeros((angles.shape[0], num_antennas), dtype=np.complex128)
+    for s in range(angles.shape[1]):
+        coef = amps[:, s] * np.exp(1j * phases[:, s])
+        h += coef[:, None] * np.exp(-1j * np.pi * angles[:, s, None] * ant)
+    return h
 
 
 def beam_support(beam: BeamId) -> tuple[float, float]:

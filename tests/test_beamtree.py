@@ -182,6 +182,15 @@ class TestPrunedTree:
         with pytest.raises(ValueError, match="shape"):
             bc.SearchState(np.arange(1), np.ones(1), np.ones(14), 0.5)
 
+    @pytest.mark.parametrize(
+        "ids, mass, rows",
+        [((5,), (3,), 3), ((3,), (5,), 3), ((3,), (3,), 5), ((3,), (3, 1), 3)],
+        ids=["ids", "mass", "gains", "mass-column"],
+    )
+    def test_misaligned_point_arrays_named(self, ids, mass, rows):
+        with pytest.raises(ValueError, match=r"point_ids .*, point_mass .* and gains .* per point"):
+            bc.SearchState(np.zeros(ids, dtype=int), np.ones(mass), np.ones((rows, 14)), 0.5)
+
     def test_candidate_trees_are_ancestor_closed(self):
         rng = np.random.default_rng(31)
         for _ in range(20):

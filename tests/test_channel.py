@@ -4,8 +4,12 @@ Closed-form oracles: steering entries by direct formula, LoS gain from
 the free-space amplitude law, and the probe noise magnitude against the
 Rayleigh mean.  Hypothesis scenes check that a trial's channel is the
 map's channel at the same grid point, bit for bit, and that both are the
-sum of per-path steering vectors.
+sum of per-path steering vectors.  ``channel_vectors``, which computes one
+steering vector per distinct angle, is checked bit for bit against the
+oracle that computes one per (point, slot).
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +20,10 @@ import beamckm as bc
 from beamckm.channel import trace_point_paths
 from beamckm.codebook import row_of
 
+import oracles
 from oracles import steering_vector
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def make_array(n=16, bs=(8.0, -1.0)):
@@ -259,6 +266,34 @@ class TestChannelField:
         for h, row in zip(one_point, batch):
             assert h.shape == (array.num_antennas,)
             assert h.tobytes() == row.tobytes()
+
+
+class TestChannelVectorsOracle:
+    @pytest.mark.parametrize("scene", ["desk", "large", "deep"])
+    def test_traced_grid_points_match_oracle(self, scene):
+        config = bc.load_scenario(CONFIGS / f"{scene}.json")
+        coords = config.grid.positions(np.arange(config.grid.num_points))
+        traced = trace_point_paths(config.environment, config.array, coords)[:3]
+        n_ant = config.array.num_antennas
+        got = bc.channel_vectors(*traced, n_ant)
+        assert got.tobytes() == oracles.channel_vectors(*traced, n_ant).tobytes()
+
+    def test_repeated_angles_and_empty_slots_match_oracle(self):
+        """Angles repeat within a row, across rows and across slots; empty
+        slots (amplitude 0, angle 0) sit between and after filled ones."""
+        rng = np.random.default_rng(5)
+        pool = np.array([-1.0, -0.5, -0.1, 0.0, 0.1, 0.25, 0.3, 0.7, 0.999])
+        angles = rng.choice(pool, size=(300, 4))
+        amps = rng.uniform(0.0, 2.0, size=(300, 4))
+        phases = rng.uniform(-np.pi, np.pi, size=(300, 4))
+        empty = rng.random((300, 4)) < 0.3
+        empty[:20] = True  # rows no path reaches
+        angles[empty], amps[empty], phases[empty] = 0.0, 0.0, 0.0
+        assert len(np.unique(angles)) == len(pool)
+        for n_ant in (4, 32, 128):
+            got = bc.channel_vectors(angles, amps, phases, n_ant)
+            assert got.tobytes() == oracles.channel_vectors(angles, amps, phases, n_ant).tobytes()
+            np.testing.assert_array_equal(got[:20], 0.0)
 
 
 class TestProbe:

@@ -8,7 +8,8 @@ on the desk scene (12 trials) and the large scene (6 trials), at the
 configured beta and at beta 0.2 with ``retain_beams`` 2, and on the deep
 scene (512 antennas, L=9, the deepest planner; 4 trials) at its
 configured beta.  The maps those sweeps read are pinned by their
-``save_ckm`` bytes.
+``save_ckm`` bytes, as is desk at 0.5 m spacing (16,384 points), whose
+build streams through several chunks of grid points.
 
 The hashes were taken with numpy 2.4 and OpenBLAS 0.3 on x86-64. Another
 BLAS or numpy build may round the map gains differently and move them. A
@@ -24,6 +25,7 @@ from pathlib import Path
 import pytest
 
 import beamckm as bc
+from beamckm import ckm as ckm_module
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -42,6 +44,12 @@ MAP_GOLDEN = {
     "desk": "d318397857f66da0988cae7924ed30c98cc4d9026025a08b2928ecf40e764a01",
     "large": "a7d7a1782ed26f59ce9dc2e1d85e9dd84b96a74676c72e223df2827f44dfe392",
     "deep": "71795386de1b5b94f03628c388372e8ac2ac5487787da0196c726aa557c3bf32",
+}
+
+# the same for desk at 0.5 m spacing, by staleness sigma
+FINE_DESK_MAP_GOLDEN = {
+    0.0: "e8b1b6aa2524a0a381dc5e0d8912c542c68ebab8e112a7d2df3e6c8a5bb0bdb0",
+    0.3: "83777893415fd1749e8aba020207d17630ec808548cff61721cddf440057287a",
 }
 
 TRIALS = {"desk": 12, "large": 6, "deep": 4}
@@ -87,3 +95,28 @@ def test_records_hash(scenes, scene, variant, tmp_path):
 def test_map_hash(scenes, scene):
     _, ckm = scenes[scene]
     assert hashlib.sha256(bc.save_ckm(ckm)).hexdigest() == MAP_GOLDEN[scene]
+
+
+def map_hash(config, grid, sigma) -> str:
+    book = bc.build_codebook(config.array.num_antennas)
+    built = bc.build_ckm(config.environment, config.array, book, grid, staleness_sigma=sigma)
+    return hashlib.sha256(bc.save_ckm(built)).hexdigest()
+
+
+@pytest.mark.parametrize("sigma", sorted(FINE_DESK_MAP_GOLDEN))
+def test_fine_desk_map_hash(sigma):
+    config = bc.load_scenario(CONFIGS / "desk.json")
+    grid = dataclasses.replace(config.grid, spacing_x=0.5, spacing_y=0.5)
+    assert grid.num_points > ckm_module._CHUNK_POINTS
+    assert map_hash(config, grid, sigma) == FINE_DESK_MAP_GOLDEN[sigma]
+
+
+def test_map_bytes_do_not_depend_on_the_chunk_size(monkeypatch):
+    """Chunks of 7 points, which divide no grid here, write the same bytes
+    as the default chunks, plain and with staleness jitter."""
+    config = bc.load_scenario(CONFIGS / "desk.json")
+    stale = map_hash(config, config.grid, 0.3)
+    monkeypatch.setattr(ckm_module, "_CHUNK_POINTS", 7)
+    assert config.grid.num_points % 7
+    assert map_hash(config, config.grid, 0.0) == MAP_GOLDEN["desk"]
+    assert map_hash(config, config.grid, 0.3) == stale

@@ -553,6 +553,13 @@ class TestNoiseScale:
         with pytest.raises(ValueError, match="positive gain"):
             bc.reference_gain(toy_ckm(np.zeros((9, 8))))
 
+    def test_reference_gain_computed_once_per_map(self, monkeypatch):
+        ckm = toy_ckm(np.random.default_rng(7).uniform(0.5, 2.0, size=(9, 8)))
+        ref = bc.reference_gain(ckm)
+        # a second call reads the kept value: the median is not taken again
+        monkeypatch.setattr(np, "median", lambda *a, **k: pytest.fail("median recomputed"))
+        assert bc.reference_gain(ckm) == ref
+
     def test_noise_std_follows_snr(self):
         assert bc.noise_std_for_snr(0.0, 0.5) == pytest.approx(0.5)
         assert bc.noise_std_for_snr(20.0, 0.5) == pytest.approx(0.05)
