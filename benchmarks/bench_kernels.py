@@ -1,4 +1,4 @@
-"""Benchmark two stages of a search round and the map build.
+"""Benchmark two stages of a search round, the map build and stream seeding.
 
 Layer planning: the shortest-path planner against the exhaustive
 enumeration of activations it replaces.  The comparison asserts that both
@@ -19,6 +19,12 @@ distinct angle against the oracle with one per (point, slot), asserting
 equal bytes; then ``build_ckm``, and its chunk loop with a clock on each
 stage (path tracing, channel synthesis, gain product), which must write
 the same gains.
+
+Stream seeding: the noise streams of a sweep (3 users, 2 noisy SNR
+points per trial), seeded by one ``np.random.default_rng([seed, 202, t,
+si, k])`` per stream against one ``streams.seed_words`` table plus a state
+load into one reused generator per stream.  The comparison asserts that
+every loaded state equals the fresh generator's.
 """
 
 import argparse
@@ -30,6 +36,7 @@ import numpy as np
 
 import beamckm as bc
 from beamckm import ckm, kernels
+from beamckm.streams import pcg64_state, seed_words
 from beamckm.channel import channel_vectors, trace_point_paths
 from beamckm.codebook import beam_index, layer_rows, layer_start, layers_of, row_of
 
@@ -165,6 +172,41 @@ def bench_map_build(spacing: float, repeat: int) -> None:
           f"chunks of {ckm._CHUNK_POINTS}: {split}  same gains: True")
 
 
+STREAM_SEED = 7919
+
+
+def stream_counters(n: int) -> np.ndarray:
+    """The first ``n`` noise-stream counters [t, si, k] of a sweep of 3
+    users at SNR indices 1 and 2, in run_trials' order."""
+    return np.indices((-(-n // 6), 2, 3)).reshape(3, -1).T[:n] + [0, 1, 0]
+
+
+def seed_by_default_rng(counters):
+    return [np.random.default_rng([STREAM_SEED, 202, *row]) for row in counters.tolist()]
+
+
+def seed_by_table(counters):
+    rng = np.random.default_rng(0)
+    for words in seed_words([STREAM_SEED, 202], counters):
+        rng.bit_generator.state = pcg64_state(words)
+    return rng
+
+
+def bench_stream_seeding(counts, repeat: int) -> None:
+    print(f"stream seeding, noise streams [seed, 202, t, si, k] at seed {STREAM_SEED}:")
+    for n in counts:
+        counters = stream_counters(n)
+        fresh, best_f, _ = bench(seed_by_default_rng, counters, repeat=repeat)
+        _, best_t, _ = bench(seed_by_table, counters, repeat=repeat)
+        _, best_w, _ = bench(seed_words, [STREAM_SEED, 202], counters, repeat=repeat)
+        table = seed_words([STREAM_SEED, 202], counters)
+        same = all(pcg64_state(w) == g.bit_generator.state for w, g in zip(table, fresh))
+        assert same and len(fresh) == len(table) == n, f"stream states disagree at {n} streams"
+        print(f"  streams={n}  default_rng={best_f / n * 1e6:6.2f} us/stream  "
+              f"table + load={best_t / n * 1e6:5.2f} us/stream (table {best_w / n * 1e6:4.2f})  "
+              f"speedup={best_f / best_t:5.1f}x  same states: True")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--trees", type=int, default=20,
@@ -173,6 +215,8 @@ def main(argv=None) -> int:
                         help="codebook depths for the planning workload")
     parser.add_argument("--map-spacing", type=float, default=0.5,
                         help="grid spacing in metres of the large scene's map build")
+    parser.add_argument("--streams", type=int, nargs="+", default=[720, 15_000],
+                        help="noise-stream counts for the stream-seeding stage")
     parser.add_argument("--repeat", type=int, default=5)
     args = parser.parse_args(argv)
 
@@ -205,6 +249,7 @@ def main(argv=None) -> int:
               f"speedup={best_s / best_c:5.1f}x / {best_s / best_w:6.1f}x  same magnitudes: True")
 
     bench_map_build(args.map_spacing, args.repeat)
+    bench_stream_seeding(args.streams, args.repeat)
     return 0
 
 

@@ -167,8 +167,10 @@ def build_ckm(
         raise ValueError(f"codebook shape {np.shape(codebook)} does not fit {n_ant} antennas")
     gains = np.empty((len(codebook), grid.num_points), dtype=np.float32)
     if staleness_sigma > 0.0:
-        jit_rng = np.random.default_rng(env.rng_seed)
-        jitter = np.exp(staleness_sigma * jit_rng.standard_normal(gains.shape))
+        # one float64 block: the normals are scaled and exponentiated in place
+        jitter = np.random.default_rng(env.rng_seed).standard_normal(gains.shape)
+        jitter *= staleness_sigma
+        np.exp(jitter, out=jitter)
     for start in range(0, grid.num_points, _CHUNK_POINTS):
         cols = slice(start, min(start + _CHUNK_POINTS, grid.num_points))
         coords = grid.positions(np.arange(cols.start, cols.stop))

@@ -5,6 +5,13 @@ the per-user location priors, and the sweep settings.  Trials are paired:
 every algorithm and SNR point sees the same sampled user positions, and
 the per-probe noise stream depends only on (seed, trial, SNR index, user),
 so algorithm comparisons are common-random-number comparisons.
+
+Streams: trial t's positions are drawn from ``default_rng([seed, 101, t])``
+and the probe noise of user k at noisy SNR index si from
+``default_rng([seed, 202, t, si, k])``; a noiseless SNR point has no noise
+stream.  ``run_trials`` seeds all of them in one ``streams.seed_words``
+table, which reproduces numpy's seeding bit for bit, and loads each stream
+into a reused generator before each use, once per algorithm.
 """
 
 from __future__ import annotations
@@ -38,14 +45,15 @@ from .lookahead import run_lookahead
 from .multiuser import run_multi_user
 from .position import PositionPrior, SubRegion, sample_true_position
 from .strategy import ProbeRound, probe_round, run_single_user
+from .streams import pcg64_state, seed_words
 
 # unused here; perfbench's tracer looks this name up on this module
 from .channel import probe  # noqa: F401
 
 ALGORITHMS = ("alg1", "alg2", "alg3", "baseline-hier", "baseline-exhaustive")
 
-# most grid points one rect region may cover: a prior keeps 16 bytes per
-# covered point, so this caps a region's prior at 160 MB
+# most grid points one user's regions may cover together: a prior keeps 16
+# bytes per covered point, so this caps a user's prior at 160 MB
 MAX_REGION_POINTS = 10**7
 
 CSV_FIELDS = (
@@ -135,12 +143,15 @@ class ScenarioConfig:
         trace_point_paths(self.environment, self.array, np.empty((0, 2)))
         priors = []
         for i, user in enumerate(self.users):
-            subs = []
-            for j, r in enumerate(user.subregions):
-                try:
-                    subs.append(SubRegion(points=region_points(self.grid, r), prior=r.prior))
-                except ValueError as exc:
-                    raise ValueError(f"users[{i}].subregions[{j}]: {exc}") from None
+            # a user's regions are counted before any of their point ids is built
+            regions = list(enumerate(user.subregions))
+            size = sum(_at(i, j, lambda: _region_size(self.grid, r)) for j, r in regions)
+            if size > MAX_REGION_POINTS:
+                raise ValueError(
+                    f"users[{i}]: regions cover {size} grid points, more than {MAX_REGION_POINTS}"
+                )
+            subs = [_at(i, j, lambda: SubRegion(region_points(self.grid, r), r.prior))
+                    for j, r in regions]
             priors.append(PositionPrior(subregions=tuple(subs)))
         object.__setattr__(self, "priors", tuple(priors))
 
@@ -242,20 +253,41 @@ def load_scenario(path) -> ScenarioConfig:
         return scenario_from_dict(json.load(fh))
 
 
+def _at(user: int, region: int, fn):
+    """``fn()``; its ValueError names the user's region."""
+    try:
+        return fn()
+    except ValueError as exc:
+        raise ValueError(f"users[{user}].subregions[{region}]: {exc}") from None
+
+
+def _rect_axes(grid: GridSpec, rect) -> tuple[np.ndarray, np.ndarray]:
+    """Column and row indices of the grid cells whose centers a rect covers."""
+    x0, y0, x1, y1 = rect
+    x, y = grid.cell_center(np.arange(grid.nx), np.arange(grid.ny))
+    ix = np.flatnonzero((x >= x0) & (x <= x1))
+    iy = np.flatnonzero((y >= y0) & (y <= y1))
+    if ix.size == 0 or iy.size == 0:
+        raise ValueError(f"rect {rect} covers no grid point")
+    if ix.size * iy.size > MAX_REGION_POINTS:
+        raise ValueError(
+            f"rect {rect} covers {ix.size * iy.size} grid points, more than {MAX_REGION_POINTS}"
+        )
+    return ix, iy
+
+
+def _region_size(grid: GridSpec, region: RegionSpec) -> int:
+    """Grid points one region covers, counted without building their ids."""
+    if region.rect is None:
+        return len(region.points)
+    ix, iy = _rect_axes(grid, region.rect)
+    return ix.size * iy.size
+
+
 def region_points(grid: GridSpec, region: RegionSpec) -> np.ndarray:
     """Grid-point indices covered by one region, ascending."""
     if region.rect is not None:
-        x0, y0, x1, y1 = region.rect
-        x, y = grid.cell_center(np.arange(grid.nx), np.arange(grid.ny))
-        ix = np.flatnonzero((x >= x0) & (x <= x1))
-        iy = np.flatnonzero((y >= y0) & (y <= y1))
-        if ix.size == 0 or iy.size == 0:
-            raise ValueError(f"rect {region.rect} covers no grid point")
-        if ix.size * iy.size > MAX_REGION_POINTS:
-            raise ValueError(
-                f"rect {region.rect} covers {ix.size * iy.size} grid points, "
-                f"more than {MAX_REGION_POINTS}"
-            )
+        ix, iy = _rect_axes(grid, region.rect)
         return (iy[:, None] * grid.nx + ix).ravel()
     idx = np.array([grid.snap_index(p) for p in region.points], dtype=np.int64)
     if len(np.unique(idx)) != len(idx):
@@ -376,8 +408,10 @@ def run_trials(
     # grid points, in order of first draw, so an unreachable point is
     # reported as the first trial to draw it would.
     trial_points = []
-    for t in range(n_trials):
-        pos_rng = np.random.default_rng([base_seed, 101, t])
+    # one generator per stream kind, its state loaded from the table before each use
+    pos_rng = np.random.default_rng(0)
+    for words in seed_words([base_seed, 101], np.arange(n_trials)[:, None]):
+        pos_rng.bit_generator.state = pcg64_state(words)
         trial_points.append([sample_true_position(priors[k], pos_rng) for k in range(K)])
     row_of: dict[int, int] = {}
     for pts in trial_points:
@@ -399,25 +433,27 @@ def run_trials(
             compute_point_weights(ckm, p, config.beta, retain_beams=config.retain_beams)
             for p in priors
         ]
+    # noise streams [seed, 202, t, si, k] of the noisy SNR points only: a
+    # noiseless probe draws nothing, so it gets no generator
+    sigmas = [noise_std_for_snr(snr, ref) for snr in snrs]
+    noisy = [si for si, sigma in enumerate(sigmas) if sigma]
+    idx = np.meshgrid(np.arange(n_trials), np.array(noisy, int), np.arange(K), indexing="ij")
+    noise = seed_words([base_seed, 202], np.stack(idx, -1).reshape(-1, 3))
+    noise = noise.reshape(*idx[0].shape, 4)
+    noise_rngs = [np.random.default_rng(0) for _ in range(K)]
     records: list[TrialRecord] = []
     for t, pts in enumerate(trial_points):
         rows = [row_of[p] for p in pts]
         resp = [resps[r] for r in rows]
         gvecs = [gains[r] for r in rows]
         oracles = [best[r] for r in rows]
-        for si, snr in enumerate(snrs):
-            sigma = noise_std_for_snr(snr, ref)
-            # every algorithm draws the same noise: seed once, rewind for the
-            # next; a noiseless probe draws nothing, so it gets no generator
-            rngs, starts = [None] * K, []
-            if sigma:
-                rngs = [np.random.default_rng([base_seed, 202, t, si, k]) for k in range(K)]
-                if len(algos) > 1:
-                    starts = [r.bit_generator.state for r in rngs]
-            for ai, algo in enumerate(algos):
-                if ai:
-                    for r, start in zip(rngs, starts):
-                        r.bit_generator.state = start
+        for si, (snr, sigma) in enumerate(zip(snrs, sigmas)):
+            rngs = noise_rngs if sigma else [None] * K
+            for algo in algos:
+                # every algorithm draws the same noise: each loads the streams anew
+                if sigma:
+                    for r, words in zip(rngs, noise[t, noisy.index(si)]):
+                        r.bit_generator.state = pcg64_state(words)
                 if algo == "alg3":
                     chosen, total, _ = run_multi_user(
                         ckm, states, resp, sigma, config.beta, config.eta,

@@ -44,8 +44,8 @@ class PositionPrior:
 
     ``points`` (every subregion's grid-point indices, declaration order)
     and ``masses`` (each point's probability, aligned with ``points``) are
-    read-only arrays built once here, as are the subregion draw
-    probabilities that ``sample_true_position`` reads.
+    read-only arrays built once here, as is the cdf of the subregion draw
+    that ``sample_true_position`` reads.
     """
 
     subregions: tuple[SubRegion, ...]
@@ -68,7 +68,9 @@ class PositionPrior:
         object.__setattr__(self, "points", _read_only(points))
         object.__setattr__(self, "masses", _read_only(masses))
         priors = np.array([s.prior for s in self.subregions])
-        object.__setattr__(self, "_draw_p", _read_only(priors / priors.sum()))
+        # the cdf that Generator.choice(p=priors / sum) builds on every call
+        cdf = (priors / priors.sum()).cumsum()
+        object.__setattr__(self, "_draw_cdf", _read_only(cdf / cdf[-1]))
 
 
 def _repeated(points: np.ndarray) -> list[int]:
@@ -78,7 +80,8 @@ def _repeated(points: np.ndarray) -> list[int]:
 
 
 def sample_true_position(prior: PositionPrior, rng: np.random.Generator) -> int:
-    """Draw a grid-point index: subregion by prior, then uniform within it."""
-    s = rng.choice(len(prior.subregions), p=prior._draw_p)
+    """Draw a grid-point index: subregion by prior, as ``rng.choice`` draws
+    it (one uniform searched in the cdf), then uniform within it."""
+    s = prior._draw_cdf.searchsorted(rng.random(), side="right")
     reg = prior.subregions[s]
     return int(reg.points[rng.integers(reg.num_points)])

@@ -1,7 +1,8 @@
 """Smoke test of the committed benchmark script: a tiny run must finish
 and report that both planners chose the same layers, that the scalar and
-batched probes read the same magnitudes, and that the map build's channel
-routine and staged build match their references."""
+batched probes read the same magnitudes, that the map build's channel
+routine and staged build match their references, and that the stream table
+loads the states default_rng seeds."""
 
 import importlib.util
 from pathlib import Path
@@ -13,7 +14,8 @@ def test_bench_kernels_runs(capsys):
     spec = importlib.util.spec_from_file_location("bench_kernels", SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    argv = ["--trees", "2", "--layers", "5", "7", "--repeat", "1", "--map-spacing", "8"]
+    argv = ["--trees", "2", "--layers", "5", "7", "--repeat", "1", "--map-spacing", "8",
+            "--streams", "7", "50"]
     assert module.main(argv) == 0
     out = capsys.readouterr().out.splitlines()
     lines = [l.split() for l in out if "same layer: True" in l]
@@ -22,3 +24,5 @@ def test_bench_kernels_runs(capsys):
     assert probes == ["N=32", "N=128", "N=1024"]
     assert sum("same channels: True" in l for l in out) == 1
     assert sum("same gains: True" in l for l in out) == 1
+    streams = [l.split()[0] for l in out if "same states: True" in l]
+    assert streams == ["streams=7", "streams=50"]

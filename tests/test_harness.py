@@ -476,6 +476,31 @@ class TestRegions:
         assert cfg.users[0].subregions[1].points == ((12.0, 8.5), (12.9, 9.4))
         np.testing.assert_array_equal(cfg.priors[0].points[-2:], [139, 156])
 
+    def test_user_prior_bounded_as_a_whole(self, monkeypatch):
+        # the scenario's first user covers 6 + 8 grid points in two rects
+        from beamckm import harness
+
+        built = []
+        region_points = harness.region_points
+
+        def recorded(grid, region):
+            built.append(region)
+            return region_points(grid, region)
+
+        monkeypatch.setattr(harness, "region_points", recorded)
+        monkeypatch.setattr(harness, "MAX_REGION_POINTS", 10)
+        whole = r"^users\[0\]: regions cover 14 grid points, more than 10$"
+        with pytest.raises(ValueError, match=whole):
+            bc.scenario_from_dict(scenario_dict())
+        assert not built  # counted before any point id was built
+        monkeypatch.setattr(harness, "MAX_REGION_POINTS", 7)
+        one = r"^users\[0\]\.subregions\[1\]: rect .* covers 8 grid"
+        with pytest.raises(ValueError, match=one):
+            bc.scenario_from_dict(scenario_dict())
+        monkeypatch.setattr(harness, "MAX_REGION_POINTS", 14)
+        assert bc.scenario_from_dict(scenario_dict()).priors[0].points.size == 14
+        assert len(built) == 2
+
     def test_duplicate_snapped_points_rejected(self):
         grid = self.grid()
         region = bc.RegionSpec(prior=1.0, points=((12.0, 8.5), (11.6, 8.4)))
@@ -840,19 +865,60 @@ class TestSweepInvariants:
             assert alone == [r for r in mixed if r.algorithm == algo]
 
     def test_noiseless_points_seed_no_noise_generator(self, small_scene, monkeypatch):
-        seeds = []
-        default_rng = np.random.default_rng
+        from beamckm import harness
 
-        def counted(seed=None):
-            seeds.append(seed)
-            return default_rng(seed)
+        tables = []
+        seed_words = harness.seed_words
 
-        monkeypatch.setattr(np.random, "default_rng", counted)
-        bc.run_trials(self.config(), small_scene["ckm"], algorithms=bc.ALGORITHMS, trials=3,
-                      snr_db=["inf", 10.0])
+        def recorded(head, counters):
+            tables.append((list(head), np.asarray(counters).tolist()))
+            return seed_words(head, counters)
+
+        monkeypatch.setattr(harness, "seed_words", recorded)
+        cfg = self.config()
         # [seed, 202, trial, SNR index, user]: only the 10 dB point seeds noise
-        noise = [s for s in seeds if isinstance(s, list) and s[1] == 202]
-        assert len(noise) == 3 * 2 and all(s[3] == 1 for s in noise)
+        noisy = [[t, 1, k] for t in range(3) for k in range(len(cfg.users))]
+        for snrs, want in ((["inf", 10.0], noisy), (["inf"], [])):
+            tables.clear()
+            bc.run_trials(cfg, small_scene["ckm"], algorithms=bc.ALGORITHMS, trials=3,
+                          snr_db=snrs)
+            noise = [row for head, rows in tables if head == [cfg.seed, 202] for row in rows]
+            assert noise == want
+            assert [head for head, _ in tables] == [[cfg.seed, 101], [cfg.seed, 202]]
+
+    def test_streams_replay_default_rng_at_a_two_word_seed(self, small_scene, monkeypatch):
+        """Positions come from default_rng([seed, 101, t]) and each noisy
+        (trial, SNR index, user) starts from default_rng([seed, 202, t, si, k]),
+        also for a seed that numpy splits into two uint32 words."""
+        from beamckm import harness
+
+        seed, trials, snrs = 2**40, 4, ["inf", 10.0, 0.0]
+        drawn, starts = [], []
+        sample, exhaustive = harness.sample_true_position, harness.baseline_exhaustive
+
+        def sample_recorded(prior, rng):
+            drawn.append(sample(prior, rng))
+            return drawn[-1]
+
+        def exhaustive_recorded(resp, sigma, rng=None):
+            starts.append(None if rng is None else rng.bit_generator.state)
+            return exhaustive(resp, sigma, rng)
+
+        monkeypatch.setattr(harness, "sample_true_position", sample_recorded)
+        monkeypatch.setattr(harness, "baseline_exhaustive", exhaustive_recorded)
+        cfg = self.config()
+        bc.run_trials(cfg, small_scene["ckm"], algorithms=["alg1", "baseline-exhaustive"],
+                      trials=trials, seed=seed, snr_db=snrs)
+        K = len(cfg.users)
+        replay = []
+        for t in range(trials):
+            rng = np.random.default_rng([seed, 101, t])
+            replay += [bc.sample_true_position(prior, rng) for prior in cfg.priors]
+        assert drawn == replay
+        assert starts == [
+            None if si == 0 else np.random.default_rng([seed, 202, t, si, k]).bit_generator.state
+            for t in range(trials) for si in range(len(snrs)) for k in range(K)
+        ]
 
     def test_tables_built_only_for_map_aided_algorithms(self, small_scene, monkeypatch):
         calls = record_weight_tables(monkeypatch)

@@ -87,3 +87,23 @@ class TestSampling:
         a = [bc.sample_true_position(prior, np.random.default_rng(3)) for _ in range(5)]
         b = [bc.sample_true_position(prior, np.random.default_rng(3)) for _ in range(5)]
         assert a == b
+
+    def test_draws_what_choice_then_integers_draws(self):
+        """The subregion draw is rng.choice(p=...) bit for bit: the same
+        uniform, searched in the same cdf, so later draws line up too."""
+        draw = np.random.default_rng(41)
+        for case in range(200):
+            sizes = draw.integers(1, 6, size=draw.integers(1, 7))
+            weights = draw.random(len(sizes)) ** draw.integers(1, 5) + 1e-9
+            priors = weights / weights.sum()
+            start = np.cumsum(np.r_[0, sizes])
+            prior = bc.PositionPrior(tuple(
+                bc.SubRegion(np.arange(a, b), float(q))
+                for a, b, q in zip(start[:-1], start[1:], priors)
+            ))
+            p = np.array([s.prior for s in prior.subregions])
+            ours, ref = np.random.default_rng(case), np.random.default_rng(case)
+            for _ in range(5):
+                s = ref.choice(len(sizes), p=p / p.sum())
+                want = int(prior.subregions[s].points[ref.integers(sizes[s])])
+                assert bc.sample_true_position(prior, ours) == want
