@@ -18,7 +18,9 @@ points, by default), ``channel_vectors`` with one steering vector per
 distinct angle against the oracle with one per (point, slot), asserting
 equal bytes; then ``build_ckm``, and its chunk loop with a clock on each
 stage (path tracing, channel synthesis, gain product), which must write
-the same gains.
+the same gains; then the BCKM round trip, ``save_ckm`` and ``load_ckm``,
+with the ``tracemalloc`` peak of each, asserting that the reloaded map
+equals the built one.
 
 Stream seeding: the noise streams of a sweep (3 users, 2 noisy SNR
 points per trial), seeded by one ``np.random.default_rng([seed, 202, t,
@@ -30,6 +32,7 @@ every loaded state equals the fresh generator's.
 import argparse
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -170,6 +173,24 @@ def bench_map_build(spacing: float, repeat: int) -> None:
     split = "  ".join(f"{k}={v:6.3f} s ({v / total:4.0%})" for k, v in spent.items())
     print(f"  build_ckm={best_b:7.3f} s ({grid.num_points / best_b:,.0f} points/s)  "
           f"chunks of {ckm._CHUNK_POINTS}: {split}  same gains: True")
+    blob, best_s, _ = bench(bc.save_ckm, built, repeat=repeat)
+    loaded, best_l, _ = bench(bc.load_ckm, blob, repeat=repeat)
+    assert loaded == built, "reloaded map differs from the built map"
+    peak_s, peak_l = traced_peak(bc.save_ckm, built), traced_peak(bc.load_ckm, blob)
+    mb = 1e-6
+    print(f"  blob={len(blob) * mb:6.1f} MB  save_ckm={best_s:6.3f} s "
+          f"(peak {peak_s * mb:6.1f} MB)  load_ckm={best_l:6.3f} s "
+          f"(peak {peak_l * mb:6.1f} MB)  same map: True")
+
+
+def traced_peak(fn, *args) -> int:
+    """Bytes ``fn(*args)`` holds at most at once, by ``tracemalloc``."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 STREAM_SEED = 7919

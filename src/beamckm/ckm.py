@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .channel import ArrayConfig, Environment, channel_vectors, trace_point_paths
-from .codebook import BeamId, layer_rows, layer_start, layers_of, num_layers, row_of
+from .codebook import beam_index, layer_rows, layer_start, layers_of, num_layers
 
 FORMAT_MAGIC = b"BCKM"
 FORMAT_VERSION = 2
@@ -186,22 +186,27 @@ def build_ckm(
     return CkmGrid(grid, gains)
 
 
-def save_ckm(ckm: CkmGrid) -> bytes:
-    """Serialize to the BCKM little-endian container (current version)."""
-    grid = ckm.grid
-    out = bytearray(
-        struct.pack(
-            _HEADER_V1, FORMAT_MAGIC, FORMAT_VERSION, ckm.num_antennas, ckm.num_layers,
-            grid.nx, grid.ny, grid.spacing_x, grid.spacing_y, grid.origin[0],
-            grid.origin[1], ckm.gains.shape[0],
-        )
+def _records(n_pts: int) -> np.dtype:
+    """A BCKM payload record: a codeword's (layer, index) id, then its gains per grid point."""
+    return np.dtype([("id", "<u2", 2), ("gains", "<f4", n_pts)])
+
+
+def save_ckm(ckm: CkmGrid) -> bytearray:
+    """Serialize to the BCKM little-endian container (current version):
+    one buffer holding the header, then the records in row order."""
+    grid, n_cw = ckm.grid, ckm.gains.shape[0]
+    head = struct.calcsize(_HEADER_V1 + _EXTENTS[1:])
+    out = bytearray(head + n_cw * _records(grid.num_points).itemsize)
+    struct.pack_into(
+        _HEADER_V1 + _EXTENTS[1:], out, 0, FORMAT_MAGIC, FORMAT_VERSION, ckm.num_antennas,
+        ckm.num_layers, grid.nx, grid.ny, grid.spacing_x, grid.spacing_y, *grid.origin, n_cw,
+        grid.extent_x, grid.extent_y,
     )
-    out += struct.pack(_EXTENTS, grid.extent_x, grid.extent_y)
-    for layer in range(1, ckm.num_layers + 1):
-        for index, gains in enumerate(ckm.gains[layer_rows(layer)], 1):
-            out += struct.pack("<HH", layer, index)
-            out += gains.astype("<f4", copy=False).tobytes()
-    return bytes(out)
+    records = np.frombuffer(out, _records(grid.num_points), offset=head)
+    layer = np.repeat(np.arange(1, ckm.num_layers + 1), 2 ** np.arange(1, ckm.num_layers + 1))
+    records["id"] = np.column_stack([layer, beam_index(np.arange(n_cw), layer)])
+    records["gains"] = ckm.gains
+    return out
 
 
 def load_ckm(data: bytes) -> CkmGrid:
@@ -242,25 +247,28 @@ def load_ckm(data: bytes) -> CkmGrid:
             f"codeword count {n_cw} inconsistent with {n_layers} layers"
         )
     n_pts = nx * ny
-    record = struct.calcsize("<HH") + 4 * n_pts
-    if len(data) != header + n_cw * record:
+    record = _records(n_pts)
+    if len(data) != header + n_cw * record.itemsize:
         raise CkmFormatError(
-            f"payload length {len(data) - header}, expected {n_cw * record}"
+            f"payload length {len(data) - header}, expected {n_cw * record.itemsize}"
+        )
+    records = np.frombuffer(data, record, count=n_cw, offset=header)
+    layer, index = records["id"].astype(np.int64).T
+    # ids are u16: bound the layer before shifting, as 1 << 64 overflows int64
+    bounded = np.clip(layer, 1, n_layers)
+    known = (layer == bounded) & (1 <= index) & (index <= 1 << bounded)
+    rows = np.where(known, layer_start(bounded) + index - 1, -1)
+    # a record repeats an id when it is not the id's first occurrence
+    repeat = ~np.isin(np.arange(n_cw), np.unique(rows, return_index=True)[1])
+    bad = np.flatnonzero(~known | repeat)
+    if bad.size:
+        k = bad[0]  # the first offending record, in record order
+        cw = f"({layer[k]},{index[k]})"
+        raise CkmFormatError(
+            f"codeword id {cw} out of range" if not known[k] else f"duplicate codeword id {cw}"
         )
     gains = np.empty((n_cw, n_pts), dtype=np.float32)
-    seen = set()
-    off = header
-    for _ in range(n_cw):
-        layer, index = struct.unpack_from("<HH", data, off)
-        off += 4
-        if not (1 <= layer <= n_layers and 1 <= index <= 2**layer):
-            raise CkmFormatError(f"codeword id ({layer},{index}) out of range")
-        if (layer, index) in seen:
-            raise CkmFormatError(f"duplicate codeword id ({layer},{index})")
-        seen.add((layer, index))
-        row = row_of(BeamId(layer, index))
-        gains[row] = np.frombuffer(data, dtype="<f4", count=n_pts, offset=off)
-        off += 4 * n_pts
+    gains[rows] = records["gains"]
     try:
         return CkmGrid(grid, gains)
     except ValueError as exc:

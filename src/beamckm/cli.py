@@ -47,8 +47,8 @@ def _cmd_run(args) -> int:
     config = load_scenario(args.config)
     with open(args.ckm, "rb") as fh:
         ckm = load_ckm(fh.read())
-    algos = _split_list(args.algo) if args.algo else None
-    snrs = _split_list(args.snr_db) if args.snr_db else None
+    algos = None if args.algo is None else _split_list(args.algo)
+    snrs = None if args.snr_db is None else _split_list(args.snr_db)
     records = run_trials(
         config,
         ckm,

@@ -121,24 +121,17 @@ class ScenarioConfig:
     def __post_init__(self):
         if not self.users:
             raise ValueError("scenario needs at least one user")
-        if not self.snr_db:
-            raise ValueError("scenario needs at least one SNR point")
-        _check_snrs(self.snr_db)
+        _check_sweep(self.algorithms, self.trials, self.seed, self.snr_db)
         if not 0.0 < self.beta <= 1.0:
             raise ValueError(f"beta must lie in (0, 1], got {self.beta}")
         if not 0.0 < self.eta <= 1.0:
             raise ValueError(f"eta must lie in (0, 1], got {self.eta}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.retain_beams is not None and self.retain_beams < 1:
             raise ValueError(f"retain_beams must be >= 1 or null, got {self.retain_beams}")
         if not (math.isfinite(self.ckm_staleness_sigma) and self.ckm_staleness_sigma >= 0.0):
             raise ValueError(
                 f"ckm_staleness_sigma must be finite and >= 0, got {self.ckm_staleness_sigma}"
             )
-        _check_algorithms(self.algorithms)
         # a scatterer on the BS or a region covering no grid point fails here, not mid-run
         trace_point_paths(self.environment, self.array, np.empty((0, 2)))
         priors = []
@@ -156,34 +149,27 @@ class ScenarioConfig:
         object.__setattr__(self, "priors", tuple(priors))
 
 
-def _check_algorithms(algos) -> None:
-    """A sweep runs each algorithm once: at least one, none repeated."""
-    bad = [a for a in algos if a not in ALGORITHMS]
+def _check_sweep(algorithms, trials: int, seed: int, snr_db) -> None:
+    """The sweep settings of a config or of ``run_trials``' overrides.  SNR
+    points are numbers or +inf, none repeated: ``summarize`` groups by SNR."""
+    bad = [a for a in algorithms if a not in ALGORITHMS]
     if bad:
         raise ValueError(f"unknown algorithm(s) {bad}; valid: {list(ALGORITHMS)}")
-    if not algos:
+    if not algorithms:
         raise ValueError("algorithms must name at least one algorithm")
-    if len(set(algos)) != len(algos):
-        raise ValueError(f"algorithms must not repeat, got {list(algos)}")
-
-
-def _whole(value, field: str) -> int:
-    """An integer; fractions are rejected instead of truncated."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{field} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _check_snrs(snrs) -> None:
-    """SNR points must be finite numbers or +inf (noiseless), none repeated:
-    ``summarize`` groups records by SNR, so a repeat would double a group."""
-    bad = [s for s in snrs if math.isnan(s) or s == -math.inf]
+    if len(set(algorithms)) != len(algorithms):
+        raise ValueError(f"algorithms must not repeat, got {list(algorithms)}")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    if not snr_db:
+        raise ValueError("snr_db needs at least one SNR point")
+    bad = [s for s in snr_db if math.isnan(s) or s == -math.inf]
     if bad:
         raise ValueError(f"SNR entries must be numbers or 'inf', got {bad}")
-    if len(set(snrs)) != len(snrs):
-        raise ValueError(f"SNR points must not repeat, got {list(snrs)}")
+    if len(set(snr_db)) != len(snr_db):
+        raise ValueError(f"SNR points must not repeat, got {list(snr_db)}")
 
 
 @functools.cache
@@ -200,7 +186,8 @@ def _schema(tp) -> tuple[dict[str, bool], dict]:
 
 def _from_json(tp, value, path: str):
     """Parsed JSON ``value`` as type ``tp``, read from the config
-    dataclasses' own fields; every error names the JSON path."""
+    dataclasses' own fields (a tuple or numpy array reads as a list);
+    every error names the JSON path."""
     where = path or "scenario"
     if dataclasses.is_dataclass(tp):
         if not isinstance(value, dict):
@@ -225,11 +212,15 @@ def _from_json(tp, value, path: str):
     if isinstance(tp, types.UnionType):  # X | None
         return None if value is None else _from_json(args[0], value, path)
     if typing.get_origin(tp) is tuple:  # fixed lengths are the dataclass's own check
-        if not isinstance(value, list):
+        value = value.tolist() if isinstance(value, np.ndarray) else value
+        if not isinstance(value, (list, tuple)):
             raise ValueError(f"{where} must be a list, got {value!r}")
         return tuple(_from_json(args[0], v, f"{where}[{i}]") for i, v in enumerate(value))
-    if tp is int:
-        return _whole(value, where)
+    if tp is int:  # a fraction is rejected, not truncated
+        whole = isinstance(value, float) and value.is_integer()
+        if isinstance(value, bool) or not (whole or isinstance(value, (int, np.integer))):
+            raise ValueError(f"{where} must be an integer, got {value!r}")
+        return int(value)
     if tp is float:
         # a real number, or a numeric string such as "inf"
         if isinstance(value, (numbers.Real, str)) and not isinstance(value, bool):
@@ -382,21 +373,21 @@ def run_trials(
     seed: int | None = None,
     snr_db=None,
 ) -> list[TrialRecord]:
-    """Paired Monte-Carlo sweep over trials x SNR points x algorithms."""
+    """Paired Monte-Carlo sweep over trials x SNR points x algorithms.
+
+    A given ``algorithms``, ``trials``, ``seed`` or ``snr_db`` overrides the
+    config's and is read as that JSON key of the scenario (a tuple or numpy
+    array as a list): a bare string or an empty list is a ValueError."""
     if ckm.num_antennas != config.array.num_antennas:
         raise ValueError("map antenna count does not match the scenario array")
     if ckm.grid != config.grid:
         raise ValueError("map grid does not match the scenario grid")
-    algos = tuple(algorithms) if algorithms is not None else config.algorithms
-    _check_algorithms(algos)
-    n_trials = config.trials if trials is None else _whole(trials, "trials")
-    base_seed = config.seed if seed is None else _whole(seed, "seed")
-    if n_trials < 1 or base_seed < 0:
-        raise ValueError(f"trials must be >= 1 and seed >= 0, got {n_trials} and {base_seed}")
-    snrs = (
-        config.snr_db if snr_db is None else _from_json(tuple[float, ...], list(snr_db), "snr_db")
-    )
-    _check_snrs(snrs)
+    given = {"algorithms": algorithms, "trials": trials, "seed": seed, "snr_db": snr_db}
+    algos, n_trials, base_seed, snrs = sweep = [
+        getattr(config, k) if v is None else _from_json(_schema(ScenarioConfig)[1][k], v, k)
+        for k, v in given.items()
+    ]
+    _check_sweep(*sweep)
     codebook = build_codebook(config.array.num_antennas)
     priors = config.priors
     K = len(priors)

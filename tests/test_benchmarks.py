@@ -2,7 +2,8 @@
 and report that both planners chose the same layers, that the scalar and
 batched probes read the same magnitudes, that the map build's channel
 routine and staged build match their references, and that the stream table
-loads the states default_rng seeds."""
+loads the states default_rng seeds.  The map build's BCKM round trip must
+report that the saved map loads back equal."""
 
 import importlib.util
 from pathlib import Path
@@ -26,3 +27,12 @@ def test_bench_kernels_runs(capsys):
     assert sum("same gains: True" in l for l in out) == 1
     streams = [l.split()[0] for l in out if "same states: True" in l]
     assert streams == ["streams=7", "streams=50"]
+
+
+def test_map_round_trip_reports_same_map(capsys):
+    spec = importlib.util.spec_from_file_location("bench_kernels", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.bench_map_build(8.0, 1)
+    out = capsys.readouterr().out.splitlines()
+    assert sum("same map: True" in l for l in out) == 1

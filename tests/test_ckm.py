@@ -429,6 +429,40 @@ class TestBinaryFormat:
         assert back == ckm
         assert bc.save_ckm(back) == data
 
+    def test_save_peak_is_the_blob(self):
+        # 126 codewords x 4,096 points: a 2 MB blob, saved without a second copy
+        grid = bc.GridSpec(extent_x=64.0, extent_y=64.0, spacing_x=1.0, spacing_y=1.0)
+        gains = np.random.default_rng(3).random((layer_start(7), grid.num_points), np.float32)
+        ckm = bc.CkmGrid(grid, gains)
+        tracemalloc.start()
+        try:
+            data = bc.save_ckm(ckm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * len(data)
+        assert bc.load_ckm(data) == ckm
+
+    @pytest.mark.parametrize("layer, index", [(65535, 1), (64, 1), (0, 1), (2, 0), (2, 5)])
+    def test_id_past_any_shift_is_out_of_range(self, layer, index):
+        data = bytearray(bc.save_ckm(self.make()))
+        struct.pack_into("<HH", data, RECORDS, layer, index)
+        with pytest.raises(bc.CkmFormatError, match=rf"\({layer},{index}\) out of range"):
+            bc.load_ckm(bytes(data))
+
+    def test_first_offending_record_is_named(self):
+        ckm = self.make()
+        record = 4 + 4 * ckm.grid.num_points
+        data = bytearray(bc.save_ckm(ckm))
+        # record 2 repeats record 0's id before record 5 goes out of range
+        data[RECORDS + 2 * record : RECORDS + 2 * record + 4] = data[RECORDS : RECORDS + 4]
+        struct.pack_into("<HH", data, RECORDS + 5 * record, 9, 1)
+        with pytest.raises(bc.CkmFormatError, match=r"duplicate codeword id \(1,1\)"):
+            bc.load_ckm(bytes(data))
+        struct.pack_into("<HH", data, RECORDS + record, 7, 7)
+        with pytest.raises(bc.CkmFormatError, match=r"\(7,7\) out of range"):
+            bc.load_ckm(bytes(data))
+
 
 class TestMapConsistency:
     def test_best_map_beam_matches_best_true_beam(self, small_scene):
