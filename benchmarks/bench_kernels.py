@@ -1,4 +1,5 @@
-"""Benchmark two stages of a search round, the map build and stream seeding.
+"""Benchmark two stages of a search round, the map build, stream seeding and
+alg3 sweeps.
 
 Layer planning: the shortest-path planner against the exhaustive
 enumeration of activations it replaces.  The comparison asserts that both
@@ -27,6 +28,18 @@ points per trial), seeded by one ``np.random.default_rng([seed, 202, t,
 si, k])`` per stream against one ``streams.seed_words`` table plus a state
 load into one reused generator per stream.  The comparison asserts that
 every loaded state equals the fresh generator's.
+
+alg3 sweeps: on the desk, large and deep scenes, one ``run_trials`` call of
+alg3 alone and one of the config's own algorithm list (every search in one
+call, as the configs run) at the config's SNR points.  alg3's episodes start
+from copies of each user's built state and share its memo of derived views,
+which the map-aided trees of alg1 and alg2 also fill.  Prints alg3's
+user-rounds, the views derived of all derivations and the memo's hit rate,
+the time inside alg3's episodes per user-round against the same call with
+an empty memo per episode (every view derived, as before the memo), and
+for alg3 alone the call's ``tracemalloc`` peak.  The comparison asserts
+that both calls and one with every alg3 episode on states rebuilt from
+scratch give equal records.
 """
 
 import argparse
@@ -34,11 +47,12 @@ import sys
 import time
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
 import beamckm as bc
-from beamckm import ckm, kernels
+from beamckm import ckm, harness, kernels, multiuser
 from beamckm.streams import pcg64_state, seed_words
 from beamckm.channel import channel_vectors, trace_point_paths
 from beamckm.codebook import beam_index, layer_rows, layer_start, layers_of, row_of
@@ -228,6 +242,98 @@ def bench_stream_seeding(counts, repeat: int) -> None:
               f"speedup={best_f / best_t:5.1f}x  same states: True")
 
 
+ALG3_SCENES = ("desk", "large", "deep")
+
+
+def counted(fn, counts, key):
+    """``fn``, counting its calls in ``counts[key]``."""
+    def wrapper(*args, **kwargs):
+        counts[key] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def fresh_episode(ckm_map, states, *args, **kwargs):
+    """``run_multi_user`` on states rebuilt from the built ones' fixed
+    arrays: no memo of views carries over from an earlier episode."""
+    rebuilt = [
+        bc.SearchState(s.point_ids, s.point_mass, s.gains, s.beta, s.retain_beams) for s in states
+    ]
+    return multiuser.run_multi_user(ckm_map, rebuilt, *args, **kwargs)
+
+
+def memo_off_episode(ckm_map, states, *args, **kwargs):
+    """``run_multi_user`` on copies of the built states with an empty memo
+    of views of their own: every view of the episode is derived, as
+    before the memo."""
+    copies = [s.copy() for s in states]
+    for c in copies:
+        c._views = {}
+    return multiuser.run_multi_user(ckm_map, copies, *args, **kwargs)
+
+
+def alg3_seconds(call, episodes, repeat: int):
+    """Records of ``call`` and its least time inside alg3's episodes with
+    each of ``episodes`` as the ``run_multi_user`` they run, over
+    ``repeat`` rounds of one call per episode function, so that a drift
+    of the host's speed reaches all of them alike."""
+    spent = [0.0]
+
+    def timed(episode):
+        def run(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return episode(*args, **kwargs)
+            finally:
+                spent[0] += time.perf_counter() - t0
+        return run
+
+    out = [[None, float("inf")] for _ in episodes]
+    for _ in range(repeat):
+        for slot, episode in zip(out, episodes):
+            with mock.patch.object(harness, "run_multi_user", timed(episode)):
+                spent[0] = 0.0
+                slot[0] = call()
+                slot[1] = min(slot[1], spent[0])
+    return out
+
+
+def bench_alg3(trials_per_scene, full_trials_per_scene, repeat: int) -> None:
+    print("alg3 sweeps, one run_trials call at the config's SNR points, seed 0: "
+          "alg3 alone, then the config's own algorithm list; times inside run_multi_user:")
+    for scene, trials, full_trials in zip(ALG3_SCENES, trials_per_scene, full_trials_per_scene):
+        config = bc.load_scenario(ROOT / "configs" / f"{scene}.json")
+        book = bc.build_codebook(config.array.num_antennas)
+        gain_map = bc.build_ckm(config.environment, config.array, book, config.grid)
+        for algorithms, n in ((["alg3"], trials), (list(config.algorithms), full_trials)):
+
+            def call():
+                return bc.run_trials(config, gain_map, algorithms=algorithms, trials=n, seed=0)
+
+            counts = dict.fromkeys(("rounds", "derived", "computed"), 0)
+            state, patch = bc.SearchState, mock.patch.object
+            with (
+                patch(multiuser, "prune_user_points",
+                      counted(multiuser.prune_user_points, counts, "rounds")),
+                patch(state, "_derive", counted(state._derive, counts, "derived")),
+                patch(state, "_derive_view", counted(state._derive_view, counts, "computed")),
+            ):
+                warm = call()
+            (records, best_w), (memo_off, best_off) = alg3_seconds(
+                call, (multiuser.run_multi_user, memo_off_episode), repeat
+            )
+            with patch(harness, "run_multi_user", fresh_episode):
+                fresh = call()
+            assert records == warm == memo_off == fresh, f"memo and fresh disagree on {scene}"
+            peak = f"peak {traced_peak(call) * 1e-6:5.1f} MB  " if algorithms == ["alg3"] else ""
+            rounds = counts["rounds"]
+            print(f"  {scene:5s} {'+'.join(algorithms)}  trials={n}  user-rounds={rounds}  "
+                  f"views derived={counts['computed']} of {counts['derived']}  "
+                  f"memo hit rate={1 - counts['computed'] / counts['derived']:.2f}  "
+                  f"alg3 {best_w / rounds * 1e6:6.1f} us/user-round (memo off "
+                  f"{best_off / rounds * 1e6:6.1f})  {peak}same records: True")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--trees", type=int, default=20,
@@ -238,6 +344,11 @@ def main(argv=None) -> int:
                         help="grid spacing in metres of the large scene's map build")
     parser.add_argument("--streams", type=int, nargs="+", default=[720, 15_000],
                         help="noise-stream counts for the stream-seeding stage")
+    parser.add_argument("--alg3-trials", type=int, nargs=3, default=[200, 100, 20],
+                        metavar=ALG3_SCENES, help="trials of the alg3-only calls per scene")
+    parser.add_argument("--alg3-full-trials", type=int, nargs=3, default=[1000, 1000, 1000],
+                        metavar=ALG3_SCENES,
+                        help="trials of the calls of each config's own algorithm list")
     parser.add_argument("--repeat", type=int, default=5)
     args = parser.parse_args(argv)
 
@@ -271,6 +382,7 @@ def main(argv=None) -> int:
 
     bench_map_build(args.map_spacing, args.repeat)
     bench_stream_seeding(args.streams, args.repeat)
+    bench_alg3(args.alg3_trials, args.alg3_full_trials, args.repeat)
     return 0
 
 

@@ -18,7 +18,9 @@ only the ``codebook`` module knows which rows hold which beam, and
 A state is a function of the prior, the map, beta and the feedback path,
 so the map-aided searches of a sweep walk one tree of cached states per
 user (``strategy.run_episode``): each state keeps its ``children`` by
-observed beam and its ``plans`` by layer-choice function.
+observed beam and its ``plans`` by layer-choice function.  The copies of
+a built state share a bounded memo of views that alg3's episodes, which
+fold copies, reuse (``SearchState``).
 """
 
 from __future__ import annotations
@@ -28,6 +30,19 @@ import numpy as np
 from .ckm import CkmGrid
 from .codebook import BeamId, layer_rows, layer_start, layers_of, row_of
 from .position import PositionPrior, _read_only
+
+_MAX_VIEWS = 512  # views one memo stores (see SearchState)
+
+
+class _View:
+    """A state's flat weights, candidate rows and each layer's first among
+    them, its pair weights and ``strategy.optimal_layer`` per root layer."""
+
+    __slots__ = ("weights", "rows", "starts", "pairs", "optimal_layers")
+
+    def __init__(self, weights, rows, starts):
+        self.weights, self.rows, self.starts = weights, rows, starts
+        self.pairs, self.optimal_layers = None, {}
 
 
 class SearchState:
@@ -46,10 +61,18 @@ class SearchState:
     row order (``codebook.row_of``), and ``rows``, the ascending rows of
     positive weight: the candidates of every layer.  Both are read-only,
     as is everything sliced or computed from them (``candidate_rows``,
-    ``pair_weights()``).
+    ``pair_weights()``).  These, with ``optimal_layer`` per root layer,
+    form the ``view``: a pure function of ``(point_alive, beam_alive,
+    uniform_fallback)`` over the read-only arrays, so every ``copy()``
+    shares one memo of views keyed by ``np.packbits`` of both masks plus
+    the flag.  A hit hands out what a miss computes from the same masks by
+    the same numpy calls, bit for bit.  The memo stores the first
+    ``_MAX_VIEWS`` (512) views, at most about 6 kB each at N=128 (3.1 MB
+    per user) and 19 kB at N=512 (9.6 MB) by ``tracemalloc``; later ones
+    are derived each time they recur.  Masks and ``root`` are each copy's own.
 
-    ``children`` and ``plans`` cache the search below this state.  Every
-    update starts both afresh: a state folded in place drops its cache.
+    ``children`` and ``plans`` cache the search below this state.  A copy
+    shares them until an update that changes it starts both afresh.
     """
 
     def __init__(
@@ -105,12 +128,13 @@ class SearchState:
         self.beam_alive = np.ones(nb, dtype=bool)
         self.uniform_fallback = False
         self.root: BeamId | None = None
+        self._views: dict[bytes, _View] = {}
         self._derive()
         self.pair_weights()
 
     def copy(self) -> "SearchState":
         """This state with its own alive masks over the shared read-only
-        arrays, pair weights and search cache: an update of the copy leaves
+        arrays, view memo and search cache: an update of the copy leaves
         this state and its cache alone."""
         out = object.__new__(SearchState)
         out.__dict__.update(self.__dict__)
@@ -125,7 +149,13 @@ class SearchState:
         restricts the bottom layer to its subtree.  If no bottom weight is
         left, the uniform fallback engages: over the observed subtree when
         there is one (also when it contradicts an earlier fallback subtree),
-        else over the bottom beams still alive."""
+        else over the bottom beams still alive.  Observing nothing and
+        keeping all of one or more alive points of a state with candidates
+        changes nothing: view, ``children`` and ``plans`` stay."""
+        alive = self.point_alive
+        # 0 < alive.sum() only keeps the cache reset of a fold with no alive point
+        if observed is None and self.rows.size and 0 < alive.sum() == (alive & point_mask).sum():
+            return
         self.point_alive &= point_mask
         if observed is not None:
             shift = self.num_layers - observed.layer
@@ -141,10 +171,19 @@ class SearchState:
             self._derive()
 
     def _derive(self) -> None:
-        """Weights of the alive points and beams (bottom layer, then the
-        pairwise-sum recursion upward), the candidate rows, and where each
-        layer's candidates start among them; clears the pair weights and
-        starts an empty search cache."""
+        """Point the state at the view of its masks and flag; empty its cache."""
+        key = np.packbits(self.point_alive).tobytes() + np.packbits(self.beam_alive).tobytes()
+        key += b"\x01" if self.uniform_fallback else b"\x00"
+        view = self._views.get(key) or self._derive_view()
+        if len(self._views) < _MAX_VIEWS:
+            self._views.setdefault(key, view)
+        self.view = view
+        self.weights, self.rows, self._starts = view.weights, view.rows, view.starts
+        self.children, self.plans = {}, {}
+
+    def _derive_view(self) -> _View:
+        """Weights of the alive points and beams (bottom layer, then pairwise
+        sums upward), the candidate rows and each layer's first among them."""
         L = self.num_layers
         flat = np.empty(layer_start(L + 1))
         if self.uniform_fallback:
@@ -157,17 +196,10 @@ class SearchState:
             below = flat[layer_rows(l + 1)]
             flat[layer_rows(l)] = below[0::2] + below[1::2]
         flat.flags.writeable = False
-        positive = flat > 0
-        rows = np.flatnonzero(positive)
+        rows = np.flatnonzero(flat > 0)
         rows.flags.writeable = False
-        self.weights = flat
-        self.rows = rows
-        # _below[r]: candidate rows before codebook row r
-        self._below = np.concatenate(([0], np.cumsum(positive)))
-        # layer l's candidates are rows[_starts[l - 1] : _starts[l]]
-        self._starts = tuple(self._below[self._first_rows].tolist())
-        self._pairs = None
-        self.children, self.plans = {}, {}
+        # layer l's candidates are rows[starts[l - 1] : starts[l]]
+        return _View(flat, rows, tuple(np.searchsorted(rows, self._first_rows).tolist()))
 
     @property
     def alive_points(self) -> np.ndarray:
@@ -197,7 +229,7 @@ class SearchState:
         there are two or more.  The weighted probe cost of an activation
         l1 < .. < lk is then ``S[l1] + G[l1, l2] + .. + G[lk-1, lk]``.
         """
-        if self._pairs is None:
+        if self.view.pairs is None:
             L = self.num_layers
             p, q, up, widen, first = self._pair_index
             bottom = self.candidate_rows(L)
@@ -206,11 +238,12 @@ class SearchState:
             S[1:] = w.sum() * np.diff(self._starts)
             # rows of each bottom candidate's subtree at q under its ancestor at p
             lo = first + (((bottom - layer_start(L)) >> up) << widen)
-            cnt = self._below[lo + (1 << widen)] - self._below[lo]
+            below = np.concatenate(([0], np.cumsum(self.weights > 0)))  # candidates before row r
+            cnt = below[lo + (1 << widen)] - below[lo]
             G = np.zeros((L + 1, L + 1))
             G[p, q] = np.where(cnt >= 2, cnt, 0) @ w
-            self._pairs = (_read_only(S), _read_only(G))
-        return self._pairs
+            self.view.pairs = (_read_only(S), _read_only(G))
+        return self.view.pairs
 
 
 def compute_point_weights(

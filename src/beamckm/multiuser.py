@@ -35,7 +35,9 @@ def joint_layer(own_layers) -> tuple[int, tuple[int, ...]]:
 
 def union_beams(states, layer: int) -> np.ndarray:
     """Deduplicated, ascending union of the states' candidate codebook rows
-    at a layer."""
+    at a layer; one state's rows are that already."""
+    if len(states) == 1:
+        return states[0].candidate_rows(layer)
     return np.unique(np.concatenate([s.candidate_rows(layer) for s in states]))
 
 

@@ -127,8 +127,12 @@ def best_activation(state: SearchState) -> tuple[tuple[int, ...], float]:
 
 
 def optimal_layer(state: SearchState) -> int:
-    """Layer to probe next: the earliest layer of the best activation."""
-    return best_activation(state)[0][0]
+    """Layer to probe next: the first of the best activation, kept in the view."""
+    memo = state.view.optimal_layers
+    layer = memo.get(state.root_layer)
+    if layer is None:
+        layer = memo[state.root_layer] = best_activation(state)[0][0]
+    return layer
 
 
 def probe_round(

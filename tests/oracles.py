@@ -4,16 +4,17 @@ Each one computes a quantity the package computes another way: the
 planner's probe cost one target and one layer at a time, its pair weights
 from per-layer prefix sums, its plan by enumerating every activation, the
 pruning kernel's cosine one profile at a time, the channel vectors with one
-steering vector per (point, slot), and the array response and beam support
-in closed form.  None of them runs in a sweep or a map build.
+steering vector per (point, slot), the array response and beam support
+in closed form, and a search state's derived view from scratch on every
+call, without the memo of views its copies share.  None of them runs in a sweep or a map build.
 """
 
 import numpy as np
 
 from beamckm import kernels
 from beamckm.beamtree import SearchState
-from beamckm.codebook import BeamId, beam_index, layer_rows, row_of
-from beamckm.strategy import _costs_tie
+from beamckm.codebook import BeamId, beam_index, layer_rows, layer_start, row_of
+from beamckm.strategy import _costs_tie, shortest_plan
 
 
 def steering_vector(angle: float, n_antennas: int) -> np.ndarray:
@@ -173,3 +174,44 @@ def pick_activation(acts: list[tuple[int, ...]], scores: np.ndarray) -> int:
         elif scores[z] > scores[best]:
             best = z
     return best
+
+
+def derived_view(state: SearchState):
+    """``(weights, rows, starts, (S, G), optimal layer)`` of the state's
+    alive masks, fallback flag and root, computed from scratch: the flat
+    weights by the pairwise-sum recursion, the candidate rows, where each
+    layer's candidates start among them, the pair weights from the count
+    of candidate rows before each codebook row, and the first layer of the
+    shortest plan from the root layer (None with the root at the bottom)."""
+    L = state.num_layers
+    flat = np.empty(layer_start(L + 1))
+    if state.uniform_fallback:
+        flat[layer_rows(L)] = state.beam_alive
+    else:
+        flat[layer_rows(L)] = np.where(
+            state.beam_alive, state.contrib[state.point_alive].sum(axis=0), 0.0
+        )
+    for l in range(L - 1, 0, -1):
+        below = flat[layer_rows(l + 1)]
+        flat[layer_rows(l)] = below[0::2] + below[1::2]
+    positive = flat > 0
+    rows = np.flatnonzero(positive)
+    below = np.concatenate(([0], np.cumsum(positive)))
+    starts = tuple(below[layer_start(np.arange(1, L + 2))].tolist())
+    p, q = np.triu_indices(L, k=1)
+    p, q = p + 1, q + 1
+    bottom = rows[starts[L - 1] : starts[L]]
+    w = flat[bottom]
+    S = np.zeros(L + 1)
+    S[1:] = w.sum() * np.diff(starts)
+    widen = (q - p)[:, None]
+    lo = layer_start(q)[:, None] + (((bottom - layer_start(L)) >> (L - p)[:, None]) << widen)
+    cnt = below[lo + (1 << widen)] - below[lo]
+    G = np.zeros((L + 1, L + 1))
+    G[p, q] = np.where(cnt >= 2, cnt, 0) @ w
+    first = None  # no layer is left below a root at the bottom
+    if state.root_layer < L:
+        edges = G.copy()
+        edges[state.root_layer] = S
+        first = shortest_plan(edges, state.root_layer, L)[1][0]
+    return flat, rows, starts, (S, G), first

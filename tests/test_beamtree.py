@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import beamckm as bc
+from beamckm import beamtree
 from beamckm.codebook import layer_rows, layer_start, row_of
 from beamckm.lookahead import next_layer
 from beamckm.multiuser import prune_user_points
@@ -31,7 +32,7 @@ from conftest import (
     toy_ckm,
     uniform_prior,
 )
-from oracles import pair_weights, prefix_sums
+from oracles import derived_view, pair_weights, prefix_sums
 
 
 def threshold_keep_oracle(bottom_gains, beta, retain=None):
@@ -688,3 +689,102 @@ class TestSearchTreeCache:
         for name, want in before.items():
             np.testing.assert_array_equal(getattr(node, name), want)
         assert node.children is not copy.children and node.plans is not copy.plans
+
+
+class TestViewMemo:
+    """A user's state copies share one memo of derived views, keyed by the
+    alive masks and the fallback flag: a state reached along any update path
+    holds the view that ``oracles.derived_view`` computes from scratch."""
+
+    @staticmethod
+    def built(points=12, beams=16, seed=7):
+        rng = np.random.default_rng(seed)
+        bottom = rng.uniform(0.0, 1.0, (points, beams)) * (rng.random((points, beams)) < 0.5)
+        prior = uniform_prior(np.arange(points))
+        return bc.compute_point_weights(toy_ckm(bottom), prior, beta=0.3)
+
+    @staticmethod
+    def assert_matches_oracle(state):
+        weights, rows, starts, (entry, hops), first = derived_view(state)
+        assert state.weights.tobytes() == weights.tobytes()
+        assert state.rows.dtype == rows.dtype and state.rows.tobytes() == rows.tobytes()
+        assert [state.candidate_rows(l).size for l in range(1, state.num_layers + 1)] == list(
+            np.diff(starts)
+        )
+        got_entry, got_hops = state.pair_weights()
+        assert got_entry.tobytes() == entry.tobytes() and got_hops.tobytes() == hops.tobytes()
+        if first is not None:
+            assert optimal_layer(state) == first
+            assert state.view.optimal_layers[state.root_layer] == first
+
+    def test_same_masks_along_different_paths_share_one_view(self):
+        built = self.built()
+        n, L = len(built.point_ids), built.num_layers
+        rng = np.random.default_rng(1)
+        for _ in range(40):
+            first, second = rng.random(n) < 0.8, rng.random(n) < 0.8
+            layer = int(rng.integers(1, L + 1))
+            observed = bc.BeamId(layer, int(rng.integers(1, 2**layer + 1)))
+            steps, once = built.copy(), built.copy()
+            steps.update(first)
+            steps.update(second, observed)
+            once.update(first & second, observed)
+            for name in ("point_alive", "beam_alive", "uniform_fallback", "root"):
+                assert np.array_equal(getattr(steps, name), getattr(once, name))
+            assert steps.view is once.view
+            self.assert_matches_oracle(steps)
+            self.assert_matches_oracle(once)
+
+    def test_copies_share_views_not_masks_or_caches(self):
+        built = self.built()
+        one, two = built.copy(), built.copy()
+        assert one._views is two._views is built._views
+        assert one.point_alive is not two.point_alive is not built.point_alive
+        assert one.beam_alive is not two.beam_alive is not built.beam_alive
+        drop = np.arange(len(built.point_ids)) % 3 > 0
+        one.update(drop)
+        two.update(drop)
+        assert one.view is two.view and one.weights is two.weights
+        assert one.children is not two.children and one.plans is not two.plans
+        assert one.children is not built.children and one.plans is not built.plans
+        assert built.point_alive.all()
+        self.assert_matches_oracle(one)
+        self.assert_matches_oracle(built)
+
+    def test_full_memo_stops_growing_and_still_derives(self, monkeypatch):
+        monkeypatch.setattr(beamtree, "_MAX_VIEWS", 3)
+        built = self.built()
+        n = len(built.point_ids)
+        states = []
+        for i in range(n):
+            state = built.copy()
+            state.update(np.arange(n) != i)
+            states.append(state)
+        assert len(built._views) == 3
+        stored = [v for v in built._views.values()]
+        assert sum(any(s.view is v for v in stored) for s in states) == 2
+        again = built.copy()
+        again.update(np.arange(n) != n - 1)
+        assert again.view is not states[-1].view and len(built._views) == 3
+        for state in (*states, again):
+            self.assert_matches_oracle(state)
+
+    def test_update_that_changes_nothing_keeps_view_and_cache(self):
+        built = self.built()
+        n = len(built.point_ids)
+        state = built.copy()
+        state.update(np.arange(n) % 2 == 0, bc.BeamId(1, 1))
+        optimal_layer(state)
+        state.plans["kept"] = state.children["kept"] = True
+        held = (state.view, state.weights, state.rows, state.children, state.plans)
+        # dead points may be flagged either way; every alive one is kept
+        for mask in (state.point_alive.copy(), np.ones(n, dtype=bool), np.arange(n) < n - 1):
+            mask |= state.point_alive
+            state.update(mask)
+            assert all(a is b for a, b in zip(held, (state.view, state.weights, state.rows,
+                                                      state.children, state.plans)))
+        self.assert_matches_oracle(state)
+        # dropping an alive point is an update
+        state.update(state.point_alive & (np.arange(n) != np.flatnonzero(state.point_alive)[0]))
+        assert state.children == {} and state.plans == {}
+        self.assert_matches_oracle(state)

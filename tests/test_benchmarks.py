@@ -3,7 +3,9 @@ and report that both planners chose the same layers, that the scalar and
 batched probes read the same magnitudes, that the map build's channel
 routine and staged build match their references, and that the stream table
 loads the states default_rng seeds.  The map build's BCKM round trip must
-report that the saved map loads back equal."""
+report that the saved map loads back equal, and alg3 sweeps on shared
+views, alone and beside the other searches, must report the records of
+fresh states per episode."""
 
 import importlib.util
 from pathlib import Path
@@ -16,7 +18,8 @@ def test_bench_kernels_runs(capsys):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     argv = ["--trees", "2", "--layers", "5", "7", "--repeat", "1", "--map-spacing", "8",
-            "--streams", "7", "50"]
+            "--streams", "7", "50", "--alg3-trials", "2", "2", "1",
+            "--alg3-full-trials", "2", "1", "1"]
     assert module.main(argv) == 0
     out = capsys.readouterr().out.splitlines()
     lines = [l.split() for l in out if "same layer: True" in l]
@@ -27,6 +30,10 @@ def test_bench_kernels_runs(capsys):
     assert sum("same gains: True" in l for l in out) == 1
     streams = [l.split()[0] for l in out if "same states: True" in l]
     assert streams == ["streams=7", "streams=50"]
+    sweeps = [l.split()[:2] for l in out if "same records: True" in l]
+    full = "alg1+alg2+alg3+baseline-hier+baseline-exhaustive"
+    scenes = ("desk", "large", "deep")
+    assert sweeps == [[scene, algos] for scene in scenes for algos in ("alg3", full)]
 
 
 def test_map_round_trip_reports_same_map(capsys):

@@ -5,6 +5,8 @@ single-user reduction property — with one user the joint search must pick
 the same layers as the standalone reward search.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -22,6 +24,8 @@ from conftest import (
     stack_layers,
 )
 from oracles import similarity
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def make_table(profiles, beta=0.5):
@@ -104,6 +108,20 @@ class TestUnionBeams:
         np.testing.assert_array_equal(mu.union_beams([t1, t2], 2), [2, 4, 5])
         np.testing.assert_array_equal(mu.union_beams([t1, t2], 1), [0, 1])
         np.testing.assert_array_equal(mu.union_beams([t1], 2), [2, 4])
+
+    def test_one_state_gives_what_the_union_gives(self):
+        rng = np.random.default_rng(4)
+        states = []
+        while len(states) < 3:
+            w = rng.uniform(0.1, 1.0, 16) * (rng.random(16) < 0.4)
+            if w.any():
+                states.append(from_bottom_weights(w))
+        for layer in range(1, 5):
+            for group in (states[:1], states[1:2], states[:2], states):
+                want = np.unique(np.concatenate([s.candidate_rows(layer) for s in group]))
+                got = mu.union_beams(group, layer)
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
 
 
 class TestPrunePoints:
@@ -354,3 +372,52 @@ class TestRunMultiUser:
             bc.run_multi_user(ckm, [prior, prior], [resp], 0.0, 0.5)
         with pytest.raises(ValueError):
             bc.run_multi_user(ckm, [prior], [resp], 0.0, 0.5, rngs=[None, None])
+
+
+class TestSharedViews:
+    """A sweep's alg3 episodes start from copies of each user's built state
+    and so share its memo of derived views; states rebuilt for every
+    episode share nothing and must play the same episodes."""
+
+    @pytest.mark.parametrize("scene, trials, snr", [("large", 40, 10.0), ("deep", 10, 0.0)])
+    def test_warm_views_play_what_fresh_states_play(self, monkeypatch, scene, trials, snr):
+        from beamckm import harness
+
+        cfg = bc.load_scenario(CONFIGS / f"{scene}.json")
+        book = bc.build_codebook(cfg.array.num_antennas)
+        ckm = bc.build_ckm(cfg.environment, cfg.array, book, cfg.grid)
+        run_multi_user, derive, derive_view = (
+            mu.run_multi_user, bc.SearchState._derive, bc.SearchState._derive_view
+        )
+        counts = {"derived": 0, "computed": 0}
+
+        def counted(fn, key):
+            def wrapper(state):
+                counts[key] += 1
+                return fn(state)
+            return wrapper
+
+        monkeypatch.setattr(bc.SearchState, "_derive", counted(derive, "derived"))
+        monkeypatch.setattr(bc.SearchState, "_derive_view", counted(derive_view, "computed"))
+
+        def play(fresh):
+            played = []
+
+            def episode(ckm, states, *args, **kwargs):
+                if fresh:
+                    states = [
+                        bc.SearchState(s.point_ids, s.point_mass, s.gains, s.beta, s.retain_beams)
+                        for s in states
+                    ]
+                played.append(run_multi_user(ckm, states, *args, **kwargs))
+                return played[-1]
+
+            monkeypatch.setattr(harness, "run_multi_user", episode)
+            records = bc.run_trials(cfg, ckm, algorithms=["alg3"], trials=trials, seed=0,
+                                    snr_db=[snr])
+            return played, records
+
+        warm = play(fresh=False)
+        assert counts["computed"] < counts["derived"]  # the memo served a view
+        assert len(warm[0]) == trials
+        assert play(fresh=True) == warm  # beams, totals, transcripts and records
