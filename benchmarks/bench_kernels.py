@@ -10,8 +10,9 @@ enumeration also builds its prefix sums (``oracles.prefix_sums``).
 
 Probing: one exhaustive round over the bottom layer at N = 32, 128 and
 1024 antennas, by one scalar ``probe`` per beam and by one ``probe_rows``
-call, on an empty response cache (every response computed) and on a
-filled one (as a further SNR point or algorithm of a sweep finds it).
+call over a ``Link``, on an empty response cache (every response
+computed) and on a filled one (as a further SNR point or algorithm of a
+sweep finds it).
 The comparison asserts equal magnitudes bit for bit under the same noise.
 
 Map build: on the large scene's grid at ``--map-spacing`` (0.5 m, 65,536
@@ -130,7 +131,7 @@ def probe_by_scalar(h, codebook, sigma, seed):
 
 
 def probe_by_rows(resp, rows, sigma, seed):
-    return bc.probe_rows(resp, rows, sigma, np.random.default_rng(seed))
+    return bc.probe_rows(bc.Link(resp, sigma, np.random.default_rng(seed)), rows)
 
 
 def probe_cold(h, codebook, rows, sigma, seed):
@@ -253,23 +254,23 @@ def counted(fn, counts, key):
     return wrapper
 
 
-def fresh_episode(ckm_map, states, *args, **kwargs):
+def fresh_episode(ckm_map, states, links, *args, **kwargs):
     """``run_multi_user`` on states rebuilt from the built ones' fixed
     arrays: no memo of views carries over from an earlier episode."""
     rebuilt = [
         bc.SearchState(s.point_ids, s.point_mass, s.gains, s.beta, s.retain_beams) for s in states
     ]
-    return multiuser.run_multi_user(ckm_map, rebuilt, *args, **kwargs)
+    return multiuser.run_multi_user(ckm_map, rebuilt, links, *args, **kwargs)
 
 
-def memo_off_episode(ckm_map, states, *args, **kwargs):
+def memo_off_episode(ckm_map, states, links, *args, **kwargs):
     """``run_multi_user`` on copies of the built states with an empty memo
     of views of their own: every view of the episode is derived, as
     before the memo."""
     copies = [s.copy() for s in states]
     for c in copies:
         c._views = {}
-    return multiuser.run_multi_user(ckm_map, copies, *args, **kwargs)
+    return multiuser.run_multi_user(ckm_map, copies, links, *args, **kwargs)
 
 
 def alg3_seconds(call, episodes, repeat: int):

@@ -10,6 +10,7 @@ from .beamtree import (
 from .channel import (
     ArrayConfig,
     Environment,
+    Link,
     Obstacle,
     Responses,
     Scatterer,
@@ -43,7 +44,6 @@ from .harness import (
     load_scenario,
     noise_std_for_snr,
     read_results_csv,
-    reference_gain,
     region_points,
     run_trials,
     scenario_from_dict,
@@ -67,6 +67,7 @@ __all__ = [
     "CkmGrid",
     "Environment",
     "GridSpec",
+    "Link",
     "Obstacle",
     "PositionPrior",
     "RegionSpec",
@@ -95,7 +96,6 @@ __all__ = [
     "probe",
     "probe_rows",
     "read_results_csv",
-    "reference_gain",
     "region_points",
     "run_lookahead",
     "run_multi_user",

@@ -10,7 +10,8 @@ so repeated calls are bit-identical.
 Probing reads a channel's noiseless codeword responses from a
 ``Responses`` cache, which computes each one on first use: a response is
 the same number at every SNR and for every algorithm, so a sweep computes
-it once per drawn point.
+it once per drawn point.  A ``Link`` pairs those responses with one
+user's probe noise at one SNR point, and is all a search episode sees.
 """
 
 from __future__ import annotations
@@ -90,6 +91,8 @@ class Environment:
             raise ValueError("max_paths must be >= 1")
         if not math.isfinite(self.pathloss_exponent):
             raise ValueError(f"pathloss_exponent must be finite, got {self.pathloss_exponent}")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
         rng = np.random.default_rng(self.rng_seed)
         phases = rng.uniform(0.0, 2.0 * np.pi, size=len(self.scatterers))
         object.__setattr__(self, "_scat_phases", phases)
@@ -260,22 +263,32 @@ class Responses:
         return self.values[rows]
 
 
-def probe_rows(
-    resp: Responses,
-    rows: np.ndarray,
-    noise_std: float,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
+class Link:
+    """What one user measures at one SNR point: the drawn point's shared
+    ``Responses`` and the user's probe noise, CN(0, ``noise_std``^2) per
+    probe, drawn from ``rng``.  A noisy link needs a generator, so that
+    every draw comes from a seeded stream; a noiseless one draws nothing.
+    A sweep makes one per user and (trial, SNR point), so it is a slotted
+    class, cheaper to build than a frozen dataclass."""
+
+    __slots__ = ("resp", "noise_std", "rng")
+
+    def __init__(self, resp: Responses, noise_std: float, rng: np.random.Generator | None = None):
+        if noise_std > 0.0 and rng is None:
+            raise ValueError("a noisy link needs an rng")
+        self.resp = resp
+        self.noise_std = noise_std
+        self.rng = rng
+
+
+def probe_rows(link: Link, rows: np.ndarray) -> np.ndarray:
     """Received pilot magnitudes ``|h^H f + n|`` of distinct codeword
-    ``rows`` (an integer array), in order: the same arithmetic and the same
-    noise draws as one ``probe`` per row.  Noise needs a generator, so that
-    every draw comes from a seeded stream."""
-    y = resp.take(rows)
-    if noise_std > 0.0:
-        if rng is None:
-            raise ValueError("a noisy probe needs an rng")
-        z = rng.standard_normal((len(rows), 2))
-        y = y + noise_std / np.sqrt(2.0) * (z[:, 0] + 1j * z[:, 1])
+    ``rows`` (an integer array) over a link, in order: the same arithmetic
+    and the same noise draws as one ``probe`` per row."""
+    y = link.resp.take(rows)
+    if link.noise_std > 0.0:
+        z = link.rng.standard_normal((len(rows), 2))
+        y = y + link.noise_std / np.sqrt(2.0) * (z[:, 0] + 1j * z[:, 1])
     return np.abs(y)
 
 

@@ -131,7 +131,11 @@ class CkmGrid:
 
     @cached_property
     def reference_gain(self) -> float:
-        """``harness.reference_gain``, computed on first use and kept."""
+        """Scene-scale matched gain: median of the best bottom-layer map gain
+        over the grid points that some path reaches.  SNR settings are
+        relative to this, so a configured SNR describes a typical aligned
+        link, not the raw transmit power, however much of the grid is
+        shadowed.  Computed on first use and kept."""
         best = self.gains[layer_rows(self.num_layers)].max(axis=0).astype(np.float64)
         reached = best[best > 0.0]
         if reached.size == 0:

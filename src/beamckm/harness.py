@@ -10,8 +10,11 @@ Streams: trial t's positions are drawn from ``default_rng([seed, 101, t])``
 and the probe noise of user k at noisy SNR index si from
 ``default_rng([seed, 202, t, si, k])``; a noiseless SNR point has no noise
 stream.  ``run_trials`` seeds all of them in one ``streams.seed_words``
-table, which reproduces numpy's seeding bit for bit, and loads each stream
-into a reused generator before each use, once per algorithm.
+table, which reproduces numpy's seeding bit for bit.  Episodes see noise
+only through a ``channel.Link``: ``run_trials`` builds one link per user
+and (trial, SNR point) over that user's one reused generator, and loads
+the generator with the stream's state before each algorithm, so every
+algorithm reads the same draws.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .beamtree import compute_point_weights
 from .channel import (
     ArrayConfig,
     Environment,
+    Link,
     Obstacle,
     Responses,
     Scatterer,
@@ -301,49 +305,40 @@ class TrialRecord:
     se_bps_hz: float
 
 
-def reference_gain(ckm: CkmGrid) -> float:
-    """Scene-scale matched gain: median of the best bottom-layer map gain
-    over the grid points that some path reaches.  SNR settings are relative
-    to this, so a configured SNR describes a typical aligned link, not the
-    raw transmit power, however much of the grid is shadowed.  Kept per map."""
-    return ckm.reference_gain
-
-
 def noise_std_for_snr(snr_db: float, ref_gain: float) -> float:
     """Per-probe complex noise std giving the requested SNR at the
-    reference gain; infinite SNR means a noiseless run."""
+    reference gain (``CkmGrid.reference_gain``); infinite SNR means a
+    noiseless run.  An SNR point so low that the std is not finite is a
+    ValueError."""
     if math.isinf(snr_db) and snr_db > 0:
         return 0.0
-    return ref_gain * 10.0 ** (-snr_db / 20.0)
+    try:
+        sigma = ref_gain * 10.0 ** (-snr_db / 20.0)
+    except OverflowError:
+        sigma = math.inf
+    if not math.isfinite(sigma):
+        raise ValueError(f"SNR point {snr_db!r} dB gives a noise std that is not finite")
+    return sigma
 
 
-def baseline_hierarchical(
-    resp: Responses,
-    noise_std: float,
-    rng: np.random.Generator | None = None,
-) -> tuple[BeamId, int, list[ProbeRound]]:
-    """Map-blind bisection over a point's cached responses: probe both
-    children at every layer, keep the stronger, always 2L probes."""
-    L = layers_of(resp.codewords.shape[0])
+def baseline_hierarchical(link: Link) -> tuple[BeamId, int, list[ProbeRound]]:
+    """Map-blind bisection over a link: probe both children at every
+    layer, keep the stronger, always 2L probes."""
+    L = layers_of(link.resp.codewords.shape[0])
     idx = 1
     transcript = []
     for layer in range(1, L + 1):
         pair = layer_start(layer) + np.arange(2 * idx - 2, 2 * idx)
-        transcript.append(probe_round(resp, layer, pair, (2 * idx - 1, 2 * idx), noise_std, rng))
+        transcript.append(probe_round(link, layer, pair, (2 * idx - 1, 2 * idx)))
         idx = transcript[-1].feedback
     return BeamId(L, idx), 2 * L, transcript
 
 
-def baseline_exhaustive(
-    resp: Responses,
-    noise_std: float,
-    rng: np.random.Generator | None = None,
-) -> tuple[BeamId, int, list[ProbeRound]]:
-    """Probe every bottom beam once from a point's cached responses, keep
-    the strongest."""
-    L = layers_of(resp.codewords.shape[0])
+def baseline_exhaustive(link: Link) -> tuple[BeamId, int, list[ProbeRound]]:
+    """Probe every bottom beam once over a link, keep the strongest."""
+    L = layers_of(link.resp.codewords.shape[0])
     rows = layer_start(L) + np.arange(2**L)
-    r = probe_round(resp, L, rows, tuple(range(1, 2**L + 1)), noise_std, rng)
+    r = probe_round(link, L, rows, tuple(range(1, 2**L + 1)))
     return BeamId(L, r.feedback), r.probes, [r]
 
 
@@ -361,7 +356,10 @@ def _finish(
     g_c = float(gains[chosen.index - 1])
     g_o = float(gains[oracle.index - 1])
     ratio_db = -math.inf if g_c == 0.0 else 20.0 * math.log10(g_c / g_o)
-    se = math.inf if sigma == 0.0 else math.log2(1.0 + (g_c / sigma) ** 2)
+    try:
+        se = math.inf if sigma == 0.0 else math.log2(1.0 + (g_c / sigma) ** 2)
+    except OverflowError:  # a square past the float range: the 1 adds nothing
+        se = 2.0 * math.log2(g_c / sigma)
     return TrialRecord(trial, algo, snr, user, overhead, chosen, oracle, ratio_db, se)
 
 
@@ -392,7 +390,8 @@ def run_trials(
     priors = config.priors
     K = len(priors)
     L = ckm.num_layers
-    ref = reference_gain(ckm)
+    # an SNR point with no finite noise std fails before any trial is drawn
+    sigmas = [noise_std_for_snr(snr, ckm.reference_gain) for snr in snrs]
     # row blocks OpenBLAS multiplies on this thread, bit for bit as one product
     blocks = np.split(codebook[layer_rows(L)], max(1, 2**L // max(4, 2048 // 2**L)))
     # Every trial's positions first, then one traced batch of the distinct
@@ -425,8 +424,7 @@ def run_trials(
             for p in priors
         ]
     # noise streams [seed, 202, t, si, k] of the noisy SNR points only: a
-    # noiseless probe draws nothing, so it gets no generator
-    sigmas = [noise_std_for_snr(snr, ref) for snr in snrs]
+    # noiseless link draws nothing, so its stream is never loaded
     noisy = [si for si, sigma in enumerate(sigmas) if sigma]
     idx = np.meshgrid(np.arange(n_trials), np.array(noisy, int), np.arange(K), indexing="ij")
     noise = seed_words([base_seed, 202], np.stack(idx, -1).reshape(-1, 3))
@@ -435,20 +433,19 @@ def run_trials(
     records: list[TrialRecord] = []
     for t, pts in enumerate(trial_points):
         rows = [row_of[p] for p in pts]
-        resp = [resps[r] for r in rows]
         gvecs = [gains[r] for r in rows]
         oracles = [best[r] for r in rows]
         for si, (snr, sigma) in enumerate(zip(snrs, sigmas)):
-            rngs = noise_rngs if sigma else [None] * K
+            links = [Link(resps[r], sigma, rng) for r, rng in zip(rows, noise_rngs)]
             for algo in algos:
                 # every algorithm draws the same noise: each loads the streams anew
                 if sigma:
-                    for r, words in zip(rngs, noise[t, noisy.index(si)]):
-                        r.bit_generator.state = pcg64_state(words)
+                    for rng, words in zip(noise_rngs, noise[t, noisy.index(si)]):
+                        rng.bit_generator.state = pcg64_state(words)
                 if algo == "alg3":
                     chosen, total, _ = run_multi_user(
-                        ckm, states, resp, sigma, config.beta, config.eta,
-                        rngs=rngs, retain_beams=config.retain_beams,
+                        ckm, states, links, config.beta, config.eta,
+                        retain_beams=config.retain_beams,
                     )
                     overheads = [total / K] * K
                 else:
@@ -457,13 +454,13 @@ def run_trials(
                         if algo in ("alg1", "alg2"):
                             search = run_single_user if algo == "alg1" else run_lookahead
                             ch, ov, _ = search(
-                                ckm, states[k], resp[k], sigma, config.beta,
-                                rng=rngs[k], retain_beams=config.retain_beams,
+                                ckm, states[k], links[k], config.beta,
+                                retain_beams=config.retain_beams,
                             )
                         elif algo == "baseline-hier":
-                            ch, ov, _ = baseline_hierarchical(resp[k], sigma, rngs[k])
+                            ch, ov, _ = baseline_hierarchical(links[k])
                         else:
-                            ch, ov, _ = baseline_exhaustive(resp[k], sigma, rngs[k])
+                            ch, ov, _ = baseline_exhaustive(links[k])
                         chosen.append(ch)
                         overheads.append(float(ov))
                 records.extend(

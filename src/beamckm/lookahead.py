@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .beamtree import SearchState, compute_point_weights
-from .channel import Responses
+from .channel import Link
 from .ckm import CkmGrid
 from .codebook import BeamId
 from .strategy import ProbeRound, run_episode
@@ -66,12 +66,10 @@ def next_layer(state: SearchState) -> int:
 def run_lookahead(
     ckm: CkmGrid,
     prior,
-    resp: Responses,
-    noise_std: float,
+    link: Link,
     beta: float,
-    rng: np.random.Generator | None = None,
     retain_beams: int | None = None,
 ) -> tuple[BeamId, int, list[ProbeRound]]:
     """Full lookahead episode; returns (chosen beam, probe count, rounds)."""
     state = compute_point_weights(ckm, prior, beta, retain_beams=retain_beams)
-    return run_episode(resp, state, next_layer, noise_std, rng)
+    return run_episode(link, state, next_layer)

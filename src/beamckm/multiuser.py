@@ -88,23 +88,17 @@ def prune_user_points(
 def run_multi_user(
     ckm: CkmGrid,
     priors,
-    resps,
-    noise_std: float,
+    links,
     beta: float,
     eta: float = 0.9,
-    rngs=None,
     retain_beams: int | None = None,
 ) -> tuple[list[BeamId], int, list[list[ProbeRound]]]:
-    """Joint episode for all users over each user's point ``Responses``;
-    returns (chosen beams, total probe count charged once per shared
-    round, per-user round transcripts)."""
+    """Joint episode for all users over each user's ``Link``; returns
+    (chosen beams, total probe count charged once per shared round,
+    per-user round transcripts)."""
     K = len(priors)
-    if len(resps) != K:
-        raise ValueError("need one Responses per user")
-    if rngs is None:
-        rngs = [None] * K
-    if len(rngs) != K:
-        raise ValueError("need one rng (or None) per user")
+    if len(links) != K:
+        raise ValueError("need one Link per user")
     states = [
         candidate_beams(compute_point_weights(ckm, p, beta, retain_beams=retain_beams))
         for p in priors
@@ -124,7 +118,7 @@ def run_multi_user(
         probed = tuple(beam_index(rows, l_opt).tolist())
         total += len(probed)
         for k, flag in zip(active, flags):
-            g_obs = probe_rows(resps[k], rows, noise_std, rngs[k])
+            g_obs = probe_rows(links[k], rows)
             feedback = probed[int(np.argmax(g_obs))] if flag else None
             f_obs = None if feedback is None else BeamId(l_opt, feedback)
             prune_user_points(states[k], rows, g_obs, f_obs, eta)

@@ -48,7 +48,7 @@ from .beamtree import (
     candidate_beams,
     compute_point_weights,
 )
-from .channel import Responses, probe_rows
+from .channel import Link, probe_rows
 from .ckm import CkmGrid
 from .codebook import BeamId, beam_index
 
@@ -136,20 +136,15 @@ def optimal_layer(state: SearchState) -> int:
 
 
 def probe_round(
-    resp: Responses,
-    layer: int,
-    rows: np.ndarray,
-    probed: tuple[int, ...],
-    noise_std: float,
-    rng: np.random.Generator | None = None,
+    link: Link, layer: int, rows: np.ndarray, probed: tuple[int, ...]
 ) -> ProbeRound:
     """Probe the beams at ``layer`` in the ascending codebook ``rows``,
-    whose 1-based indices are ``probed``, from the cached responses and
-    keep the strongest (the first on ties); a single beam is a free
-    descent that draws no noise."""
+    whose 1-based indices are ``probed``, over the link and keep the
+    strongest (the first on ties); a single beam is a free descent that
+    draws no noise."""
     if len(probed) == 1:
         return ProbeRound(layer, probed, probed[0], 0)
-    mags = probe_rows(resp, rows, noise_std, rng)
+    mags = probe_rows(link, rows)
     return ProbeRound(layer, probed, probed[int(np.argmax(mags))], len(probed))
 
 
@@ -163,11 +158,7 @@ def episode_outcome(state: SearchState) -> BeamId | None:
 
 
 def run_episode(
-    resp: Responses,
-    state: SearchState,
-    choose_layer,
-    noise_std: float,
-    rng: np.random.Generator | None = None,
+    link: Link, state: SearchState, choose_layer
 ) -> tuple[BeamId, int, list[ProbeRound]]:
     """Map-aided search: each round probes the candidates under the root
     at ``choose_layer(state)`` and moves to the child state that folds in
@@ -188,7 +179,7 @@ def run_episode(
         chosen, layer, rows, probed = plan
         if chosen is not None:
             return chosen, sum(r.probes for r in transcript), transcript
-        r = probe_round(resp, layer, rows, probed, noise_std, rng)
+        r = probe_round(link, layer, rows, probed)
         transcript.append(r)
         child = state.children.get((layer, r.feedback))
         if child is None:
@@ -201,12 +192,10 @@ def run_episode(
 def run_single_user(
     ckm: CkmGrid,
     prior,
-    resp: Responses,
-    noise_std: float,
+    link: Link,
     beta: float,
-    rng: np.random.Generator | None = None,
     retain_beams: int | None = None,
 ) -> tuple[BeamId, int, list[ProbeRound]]:
     """Full search episode; returns (chosen bottom beam, probe count, rounds)."""
     state = compute_point_weights(ckm, prior, beta, retain_beams=retain_beams)
-    return run_episode(resp, state, optimal_layer, noise_std, rng)
+    return run_episode(link, state, optimal_layer)

@@ -138,6 +138,12 @@ def responses_of(h: np.ndarray) -> bc.Responses:
     return bc.Responses(h, bc.build_codebook(len(h)))
 
 
+def link_of(h: np.ndarray, noise_std: float = 0.0, rng=None) -> bc.Link:
+    """The episode input for a channel vector: a link over its responses,
+    noiseless unless given a noise std and a generator."""
+    return bc.Link(responses_of(h), noise_std, rng)
+
+
 def exhaustive_best_beam(scene, h: np.ndarray) -> bc.BeamId:
     """Brute-force argmax bottom beam for a channel (independent oracle)."""
     cb = scene["codebook"]

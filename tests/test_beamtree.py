@@ -642,7 +642,7 @@ class TestSearchTreeCache:
         for k in range(30):
             resp = bc.Responses(rng.normal(size=16) + 1j * rng.normal(size=16), cb)
             for choose in (optimal_layer, next_layer):
-                run_episode(resp, built, choose, 10.0, np.random.default_rng(k))
+                run_episode(bc.Link(resp, 10.0, np.random.default_rng(k)), built, choose)
         return built
 
     def test_cached_children_equal_replayed_observations(self):

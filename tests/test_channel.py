@@ -358,7 +358,7 @@ class TestProbeRows:
             size = data.draw(st.sampled_from([1, 2, int(draw.integers(1, 2 * n - 1))]))
             rows = np.sort(draw.choice(2 * n - 2, size=size, replace=False))
             want = np.array([bc.probe(h, cb[r], sigma, scalar_rng) for r in rows])
-            got = bc.probe_rows(resp, rows, sigma, batch_rng)
+            got = bc.probe_rows(bc.Link(resp, sigma, batch_rng), rows)
             assert got.dtype == np.float64
             assert got.tobytes() == want.tobytes()
             assert batch_rng.bit_generator.state == scalar_rng.bit_generator.state
@@ -367,9 +367,10 @@ class TestProbeRows:
         cb = bc.build_codebook(16)
         resp = bc.Responses(np.ones(16, dtype=complex), cb)
         rows = np.array([0, 1])
-        assert bc.probe_rows(resp, rows, 0.0).shape == (2,)
+        assert bc.probe_rows(bc.Link(resp, 0.0), rows).shape == (2,)
+        # a noisy link is rejected when it is made, before any probe
         with pytest.raises(ValueError, match="needs an rng"):
-            bc.probe_rows(resp, rows, 0.1)
+            bc.Link(resp, 0.1)
 
     def test_take_computes_each_response_once(self, monkeypatch):
         cb = bc.build_codebook(16)

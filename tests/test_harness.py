@@ -330,6 +330,12 @@ class TestScenarioParsing:
             return
         assert isinstance(cfg, bc.ScenarioConfig)
 
+    def test_negative_rng_seed_names_the_field(self):
+        d = scenario_dict()
+        d["environment"]["rng_seed"] = -1
+        with pytest.raises(ValueError, match=r"^environment: rng_seed must be >= 0, got -1$"):
+            bc.scenario_from_dict(d)
+
     def test_integral_numbers_accepted(self):
         d = scenario_dict()
         d["trials"] = 4.0
@@ -568,22 +574,22 @@ class TestNoiseScale:
         bottom = rng.uniform(0.0, 2.0, size=(9, 8))
         ckm = toy_ckm(bottom)
         expect = np.median(ckm.gains[layer_rows(ckm.num_layers)].max(axis=0).astype(np.float64))
-        assert bc.reference_gain(ckm) == pytest.approx(expect)
+        assert ckm.reference_gain == pytest.approx(expect)
 
     def test_reference_gain_skips_unreached_points(self):
         # six of nine points shadowed: the median over all of them would be 0
         bottom = np.zeros((9, 8))
         bottom[[1, 4, 7], 2] = [0.5, 1.0, 2.0]
-        assert bc.reference_gain(toy_ckm(bottom)) == pytest.approx(1.0)
+        assert toy_ckm(bottom).reference_gain == pytest.approx(1.0)
         with pytest.raises(ValueError, match="positive gain"):
-            bc.reference_gain(toy_ckm(np.zeros((9, 8))))
+            toy_ckm(np.zeros((9, 8))).reference_gain
 
     def test_reference_gain_computed_once_per_map(self, monkeypatch):
         ckm = toy_ckm(np.random.default_rng(7).uniform(0.5, 2.0, size=(9, 8)))
-        ref = bc.reference_gain(ckm)
-        # a second call reads the kept value: the median is not taken again
+        ref = ckm.reference_gain
+        # a second read takes the kept value: the median is not taken again
         monkeypatch.setattr(np, "median", lambda *a, **k: pytest.fail("median recomputed"))
-        assert bc.reference_gain(ckm) == ref
+        assert ckm.reference_gain == ref
 
     def test_noise_std_follows_snr(self):
         assert bc.noise_std_for_snr(0.0, 0.5) == pytest.approx(0.5)
@@ -591,12 +597,18 @@ class TestNoiseScale:
         assert bc.noise_std_for_snr(-20.0, 0.5) == pytest.approx(5.0)
         assert bc.noise_std_for_snr(math.inf, 0.5) == 0.0
 
+    @pytest.mark.parametrize("snr_db, ref", [(-6200.0, 0.5), (-6170.0, 1.0), (-200.0, 1e300)])
+    def test_snr_with_no_finite_noise_std_rejected(self, snr_db, ref):
+        # 10 ** 310 and 10 ** 308.5 overflow a float; 1e300 * 1e10 is inf
+        with pytest.raises(ValueError, match=f"SNR point {snr_db!r} dB"):
+            bc.noise_std_for_snr(snr_db, ref)
+
 
 class TestBaselines:
     def test_hierarchical_costs_two_per_layer(self, small_scene):
         cb = small_scene["codebook"]
         h = 0.7 * steering_vector(bc.bottom_angles(16)[4], 16)
-        chosen, overhead, rounds = bc.baseline_hierarchical(bc.Responses(h, cb), 0.0)
+        chosen, overhead, rounds = bc.baseline_hierarchical(bc.Link(bc.Responses(h, cb), 0.0))
         assert chosen == bc.BeamId(4, 5)
         assert overhead == 2 * 4
         assert [r.layer for r in rounds] == [1, 2, 3, 4]
@@ -610,7 +622,7 @@ class TestBaselines:
     def test_exhaustive_probes_everything_once(self, small_scene):
         cb = small_scene["codebook"]
         h = 0.7 * steering_vector(bc.bottom_angles(16)[11], 16)
-        chosen, overhead, rounds = bc.baseline_exhaustive(bc.Responses(h, cb), 0.0)
+        chosen, overhead, rounds = bc.baseline_exhaustive(bc.Link(bc.Responses(h, cb), 0.0))
         assert chosen == bc.BeamId(4, 12)
         assert overhead == 16
         assert rounds[0].probed == tuple(range(1, 17))
@@ -631,6 +643,13 @@ class TestRunTrials:
         for r in records:
             by_key.setdefault((r.trial_id, r.user_id), set()).add(r.oracle)
         assert all(len(v) == 1 for v in by_key.values())
+
+    def test_snr_so_high_its_gain_ratio_squared_overflows_runs(self, small_scene):
+        # at 4000 dB sigma is not 0, but (g / sigma)^2 is past the float range;
+        # the spectral efficiency is then 2 log2(g / sigma), about 1329 bit/s/Hz
+        cfg = self.config(algorithms=["baseline-exhaustive"], trials=3)
+        for r in bc.run_trials(cfg, small_scene["ckm"], snr_db=[4000.0]):
+            assert 1300.0 < r.se_bps_hz < 1360.0
 
     def test_noiseless_hit_rates(self, small_scene):
         cfg = self.config(algorithms=["alg1", "baseline-exhaustive"], trials=10, snr_db=["inf"])
@@ -664,8 +683,14 @@ class TestRunTrials:
             total = rows[0].overhead * 2
             assert total == round(total)  # shares add back to whole probes
 
-    @pytest.mark.parametrize("value", ["nan", math.nan, "-inf"])
-    def test_snr_override_rejected(self, small_scene, value):
+    @pytest.mark.parametrize("value", ["nan", math.nan, "-inf", -6200])
+    def test_snr_override_rejected(self, small_scene, monkeypatch, value):
+        from beamckm import harness
+
+        # -6200 dB passes the sweep check, but its noise std overflows a
+        # float: it too fails before any position is drawn
+        monkeypatch.setattr(harness, "sample_true_position",
+                            lambda *a: pytest.fail("positions drawn"))
         cfg = self.config(algorithms=["alg1"], trials=1)
         with pytest.raises(ValueError, match="SNR"):
             bc.run_trials(cfg, small_scene["ckm"], snr_db=[10, value])
@@ -887,27 +912,44 @@ class TestSweepInvariants:
             assert [head for head, _ in tables] == [[cfg.seed, 101], [cfg.seed, 202]]
 
     def test_streams_replay_default_rng_at_a_two_word_seed(self, small_scene, monkeypatch):
-        """Positions come from default_rng([seed, 101, t]) and each noisy
-        (trial, SNR index, user) starts from default_rng([seed, 202, t, si, k]),
-        also for a seed that numpy splits into two uint32 words."""
+        """Positions come from default_rng([seed, 101, t]) and, in every
+        algorithm, each noisy (trial, SNR index, user) link starts from
+        default_rng([seed, 202, t, si, k]), also for a seed that numpy splits
+        into two uint32 words: the five algorithms are common-random-number
+        paired.  A link draws only when it probes, so its state on entering
+        an episode is its state at the first probe."""
         from beamckm import harness
 
         seed, trials, snrs = 2**40, 4, ["inf", 10.0, 0.0]
-        drawn, starts = [], []
-        sample, exhaustive = harness.sample_true_position, harness.baseline_exhaustive
+        drawn = []
+        starts = {algo: [] for algo in bc.ALGORITHMS}
+        sample = harness.sample_true_position
 
         def sample_recorded(prior, rng):
             drawn.append(sample(prior, rng))
             return drawn[-1]
 
-        def exhaustive_recorded(resp, sigma, rng=None):
-            starts.append(None if rng is None else rng.bit_generator.state)
-            return exhaustive(resp, sigma, rng)
+        def recorded(algo, episode, link_arg):
+            def run(*args, **kwargs):
+                links = args[link_arg] if algo == "alg3" else [args[link_arg]]
+                starts[algo].extend(
+                    link.rng.bit_generator.state if link.noise_std else None for link in links
+                )
+                return episode(*args, **kwargs)
+
+            return run
 
         monkeypatch.setattr(harness, "sample_true_position", sample_recorded)
-        monkeypatch.setattr(harness, "baseline_exhaustive", exhaustive_recorded)
+        for algo, name, link_arg in (
+            ("alg1", "run_single_user", 2),
+            ("alg2", "run_lookahead", 2),
+            ("alg3", "run_multi_user", 2),
+            ("baseline-hier", "baseline_hierarchical", 0),
+            ("baseline-exhaustive", "baseline_exhaustive", 0),
+        ):
+            monkeypatch.setattr(harness, name, recorded(algo, getattr(harness, name), link_arg))
         cfg = self.config()
-        bc.run_trials(cfg, small_scene["ckm"], algorithms=["alg1", "baseline-exhaustive"],
+        bc.run_trials(cfg, small_scene["ckm"], algorithms=bc.ALGORITHMS,
                       trials=trials, seed=seed, snr_db=snrs)
         K = len(cfg.users)
         replay = []
@@ -915,10 +957,11 @@ class TestSweepInvariants:
             rng = np.random.default_rng([seed, 101, t])
             replay += [bc.sample_true_position(prior, rng) for prior in cfg.priors]
         assert drawn == replay
-        assert starts == [
+        want = [
             None if si == 0 else np.random.default_rng([seed, 202, t, si, k]).bit_generator.state
             for t in range(trials) for si in range(len(snrs)) for k in range(K)
         ]
+        assert starts == {algo: want for algo in bc.ALGORITHMS}
 
     def test_tables_built_only_for_map_aided_algorithms(self, small_scene, monkeypatch):
         calls = record_weight_tables(monkeypatch)
@@ -1040,7 +1083,7 @@ class TestSummarize:
 
 
 class TestCli:
-    @pytest.mark.parametrize("bad", ["config", "truncated-ckm", "missing-file"])
+    @pytest.mark.parametrize("bad", ["config", "truncated-ckm", "missing-file", "snr"])
     def test_bad_input_fails_in_one_line(self, tmp_path, capsys, bad):
         d = scenario_dict()
         cfg, ckm, out = (str(tmp_path / name) for name in ("scene.json", "scene.ckm", "out.csv"))
@@ -1055,6 +1098,9 @@ class TestCli:
             Path(ckm).write_bytes(Path(ckm).read_bytes()[:-7])
             argv = ["run", "--config", cfg, "--ckm", ckm, "--out", out]
             named = "payload length"
+        elif bad == "snr":
+            argv = ["run", "--config", cfg, "--ckm", ckm, "--snr-db", "-6200", "--out", out]
+            named = "SNR point -6200.0 dB"
         else:
             argv = ["summarize", "--in", str(tmp_path / "none.csv"), "--out", out]
             named = "No such file"

@@ -19,7 +19,7 @@ from conftest import (
     exhaustive_best_beam,
     from_bottom_weights,
     layer_weights,
-    responses_of,
+    link_of,
     scene_channel,
     toy_ckm,
 )
@@ -134,7 +134,7 @@ class TestRunLookahead:
         # for the right half pins the only leaf there with no more probes
         ckm = one_hot_ckm()
         h = steering_vector(-1 + 9 / 8, 8)  # center of bottom beam 5
-        chosen, overhead, rounds = bc.run_lookahead(ckm, _prior4(), responses_of(h), 0.0, 0.5)
+        chosen, overhead, rounds = bc.run_lookahead(ckm, _prior4(), link_of(h), 0.5)
         assert chosen == bc.BeamId(3, 5)
         assert overhead == 3
         assert [r.layer for r in rounds] == [2]
@@ -143,7 +143,7 @@ class TestRunLookahead:
     def test_toy_jump_left_half_needs_two_more(self):
         ckm = one_hot_ckm()
         h = steering_vector(-1 + 1 / 8, 8)  # center of bottom beam 1
-        chosen, overhead, rounds = bc.run_lookahead(ckm, _prior4(), responses_of(h), 0.0, 0.5)
+        chosen, overhead, rounds = bc.run_lookahead(ckm, _prior4(), link_of(h), 0.5)
         assert chosen == bc.BeamId(3, 1)
         assert overhead == 5
         assert [r.layer for r in rounds] == [2, 3]
@@ -152,7 +152,7 @@ class TestRunLookahead:
         ckm = toy_ckm(np.ones((1, 16)))
         prior = bc.PositionPrior((bc.SubRegion((0,), 1.0),))
         h = 0.9 * steering_vector(bc.bottom_angles(16)[10], 16)
-        chosen, overhead, rounds = bc.run_lookahead(ckm, prior, responses_of(h), 0.0, 0.5)
+        chosen, overhead, rounds = bc.run_lookahead(ckm, prior, link_of(h), 0.5)
         assert chosen == bc.BeamId(4, 11)
         assert overhead == 2 * 4
         assert [r.layer for r in rounds] == [1, 2, 3, 4]
@@ -165,7 +165,7 @@ class TestRunLookahead:
         ckm = toy_ckm(bottom)
         prior = bc.PositionPrior((bc.SubRegion((0, 1), 1.0),))
         h = steering_vector(bc.bottom_angles(16)[5], 16)
-        chosen, overhead, rounds = bc.run_lookahead(ckm, prior, responses_of(h), 0.0, 0.5)
+        chosen, overhead, rounds = bc.run_lookahead(ckm, prior, link_of(h), 0.5)
         assert chosen == bc.BeamId(4, 6)
         assert overhead == 2
         free = [r for r in rounds if r.probes == 0]
@@ -178,7 +178,7 @@ class TestRunLookahead:
         ckm = toy_ckm(bottom)
         prior = bc.PositionPrior((bc.SubRegion((0,), 1.0),))
         h = steering_vector(bc.bottom_angles(16)[9], 16)
-        chosen, overhead, rounds = bc.run_lookahead(ckm, prior, responses_of(h), 0.0, 0.5)
+        chosen, overhead, rounds = bc.run_lookahead(ckm, prior, link_of(h), 0.5)
         assert chosen == bc.BeamId(4, 10)
         assert overhead == 0
         assert rounds == []
@@ -188,8 +188,8 @@ class TestRunLookahead:
         prior = bc.PositionPrior((bc.SubRegion((0,), 1.0),))
         for leaf in [0, 3, 8, 15]:
             h = steering_vector(bc.bottom_angles(16)[leaf], 16)
-            a = bc.run_single_user(ckm, prior, responses_of(h), 0.0, 0.5)
-            b = bc.run_lookahead(ckm, prior, responses_of(h), 0.0, 0.5)
+            a = bc.run_single_user(ckm, prior, link_of(h), 0.5)
+            b = bc.run_lookahead(ckm, prior, link_of(h), 0.5)
             assert a[0] == b[0]
             assert a[1] == b[1] == 8
 
@@ -202,7 +202,7 @@ class TestRunLookahead:
         for _ in range(25):
             point = bc.sample_true_position(prior, rng)
             h = scene_channel(small_scene, point)
-            chosen, overhead, rounds = bc.run_lookahead(ckm, prior, responses_of(h), 0.0, 0.5)
+            chosen, overhead, rounds = bc.run_lookahead(ckm, prior, link_of(h), 0.5)
             assert chosen == exhaustive_best_beam(small_scene, h)
             assert overhead == sum(r.probes for r in rounds)
             assert overhead <= 2 * ckm.num_layers
@@ -215,7 +215,7 @@ class TestRunLookahead:
         for _ in range(2):
             rng = np.random.default_rng(42)
             runs.append(
-                bc.run_lookahead(ckm, prior, responses_of(h), 0.05, 0.5, rng=rng)
+                bc.run_lookahead(ckm, prior, link_of(h, 0.05, rng), 0.5)
             )
         assert runs[0] == runs[1]
 

@@ -19,7 +19,7 @@ from beamckm.codebook import layer_start, row_of
 from conftest import (
     exhaustive_best_beam,
     from_bottom_weights,
-    responses_of,
+    link_of,
     scene_channel,
     stack_layers,
 )
@@ -284,17 +284,17 @@ class TestRunMultiUser:
         for _ in range(15):
             point = bc.sample_true_position(prior, rng)
             h = scene_channel(small_scene, point)
-            solo = bc.run_single_user(ckm, prior, responses_of(h), 0.0, 0.5)
-            joint = bc.run_multi_user(ckm, [prior], [responses_of(h)], 0.0, 0.5)
+            solo = bc.run_single_user(ckm, prior, link_of(h), 0.5)
+            joint = bc.run_multi_user(ckm, [prior], [link_of(h)], 0.5)
             assert joint[0][0] == solo[0]
             assert joint[1] <= solo[1]
 
     def test_clone_users_share_every_probe(self, small_scene):
         ckm = small_scene["ckm"]
         prior = bc.PositionPrior((bc.SubRegion(tuple(range(36, 42)), 1.0),))
-        resp = responses_of(scene_channel(small_scene, 38))
-        single = bc.run_multi_user(ckm, [prior], [resp], 0.0, 0.5)
-        twin = bc.run_multi_user(ckm, [prior, prior], [resp, resp], 0.0, 0.5)
+        link = link_of(scene_channel(small_scene, 38))
+        single = bc.run_multi_user(ckm, [prior], [link], 0.5)
+        twin = bc.run_multi_user(ckm, [prior, prior], [link, link], 0.5)
         assert twin[0][0] == twin[0][1] == single[0][0]
         assert twin[1] == single[1]  # the clone rides along for free
         assert twin[2][0] == twin[2][1]
@@ -309,13 +309,13 @@ class TestRunMultiUser:
         ]
         points = [34, 120, 233]
         hs = [scene_channel(small_scene, p) for p in points]
-        resps = [responses_of(h) for h in hs]
-        chosen, total, transcripts = bc.run_multi_user(ckm, priors, resps, 0.0, 0.5)
+        links = [link_of(h) for h in hs]
+        chosen, total, transcripts = bc.run_multi_user(ckm, priors, links, 0.5)
         for k in range(3):
             assert chosen[k] == exhaustive_best_beam(small_scene, hs[k])
         assert total > 0
         solo_total = sum(
-            bc.run_single_user(ckm, priors[k], resps[k], 0.0, 0.5)[1]
+            bc.run_single_user(ckm, priors[k], links[k], 0.5)[1]
             for k in range(3)
         )
         assert total <= solo_total
@@ -326,8 +326,8 @@ class TestRunMultiUser:
             bc.PositionPrior((bc.SubRegion(tuple(range(36, 39)), 1.0),)),
             bc.PositionPrior((bc.SubRegion(tuple(range(96, 128)), 1.0),)),
         ]
-        resps = [responses_of(scene_channel(small_scene, p)) for p in (37, 100)]
-        chosen, total, transcripts = bc.run_multi_user(ckm, priors, resps, 0.0, 0.5)
+        links = [link_of(scene_channel(small_scene, p)) for p in (37, 100)]
+        chosen, total, transcripts = bc.run_multi_user(ckm, priors, links, 0.5)
         indicators = [r.indicator for t in transcripts for r in t]
         assert 0 in indicators, "expected at least one eavesdropped round"
         for t in transcripts:
@@ -345,8 +345,8 @@ class TestRunMultiUser:
             bc.PositionPrior((bc.SubRegion(tuple(range(40, 56)), 1.0),)),
             bc.PositionPrior((bc.SubRegion(tuple(range(160, 176)), 1.0),)),
         ]
-        resps = [responses_of(scene_channel(small_scene, p)) for p in (44, 165)]
-        _, _, transcripts = bc.run_multi_user(ckm, priors, resps, 0.0, 0.5)
+        links = [link_of(scene_channel(small_scene, p)) for p in (44, 165)]
+        _, _, transcripts = bc.run_multi_user(ckm, priors, links, 0.5)
         for t in transcripts:
             for r in t:
                 assert list(r.probed) == sorted(set(r.probed))
@@ -357,21 +357,22 @@ class TestRunMultiUser:
             bc.PositionPrior((bc.SubRegion(tuple(range(36, 42)), 1.0),)),
             bc.PositionPrior((bc.SubRegion(tuple(range(96, 104)), 1.0),)),
         ]
-        resps = [responses_of(scene_channel(small_scene, p)) for p in (38, 100)]
+        hs = [scene_channel(small_scene, p) for p in (38, 100)]
         runs = []
         for _ in range(2):
-            rngs = [np.random.default_rng([5, k]) for k in range(2)]
-            runs.append(bc.run_multi_user(ckm, priors, resps, 0.02, 0.5, rngs=rngs))
+            links = [link_of(h, 0.02, np.random.default_rng([5, k])) for k, h in enumerate(hs)]
+            runs.append(bc.run_multi_user(ckm, priors, links, 0.5))
         assert runs[0] == runs[1]
 
     def test_argument_validation(self, small_scene):
         ckm = small_scene["ckm"]
         prior = bc.PositionPrior((bc.SubRegion((40,), 1.0),))
-        resp = responses_of(scene_channel(small_scene, 40))
-        with pytest.raises(ValueError, match="one Responses per user"):
-            bc.run_multi_user(ckm, [prior, prior], [resp], 0.0, 0.5)
-        with pytest.raises(ValueError):
-            bc.run_multi_user(ckm, [prior], [resp], 0.0, 0.5, rngs=[None, None])
+        link = link_of(scene_channel(small_scene, 40))
+        assert bc.run_multi_user(ckm, [prior, prior], [link, link], 0.5)[0]
+        # one link too few, one too many
+        for links in ([link], [link, link, link]):
+            with pytest.raises(ValueError, match="one Link per user"):
+                bc.run_multi_user(ckm, [prior, prior], links, 0.5)
 
 
 class TestSharedViews:

@@ -24,7 +24,7 @@ from conftest import (
     candidates,
     exhaustive_best_beam,
     from_bottom_weights,
-    responses_of,
+    link_of,
     scene_channel,
     toy_ckm,
     uniform_prior,
@@ -245,7 +245,7 @@ class TestRunSingleUser:
         ckm = self._one_hot_ckm()
         h = steering_vector(-1 + 9 / 8, 8)  # center angle of bottom beam 5
         chosen, overhead, rounds = bc.run_single_user(
-            ckm, uniform_prior(range(4)), responses_of(h), 0.0, 0.5
+            ckm, uniform_prior(range(4)), link_of(h), 0.5
         )
         assert chosen == bc.BeamId(3, 5)
         assert overhead == 4  # the frozen bottom-only plan
@@ -258,7 +258,7 @@ class TestRunSingleUser:
         prior = bc.PositionPrior(
             (bc.SubRegion((0, 1, 2), 3 / 13), bc.SubRegion((3,), 10 / 13))
         )
-        chosen, overhead, rounds = bc.run_single_user(ckm, prior, responses_of(h), 0.0, 0.5)
+        chosen, overhead, rounds = bc.run_single_user(ckm, prior, link_of(h), 0.5)
         assert chosen == bc.BeamId(3, 5)
         assert overhead == 2  # probe the two top beams, then free descent
         assert [r.layer for r in rounds if r.probes] == [1]
@@ -273,7 +273,7 @@ class TestRunSingleUser:
         for _ in range(25):
             point = bc.sample_true_position(prior, rng)
             h = scene_channel(small_scene, point)
-            chosen, overhead, rounds = bc.run_single_user(ckm, prior, responses_of(h), 0.0, 0.5)
+            chosen, overhead, rounds = bc.run_single_user(ckm, prior, link_of(h), 0.5)
             assert chosen == exhaustive_best_beam(small_scene, h)
             assert overhead == sum(r.probes for r in rounds)
             assert overhead <= 2 * ckm.num_layers
@@ -283,7 +283,7 @@ class TestRunSingleUser:
         prior = bc.PositionPrior((bc.SubRegion(tuple(range(64, 96)), 1.0),))
         h = scene_channel(small_scene, 70)
         rng = np.random.default_rng(0)
-        chosen, overhead, _ = bc.run_single_user(ckm, prior, responses_of(h), 1e9, 0.5, rng=rng)
+        chosen, overhead, _ = bc.run_single_user(ckm, prior, link_of(h, 1e9, rng), 0.5)
         assert chosen.layer == ckm.num_layers
         # never worse than probing every candidate at every layer once
         state = bc.candidate_beams(bc.compute_point_weights(ckm, prior, 0.5))
@@ -298,7 +298,7 @@ class TestRunSingleUser:
         for _ in range(2):
             rng = np.random.default_rng(42)
             runs.append(
-                bc.run_single_user(ckm, prior, responses_of(h), 0.05, 0.5, rng=rng)
+                bc.run_single_user(ckm, prior, link_of(h, 0.05, rng), 0.5)
             )
         assert runs[0][0] == runs[1][0]
         assert runs[0][1] == runs[1][1]
@@ -310,18 +310,10 @@ class TestSharedEpisodeLoop:
     ``probe_round``, checked on noisy episodes of the small scene."""
 
     EPISODES = {
-        "alg1": lambda ckm, prior, resp, sigma, rng: bc.run_single_user(
-            ckm, prior, resp, sigma, 0.5, rng=rng
-        ),
-        "alg2": lambda ckm, prior, resp, sigma, rng: bc.run_lookahead(
-            ckm, prior, resp, sigma, 0.5, rng=rng
-        ),
-        "baseline-hier": lambda ckm, prior, resp, sigma, rng: bc.baseline_hierarchical(
-            resp, sigma, rng
-        ),
-        "baseline-exhaustive": lambda ckm, prior, resp, sigma, rng: bc.baseline_exhaustive(
-            resp, sigma, rng
-        ),
+        "alg1": lambda ckm, prior, link: bc.run_single_user(ckm, prior, link, 0.5),
+        "alg2": lambda ckm, prior, link: bc.run_lookahead(ckm, prior, link, 0.5),
+        "baseline-hier": lambda ckm, prior, link: bc.baseline_hierarchical(link),
+        "baseline-exhaustive": lambda ckm, prior, link: bc.baseline_exhaustive(link),
     }
 
     @pytest.mark.parametrize("algo", list(EPISODES))
@@ -334,13 +326,13 @@ class TestSharedEpisodeLoop:
         prior = bc.PositionPrior(
             (bc.SubRegion(tuple(range(34, 40)), 0.5), bc.SubRegion(tuple(range(120, 128)), 0.5))
         )
-        sigma = bc.noise_std_for_snr(snr_db, bc.reference_gain(ckm))
+        sigma = bc.noise_std_for_snr(snr_db, ckm.reference_gain)
         sole_candidate_endings = 0
         for seed in range(8):
             point = bc.sample_true_position(prior, np.random.default_rng(seed))
             h = scene_channel(small_scene, point)
             rng = np.random.default_rng(seed)
-            chosen, overhead, rounds = self.EPISODES[algo](ckm, prior, responses_of(h), sigma, rng)
+            chosen, overhead, rounds = self.EPISODES[algo](ckm, prior, link_of(h, sigma, rng))
             assert overhead == sum(r.probes for r in rounds)
             prev = None
             for r in rounds:
@@ -395,7 +387,7 @@ class TestSearchTreeCache:
                 root, fallback = state.root, state.uniform_fallback
                 for _ in range(2):
                     rng = np.random.default_rng(seed)
-                    assert run_episode(resp, state, choose_layer, 0.05, rng)[2]
+                    assert run_episode(bc.Link(resp, 0.05, rng), state, choose_layer)[2]
                 for name, want in before.items():
                     np.testing.assert_array_equal(getattr(state, name), want)
                 assert state.root == root and state.uniform_fallback == fallback
@@ -417,7 +409,7 @@ class TestSearchTreeCache:
 
         def episode():
             rng = np.random.default_rng(9)
-            return bc.run_single_user(ckm, built, resp, 0.05, 0.5, rng=rng)
+            return bc.run_single_user(ckm, built, bc.Link(resp, 0.05, rng), 0.5)
 
         def path(rounds):
             node, nodes = built, []
