@@ -36,11 +36,14 @@ call, as the configs run) at the config's SNR points.  alg3's episodes start
 from copies of each user's built state and share its memo of derived views,
 which the map-aided trees of alg1 and alg2 also fill.  Prints alg3's
 user-rounds, the views derived of all derivations and the memo's hit rate,
-the time inside alg3's episodes per user-round against the same call with
-an empty memo per episode (every view derived, as before the memo), and
-for alg3 alone the call's ``tracemalloc`` peak.  The comparison asserts
-that both calls and one with every alg3 episode on states rebuilt from
-scratch give equal records.
+the pruning profiles looked up, their memo's hit rate and the bytes each
+user's memo keeps, the time inside alg3's episodes per user-round against
+the same call with an empty view memo per episode (every view derived, as
+before the memo) and with an empty profile memo per episode (every prune
+gathers its profile), and for alg3 alone the call's ``tracemalloc`` peak.
+The comparison asserts that both calls, each also with either memo
+emptied and with every alg3 episode on states rebuilt from scratch, give
+equal records.
 """
 
 import argparse
@@ -53,7 +56,7 @@ from unittest import mock
 import numpy as np
 
 import beamckm as bc
-from beamckm import ckm, harness, kernels, multiuser
+from beamckm import beamtree, ckm, harness, kernels, multiuser
 from beamckm.streams import pcg64_state, seed_words
 from beamckm.channel import channel_vectors, trace_point_paths
 from beamckm.codebook import beam_index, layer_rows, layer_start, layers_of, row_of
@@ -273,6 +276,16 @@ def memo_off_episode(ckm_map, states, links, *args, **kwargs):
     return multiuser.run_multi_user(ckm_map, copies, links, *args, **kwargs)
 
 
+def profiles_off_episode(ckm_map, states, links, *args, **kwargs):
+    """``run_multi_user`` on copies of the built states with an empty memo
+    of pruning profiles of their own: every prune gathers its profile, as
+    before that memo."""
+    copies = [s.copy() for s in states]
+    for c in copies:
+        c._profiles = beamtree._Memo()
+    return multiuser.run_multi_user(ckm_map, copies, links, *args, **kwargs)
+
+
 def alg3_seconds(call, episodes, repeat: int):
     """Records of ``call`` and its least time inside alg3's episodes with
     each of ``episodes`` as the ``run_multi_user`` they run, over
@@ -311,28 +324,43 @@ def bench_alg3(trials_per_scene, full_trials_per_scene, repeat: int) -> None:
             def call():
                 return bc.run_trials(config, gain_map, algorithms=algorithms, trials=n, seed=0)
 
-            counts = dict.fromkeys(("rounds", "derived", "computed"), 0)
-            state, patch = bc.SearchState, mock.patch.object
+            counts = dict.fromkeys(("rounds", "derived", "computed", "profiles", "hits"), 0)
+            memos = {}  # each user's memo of pruning profiles, by id
+
+            def profile(user, rows):
+                memos[id(user._profiles)] = user._profiles
+                counts["profiles"] += 1
+                counts["hits"] += rows.tobytes() in user._profiles
+                return prune_profile(user, rows)
+
+            prune_profile, state, patch = multiuser._profile, bc.SearchState, mock.patch.object
             with (
                 patch(multiuser, "prune_user_points",
                       counted(multiuser.prune_user_points, counts, "rounds")),
+                patch(multiuser, "_profile", profile),
                 patch(state, "_derive", counted(state._derive, counts, "derived")),
                 patch(state, "_derive_view", counted(state._derive_view, counts, "computed")),
             ):
                 warm = call()
-            (records, best_w), (memo_off, best_off) = alg3_seconds(
-                call, (multiuser.run_multi_user, memo_off_episode), repeat
+            (records, best_w), (memo_off, best_off), (profiles_off, best_p) = alg3_seconds(
+                call, (multiuser.run_multi_user, memo_off_episode, profiles_off_episode), repeat
             )
             with patch(harness, "run_multi_user", fresh_episode):
                 fresh = call()
-            assert records == warm == memo_off == fresh, f"memo and fresh disagree on {scene}"
+            assert records == warm == memo_off == profiles_off == fresh, (
+                f"memo and fresh disagree on {scene}"
+            )
             peak = f"peak {traced_peak(call) * 1e-6:5.1f} MB  " if algorithms == ["alg3"] else ""
-            rounds = counts["rounds"]
+            rounds, kept = counts["rounds"], [m.nbytes for m in memos.values()]
             print(f"  {scene:5s} {'+'.join(algorithms)}  trials={n}  user-rounds={rounds}  "
                   f"views derived={counts['computed']} of {counts['derived']}  "
                   f"memo hit rate={1 - counts['computed'] / counts['derived']:.2f}  "
+                  f"profiles hit rate={counts['hits'] / max(1, counts['profiles']):.2f} "
+                  f"of {counts['profiles']}, kept {sum(kept) * 1e-3:.0f} kB "
+                  f"(max {max(kept, default=0) * 1e-3:.0f} kB a user)  "
                   f"alg3 {best_w / rounds * 1e6:6.1f} us/user-round (memo off "
-                  f"{best_off / rounds * 1e6:6.1f})  {peak}same records: True")
+                  f"{best_off / rounds * 1e6:6.1f}, profiles off "
+                  f"{best_p / rounds * 1e6:6.1f})  {peak}same records: True")
 
 
 def main(argv=None) -> int:

@@ -34,6 +34,10 @@ from .position import PositionPrior, _read_only
 _MAX_VIEWS = 512  # views one memo stores (see SearchState)
 
 
+class _Memo(dict):
+    nbytes = 0  # of the arrays it stores
+
+
 class _View:
     """A state's flat weights, candidate rows and each layer's first among
     them, its pair weights and ``strategy.optimal_layer`` per root layer."""
@@ -69,7 +73,9 @@ class SearchState:
     the same numpy calls, bit for bit.  The memo stores the first
     ``_MAX_VIEWS`` (512) views, at most about 6 kB each at N=128 (3.1 MB
     per user) and 19 kB at N=512 (9.6 MB) by ``tracemalloc``; later ones
-    are derived each time they recur.  Masks and ``root`` are each copy's own.
+    are derived each time they recur.  The copies share ``multiuser``'s
+    memo of pruning profiles by probed rows too, bounded in bytes
+    (``multiuser._PROFILE_BYTES``).  Masks and ``root`` are each copy's own.
 
     ``children`` and ``plans`` cache the search below this state.  A copy
     shares them until an update that changes it starts both afresh.
@@ -101,7 +107,8 @@ class SearchState:
             )
         self.num_layers = num_layers = layers_of(self.gains.shape[1])
         nb = 2**num_layers
-        bottom = self.gains[:, layer_rows(num_layers)]
+        self._layer_rows = (None, *map(layer_rows, range(1, num_layers + 1)))  # by layer
+        bottom = self.gains[:, self._layer_rows[num_layers]]
         # per-point threshold: beta * best bottom gain at that point
         gamma = self.beta * bottom.max(axis=1, keepdims=True)
         keep = bottom >= gamma
@@ -129,6 +136,7 @@ class SearchState:
         self.uniform_fallback = False
         self.root: BeamId | None = None
         self._views: dict[bytes, _View] = {}
+        self._profiles = _Memo()  # multiuser's pruning profiles, by probed rows
         self._derive()
         self.pair_weights()
 
@@ -184,17 +192,17 @@ class SearchState:
     def _derive_view(self) -> _View:
         """Weights of the alive points and beams (bottom layer, then pairwise
         sums upward), the candidate rows and each layer's first among them."""
-        L = self.num_layers
-        flat = np.empty(layer_start(L + 1))
+        L, at = self.num_layers, self._layer_rows
+        flat = np.empty(at[L].stop)
         if self.uniform_fallback:
-            flat[layer_rows(L)] = self.beam_alive
+            flat[at[L]] = self.beam_alive
         else:
-            flat[layer_rows(L)] = np.where(
+            flat[at[L]] = np.where(
                 self.beam_alive, self.contrib[self.point_alive].sum(axis=0), 0.0
             )
         for l in range(L - 1, 0, -1):
-            below = flat[layer_rows(l + 1)]
-            flat[layer_rows(l)] = below[0::2] + below[1::2]
+            below = flat[at[l + 1]]
+            flat[at[l]] = below[0::2] + below[1::2]
         flat.flags.writeable = False
         rows = np.flatnonzero(flat > 0)
         rows.flags.writeable = False
@@ -237,7 +245,7 @@ class SearchState:
             S = np.zeros(L + 1)
             S[1:] = w.sum() * np.diff(self._starts)
             # rows of each bottom candidate's subtree at q under its ancestor at p
-            lo = first + (((bottom - layer_start(L)) >> up) << widen)
+            lo = first + (((bottom - self._layer_rows[L].start) >> up) << widen)
             below = np.concatenate(([0], np.cumsum(self.weights > 0)))  # candidates before row r
             cnt = below[lo + (1 << widen)] - below[lo]
             G = np.zeros((L + 1, L + 1))

@@ -392,6 +392,9 @@ def run_trials(
     L = ckm.num_layers
     # an SNR point with no finite noise std fails before any trial is drawn
     sigmas = [noise_std_for_snr(snr, ckm.reference_gain) for snr in snrs]
+    for snr, sigma in zip(snrs, sigmas):  # alg3 sums up to 2N-2 squared magnitudes
+        if not math.isfinite((64.0 * sigma) * (64.0 * sigma) * len(codebook)):
+            raise ValueError(f"SNR point {snr!r} dB is too low: probe magnitudes would overflow")
     # row blocks OpenBLAS multiplies on this thread, bit for bit as one product
     blocks = np.split(codebook[layer_rows(L)], max(1, 2**L // max(4, 2048 // 2**L)))
     # Every trial's positions first, then one traced batch of the distinct

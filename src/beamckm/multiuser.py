@@ -6,9 +6,16 @@ earliest of those is probed.  Users whose own choice matches the round
 layer descend on their feedback; everyone else still hears the probes for
 free and prunes its location hypotheses by correlating the measured gain
 profile with the per-point map profile.
+
+The map profiles at a round's probed rows depend only on the user's gains
+and those rows, so a built state's copies share one memo of them
+(``_profile``) of at most ``_PROFILE_BYTES`` (1 MB) of arrays per user:
+about 1.15 MB by ``tracemalloc`` when the large or deep config fills it.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -41,6 +48,28 @@ def union_beams(states, layer: int) -> np.ndarray:
     return np.unique(np.concatenate([s.candidate_rows(layer) for s in states]))
 
 
+_PROFILE_BYTES = 1 << 20  # bytes of profiles one user's memo stores (see _profile)
+
+
+def _profile(state: SearchState, rows: np.ndarray):
+    """The mask of points with a nonzero profile at ``rows`` (None if all),
+    their C-ordered gains there and norms, and every point's peak row;
+    stored in the memo the copies of a built state share while it fits
+    in ``_PROFILE_BYTES``, else gathered again each time."""
+    memo, key = state._profiles, rows.tobytes()
+    prof = memo.get(key)
+    if prof is None:
+        gm = state.gains[:, rows]  # F-ordered: records are pinned to the product over gm[ok]
+        nm = np.linalg.norm(gm, axis=1)
+        ok = nm > 0.0
+        prof = (None if ok.all() else ok, gm[ok], nm[ok], rows[np.argmax(gm, axis=1)])
+        size = sum(a.nbytes for a in prof if a is not None)
+        if memo.nbytes + size <= _PROFILE_BYTES:
+            memo[key] = prof
+            memo.nbytes += size
+    return prof
+
+
 def prune_user_points(
     state: SearchState,
     rows: np.ndarray,
@@ -55,9 +84,10 @@ def prune_user_points(
     ``eta`` times the best alive similarity and, when the user descended
     on ``f_obs``, a map profile peaking on that same beam.  If nothing
     passes, the best-similarity points are kept; an all-zero ``g_obs``
-    prunes nothing.  Applies the cut, and the descent to ``f_obs`` if
-    any, in one ``SearchState.update``; returns the surviving grid-point
-    ids."""
+    prunes nothing.  The map profiles at ``rows`` come from ``_profile``,
+    so a round costs one product and the cut.  Applies the cut, and the
+    descent to ``f_obs`` if any, in one ``SearchState.update``; returns
+    the surviving grid-point ids."""
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"eta must lie in (0, 1], got {eta}")
     g_obs = np.asarray(g_obs, dtype=np.float64)
@@ -66,19 +96,19 @@ def prune_user_points(
     alive = state.point_alive
     if not alive.any():
         raise ValueError("no alive points to prune")
-    no = float(np.linalg.norm(g_obs))
+    no = math.sqrt(g_obs.dot(g_obs))  # what np.linalg.norm computes
     surv = alive
     if no != 0.0:
-        gm = state.gains[:, rows]
-        nm = np.linalg.norm(gm, axis=1)
-        sims = np.zeros(gm.shape[0], dtype=np.float64)
-        ok = nm > 0.0
-        sims[ok] = (gm[ok] @ g_obs) / (no * nm[ok])
+        ok, gm, nm, peak = _profile(state, rows)
+        sims = (gm @ g_obs) / (no * nm)
+        if ok is not None:  # a point with an all-zero profile scores 0
+            sims, nonzero = np.zeros(ok.size), sims
+            sims[ok] = nonzero
         masked = np.where(alive, sims, -np.inf)
         smax = float(masked.max())
         surv = alive & (sims > eta * smax)
         if f_obs is not None:
-            surv &= rows[np.argmax(gm, axis=1)] == row_of(f_obs)
+            surv &= peak == row_of(f_obs)
         if not surv.any():
             surv = alive & (masked == smax)
     state.update(surv, f_obs)

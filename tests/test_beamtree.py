@@ -739,6 +739,7 @@ class TestViewMemo:
         built = self.built()
         one, two = built.copy(), built.copy()
         assert one._views is two._views is built._views
+        assert one._profiles is two._profiles is built._profiles
         assert one.point_alive is not two.point_alive is not built.point_alive
         assert one.beam_alive is not two.beam_alive is not built.beam_alive
         drop = np.arange(len(built.point_ids)) % 3 > 0

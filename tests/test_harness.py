@@ -755,6 +755,21 @@ class TestRunTrials:
         records = bc.run_trials(cfg, ckm)
         assert len(records) == 3 * len(cfg.snr_db) * len(bc.ALGORITHMS)
 
+    def test_snr_that_overflows_the_similarity_rejected(self, monkeypatch):
+        # on desk, sigma is about 4e155 at -3200 dB: (64 sigma)^2 (2N - 2)
+        # overflows, and alg3's norm of the probe magnitudes would too; at
+        # -3100 dB every algorithm runs, warnings raised as errors
+        from beamckm import harness
+
+        cfg = dataclasses.replace(bc.load_scenario(DESK_CONFIG), trials=2)
+        ckm = bc.build_ckm(cfg.environment, cfg.array, bc.build_codebook(32), cfg.grid)
+        records = bc.run_trials(cfg, ckm, snr_db=[-3100.0])
+        assert len(records) == 2 * len(cfg.users) * len(bc.ALGORITHMS)
+        monkeypatch.setattr(harness, "sample_true_position",
+                            lambda *a: pytest.fail("positions drawn"))
+        with pytest.raises(ValueError, match=r"SNR point -3200\.0 dB is too low"):
+            bc.run_trials(cfg, ckm, snr_db=[10.0, -3200.0])
+
 
 def unreachable_band_config():
     """The small scene's grid with no scatterers and a wall along y = 8: no

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import beamckm as bc
 from beamckm import multiuser as mu
-from beamckm.codebook import layer_start, row_of
+from beamckm.codebook import beam_index, layer_start, row_of
 
 from conftest import (
     exhaustive_best_beam,
@@ -272,6 +272,115 @@ class TestPruningKernelAgainstLoop:
         got = mu.prune_user_points(state, rows, g_obs, f_obs, eta)
         np.testing.assert_array_equal(got, want)
         assert state.root == f_obs
+
+
+def survivors_by_gather(state, rows, g_obs, f_obs, eta):
+    """The pruning rule as one gather of ``gains[:, rows]`` per round, with
+    no memo: the similarities of the nonzero-norm points by one product
+    of their C-ordered gains with ``g_obs``."""
+    alive = state.point_alive
+    no = float(np.linalg.norm(g_obs))
+    if no == 0.0:
+        return state.point_ids[alive]
+    gm = state.gains[:, rows]
+    nm = np.linalg.norm(gm, axis=1)
+    sims = np.zeros(len(gm))
+    ok = nm > 0.0
+    sims[ok] = (gm[ok] @ g_obs) / (no * nm[ok])
+    masked = np.where(alive, sims, -np.inf)
+    surv = alive & (sims > eta * masked.max())
+    if f_obs is not None:
+        surv &= rows[np.argmax(gm, axis=1)] == row_of(f_obs)
+    if not surv.any():
+        surv = alive & (masked == masked.max())
+    return state.point_ids[surv]
+
+
+def rebuilt(state):
+    """A state over the same arrays and alive points, with memos of its own."""
+    out = bc.SearchState(state.point_ids, state.point_mass, state.gains, state.beta)
+    out.update(state.point_alive.copy())
+    return out
+
+
+@st.composite
+def memo_rounds(draw):
+    """A pruning round whose state has, when drawn so, some points with an
+    all-zero profile at the probed rows, and a second observation over
+    the same rows that fills the memo first."""
+    state, rows, g_obs, f_obs, eta = draw(pruning_rounds())
+    if draw(st.booleans()):
+        gains = state.gains.copy()
+        gains[np.ix_(np.arange(len(gains)) % 3 == 0, rows)] = 0.0
+        alive = state.point_alive
+        state = bc.SearchState(state.point_ids, state.point_mass, gains, 0.5)
+        state.update(alive)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return state, rows, g_obs, f_obs, eta, rng.uniform(0.1, 2.0, len(rows))
+
+
+class TestProfileMemo:
+    """The copies of a built state share one memo of pruning profiles by
+    probed rows; a prune that finds its rows there decides as a prune on
+    a freshly built state, and as one gather per round."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(memo_rounds())
+    def test_warm_copy_prunes_as_a_fresh_state(self, case):
+        built, rows, g_obs, f_obs, eta, g_first = case
+        mu.prune_user_points(built.copy(), rows, g_first, None, eta)
+        ok, gm, _, _ = built._profiles[rows.tobytes()]
+        # the product must read the C-ordered gather: BLAS rounds an
+        # F-ordered one differently
+        gather = built.gains[:, rows]
+        nonzero = np.linalg.norm(gather, axis=1) > 0.0
+        assert (ok is None) == nonzero.all()
+        assert gm.flags.c_contiguous and gm.tobytes() == gather[nonzero].tobytes()
+        warm, fresh = built.copy(), rebuilt(built)
+        want = survivors_by_gather(fresh, rows, g_obs, f_obs, eta)
+        got = mu.prune_user_points(warm, rows, g_obs, f_obs, eta)
+        np.testing.assert_array_equal(mu.prune_user_points(fresh, rows, g_obs, f_obs, eta), got)
+        np.testing.assert_array_equal(got, want)
+        for name in ("point_alive", "beam_alive", "root", "uniform_fallback"):
+            assert np.array_equal(getattr(warm, name), getattr(fresh, name)), name
+        assert warm._profiles is built._profiles and fresh._profiles is not built._profiles
+
+    def test_full_budget_stops_storing_and_prunes_alike(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        L, P = 5, 40
+        gains = rng.uniform(0.0, 1.0, (P, layer_start(L + 1)))
+        gains[::4, layer_start(L) :: 2] = 0.0  # some all-zero profiles at some rows
+        built = bc.SearchState(np.arange(P), np.full(P, 1.0 / P), gains, 0.5)
+        row_sets = [
+            (l, np.sort(rng.choice(np.arange(layer_start(l), layer_start(l + 1)), w,
+                                   replace=False)))
+            for l, w in [(5, 2), (5, 3), (4, 4), (3, 5), (5, 8), (2, 3), (4, 2), (5, 16)]
+        ]
+        # room for the first two profiles and half of the first again
+        sizes = []
+        for _, rows in row_sets[:2]:
+            probe = bc.SearchState(np.arange(P), np.full(P, 1.0 / P), gains, 0.5)
+            mu.prune_user_points(probe, rows, np.ones(len(rows)), None, 0.9)
+            sizes.append(probe._profiles.nbytes)
+        budget = sum(sizes) + sizes[0] // 2
+        monkeypatch.setattr(mu, "_PROFILE_BYTES", budget)
+        memo = built._profiles
+        for _ in range(3):
+            for layer, rows in row_sets:
+                g_obs = rng.uniform(0.0, 2.0, len(rows))
+                f_obs = bc.BeamId(layer, int(beam_index(rows[np.argmax(g_obs)], layer)))
+                eta = float(rng.uniform(0.5, 1.0))
+                warm, fresh = built.copy(), rebuilt(built)
+                want = survivors_by_gather(fresh, rows, g_obs, f_obs, eta)
+                np.testing.assert_array_equal(
+                    mu.prune_user_points(warm, rows, g_obs, f_obs, eta), want
+                )
+                np.testing.assert_array_equal(warm.point_alive, np.isin(built.point_ids, want))
+                assert memo.nbytes <= budget
+                assert memo.nbytes == sum(
+                    a.nbytes for prof in memo.values() for a in prof if a is not None
+                )
+            assert list(memo) == [rows.tobytes() for _, rows in row_sets[:2]]
 
 
 class TestRunMultiUser:
