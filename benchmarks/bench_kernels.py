@@ -1,5 +1,5 @@
-"""Benchmark two stages of a search round, the map build, stream seeding and
-alg3 sweeps.
+"""Benchmark two stages of a search round, the map build, stream seeding,
+alg3 sweeps and the batched baselines.
 
 Layer planning: the shortest-path planner against the exhaustive
 enumeration of activations it replaces.  The comparison asserts that both
@@ -10,9 +10,9 @@ enumeration also builds its prefix sums (``oracles.prefix_sums``).
 
 Probing: one exhaustive round over the bottom layer at N = 32, 128 and
 1024 antennas, by one scalar ``probe`` per beam and by one ``probe_rows``
-call over a ``Link``, on an empty response cache (every response
-computed) and on a filled one (as a further SNR point or algorithm of a
-sweep finds it).
+call over a ``Link`` on a fresh noise block of the same stream, on an
+empty response cache (every response computed) and on a filled one (as a
+further SNR point or algorithm of a sweep finds it).
 The comparison asserts equal magnitudes bit for bit under the same noise.
 
 Map build: on the large scene's grid at ``--map-spacing`` (0.5 m, 65,536
@@ -44,6 +44,12 @@ gathers its profile), and for alg3 alone the call's ``tracemalloc`` peak.
 The comparison asserts that both calls, each also with either memo
 emptied and with every alg3 episode on states rebuilt from scratch, give
 equal records.
+
+Baselines: on the desk and large scenes, one ``run_trials`` call of each
+map-blind baseline at the config's SNR points, which runs every (trial,
+user) episode of an SNR point as one batch of array rounds, against the
+same call with one per-episode oracle (``tests/oracles.py``) per episode
+over a ``Link``.  The comparison asserts equal records.
 """
 
 import argparse
@@ -57,7 +63,7 @@ import numpy as np
 
 import beamckm as bc
 from beamckm import beamtree, ckm, harness, kernels, multiuser
-from beamckm.streams import pcg64_state, seed_words
+from beamckm.streams import normal_blocks, pcg64_state, seed_words
 from beamckm.channel import channel_vectors, trace_point_paths
 from beamckm.codebook import beam_index, layer_rows, layer_start, layers_of, row_of
 
@@ -65,6 +71,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # the enumeration planner is a test oracle; this script is run by path
 sys.path.insert(0, str(ROOT / "tests"))
 from oracles import channel_vectors as oracle_channel_vectors  # noqa: E402
+import oracles  # noqa: E402
 from oracles import enumerate_activations, pick_activation, prefix_sums  # noqa: E402
 
 
@@ -134,7 +141,8 @@ def probe_by_scalar(h, codebook, sigma, seed):
 
 
 def probe_by_rows(resp, rows, sigma, seed):
-    return bc.probe_rows(bc.Link(resp, sigma, np.random.default_rng(seed)), rows)
+    words = seed_words([seed], np.empty((1, 0), np.int64))
+    return bc.probe_rows(bc.Link(resp, sigma, normal_blocks(words, len(rows))[0], words[0]), rows)
 
 
 def probe_cold(h, codebook, rows, sigma, seed):
@@ -363,6 +371,35 @@ def bench_alg3(trials_per_scene, full_trials_per_scene, repeat: int) -> None:
                   f"{best_p / rounds * 1e6:6.1f})  {peak}same records: True")
 
 
+BASELINE_SCENES = ("desk", "large")
+
+
+def bench_baselines(trials_per_scene, repeat: int) -> None:
+    print("baselines, one run_trials call at the config's SNR points, seed 0: "
+          "batched against one oracle episode at a time:")
+    for scene, n in zip(BASELINE_SCENES, trials_per_scene):
+        config = bc.load_scenario(ROOT / "configs" / f"{scene}.json")
+        book = bc.build_codebook(config.array.num_antennas)
+        gain_map = bc.build_ckm(config.environment, config.array, book, config.grid)
+        for algo, name in (("baseline-hier", "baseline_hierarchical"),
+                           ("baseline-exhaustive", "baseline_exhaustive")):
+
+            def call():
+                return bc.run_trials(config, gain_map, algorithms=[algo], trials=n, seed=0)
+
+            def per_episode():
+                oracle = oracles.one_episode_at_a_time(getattr(oracles, name))
+                with mock.patch.object(harness, name, oracle):
+                    return call()
+
+            records, best_b, _ = bench(call, repeat=repeat)
+            want, best_o, _ = bench(per_episode, repeat=repeat)
+            assert records == want, f"batched and per-episode {algo} disagree on {scene}"
+            print(f"  {scene:5s} {algo}  trials={n}  batched={best_b / n * 1e3:6.3f} ms/trial  "
+                  f"per-episode={best_o / n * 1e3:6.3f} ms/trial  "
+                  f"speedup={best_o / best_b:5.1f}x  same records: True")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--trees", type=int, default=20,
@@ -378,6 +415,8 @@ def main(argv=None) -> int:
     parser.add_argument("--alg3-full-trials", type=int, nargs=3, default=[1000, 1000, 1000],
                         metavar=ALG3_SCENES,
                         help="trials of the calls of each config's own algorithm list")
+    parser.add_argument("--baseline-trials", type=int, nargs=2, default=[300, 100],
+                        metavar=BASELINE_SCENES, help="trials of the baseline calls per scene")
     parser.add_argument("--repeat", type=int, default=5)
     args = parser.parse_args(argv)
 
@@ -412,6 +451,7 @@ def main(argv=None) -> int:
     bench_map_build(args.map_spacing, args.repeat)
     bench_stream_seeding(args.streams, args.repeat)
     bench_alg3(args.alg3_trials, args.alg3_full_trials, args.repeat)
+    bench_baselines(args.baseline_trials, args.repeat)
     return 0
 
 

@@ -7,11 +7,11 @@ the ``Environment`` and ``ArrayConfig`` themselves, vectorized over
 receivers.  Everything is a pure function of (environment seed, geometry),
 so repeated calls are bit-identical.
 
-Probing reads a channel's noiseless codeword responses from a
-``Responses`` cache, which computes each one on first use: a response is
-the same number at every SNR and for every algorithm, so a sweep computes
-it once per drawn point.  A ``Link`` pairs those responses with one
-user's probe noise at one SNR point, and is all a search episode sees.
+Probing reads noiseless codeword responses from a ``Responses`` table,
+which computes each on first use: a response is the same number at every
+SNR and for every algorithm, so a sweep computes it once per drawn point.
+A ``Link`` pairs one channel of the table with one user's block of probe
+noise at one SNR point, and is all a search episode sees.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .streams import normal_blocks
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -238,58 +240,86 @@ def synthesize_channel(env: Environment, array: ArrayConfig, positions) -> np.nd
 
 
 class Responses:
-    """Noiseless responses ``h^H f`` of one channel to the rows of a codeword
-    matrix, each computed by ``np.vdot`` on first use and then kept.
+    """Noiseless responses ``h^H f`` of channels (the rows of a (P, N) array,
+    or one (N,) channel) to the R rows of a codeword matrix: a (P, R) table,
+    each entry computed by ``np.vdot`` on first use and kept where ``computed``."""
 
-    ``values[r]`` is valid where ``computed[r]`` is set."""
-
-    def __init__(self, channel, codewords: np.ndarray):
-        h = np.asarray(channel)
+    def __init__(self, channels, codewords: np.ndarray):
+        h = np.asarray(channels)
         cw = np.asarray(codewords)
-        if cw.ndim != 2 or h.shape != cw.shape[1:]:
+        if cw.ndim != 2 or h.ndim not in (1, 2) or h.shape[-1:] != cw.shape[1:]:
             raise ValueError("channel/codeword dimension mismatch")
-        self.channel = h
+        self.channels = h.reshape(-1, cw.shape[1])
         self.codewords = cw
-        self.values = np.empty(cw.shape[0], dtype=np.complex128)
-        self.computed = np.zeros(cw.shape[0], dtype=bool)
+        self.values = np.empty((len(self.channels), len(cw)), dtype=np.complex128)
+        self.computed = np.zeros(self.values.shape, dtype=bool)
+        self._rows = list(self.channels), list(cw)  # row views, made once
 
-    def take(self, rows: np.ndarray) -> np.ndarray:
-        """Responses of distinct codeword ``rows``, computing the missing ones."""
-        todo = rows[~self.computed[rows]]
+    def take(self, points, rows: np.ndarray) -> np.ndarray:
+        """Responses of the channels at ``points`` (an int, or an (E, 1)
+        array) to codeword ``rows``, broadcast together."""
+        h, f = self._rows
+        if type(points) is int:  # a link's round: row views, faster than codes
+            done, vals = self.computed[points], self.values[points]
+            todo = rows[~done[rows]]
+            if todo.size:
+                vals[todo] = [np.vdot(h[points], f[r]) for r in todo.tolist()]
+                done[todo] = True
+            return vals[rows]
+        vals, done = self.values.reshape(-1), self.computed.reshape(-1)  # by code p * R + r
+        codes = points * len(f) + rows
+        todo = codes[~done[codes]]
         if todo.size:
-            for r in todo.tolist():
-                self.values[r] = np.vdot(self.channel, self.codewords[r])
-            self.computed[todo] = True
-        return self.values[rows]
+            todo = np.unique(todo)
+            ps, rs = np.divmod(todo, len(f))
+            vals[todo] = [np.vdot(h[p], f[r]) for p, r in zip(ps.tolist(), rs.tolist())]
+            done[todo] = True
+        return vals[codes]
+
+
+def received(y: np.ndarray, noise_std: float, z: np.ndarray | None) -> np.ndarray:
+    """Magnitudes ``|y + n|``, n = ``noise_std`` / sqrt(2) (z[..., 0] + j z[..., 1])
+    for contiguous normal pairs ``z`` (read as complex, bit for bit the same)."""
+    if noise_std > 0.0:
+        n = noise_std / np.sqrt(2.0) * z.view(np.complex128)[..., 0]
+        n += y
+        y = n
+    return np.abs(y)
 
 
 class Link:
-    """What one user measures at one SNR point: the drawn point's shared
-    ``Responses`` and the user's probe noise, CN(0, ``noise_std``^2) per
-    probe, drawn from ``rng``.  A noisy link needs a generator, so that
-    every draw comes from a seeded stream; a noiseless one draws nothing.
-    A sweep makes one per user and (trial, SNR point), so it is a slotted
-    class, cheaper to build than a frozen dataclass."""
+    """What one user measures at one SNR point: channel ``point`` of a
+    ``Responses`` table, and probe noise CN(0, ``noise_std``^2) read in order
+    from ``block``, the first normal pairs of the user's stream (past it, a
+    longer prefix drawn from its seed ``words``).  A noisy link needs a block,
+    so that every draw comes from a seeded stream.  A slotted class."""
 
-    __slots__ = ("resp", "noise_std", "rng")
+    __slots__ = ("resp", "noise_std", "block", "words", "point", "used")
 
-    def __init__(self, resp: Responses, noise_std: float, rng: np.random.Generator | None = None):
-        if noise_std > 0.0 and rng is None:
-            raise ValueError("a noisy link needs an rng")
+    def __init__(self, resp: Responses, noise_std: float, block=None, words=None, point=0):
+        if noise_std > 0.0 and block is None:
+            raise ValueError("a noisy link needs a noise block")
         self.resp = resp
         self.noise_std = noise_std
-        self.rng = rng
+        self.block = block
+        self.words = words
+        self.point = point
+        self.used = 0
 
 
 def probe_rows(link: Link, rows: np.ndarray) -> np.ndarray:
-    """Received pilot magnitudes ``|h^H f + n|`` of distinct codeword
-    ``rows`` (an integer array) over a link, in order: the same arithmetic
-    and the same noise draws as one ``probe`` per row."""
-    y = link.resp.take(rows)
-    if link.noise_std > 0.0:
-        z = link.rng.standard_normal((len(rows), 2))
-        y = y + link.noise_std / np.sqrt(2.0) * (z[:, 0] + 1j * z[:, 1])
-    return np.abs(y)
+    """Received pilot magnitudes ``|h^H f + n|`` of distinct codeword ``rows``
+    over a link, in order, with its next ``len(rows)`` noise pairs: the same
+    arithmetic and draws as one ``probe`` per row on the link's stream."""
+    y = link.resp.take(link.point, rows)
+    if link.noise_std <= 0.0:
+        return np.abs(y)
+    start, link.used = link.used, link.used + len(rows)
+    if link.used > len(link.block):
+        if link.words is None:
+            raise ValueError("the link read past its noise block and has no seed words")
+        link.block = normal_blocks(link.words[None], max(link.used, 2 * len(link.block)))[0]
+    return received(y, link.noise_std, link.block[start : link.used])
 
 
 def probe(

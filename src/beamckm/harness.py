@@ -9,12 +9,12 @@ so algorithm comparisons are common-random-number comparisons.
 Streams: trial t's positions are drawn from ``default_rng([seed, 101, t])``
 and the probe noise of user k at noisy SNR index si from
 ``default_rng([seed, 202, t, si, k])``; a noiseless SNR point has no noise
-stream.  ``run_trials`` seeds all of them in one ``streams.seed_words``
-table, which reproduces numpy's seeding bit for bit.  Episodes see noise
-only through a ``channel.Link``: ``run_trials`` builds one link per user
-and (trial, SNR point) over that user's one reused generator, and loads
-the generator with the stream's state before each algorithm, so every
-algorithm reads the same draws.
+stream.  ``run_trials`` seeds them in one ``streams.seed_words`` table,
+which reproduces numpy's seeding bit for bit, and draws each noise stream
+once per chunk of ``CHUNK_TRIALS`` trials, as a block of its first normals
+that every algorithm reads from the start: the map-aided searches through
+a ``channel.Link`` per episode, the baselines as array rounds over all
+(trial, user) episodes of the chunk at once.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .channel import (
     Responses,
     Scatterer,
     _check_point,
+    received,
     synthesize_channel,
     trace_point_paths,
 )
@@ -48,13 +49,16 @@ from .codebook import BeamId, build_codebook, layer_rows, layer_start, layers_of
 from .lookahead import run_lookahead
 from .multiuser import run_multi_user
 from .position import PositionPrior, SubRegion, sample_true_position
-from .strategy import ProbeRound, probe_round, run_single_user
-from .streams import pcg64_state, seed_words
+from .strategy import run_single_user
+from .streams import normal_blocks, pcg64_state, seed_words
 
 # unused here; perfbench's tracer looks this name up on this module
 from .channel import probe  # noqa: F401
 
 ALGORITHMS = ("alg1", "alg2", "alg3", "baseline-hier", "baseline-exhaustive")
+
+# trials whose noise blocks and baseline episodes a sweep holds at once
+CHUNK_TRIALS = 256
 
 # most grid points one user's regions may cover together: a prior keeps 16
 # bytes per covered point, so this caps a user's prior at 160 MB
@@ -321,25 +325,28 @@ def noise_std_for_snr(snr_db: float, ref_gain: float) -> float:
     return sigma
 
 
-def baseline_hierarchical(link: Link) -> tuple[BeamId, int, list[ProbeRound]]:
-    """Map-blind bisection over a link: probe both children at every
-    layer, keep the stronger, always 2L probes."""
-    L = layers_of(link.resp.codewords.shape[0])
-    idx = 1
-    transcript = []
+def baseline_hierarchical(resp: Responses, points, noise_std: float, noise) -> np.ndarray:
+    """Map-blind bisection of episodes on channels ``points`` of ``resp``: at
+    each layer l probe both children with block pairs 2l-2 and 2l-1, keep
+    the stronger (the first on ties); returns each episode's bottom index."""
+    L = layers_of(resp.codewords.shape[0])
+    pts = points[:, None]
+    idx = np.ones_like(pts)
     for layer in range(1, L + 1):
-        pair = layer_start(layer) + np.arange(2 * idx - 2, 2 * idx)
-        transcript.append(probe_round(link, layer, pair, (2 * idx - 1, 2 * idx)))
-        idx = transcript[-1].feedback
-    return BeamId(L, idx), 2 * L, transcript
+        rows = layer_start(layer) + 2 * idx - 2 + np.arange(2)
+        z = None if noise is None else noise[:, 2 * layer - 2 : 2 * layer]
+        mags = received(resp.take(pts, rows), noise_std, z)
+        idx = 2 * idx - 1 + np.argmax(mags, axis=1)[:, None]
+    return idx[:, 0]
 
 
-def baseline_exhaustive(link: Link) -> tuple[BeamId, int, list[ProbeRound]]:
-    """Probe every bottom beam once over a link, keep the strongest."""
-    L = layers_of(link.resp.codewords.shape[0])
+def baseline_exhaustive(resp: Responses, points, noise_std: float, noise) -> np.ndarray:
+    """Probe every bottom beam once per episode, with its block's first N
+    pairs, keep the strongest (the first on ties); returns each bottom index."""
+    L = layers_of(resp.codewords.shape[0])
     rows = layer_start(L) + np.arange(2**L)
-    r = probe_round(link, L, rows, tuple(range(1, 2**L + 1)))
-    return BeamId(L, r.feedback), r.probes, [r]
+    z = None if noise is None else noise[:, : 2**L]
+    return np.argmax(received(resp.take(points[:, None], rows), noise_std, z), axis=1) + 1
 
 
 def _finish(
@@ -361,6 +368,20 @@ def _finish(
     except OverflowError:  # a square past the float range: the 1 adds nothing
         se = 2.0 * math.log2(g_c / sigma)
     return TrialRecord(trial, algo, snr, user, overhead, chosen, oracle, ratio_db, se)
+
+
+def _search(algo, config, ckm, states, links) -> tuple[list[BeamId], list[float]]:
+    """Each user's chosen beam and probe count in one (trial, SNR point)
+    of a map-aided search; alg3 charges its shared total equally."""
+    if algo == "alg3":
+        chosen, total, _ = run_multi_user(
+            ckm, states, links, config.beta, config.eta, retain_beams=config.retain_beams
+        )
+        return chosen, [total / len(links)] * len(links)
+    search = run_single_user if algo == "alg1" else run_lookahead
+    runs = [search(ckm, state, link, config.beta, retain_beams=config.retain_beams)
+            for state, link in zip(states, links)]
+    return [r[0] for r in runs], [float(r[1]) for r in runs]
 
 
 def run_trials(
@@ -414,62 +435,57 @@ def run_trials(
         config.environment, config.array, ckm.grid.positions(np.fromiter(row_of, np.int64))
     )
     gains = [np.abs(np.concatenate([b @ hc for b in blocks])) for hc in np.conj(channels)]
-    # each point's codeword responses, computed on first use and shared by
-    # every SNR and algorithm of this call
-    resps = [Responses(h, codebook) for h in channels]
+    # the codeword responses of every drawn point, each computed on first
+    # use and shared by every SNR and algorithm of this call
+    resp = Responses(channels, codebook)
     best = [BeamId(L, int(np.argmax(g)) + 1) for g in gains]
     # each user's search state is built once: alg1 and alg2 walk its cached
     # tree, alg3 starts from copies
-    states = None
-    if {"alg1", "alg2", "alg3"} & set(algos):
-        states = [
-            compute_point_weights(ckm, p, config.beta, retain_beams=config.retain_beams)
-            for p in priors
-        ]
+    states = [
+        compute_point_weights(ckm, p, config.beta, retain_beams=config.retain_beams)
+        for p in priors
+    ] if {"alg1", "alg2", "alg3"} & set(algos) else None
     # noise streams [seed, 202, t, si, k] of the noisy SNR points only: a
-    # noiseless link draws nothing, so its stream is never loaded
+    # noiseless link reads no noise, so its stream is never seeded
     noisy = [si for si, sigma in enumerate(sigmas) if sigma]
     idx = np.meshgrid(np.arange(n_trials), np.array(noisy, int), np.arange(K), indexing="ij")
-    noise = seed_words([base_seed, 202], np.stack(idx, -1).reshape(-1, 3))
-    noise = noise.reshape(*idx[0].shape, 4)
-    noise_rngs = [np.random.default_rng(0) for _ in range(K)]
+    noise_words = seed_words([base_seed, 202], np.stack(idx, -1).reshape(-1, 3))
+    noise_words = noise_words.reshape(*idx[0].shape, 4).swapaxes(0, 1)
+    # a stream's block holds the baselines' probes, and 4L for a map-aided
+    # search, which probes fewer on the bundled configs
+    pairs = max(4 * L, 2**L if "baseline-exhaustive" in algos else 0)
+    batched = {"baseline-hier": (baseline_hierarchical, 2 * L),
+               "baseline-exhaustive": (baseline_exhaustive, 2**L)}
     records: list[TrialRecord] = []
-    for t, pts in enumerate(trial_points):
-        rows = [row_of[p] for p in pts]
-        gvecs = [gains[r] for r in rows]
-        oracles = [best[r] for r in rows]
-        for si, (snr, sigma) in enumerate(zip(snrs, sigmas)):
-            links = [Link(resps[r], sigma, rng) for r, rng in zip(rows, noise_rngs)]
-            for algo in algos:
-                # every algorithm draws the same noise: each loads the streams anew
-                if sigma:
-                    for rng, words in zip(noise_rngs, noise[t, noisy.index(si)]):
-                        rng.bit_generator.state = pcg64_state(words)
-                if algo == "alg3":
-                    chosen, total, _ = run_multi_user(
-                        ckm, states, links, config.beta, config.eta,
-                        retain_beams=config.retain_beams,
+    for start in range(0, n_trials, CHUNK_TRIALS):
+        chunk = trial_points[start : start + CHUNK_TRIALS]
+        points = np.array([[row_of[p] for p in pts] for pts in chunk])
+        # each noisy SNR point's stream words and blocks, by (trial, user) episode
+        w = noise_words[:, start : start + len(chunk)].reshape(len(noisy), points.size, 4)
+        blocks = normal_blocks(w.reshape(-1, 4), pairs).reshape(*w.shape[:2], pairs, 2)
+        words, normals = dict(zip(noisy, w)), dict(zip(noisy, blocks))
+        # a baseline runs every (trial, user) episode of an SNR point at once
+        picks = {
+            (algo, si): search(resp, points.ravel(), sigma, normals.get(si))
+            for algo, (search, _) in batched.items() if algo in algos
+            for si, sigma in enumerate(sigmas)
+        }
+        for t, rows in enumerate(points.tolist(), start):
+            e = (t - start) * K  # the trial's first episode in the chunk
+            for si, (snr, sigma) in enumerate(zip(snrs, sigmas)):
+                for algo in algos:
+                    if algo in batched:
+                        chosen = [BeamId(L, i) for i in picks[algo, si][e : e + K].tolist()]
+                        overheads = [float(batched[algo][1])] * K
+                    else:  # each search reads its links' noise from the blocks' start
+                        links = [Link(resp, sigma, point=r) if not sigma else
+                                 Link(resp, sigma, normals[si][e + k], words[si][e + k], r)
+                                 for k, r in enumerate(rows)]
+                        chosen, overheads = _search(algo, config, ckm, states, links)
+                    records.extend(
+                        _finish(t, algo, snr, k, overheads[k], chosen[k], best[r], gains[r], sigma)
+                        for k, r in enumerate(rows)
                     )
-                    overheads = [total / K] * K
-                else:
-                    chosen, overheads = [], []
-                    for k in range(K):
-                        if algo in ("alg1", "alg2"):
-                            search = run_single_user if algo == "alg1" else run_lookahead
-                            ch, ov, _ = search(
-                                ckm, states[k], links[k], config.beta,
-                                retain_beams=config.retain_beams,
-                            )
-                        elif algo == "baseline-hier":
-                            ch, ov, _ = baseline_hierarchical(links[k])
-                        else:
-                            ch, ov, _ = baseline_exhaustive(links[k])
-                        chosen.append(ch)
-                        overheads.append(float(ov))
-                records.extend(
-                    _finish(t, algo, snr, k, overheads[k], chosen[k], oracles[k], gvecs[k], sigma)
-                    for k in range(K)
-                )
     return records
 
 

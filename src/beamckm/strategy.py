@@ -13,8 +13,8 @@ re-planning.
 The round itself is shared: ``run_episode`` is the search loop of every
 map-aided single-user strategy, which differ only in the layer-choice
 function they pass (this planner for alg1, ``lookahead.next_layer`` for
-alg2), and ``probe_round`` is also the probe step of the map-blind
-baselines.  Rounds probe codebook rows (``codebook.row_of``); a
+alg2), and ``probe_round`` is also the probe step of the per-episode
+baselines in the tests.  Rounds probe codebook rows (``codebook.row_of``); a
 ``ProbeRound`` names the probed beams by their 1-based indices.
 
 The state after a round depends only on the state before it and the

@@ -1,5 +1,6 @@
 """numpy's ``default_rng(row)`` seeding, bit for bit, for a table of rows:
-``SeedSequence`` hashing in one uint32 numpy pass, then ``PCG64``'s state."""
+``SeedSequence`` hashing in one uint32 numpy pass, then ``PCG64``'s state;
+and each seeded stream's first standard normals as one block."""
 
 from __future__ import annotations
 
@@ -61,3 +62,16 @@ def pcg64_state(words: np.ndarray) -> dict:
     state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
     return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
             "has_uint32": 0, "uinteger": 0}
+
+
+def normal_blocks(words: np.ndarray, pairs: int) -> np.ndarray:
+    """Read-only (rows, pairs, 2) first standard normals of the stream each
+    row of ``seed_words`` seeds: numpy's normal draws are prefix-consistent,
+    so any run of ``standard_normal((n, 2))`` calls draws these in order."""
+    out = np.empty((len(words), pairs, 2))
+    rng = np.random.default_rng(0)  # one generator, its state loaded per row
+    for block, w in zip(out, words):
+        rng.bit_generator.state = pcg64_state(w)
+        rng.standard_normal(out=block)
+    out.flags.writeable = False
+    return out

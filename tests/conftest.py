@@ -10,6 +10,7 @@ import pytest
 
 import beamckm as bc
 from beamckm.codebook import beam_index, layer_rows, layers_of, row_of
+from beamckm.streams import normal_blocks, seed_words
 
 # bottom-layer weight pattern whose candidates are {1, 2, 3, 5} of 8
 FOUR_LEAF_WEIGHTS = np.array([1.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0])
@@ -138,10 +139,20 @@ def responses_of(h: np.ndarray) -> bc.Responses:
     return bc.Responses(h, bc.build_codebook(len(h)))
 
 
-def link_of(h: np.ndarray, noise_std: float = 0.0, rng=None) -> bc.Link:
+def noise_of(seed, pairs: int = 3) -> tuple[np.ndarray, np.ndarray]:
+    """The noise block and seed words of ``default_rng(seed)``'s stream (an
+    int seed or a list of them): its first ``pairs`` normal pairs, so few
+    that most noisy episodes read past the block and draw a longer prefix
+    from the words."""
+    head = list(seed) if isinstance(seed, (list, tuple)) else [seed]
+    words = seed_words(head, np.empty((1, 0), np.int64))
+    return normal_blocks(words, pairs)[0], words[0]
+
+
+def link_of(h: np.ndarray, noise_std: float = 0.0, seed=None) -> bc.Link:
     """The episode input for a channel vector: a link over its responses,
-    noiseless unless given a noise std and a generator."""
-    return bc.Link(responses_of(h), noise_std, rng)
+    noiseless unless given a noise std and the seed of a noise stream."""
+    return bc.Link(responses_of(h), noise_std, *(noise_of(seed) if noise_std else ()))
 
 
 def exhaustive_best_beam(scene, h: np.ndarray) -> bc.BeamId:

@@ -5,16 +5,19 @@ planner's probe cost one target and one layer at a time, its pair weights
 from per-layer prefix sums, its plan by enumerating every activation, the
 pruning kernel's cosine one profile at a time, the channel vectors with one
 steering vector per (point, slot), the array response and beam support
-in closed form, and a search state's derived view from scratch on every
-call, without the memo of views its copies share.  None of them runs in a sweep or a map build.
+in closed form, a search state's derived view from scratch on every
+call, without the memo of views its copies share, and the map-blind
+baselines one episode at a time over a ``Link``, one ``probe_round`` per
+layer.  None of them runs in a sweep or a map build.
 """
 
 import numpy as np
 
 from beamckm import kernels
 from beamckm.beamtree import SearchState
-from beamckm.codebook import BeamId, beam_index, layer_rows, layer_start, row_of
-from beamckm.strategy import _costs_tie, shortest_plan
+from beamckm.channel import Link
+from beamckm.codebook import BeamId, beam_index, layer_rows, layer_start, layers_of, row_of
+from beamckm.strategy import ProbeRound, _costs_tie, probe_round, shortest_plan
 
 
 def steering_vector(angle: float, n_antennas: int) -> np.ndarray:
@@ -215,3 +218,40 @@ def derived_view(state: SearchState):
         edges[state.root_layer] = S
         first = shortest_plan(edges, state.root_layer, L)[1][0]
     return flat, rows, starts, (S, G), first
+
+
+def baseline_hierarchical(link: Link) -> tuple[BeamId, int, list[ProbeRound]]:
+    """``harness.baseline_hierarchical`` for one episode: map-blind
+    bisection over a link, probing both children at every layer and
+    keeping the stronger, always 2L probes."""
+    L = layers_of(link.resp.codewords.shape[0])
+    idx = 1
+    transcript = []
+    for layer in range(1, L + 1):
+        pair = layer_start(layer) + np.arange(2 * idx - 2, 2 * idx)
+        transcript.append(probe_round(link, layer, pair, (2 * idx - 1, 2 * idx)))
+        idx = transcript[-1].feedback
+    return BeamId(L, idx), 2 * L, transcript
+
+
+def baseline_exhaustive(link: Link) -> tuple[BeamId, int, list[ProbeRound]]:
+    """``harness.baseline_exhaustive`` for one episode: probe every bottom
+    beam once over a link, keep the strongest."""
+    L = layers_of(link.resp.codewords.shape[0])
+    rows = layer_start(L) + np.arange(2**L)
+    r = probe_round(link, L, rows, tuple(range(1, 2**L + 1)))
+    return BeamId(L, r.feedback), r.probes, [r]
+
+
+def one_episode_at_a_time(baseline):
+    """A batched baseline of ``harness`` that runs the per-episode
+    ``baseline`` of this module over one ``Link`` per episode of the batch,
+    reading the episode's noise block."""
+
+    def run(resp, points: np.ndarray, noise_std: float, noise: np.ndarray | None) -> np.ndarray:
+        return np.array([
+            baseline(Link(resp, noise_std, None if noise is None else noise[e], point=p))[0].index
+            for e, p in enumerate(points.tolist())
+        ])
+
+    return run

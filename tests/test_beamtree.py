@@ -28,6 +28,7 @@ from conftest import (
     from_bottom_weights,
     layer_masks,
     layer_weights,
+    noise_of,
     stack_layers,
     toy_ckm,
     uniform_prior,
@@ -642,7 +643,7 @@ class TestSearchTreeCache:
         for k in range(30):
             resp = bc.Responses(rng.normal(size=16) + 1j * rng.normal(size=16), cb)
             for choose in (optimal_layer, next_layer):
-                run_episode(bc.Link(resp, 10.0, np.random.default_rng(k)), built, choose)
+                run_episode(bc.Link(resp, 10.0, *noise_of(k)), built, choose)
         return built
 
     def test_cached_children_equal_replayed_observations(self):

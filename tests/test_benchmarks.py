@@ -5,7 +5,8 @@ routine and staged build match their references, and that the stream table
 loads the states default_rng seeds.  The map build's BCKM round trip must
 report that the saved map loads back equal, and alg3 sweeps on shared
 views, alone and beside the other searches, must report the records of
-fresh states per episode."""
+fresh states per episode, and the batched baselines the records of their
+per-episode oracles."""
 
 import importlib.util
 from pathlib import Path
@@ -19,7 +20,7 @@ def test_bench_kernels_runs(capsys):
     spec.loader.exec_module(module)
     argv = ["--trees", "2", "--layers", "5", "7", "--repeat", "1", "--map-spacing", "8",
             "--streams", "7", "50", "--alg3-trials", "2", "2", "1",
-            "--alg3-full-trials", "2", "1", "1"]
+            "--alg3-full-trials", "2", "1", "1", "--baseline-trials", "3", "2"]
     assert module.main(argv) == 0
     out = capsys.readouterr().out.splitlines()
     lines = [l.split() for l in out if "same layer: True" in l]
@@ -33,7 +34,10 @@ def test_bench_kernels_runs(capsys):
     sweeps = [l.split()[:2] for l in out if "same records: True" in l]
     full = "alg1+alg2+alg3+baseline-hier+baseline-exhaustive"
     scenes = ("desk", "large", "deep")
-    assert sweeps == [[scene, algos] for scene in scenes for algos in ("alg3", full)]
+    baselines = ("baseline-hier", "baseline-exhaustive")
+    assert sweeps == [[scene, algos] for scene in scenes for algos in ("alg3", full)] + [
+        [scene, algo] for scene in scenes[:2] for algo in baselines
+    ]
 
 
 def test_map_round_trip_reports_same_map(capsys):

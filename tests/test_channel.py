@@ -21,6 +21,7 @@ from beamckm.channel import trace_point_paths
 from beamckm.codebook import row_of
 
 import oracles
+from conftest import noise_of
 from oracles import steering_vector
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -352,25 +353,34 @@ class TestProbeRows:
         h = draw.standard_normal(n) + 1j * draw.standard_normal(n)
         resp = bc.Responses(h, cb)
         scalar_rng = np.random.default_rng(seed + 1)
-        batch_rng = np.random.default_rng(seed + 1)
+        # a block of 3 pairs: most second rounds read past it and draw more
+        link = bc.Link(resp, sigma, *noise_of(seed + 1))
         # two rounds on one cache: the second finds some rows computed
         for _ in range(2):
             size = data.draw(st.sampled_from([1, 2, int(draw.integers(1, 2 * n - 1))]))
             rows = np.sort(draw.choice(2 * n - 2, size=size, replace=False))
             want = np.array([bc.probe(h, cb[r], sigma, scalar_rng) for r in rows])
-            got = bc.probe_rows(bc.Link(resp, sigma, batch_rng), rows)
+            got = bc.probe_rows(link, rows)
             assert got.dtype == np.float64
             assert got.tobytes() == want.tobytes()
+            # the link has read as many pairs of its stream as the scalar probes drew
+            batch_rng = np.random.default_rng(seed + 1)
+            batch_rng.standard_normal((link.used, 2))
             assert batch_rng.bit_generator.state == scalar_rng.bit_generator.state
 
-    def test_noise_without_rng_rejected(self):
+    def test_noise_without_block_rejected(self):
         cb = bc.build_codebook(16)
         resp = bc.Responses(np.ones(16, dtype=complex), cb)
         rows = np.array([0, 1])
         assert bc.probe_rows(bc.Link(resp, 0.0), rows).shape == (2,)
         # a noisy link is rejected when it is made, before any probe
-        with pytest.raises(ValueError, match="needs an rng"):
+        with pytest.raises(ValueError, match="needs a noise block"):
             bc.Link(resp, 0.1)
+        # one without seed words reads its block and no further
+        link = bc.Link(resp, 0.1, noise_of(5)[0])
+        assert bc.probe_rows(link, rows).shape == (2,)
+        with pytest.raises(ValueError, match="read past its noise block"):
+            bc.probe_rows(link, rows)
 
     def test_take_computes_each_response_once(self, monkeypatch):
         cb = bc.build_codebook(16)
@@ -385,10 +395,34 @@ class TestProbeRows:
         monkeypatch.setattr(np, "vdot", counting_vdot)
         resp = bc.Responses(h, cb)
         for rows in ([1, 2, 5], [2, 5, 7, 9], [1, 2, 5, 7, 9], [9]):
-            got = resp.take(np.array(rows))
+            got = resp.take(0, np.array(rows))
             assert got.tolist() == [vdot(h, cb[r]) for r in rows]
         assert sorted(computed) == sorted(cb[r].tobytes() for r in (1, 2, 5, 7, 9))
         assert np.flatnonzero(resp.computed).tolist() == [1, 2, 5, 7, 9]
+
+    def test_batched_take_over_a_table_of_channels(self, monkeypatch):
+        """Episodes of several channels, some sharing a channel, read each
+        entry as one ``np.vdot`` of that channel, computed once."""
+        cb = bc.build_codebook(16)
+        draw = np.random.default_rng(3)
+        hs = draw.standard_normal((4, 16)) + 1j * draw.standard_normal((4, 16))
+        vdot = np.vdot
+        computed = []
+
+        def counting_vdot(a, b):
+            computed.append((a.tobytes(), b.tobytes()))
+            return vdot(a, b)
+
+        monkeypatch.setattr(np, "vdot", counting_vdot)
+        resp = bc.Responses(hs, cb)
+        points = np.array([[2], [0], [2], [3]])
+        for rows in (np.array([[1, 2], [1, 2], [3, 4], [29, 0]]), np.arange(30)):
+            got = resp.take(points, rows)
+            want = [[vdot(hs[p], cb[r]) for r in row] for p, row in
+                    zip(points[:, 0], np.broadcast_to(rows, got.shape))]
+            assert got.tolist() == want
+            assert len(computed) == len(set(computed)) == resp.computed.sum()
+        assert resp.computed[[0, 2, 3]].all() and not resp.computed[1].any()
 
     def test_shape_mismatch_rejected(self):
         cb = bc.build_codebook(16)

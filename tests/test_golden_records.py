@@ -9,7 +9,10 @@ configured beta and at beta 0.2 with ``retain_beams`` 2, and on the deep
 scene (512 antennas, L=9, the deepest planner; 4 trials) at its
 configured beta.  The maps those sweeps read are pinned by their
 ``save_ckm`` bytes, as is desk at 0.5 m spacing (16,384 points), whose
-build streams through several chunks of grid points.
+build streams through several chunks of grid points.  The similarities
+that alg3's point pruning computes in a desk sweep are pinned too: no
+sweep of the bundled configs prunes differently when their last bits
+move, so the records alone leave those bits free.
 
 The hashes were taken with numpy 2.4 and OpenBLAS 0.3 on x86-64. Another
 BLAS or numpy build may round the map gains differently and move them. A
@@ -22,10 +25,12 @@ import hashlib
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import beamckm as bc
 from beamckm import ckm as ckm_module
+from beamckm import multiuser
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -51,6 +56,10 @@ FINE_DESK_MAP_GOLDEN = {
     0.0: "e8b1b6aa2524a0a381dc5e0d8912c542c68ebab8e112a7d2df3e6c8a5bb0bdb0",
     0.3: "83777893415fd1749e8aba020207d17630ec808548cff61721cddf440057287a",
 }
+
+# sha256 of the similarity arrays alg3's prunes compute, in order, in a desk
+# sweep of alg3 alone at -10 and 0 dB (30 trials, seed 0)
+SIMILARITY_GOLDEN = "6724e5bc55c54f292d240f65f72c7cf984a63a8fbc8d33dfe0d6acfbd4f935f6"
 
 TRIALS = {"desk": 12, "large": 6, "deep": 4}
 
@@ -89,6 +98,29 @@ def test_records_hash(scenes, scene, variant, tmp_path):
     path = tmp_path / "records.csv"
     bc.write_results_csv(records, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN[(scene, variant)]
+
+
+def test_alg3_similarities_hash(scenes, monkeypatch):
+    """Each prune's similarities, as ``prune_user_points`` hands them to
+    ``np.where``; a product over another memory layout of the same map
+    profiles rounds them differently."""
+    config, ckm = scenes["desk"]
+    sims = []
+
+    class RecordingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def where(condition, x, y):
+            sims.append(np.array(x))
+            return np.where(condition, x, y)
+
+    monkeypatch.setattr(multiuser, "np", RecordingNumpy())
+    bc.run_trials(config, ckm, algorithms=["alg3"], trials=30, seed=0, snr_db=(-10.0, 0.0))
+    assert len(sims) > 100 and all(s.dtype == np.float64 for s in sims)
+    digest = hashlib.sha256(b"".join(s.tobytes() for s in sims)).hexdigest()
+    assert digest == SIMILARITY_GOLDEN
 
 
 @pytest.mark.parametrize("scene", sorted(MAP_GOLDEN))

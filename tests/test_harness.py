@@ -21,6 +21,7 @@ import beamckm as bc
 from beamckm import cli
 from beamckm.codebook import layer_rows
 
+import oracles
 from conftest import toy_ckm
 from oracles import steering_vector
 
@@ -605,10 +606,13 @@ class TestNoiseScale:
 
 
 class TestBaselines:
+    """The per-episode baselines, and the batched ones on the same channel."""
+
     def test_hierarchical_costs_two_per_layer(self, small_scene):
         cb = small_scene["codebook"]
         h = 0.7 * steering_vector(bc.bottom_angles(16)[4], 16)
-        chosen, overhead, rounds = bc.baseline_hierarchical(bc.Link(bc.Responses(h, cb), 0.0))
+        chosen, overhead, rounds = oracles.baseline_hierarchical(bc.Link(bc.Responses(h, cb), 0.0))
+        assert bc.baseline_hierarchical(bc.Responses(h, cb), np.array([0]), 0.0, None) == [5]
         assert chosen == bc.BeamId(4, 5)
         assert overhead == 2 * 4
         assert [r.layer for r in rounds] == [1, 2, 3, 4]
@@ -622,7 +626,8 @@ class TestBaselines:
     def test_exhaustive_probes_everything_once(self, small_scene):
         cb = small_scene["codebook"]
         h = 0.7 * steering_vector(bc.bottom_angles(16)[11], 16)
-        chosen, overhead, rounds = bc.baseline_exhaustive(bc.Link(bc.Responses(h, cb), 0.0))
+        chosen, overhead, rounds = oracles.baseline_exhaustive(bc.Link(bc.Responses(h, cb), 0.0))
+        assert bc.baseline_exhaustive(bc.Responses(h, cb), np.array([0]), 0.0, None) == [12]
         assert chosen == bc.BeamId(4, 12)
         assert overhead == 16
         assert rounds[0].probed == tuple(range(1, 17))
@@ -928,55 +933,102 @@ class TestSweepInvariants:
 
     def test_streams_replay_default_rng_at_a_two_word_seed(self, small_scene, monkeypatch):
         """Positions come from default_rng([seed, 101, t]) and, in every
-        algorithm, each noisy (trial, SNR index, user) link starts from
-        default_rng([seed, 202, t, si, k]), also for a seed that numpy splits
-        into two uint32 words: the five algorithms are common-random-number
-        paired.  A link draws only when it probes, so its state on entering
-        an episode is its state at the first probe."""
-        from beamckm import harness
+        algorithm, the probe noise of each noisy (trial, SNR index, user)
+        episode, round by round, is consecutive slices from the start of
+        default_rng([seed, 202, t, si, k]).standard_normal((M, 2)), also for
+        a seed that numpy splits into two uint32 words: the five algorithms
+        are common-random-number paired.  A noiseless episode reads none."""
+        from beamckm import harness, multiuser, strategy
 
         seed, trials, snrs = 2**40, 4, ["inf", 10.0, 0.0]
+        cfg = self.config()
+        K, M = len(cfg.users), 4 * cfg.array.num_antennas
         drawn = []
-        starts = {algo: [] for algo in bc.ALGORITHMS}
         sample = harness.sample_true_position
 
         def sample_recorded(prior, rng):
             drawn.append(sample(prior, rng))
             return drawn[-1]
 
-        def recorded(algo, episode, link_arg):
+        # a link's rounds, each the noise pairs it read; each episode's links
+        reads, links_of = {}, {algo: [] for algo in bc.ALGORITHMS}
+        probe_rows = bc.probe_rows
+
+        def probe_recorded(link, rows):
+            start = link.used
+            mags = probe_rows(link, rows)
+            if link.noise_std:
+                assert link.used - start == len(rows)
+                reads.setdefault(link, []).append(np.array(link.block[start : link.used]))
+            return mags
+
+        def episode_recorded(algo, episode):
             def run(*args, **kwargs):
-                links = args[link_arg] if algo == "alg3" else [args[link_arg]]
-                starts[algo].extend(
-                    link.rng.bit_generator.state if link.noise_std else None for link in links
-                )
+                links_of[algo] += args[2] if algo == "alg3" else [args[2]]
                 return episode(*args, **kwargs)
 
             return run
 
+        # a batched baseline's rounds, each the noise of its (trial, user) episodes
+        batches = {"baseline-hier": [], "baseline-exhaustive": []}
+        received = harness.received
+
+        def received_recorded(y, noise_std, z):
+            batches[current[0]][-1].append(None if z is None else np.array(z))
+            return received(y, noise_std, z)
+
+        current = []
+
+        def batch_recorded(algo, search):
+            def run(*args):
+                current[:] = [algo]
+                batches[algo].append([])
+                return search(*args)
+
+            return run
+
         monkeypatch.setattr(harness, "sample_true_position", sample_recorded)
-        for algo, name, link_arg in (
-            ("alg1", "run_single_user", 2),
-            ("alg2", "run_lookahead", 2),
-            ("alg3", "run_multi_user", 2),
-            ("baseline-hier", "baseline_hierarchical", 0),
-            ("baseline-exhaustive", "baseline_exhaustive", 0),
-        ):
-            monkeypatch.setattr(harness, name, recorded(algo, getattr(harness, name), link_arg))
-        cfg = self.config()
+        monkeypatch.setattr(harness, "received", received_recorded)
+        for module in (strategy, multiuser):
+            monkeypatch.setattr(module, "probe_rows", probe_recorded)
+        for algo, name in (("alg1", "run_single_user"), ("alg2", "run_lookahead"),
+                           ("alg3", "run_multi_user")):
+            monkeypatch.setattr(harness, name, episode_recorded(algo, getattr(harness, name)))
+        for algo, name in (("baseline-hier", "baseline_hierarchical"),
+                           ("baseline-exhaustive", "baseline_exhaustive")):
+            monkeypatch.setattr(harness, name, batch_recorded(algo, getattr(harness, name)))
         bc.run_trials(cfg, small_scene["ckm"], algorithms=bc.ALGORITHMS,
                       trials=trials, seed=seed, snr_db=snrs)
-        K = len(cfg.users)
         replay = []
         for t in range(trials):
             rng = np.random.default_rng([seed, 101, t])
             replay += [bc.sample_true_position(prior, rng) for prior in cfg.priors]
         assert drawn == replay
-        want = [
-            None if si == 0 else np.random.default_rng([seed, 202, t, si, k]).bit_generator.state
-            for t in range(trials) for si in range(len(snrs)) for k in range(K)
-        ]
-        assert starts == {algo: want for algo in bc.ALGORITHMS}
+        # per (trial, SNR index, user), in that order: the rounds' noise
+        episodes = [(t, si, k) for t in range(trials) for si in range(len(snrs)) for k in range(K)]
+        got = {algo: [reads.pop(link, []) for link in links] for algo, links in links_of.items()}
+        assert not reads
+        for algo, calls in batches.items():
+            # one call per SNR index, over the (trial, user) episodes
+            assert len(calls) == len(snrs)
+            rounds = {(t, si, k): [] for t, si, k in episodes}
+            for si, call in enumerate(calls):
+                for z in call:
+                    assert (z is None) == (si == 0)
+                    for e, ze in enumerate([] if z is None else z):
+                        rounds[e // K, si, e % K].append(ze)
+            got[algo] = [rounds[e] for e in episodes]
+        for algo, per_episode in got.items():
+            assert len(per_episode) == len(episodes), algo
+            for (t, si, k), rounds in zip(episodes, per_episode):
+                if si == 0:
+                    assert rounds == [], algo
+                    continue
+                want = np.random.default_rng([seed, 202, t, si, k]).standard_normal((M, 2))
+                read = np.concatenate([np.empty((0, 2)), *rounds])
+                assert len(read) <= M and all(len(r) for r in rounds)
+                np.testing.assert_array_equal(read, want[: len(read)], err_msg=algo)
+            assert sum(map(len, per_episode)) > 0, algo
 
     def test_tables_built_only_for_map_aided_algorithms(self, small_scene, monkeypatch):
         calls = record_weight_tables(monkeypatch)

@@ -213,9 +213,8 @@ class TestRunLookahead:
         h = scene_channel(small_scene, 105)
         runs = []
         for _ in range(2):
-            rng = np.random.default_rng(42)
             runs.append(
-                bc.run_lookahead(ckm, prior, link_of(h, 0.05, rng), 0.5)
+                bc.run_lookahead(ckm, prior, link_of(h, 0.05, 42), 0.5)
             )
         assert runs[0] == runs[1]
 

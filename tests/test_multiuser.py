@@ -469,7 +469,7 @@ class TestRunMultiUser:
         hs = [scene_channel(small_scene, p) for p in (38, 100)]
         runs = []
         for _ in range(2):
-            links = [link_of(h, 0.02, np.random.default_rng([5, k])) for k, h in enumerate(hs)]
+            links = [link_of(h, 0.02, [5, k]) for k, h in enumerate(hs)]
             runs.append(bc.run_multi_user(ckm, priors, links, 0.5))
         assert runs[0] == runs[1]
 

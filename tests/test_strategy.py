@@ -25,10 +25,12 @@ from conftest import (
     exhaustive_best_beam,
     from_bottom_weights,
     link_of,
+    noise_of,
     scene_channel,
     toy_ckm,
     uniform_prior,
 )
+import oracles
 from oracles import (
     enumerate_activations,
     overhead_for_target,
@@ -282,8 +284,7 @@ class TestRunSingleUser:
         ckm = small_scene["ckm"]
         prior = bc.PositionPrior((bc.SubRegion(tuple(range(64, 96)), 1.0),))
         h = scene_channel(small_scene, 70)
-        rng = np.random.default_rng(0)
-        chosen, overhead, _ = bc.run_single_user(ckm, prior, link_of(h, 1e9, rng), 0.5)
+        chosen, overhead, _ = bc.run_single_user(ckm, prior, link_of(h, 1e9, 0), 0.5)
         assert chosen.layer == ckm.num_layers
         # never worse than probing every candidate at every layer once
         state = bc.candidate_beams(bc.compute_point_weights(ckm, prior, 0.5))
@@ -296,9 +297,8 @@ class TestRunSingleUser:
         h = scene_channel(small_scene, 105)
         runs = []
         for _ in range(2):
-            rng = np.random.default_rng(42)
             runs.append(
-                bc.run_single_user(ckm, prior, link_of(h, 0.05, rng), 0.5)
+                bc.run_single_user(ckm, prior, link_of(h, 0.05, 42), 0.5)
             )
         assert runs[0][0] == runs[1][0]
         assert runs[0][1] == runs[1][1]
@@ -312,8 +312,8 @@ class TestSharedEpisodeLoop:
     EPISODES = {
         "alg1": lambda ckm, prior, link: bc.run_single_user(ckm, prior, link, 0.5),
         "alg2": lambda ckm, prior, link: bc.run_lookahead(ckm, prior, link, 0.5),
-        "baseline-hier": lambda ckm, prior, link: bc.baseline_hierarchical(link),
-        "baseline-exhaustive": lambda ckm, prior, link: bc.baseline_exhaustive(link),
+        "baseline-hier": lambda ckm, prior, link: oracles.baseline_hierarchical(link),
+        "baseline-exhaustive": lambda ckm, prior, link: oracles.baseline_exhaustive(link),
     }
 
     @pytest.mark.parametrize("algo", list(EPISODES))
@@ -331,8 +331,7 @@ class TestSharedEpisodeLoop:
         for seed in range(8):
             point = bc.sample_true_position(prior, np.random.default_rng(seed))
             h = scene_channel(small_scene, point)
-            rng = np.random.default_rng(seed)
-            chosen, overhead, rounds = self.EPISODES[algo](ckm, prior, link_of(h, sigma, rng))
+            chosen, overhead, rounds = self.EPISODES[algo](ckm, prior, link_of(h, sigma, seed))
             assert overhead == sum(r.probes for r in rounds)
             prev = None
             for r in rounds:
@@ -386,8 +385,7 @@ class TestSearchTreeCache:
                 before = {name: getattr(state, name).copy() for name in names}
                 root, fallback = state.root, state.uniform_fallback
                 for _ in range(2):
-                    rng = np.random.default_rng(seed)
-                    assert run_episode(bc.Link(resp, 0.05, rng), state, choose_layer)[2]
+                    assert run_episode(bc.Link(resp, 0.05, *noise_of(seed)), state, choose_layer)[2]
                 for name, want in before.items():
                     np.testing.assert_array_equal(getattr(state, name), want)
                 assert state.root == root and state.uniform_fallback == fallback
@@ -408,8 +406,7 @@ class TestSearchTreeCache:
         resp = bc.Responses(scene_channel(small_scene, 37), cb)
 
         def episode():
-            rng = np.random.default_rng(9)
-            return bc.run_single_user(ckm, built, bc.Link(resp, 0.05, rng), 0.5)
+            return bc.run_single_user(ckm, built, bc.Link(resp, 0.05, *noise_of(9)), 0.5)
 
         def path(rounds):
             node, nodes = built, []
