@@ -32,15 +32,16 @@ every loaded state equals the fresh generator's.
 
 alg3 sweeps: on the desk, large and deep scenes, one ``run_trials`` call of
 alg3 alone and one of the config's own algorithm list (every search in one
-call, as the configs run) at the config's SNR points.  alg3's episodes start
-from copies of each user's built state and share its memo of derived views,
-which the map-aided trees of alg1 and alg2 also fill.  Prints alg3's
-user-rounds, the views derived of all derivations and the memo's hit rate,
-the pruning profiles looked up, their memo's hit rate and the bytes each
-user's memo keeps, the time inside alg3's episodes per user-round against
-the same call with an empty view memo per episode (every view derived, as
-before the memo) and with an empty profile memo per episode (every prune
-gathers its profile), and for alg3 alone the call's ``tracemalloc`` peak.
+call, as the configs run) at the config's SNR points.  alg3's episodes fold
+copies of each user's built state and share its memo of derived views and
+the plans kept in them, which the map-aided trees of alg1 and alg2 also
+fill.  Prints alg3's user-rounds, the views derived of all derivations and
+the memo's hit rate, the pruning profiles looked up, their memo's hit rate
+and the bytes each user's memo keeps, the time inside alg3's episodes per
+user-round against the same call with an empty view memo per episode
+(every view and its plans derived, as before the memo) and with an empty
+profile memo per episode (every prune gathers its profile), and for alg3
+alone the call's ``tracemalloc`` peak.
 The comparison asserts that both calls, each also with either memo
 emptied and with every alg3 episode on states rebuilt from scratch, give
 equal records.
@@ -265,33 +266,34 @@ def counted(fn, counts, key):
     return wrapper
 
 
-def fresh_episode(ckm_map, states, links, *args, **kwargs):
+def fresh_episode(states, links, eta):
     """``run_multi_user`` on states rebuilt from the built ones' fixed
     arrays: no memo of views carries over from an earlier episode."""
     rebuilt = [
         bc.SearchState(s.point_ids, s.point_mass, s.gains, s.beta, s.retain_beams) for s in states
     ]
-    return multiuser.run_multi_user(ckm_map, rebuilt, links, *args, **kwargs)
+    return multiuser.run_multi_user(rebuilt, links, eta)
 
 
-def memo_off_episode(ckm_map, states, links, *args, **kwargs):
+def memo_off_episode(states, links, eta):
     """``run_multi_user`` on copies of the built states with an empty memo
-    of views of their own: every view of the episode is derived, as
-    before the memo."""
+    of views of their own, the first view included: every view of the
+    episode, and every plan in it, is derived, as before the memo."""
     copies = [s.copy() for s in states]
     for c in copies:
         c._views = {}
-    return multiuser.run_multi_user(ckm_map, copies, links, *args, **kwargs)
+        c._derive()
+    return multiuser.run_multi_user(copies, links, eta)
 
 
-def profiles_off_episode(ckm_map, states, links, *args, **kwargs):
+def profiles_off_episode(states, links, eta):
     """``run_multi_user`` on copies of the built states with an empty memo
     of pruning profiles of their own: every prune gathers its profile, as
     before that memo."""
     copies = [s.copy() for s in states]
     for c in copies:
         c._profiles = beamtree._Memo()
-    return multiuser.run_multi_user(ckm_map, copies, links, *args, **kwargs)
+    return multiuser.run_multi_user(copies, links, eta)
 
 
 def alg3_seconds(call, episodes, repeat: int):
@@ -302,10 +304,10 @@ def alg3_seconds(call, episodes, repeat: int):
     spent = [0.0]
 
     def timed(episode):
-        def run(*args, **kwargs):
+        def run(*args):
             t0 = time.perf_counter()
             try:
-                return episode(*args, **kwargs)
+                return episode(*args)
             finally:
                 spent[0] += time.perf_counter() - t0
         return run

@@ -15,12 +15,14 @@ only the ``codebook`` module knows which rows hold which beam, and
 (layer, index) pairs appear only where a beam is named (``BeamId``,
 ``strategy.ProbeRound``).  The planner's pair weights follow on first use.
 
-A state is a function of the prior, the map, beta and the feedback path,
-so the map-aided searches of a sweep walk one tree of cached states per
-user (``strategy.run_episode``): each state keeps its ``children`` by
-observed beam and its ``plans`` by layer-choice function.  The copies of
-a built state share a bounded memo of views that alg3's episodes, which
-fold copies, reuse (``SearchState``).
+Every episode starts from a built state.  A view is a function of the
+alive masks and the fallback flag, and so is the search below it: a
+view keeps its ``plans`` by (layer choice, root layer) and its
+``children``, the states that fold each observed (layer, index) into
+it.  So the map-aided searches of a sweep walk one tree of cached states
+per user (``strategy.run_episode``), and alg3's episodes, which fold
+copies, read the plans of every view they reach through the bounded
+memo of views that a built state's copies share (``SearchState``).
 """
 
 from __future__ import annotations
@@ -40,13 +42,15 @@ class _Memo(dict):
 
 class _View:
     """A state's flat weights, candidate rows and each layer's first among
-    them, its pair weights and ``strategy.optimal_layer`` per root layer."""
+    them, its pair weights, and the search below it: ``strategy``'s plans
+    by (layer choice, root layer) and the child state per observed
+    (layer, index)."""
 
-    __slots__ = ("weights", "rows", "starts", "pairs", "optimal_layers")
+    __slots__ = ("weights", "rows", "starts", "pairs", "plans", "children")
 
     def __init__(self, weights, rows, starts):
         self.weights, self.rows, self.starts = weights, rows, starts
-        self.pairs, self.optimal_layers = None, {}
+        self.pairs, self.plans, self.children = None, {}, {}
 
 
 class SearchState:
@@ -65,7 +69,7 @@ class SearchState:
     row order (``codebook.row_of``), and ``rows``, the ascending rows of
     positive weight: the candidates of every layer.  Both are read-only,
     as is everything sliced or computed from them (``candidate_rows``,
-    ``pair_weights()``).  These, with ``optimal_layer`` per root layer,
+    ``pair_weights()``).  These, with the plans and children below them,
     form the ``view``: a pure function of ``(point_alive, beam_alive,
     uniform_fallback)`` over the read-only arrays, so every ``copy()``
     shares one memo of views keyed by ``np.packbits`` of both masks plus
@@ -76,9 +80,6 @@ class SearchState:
     are derived each time they recur.  The copies share ``multiuser``'s
     memo of pruning profiles by probed rows too, bounded in bytes
     (``multiuser._PROFILE_BYTES``).  Masks and ``root`` are each copy's own.
-
-    ``children`` and ``plans`` cache the search below this state.  A copy
-    shares them until an update that changes it starts both afresh.
     """
 
     def __init__(
@@ -142,8 +143,7 @@ class SearchState:
 
     def copy(self) -> "SearchState":
         """This state with its own alive masks over the shared read-only
-        arrays, view memo and search cache: an update of the copy leaves
-        this state and its cache alone."""
+        arrays and view memo: an update of the copy leaves this state alone."""
         out = object.__new__(SearchState)
         out.__dict__.update(self.__dict__)
         out.point_alive, out.beam_alive = self.point_alive.copy(), self.beam_alive.copy()
@@ -158,11 +158,10 @@ class SearchState:
         left, the uniform fallback engages: over the observed subtree when
         there is one (also when it contradicts an earlier fallback subtree),
         else over the bottom beams still alive.  Observing nothing and
-        keeping all of one or more alive points of a state with candidates
-        changes nothing: view, ``children`` and ``plans`` stay."""
+        keeping every alive point of a state with candidates changes
+        nothing, the view included."""
         alive = self.point_alive
-        # 0 < alive.sum() only keeps the cache reset of a fold with no alive point
-        if observed is None and self.rows.size and 0 < alive.sum() == (alive & point_mask).sum():
+        if observed is None and self.rows.size and alive.sum() == (alive & point_mask).sum():
             return
         self.point_alive &= point_mask
         if observed is not None:
@@ -179,7 +178,7 @@ class SearchState:
             self._derive()
 
     def _derive(self) -> None:
-        """Point the state at the view of its masks and flag; empty its cache."""
+        """Point the state at the view of its masks and flag."""
         key = np.packbits(self.point_alive).tobytes() + np.packbits(self.beam_alive).tobytes()
         key += b"\x01" if self.uniform_fallback else b"\x00"
         view = self._views.get(key) or self._derive_view()
@@ -187,7 +186,6 @@ class SearchState:
             self._views.setdefault(key, view)
         self.view = view
         self.weights, self.rows, self._starts = view.weights, view.rows, view.starts
-        self.children, self.plans = {}, {}
 
     def _derive_view(self) -> _View:
         """Weights of the alive points and beams (bottom layer, then pairwise
@@ -256,23 +254,11 @@ class SearchState:
 
 def compute_point_weights(
     ckm: CkmGrid,
-    prior: PositionPrior | SearchState,
+    prior: PositionPrior,
     beta: float,
     retain_beams: int | None = None,
 ) -> SearchState:
-    """Search state from the map gains at the prior's candidate points.
-
-    ``prior`` may also be a state already built from this map
-    with the same ``beta`` and ``retain_beams``; the result is then its
-    ``copy()``, so a sweep builds each user's state once and every episode
-    starts from a copy that shares its search cache; a sweep never folds
-    a built state in place, so each copy starts before any observation.
-    """
-    if isinstance(prior, SearchState):
-        built_for = (prior.beta, prior.retain_beams, prior.num_layers)
-        if built_for != (beta, retain_beams, ckm.num_layers):
-            raise ValueError("search state was built for another beta, retain_beams or map")
-        return prior.copy()
+    """Search state from the map gains at the prior's candidate points."""
     point_ids = prior.points
     outside = (point_ids < 0) | (point_ids >= ckm.grid.num_points)
     if outside.any():

@@ -9,12 +9,14 @@ so algorithm comparisons are common-random-number comparisons.
 Streams: trial t's positions are drawn from ``default_rng([seed, 101, t])``
 and the probe noise of user k at noisy SNR index si from
 ``default_rng([seed, 202, t, si, k])``; a noiseless SNR point has no noise
-stream.  ``run_trials`` seeds them in one ``streams.seed_words`` table,
-which reproduces numpy's seeding bit for bit, and draws each noise stream
-once per chunk of ``CHUNK_TRIALS`` trials, as a block of its first normals
-that every algorithm reads from the start: the map-aided searches through
-a ``channel.Link`` per episode, the baselines as array rounds over all
-(trial, user) episodes of the chunk at once.
+stream.  ``run_trials`` seeds them with ``streams.seed_words`` tables,
+which reproduce numpy's seeding bit for bit: the positions in one, the
+noise streams in one per chunk of ``CHUNK_TRIALS`` trials.  It draws each
+noise stream once per chunk, as a block of its first normals that every
+algorithm reads from the start: the map-aided searches through a
+``channel.Link`` per episode, from each user's built search state, the
+baselines as array rounds over all (trial, user) episodes of the chunk
+at once.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from .channel import probe  # noqa: F401
 
 ALGORITHMS = ("alg1", "alg2", "alg3", "baseline-hier", "baseline-exhaustive")
 
-# trials whose noise blocks and baseline episodes a sweep holds at once
+# trials whose noise seeds, noise blocks and baseline episodes a sweep holds at once
 CHUNK_TRIALS = 256
 
 # most grid points one user's regions may cover together: a prior keeps 16
@@ -370,17 +372,15 @@ def _finish(
     return TrialRecord(trial, algo, snr, user, overhead, chosen, oracle, ratio_db, se)
 
 
-def _search(algo, config, ckm, states, links) -> tuple[list[BeamId], list[float]]:
+def _search(algo, config, states, links) -> tuple[list[BeamId], list[float]]:
     """Each user's chosen beam and probe count in one (trial, SNR point)
-    of a map-aided search; alg3 charges its shared total equally."""
+    of a map-aided search from the users' built states; alg3 charges its
+    shared total equally."""
     if algo == "alg3":
-        chosen, total, _ = run_multi_user(
-            ckm, states, links, config.beta, config.eta, retain_beams=config.retain_beams
-        )
+        chosen, total, _ = run_multi_user(states, links, config.eta)
         return chosen, [total / len(links)] * len(links)
     search = run_single_user if algo == "alg1" else run_lookahead
-    runs = [search(ckm, state, link, config.beta, retain_beams=config.retain_beams)
-            for state, link in zip(states, links)]
+    runs = [search(state, link) for state, link in zip(states, links)]
     return [r[0] for r in runs], [float(r[1]) for r in runs]
 
 
@@ -417,7 +417,7 @@ def run_trials(
         if not math.isfinite((64.0 * sigma) * (64.0 * sigma) * len(codebook)):
             raise ValueError(f"SNR point {snr!r} dB is too low: probe magnitudes would overflow")
     # row blocks OpenBLAS multiplies on this thread, bit for bit as one product
-    blocks = np.split(codebook[layer_rows(L)], max(1, 2**L // max(4, 2048 // 2**L)))
+    row_blocks = np.split(codebook[layer_rows(L)], max(1, 2**L // max(4, 2048 // 2**L)))
     # Every trial's positions first, then one traced batch of the distinct
     # grid points, in order of first draw, so an unreachable point is
     # reported as the first trial to draw it would.
@@ -434,13 +434,13 @@ def run_trials(
     channels = synthesize_channel(
         config.environment, config.array, ckm.grid.positions(np.fromiter(row_of, np.int64))
     )
-    gains = [np.abs(np.concatenate([b @ hc for b in blocks])) for hc in np.conj(channels)]
+    gains = [np.abs(np.concatenate([b @ hc for b in row_blocks])) for hc in np.conj(channels)]
     # the codeword responses of every drawn point, each computed on first
     # use and shared by every SNR and algorithm of this call
     resp = Responses(channels, codebook)
     best = [BeamId(L, int(np.argmax(g)) + 1) for g in gains]
-    # each user's search state is built once: alg1 and alg2 walk its cached
-    # tree, alg3 starts from copies
+    # each user's search state is built once: every episode starts from it,
+    # alg1 and alg2 walk the tree cached in its views, alg3 folds copies
     states = [
         compute_point_weights(ckm, p, config.beta, retain_beams=config.retain_beams)
         for p in priors
@@ -448,9 +448,6 @@ def run_trials(
     # noise streams [seed, 202, t, si, k] of the noisy SNR points only: a
     # noiseless link reads no noise, so its stream is never seeded
     noisy = [si for si, sigma in enumerate(sigmas) if sigma]
-    idx = np.meshgrid(np.arange(n_trials), np.array(noisy, int), np.arange(K), indexing="ij")
-    noise_words = seed_words([base_seed, 202], np.stack(idx, -1).reshape(-1, 3))
-    noise_words = noise_words.reshape(*idx[0].shape, 4).swapaxes(0, 1)
     # a stream's block holds the baselines' probes, and 4L for a map-aided
     # search, which probes fewer on the bundled configs
     pairs = max(4 * L, 2**L if "baseline-exhaustive" in algos else 0)
@@ -460,9 +457,12 @@ def run_trials(
     for start in range(0, n_trials, CHUNK_TRIALS):
         chunk = trial_points[start : start + CHUNK_TRIALS]
         points = np.array([[row_of[p] for p in pts] for pts in chunk])
-        # each noisy SNR point's stream words and blocks, by (trial, user) episode
-        w = noise_words[:, start : start + len(chunk)].reshape(len(noisy), points.size, 4)
-        blocks = normal_blocks(w.reshape(-1, 4), pairs).reshape(*w.shape[:2], pairs, 2)
+        # each noisy SNR point's stream words and blocks, by (trial, user)
+        # episode: meshgrid's default indexing puts the SNR points first
+        idx = np.meshgrid(np.arange(start, start + len(chunk)), np.array(noisy, int), np.arange(K))
+        w = seed_words([base_seed, 202], np.stack(idx, -1).reshape(-1, 3))
+        blocks = normal_blocks(w, pairs).reshape(len(noisy), points.size, pairs, 2)
+        w = w.reshape(len(noisy), points.size, 4)
         words, normals = dict(zip(noisy, w)), dict(zip(noisy, blocks))
         # a baseline runs every (trial, user) episode of an SNR point at once
         picks = {
@@ -481,7 +481,7 @@ def run_trials(
                         links = [Link(resp, sigma, point=r) if not sigma else
                                  Link(resp, sigma, normals[si][e + k], words[si][e + k], r)
                                  for k, r in enumerate(rows)]
-                        chosen, overheads = _search(algo, config, ckm, states, links)
+                        chosen, overheads = _search(algo, config, states, links)
                     records.extend(
                         _finish(t, algo, snr, k, overheads[k], chosen[k], best[r], gains[r], sigma)
                         for k, r in enumerate(rows)

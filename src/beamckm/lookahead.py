@@ -4,21 +4,21 @@ Instead of scoring every layer subset, each round inspects only the
 candidate children and grandchildren below the current node and picks
 between probing one level down or skipping straight to two levels down,
 using the expected probe counts of the two options.  The rounds run in
-``strategy.run_episode`` with ``next_layer`` as the layer choice.
+``strategy.run_episode`` with ``next_layer`` as the layer choice, from a
+built ``SearchState``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .beamtree import SearchState, compute_point_weights
+from .beamtree import SearchState
 from .channel import Link
-from .ckm import CkmGrid
 from .codebook import BeamId
 from .strategy import ProbeRound, run_episode
 
 # unused here; perfbench's tracer looks these names up on this module
-from .beamtree import apply_observation, candidate_beams  # noqa: F401
+from .beamtree import apply_observation, candidate_beams, compute_point_weights  # noqa: F401
 from .channel import probe  # noqa: F401
 
 
@@ -63,13 +63,7 @@ def next_layer(state: SearchState) -> int:
     return l + 1 if t_stepwise <= t_skip else l + 2
 
 
-def run_lookahead(
-    ckm: CkmGrid,
-    prior,
-    link: Link,
-    beta: float,
-    retain_beams: int | None = None,
-) -> tuple[BeamId, int, list[ProbeRound]]:
-    """Full lookahead episode; returns (chosen beam, probe count, rounds)."""
-    state = compute_point_weights(ckm, prior, beta, retain_beams=retain_beams)
+def run_lookahead(state: SearchState, link: Link) -> tuple[BeamId, int, list[ProbeRound]]:
+    """Full lookahead episode from a built state; returns (chosen beam,
+    probe count, rounds)."""
     return run_episode(link, state, next_layer)

@@ -1,11 +1,13 @@
 """Joint beam search for several receivers sharing downlink probes.
 
 Every round picks one layer for the whole cell: each active user's own
-reward-optimal layer is computed as in the single-user search, and the
-earliest of those is probed.  Users whose own choice matches the round
+reward-optimal layer is its single-user plan (``strategy.next_round``,
+kept in the view of the user's state, so alg1's plans serve here), and
+the earliest of those is probed.  Users whose own choice matches the round
 layer descend on their feedback; everyone else still hears the probes for
 free and prunes its location hypotheses by correlating the measured gain
-profile with the per-point map profile.
+profile with the per-point map profile.  The episode folds copies of the
+users' built states and leaves those as they were.
 
 The map profiles at a round's probed rows depend only on the user's gains
 and those rows, so a built state's copies share one memo of them
@@ -19,14 +21,13 @@ import math
 
 import numpy as np
 
-from .beamtree import SearchState, candidate_beams, compute_point_weights
+from .beamtree import SearchState
 from .channel import probe_rows
-from .ckm import CkmGrid
 from .codebook import BeamId, beam_index, row_of
-from .strategy import ProbeRound, episode_outcome, optimal_layer
+from .strategy import ProbeRound, next_round, optimal_layer
 
 # unused here; perfbench's tracer looks these names up on this module
-from .beamtree import apply_observation  # noqa: F401
+from .beamtree import apply_observation, candidate_beams, compute_point_weights  # noqa: F401
 from .channel import probe  # noqa: F401
 
 
@@ -116,34 +117,27 @@ def prune_user_points(
 
 
 def run_multi_user(
-    ckm: CkmGrid,
-    priors,
-    links,
-    beta: float,
-    eta: float = 0.9,
-    retain_beams: int | None = None,
+    states, links, eta: float
 ) -> tuple[list[BeamId], int, list[list[ProbeRound]]]:
-    """Joint episode for all users over each user's ``Link``; returns
-    (chosen beams, total probe count charged once per shared round,
-    per-user round transcripts)."""
-    K = len(priors)
+    """Joint episode for all users from copies of their built states, over
+    each user's ``Link``; returns (chosen beams, total probe count charged
+    once per shared round, per-user round transcripts)."""
+    K = len(states)
     if len(links) != K:
         raise ValueError("need one Link per user")
-    states = [
-        candidate_beams(compute_point_weights(ckm, p, beta, retain_beams=retain_beams))
-        for p in priors
-    ]
+    states = [s.copy() for s in states]
     chosen: list[BeamId | None] = [None] * K
     transcripts: list[list[ProbeRound]] = [[] for _ in range(K)]
     total = 0
-    for _ in range(K * (ckm.num_layers + 2) + 2):
-        for k in range(K):
-            if chosen[k] is None:
-                chosen[k] = episode_outcome(states[k])
+    for _ in range(sum(s.num_layers + 2 for s in states) + 2):
+        # every user's first plan checks its candidates before any probe
+        plans = {k: next_round(states[k], optimal_layer) for k in range(K) if chosen[k] is None}
+        for k, plan in plans.items():
+            chosen[k] = plan[0]
         active = [k for k in range(K) if chosen[k] is None]
         if not active:
             break
-        l_opt, flags = joint_layer([optimal_layer(states[k]) for k in active])
+        l_opt, flags = joint_layer([plans[k][1] for k in active])
         rows = union_beams([states[k] for k, f in zip(active, flags) if f], l_opt)
         probed = tuple(beam_index(rows, l_opt).tolist())
         total += len(probed)

@@ -17,11 +17,14 @@ alg2), and ``probe_round`` is also the probe step of the per-episode
 baselines in the tests.  Rounds probe codebook rows (``codebook.row_of``); a
 ``ProbeRound`` names the probed beams by their 1-based indices.
 
-The state after a round depends only on the state before it and the
-observed beam; noise only picks the branch.  So ``run_episode`` walks a
-tree of cached states: each state derives its plan per layer choice and
-its child per observed beam once, and every later episode of a sweep
-that reaches it reuses them.
+Every episode starts from a built ``SearchState`` and leaves it as it
+was.  A state's next round (``next_round``) depends only on its view,
+its root layer and the layer choice, and the state after a round only
+on the view and the observed beam; noise only picks the branch.  So
+both live in the view (``beamtree._View``): ``run_episode`` walks a tree
+of cached states, every later episode of a sweep that reaches a view
+reuses its plans and children, and alg3 (``multiuser``) reads the plans
+that alg1 made.
 
 Tie rule: plans are ordered by lowest cost, where costs within a relative
 ``PLAN_RTOL`` of each other tie, then by fewest layers, then by the
@@ -42,17 +45,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamtree import (
-    SearchState,
-    apply_observation,
-    candidate_beams,
-    compute_point_weights,
-)
+from .beamtree import SearchState, apply_observation, candidate_beams
 from .channel import Link, probe_rows
-from .ckm import CkmGrid
 from .codebook import BeamId, beam_index
 
-# unused here; perfbench's tracer looks this name up on this module
+# unused here; perfbench's tracer looks these names up on this module
+from .beamtree import compute_point_weights  # noqa: F401
 from .channel import probe  # noqa: F401
 
 # plan costs this close, relative to the larger, tie (see the tie rule)
@@ -127,12 +125,8 @@ def best_activation(state: SearchState) -> tuple[tuple[int, ...], float]:
 
 
 def optimal_layer(state: SearchState) -> int:
-    """Layer to probe next: the first of the best activation, kept in the view."""
-    memo = state.view.optimal_layers
-    layer = memo.get(state.root_layer)
-    if layer is None:
-        layer = memo[state.root_layer] = best_activation(state)[0][0]
-    return layer
+    """Layer to probe next: the first of the best activation."""
+    return best_activation(state)[0][0]
 
 
 def probe_round(
@@ -157,6 +151,25 @@ def episode_outcome(state: SearchState) -> BeamId | None:
     return BeamId(L, int(beam_index(bottom[0], L))) if len(bottom) == 1 else None
 
 
+def next_round(state: SearchState, choose_layer) -> tuple:
+    """The state's next round under a layer choice, kept in its view by
+    (``choose_layer``, root layer): ``(chosen, None, None, None)`` once
+    the search is over, else ``(None, layer, candidate rows, their
+    1-based indices)``.  A state without candidates fails here, before
+    any probe."""
+    plans, key = state.view.plans, (choose_layer, state.root_layer)
+    plan = plans.get(key)
+    if plan is None:
+        chosen = episode_outcome(candidate_beams(state))
+        plan = (chosen, None, None, None)
+        if chosen is None:
+            layer = choose_layer(state)
+            rows = state.candidate_rows(layer)
+            plan = (None, layer, rows, tuple(beam_index(rows, layer).tolist()))
+        plans[key] = plan
+    return plan
+
+
 def run_episode(
     link: Link, state: SearchState, choose_layer
 ) -> tuple[BeamId, int, list[ProbeRound]]:
@@ -166,36 +179,21 @@ def run_episode(
     it was.  Returns (chosen bottom beam, probe count, rounds)."""
     transcript: list[ProbeRound] = []
     while True:
-        plan = state.plans.get(choose_layer)
-        if plan is None:
-            # a state without candidates fails before any probe
-            chosen = episode_outcome(candidate_beams(state))
-            plan = (chosen, None, None, None)
-            if chosen is None:
-                layer = choose_layer(state)
-                rows = state.candidate_rows(layer)
-                plan = (None, layer, rows, tuple(beam_index(rows, layer).tolist()))
-            state.plans[choose_layer] = plan
-        chosen, layer, rows, probed = plan
+        chosen, layer, rows, probed = next_round(state, choose_layer)
         if chosen is not None:
             return chosen, sum(r.probes for r in transcript), transcript
         r = probe_round(link, layer, rows, probed)
         transcript.append(r)
-        child = state.children.get((layer, r.feedback))
+        children = state.view.children
+        child = children.get((layer, r.feedback))
         if child is None:
             child = state.copy()
             apply_observation(child, BeamId(layer, r.feedback))
-            state.children[layer, r.feedback] = child
+            children[layer, r.feedback] = child
         state = child
 
 
-def run_single_user(
-    ckm: CkmGrid,
-    prior,
-    link: Link,
-    beta: float,
-    retain_beams: int | None = None,
-) -> tuple[BeamId, int, list[ProbeRound]]:
-    """Full search episode; returns (chosen bottom beam, probe count, rounds)."""
-    state = compute_point_weights(ckm, prior, beta, retain_beams=retain_beams)
+def run_single_user(state: SearchState, link: Link) -> tuple[BeamId, int, list[ProbeRound]]:
+    """Full search episode from a built state; returns (chosen bottom
+    beam, probe count, rounds)."""
     return run_episode(link, state, optimal_layer)

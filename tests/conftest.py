@@ -69,6 +69,12 @@ def from_bottom_weights(weights, root: bc.BeamId | None = None) -> bc.SearchStat
     return state
 
 
+def built_state(ckm: bc.CkmGrid, prior, beta: float = 0.5, retain_beams=None) -> bc.SearchState:
+    """The search state every map-aided episode starts from: the prior's
+    points, built once on the map."""
+    return bc.compute_point_weights(ckm, prior, beta, retain_beams)
+
+
 def candidates(state: bc.SearchState, layer: int) -> np.ndarray:
     """1-based candidate indices at a layer, ascending."""
     return beam_index(state.candidate_rows(layer), layer)

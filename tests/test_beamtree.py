@@ -17,7 +17,7 @@ from beamckm import beamtree
 from beamckm.codebook import layer_rows, layer_start, row_of
 from beamckm.lookahead import next_layer
 from beamckm.multiuser import prune_user_points
-from beamckm.strategy import episode_outcome, optimal_layer, run_episode
+from beamckm.strategy import episode_outcome, next_round, optimal_layer, run_episode
 
 from conftest import (
     ancestor_closed,
@@ -337,8 +337,8 @@ class TestWeightTableState:
 
 
 class TestTableCopies:
-    """A built state passed back to compute_point_weights yields a copy in
-    the initial state that shares the fixed arrays read-only."""
+    """A built state's copy starts in the initial state and shares the
+    fixed arrays read-only."""
 
     def setup_method(self):
         bottom = np.random.default_rng(5).uniform(0.0, 1.0, size=(6, 8))
@@ -348,12 +348,12 @@ class TestTableCopies:
         )
 
     def test_copy_starts_fresh_and_leaves_the_source_alone(self):
-        first = bc.compute_point_weights(self.ckm, self.built, 0.3, retain_beams=3)
+        first = self.built.copy()
         assert first is not self.built
         first.update(np.arange(6) < 2, bc.BeamId(1, 2))
         first.update(np.zeros(6, dtype=bool))
         assert first.uniform_fallback
-        second = bc.compute_point_weights(self.ckm, self.built, 0.3, retain_beams=3)
+        second = self.built.copy()
         for state in (self.built, second):
             assert state.point_alive.all() and state.beam_alive.all()
             assert not state.uniform_fallback and state.root is None
@@ -378,16 +378,6 @@ class TestTableCopies:
         table = bc.SearchState(np.arange(4), np.full(4, 0.25), gains, 0.5)
         assert not table.gains.flags.writeable
         gains[0, 0] = 2.0  # the caller's own array is untouched
-
-    @pytest.mark.parametrize(
-        "beta, retain, num_beams",
-        [(0.5, 3, None), (0.3, None, None), (0.3, 2, None), (0.3, 3, 16)],
-    )
-    def test_mismatched_inputs_rejected(self, beta, retain, num_beams):
-        # num_beams None is the state's own map, else a map of another depth
-        ckm = self.ckm if num_beams is None else toy_ckm(np.ones((6, num_beams)))
-        with pytest.raises(ValueError, match="another"):
-            bc.compute_point_weights(ckm, self.built, beta, retain_beams=retain)
 
 
 def recomputed(state):
@@ -619,9 +609,9 @@ class TestPlannerInvariant:
 
 
 def cached_states(state, path=()):
-    """Every state cached below ``state``, each with the observations that
-    lead to it from ``state``."""
-    for (layer, index), child in state.children.items():
+    """Every state cached below ``state``'s view, each with the observations
+    that lead to it from ``state``."""
+    for (layer, index), child in state.view.children.items():
         here = path + (bc.BeamId(layer, index),)
         yield here, child
         yield from cached_states(child, here)
@@ -672,24 +662,47 @@ class TestSearchTreeCache:
     def test_copies_share_the_initial_cache_until_an_update(self):
         built = self.searched_tree(5)
         copy = built.copy()
-        assert copy.children is built.children and copy.plans is built.plans
-        observed = bc.BeamId(1, int(candidates(copy, 1)[0]))
-        bc.apply_observation(copy, observed)
-        assert copy.children == {} and copy.plans == {}
-        assert copy.children is not built.children and copy.plans is not built.plans
-        assert built.copy().children is built.children
+        assert copy.view is built.view and built.view.children and built.view.plans
+        (layer, index), child = next(iter(built.view.children.items()))
+        bc.apply_observation(copy, bc.BeamId(layer, index))
+        # the fold reaches the cached child's masks, so its view and the search below
+        assert copy.view is child.view is not built.view
+        assert built.copy().view is built.view
 
     def test_copy_folds_without_touching_the_original(self):
         built = self.searched_tree(6)
         path, node = max(cached_states(built), key=lambda item: len(item[0]))
         before = {name: getattr(node, name).copy() for name in ("point_alive", "beam_alive")}
+        view = node.view
         copy = node.copy()
         assert copy.root == node.root == path[-1]
         copy.update(np.zeros(len(copy.point_ids), dtype=bool))
-        assert copy.uniform_fallback and copy.children == {} and copy.plans == {}
+        assert copy.uniform_fallback
+        # a fold that drops no alive point keeps the view and the search below it
+        assert (copy.view is view) == (not node.point_alive.any())
         for name, want in before.items():
             np.testing.assert_array_equal(getattr(node, name), want)
-        assert node.children is not copy.children and node.plans is not copy.plans
+        assert node.view is view
+
+    def test_equal_masks_along_different_paths_share_children_and_plans(self):
+        """Tree states with equal masks, reached along different feedback
+        paths, hold one view, so one child per observation and one plan
+        per (layer choice, root layer)."""
+        built = self.searched_tree(5)
+        groups = {}
+        for _, state in cached_states(built):
+            key = (state.point_alive.tobytes(), state.beam_alive.tobytes(), state.uniform_fallback)
+            groups.setdefault(key, {})[id(state)] = state
+        # a state below a shared view is reached along each path to it, but
+        # two states of equal masks were reached along two paths
+        shared = [list(states.values()) for states in groups.values() if len(states) > 1]
+        assert len(shared) > 1
+        for one, two in (states[:2] for states in shared):
+            assert one is not two and one.root == two.root
+            assert one.view is two.view and one.view.children is two.view.children
+            if episode_outcome(one) is None:
+                for choose in (optimal_layer, next_layer):
+                    assert next_round(one, choose) is next_round(two, choose)
 
 
 class TestViewMemo:
@@ -716,7 +729,9 @@ class TestViewMemo:
         assert got_entry.tobytes() == entry.tobytes() and got_hops.tobytes() == hops.tobytes()
         if first is not None:
             assert optimal_layer(state) == first
-            assert state.view.optimal_layers[state.root_layer] == first
+        if episode_outcome(state) is None and state.candidate_rows(state.num_layers).size:
+            assert next_round(state, optimal_layer)[1] == first
+            assert state.view.plans[optimal_layer, state.root_layer][1] == first
 
     def test_same_masks_along_different_paths_share_one_view(self):
         built = self.built()
@@ -747,8 +762,7 @@ class TestViewMemo:
         one.update(drop)
         two.update(drop)
         assert one.view is two.view and one.weights is two.weights
-        assert one.children is not two.children and one.plans is not two.plans
-        assert one.children is not built.children and one.plans is not built.plans
+        assert one.view is not built.view and one.view.plans is not built.view.plans
         assert built.point_alive.all()
         self.assert_matches_oracle(one)
         self.assert_matches_oracle(built)
@@ -777,16 +791,16 @@ class TestViewMemo:
         state = built.copy()
         state.update(np.arange(n) % 2 == 0, bc.BeamId(1, 1))
         optimal_layer(state)
-        state.plans["kept"] = state.children["kept"] = True
-        held = (state.view, state.weights, state.rows, state.children, state.plans)
+        state.view.plans["kept"] = state.view.children["kept"] = True
+        held = (state.view, state.weights, state.rows, state.view.children, state.view.plans)
         # dead points may be flagged either way; every alive one is kept
         for mask in (state.point_alive.copy(), np.ones(n, dtype=bool), np.arange(n) < n - 1):
             mask |= state.point_alive
             state.update(mask)
             assert all(a is b for a, b in zip(held, (state.view, state.weights, state.rows,
-                                                      state.children, state.plans)))
+                                                      state.view.children, state.view.plans)))
         self.assert_matches_oracle(state)
         # dropping an alive point is an update
         state.update(state.point_alive & (np.arange(n) != np.flatnonzero(state.point_alive)[0]))
-        assert state.children == {} and state.plans == {}
+        assert state.view is not held[0] and "kept" not in state.view.plans
         self.assert_matches_oracle(state)

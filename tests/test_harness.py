@@ -822,27 +822,31 @@ class TestUnreachedPosition:
 
 
 def record_weight_tables(monkeypatch):
-    """Wrap compute_point_weights where the harness and each episode look it
-    up; returns {module name: [(argument, result), ...]}."""
-    from beamckm import harness, lookahead, multiuser, strategy
+    """Wrap compute_point_weights where the harness looks it up; returns
+    the states it builds."""
+    from beamckm import harness
 
-    calls = {}
-    for module in (harness, strategy, lookahead, multiuser):
-        seen = calls.setdefault(module.__name__.rpartition(".")[2], [])
-        original = module.compute_point_weights
+    built = []
+    original = harness.compute_point_weights
 
-        def wrapped(ckm, prior, *args, _original=original, _seen=seen, **kwargs):
-            table = _original(ckm, prior, *args, **kwargs)
-            _seen.append((prior, table))
-            return table
+    def wrapped(*args, **kwargs):
+        built.append(original(*args, **kwargs))
+        return built[-1]
 
-        monkeypatch.setattr(module, "compute_point_weights", wrapped)
-    return calls
+    monkeypatch.setattr(harness, "compute_point_weights", wrapped)
+    return built
+
+
+def tree_states(state):
+    """Every state cached in the views below ``state``."""
+    for child in state.view.children.values():
+        yield child
+        yield from tree_states(child)
 
 
 class TestSweepInvariants:
     """run_trials traces the channels of a sweep in one batch and builds each
-    user's search state once; episodes start from copies of those states."""
+    user's search state once; every episode starts from those states."""
 
     @staticmethod
     def config(retain_beams=None):
@@ -876,25 +880,40 @@ class TestSweepInvariants:
             assert alone == [r for r in full if r.algorithm == algo]
 
     def test_shared_tables_stay_in_their_initial_state(self, small_scene, monkeypatch):
-        calls = record_weight_tables(monkeypatch)
+        from beamckm import harness
+
+        shared = record_weight_tables(monkeypatch)
+        given = []
+
+        def recorded(episode, users):
+            def run(*args):
+                given.extend(users(args))
+                return episode(*args)
+
+            return run
+
+        for name, users in (("run_single_user", lambda a: [a[0]]),
+                            ("run_lookahead", lambda a: [a[0]]),
+                            ("run_multi_user", lambda a: a[0])):
+            monkeypatch.setattr(harness, name, recorded(getattr(harness, name), users))
         cfg = self.config()
         trials, snrs = 12, ["inf", -15.0, -25.0]
         bc.run_trials(cfg, small_scene["ckm"], algorithms=["alg1", "alg2", "alg3"],
                       trials=trials, snr_db=snrs)
-        shared = [table for _, table in calls["harness"]]
         assert len(shared) == len(cfg.users)
-        copies = calls["strategy"] + calls["lookahead"] + calls["multiuser"]
-        assert len(copies) == trials * len(snrs) * 3 * len(cfg.users)
-        assert any(table.uniform_fallback for _, table in copies)
-        for source, table in copies:
-            assert any(source is s for s in shared)
+        assert len(given) == trials * len(snrs) * 3 * len(cfg.users)
+        assert all(any(state is s for s in shared) for state in given)
+        # the states the searches reached below them, where noise engaged the fallback
+        reached = [(source, state) for source in shared for state in tree_states(source)]
+        assert any(state.uniform_fallback for _, state in reached)
+        for source, state in reached:
             for name in ("gains", "contrib"):
-                ours, theirs = getattr(table, name), getattr(source, name)
+                ours, theirs = getattr(state, name), getattr(source, name)
                 assert np.shares_memory(ours, theirs)
                 assert not ours.flags.writeable
         for table in shared:
             assert table.point_alive.all() and table.beam_alive.all()
-            assert not table.uniform_fallback
+            assert table.root is None and not table.uniform_fallback
 
     def test_alg3_between_the_cached_searches_changes_no_record(self, small_scene):
         """alg3 folds observations into copies of the states whose cached
@@ -931,6 +950,30 @@ class TestSweepInvariants:
             assert noise == want
             assert [head for head, _ in tables] == [[cfg.seed, 101], [cfg.seed, 202]]
 
+    def test_noise_streams_are_seeded_one_chunk_at_a_time(self, small_scene, monkeypatch):
+        """A chunk of ``CHUNK_TRIALS`` trials seeds only its own noise
+        streams, and the records do not depend on the chunk size."""
+        from beamckm import harness
+
+        cfg = self.config()
+        snrs = ["inf", 10.0, 0.0]
+        run = functools.partial(bc.run_trials, cfg, small_scene["ckm"], algorithms=bc.ALGORITHMS,
+                                trials=10, snr_db=snrs)
+        want = run()
+        rows = []
+        seed_words = harness.seed_words
+
+        def recorded(head, counters):
+            if list(head) == [cfg.seed, 202]:
+                rows.append(len(counters))
+            return seed_words(head, counters)
+
+        monkeypatch.setattr(harness, "seed_words", recorded)
+        monkeypatch.setattr(harness, "CHUNK_TRIALS", 4)
+        assert run() == want
+        per_trial = 2 * len(cfg.users)  # the noisy SNR points' streams
+        assert rows == [4 * per_trial, 4 * per_trial, 2 * per_trial]
+
     def test_streams_replay_default_rng_at_a_two_word_seed(self, small_scene, monkeypatch):
         """Positions come from default_rng([seed, 101, t]) and, in every
         algorithm, the probe noise of each noisy (trial, SNR index, user)
@@ -964,7 +1007,7 @@ class TestSweepInvariants:
 
         def episode_recorded(algo, episode):
             def run(*args, **kwargs):
-                links_of[algo] += args[2] if algo == "alg3" else [args[2]]
+                links_of[algo] += args[1] if algo == "alg3" else [args[1]]
                 return episode(*args, **kwargs)
 
             return run
@@ -1031,13 +1074,13 @@ class TestSweepInvariants:
             assert sum(map(len, per_episode)) > 0, algo
 
     def test_tables_built_only_for_map_aided_algorithms(self, small_scene, monkeypatch):
-        calls = record_weight_tables(monkeypatch)
+        built = record_weight_tables(monkeypatch)
         cfg = self.config()
         bc.run_trials(cfg, small_scene["ckm"], algorithms=["baseline-hier", "baseline-exhaustive"],
                       trials=2)
-        assert all(not seen for seen in calls.values())
+        assert not built
         bc.run_trials(cfg, small_scene["ckm"], algorithms=["alg2"], trials=2)
-        assert len(calls["harness"]) == len(cfg.users)
+        assert len(built) == len(cfg.users)
 
 
 class TestDeepConfig:

@@ -17,6 +17,7 @@ from beamckm import multiuser as mu
 from beamckm.codebook import beam_index, layer_start, row_of
 
 from conftest import (
+    built_state,
     exhaustive_best_beam,
     from_bottom_weights,
     link_of,
@@ -390,20 +391,21 @@ class TestRunMultiUser:
         prior = bc.PositionPrior(
             (bc.SubRegion(tuple(range(34, 40)), 0.5), bc.SubRegion(tuple(range(200, 208)), 0.5))
         )
+        built = built_state(ckm, prior)
         for _ in range(15):
             point = bc.sample_true_position(prior, rng)
             h = scene_channel(small_scene, point)
-            solo = bc.run_single_user(ckm, prior, link_of(h), 0.5)
-            joint = bc.run_multi_user(ckm, [prior], [link_of(h)], 0.5)
+            solo = bc.run_single_user(built, link_of(h))
+            joint = bc.run_multi_user([built], [link_of(h)], 0.9)
             assert joint[0][0] == solo[0]
             assert joint[1] <= solo[1]
 
     def test_clone_users_share_every_probe(self, small_scene):
         ckm = small_scene["ckm"]
-        prior = bc.PositionPrior((bc.SubRegion(tuple(range(36, 42)), 1.0),))
+        built = built_state(ckm, bc.PositionPrior((bc.SubRegion(tuple(range(36, 42)), 1.0),)))
         link = link_of(scene_channel(small_scene, 38))
-        single = bc.run_multi_user(ckm, [prior], [link], 0.5)
-        twin = bc.run_multi_user(ckm, [prior, prior], [link, link], 0.5)
+        single = bc.run_multi_user([built], [link], 0.9)
+        twin = bc.run_multi_user([built, built], [link, link], 0.9)
         assert twin[0][0] == twin[0][1] == single[0][0]
         assert twin[1] == single[1]  # the clone rides along for free
         assert twin[2][0] == twin[2][1]
@@ -419,14 +421,12 @@ class TestRunMultiUser:
         points = [34, 120, 233]
         hs = [scene_channel(small_scene, p) for p in points]
         links = [link_of(h) for h in hs]
-        chosen, total, transcripts = bc.run_multi_user(ckm, priors, links, 0.5)
+        states = [built_state(ckm, p) for p in priors]
+        chosen, total, transcripts = bc.run_multi_user(states, links, 0.9)
         for k in range(3):
             assert chosen[k] == exhaustive_best_beam(small_scene, hs[k])
         assert total > 0
-        solo_total = sum(
-            bc.run_single_user(ckm, priors[k], links[k], 0.5)[1]
-            for k in range(3)
-        )
+        solo_total = sum(bc.run_single_user(states[k], links[k])[1] for k in range(3))
         assert total <= solo_total
 
     def test_eavesdropping_rounds_occur_and_are_free_rides(self, small_scene):
@@ -436,7 +436,8 @@ class TestRunMultiUser:
             bc.PositionPrior((bc.SubRegion(tuple(range(96, 128)), 1.0),)),
         ]
         links = [link_of(scene_channel(small_scene, p)) for p in (37, 100)]
-        chosen, total, transcripts = bc.run_multi_user(ckm, priors, links, 0.5)
+        states = [built_state(ckm, p) for p in priors]
+        chosen, total, transcripts = bc.run_multi_user(states, links, 0.9)
         indicators = [r.indicator for t in transcripts for r in t]
         assert 0 in indicators, "expected at least one eavesdropped round"
         for t in transcripts:
@@ -455,7 +456,7 @@ class TestRunMultiUser:
             bc.PositionPrior((bc.SubRegion(tuple(range(160, 176)), 1.0),)),
         ]
         links = [link_of(scene_channel(small_scene, p)) for p in (44, 165)]
-        _, _, transcripts = bc.run_multi_user(ckm, priors, links, 0.5)
+        _, _, transcripts = bc.run_multi_user([built_state(ckm, p) for p in priors], links, 0.9)
         for t in transcripts:
             for r in t:
                 assert list(r.probed) == sorted(set(r.probed))
@@ -467,21 +468,52 @@ class TestRunMultiUser:
             bc.PositionPrior((bc.SubRegion(tuple(range(96, 104)), 1.0),)),
         ]
         hs = [scene_channel(small_scene, p) for p in (38, 100)]
+        states = [built_state(ckm, p) for p in priors]
         runs = []
-        for _ in range(2):
+        # the same states twice, then fresh ones
+        for users in (states, states, [built_state(ckm, p) for p in priors]):
             links = [link_of(h, 0.02, [5, k]) for k, h in enumerate(hs)]
-            runs.append(bc.run_multi_user(ckm, priors, links, 0.5))
-        assert runs[0] == runs[1]
+            runs.append(bc.run_multi_user(users, links, 0.9))
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_built_states_stay_in_their_initial_state(self, small_scene, monkeypatch):
+        """The episode folds copies: noise that engages the uniform fallback
+        in them leaves the built states at full masks, root None and no
+        fallback, and their copies start there."""
+        ckm = small_scene["ckm"]
+        priors = [
+            bc.PositionPrior((bc.SubRegion(tuple(range(36, 42)), 1.0),)),
+            bc.PositionPrior((bc.SubRegion(tuple(range(96, 104)), 1.0),)),
+        ]
+        built = [built_state(ckm, p) for p in priors]
+        folded = []
+        prune = mu.prune_user_points
+
+        def recorded(state, *args):
+            out = prune(state, *args)
+            folded.append((state, state.uniform_fallback))
+            return out
+
+        monkeypatch.setattr(mu, "prune_user_points", recorded)
+        hs = [scene_channel(small_scene, p) for p in (38, 100)]
+        for seed in range(6):
+            links = [link_of(h, 10.0, [seed, k]) for k, h in enumerate(hs)]
+            bc.run_multi_user(built, links, 0.9)
+        assert any(fallback for _, fallback in folded)
+        assert not any(state is b for state, _ in folded for b in built)
+        for state in (*built, *(b.copy() for b in built)):
+            assert state.point_alive.all() and state.beam_alive.all()
+            assert state.root is None and not state.uniform_fallback
 
     def test_argument_validation(self, small_scene):
         ckm = small_scene["ckm"]
-        prior = bc.PositionPrior((bc.SubRegion((40,), 1.0),))
+        built = built_state(ckm, bc.PositionPrior((bc.SubRegion((40,), 1.0),)))
         link = link_of(scene_channel(small_scene, 40))
-        assert bc.run_multi_user(ckm, [prior, prior], [link, link], 0.5)[0]
+        assert bc.run_multi_user([built, built], [link, link], 0.9)[0]
         # one link too few, one too many
         for links in ([link], [link, link, link]):
             with pytest.raises(ValueError, match="one Link per user"):
-                bc.run_multi_user(ckm, [prior, prior], links, 0.5)
+                bc.run_multi_user([built, built], links, 0.9)
 
 
 class TestSharedViews:
@@ -513,13 +545,13 @@ class TestSharedViews:
         def play(fresh):
             played = []
 
-            def episode(ckm, states, *args, **kwargs):
+            def episode(states, *args, **kwargs):
                 if fresh:
                     states = [
                         bc.SearchState(s.point_ids, s.point_mass, s.gains, s.beta, s.retain_beams)
                         for s in states
                     ]
-                played.append(run_multi_user(ckm, states, *args, **kwargs))
+                played.append(run_multi_user(states, *args, **kwargs))
                 return played[-1]
 
             monkeypatch.setattr(harness, "run_multi_user", episode)

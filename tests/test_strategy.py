@@ -20,6 +20,7 @@ from beamckm.strategy import run_episode
 from conftest import (
     FOUR_LEAF_WEIGHTS,
     bottom_candidates,
+    built_state,
     candidate_count,
     candidates,
     exhaustive_best_beam,
@@ -247,7 +248,7 @@ class TestRunSingleUser:
         ckm = self._one_hot_ckm()
         h = steering_vector(-1 + 9 / 8, 8)  # center angle of bottom beam 5
         chosen, overhead, rounds = bc.run_single_user(
-            ckm, uniform_prior(range(4)), link_of(h), 0.5
+            built_state(ckm, uniform_prior(range(4))), link_of(h)
         )
         assert chosen == bc.BeamId(3, 5)
         assert overhead == 4  # the frozen bottom-only plan
@@ -260,7 +261,7 @@ class TestRunSingleUser:
         prior = bc.PositionPrior(
             (bc.SubRegion((0, 1, 2), 3 / 13), bc.SubRegion((3,), 10 / 13))
         )
-        chosen, overhead, rounds = bc.run_single_user(ckm, prior, link_of(h), 0.5)
+        chosen, overhead, rounds = bc.run_single_user(built_state(ckm, prior), link_of(h))
         assert chosen == bc.BeamId(3, 5)
         assert overhead == 2  # probe the two top beams, then free descent
         assert [r.layer for r in rounds if r.probes] == [1]
@@ -272,10 +273,11 @@ class TestRunSingleUser:
         prior = bc.PositionPrior(
             (bc.SubRegion(tuple(range(34, 40)), 0.5), bc.SubRegion(tuple(range(200, 208)), 0.5))
         )
+        built = built_state(ckm, prior)
         for _ in range(25):
             point = bc.sample_true_position(prior, rng)
             h = scene_channel(small_scene, point)
-            chosen, overhead, rounds = bc.run_single_user(ckm, prior, link_of(h), 0.5)
+            chosen, overhead, rounds = bc.run_single_user(built, link_of(h))
             assert chosen == exhaustive_best_beam(small_scene, h)
             assert overhead == sum(r.probes for r in rounds)
             assert overhead <= 2 * ckm.num_layers
@@ -284,10 +286,10 @@ class TestRunSingleUser:
         ckm = small_scene["ckm"]
         prior = bc.PositionPrior((bc.SubRegion(tuple(range(64, 96)), 1.0),))
         h = scene_channel(small_scene, 70)
-        chosen, overhead, _ = bc.run_single_user(ckm, prior, link_of(h, 1e9, 0), 0.5)
+        state = built_state(ckm, prior)
+        chosen, overhead, _ = bc.run_single_user(state, link_of(h, 1e9, 0))
         assert chosen.layer == ckm.num_layers
         # never worse than probing every candidate at every layer once
-        state = bc.candidate_beams(bc.compute_point_weights(ckm, prior, 0.5))
         bound = sum(candidate_count(state, l) for l in range(1, ckm.num_layers + 1))
         assert overhead <= bound
 
@@ -295,14 +297,14 @@ class TestRunSingleUser:
         ckm = small_scene["ckm"]
         prior = bc.PositionPrior((bc.SubRegion(tuple(range(100, 130)), 1.0),))
         h = scene_channel(small_scene, 105)
-        runs = []
-        for _ in range(2):
-            runs.append(
-                bc.run_single_user(ckm, prior, link_of(h, 0.05, 42), 0.5)
-            )
-        assert runs[0][0] == runs[1][0]
-        assert runs[0][1] == runs[1][1]
-        assert runs[0][2] == runs[1][2]
+        # two fresh states, then one whose tree the first run cached
+        built = built_state(ckm, prior)
+        states = (built, built_state(ckm, prior), built)
+        runs = [bc.run_single_user(state, link_of(h, 0.05, 42)) for state in states]
+        for run in runs[1:]:
+            assert runs[0][0] == run[0]
+            assert runs[0][1] == run[1]
+            assert runs[0][2] == run[2]
 
 
 class TestSharedEpisodeLoop:
@@ -310,10 +312,10 @@ class TestSharedEpisodeLoop:
     ``probe_round``, checked on noisy episodes of the small scene."""
 
     EPISODES = {
-        "alg1": lambda ckm, prior, link: bc.run_single_user(ckm, prior, link, 0.5),
-        "alg2": lambda ckm, prior, link: bc.run_lookahead(ckm, prior, link, 0.5),
-        "baseline-hier": lambda ckm, prior, link: oracles.baseline_hierarchical(link),
-        "baseline-exhaustive": lambda ckm, prior, link: oracles.baseline_exhaustive(link),
+        "alg1": bc.run_single_user,
+        "alg2": bc.run_lookahead,
+        "baseline-hier": lambda state, link: oracles.baseline_hierarchical(link),
+        "baseline-exhaustive": lambda state, link: oracles.baseline_exhaustive(link),
     }
 
     @pytest.mark.parametrize("algo", list(EPISODES))
@@ -327,11 +329,12 @@ class TestSharedEpisodeLoop:
             (bc.SubRegion(tuple(range(34, 40)), 0.5), bc.SubRegion(tuple(range(120, 128)), 0.5))
         )
         sigma = bc.noise_std_for_snr(snr_db, ckm.reference_gain)
+        built = built_state(ckm, prior)
         sole_candidate_endings = 0
         for seed in range(8):
             point = bc.sample_true_position(prior, np.random.default_rng(seed))
             h = scene_channel(small_scene, point)
-            chosen, overhead, rounds = self.EPISODES[algo](ckm, prior, link_of(h, sigma, seed))
+            chosen, overhead, rounds = self.EPISODES[algo](built, link_of(h, sigma, seed))
             assert overhead == sum(r.probes for r in rounds)
             prev = None
             for r in rounds:
@@ -354,7 +357,7 @@ class TestSharedEpisodeLoop:
             # otherwise the search stopped on a sole bottom candidate
             assert algo in ("alg1", "alg2")
             sole_candidate_endings += 1
-            state = bc.compute_point_weights(ckm, prior, 0.5)
+            state = built.copy()
             for r in rounds:
                 bc.apply_observation(state, bc.BeamId(r.layer, r.feedback))
             assert bottom_candidates(state).tolist() == [chosen.index]
@@ -377,7 +380,7 @@ class TestSearchTreeCache:
         names = ("point_alive", "beam_alive", "weights", "rows")
         for seed in range(6):
             # a built state, a copy of it, and a state already folded once
-            built = bc.compute_point_weights(ckm, self.PRIOR, 0.5)
+            built = built_state(ckm, self.PRIOR)
             folded = built.copy()
             bc.apply_observation(folded, bc.BeamId(1, int(candidates(folded, 1)[seed % 2 - 1])))
             resp = bc.Responses(scene_channel(small_scene, 36 + seed), cb)
@@ -394,7 +397,7 @@ class TestSearchTreeCache:
         from beamckm import strategy
 
         ckm, cb = small_scene["ckm"], small_scene["codebook"]
-        built = bc.compute_point_weights(ckm, self.PRIOR, 0.5)
+        built = built_state(ckm, self.PRIOR)
         derived = []
         original = strategy.apply_observation
 
@@ -406,12 +409,12 @@ class TestSearchTreeCache:
         resp = bc.Responses(scene_channel(small_scene, 37), cb)
 
         def episode():
-            return bc.run_single_user(ckm, built, bc.Link(resp, 0.05, *noise_of(9)), 0.5)
+            return bc.run_single_user(built, bc.Link(resp, 0.05, *noise_of(9)))
 
         def path(rounds):
             node, nodes = built, []
             for r in rounds:
-                node = node.children[r.layer, r.feedback]
+                node = node.view.children[r.layer, r.feedback]
                 nodes.append(node)
             return nodes
 
