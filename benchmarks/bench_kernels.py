@@ -1,5 +1,5 @@
 """Benchmark two stages of a search round, the map build, stream seeding,
-alg3 sweeps and the batched baselines.
+alg3 sweeps, the batched baselines and the batched alg1 and alg2.
 
 Layer planning: the shortest-path planner against the exhaustive
 enumeration of activations it replaces.  The comparison asserts that both
@@ -51,6 +51,14 @@ map-blind baseline at the config's SNR points, which runs every (trial,
 user) episode of an SNR point as one batch of array rounds, against the
 same call with one per-episode oracle (``tests/oracles.py``) per episode
 over a ``Link``.  The comparison asserts equal records.
+
+alg1 and alg2: on the desk and large scenes, one ``run_trials`` call of
+each at the config's SNR points, which runs every (trial, user) episode
+of an SNR point as array rounds over the episodes at each cached search
+state (``strategy.run_searches``), against the same call with the
+per-episode oracle (``oracles.run_episode``) over a ``Link`` per episode.
+Prints the episode rounds played and the array rounds that played them.
+The comparison asserts equal records.
 """
 
 import argparse
@@ -63,7 +71,7 @@ from unittest import mock
 import numpy as np
 
 import beamckm as bc
-from beamckm import beamtree, ckm, harness, kernels, multiuser
+from beamckm import beamtree, ckm, harness, kernels, lookahead, multiuser, strategy
 from beamckm.streams import normal_blocks, pcg64_state, seed_words
 from beamckm.channel import channel_vectors, trace_point_paths
 from beamckm.codebook import beam_index, layer_rows, layer_start, layers_of, row_of
@@ -402,6 +410,51 @@ def bench_baselines(trials_per_scene, repeat: int) -> None:
                   f"speedup={best_o / best_b:5.1f}x  same records: True")
 
 
+SEARCHES = {"alg1": ("run_single_user", strategy.optimal_layer),
+            "alg2": ("run_lookahead", lookahead.next_layer)}
+
+
+def bench_searches(trials_per_scene, repeat: int) -> None:
+    print("alg1 and alg2, one run_trials call at the config's SNR points, seed 0: "
+          "batched against one oracle episode at a time:")
+    for scene, n in zip(BASELINE_SCENES, trials_per_scene):
+        config = bc.load_scenario(ROOT / "configs" / f"{scene}.json")
+        book = bc.build_codebook(config.array.num_antennas)
+        gain_map = bc.build_ckm(config.environment, config.array, book, config.grid)
+        for algo, (name, choose_layer) in SEARCHES.items():
+
+            def call():
+                return bc.run_trials(config, gain_map, algorithms=[algo], trials=n, seed=0)
+
+            def per_episode():
+                with mock.patch.object(harness, name, oracles.one_search_at_a_time(choose_layer)):
+                    return call()
+
+            counts = dict.fromkeys(("rounds", "groups"), 0)
+
+            def counted_search(states, batch):
+                result = search(states, batch)
+                counts["rounds"] += len(result[2])
+                return result
+
+            def counted_probe(*args):
+                counts["groups"] += 1
+                return probe(*args)
+
+            search, probe = getattr(harness, name), strategy.probe_episodes
+            with (mock.patch.object(harness, name, counted_search),
+                  mock.patch.object(strategy, "probe_episodes", counted_probe)):
+                call()
+            records, best_b, _ = bench(call, repeat=repeat)
+            want, best_o, _ = bench(per_episode, repeat=repeat)
+            assert records == want, f"batched and per-episode {algo} disagree on {scene}"
+            print(f"  {scene:5s} {algo}  trials={n}  episode rounds={counts['rounds']} "
+                  f"in {counts['groups']} probing array rounds  "
+                  f"batched={best_b / n * 1e3:6.3f} ms/trial  "
+                  f"per-episode={best_o / n * 1e3:6.3f} ms/trial  "
+                  f"speedup={best_o / best_b:5.1f}x  same records: True")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--trees", type=int, default=20,
@@ -418,7 +471,8 @@ def main(argv=None) -> int:
                         metavar=ALG3_SCENES,
                         help="trials of the calls of each config's own algorithm list")
     parser.add_argument("--baseline-trials", type=int, nargs=2, default=[300, 100],
-                        metavar=BASELINE_SCENES, help="trials of the baseline calls per scene")
+                        metavar=BASELINE_SCENES,
+                        help="trials of the baseline, alg1 and alg2 calls per scene")
     parser.add_argument("--repeat", type=int, default=5)
     args = parser.parse_args(argv)
 
@@ -454,6 +508,7 @@ def main(argv=None) -> int:
     bench_stream_seeding(args.streams, args.repeat)
     bench_alg3(args.alg3_trials, args.alg3_full_trials, args.repeat)
     bench_baselines(args.baseline_trials, args.repeat)
+    bench_searches(args.baseline_trials, args.repeat)
     return 0
 
 

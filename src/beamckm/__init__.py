@@ -10,6 +10,7 @@ from .beamtree import (
 from .channel import (
     ArrayConfig,
     Environment,
+    Episodes,
     Link,
     Obstacle,
     Responses,
@@ -66,6 +67,7 @@ __all__ = [
     "CkmFormatError",
     "CkmGrid",
     "Environment",
+    "Episodes",
     "GridSpec",
     "Link",
     "Obstacle",

@@ -20,7 +20,7 @@ alive masks and the fallback flag, and so is the search below it: a
 view keeps its ``plans`` by (layer choice, root layer) and its
 ``children``, the states that fold each observed (layer, index) into
 it.  So the map-aided searches of a sweep walk one tree of cached states
-per user (``strategy.run_episode``), and alg3's episodes, which fold
+per user (``strategy.run_searches``), and alg3's episodes, which fold
 copies, read the plans of every view they reach through the bounded
 memo of views that a built state's copies share (``SearchState``).
 """

@@ -11,7 +11,9 @@ Probing reads noiseless codeword responses from a ``Responses`` table,
 which computes each on first use: a response is the same number at every
 SNR and for every algorithm, so a sweep computes it once per drawn point.
 A ``Link`` pairs one channel of the table with one user's block of probe
-noise at one SNR point, and is all a search episode sees.
+noise at one SNR point, and is all an alg3 episode sees; ``Episodes``
+holds the same for many episodes as arrays, which the single-user
+searches probe a group at a time.
 """
 
 from __future__ import annotations
@@ -320,6 +322,37 @@ def probe_rows(link: Link, rows: np.ndarray) -> np.ndarray:
             raise ValueError("the link read past its noise block and has no seed words")
         link.block = normal_blocks(link.words[None], max(link.used, 2 * len(link.block)))[0]
     return received(y, link.noise_std, link.block[start : link.used])
+
+
+class Episodes:
+    """E episodes at one SNR point, a ``Link`` each as arrays: episode e
+    probes channel ``points[e]`` with noise read in order from ``block[e]``,
+    the first normal pairs of the stream seeded by ``words[e]``."""
+
+    __slots__ = ("resp", "noise_std", "points", "block", "words", "used")
+
+    def __init__(self, resp: Responses, noise_std: float, points, block=None, words=None):
+        if noise_std > 0.0 and (block is None or words is None):
+            raise ValueError("noisy episodes need noise blocks and seed words")
+        self.resp, self.noise_std, self.points = resp, noise_std, np.asarray(points)
+        self.block, self.words = block, words
+        self.used = np.zeros(len(self.points), np.int64)
+
+
+def probe_episodes(batch: Episodes, eps: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``probe_rows`` of distinct codeword ``rows`` over each episode
+    ``eps`` of a batch, one row of magnitudes each, with the episode's
+    next ``len(rows)`` noise pairs."""
+    y = batch.resp.take(batch.points[eps, None], rows[None])
+    if batch.noise_std <= 0.0:
+        return np.abs(y)
+    start = batch.used[eps]
+    batch.used[eps] = end = start + len(rows)
+    if end.max() > batch.block.shape[1]:  # a longer prefix of every stream
+        width = max(int(end.max()), 2 * batch.block.shape[1])
+        batch.block = normal_blocks(batch.words, width)
+    z = batch.block[eps[:, None], start[:, None] + np.arange(len(rows))]
+    return received(y, batch.noise_std, z)
 
 
 def probe(

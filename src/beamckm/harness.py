@@ -13,10 +13,11 @@ stream.  ``run_trials`` seeds them with ``streams.seed_words`` tables,
 which reproduce numpy's seeding bit for bit: the positions in one, the
 noise streams in one per chunk of ``CHUNK_TRIALS`` trials.  It draws each
 noise stream once per chunk, as a block of its first normals that every
-algorithm reads from the start: the map-aided searches through a
-``channel.Link`` per episode, from each user's built search state, the
-baselines as array rounds over all (trial, user) episodes of the chunk
-at once.
+algorithm reads from the start.  The baselines, alg1 and alg2 run as
+array rounds over all (trial, user) episodes of the chunk at one SNR
+point at once, alg1 and alg2 from each user's built search state over
+one ``channel.Episodes``; alg3 runs one (trial, SNR point) at a time over
+a ``channel.Link`` per user.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .beamtree import compute_point_weights
 from .channel import (
     ArrayConfig,
     Environment,
+    Episodes,
     Link,
     Obstacle,
     Responses,
@@ -372,18 +374,6 @@ def _finish(
     return TrialRecord(trial, algo, snr, user, overhead, chosen, oracle, ratio_db, se)
 
 
-def _search(algo, config, states, links) -> tuple[list[BeamId], list[float]]:
-    """Each user's chosen beam and probe count in one (trial, SNR point)
-    of a map-aided search from the users' built states; alg3 charges its
-    shared total equally."""
-    if algo == "alg3":
-        chosen, total, _ = run_multi_user(states, links, config.eta)
-        return chosen, [total / len(links)] * len(links)
-    search = run_single_user if algo == "alg1" else run_lookahead
-    runs = [search(state, link) for state, link in zip(states, links)]
-    return [r[0] for r in runs], [float(r[1]) for r in runs]
-
-
 def run_trials(
     config: ScenarioConfig,
     ckm: CkmGrid,
@@ -464,24 +454,31 @@ def run_trials(
         blocks = normal_blocks(w, pairs).reshape(len(noisy), points.size, pairs, 2)
         w = w.reshape(len(noisy), points.size, 4)
         words, normals = dict(zip(noisy, w)), dict(zip(noisy, blocks))
-        # a baseline runs every (trial, user) episode of an SNR point at once
-        picks = {
-            (algo, si): search(resp, points.ravel(), sigma, normals.get(si))
-            for algo, (search, _) in batched.items() if algo in algos
-            for si, sigma in enumerate(sigmas)
-        }
+        # all but alg3 run the chunk's (trial, user) episodes of an SNR point at once
+        picks = {}
+        for si, sigma in enumerate(sigmas):
+            for algo in algos:
+                if algo in batched:
+                    search, probes = batched[algo]
+                    beams = search(resp, points.ravel(), sigma, normals.get(si)).tolist()
+                    picks[algo, si] = [BeamId(L, i) for i in beams], [float(probes)] * points.size
+                elif algo != "alg3":
+                    batch = Episodes(resp, sigma, points.ravel(), normals.get(si), words.get(si))
+                    search = run_single_user if algo == "alg1" else run_lookahead
+                    chosen, probes, _ = search(states, batch)
+                    picks[algo, si] = chosen, probes.astype(float).tolist()
         for t, rows in enumerate(points.tolist(), start):
             e = (t - start) * K  # the trial's first episode in the chunk
             for si, (snr, sigma) in enumerate(zip(snrs, sigmas)):
                 for algo in algos:
-                    if algo in batched:
-                        chosen = [BeamId(L, i) for i in picks[algo, si][e : e + K].tolist()]
-                        overheads = [float(batched[algo][1])] * K
-                    else:  # each search reads its links' noise from the blocks' start
+                    if algo != "alg3":
+                        chosen, overheads = (col[e : e + K] for col in picks[algo, si])
+                    else:  # alg3 reads its links' noise from the blocks' start
                         links = [Link(resp, sigma, point=r) if not sigma else
                                  Link(resp, sigma, normals[si][e + k], words[si][e + k], r)
                                  for k, r in enumerate(rows)]
-                        chosen, overheads = _search(algo, config, states, links)
+                        chosen, total, _ = run_multi_user(states, links, config.eta)
+                        overheads = [total / K] * K
                     records.extend(
                         _finish(t, algo, snr, k, overheads[k], chosen[k], best[r], gains[r], sigma)
                         for k, r in enumerate(rows)

@@ -4,8 +4,8 @@ Instead of scoring every layer subset, each round inspects only the
 candidate children and grandchildren below the current node and picks
 between probing one level down or skipping straight to two levels down,
 using the expected probe counts of the two options.  The rounds run in
-``strategy.run_episode`` with ``next_layer`` as the layer choice, from a
-built ``SearchState``.
+``strategy.run_searches`` with ``next_layer`` as the layer choice, from
+built ``SearchState``s.
 """
 
 from __future__ import annotations
@@ -13,9 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from .beamtree import SearchState
-from .channel import Link
-from .codebook import BeamId
-from .strategy import ProbeRound, run_episode
+from .channel import Episodes
+from .strategy import run_searches
 
 # unused here; perfbench's tracer looks these names up on this module
 from .beamtree import apply_observation, candidate_beams, compute_point_weights  # noqa: F401
@@ -63,7 +62,7 @@ def next_layer(state: SearchState) -> int:
     return l + 1 if t_stepwise <= t_skip else l + 2
 
 
-def run_lookahead(state: SearchState, link: Link) -> tuple[BeamId, int, list[ProbeRound]]:
-    """Full lookahead episode from a built state; returns (chosen beam,
-    probe count, rounds)."""
-    return run_episode(link, state, next_layer)
+def run_lookahead(states, batch: Episodes) -> tuple[list, np.ndarray, list]:
+    """alg2's searches of a batch's episodes from the users' built states
+    (``strategy.run_searches``)."""
+    return run_searches(states, batch, next_layer)

@@ -10,21 +10,20 @@ instead of scoring all 2^(L-1) subsets, probes the candidates of the
 plan's first layer, and folds the feedback into the tree before
 re-planning.
 
-The round itself is shared: ``run_episode`` is the search loop of every
-map-aided single-user strategy, which differ only in the layer-choice
-function they pass (this planner for alg1, ``lookahead.next_layer`` for
-alg2), and ``probe_round`` is also the probe step of the per-episode
-baselines in the tests.  Rounds probe codebook rows (``codebook.row_of``); a
-``ProbeRound`` names the probed beams by their 1-based indices.
+``run_searches`` runs both map-aided single-user strategies, which pass
+their layer choice (this planner for alg1, ``lookahead.next_layer`` for
+alg2).  Rounds probe codebook rows (``codebook.row_of``); a ``ProbeRound``
+names the probed beams by their 1-based indices.
 
 Every episode starts from a built ``SearchState`` and leaves it as it
 was.  A state's next round (``next_round``) depends only on its view,
 its root layer and the layer choice, and the state after a round only
 on the view and the observed beam; noise only picks the branch.  So
-both live in the view (``beamtree._View``): ``run_episode`` walks a tree
-of cached states, every later episode of a sweep that reaches a view
-reuses its plans and children, and alg3 (``multiuser``) reads the plans
-that alg1 made.
+both live in the view (``beamtree._View``), and ``run_searches`` walks
+a tree of cached states with a batch of episodes: one array round per
+state reached, over the episodes there, whose feedback splits them among
+its children.  A later batch that reaches a view reuses its plans and
+children, and alg3 (``multiuser``) reads the plans that alg1 made.
 
 Tie rule: plans are ordered by lowest cost, where costs within a relative
 ``PLAN_RTOL`` of each other tie, then by fewest layers, then by the
@@ -46,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beamtree import SearchState, apply_observation, candidate_beams
-from .channel import Link, probe_rows
+from .channel import Episodes, probe_episodes
 from .codebook import BeamId, beam_index
 
 # unused here; perfbench's tracer looks these names up on this module
@@ -129,19 +128,6 @@ def optimal_layer(state: SearchState) -> int:
     return best_activation(state)[0][0]
 
 
-def probe_round(
-    link: Link, layer: int, rows: np.ndarray, probed: tuple[int, ...]
-) -> ProbeRound:
-    """Probe the beams at ``layer`` in the ascending codebook ``rows``,
-    whose 1-based indices are ``probed``, over the link and keep the
-    strongest (the first on ties); a single beam is a free descent that
-    draws no noise."""
-    if len(probed) == 1:
-        return ProbeRound(layer, probed, probed[0], 0)
-    mags = probe_rows(link, rows)
-    return ProbeRound(layer, probed, probed[int(np.argmax(mags))], len(probed))
-
-
 def episode_outcome(state: SearchState) -> BeamId | None:
     """The chosen bottom beam once the search is over: the sole bottom
     candidate, else None.  A root at the bottom layer is always the sole
@@ -170,30 +156,44 @@ def next_round(state: SearchState, choose_layer) -> tuple:
     return plan
 
 
-def run_episode(
-    link: Link, state: SearchState, choose_layer
-) -> tuple[BeamId, int, list[ProbeRound]]:
-    """Map-aided search: each round probes the candidates under the root
-    at ``choose_layer(state)`` and moves to the child state that folds in
-    the feedback (``apply_observation`` on a copy), leaving ``state`` as
-    it was.  Returns (chosen bottom beam, probe count, rounds)."""
-    transcript: list[ProbeRound] = []
-    while True:
-        chosen, layer, rows, probed = next_round(state, choose_layer)
-        if chosen is not None:
-            return chosen, sum(r.probes for r in transcript), transcript
-        r = probe_round(link, layer, rows, probed)
-        transcript.append(r)
+def run_searches(states, batch: Episodes, choose_layer) -> tuple[list, np.ndarray, list]:
+    """Map-aided searches of a batch's episodes, episode e from the built
+    state ``states[e % len(states)]``.  Each round probes, for the episodes
+    at one state, the candidates under its root at ``choose_layer(state)``,
+    keeps each one's strongest (the first on ties; a lone candidate is a
+    free descent) and moves the episodes of each feedback to the child
+    that folds it in (``apply_observation`` on a copy).  Returns each
+    episode's chosen bottom beam and probe count, and a ``ProbeRound`` per
+    round of each episode, grouped by state (in order for one episode)."""
+    E = len(batch.points)
+    chosen, probes, rounds = [None] * E, np.zeros(E, np.int64), []
+    frontier = [(state, np.arange(k, E, len(states))) for k, state in enumerate(states)]
+    while frontier:
+        state, eps = frontier.pop()
+        done, layer, rows, probed = next_round(state, choose_layer)
+        if done is not None:
+            for e in eps.tolist():
+                chosen[e] = done
+            continue
+        n = len(probed) if len(probed) > 1 else 0
+        branches = [(probed[0], eps)]
+        if n:
+            won = np.argmax(probe_episodes(batch, eps, rows), axis=1)
+            probes[eps] += n
+            branches = [(probed[j], eps[won == j]) for j in np.unique(won).tolist()]
         children = state.view.children
-        child = children.get((layer, r.feedback))
-        if child is None:
-            child = state.copy()
-            apply_observation(child, BeamId(layer, r.feedback))
-            children[layer, r.feedback] = child
-        state = child
+        for feedback, sub in branches:
+            rounds += [ProbeRound(layer, probed, feedback, n)] * len(sub)
+            child = children.get((layer, feedback))
+            if child is None:
+                child = state.copy()
+                apply_observation(child, BeamId(layer, feedback))
+                children[layer, feedback] = child
+            frontier.append((child, sub))
+    return chosen, probes, rounds
 
 
-def run_single_user(state: SearchState, link: Link) -> tuple[BeamId, int, list[ProbeRound]]:
-    """Full search episode from a built state; returns (chosen bottom
-    beam, probe count, rounds)."""
-    return run_episode(link, state, optimal_layer)
+def run_single_user(states, batch: Episodes) -> tuple[list, np.ndarray, list]:
+    """alg1's searches of a batch's episodes from the users' built states
+    (``run_searches``)."""
+    return run_searches(states, batch, optimal_layer)

@@ -161,6 +161,18 @@ def link_of(h: np.ndarray, noise_std: float = 0.0, seed=None) -> bc.Link:
     return bc.Link(responses_of(h), noise_std, *(noise_of(seed) if noise_std else ()))
 
 
+def episode(search, state: bc.SearchState, link: bc.Link):
+    """One episode of a batched search (``bc.run_single_user``,
+    ``bc.run_lookahead`` or ``strategy.run_searches`` with a layer choice)
+    from a built state over a link, as a batch of one: (chosen beam,
+    probe count, rounds)."""
+    noisy = link.noise_std > 0.0
+    batch = bc.Episodes(link.resp, link.noise_std, [link.point],
+                        link.block[None] if noisy else None, link.words[None] if noisy else None)
+    chosen, probes, rounds = search([state], batch)
+    return chosen[0], int(probes[0]), rounds
+
+
 def exhaustive_best_beam(scene, h: np.ndarray) -> bc.BeamId:
     """Brute-force argmax bottom beam for a channel (independent oracle)."""
     cb = scene["codebook"]

@@ -7,17 +7,18 @@ pruning kernel's cosine one profile at a time, the channel vectors with one
 steering vector per (point, slot), the array response and beam support
 in closed form, a search state's derived view from scratch on every
 call, without the memo of views its copies share, and the map-blind
-baselines one episode at a time over a ``Link``, one ``probe_round`` per
-layer.  None of them runs in a sweep or a map build.
+baselines and the map-aided single-user searches one episode at a time
+over a ``Link``, one ``probe_round`` per round.  None of them runs in a
+sweep or a map build.
 """
 
 import numpy as np
 
 from beamckm import kernels
-from beamckm.beamtree import SearchState
-from beamckm.channel import Link
+from beamckm.beamtree import SearchState, apply_observation
+from beamckm.channel import Link, probe_rows
 from beamckm.codebook import BeamId, beam_index, layer_rows, layer_start, layers_of, row_of
-from beamckm.strategy import ProbeRound, _costs_tie, probe_round, shortest_plan
+from beamckm.strategy import ProbeRound, _costs_tie, next_round, shortest_plan
 
 
 def steering_vector(angle: float, n_antennas: int) -> np.ndarray:
@@ -218,6 +219,66 @@ def derived_view(state: SearchState):
         edges[state.root_layer] = S
         first = shortest_plan(edges, state.root_layer, L)[1][0]
     return flat, rows, starts, (S, G), first
+
+
+def probe_round(
+    link: Link, layer: int, rows: np.ndarray, probed: tuple[int, ...]
+) -> ProbeRound:
+    """Probe the beams at ``layer`` in the ascending codebook ``rows``,
+    whose 1-based indices are ``probed``, over the link and keep the
+    strongest (the first on ties); a single beam is a free descent that
+    draws no noise."""
+    if len(probed) == 1:
+        return ProbeRound(layer, probed, probed[0], 0)
+    mags = probe_rows(link, rows)
+    return ProbeRound(layer, probed, probed[int(np.argmax(mags))], len(probed))
+
+
+def run_episode(
+    link: Link, state: SearchState, choose_layer
+) -> tuple[BeamId, int, list[ProbeRound]]:
+    """``strategy.run_searches`` for one episode over a link: each round
+    probes the candidates under the root at ``choose_layer(state)`` and
+    moves to the child state that folds in the feedback, cached in the
+    state's view as the engine caches it.  Returns (chosen bottom beam,
+    probe count, rounds)."""
+    transcript: list[ProbeRound] = []
+    while True:
+        chosen, layer, rows, probed = next_round(state, choose_layer)
+        if chosen is not None:
+            return chosen, sum(r.probes for r in transcript), transcript
+        r = probe_round(link, layer, rows, probed)
+        transcript.append(r)
+        children = state.view.children
+        child = children.get((layer, r.feedback))
+        if child is None:
+            child = state.copy()
+            apply_observation(child, BeamId(layer, r.feedback))
+            children[layer, r.feedback] = child
+        state = child
+
+
+def one_search_at_a_time(choose_layer):
+    """A batched search of ``strategy`` (``run_single_user`` with
+    ``strategy.optimal_layer``, ``run_lookahead`` with
+    ``lookahead.next_layer``) that runs ``run_episode`` over one ``Link``
+    per episode of the batch, reading the episode's noise block and seed
+    words."""
+
+    def run(states, batch):
+        noisy = batch.noise_std > 0.0
+        runs = [
+            run_episode(
+                Link(batch.resp, batch.noise_std, batch.block[e] if noisy else None,
+                     batch.words[e] if noisy else None, p),
+                states[e % len(states)], choose_layer,
+            )
+            for e, p in enumerate(batch.points.tolist())
+        ]
+        return ([r[0] for r in runs], np.array([r[1] for r in runs], np.int64),
+                [x for r in runs for x in r[2]])
+
+    return run
 
 
 def baseline_hierarchical(link: Link) -> tuple[BeamId, int, list[ProbeRound]]:

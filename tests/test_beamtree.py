@@ -5,6 +5,7 @@ recursion recomputed inline with plain numpy, then compared against the
 module's bookkeeping.
 """
 
+import functools
 import itertools
 
 import numpy as np
@@ -17,7 +18,7 @@ from beamckm import beamtree
 from beamckm.codebook import layer_rows, layer_start, row_of
 from beamckm.lookahead import next_layer
 from beamckm.multiuser import prune_user_points
-from beamckm.strategy import episode_outcome, next_round, optimal_layer, run_episode
+from beamckm.strategy import episode_outcome, next_round, optimal_layer, run_searches
 
 from conftest import (
     ancestor_closed,
@@ -25,6 +26,7 @@ from conftest import (
     bottom_weights,
     candidate_count,
     candidates,
+    episode,
     from_bottom_weights,
     layer_masks,
     layer_weights,
@@ -618,7 +620,7 @@ def cached_states(state, path=()):
 
 
 class TestSearchTreeCache:
-    """The states that ``run_episode`` caches below a built state are those
+    """The states that ``run_searches`` caches below a built state are those
     that folding the same observations into a copy of the built state gives."""
 
     @staticmethod
@@ -633,7 +635,8 @@ class TestSearchTreeCache:
         for k in range(30):
             resp = bc.Responses(rng.normal(size=16) + 1j * rng.normal(size=16), cb)
             for choose in (optimal_layer, next_layer):
-                run_episode(bc.Link(resp, 10.0, *noise_of(k)), built, choose)
+                search = functools.partial(run_searches, choose_layer=choose)
+                episode(search, built, bc.Link(resp, 10.0, *noise_of(k)))
         return built
 
     def test_cached_children_equal_replayed_observations(self):

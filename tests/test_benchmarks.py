@@ -5,8 +5,8 @@ routine and staged build match their references, and that the stream table
 loads the states default_rng seeds.  The map build's BCKM round trip must
 report that the saved map loads back equal, and alg3 sweeps on shared
 views, alone and beside the other searches, must report the records of
-fresh states per episode, and the batched baselines the records of their
-per-episode oracles."""
+fresh states per episode, and the batched baselines, alg1 and alg2 the
+records of their per-episode oracles."""
 
 import importlib.util
 from pathlib import Path
@@ -37,7 +37,7 @@ def test_bench_kernels_runs(capsys):
     baselines = ("baseline-hier", "baseline-exhaustive")
     assert sweeps == [[scene, algos] for scene in scenes for algos in ("alg3", full)] + [
         [scene, algo] for scene in scenes[:2] for algo in baselines
-    ]
+    ] + [[scene, algo] for scene in scenes[:2] for algo in ("alg1", "alg2")]
 
 
 def test_map_round_trip_reports_same_map(capsys):

@@ -892,8 +892,12 @@ class TestSweepInvariants:
 
             return run
 
-        for name, users in (("run_single_user", lambda a: [a[0]]),
-                            ("run_lookahead", lambda a: [a[0]]),
+        def batch_users(args):  # the state each episode of the batch starts from
+            states, batch = args
+            return [states[e % len(states)] for e in range(len(batch.points))]
+
+        for name, users in (("run_single_user", batch_users),
+                            ("run_lookahead", batch_users),
                             ("run_multi_user", lambda a: a[0])):
             monkeypatch.setattr(harness, name, recorded(getattr(harness, name), users))
         cfg = self.config()
@@ -993,9 +997,11 @@ class TestSweepInvariants:
             drawn.append(sample(prior, rng))
             return drawn[-1]
 
-        # a link's rounds, each the noise pairs it read; each episode's links
+        # the rounds of an alg3 link or of an episode e of an alg1 or alg2
+        # batch, as (batch, e), each the noise pairs it read; alg3's links
+        # and each search's batches, in call order
         reads, links_of = {}, {algo: [] for algo in bc.ALGORITHMS}
-        probe_rows = bc.probe_rows
+        probe_rows, probe_episodes = bc.probe_rows, strategy.probe_episodes
 
         def probe_recorded(link, rows):
             start = link.used
@@ -1003,6 +1009,16 @@ class TestSweepInvariants:
             if link.noise_std:
                 assert link.used - start == len(rows)
                 reads.setdefault(link, []).append(np.array(link.block[start : link.used]))
+            return mags
+
+        def probe_batch_recorded(batch, eps, rows):
+            start = batch.used[eps]
+            mags = probe_episodes(batch, eps, rows)
+            if batch.noise_std:
+                assert (batch.used[eps] - start == len(rows)).all()
+                for e, first in zip(eps.tolist(), start.tolist()):
+                    read = batch.block[e, first : first + len(rows)]
+                    reads.setdefault((batch, e), []).append(np.array(read))
             return mags
 
         def episode_recorded(algo, episode):
@@ -1032,8 +1048,8 @@ class TestSweepInvariants:
 
         monkeypatch.setattr(harness, "sample_true_position", sample_recorded)
         monkeypatch.setattr(harness, "received", received_recorded)
-        for module in (strategy, multiuser):
-            monkeypatch.setattr(module, "probe_rows", probe_recorded)
+        monkeypatch.setattr(multiuser, "probe_rows", probe_recorded)
+        monkeypatch.setattr(strategy, "probe_episodes", probe_batch_recorded)
         for algo, name in (("alg1", "run_single_user"), ("alg2", "run_lookahead"),
                            ("alg3", "run_multi_user")):
             monkeypatch.setattr(harness, name, episode_recorded(algo, getattr(harness, name)))
@@ -1049,7 +1065,11 @@ class TestSweepInvariants:
         assert drawn == replay
         # per (trial, SNR index, user), in that order: the rounds' noise
         episodes = [(t, si, k) for t in range(trials) for si in range(len(snrs)) for k in range(K)]
-        got = {algo: [reads.pop(link, []) for link in links] for algo, links in links_of.items()}
+        got = {"alg3": [reads.pop(link, []) for link in links_of["alg3"]]}
+        for algo in ("alg1", "alg2"):
+            # one batch per SNR index, over the (trial, user) episodes
+            assert len(links_of[algo]) == len(snrs)
+            got[algo] = [reads.pop((links_of[algo][si], t * K + k), []) for t, si, k in episodes]
         assert not reads
         for algo, calls in batches.items():
             # one call per SNR index, over the (trial, user) episodes

@@ -17,6 +17,7 @@ from beamckm.codebook import row_of
 from conftest import (
     FOUR_LEAF_WEIGHTS,
     built_state,
+    episode,
     exhaustive_best_beam,
     from_bottom_weights,
     layer_weights,
@@ -135,7 +136,8 @@ class TestRunLookahead:
         # for the right half pins the only leaf there with no more probes
         ckm = one_hot_ckm()
         h = steering_vector(-1 + 9 / 8, 8)  # center of bottom beam 5
-        chosen, overhead, rounds = bc.run_lookahead(built_state(ckm, _prior4()), link_of(h))
+        built = built_state(ckm, _prior4())
+        chosen, overhead, rounds = episode(bc.run_lookahead, built, link_of(h))
         assert chosen == bc.BeamId(3, 5)
         assert overhead == 3
         assert [r.layer for r in rounds] == [2]
@@ -144,7 +146,8 @@ class TestRunLookahead:
     def test_toy_jump_left_half_needs_two_more(self):
         ckm = one_hot_ckm()
         h = steering_vector(-1 + 1 / 8, 8)  # center of bottom beam 1
-        chosen, overhead, rounds = bc.run_lookahead(built_state(ckm, _prior4()), link_of(h))
+        built = built_state(ckm, _prior4())
+        chosen, overhead, rounds = episode(bc.run_lookahead, built, link_of(h))
         assert chosen == bc.BeamId(3, 1)
         assert overhead == 5
         assert [r.layer for r in rounds] == [2, 3]
@@ -153,7 +156,7 @@ class TestRunLookahead:
         ckm = toy_ckm(np.ones((1, 16)))
         prior = bc.PositionPrior((bc.SubRegion((0,), 1.0),))
         h = 0.9 * steering_vector(bc.bottom_angles(16)[10], 16)
-        chosen, overhead, rounds = bc.run_lookahead(built_state(ckm, prior), link_of(h))
+        chosen, overhead, rounds = episode(bc.run_lookahead, built_state(ckm, prior), link_of(h))
         assert chosen == bc.BeamId(4, 11)
         assert overhead == 2 * 4
         assert [r.layer for r in rounds] == [1, 2, 3, 4]
@@ -166,7 +169,7 @@ class TestRunLookahead:
         ckm = toy_ckm(bottom)
         prior = bc.PositionPrior((bc.SubRegion((0, 1), 1.0),))
         h = steering_vector(bc.bottom_angles(16)[5], 16)
-        chosen, overhead, rounds = bc.run_lookahead(built_state(ckm, prior), link_of(h))
+        chosen, overhead, rounds = episode(bc.run_lookahead, built_state(ckm, prior), link_of(h))
         assert chosen == bc.BeamId(4, 6)
         assert overhead == 2
         free = [r for r in rounds if r.probes == 0]
@@ -179,7 +182,7 @@ class TestRunLookahead:
         ckm = toy_ckm(bottom)
         prior = bc.PositionPrior((bc.SubRegion((0,), 1.0),))
         h = steering_vector(bc.bottom_angles(16)[9], 16)
-        chosen, overhead, rounds = bc.run_lookahead(built_state(ckm, prior), link_of(h))
+        chosen, overhead, rounds = episode(bc.run_lookahead, built_state(ckm, prior), link_of(h))
         assert chosen == bc.BeamId(4, 10)
         assert overhead == 0
         assert rounds == []
@@ -189,8 +192,8 @@ class TestRunLookahead:
         built = built_state(ckm, bc.PositionPrior((bc.SubRegion((0,), 1.0),)))
         for leaf in [0, 3, 8, 15]:
             h = steering_vector(bc.bottom_angles(16)[leaf], 16)
-            a = bc.run_single_user(built, link_of(h))
-            b = bc.run_lookahead(built, link_of(h))
+            a = episode(bc.run_single_user, built, link_of(h))
+            b = episode(bc.run_lookahead, built, link_of(h))
             assert a[0] == b[0]
             assert a[1] == b[1] == 8
 
@@ -204,7 +207,7 @@ class TestRunLookahead:
         for _ in range(25):
             point = bc.sample_true_position(prior, rng)
             h = scene_channel(small_scene, point)
-            chosen, overhead, rounds = bc.run_lookahead(built, link_of(h))
+            chosen, overhead, rounds = episode(bc.run_lookahead, built, link_of(h))
             assert chosen == exhaustive_best_beam(small_scene, h)
             assert overhead == sum(r.probes for r in rounds)
             assert overhead <= 2 * ckm.num_layers
@@ -216,7 +219,7 @@ class TestRunLookahead:
         # two fresh states, then one whose tree the first run cached
         built = built_state(ckm, prior)
         states = (built, built_state(ckm, prior), built)
-        runs = [bc.run_lookahead(state, link_of(h, 0.05, 42)) for state in states]
+        runs = [episode(bc.run_lookahead, state, link_of(h, 0.05, 42)) for state in states]
         assert runs[0] == runs[1] == runs[2]
 
 

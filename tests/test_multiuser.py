@@ -18,6 +18,7 @@ from beamckm.codebook import beam_index, layer_start, row_of
 
 from conftest import (
     built_state,
+    episode,
     exhaustive_best_beam,
     from_bottom_weights,
     link_of,
@@ -395,7 +396,7 @@ class TestRunMultiUser:
         for _ in range(15):
             point = bc.sample_true_position(prior, rng)
             h = scene_channel(small_scene, point)
-            solo = bc.run_single_user(built, link_of(h))
+            solo = episode(bc.run_single_user, built, link_of(h))
             joint = bc.run_multi_user([built], [link_of(h)], 0.9)
             assert joint[0][0] == solo[0]
             assert joint[1] <= solo[1]
@@ -426,7 +427,7 @@ class TestRunMultiUser:
         for k in range(3):
             assert chosen[k] == exhaustive_best_beam(small_scene, hs[k])
         assert total > 0
-        solo_total = sum(bc.run_single_user(states[k], links[k])[1] for k in range(3))
+        solo_total = sum(episode(bc.run_single_user, states[k], links[k])[1] for k in range(3))
         assert total <= solo_total
 
     def test_eavesdropping_rounds_occur_and_are_free_rides(self, small_scene):

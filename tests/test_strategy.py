@@ -8,6 +8,7 @@ with the implementation under test.
 """
 
 import dataclasses
+import functools
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 
 import beamckm as bc
 from beamckm.lookahead import next_layer
-from beamckm.strategy import run_episode
+from beamckm.strategy import run_searches
 
 from conftest import (
     FOUR_LEAF_WEIGHTS,
@@ -23,6 +24,7 @@ from conftest import (
     built_state,
     candidate_count,
     candidates,
+    episode,
     exhaustive_best_beam,
     from_bottom_weights,
     link_of,
@@ -247,8 +249,8 @@ class TestRunSingleUser:
     def test_unit_weights_probe_bottom_directly(self):
         ckm = self._one_hot_ckm()
         h = steering_vector(-1 + 9 / 8, 8)  # center angle of bottom beam 5
-        chosen, overhead, rounds = bc.run_single_user(
-            built_state(ckm, uniform_prior(range(4))), link_of(h)
+        chosen, overhead, rounds = episode(
+            bc.run_single_user, built_state(ckm, uniform_prior(range(4))), link_of(h)
         )
         assert chosen == bc.BeamId(3, 5)
         assert overhead == 4  # the frozen bottom-only plan
@@ -261,7 +263,7 @@ class TestRunSingleUser:
         prior = bc.PositionPrior(
             (bc.SubRegion((0, 1, 2), 3 / 13), bc.SubRegion((3,), 10 / 13))
         )
-        chosen, overhead, rounds = bc.run_single_user(built_state(ckm, prior), link_of(h))
+        chosen, overhead, rounds = episode(bc.run_single_user, built_state(ckm, prior), link_of(h))
         assert chosen == bc.BeamId(3, 5)
         assert overhead == 2  # probe the two top beams, then free descent
         assert [r.layer for r in rounds if r.probes] == [1]
@@ -277,7 +279,7 @@ class TestRunSingleUser:
         for _ in range(25):
             point = bc.sample_true_position(prior, rng)
             h = scene_channel(small_scene, point)
-            chosen, overhead, rounds = bc.run_single_user(built, link_of(h))
+            chosen, overhead, rounds = episode(bc.run_single_user, built, link_of(h))
             assert chosen == exhaustive_best_beam(small_scene, h)
             assert overhead == sum(r.probes for r in rounds)
             assert overhead <= 2 * ckm.num_layers
@@ -287,7 +289,7 @@ class TestRunSingleUser:
         prior = bc.PositionPrior((bc.SubRegion(tuple(range(64, 96)), 1.0),))
         h = scene_channel(small_scene, 70)
         state = built_state(ckm, prior)
-        chosen, overhead, _ = bc.run_single_user(state, link_of(h, 1e9, 0))
+        chosen, overhead, _ = episode(bc.run_single_user, state, link_of(h, 1e9, 0))
         assert chosen.layer == ckm.num_layers
         # never worse than probing every candidate at every layer once
         bound = sum(candidate_count(state, l) for l in range(1, ckm.num_layers + 1))
@@ -300,7 +302,7 @@ class TestRunSingleUser:
         # two fresh states, then one whose tree the first run cached
         built = built_state(ckm, prior)
         states = (built, built_state(ckm, prior), built)
-        runs = [bc.run_single_user(state, link_of(h, 0.05, 42)) for state in states]
+        runs = [episode(bc.run_single_user, state, link_of(h, 0.05, 42)) for state in states]
         for run in runs[1:]:
             assert runs[0][0] == run[0]
             assert runs[0][1] == run[1]
@@ -308,12 +310,13 @@ class TestRunSingleUser:
 
 
 class TestSharedEpisodeLoop:
-    """Round invariants that alg1, alg2 and both baselines share through
-    ``probe_round``, checked on noisy episodes of the small scene."""
+    """Round invariants that alg1 and alg2 (``strategy.run_searches``) and
+    both baselines' per-episode oracles (``oracles.probe_round``) share,
+    checked on noisy episodes of the small scene."""
 
     EPISODES = {
-        "alg1": bc.run_single_user,
-        "alg2": bc.run_lookahead,
+        "alg1": functools.partial(episode, bc.run_single_user),
+        "alg2": functools.partial(episode, bc.run_lookahead),
         "baseline-hier": lambda state, link: oracles.baseline_hierarchical(link),
         "baseline-exhaustive": lambda state, link: oracles.baseline_exhaustive(link),
     }
@@ -366,9 +369,9 @@ class TestSharedEpisodeLoop:
 
 
 class TestSearchTreeCache:
-    """``run_episode`` walks a tree of cached states below the state it is
-    given: it leaves that state as it was, and an episode through a state
-    already reached derives nothing again."""
+    """``run_searches`` walks a tree of cached states below the states it
+    is given: it leaves those states as they were, and an episode through a
+    state already reached derives nothing again."""
 
     PRIOR = bc.PositionPrior(
         (bc.SubRegion(tuple(range(34, 40)), 0.5), bc.SubRegion(tuple(range(120, 128)), 0.5))
@@ -387,8 +390,9 @@ class TestSearchTreeCache:
             for state in (built, built.copy(), folded):
                 before = {name: getattr(state, name).copy() for name in names}
                 root, fallback = state.root, state.uniform_fallback
+                search = functools.partial(run_searches, choose_layer=choose_layer)
                 for _ in range(2):
-                    assert run_episode(bc.Link(resp, 0.05, *noise_of(seed)), state, choose_layer)[2]
+                    assert episode(search, state, bc.Link(resp, 0.05, *noise_of(seed)))[2]
                 for name, want in before.items():
                     np.testing.assert_array_equal(getattr(state, name), want)
                 assert state.root == root and state.uniform_fallback == fallback
@@ -408,8 +412,8 @@ class TestSearchTreeCache:
         monkeypatch.setattr(strategy, "apply_observation", counted)
         resp = bc.Responses(scene_channel(small_scene, 37), cb)
 
-        def episode():
-            return bc.run_single_user(built, bc.Link(resp, 0.05, *noise_of(9)))
+        def search_once():
+            return episode(bc.run_single_user, built, bc.Link(resp, 0.05, *noise_of(9)))
 
         def path(rounds):
             node, nodes = built, []
@@ -418,10 +422,10 @@ class TestSearchTreeCache:
                 nodes.append(node)
             return nodes
 
-        first = episode()
+        first = search_once()
         assert len(derived) == len(first[2]) >= 2
         nodes = path(first[2])
-        second = episode()
+        second = search_once()
         assert second == first
         assert len(derived) == len(first[2])
         assert all(a is b for a, b in zip(path(second[2]), nodes, strict=True))
@@ -440,15 +444,16 @@ class TestSearchTreeCache:
             derived.append(observed)
             apply_observation(state, observed)
 
-        def counted_episode(*args, **kwargs):
+        def counted_batch(*args, **kwargs):
             result = run_single_user(*args, **kwargs)
-            rounds.append(len(result[2]))
+            rounds.append(len(result[2]))  # every episode's rounds
             return result
 
         monkeypatch.setattr(strategy, "apply_observation", counted_fold)
-        monkeypatch.setattr(harness, "run_single_user", counted_episode)
+        monkeypatch.setattr(harness, "run_single_user", counted_batch)
         records = bc.run_trials(cfg, ckm, algorithms=["alg1"], trials=200, seed=0)
-        assert len(rounds) == len(records) == 200 * len(cfg.snr_db) * len(cfg.users)
+        assert len(records) == 200 * len(cfg.snr_db) * len(cfg.users)
+        assert len(rounds) == len(cfg.snr_db)  # one batch per SNR point of the one chunk
         assert 0 < len(derived) < sum(rounds)
 
 
