@@ -14,6 +14,10 @@ call over a ``Link`` on a fresh noise block of the same stream, on an
 empty response cache (every response computed) and on a filled one (as a
 further SNR point or algorithm of a sweep finds it).
 The comparison asserts equal magnitudes bit for bit under the same noise.
+Then, at the same sizes, the cold fill of a baseline chunk: one batched
+``Responses.take`` of 40 drawn channels against every bottom row, which
+takes ``np.vecdot`` over gathered rows, against one ``np.vdot`` per entry
+(``oracles.responses_by_vdot``), asserting equal values bit for bit.
 
 Map build: on the large scene's grid at ``--map-spacing`` (0.5 m, 65,536
 points, by default), ``channel_vectors`` with one steering vector per
@@ -156,6 +160,13 @@ def probe_by_rows(resp, rows, sigma, seed):
 
 def probe_cold(h, codebook, rows, sigma, seed):
     return probe_by_rows(bc.Responses(h, codebook), rows, sigma, seed)
+
+
+FILL_CHANNELS = 40
+
+
+def fill_by_take(hs, codebook, points, rows):
+    return bc.Responses(hs, codebook).take(points, rows)
 
 
 MAP_STAGES = ("trace", "synthesis", "gain product")
@@ -503,6 +514,21 @@ def main(argv=None) -> int:
               f"probe_rows empty cache={best_c * 1e3:7.3f} ms  "
               f"filled cache={best_w * 1e3:7.3f} ms  "
               f"speedup={best_s / best_c:5.1f}x / {best_s / best_w:6.1f}x  same magnitudes: True")
+
+    print(f"probing, a cold fill of {FILL_CHANNELS} drawn channels x every bottom row:")
+    for n in PROBE_ANTENNAS:
+        codebook = bc.build_codebook(n)
+        draw = np.random.default_rng(n)
+        hs = draw.standard_normal((FILL_CHANNELS, n)) + 1j * draw.standard_normal((FILL_CHANNELS, n))
+        points = np.arange(FILL_CHANNELS)[:, None]
+        rows = np.arange(len(codebook))[layer_rows(layers_of(len(codebook)))][None]
+        want, best_v, _ = bench(oracles.responses_by_vdot, hs, codebook, points, rows,
+                                repeat=args.repeat)
+        got, best_t, _ = bench(fill_by_take, hs, codebook, points, rows, repeat=args.repeat)
+        assert got.tobytes() == want.tobytes(), f"fills disagree at N={n}"
+        print(f"  N={n}  {got.size} entries  per-entry vdot={best_v * 1e3:7.3f} ms  "
+              f"batched take={best_t * 1e3:7.3f} ms  "
+              f"speedup={best_v / best_t:5.1f}x  same values: True")
 
     bench_map_build(args.map_spacing, args.repeat)
     bench_stream_seeding(args.streams, args.repeat)

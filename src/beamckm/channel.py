@@ -7,9 +7,9 @@ the ``Environment`` and ``ArrayConfig`` themselves, vectorized over
 receivers.  Everything is a pure function of (environment seed, geometry),
 so repeated calls are bit-identical.
 
-Probing reads noiseless codeword responses from a ``Responses`` table,
-which computes each on first use: a response is the same number at every
-SNR and for every algorithm, so a sweep computes it once per drawn point.
+Probing reads noiseless codeword responses from a ``Responses`` table, which
+fills each on first use by ``np.vecdot`` (the bits of ``np.vdot``): the same
+number at every SNR and algorithm, so a sweep computes it once per point.
 A ``Link`` pairs one channel of the table with one user's block of probe
 noise at one SNR point, and is all an alg3 episode sees; ``Episodes``
 holds the same for many episodes as arrays, which the single-user
@@ -26,6 +26,7 @@ import numpy as np
 from .streams import normal_blocks
 
 SPEED_OF_LIGHT = 299_792_458.0
+_FILL_BYTES = 2**18  # channel (and codeword) row bytes a batched fill gathers at once
 
 
 def _check_point(value, name: str) -> None:
@@ -244,37 +245,37 @@ def synthesize_channel(env: Environment, array: ArrayConfig, positions) -> np.nd
 class Responses:
     """Noiseless responses ``h^H f`` of channels (the rows of a (P, N) array,
     or one (N,) channel) to the R rows of a codeword matrix: a (P, R) table,
-    each entry computed by ``np.vdot`` on first use and kept where ``computed``."""
+    each entry computed on first use by ``np.vecdot`` over gathered rows (the
+    bits of ``np.vdot(h, f)``) and kept where ``computed``."""
 
     def __init__(self, channels, codewords: np.ndarray):
-        h = np.asarray(channels)
-        cw = np.asarray(codewords)
+        h, cw = np.asarray(channels), np.asarray(codewords)
         if cw.ndim != 2 or h.ndim not in (1, 2) or h.shape[-1:] != cw.shape[1:]:
             raise ValueError("channel/codeword dimension mismatch")
         self.channels = h.reshape(-1, cw.shape[1])
         self.codewords = cw
         self.values = np.empty((len(self.channels), len(cw)), dtype=np.complex128)
         self.computed = np.zeros(self.values.shape, dtype=bool)
-        self._rows = list(self.channels), list(cw)  # row views, made once
 
     def take(self, points, rows: np.ndarray) -> np.ndarray:
         """Responses of the channels at ``points`` (an int, or an (E, 1)
         array) to codeword ``rows``, broadcast together."""
-        h, f = self._rows
-        if type(points) is int:  # a link's round: row views, faster than codes
+        if type(points) is int:  # a link's round: its rows bound the fill
             done, vals = self.computed[points], self.values[points]
             todo = rows[~done[rows]]
             if todo.size:
-                vals[todo] = [np.vdot(h[points], f[r]) for r in todo.tolist()]
+                vals[todo] = np.vecdot(self.channels[points], self.codewords[todo])
                 done[todo] = True
             return vals[rows]
         vals, done = self.values.reshape(-1), self.computed.reshape(-1)  # by code p * R + r
-        codes = points * len(f) + rows
+        codes = points * len(self.codewords) + rows
         todo = codes[~done[codes]]
         if todo.size:
             todo = np.unique(todo)
-            ps, rs = np.divmod(todo, len(f))
-            vals[todo] = [np.vdot(h[p], f[r]) for p, r in zip(ps.tolist(), rs.tolist())]
+            step = max(1, _FILL_BYTES // self.codewords[0].nbytes)  # rows per slice
+            for part in (todo[lo : lo + step] for lo in range(0, todo.size, step)):
+                ps, rs = np.divmod(part, len(self.codewords))
+                vals[part] = np.vecdot(self.channels[ps], self.codewords[rs])
             done[todo] = True
         return vals[codes]
 

@@ -90,20 +90,19 @@ def build_codebook(num_antennas: int) -> np.ndarray:
     n_ant = num_antennas
     depth = num_layers(n_ant)
     angles = bottom_angles(n_ant)
-    ant = np.arange(n_ant)
     # bottom layer: normalized DFT columns, entry m = exp(-j*pi*theta*m)/sqrt(N)
-    bottom = np.exp(-1j * np.pi * np.outer(angles, ant)) / np.sqrt(n_ant)
+    bottom = np.exp(-1j * np.pi * np.outer(angles, np.arange(n_ant))) / np.sqrt(n_ant)
     # alignment coefficients cancel the linear phase of the array response so
     # that adjacent member columns add constructively across the whole support
-    align = np.exp(1j * np.pi * angles * (n_ant - 1) / 2.0)
+    aligned = np.exp(1j * np.pi * angles * (n_ant - 1) / 2.0)[:, None] * bottom
 
     cw = np.empty((layer_start(depth + 1), n_ant), dtype=np.complex128)
     cw[layer_rows(depth)] = bottom
-    aligned = align[:, None] * bottom
     for layer in range(depth - 1, 0, -1):
-        # each beam sums its 2**(depth - layer) member columns; a per-row
-        # norm keeps the bits a batched norm(axis=1) would not
+        # each beam sums its 2**(depth - layer) member columns; the norm is
+        # the two real dots norm(v) takes per row, so it keeps norm(v)'s bits
         block = aligned.reshape(2**layer, -1, n_ant).sum(axis=1)
-        cw[layer_rows(layer)] = block / np.array([np.linalg.norm(v) for v in block])[:, None]
+        norms = np.sqrt(np.vecdot(block.real, block.real) + np.vecdot(block.imag, block.imag))
+        cw[layer_rows(layer)] = block / norms[:, None]
     cw.flags.writeable = False
     return cw

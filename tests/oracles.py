@@ -4,12 +4,13 @@ Each one computes a quantity the package computes another way: the
 planner's probe cost one target and one layer at a time, its pair weights
 from per-layer prefix sums, its plan by enumerating every activation, the
 pruning kernel's cosine one profile at a time, the channel vectors with one
-steering vector per (point, slot), the array response and beam support
-in closed form, a search state's derived view from scratch on every
-call, without the memo of views its copies share, and the map-blind
-baselines and the map-aided single-user searches one episode at a time
-over a ``Link``, one ``probe_round`` per round.  None of them runs in a
-sweep or a map build.
+steering vector per (point, slot), the codebook with one ``norm`` per
+upper-layer row, the codeword responses with one ``np.vdot`` per entry,
+the array response and beam support in closed form, a search state's
+derived view from scratch on every call, without the memo of views its
+copies share, and the map-blind baselines and the map-aided single-user
+searches one episode at a time over a ``Link``, one ``probe_round`` per
+round.  None of them runs in a sweep or a map build.
 """
 
 import numpy as np
@@ -17,7 +18,16 @@ import numpy as np
 from beamckm import kernels
 from beamckm.beamtree import SearchState, apply_observation
 from beamckm.channel import Link, probe_rows
-from beamckm.codebook import BeamId, beam_index, layer_rows, layer_start, layers_of, row_of
+from beamckm.codebook import (
+    BeamId,
+    beam_index,
+    bottom_angles,
+    layer_rows,
+    layer_start,
+    layers_of,
+    num_layers,
+    row_of,
+)
 from beamckm.strategy import ProbeRound, _costs_tie, next_round, shortest_plan
 
 
@@ -40,6 +50,30 @@ def channel_vectors(angles, amps, phases, num_antennas: int) -> np.ndarray:
         coef = amps[:, s] * np.exp(1j * phases[:, s])
         h += coef[:, None] * np.exp(-1j * np.pi * angles[:, s, None] * ant)
     return h
+
+
+def codebook_by_row_norms(num_antennas: int) -> np.ndarray:
+    """``codebook.build_codebook`` normalizing each upper-layer beam by its
+    own ``np.linalg.norm``, one call per row."""
+    depth = num_layers(num_antennas)
+    angles = bottom_angles(num_antennas)
+    bottom = np.exp(-1j * np.pi * np.outer(angles, np.arange(num_antennas))) / np.sqrt(num_antennas)
+    aligned = np.exp(1j * np.pi * angles * (num_antennas - 1) / 2.0)[:, None] * bottom
+    cw = np.empty((layer_start(depth + 1), num_antennas), dtype=np.complex128)
+    cw[layer_rows(depth)] = bottom
+    for layer in range(depth - 1, 0, -1):
+        block = aligned.reshape(2**layer, -1, num_antennas).sum(axis=1)
+        cw[layer_rows(layer)] = [v / np.linalg.norm(v) for v in block]
+    return cw
+
+
+def responses_by_vdot(channels: np.ndarray, codewords: np.ndarray, points, rows) -> np.ndarray:
+    """``Responses(channels, codewords).take(points, rows)`` with one
+    ``np.vdot`` per entry of the broadcast (points, rows)."""
+    table = np.reshape(channels, (-1, codewords.shape[1]))
+    ps, rs = np.broadcast_arrays(points, rows)
+    out = [np.vdot(table[p], codewords[r]) for p, r in zip(ps.ravel().tolist(), rs.ravel().tolist())]
+    return np.array(out, dtype=np.complex128).reshape(ps.shape)
 
 
 def beam_support(beam: BeamId) -> tuple[float, float]:

@@ -1,6 +1,7 @@
 """Smoke test of the committed benchmark script: a tiny run must finish
 and report that both planners chose the same layers, that the scalar and
-batched probes read the same magnitudes, that the map build's channel
+batched probes read the same magnitudes, that a batched response fill
+reads the values of one ``np.vdot`` per entry, that the map build's channel
 routine and staged build match their references, and that the stream table
 loads the states default_rng seeds.  The map build's BCKM round trip must
 report that the saved map loads back equal, and alg3 sweeps on shared
@@ -27,6 +28,8 @@ def test_bench_kernels_runs(capsys):
     assert [l[1] for l in lines] == ["5", "7"]
     probes = [l.split()[0] for l in out if "same magnitudes: True" in l]
     assert probes == ["N=32", "N=128", "N=1024"]
+    fills = [l.split()[0] for l in out if "same values: True" in l]
+    assert fills == ["N=32", "N=128", "N=1024"]
     assert sum("same channels: True" in l for l in out) == 1
     assert sum("same gains: True" in l for l in out) == 1
     streams = [l.split()[0] for l in out if "same states: True" in l]

@@ -6,9 +6,12 @@ Rayleigh mean.  Hypothesis scenes check that a trial's channel is the
 map's channel at the same grid point, bit for bit, and that both are the
 sum of per-path steering vectors.  ``channel_vectors``, which computes one
 steering vector per distinct angle, is checked bit for bit against the
-oracle that computes one per (point, slot).
+oracle that computes one per (point, slot), and the codeword responses,
+filled by ``np.vecdot`` over gathered rows, against one ``np.vdot`` per
+entry.
 """
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import beamckm as bc
+from beamckm import channel
 from beamckm.channel import trace_point_paths
-from beamckm.codebook import row_of
+from beamckm.codebook import layer_rows, row_of
 
 import oracles
 from conftest import noise_of
@@ -385,14 +389,16 @@ class TestProbeRows:
     def test_take_computes_each_response_once(self, monkeypatch):
         cb = bc.build_codebook(16)
         h = steering_vector(0.3, 16) * (0.5 - 0.2j)
-        vdot = np.vdot
+        vdot, vecdot = np.vdot, np.vecdot
         computed = []
 
-        def counting_vdot(a, b):
-            computed.append(b.tobytes())
-            return vdot(a, b)
+        def counting_vecdot(a, b):
+            out = vecdot(a, b)
+            # one codeword per entry computed
+            computed.extend(f.tobytes() for f in np.broadcast_to(b, out.shape + b.shape[-1:]))
+            return out
 
-        monkeypatch.setattr(np, "vdot", counting_vdot)
+        monkeypatch.setattr(np, "vecdot", counting_vecdot)
         resp = bc.Responses(h, cb)
         for rows in ([1, 2, 5], [2, 5, 7, 9], [1, 2, 5, 7, 9], [9]):
             got = resp.take(0, np.array(rows))
@@ -406,14 +412,18 @@ class TestProbeRows:
         cb = bc.build_codebook(16)
         draw = np.random.default_rng(3)
         hs = draw.standard_normal((4, 16)) + 1j * draw.standard_normal((4, 16))
-        vdot = np.vdot
+        vdot, vecdot = np.vdot, np.vecdot
         computed = []
 
-        def counting_vdot(a, b):
-            computed.append((a.tobytes(), b.tobytes()))
-            return vdot(a, b)
+        def counting_vecdot(a, b):
+            out = vecdot(a, b)
+            # one (channel, codeword) pair per entry computed
+            shape = out.shape + a.shape[-1:]
+            pairs = zip(np.broadcast_to(a, shape), np.broadcast_to(b, shape))
+            computed.extend((h.tobytes(), f.tobytes()) for h, f in pairs)
+            return out
 
-        monkeypatch.setattr(np, "vdot", counting_vdot)
+        monkeypatch.setattr(np, "vecdot", counting_vecdot)
         resp = bc.Responses(hs, cb)
         points = np.array([[2], [0], [2], [3]])
         for rows in (np.array([[1, 2], [1, 2], [3, 4], [29, 0]]), np.arange(30)):
@@ -430,6 +440,102 @@ class TestProbeRows:
             bc.Responses(np.ones(8, dtype=complex), cb)
         with pytest.raises(ValueError, match="dimension mismatch"):
             bc.Responses(np.ones(16, dtype=complex), cb[0])
+
+
+def random_channels(draw, count: int, n: int) -> np.ndarray:
+    return draw.standard_normal((count, n)) + 1j * draw.standard_normal((count, n))
+
+
+def asked(shape, points, rows) -> np.ndarray:
+    """The (P, R) mask of the entries a broadcast (points, rows) reads."""
+    mask = np.zeros(shape, dtype=bool)
+    mask[np.broadcast_arrays(points, rows)] = True
+    return mask
+
+
+class TestResponseFill:
+    """``Responses.take`` fills against one ``np.vdot`` per entry, byte for
+    byte, on both paths: one channel's rows, and an (E, 1) array of
+    channels against rows broadcast with it."""
+
+    @pytest.mark.parametrize("n", [4, 32, 128, 512])
+    def test_link_path_equals_vdot(self, n):
+        draw = np.random.default_rng(n)
+        cb = bc.build_codebook(n)
+        hs = random_channels(draw, 3, n)
+        resp = bc.Responses(hs, cb)
+        want_mask = np.zeros(resp.values.shape, dtype=bool)
+        for _ in range(4):
+            p = int(draw.integers(3))
+            # rows repeat within a call and across calls
+            rows = draw.integers(0, len(cb), size=int(draw.integers(1, 2 * n)))
+            got = resp.take(p, rows)
+            want = oracles.responses_by_vdot(hs, cb, p, rows)
+            assert got.tobytes() == want.tobytes()
+            want_mask |= asked(want_mask.shape, p, rows)
+            assert np.array_equal(resp.computed, want_mask)
+
+    @pytest.mark.parametrize("n", [4, 32, 128, 512])
+    def test_batched_path_equals_vdot(self, n):
+        draw = np.random.default_rng(n + 1)
+        cb = bc.build_codebook(n)
+        hs = random_channels(draw, 5, n)
+        resp = bc.Responses(hs, cb)
+        want_mask = np.zeros(resp.values.shape, dtype=bool)
+        for width in (1, 3, n):
+            # points repeat across episodes, rows within and across them
+            points = draw.integers(0, 5, size=(7, 1))
+            rows = draw.integers(0, len(cb), size=(7, width))
+            got = resp.take(points, rows)
+            want = oracles.responses_by_vdot(hs, cb, points, rows)
+            assert got.shape == (7, width)
+            assert got.tobytes() == want.tobytes()
+            want_mask |= asked(want_mask.shape, points, rows)
+            assert np.array_equal(resp.computed, want_mask)
+
+    def test_fill_larger_than_its_slice_budget(self):
+        n = 512
+        cb = bc.build_codebook(n)
+        hs = random_channels(np.random.default_rng(9), 12, n)
+        resp = bc.Responses(hs, cb)
+        points, rows = np.arange(12)[:, None], np.arange(len(cb))[None]
+        # the fill gathers rows in slices of _FILL_BYTES: this one takes dozens
+        assert points.size * rows.size * 16 * n > 20 * channel._FILL_BYTES
+        got = resp.take(points, rows)
+        assert got.tobytes() == oracles.responses_by_vdot(hs, cb, points, rows).tobytes()
+        assert resp.computed.all()
+
+    @pytest.mark.parametrize("scene", ["desk", "large", "deep"])
+    def test_scene_channels_equal_vdot(self, scene):
+        config = bc.load_scenario(CONFIGS / f"{scene}.json")
+        ids = np.arange(config.grid.num_points)
+        counts = trace_point_paths(config.environment, config.array, config.grid.positions(ids))[3]
+        pick = np.random.default_rng(4).choice(ids[counts > 0], size=24, replace=False)
+        hs = bc.synthesize_channel(config.environment, config.array, config.grid.positions(pick))
+        cb = bc.build_codebook(config.array.num_antennas)
+        points, rows = np.arange(24)[:, None], np.arange(len(cb))[None]
+        # a link's round on the first channel, then the whole table batched
+        first = bc.Responses(hs, cb).take(0, rows[0])
+        assert first.tobytes() == oracles.responses_by_vdot(hs, cb, 0, rows[0]).tobytes()
+        got = bc.Responses(hs, cb).take(points, rows)
+        assert got.tobytes() == oracles.responses_by_vdot(hs, cb, points, rows).tobytes()
+
+    def test_batched_fill_memory_is_bounded(self):
+        """A 120-point x 128-bottom-row fill at N = 128 gathers its rows in
+        slices: gathered whole, each of its two gathers would take 31 MB."""
+        n = 128
+        cb = bc.build_codebook(n)
+        resp = bc.Responses(random_channels(np.random.default_rng(2), 120, n), cb)
+        points = np.arange(120)[:, None]
+        rows = np.arange(len(cb))[layer_rows(7)][None]
+        tracemalloc.start()
+        try:
+            resp.take(points, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert resp.computed[:, layer_rows(7)].all()
+        assert peak < 4 * 2**20
 
 
 class TestGeometryEdgeCases:

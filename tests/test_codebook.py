@@ -22,7 +22,7 @@ from beamckm.codebook import (
     row_of,
 )
 
-from oracles import beam_support
+from oracles import beam_support, codebook_by_row_norms
 
 
 class TestBeamId:
@@ -156,6 +156,10 @@ class TestBuildCodebook:
             if offset.search(line)
         ]
         assert found == []
+
+    @pytest.mark.parametrize("n", [4, 8, 16, 32, 64, 128, 256, 512, 1024])
+    def test_equals_the_per_row_norm_build(self, n):
+        assert bc.build_codebook(n).tobytes() == codebook_by_row_norms(n).tobytes()
 
     def test_wide_beam_spans_its_members(self):
         # an upper codeword is the normalized phase-aligned sum of the
