@@ -9,10 +9,11 @@ both planners pay for the states and their pair weights in every call; the
 enumeration also builds its prefix sums (``oracles.prefix_sums``).
 
 Probing: one exhaustive round over the bottom layer at N = 32, 128 and
-1024 antennas, by one scalar ``probe`` per beam and by one ``probe_rows``
-call over a ``Link`` on a fresh noise block of the same stream, on an
-empty response cache (every response computed) and on a filled one (as a
-further SNR point or algorithm of a sweep finds it).
+1024 antennas, by one scalar ``probe`` per beam and by one
+``oracles.probe_rows`` call over an ``oracles.Link`` on a fresh noise
+block of the same stream, on an empty response cache (every response
+computed) and on a filled one (as a further SNR point or algorithm of a
+sweep finds it).
 The comparison asserts equal magnitudes bit for bit under the same noise.
 Then, at the same sizes, the cold fill of a baseline chunk: one batched
 ``Responses.take`` of 40 drawn channels against every bottom row, which
@@ -36,19 +37,23 @@ every loaded state equals the fresh generator's.
 
 alg3 sweeps: on the desk, large and deep scenes, one ``run_trials`` call of
 alg3 alone and one of the config's own algorithm list (every search in one
-call, as the configs run) at the config's SNR points.  alg3's episodes fold
-copies of each user's built state and share its memo of derived views and
-the plans kept in them, which the map-aided trees of alg1 and alg2 also
-fill.  Prints alg3's user-rounds, the views derived of all derivations and
-the memo's hit rate, the pruning profiles looked up, their memo's hit rate
-and the bytes each user's memo keeps, the time inside alg3's episodes per
-user-round against the same call with an empty view memo per episode
-(every view and its plans derived, as before the memo) and with an empty
-profile memo per episode (every prune gathers its profile), and for alg3
-alone the call's ``tracemalloc`` peak.
-The comparison asserts that both calls, each also with either memo
-emptied and with every alg3 episode on states rebuilt from scratch, give
-equal records.
+call, as the configs run) at the config's SNR points.  The engine
+(``multiuser.run_multi_user``) plays each SNR point's episodes in
+lock-step rounds on copies of each user's built state, which share its
+memo of derived views and the plans kept in them (which the map-aided
+trees of alg1 and alg2 also fill) and its memo of pruning profiles.
+Prints alg3's user-rounds and the probing groups that played them, the
+views derived of all derivations and the memo's hit rate, the pruning
+profiles looked up, their memo's hit rate and the bytes each user's memo
+keeps, the time inside alg3 per user-round, best and median of
+``--repeat`` alternated calls: the engine, the engine with a view memo
+that stores nothing (every view and its plans derived, as before the
+memo) and with a profile memo that stores nothing (every group gathers
+its profile), and the per-episode oracle (``oracles.run_multi_user``, one
+trial at a time over a ``Link`` per user), and for alg3 alone the call's
+``tracemalloc`` peak.  The comparison asserts that all four, and the
+oracle with every trial on states rebuilt from scratch, give equal
+records.
 
 Baselines: on the desk and large scenes, one ``run_trials`` call of each
 map-blind baseline at the config's SNR points, which runs every (trial,
@@ -66,6 +71,7 @@ The comparison asserts equal records.
 """
 
 import argparse
+import functools
 import sys
 import time
 import tracemalloc
@@ -155,7 +161,8 @@ def probe_by_scalar(h, codebook, sigma, seed):
 
 def probe_by_rows(resp, rows, sigma, seed):
     words = seed_words([seed], np.empty((1, 0), np.int64))
-    return bc.probe_rows(bc.Link(resp, sigma, normal_blocks(words, len(rows))[0], words[0]), rows)
+    link = oracles.Link(resp, sigma, normal_blocks(words, len(rows))[0], words[0])
+    return oracles.probe_rows(link, rows)
 
 
 def probe_cold(h, codebook, rows, sigma, seed):
@@ -285,65 +292,59 @@ def counted(fn, counts, key):
     return wrapper
 
 
-def fresh_episode(states, links, eta):
-    """``run_multi_user`` on states rebuilt from the built ones' fixed
-    arrays: no memo of views carries over from an earlier episode."""
-    rebuilt = [
-        bc.SearchState(s.point_ids, s.point_mass, s.gains, s.beta, s.retain_beams) for s in states
-    ]
-    return multiuser.run_multi_user(rebuilt, links, eta)
-
-
-def memo_off_episode(states, links, eta):
+def memo_off_engine(states, batch, eta):
     """``run_multi_user`` on copies of the built states with an empty memo
-    of views of their own, the first view included: every view of the
+    of views of their own, which stores nothing: every view of every
     episode, and every plan in it, is derived, as before the memo."""
     copies = [s.copy() for s in states]
-    for c in copies:
-        c._views = {}
-        c._derive()
-    return multiuser.run_multi_user(copies, links, eta)
+    with mock.patch.object(beamtree, "_MAX_VIEWS", 0):
+        for c in copies:
+            c._views = {}
+            c._derive()
+        return multiuser.run_multi_user(copies, batch, eta)
 
 
-def profiles_off_episode(states, links, eta):
+def profiles_off_engine(states, batch, eta):
     """``run_multi_user`` on copies of the built states with an empty memo
-    of pruning profiles of their own: every prune gathers its profile, as
-    before that memo."""
+    of pruning profiles of their own, which stores nothing: every group of
+    a round gathers its profile, as before that memo."""
     copies = [s.copy() for s in states]
     for c in copies:
         c._profiles = beamtree._Memo()
-    return multiuser.run_multi_user(copies, links, eta)
+    with mock.patch.object(multiuser, "_PROFILE_BYTES", 0):
+        return multiuser.run_multi_user(copies, batch, eta)
 
 
-def alg3_seconds(call, episodes, repeat: int):
-    """Records of ``call`` and its least time inside alg3's episodes with
-    each of ``episodes`` as the ``run_multi_user`` they run, over
-    ``repeat`` rounds of one call per episode function, so that a drift
-    of the host's speed reaches all of them alike."""
+def alg3_seconds(call, engines, repeat: int):
+    """Records of ``call`` and the least and median time inside alg3 with
+    each of ``engines`` as the ``run_multi_user`` it runs, over ``repeat``
+    rounds of one call per engine, so that a drift of the host's speed
+    reaches all of them alike."""
     spent = [0.0]
 
-    def timed(episode):
+    def timed(engine):
         def run(*args):
             t0 = time.perf_counter()
             try:
-                return episode(*args)
+                return engine(*args)
             finally:
                 spent[0] += time.perf_counter() - t0
         return run
 
-    out = [[None, float("inf")] for _ in episodes]
+    out = [[None, []] for _ in engines]
     for _ in range(repeat):
-        for slot, episode in zip(out, episodes):
-            with mock.patch.object(harness, "run_multi_user", timed(episode)):
+        for slot, engine in zip(out, engines):
+            with mock.patch.object(harness, "run_multi_user", timed(engine)):
                 spent[0] = 0.0
                 slot[0] = call()
-                slot[1] = min(slot[1], spent[0])
-    return out
+                slot[1].append(spent[0])
+    return [(records, min(times), float(np.median(times))) for records, times in out]
 
 
 def bench_alg3(trials_per_scene, full_trials_per_scene, repeat: int) -> None:
     print("alg3 sweeps, one run_trials call at the config's SNR points, seed 0: "
-          "alg3 alone, then the config's own algorithm list; times inside run_multi_user:")
+          "alg3 alone, then the config's own algorithm list; times inside run_multi_user, "
+          "us per user-round, best (median) of the repeats:")
     for scene, trials, full_trials in zip(ALG3_SCENES, trials_per_scene, full_trials_per_scene):
         config = bc.load_scenario(ROOT / "configs" / f"{scene}.json")
         book = bc.build_codebook(config.array.num_antennas)
@@ -353,7 +354,8 @@ def bench_alg3(trials_per_scene, full_trials_per_scene, repeat: int) -> None:
             def call():
                 return bc.run_trials(config, gain_map, algorithms=algorithms, trials=n, seed=0)
 
-            counts = dict.fromkeys(("rounds", "derived", "computed", "profiles", "hits"), 0)
+            counts = dict.fromkeys(("rounds", "groups", "derived", "computed", "profiles",
+                                    "hits"), 0)
             memos = {}  # each user's memo of pruning profiles, by id
 
             def profile(user, rows):
@@ -362,34 +364,46 @@ def bench_alg3(trials_per_scene, full_trials_per_scene, repeat: int) -> None:
                 counts["hits"] += rows.tobytes() in user._profiles
                 return prune_profile(user, rows)
 
+            def engine(*args):
+                result = multiuser.run_multi_user(*args)
+                counts["rounds"] += sum(map(len, result[2]))
+                return result
+
             prune_profile, state, patch = multiuser._profile, bc.SearchState, mock.patch.object
             with (
-                patch(multiuser, "prune_user_points",
-                      counted(multiuser.prune_user_points, counts, "rounds")),
+                patch(harness, "run_multi_user", engine),
+                patch(multiuser, "probe_episodes",
+                      counted(multiuser.probe_episodes, counts, "groups")),
                 patch(multiuser, "_profile", profile),
                 patch(state, "_derive", counted(state._derive, counts, "derived")),
                 patch(state, "_derive_view", counted(state._derive_view, counts, "computed")),
             ):
                 warm = call()
-            (records, best_w), (memo_off, best_off), (profiles_off, best_p) = alg3_seconds(
-                call, (multiuser.run_multi_user, memo_off_episode, profiles_off_episode), repeat
-            )
-            with patch(harness, "run_multi_user", fresh_episode):
+            timings = alg3_seconds(call, (multiuser.run_multi_user, memo_off_engine,
+                                          profiles_off_engine, oracles.one_trial_at_a_time),
+                                   repeat)
+            with patch(harness, "run_multi_user",
+                       functools.partial(oracles.one_trial_at_a_time, fresh=True)):
                 fresh = call()
-            assert records == warm == memo_off == profiles_off == fresh, (
-                f"memo and fresh disagree on {scene}"
+            assert all(records == warm == fresh for records, _, _ in timings), (
+                f"engine, memo-off engines and per-episode oracle disagree on {scene}"
             )
             peak = f"peak {traced_peak(call) * 1e-6:5.1f} MB  " if algorithms == ["alg3"] else ""
             rounds, kept = counts["rounds"], [m.nbytes for m in memos.values()]
-            print(f"  {scene:5s} {'+'.join(algorithms)}  trials={n}  user-rounds={rounds}  "
-                  f"views derived={counts['computed']} of {counts['derived']}  "
+            engine_t, views_off, profiles_off, oracle_t = (
+                f"{best / rounds * 1e6:6.1f} ({median / rounds * 1e6:6.1f})"
+                for _, best, median in timings
+            )
+            print(f"  {scene:5s} {'+'.join(algorithms)}  trials={n}  user-rounds={rounds} "
+                  f"in {counts['groups']} probing groups  "
+                  f"views derived={counts['computed']} of {counts['derived']} derivations  "
                   f"memo hit rate={1 - counts['computed'] / counts['derived']:.2f}  "
                   f"profiles hit rate={counts['hits'] / max(1, counts['profiles']):.2f} "
                   f"of {counts['profiles']}, kept {sum(kept) * 1e-3:.0f} kB "
                   f"(max {max(kept, default=0) * 1e-3:.0f} kB a user)  "
-                  f"alg3 {best_w / rounds * 1e6:6.1f} us/user-round (memo off "
-                  f"{best_off / rounds * 1e6:6.1f}, profiles off "
-                  f"{best_p / rounds * 1e6:6.1f})  {peak}same records: True")
+                  f"alg3 engine {engine_t} (views off {views_off}, profiles off "
+                  f"{profiles_off}; per-episode oracle {oracle_t}, speedup "
+                  f"{timings[3][1] / timings[0][1]:4.2f}x)  {peak}same records: True")
 
 
 BASELINE_SCENES = ("desk", "large")

@@ -11,13 +11,11 @@ from .channel import (
     ArrayConfig,
     Environment,
     Episodes,
-    Link,
     Obstacle,
     Responses,
     Scatterer,
     channel_vectors,
     probe,
-    probe_rows,
     synthesize_channel,
 )
 from .ckm import (
@@ -69,7 +67,6 @@ __all__ = [
     "Environment",
     "Episodes",
     "GridSpec",
-    "Link",
     "Obstacle",
     "PositionPrior",
     "RegionSpec",
@@ -96,7 +93,6 @@ __all__ = [
     "num_layers",
     "optimal_layer",
     "probe",
-    "probe_rows",
     "read_results_csv",
     "region_points",
     "run_lookahead",

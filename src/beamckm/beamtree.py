@@ -27,6 +27,8 @@ memo of views that a built state's copies share (``SearchState``).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .ckm import CkmGrid
@@ -159,28 +161,13 @@ class SearchState:
         there is one (also when it contradicts an earlier fallback subtree),
         else over the bottom beams still alive.  Observing nothing and
         keeping every alive point of a state with candidates changes
-        nothing, the view included."""
-        alive = self.point_alive
-        if observed is None and self.rows.size and alive.sum() == (alive & point_mask).sum():
-            return
-        self.point_alive &= point_mask
-        if observed is not None:
-            shift = self.num_layers - observed.layer
-            span = np.zeros_like(self.beam_alive)
-            span[(observed.index - 1) << shift : observed.index << shift] = True
-            self.beam_alive &= span
-            self.root = observed
-        self._derive()
-        if not self.candidate_rows(self.num_layers).size:
-            if observed is not None:
-                self.beam_alive = span
-            self.uniform_fallback = True
-            self._derive()
+        nothing, the view included.  The one-state call of ``fold``."""
+        fold([self], np.asarray(point_mask)[None], [observed])
 
-    def _derive(self) -> None:
-        """Point the state at the view of its masks and flag."""
-        key = np.packbits(self.point_alive).tobytes() + np.packbits(self.beam_alive).tobytes()
-        key += b"\x01" if self.uniform_fallback else b"\x00"
+    def _derive(self, key: bytes | None = None) -> None:
+        """Point the state at the view of its masks and flag (memo key ``key``)."""
+        if key is None:
+            key = _keys(self.point_alive[None], self.beam_alive[None], [self.uniform_fallback])[0]
         view = self._views.get(key) or self._derive_view()
         if len(self._views) < _MAX_VIEWS:
             self._views.setdefault(key, view)
@@ -250,6 +237,47 @@ class SearchState:
             G[p, q] = np.where(cnt >= 2, cnt, 0) @ w
             self.view.pairs = (_read_only(S), _read_only(G))
         return self.view.pairs
+
+
+def _keys(point_alive: np.ndarray, beam_alive: np.ndarray, fallback) -> list[bytes]:
+    """Each row's view memo key: ``np.packbits`` of its masks and flag."""
+    packed = np.packbits(np.concatenate((point_alive, beam_alive), axis=1), axis=1)
+    blob, w = packed.tobytes(), packed.shape[1]
+    return [blob[i * w : i * w + w] + (b"\x01" if f else b"\x00") for i, f in enumerate(fallback)]
+
+
+@functools.cache
+def _spans(num_layers: int) -> np.ndarray:
+    """Row r: the bottom beams under codebook row r; the last row, all of them."""
+    bottom = np.arange(2**num_layers)
+    return _read_only(np.concatenate([np.arange(2**l)[:, None] == bottom >> (num_layers - l)
+                                      for l in range(1, num_layers + 1)] + [bottom[None] >= 0]))
+
+
+def fold(states, point_masks: np.ndarray, observed) -> None:
+    """``SearchState.update`` of each of ``states`` (copies of one built state)
+    by its row of ``point_masks`` and ``observed`` beam or None: masks, subtrees
+    and view keys as arrays, then each changed state's view and fallback."""
+    L = states[0].num_layers
+    alive = np.array([s.point_alive for s in states])
+    kept = alive & point_masks
+    rows, spans = [-1 if o is None else row_of(o) for o in observed], _spans(L)
+    span = np.array([spans[r] for r in rows])
+    beams = np.array([s.beam_alive for s in states]) & span
+    keys = _keys(kept, beams, [s.uniform_fallback for s in states])
+    same = (kept == alive).all(axis=1).tolist() if -1 in rows else None
+    for i, (s, o, key) in enumerate(zip(states, observed, keys)):
+        if o is None and same[i] and s.rows.size:
+            continue
+        s.point_alive, s.beam_alive = kept[i], beams[i]
+        if o is not None:
+            s.root = o
+        s._derive(key)
+        if not s.candidate_rows(L).size:
+            if o is not None:
+                s.beam_alive = span[i]
+            s.uniform_fallback = True
+            s._derive()
 
 
 def compute_point_weights(

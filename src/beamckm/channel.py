@@ -10,10 +10,10 @@ so repeated calls are bit-identical.
 Probing reads noiseless codeword responses from a ``Responses`` table, which
 fills each on first use by ``np.vecdot`` (the bits of ``np.vdot``): the same
 number at every SNR and algorithm, so a sweep computes it once per point.
-A ``Link`` pairs one channel of the table with one user's block of probe
-noise at one SNR point, and is all an alg3 episode sees; ``Episodes``
-holds the same for many episodes as arrays, which the single-user
-searches probe a group at a time.
+An ``Episodes`` batch pairs channels of the table with the users' blocks
+of probe noise at one SNR point, one per (trial, user) episode, as
+arrays; every map-aided search probes it a group of episodes at a time
+(``probe_episodes``).
 """
 
 from __future__ import annotations
@@ -260,13 +260,6 @@ class Responses:
     def take(self, points, rows: np.ndarray) -> np.ndarray:
         """Responses of the channels at ``points`` (an int, or an (E, 1)
         array) to codeword ``rows``, broadcast together."""
-        if type(points) is int:  # a link's round: its rows bound the fill
-            done, vals = self.computed[points], self.values[points]
-            todo = rows[~done[rows]]
-            if todo.size:
-                vals[todo] = np.vecdot(self.channels[points], self.codewords[todo])
-                done[todo] = True
-            return vals[rows]
         vals, done = self.values.reshape(-1), self.computed.reshape(-1)  # by code p * R + r
         codes = points * len(self.codewords) + rows
         todo = codes[~done[codes]]
@@ -290,45 +283,11 @@ def received(y: np.ndarray, noise_std: float, z: np.ndarray | None) -> np.ndarra
     return np.abs(y)
 
 
-class Link:
-    """What one user measures at one SNR point: channel ``point`` of a
-    ``Responses`` table, and probe noise CN(0, ``noise_std``^2) read in order
-    from ``block``, the first normal pairs of the user's stream (past it, a
-    longer prefix drawn from its seed ``words``).  A noisy link needs a block,
-    so that every draw comes from a seeded stream.  A slotted class."""
-
-    __slots__ = ("resp", "noise_std", "block", "words", "point", "used")
-
-    def __init__(self, resp: Responses, noise_std: float, block=None, words=None, point=0):
-        if noise_std > 0.0 and block is None:
-            raise ValueError("a noisy link needs a noise block")
-        self.resp = resp
-        self.noise_std = noise_std
-        self.block = block
-        self.words = words
-        self.point = point
-        self.used = 0
-
-
-def probe_rows(link: Link, rows: np.ndarray) -> np.ndarray:
-    """Received pilot magnitudes ``|h^H f + n|`` of distinct codeword ``rows``
-    over a link, in order, with its next ``len(rows)`` noise pairs: the same
-    arithmetic and draws as one ``probe`` per row on the link's stream."""
-    y = link.resp.take(link.point, rows)
-    if link.noise_std <= 0.0:
-        return np.abs(y)
-    start, link.used = link.used, link.used + len(rows)
-    if link.used > len(link.block):
-        if link.words is None:
-            raise ValueError("the link read past its noise block and has no seed words")
-        link.block = normal_blocks(link.words[None], max(link.used, 2 * len(link.block)))[0]
-    return received(y, link.noise_std, link.block[start : link.used])
-
-
 class Episodes:
-    """E episodes at one SNR point, a ``Link`` each as arrays: episode e
-    probes channel ``points[e]`` with noise read in order from ``block[e]``,
-    the first normal pairs of the stream seeded by ``words[e]``."""
+    """E episodes at one SNR point: episode e probes channel ``points[e]``
+    of a ``Responses`` table with noise CN(0, ``noise_std``^2) read in
+    order from ``block[e]``, the first normal pairs of the stream seeded
+    by ``words[e]`` (past it, a longer prefix is drawn from the words)."""
 
     __slots__ = ("resp", "noise_std", "points", "block", "words", "used")
 
@@ -341,9 +300,9 @@ class Episodes:
 
 
 def probe_episodes(batch: Episodes, eps: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``probe_rows`` of distinct codeword ``rows`` over each episode
-    ``eps`` of a batch, one row of magnitudes each, with the episode's
-    next ``len(rows)`` noise pairs."""
+    """Received pilot magnitudes ``|h^H f + n|`` of distinct codeword
+    ``rows`` over each episode ``eps`` of a batch, one row each, with the
+    episode's next ``len(rows)`` noise pairs."""
     y = batch.resp.take(batch.points[eps, None], rows[None])
     if batch.noise_std <= 0.0:
         return np.abs(y)

@@ -13,11 +13,10 @@ stream.  ``run_trials`` seeds them with ``streams.seed_words`` tables,
 which reproduce numpy's seeding bit for bit: the positions in one, the
 noise streams in one per chunk of ``CHUNK_TRIALS`` trials.  It draws each
 noise stream once per chunk, as a block of its first normals that every
-algorithm reads from the start.  The baselines, alg1 and alg2 run as
-array rounds over all (trial, user) episodes of the chunk at one SNR
-point at once, alg1 and alg2 from each user's built search state over
-one ``channel.Episodes``; alg3 runs one (trial, SNR point) at a time over
-a ``channel.Link`` per user.
+algorithm reads from the start.  Every algorithm runs as array rounds
+over all (trial, user) episodes of the chunk at one SNR point at once,
+the map-aided ones from each user's built search state over one
+``channel.Episodes``.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ from .channel import (
     ArrayConfig,
     Environment,
     Episodes,
-    Link,
     Obstacle,
     Responses,
     Scatterer,
@@ -454,16 +452,19 @@ def run_trials(
         blocks = normal_blocks(w, pairs).reshape(len(noisy), points.size, pairs, 2)
         w = w.reshape(len(noisy), points.size, 4)
         words, normals = dict(zip(noisy, w)), dict(zip(noisy, blocks))
-        # all but alg3 run the chunk's (trial, user) episodes of an SNR point at once
-        picks = {}
+        picks = {}  # by (algorithm, SNR index): the chunk's beams and overheads
         for si, sigma in enumerate(sigmas):
             for algo in algos:
                 if algo in batched:
                     search, probes = batched[algo]
                     beams = search(resp, points.ravel(), sigma, normals.get(si)).tolist()
                     picks[algo, si] = [BeamId(L, i) for i in beams], [float(probes)] * points.size
-                elif algo != "alg3":
-                    batch = Episodes(resp, sigma, points.ravel(), normals.get(si), words.get(si))
+                    continue
+                batch = Episodes(resp, sigma, points.ravel(), normals.get(si), words.get(si))
+                if algo == "alg3":  # each user carries an equal share of the trial's total
+                    chosen, totals, _ = run_multi_user(states, batch, config.eta)
+                    picks[algo, si] = chosen, np.repeat(totals / K, K).tolist()
+                else:
                     search = run_single_user if algo == "alg1" else run_lookahead
                     chosen, probes, _ = search(states, batch)
                     picks[algo, si] = chosen, probes.astype(float).tolist()
@@ -471,14 +472,7 @@ def run_trials(
             e = (t - start) * K  # the trial's first episode in the chunk
             for si, (snr, sigma) in enumerate(zip(snrs, sigmas)):
                 for algo in algos:
-                    if algo != "alg3":
-                        chosen, overheads = (col[e : e + K] for col in picks[algo, si])
-                    else:  # alg3 reads its links' noise from the blocks' start
-                        links = [Link(resp, sigma, point=r) if not sigma else
-                                 Link(resp, sigma, normals[si][e + k], words[si][e + k], r)
-                                 for k, r in enumerate(rows)]
-                        chosen, total, _ = run_multi_user(states, links, config.eta)
-                        overheads = [total / K] * K
+                    chosen, overheads = (col[e : e + K] for col in picks[algo, si])
                     records.extend(
                         _finish(t, algo, snr, k, overheads[k], chosen[k], best[r], gains[r], sigma)
                         for k, r in enumerate(rows)

@@ -6,8 +6,14 @@ kept in the view of the user's state, so alg1's plans serve here), and
 the earliest of those is probed.  Users whose own choice matches the round
 layer descend on their feedback; everyone else still hears the probes for
 free and prunes its location hypotheses by correlating the measured gain
-profile with the per-point map profile.  The episode folds copies of the
+profile with the per-point map profile.  An episode folds copies of the
 users' built states and leaves those as they were.
+
+``run_multi_user`` plays a batch's episodes in lock-step rounds: per trial
+the plans and union rows, per (user, layer, rows) group one probe and one
+stacked product, per user one array cut (``_prune``) and fold
+(``beamtree.fold``).  A stacked matmul whose last dimension is 1 runs one
+gemv per item: the bits of one product per episode, which a 2-D gemm lacks.
 
 The map profiles at a round's probed rows depend only on the user's gains
 and those rows, so a built state's copies share one memo of them
@@ -17,12 +23,10 @@ about 1.15 MB by ``tracemalloc`` when the large or deep config fills it.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .beamtree import SearchState
-from .channel import probe_rows
+from .beamtree import SearchState, fold
+from .channel import Episodes, probe_episodes
 from .codebook import BeamId, beam_index, row_of
 from .strategy import ProbeRound, next_round, optimal_layer
 
@@ -43,9 +47,7 @@ def joint_layer(own_layers) -> tuple[int, tuple[int, ...]]:
 
 def union_beams(states, layer: int) -> np.ndarray:
     """Deduplicated, ascending union of the states' candidate codebook rows
-    at a layer; one state's rows are that already."""
-    if len(states) == 1:
-        return states[0].candidate_rows(layer)
+    at a layer."""
     return np.unique(np.concatenate([s.candidate_rows(layer) for s in states]))
 
 
@@ -71,6 +73,42 @@ def _profile(state: SearchState, rows: np.ndarray):
     return prof
 
 
+def _prune(state: SearchState, alive: np.ndarray, probes, eta: float) -> np.ndarray:
+    """``prune_user_points``' cut of one user's copies of ``state``, one
+    survivor mask per row of ``alive``.  ``probes`` holds, in row order,
+    each group's probed ``rows``, observations ``G`` (a row per copy) and
+    fed-back rows (-1 for an eavesdropper).  A zero observation cuts none."""
+    sims, fits, scored = [], [], []
+    for rows, G, fed in probes:
+        no = np.sqrt((G[:, None, :] @ G[:, :, None])[:, 0, 0])  # math.sqrt(g.dot(g)) per row
+        nz = no != 0.0
+        if not nz.all():  # rare: an all-zero observation is left out of the cut
+            G, no, fed = G[nz], no[nz], fed[nz]
+        scored.append(nz)
+        if not len(G):
+            continue
+        ok, gm, nm, peak = _profile(state, rows)
+        sim = (gm @ G[:, :, None])[:, :, 0] / (no[:, None] * nm)
+        if ok is not None:  # a point with an all-zero profile scores 0
+            sim, nonzero = np.zeros((len(sim), ok.size)), sim
+            sim[:, ok] = nonzero
+        sims.append(sim)
+        fits.append((peak == fed[:, None]) | (fed < 0)[:, None])
+    if not sims:
+        return alive
+    scored = np.concatenate(scored)
+    on, sims = alive[scored], np.concatenate(sims)
+    masked = np.where(on, sims, -np.inf)
+    smax = masked.max(axis=1, keepdims=True)
+    cut = on & (sims > eta * smax) & np.concatenate(fits)
+    empty = ~cut.any(axis=1)
+    if empty.any():
+        cut[empty] = on[empty] & (masked[empty] == smax[empty])
+    surv = alive.copy()
+    surv[scored] = cut
+    return surv
+
+
 def prune_user_points(
     state: SearchState,
     rows: np.ndarray,
@@ -85,68 +123,90 @@ def prune_user_points(
     ``eta`` times the best alive similarity and, when the user descended
     on ``f_obs``, a map profile peaking on that same beam.  If nothing
     passes, the best-similarity points are kept; an all-zero ``g_obs``
-    prunes nothing.  The map profiles at ``rows`` come from ``_profile``,
-    so a round costs one product and the cut.  Applies the cut, and the
-    descent to ``f_obs`` if any, in one ``SearchState.update``; returns
+    prunes nothing.  Applies the cut (the one-row call of ``_prune``), and
+    the descent to ``f_obs`` if any, in one ``SearchState.update``; returns
     the surviving grid-point ids."""
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"eta must lie in (0, 1], got {eta}")
     g_obs = np.asarray(g_obs, dtype=np.float64)
     if len(rows) != g_obs.size:
         raise ValueError("one observation per probed beam required")
-    alive = state.point_alive
-    if not alive.any():
+    if not state.point_alive.any():
         raise ValueError("no alive points to prune")
-    no = math.sqrt(g_obs.dot(g_obs))  # what np.linalg.norm computes
-    surv = alive
-    if no != 0.0:
-        ok, gm, nm, peak = _profile(state, rows)
-        sims = (gm @ g_obs) / (no * nm)
-        if ok is not None:  # a point with an all-zero profile scores 0
-            sims, nonzero = np.zeros(ok.size), sims
-            sims[ok] = nonzero
-        masked = np.where(alive, sims, -np.inf)
-        smax = float(masked.max())
-        surv = alive & (sims > eta * smax)
-        if f_obs is not None:
-            surv &= peak == row_of(f_obs)
-        if not surv.any():
-            surv = alive & (masked == smax)
-    state.update(surv, f_obs)
+    fed = np.array([-1 if f_obs is None else row_of(f_obs)])
+    surv = _prune(state, state.point_alive[None], [(rows, g_obs.reshape(1, -1), fed)], eta)
+    state.update(surv[0], f_obs)
     return state.alive_points
 
 
 def run_multi_user(
-    states, links, eta: float
-) -> tuple[list[BeamId], int, list[list[ProbeRound]]]:
-    """Joint episode for all users from copies of their built states, over
-    each user's ``Link``; returns (chosen beams, total probe count charged
-    once per shared round, per-user round transcripts)."""
-    K = len(states)
-    if len(links) != K:
-        raise ValueError("need one Link per user")
-    states = [s.copy() for s in states]
-    chosen: list[BeamId | None] = [None] * K
-    transcripts: list[list[ProbeRound]] = [[] for _ in range(K)]
-    total = 0
+    states, batch: Episodes, eta: float
+) -> tuple[list[BeamId], np.ndarray, list[list[ProbeRound]]]:
+    """Joint episodes of a batch, episode e = trial * K + user k from a copy
+    of the built state ``states[k]``, in lock-step rounds (see the module
+    docstring).  Returns each episode's chosen beam, each trial's probe
+    count (charged once per shared round) and each episode's rounds."""
+    if not 0.0 < eta <= 1.0:
+        raise ValueError(f"eta must lie in (0, 1], got {eta}")
+    K, E = len(states), len(batch.points)
+    if not K or E % K:
+        raise ValueError(f"need one episode per (trial, user): {E} episodes for {K} users")
+    cur = [states[e % K].copy() for e in range(E)]
+    chosen: list[BeamId | None] = [None] * E
+    rounds: list[list[ProbeRound]] = [[] for _ in range(E)]
+    totals = np.zeros(E // K, np.int64)
+    live = range(E // K)
+    unions = {}  # (layer, the descending users' views) -> union rows, their indices
     for _ in range(sum(s.num_layers + 2 for s in states) + 2):
-        # every user's first plan checks its candidates before any probe
-        plans = {k: next_round(states[k], optimal_layer) for k in range(K) if chosen[k] is None}
-        for k, plan in plans.items():
-            chosen[k] = plan[0]
-        active = [k for k in range(K) if chosen[k] is None]
-        if not active:
+        # per trial: the users' plans and the round's layer and rows, grouped by user
+        groups: list[dict] = [{} for _ in range(K)]
+        playing = []
+        for t in live:
+            active = []
+            for e in range(t * K, t * K + K):
+                if chosen[e] is None:
+                    done, layer = next_round(cur[e], optimal_layer)[:2]
+                    if done is None:
+                        active.append((e, layer))
+                    chosen[e] = done
+            if not active:
+                continue
+            playing.append(t)
+            l_opt, flags = joint_layer([layer for _, layer in active])
+            descend = [cur[e] for (e, _), f in zip(active, flags) if f]
+            key = (l_opt, *(s.view for s in descend))
+            union = unions.get(key)
+            if union is None:
+                rows = union_beams(descend, l_opt)
+                union = unions[key] = (rows, tuple(beam_index(rows, l_opt).tolist()))
+            totals[t] += len(union[1])
+            group = (l_opt, union[0].tobytes())
+            for (e, _), flag in zip(active, flags):
+                groups[e % K].setdefault(group, (*union, []))[2].append((e, flag))
+        live = playing
+        if not live:
             break
-        l_opt, flags = joint_layer([plans[k][1] for k in active])
-        rows = union_beams([states[k] for k, f in zip(active, flags) if f], l_opt)
-        probed = tuple(beam_index(rows, l_opt).tolist())
-        total += len(probed)
-        for k, flag in zip(active, flags):
-            g_obs = probe_rows(links[k], rows)
-            feedback = probed[int(np.argmax(g_obs))] if flag else None
-            f_obs = None if feedback is None else BeamId(l_opt, feedback)
-            prune_user_points(states[k], rows, g_obs, f_obs, eta)
-            transcripts[k].append(ProbeRound(l_opt, probed, feedback, len(probed), flag))
+        # per user: one probe and product per group, one cut and fold in all
+        for k, by_rows in enumerate(groups):
+            members, observed, probes = [], [], []
+            for (layer, _), (rows, probed, pairs) in by_rows.items():
+                eps, flags = zip(*pairs)
+                G = probe_episodes(batch, np.array(eps), rows)
+                fed, made = [], {}  # by outcome: its round, observed beam and fed-back row
+                for e, flag, j in zip(eps, flags, np.argmax(G, axis=1).tolist()):
+                    if (flag, j) not in made:
+                        beam = BeamId(layer, probed[j]) if flag else None
+                        rnd = ProbeRound(layer, probed, beam and beam.index, len(probed), flag)
+                        made[flag, j] = rnd, beam, rows[j] if flag else -1
+                    rnd, beam, row = made[flag, j]
+                    rounds[e].append(rnd)
+                    observed.append(beam)
+                    fed.append(row)
+                members += [cur[e] for e in eps]
+                probes.append((rows, G, np.array(fed)))
+            if members:
+                alive = np.array([m.point_alive for m in members])
+                fold(members, _prune(states[k], alive, probes, eta), observed)
     else:
         raise RuntimeError("joint search exceeded its round budget")
-    return chosen, total, transcripts
+    return chosen, totals, rounds

@@ -11,6 +11,7 @@ import pytest
 import beamckm as bc
 from beamckm.codebook import beam_index, layer_rows, layers_of, row_of
 from beamckm.streams import normal_blocks, seed_words
+from oracles import Link
 
 # bottom-layer weight pattern whose candidates are {1, 2, 3, 5} of 8
 FOUR_LEAF_WEIGHTS = np.array([1.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0])
@@ -155,13 +156,13 @@ def noise_of(seed, pairs: int = 3) -> tuple[np.ndarray, np.ndarray]:
     return normal_blocks(words, pairs)[0], words[0]
 
 
-def link_of(h: np.ndarray, noise_std: float = 0.0, seed=None) -> bc.Link:
+def link_of(h: np.ndarray, noise_std: float = 0.0, seed=None) -> Link:
     """The episode input for a channel vector: a link over its responses,
     noiseless unless given a noise std and the seed of a noise stream."""
-    return bc.Link(responses_of(h), noise_std, *(noise_of(seed) if noise_std else ()))
+    return Link(responses_of(h), noise_std, *(noise_of(seed) if noise_std else ()))
 
 
-def episode(search, state: bc.SearchState, link: bc.Link):
+def episode(search, state: bc.SearchState, link: Link):
     """One episode of a batched search (``bc.run_single_user``,
     ``bc.run_lookahead`` or ``strategy.run_searches`` with a layer choice)
     from a built state over a link, as a batch of one: (chosen beam,
@@ -171,6 +172,20 @@ def episode(search, state: bc.SearchState, link: bc.Link):
                         link.block[None] if noisy else None, link.words[None] if noisy else None)
     chosen, probes, rounds = search([state], batch)
     return chosen[0], int(probes[0]), rounds
+
+
+def joint_episode(states, links, eta: float):
+    """One trial of ``bc.run_multi_user`` from the users' built states over
+    one link per user, as a batch of one trial: (chosen beams, probe
+    count, per-user rounds)."""
+    noisy = links[0].noise_std > 0.0
+    resp = bc.Responses(np.stack([l.resp.channels[l.point] for l in links]),
+                        links[0].resp.codewords)
+    batch = bc.Episodes(resp, links[0].noise_std, np.arange(len(links)),
+                        np.stack([l.block for l in links]) if noisy else None,
+                        np.stack([l.words for l in links]) if noisy else None)
+    chosen, totals, rounds = bc.run_multi_user(states, batch, eta)
+    return chosen, int(totals.sum()), rounds
 
 
 def exhaustive_best_beam(scene, h: np.ndarray) -> bc.BeamId:

@@ -8,16 +8,18 @@ steering vector per (point, slot), the codebook with one ``norm`` per
 upper-layer row, the codeword responses with one ``np.vdot`` per entry,
 the array response and beam support in closed form, a search state's
 derived view from scratch on every call, without the memo of views its
-copies share, and the map-blind baselines and the map-aided single-user
-searches one episode at a time over a ``Link``, one ``probe_round`` per
-round.  None of them runs in a sweep or a map build.
+copies share, the per-episode probe input (``Link``, ``probe_rows``),
+the map-blind baselines and the map-aided single-user searches one
+episode at a time over a ``Link``, one ``probe_round`` per round, and
+the joint alg3 search one trial at a time, one ``prune_user_points`` per
+user and round.  None of them runs in a sweep or a map build.
 """
 
 import numpy as np
 
 from beamckm import kernels
 from beamckm.beamtree import SearchState, apply_observation
-from beamckm.channel import Link, probe_rows
+from beamckm.channel import Responses, received
 from beamckm.codebook import (
     BeamId,
     beam_index,
@@ -28,7 +30,9 @@ from beamckm.codebook import (
     num_layers,
     row_of,
 )
-from beamckm.strategy import ProbeRound, _costs_tie, next_round, shortest_plan
+from beamckm.multiuser import joint_layer, prune_user_points, union_beams
+from beamckm.streams import normal_blocks
+from beamckm.strategy import ProbeRound, _costs_tie, next_round, optimal_layer, shortest_plan
 
 
 def steering_vector(angle: float, n_antennas: int) -> np.ndarray:
@@ -255,6 +259,53 @@ def derived_view(state: SearchState):
     return flat, rows, starts, (S, G), first
 
 
+class Link:
+    """What one user measures at one SNR point: channel ``point`` of a
+    ``Responses`` table, and probe noise CN(0, ``noise_std``^2) read in order
+    from ``block``, the first normal pairs of the user's stream (past it, a
+    longer prefix drawn from its seed ``words``).  A noisy link needs a block,
+    so that every draw comes from a seeded stream.  A slotted class."""
+
+    __slots__ = ("resp", "noise_std", "block", "words", "point", "used")
+
+    def __init__(self, resp: Responses, noise_std: float, block=None, words=None, point=0):
+        if noise_std > 0.0 and block is None:
+            raise ValueError("a noisy link needs a noise block")
+        self.resp = resp
+        self.noise_std = noise_std
+        self.block = block
+        self.words = words
+        self.point = point
+        self.used = 0
+
+
+def probe_rows(link: Link, rows: np.ndarray) -> np.ndarray:
+    """Received pilot magnitudes ``|h^H f + n|`` of distinct codeword ``rows``
+    over a link, in order, with its next ``len(rows)`` noise pairs: the same
+    arithmetic and draws as one ``probe`` per row on the link's stream."""
+    y = link.resp.take(link.point, rows)
+    if link.noise_std <= 0.0:
+        return np.abs(y)
+    start, link.used = link.used, link.used + len(rows)
+    if link.used > len(link.block):
+        if link.words is None:
+            raise ValueError("the link read past its noise block and has no seed words")
+        link.block = normal_blocks(link.words[None], max(link.used, 2 * len(link.block)))[0]
+    return received(y, link.noise_std, link.block[start : link.used])
+
+
+def links_of(batch, eps=None) -> list:
+    """One ``Link`` per episode of an ``Episodes`` batch (or of its
+    episodes ``eps``), each over the episode's channel, noise block and
+    seed words, read from the start."""
+    noisy = batch.noise_std > 0.0
+    return [
+        Link(batch.resp, batch.noise_std, batch.block[e] if noisy else None,
+             batch.words[e] if noisy else None, int(batch.points[e]))
+        for e in (range(len(batch.points)) if eps is None else eps)
+    ]
+
+
 def probe_round(
     link: Link, layer: int, rows: np.ndarray, probed: tuple[int, ...]
 ) -> ProbeRound:
@@ -300,15 +351,8 @@ def one_search_at_a_time(choose_layer):
     words."""
 
     def run(states, batch):
-        noisy = batch.noise_std > 0.0
-        runs = [
-            run_episode(
-                Link(batch.resp, batch.noise_std, batch.block[e] if noisy else None,
-                     batch.words[e] if noisy else None, p),
-                states[e % len(states)], choose_layer,
-            )
-            for e, p in enumerate(batch.points.tolist())
-        ]
+        runs = [run_episode(link, states[e % len(states)], choose_layer)
+                for e, link in enumerate(links_of(batch))]
         return ([r[0] for r in runs], np.array([r[1] for r in runs], np.int64),
                 [x for r in runs for x in r[2]])
 
@@ -350,3 +394,60 @@ def one_episode_at_a_time(baseline):
         ])
 
     return run
+
+
+def run_multi_user(states, links, eta: float) -> tuple[list[BeamId], int, list[list[ProbeRound]]]:
+    """``multiuser.run_multi_user`` for one trial over one ``Link`` per
+    user, one round at a time: each round probes the union rows over each
+    active user's link and prunes with one ``prune_user_points`` per user.
+    Returns (chosen beams, total probe count charged once per shared
+    round, per-user round transcripts)."""
+    K = len(states)
+    if len(links) != K:
+        raise ValueError("need one Link per user")
+    states = [s.copy() for s in states]
+    chosen: list[BeamId | None] = [None] * K
+    transcripts: list[list[ProbeRound]] = [[] for _ in range(K)]
+    total = 0
+    for _ in range(sum(s.num_layers + 2 for s in states) + 2):
+        # every user's first plan checks its candidates before any probe
+        plans = {k: next_round(states[k], optimal_layer) for k in range(K) if chosen[k] is None}
+        for k, plan in plans.items():
+            chosen[k] = plan[0]
+        active = [k for k in range(K) if chosen[k] is None]
+        if not active:
+            break
+        l_opt, flags = joint_layer([plans[k][1] for k in active])
+        rows = union_beams([states[k] for k, f in zip(active, flags) if f], l_opt)
+        probed = tuple(beam_index(rows, l_opt).tolist())
+        total += len(probed)
+        for k, flag in zip(active, flags):
+            g_obs = probe_rows(links[k], rows)
+            feedback = probed[int(np.argmax(g_obs))] if flag else None
+            f_obs = None if feedback is None else BeamId(l_opt, feedback)
+            prune_user_points(states[k], rows, g_obs, f_obs, eta)
+            transcripts[k].append(ProbeRound(l_opt, probed, feedback, len(probed), flag))
+    else:
+        raise RuntimeError("joint search exceeded its round budget")
+    return chosen, total, transcripts
+
+
+def one_trial_at_a_time(states, batch, eta: float, fresh: bool = False):
+    """``multiuser.run_multi_user`` over a batch, as ``run_multi_user``
+    above over one ``Link`` per episode for each trial in turn: the
+    engine's (chosen beams, per-trial totals, per-episode rounds).  With
+    ``fresh``, every trial starts from states rebuilt from the built
+    ones' fixed arrays, so no memo carries over from an earlier trial."""
+    K = len(states)
+
+    def users():
+        if not fresh:
+            return states
+        return [SearchState(s.point_ids, s.point_mass, s.gains, s.beta, s.retain_beams)
+                for s in states]
+
+    runs = [run_multi_user(users(), links_of(batch, range(t, t + K)), eta)
+            for t in range(0, len(batch.points), K)]
+    return ([c for r in runs for c in r[0]], np.array([r[1] for r in runs], np.int64),
+            [x for r in runs for x in r[2]])
+

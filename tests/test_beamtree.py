@@ -20,6 +20,7 @@ from beamckm.lookahead import next_layer
 from beamckm.multiuser import prune_user_points
 from beamckm.strategy import episode_outcome, next_round, optimal_layer, run_searches
 
+import oracles
 from conftest import (
     ancestor_closed,
     bottom_candidates,
@@ -636,7 +637,7 @@ class TestSearchTreeCache:
             resp = bc.Responses(rng.normal(size=16) + 1j * rng.normal(size=16), cb)
             for choose in (optimal_layer, next_layer):
                 search = functools.partial(run_searches, choose_layer=choose)
-                episode(search, built, bc.Link(resp, 10.0, *noise_of(k)))
+                episode(search, built, oracles.Link(resp, 10.0, *noise_of(k)))
         return built
 
     def test_cached_children_equal_replayed_observations(self):

@@ -4,12 +4,14 @@ batched probes read the same magnitudes, that a batched response fill
 reads the values of one ``np.vdot`` per entry, that the map build's channel
 routine and staged build match their references, and that the stream table
 loads the states default_rng seeds.  The map build's BCKM round trip must
-report that the saved map loads back equal, and alg3 sweeps on shared
-views, alone and beside the other searches, must report the records of
-fresh states per episode, and the batched baselines, alg1 and alg2 the
+report that the saved map loads back equal, alg3 sweeps, alone and
+beside the other searches, must time the lock-step engine (best and
+median) beside its memo-off variants and the per-episode oracle and
+report equal records, and the batched baselines, alg1 and alg2 the
 records of their per-episode oracles."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_kernels.py"
@@ -41,6 +43,13 @@ def test_bench_kernels_runs(capsys):
     assert sweeps == [[scene, algos] for scene in scenes for algos in ("alg3", full)] + [
         [scene, algo] for scene in scenes[:2] for algo in baselines
     ] + [[scene, algo] for scene in scenes[:2] for algo in ("alg1", "alg2")]
+    # each alg3 line: engine, views off, profiles off and oracle, best (median) of the repeats
+    timed = r"[\d.]+ \( *[\d.]+\)"
+    alg3 = [l for l in out if "per-episode oracle" in l]
+    assert [l.split()[:2] for l in alg3] == [[s, a] for s in scenes for a in ("alg3", full)]
+    pattern = (f"alg3 engine +{timed} \\(views off +{timed}, profiles off +{timed}; "
+               f"per-episode oracle +{timed}, speedup [\\d.]+x\\)")
+    assert all(re.search(pattern, l) and "same records: True" in l for l in alg3)
 
 
 def test_map_round_trip_reports_same_map(capsys):

@@ -358,13 +358,13 @@ class TestProbeRows:
         resp = bc.Responses(h, cb)
         scalar_rng = np.random.default_rng(seed + 1)
         # a block of 3 pairs: most second rounds read past it and draw more
-        link = bc.Link(resp, sigma, *noise_of(seed + 1))
+        link = oracles.Link(resp, sigma, *noise_of(seed + 1))
         # two rounds on one cache: the second finds some rows computed
         for _ in range(2):
             size = data.draw(st.sampled_from([1, 2, int(draw.integers(1, 2 * n - 1))]))
             rows = np.sort(draw.choice(2 * n - 2, size=size, replace=False))
             want = np.array([bc.probe(h, cb[r], sigma, scalar_rng) for r in rows])
-            got = bc.probe_rows(link, rows)
+            got = oracles.probe_rows(link, rows)
             assert got.dtype == np.float64
             assert got.tobytes() == want.tobytes()
             # the link has read as many pairs of its stream as the scalar probes drew
@@ -376,15 +376,15 @@ class TestProbeRows:
         cb = bc.build_codebook(16)
         resp = bc.Responses(np.ones(16, dtype=complex), cb)
         rows = np.array([0, 1])
-        assert bc.probe_rows(bc.Link(resp, 0.0), rows).shape == (2,)
+        assert oracles.probe_rows(oracles.Link(resp, 0.0), rows).shape == (2,)
         # a noisy link is rejected when it is made, before any probe
         with pytest.raises(ValueError, match="needs a noise block"):
-            bc.Link(resp, 0.1)
+            oracles.Link(resp, 0.1)
         # one without seed words reads its block and no further
-        link = bc.Link(resp, 0.1, noise_of(5)[0])
-        assert bc.probe_rows(link, rows).shape == (2,)
+        link = oracles.Link(resp, 0.1, noise_of(5)[0])
+        assert oracles.probe_rows(link, rows).shape == (2,)
         with pytest.raises(ValueError, match="read past its noise block"):
-            bc.probe_rows(link, rows)
+            oracles.probe_rows(link, rows)
 
     def test_take_computes_each_response_once(self, monkeypatch):
         cb = bc.build_codebook(16)

@@ -32,6 +32,8 @@ import beamckm as bc
 from beamckm import ckm as ckm_module
 from beamckm import multiuser
 
+import oracles
+
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 SNRS = (math.inf, 10.0, 0.0, -10.0)
@@ -101,26 +103,52 @@ def test_records_hash(scenes, scene, variant, tmp_path):
 
 
 def test_alg3_similarities_hash(scenes, monkeypatch):
-    """Each prune's similarities, as ``prune_user_points`` hands them to
-    ``np.where``; a product over another memory layout of the same map
-    profiles rounds them differently."""
+    """Each prune's similarities, as the cut hands them to ``np.where``, one
+    row per pruned (episode, user).  The per-episode oracle
+    (``oracles.run_multi_user``) gives them in order, trial by trial and
+    each trial's SNR points in turn; the engine, which cuts many episodes
+    in one call, gives the same multiset of rows.  A product over another
+    memory layout of the same map profiles rounds them differently."""
+    from beamckm import harness
+
     config, ckm = scenes["desk"]
-    sims = []
+    trials, snrs = 30, (-10.0, 0.0)
 
-    class RecordingNumpy:
-        def __getattr__(self, name):
-            return getattr(np, name)
+    def similarity_rows(engine):
+        rows, by_trial = [], []
 
-        @staticmethod
-        def where(condition, x, y):
-            sims.append(np.array(x))
-            return np.where(condition, x, y)
+        class RecordingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
 
-    monkeypatch.setattr(multiuser, "np", RecordingNumpy())
-    bc.run_trials(config, ckm, algorithms=["alg3"], trials=30, seed=0, snr_db=(-10.0, 0.0))
-    assert len(sims) > 100 and all(s.dtype == np.float64 for s in sims)
-    digest = hashlib.sha256(b"".join(s.tobytes() for s in sims)).hexdigest()
-    assert digest == SIMILARITY_GOLDEN
+            @staticmethod
+            def where(condition, x, y):
+                if isinstance(x, np.ndarray) and x.dtype == np.float64:
+                    rows.extend(row.tobytes() for row in x.reshape(-1, x.shape[-1]))
+                return np.where(condition, x, y)
+
+        def one_trial(*args):  # the oracle's rows of each trial at each SNR point
+            start = len(rows)
+            out = trial(*args)
+            by_trial.append(rows[start:])
+            return out
+
+        trial = oracles.run_multi_user
+        with monkeypatch.context() as patch:
+            patch.setattr(multiuser, "np", RecordingNumpy())
+            patch.setattr(oracles, "run_multi_user", one_trial)
+            patch.setattr(harness, "run_multi_user", engine)
+            bc.run_trials(config, ckm, algorithms=["alg3"], trials=trials, seed=0, snr_db=snrs)
+        return rows, by_trial
+
+    rows, by_trial = similarity_rows(oracles.one_trial_at_a_time)
+    assert len(by_trial) == trials * len(snrs)  # one SNR point's trials after another
+    in_order = [r for t in range(trials) for si in range(len(snrs))
+                for r in by_trial[si * trials + t]]
+    assert len(in_order) > 100
+    assert hashlib.sha256(b"".join(in_order)).hexdigest() == SIMILARITY_GOLDEN
+    engine_rows, _ = similarity_rows(multiuser.run_multi_user)
+    assert sorted(engine_rows) == sorted(rows)
 
 
 @pytest.mark.parametrize("scene", sorted(MAP_GOLDEN))

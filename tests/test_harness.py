@@ -611,7 +611,8 @@ class TestBaselines:
     def test_hierarchical_costs_two_per_layer(self, small_scene):
         cb = small_scene["codebook"]
         h = 0.7 * steering_vector(bc.bottom_angles(16)[4], 16)
-        chosen, overhead, rounds = oracles.baseline_hierarchical(bc.Link(bc.Responses(h, cb), 0.0))
+        link = oracles.Link(bc.Responses(h, cb), 0.0)
+        chosen, overhead, rounds = oracles.baseline_hierarchical(link)
         assert bc.baseline_hierarchical(bc.Responses(h, cb), np.array([0]), 0.0, None) == [5]
         assert chosen == bc.BeamId(4, 5)
         assert overhead == 2 * 4
@@ -626,7 +627,8 @@ class TestBaselines:
     def test_exhaustive_probes_everything_once(self, small_scene):
         cb = small_scene["codebook"]
         h = 0.7 * steering_vector(bc.bottom_angles(16)[11], 16)
-        chosen, overhead, rounds = oracles.baseline_exhaustive(bc.Link(bc.Responses(h, cb), 0.0))
+        link = oracles.Link(bc.Responses(h, cb), 0.0)
+        chosen, overhead, rounds = oracles.baseline_exhaustive(link)
         assert bc.baseline_exhaustive(bc.Responses(h, cb), np.array([0]), 0.0, None) == [12]
         assert chosen == bc.BeamId(4, 12)
         assert overhead == 16
@@ -893,13 +895,11 @@ class TestSweepInvariants:
             return run
 
         def batch_users(args):  # the state each episode of the batch starts from
-            states, batch = args
+            states, batch = args[:2]
             return [states[e % len(states)] for e in range(len(batch.points))]
 
-        for name, users in (("run_single_user", batch_users),
-                            ("run_lookahead", batch_users),
-                            ("run_multi_user", lambda a: a[0])):
-            monkeypatch.setattr(harness, name, recorded(getattr(harness, name), users))
+        for name in ("run_single_user", "run_lookahead", "run_multi_user"):
+            monkeypatch.setattr(harness, name, recorded(getattr(harness, name), batch_users))
         cfg = self.config()
         trials, snrs = 12, ["inf", -15.0, -25.0]
         bc.run_trials(cfg, small_scene["ckm"], algorithms=["alg1", "alg2", "alg3"],
@@ -997,19 +997,11 @@ class TestSweepInvariants:
             drawn.append(sample(prior, rng))
             return drawn[-1]
 
-        # the rounds of an alg3 link or of an episode e of an alg1 or alg2
-        # batch, as (batch, e), each the noise pairs it read; alg3's links
-        # and each search's batches, in call order
-        reads, links_of = {}, {algo: [] for algo in bc.ALGORITHMS}
-        probe_rows, probe_episodes = bc.probe_rows, strategy.probe_episodes
-
-        def probe_recorded(link, rows):
-            start = link.used
-            mags = probe_rows(link, rows)
-            if link.noise_std:
-                assert link.used - start == len(rows)
-                reads.setdefault(link, []).append(np.array(link.block[start : link.used]))
-            return mags
+        # the rounds of an episode e of an alg1, alg2 or alg3 batch, as
+        # (batch, e), each the noise pairs it read; each search's batches,
+        # in call order
+        reads, batches_of = {}, {algo: [] for algo in bc.ALGORITHMS}
+        probe_episodes = strategy.probe_episodes
 
         def probe_batch_recorded(batch, eps, rows):
             start = batch.used[eps]
@@ -1023,7 +1015,7 @@ class TestSweepInvariants:
 
         def episode_recorded(algo, episode):
             def run(*args, **kwargs):
-                links_of[algo] += args[1] if algo == "alg3" else [args[1]]
+                batches_of[algo].append(args[1])
                 return episode(*args, **kwargs)
 
             return run
@@ -1048,7 +1040,7 @@ class TestSweepInvariants:
 
         monkeypatch.setattr(harness, "sample_true_position", sample_recorded)
         monkeypatch.setattr(harness, "received", received_recorded)
-        monkeypatch.setattr(multiuser, "probe_rows", probe_recorded)
+        monkeypatch.setattr(multiuser, "probe_episodes", probe_batch_recorded)
         monkeypatch.setattr(strategy, "probe_episodes", probe_batch_recorded)
         for algo, name in (("alg1", "run_single_user"), ("alg2", "run_lookahead"),
                            ("alg3", "run_multi_user")):
@@ -1065,11 +1057,11 @@ class TestSweepInvariants:
         assert drawn == replay
         # per (trial, SNR index, user), in that order: the rounds' noise
         episodes = [(t, si, k) for t in range(trials) for si in range(len(snrs)) for k in range(K)]
-        got = {"alg3": [reads.pop(link, []) for link in links_of["alg3"]]}
-        for algo in ("alg1", "alg2"):
+        got = {}
+        for algo in ("alg1", "alg2", "alg3"):
             # one batch per SNR index, over the (trial, user) episodes
-            assert len(links_of[algo]) == len(snrs)
-            got[algo] = [reads.pop((links_of[algo][si], t * K + k), []) for t, si, k in episodes]
+            assert len(batches_of[algo]) == len(snrs)
+            got[algo] = [reads.pop((batches_of[algo][si], t * K + k), []) for t, si, k in episodes]
         assert not reads
         for algo, calls in batches.items():
             # one call per SNR index, over the (trial, user) episodes

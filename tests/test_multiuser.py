@@ -5,6 +5,7 @@ single-user reduction property — with one user the joint search must pick
 the same layers as the standalone reward search.
 """
 
+import functools
 from pathlib import Path
 
 import numpy as np
@@ -21,10 +22,12 @@ from conftest import (
     episode,
     exhaustive_best_beam,
     from_bottom_weights,
+    joint_episode,
     link_of,
     scene_channel,
     stack_layers,
 )
+import oracles
 from oracles import similarity
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -397,7 +400,7 @@ class TestRunMultiUser:
             point = bc.sample_true_position(prior, rng)
             h = scene_channel(small_scene, point)
             solo = episode(bc.run_single_user, built, link_of(h))
-            joint = bc.run_multi_user([built], [link_of(h)], 0.9)
+            joint = joint_episode([built], [link_of(h)], 0.9)
             assert joint[0][0] == solo[0]
             assert joint[1] <= solo[1]
 
@@ -405,8 +408,8 @@ class TestRunMultiUser:
         ckm = small_scene["ckm"]
         built = built_state(ckm, bc.PositionPrior((bc.SubRegion(tuple(range(36, 42)), 1.0),)))
         link = link_of(scene_channel(small_scene, 38))
-        single = bc.run_multi_user([built], [link], 0.9)
-        twin = bc.run_multi_user([built, built], [link, link], 0.9)
+        single = joint_episode([built], [link], 0.9)
+        twin = joint_episode([built, built], [link, link], 0.9)
         assert twin[0][0] == twin[0][1] == single[0][0]
         assert twin[1] == single[1]  # the clone rides along for free
         assert twin[2][0] == twin[2][1]
@@ -423,7 +426,7 @@ class TestRunMultiUser:
         hs = [scene_channel(small_scene, p) for p in points]
         links = [link_of(h) for h in hs]
         states = [built_state(ckm, p) for p in priors]
-        chosen, total, transcripts = bc.run_multi_user(states, links, 0.9)
+        chosen, total, transcripts = joint_episode(states, links, 0.9)
         for k in range(3):
             assert chosen[k] == exhaustive_best_beam(small_scene, hs[k])
         assert total > 0
@@ -438,7 +441,7 @@ class TestRunMultiUser:
         ]
         links = [link_of(scene_channel(small_scene, p)) for p in (37, 100)]
         states = [built_state(ckm, p) for p in priors]
-        chosen, total, transcripts = bc.run_multi_user(states, links, 0.9)
+        chosen, total, transcripts = joint_episode(states, links, 0.9)
         indicators = [r.indicator for t in transcripts for r in t]
         assert 0 in indicators, "expected at least one eavesdropped round"
         for t in transcripts:
@@ -457,7 +460,7 @@ class TestRunMultiUser:
             bc.PositionPrior((bc.SubRegion(tuple(range(160, 176)), 1.0),)),
         ]
         links = [link_of(scene_channel(small_scene, p)) for p in (44, 165)]
-        _, _, transcripts = bc.run_multi_user([built_state(ckm, p) for p in priors], links, 0.9)
+        _, _, transcripts = joint_episode([built_state(ckm, p) for p in priors], links, 0.9)
         for t in transcripts:
             for r in t:
                 assert list(r.probed) == sorted(set(r.probed))
@@ -474,7 +477,7 @@ class TestRunMultiUser:
         # the same states twice, then fresh ones
         for users in (states, states, [built_state(ckm, p) for p in priors]):
             links = [link_of(h, 0.02, [5, k]) for k, h in enumerate(hs)]
-            runs.append(bc.run_multi_user(users, links, 0.9))
+            runs.append(joint_episode(users, links, 0.9))
         assert runs[0] == runs[1] == runs[2]
 
     def test_built_states_stay_in_their_initial_state(self, small_scene, monkeypatch):
@@ -488,18 +491,17 @@ class TestRunMultiUser:
         ]
         built = [built_state(ckm, p) for p in priors]
         folded = []
-        prune = mu.prune_user_points
+        fold = mu.fold
 
-        def recorded(state, *args):
-            out = prune(state, *args)
-            folded.append((state, state.uniform_fallback))
-            return out
+        def recorded(states, *args):
+            fold(states, *args)
+            folded.extend((state, state.uniform_fallback) for state in states)
 
-        monkeypatch.setattr(mu, "prune_user_points", recorded)
+        monkeypatch.setattr(mu, "fold", recorded)
         hs = [scene_channel(small_scene, p) for p in (38, 100)]
         for seed in range(6):
             links = [link_of(h, 10.0, [seed, k]) for k, h in enumerate(hs)]
-            bc.run_multi_user(built, links, 0.9)
+            joint_episode(built, links, 0.9)
         assert any(fallback for _, fallback in folded)
         assert not any(state is b for state, _ in folded for b in built)
         for state in (*built, *(b.copy() for b in built)):
@@ -510,17 +512,17 @@ class TestRunMultiUser:
         ckm = small_scene["ckm"]
         built = built_state(ckm, bc.PositionPrior((bc.SubRegion((40,), 1.0),)))
         link = link_of(scene_channel(small_scene, 40))
-        assert bc.run_multi_user([built, built], [link, link], 0.9)[0]
+        assert joint_episode([built, built], [link, link], 0.9)[0]
         # one link too few, one too many
         for links in ([link], [link, link, link]):
-            with pytest.raises(ValueError, match="one Link per user"):
-                bc.run_multi_user([built, built], links, 0.9)
+            with pytest.raises(ValueError, match="one episode per \\(trial, user\\)"):
+                joint_episode([built, built], links, 0.9)
 
 
 class TestSharedViews:
     """A sweep's alg3 episodes start from copies of each user's built state
     and so share its memo of derived views; states rebuilt for every
-    episode share nothing and must play the same episodes."""
+    trial share nothing and must play the same episodes."""
 
     @pytest.mark.parametrize("scene, trials, snr", [("large", 40, 10.0), ("deep", 10, 0.0)])
     def test_warm_views_play_what_fresh_states_play(self, monkeypatch, scene, trials, snr):
@@ -529,38 +531,33 @@ class TestSharedViews:
         cfg = bc.load_scenario(CONFIGS / f"{scene}.json")
         book = bc.build_codebook(cfg.array.num_antennas)
         ckm = bc.build_ckm(cfg.environment, cfg.array, book, cfg.grid)
-        run_multi_user, derive, derive_view = (
-            mu.run_multi_user, bc.SearchState._derive, bc.SearchState._derive_view
-        )
+        derive, derive_view = bc.SearchState._derive, bc.SearchState._derive_view
         counts = {"derived": 0, "computed": 0}
 
         def counted(fn, key):
-            def wrapper(state):
+            def wrapper(*args):
                 counts[key] += 1
-                return fn(state)
+                return fn(*args)
             return wrapper
 
         monkeypatch.setattr(bc.SearchState, "_derive", counted(derive, "derived"))
         monkeypatch.setattr(bc.SearchState, "_derive_view", counted(derive_view, "computed"))
 
-        def play(fresh):
+        def play(engine):
             played = []
 
-            def episode(states, *args, **kwargs):
-                if fresh:
-                    states = [
-                        bc.SearchState(s.point_ids, s.point_mass, s.gains, s.beta, s.retain_beams)
-                        for s in states
-                    ]
-                played.append(run_multi_user(states, *args, **kwargs))
-                return played[-1]
+            def run(*args):
+                chosen, totals, rounds = engine(*args)
+                played.append((chosen, totals.tolist(), rounds))
+                return chosen, totals, rounds
 
-            monkeypatch.setattr(harness, "run_multi_user", episode)
+            monkeypatch.setattr(harness, "run_multi_user", run)
             records = bc.run_trials(cfg, ckm, algorithms=["alg3"], trials=trials, seed=0,
                                     snr_db=[snr])
             return played, records
 
-        warm = play(fresh=False)
+        warm = play(mu.run_multi_user)
         assert counts["computed"] < counts["derived"]  # the memo served a view
-        assert len(warm[0]) == trials
-        assert play(fresh=True) == warm  # beams, totals, transcripts and records
+        assert len(warm[0]) == 1 and len(warm[0][0][1]) == trials  # one batch of the trials
+        fresh = play(functools.partial(oracles.one_trial_at_a_time, fresh=True))
+        assert fresh == warm  # beams, totals, rounds and records

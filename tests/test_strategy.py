@@ -392,7 +392,7 @@ class TestSearchTreeCache:
                 root, fallback = state.root, state.uniform_fallback
                 search = functools.partial(run_searches, choose_layer=choose_layer)
                 for _ in range(2):
-                    assert episode(search, state, bc.Link(resp, 0.05, *noise_of(seed)))[2]
+                    assert episode(search, state, oracles.Link(resp, 0.05, *noise_of(seed)))[2]
                 for name, want in before.items():
                     np.testing.assert_array_equal(getattr(state, name), want)
                 assert state.root == root and state.uniform_fallback == fallback
@@ -413,7 +413,7 @@ class TestSearchTreeCache:
         resp = bc.Responses(scene_channel(small_scene, 37), cb)
 
         def search_once():
-            return episode(bc.run_single_user, built, bc.Link(resp, 0.05, *noise_of(9)))
+            return episode(bc.run_single_user, built, oracles.Link(resp, 0.05, *noise_of(9)))
 
         def path(rounds):
             node, nodes = built, []
