@@ -39,14 +39,17 @@ alg3 sweeps: on the desk, large and deep scenes, one ``run_trials`` call of
 alg3 alone and one of the config's own algorithm list (every search in one
 call, as the configs run) at the config's SNR points.  The engine
 (``multiuser.run_multi_user``) plays each SNR point's episodes in
-lock-step rounds on copies of each user's built state, which share its
-memo of derived views and the plans kept in them (which the map-aided
-trees of alg1 and alg2 also fill) and its memo of pruning profiles.
-Prints alg3's user-rounds and the probing groups that played them, the
-views derived of all derivations and the memo's hit rate, the pruning
-profiles looked up, their memo's hit rate and the bytes each user's memo
-keeps, the time inside alg3 per user-round, best and median of
-``--repeat`` alternated calls: the engine, the engine with a view memo
+lock-step rounds, once per distinct joint state, on the distinct states
+of each user that they reach.  Those share the built state's memo of
+derived views and the plans kept in them (which the map-aided trees of
+alg1 and alg2 also fill) and its memo of pruning profiles.  Prints the
+trial-rounds played and the distinct joint keys (``joint_layer`` calls)
+that played them, alg3's user-rounds, the probing groups that played
+them and the distinct states they folded into, the views derived, in how
+many passes, for how many state derivations, and the memo's hit rate,
+the pruning profiles looked up, their memo's hit rate and the bytes each
+user's memo keeps, the time inside alg3 per user-round, best and median
+of ``--repeat`` alternated calls: the engine, the engine with a view memo
 that stores nothing (every view and its plans derived, as before the
 memo) and with a profile memo that stores nothing (every group gathers
 its profile), and the per-episode oracle (``oracles.run_multi_user``, one
@@ -59,15 +62,17 @@ Baselines: on the desk and large scenes, one ``run_trials`` call of each
 map-blind baseline at the config's SNR points, which runs every (trial,
 user) episode of an SNR point as one batch of array rounds, against the
 same call with one per-episode oracle (``tests/oracles.py``) per episode
-over a ``Link``.  The comparison asserts equal records.
+over a ``Link``, each best and median of ``--repeat`` calls.  The
+comparison asserts equal records.
 
 alg1 and alg2: on the desk and large scenes, one ``run_trials`` call of
 each at the config's SNR points, which runs every (trial, user) episode
 of an SNR point as array rounds over the episodes at each cached search
 state (``strategy.run_searches``), against the same call with the
 per-episode oracle (``oracles.run_episode``) over a ``Link`` per episode.
-Prints the episode rounds played and the array rounds that played them.
-The comparison asserts equal records.
+Prints the episode rounds played and the array rounds that played them,
+and each time best and median of ``--repeat`` calls.  The comparison
+asserts equal records.
 """
 
 import argparse
@@ -95,6 +100,7 @@ from oracles import enumerate_activations, pick_activation, prefix_sums  # noqa:
 
 
 def bench(fn, *args, repeat=5):
+    """``fn(*args)``, and the least and the median time of ``repeat`` calls."""
     times = []
     out = None
     for _ in range(repeat):
@@ -102,7 +108,7 @@ def bench(fn, *args, repeat=5):
         out = fn(*args)
         t1 = time.perf_counter()
         times.append(t1 - t0)
-    return out, min(times), sum(times) / len(times)
+    return out, min(times), float(np.median(times))
 
 
 def planning_workload(num_trees: int, num_layers: int, seed: int = 99):
@@ -354,8 +360,8 @@ def bench_alg3(trials_per_scene, full_trials_per_scene, repeat: int) -> None:
             def call():
                 return bc.run_trials(config, gain_map, algorithms=algorithms, trials=n, seed=0)
 
-            counts = dict.fromkeys(("rounds", "groups", "derived", "computed", "profiles",
-                                    "hits"), 0)
+            counts = dict.fromkeys(("trial-rounds", "joint keys", "rounds", "groups", "folded",
+                                    "derived", "passes", "views", "profiles", "hits"), 0)
             memos = {}  # each user's memo of pruning profiles, by id
 
             def profile(user, rows):
@@ -364,19 +370,35 @@ def bench_alg3(trials_per_scene, full_trials_per_scene, repeat: int) -> None:
                 counts["hits"] += rows.tobytes() in user._profiles
                 return prune_profile(user, rows)
 
-            def engine(*args):
-                result = multiuser.run_multi_user(*args)
+            def engine(states, *args):
+                result = multiuser.run_multi_user(states, *args)
                 counts["rounds"] += sum(map(len, result[2]))
+                K = len(states)  # a trial plays until its last user's search is over
+                counts["trial-rounds"] += sum(max(map(len, result[2][e : e + K]))
+                                              for e in range(0, len(result[2]), K))
                 return result
 
+            def fold(states, *args):
+                counts["folded"] += len(states)
+                return fold_states(states, *args)
+
+            def derive_view(state, alive, *args):
+                counts["passes"] += 1
+                counts["views"] += len(alive)
+                return derive_views(state, alive, *args)
+
             prune_profile, state, patch = multiuser._profile, bc.SearchState, mock.patch.object
+            fold_states, derive_views = multiuser.fold, state._derive_view
             with (
                 patch(harness, "run_multi_user", engine),
                 patch(multiuser, "probe_episodes",
                       counted(multiuser.probe_episodes, counts, "groups")),
+                patch(multiuser, "joint_layer",
+                      counted(multiuser.joint_layer, counts, "joint keys")),
+                patch(multiuser, "fold", fold),
                 patch(multiuser, "_profile", profile),
                 patch(state, "_derive", counted(state._derive, counts, "derived")),
-                patch(state, "_derive_view", counted(state._derive_view, counts, "computed")),
+                patch(state, "_derive_view", derive_view),
             ):
                 warm = call()
             timings = alg3_seconds(call, (multiuser.run_multi_user, memo_off_engine,
@@ -394,10 +416,12 @@ def bench_alg3(trials_per_scene, full_trials_per_scene, repeat: int) -> None:
                 f"{best / rounds * 1e6:6.1f} ({median / rounds * 1e6:6.1f})"
                 for _, best, median in timings
             )
-            print(f"  {scene:5s} {'+'.join(algorithms)}  trials={n}  user-rounds={rounds} "
-                  f"in {counts['groups']} probing groups  "
-                  f"views derived={counts['computed']} of {counts['derived']} derivations  "
-                  f"memo hit rate={1 - counts['computed'] / counts['derived']:.2f}  "
+            print(f"  {scene:5s} {'+'.join(algorithms)}  trials={n}  "
+                  f"trial-rounds={counts['trial-rounds']} in {counts['joint keys']} joint keys  "
+                  f"user-rounds={rounds} in {counts['groups']} probing groups, folded as "
+                  f"{counts['folded']} distinct states  views derived={counts['views']} in "
+                  f"{counts['passes']} passes for {counts['derived']} states  "
+                  f"memo hit rate={1 - counts['views'] / counts['derived']:.2f}  "
                   f"profiles hit rate={counts['hits'] / max(1, counts['profiles']):.2f} "
                   f"of {counts['profiles']}, kept {sum(kept) * 1e-3:.0f} kB "
                   f"(max {max(kept, default=0) * 1e-3:.0f} kB a user)  "
@@ -411,7 +435,7 @@ BASELINE_SCENES = ("desk", "large")
 
 def bench_baselines(trials_per_scene, repeat: int) -> None:
     print("baselines, one run_trials call at the config's SNR points, seed 0: "
-          "batched against one oracle episode at a time:")
+          "batched against one oracle episode at a time, best (median) of the repeats:")
     for scene, n in zip(BASELINE_SCENES, trials_per_scene):
         config = bc.load_scenario(ROOT / "configs" / f"{scene}.json")
         book = bc.build_codebook(config.array.num_antennas)
@@ -427,12 +451,13 @@ def bench_baselines(trials_per_scene, repeat: int) -> None:
                 with mock.patch.object(harness, name, oracle):
                     return call()
 
-            records, best_b, _ = bench(call, repeat=repeat)
-            want, best_o, _ = bench(per_episode, repeat=repeat)
+            records, best_b, med_b = bench(call, repeat=repeat)
+            want, best_o, med_o = bench(per_episode, repeat=repeat)
             assert records == want, f"batched and per-episode {algo} disagree on {scene}"
-            print(f"  {scene:5s} {algo}  trials={n}  batched={best_b / n * 1e3:6.3f} ms/trial  "
-                  f"per-episode={best_o / n * 1e3:6.3f} ms/trial  "
-                  f"speedup={best_o / best_b:5.1f}x  same records: True")
+            print(f"  {scene:5s} {algo}  trials={n}  batched={best_b / n * 1e3:6.3f} "
+                  f"({med_b / n * 1e3:6.3f}) ms/trial  per-episode={best_o / n * 1e3:6.3f} "
+                  f"({med_o / n * 1e3:6.3f}) ms/trial  speedup={best_o / best_b:5.1f}x  "
+                  "same records: True")
 
 
 SEARCHES = {"alg1": ("run_single_user", strategy.optimal_layer),
@@ -441,7 +466,7 @@ SEARCHES = {"alg1": ("run_single_user", strategy.optimal_layer),
 
 def bench_searches(trials_per_scene, repeat: int) -> None:
     print("alg1 and alg2, one run_trials call at the config's SNR points, seed 0: "
-          "batched against one oracle episode at a time:")
+          "batched against one oracle episode at a time, best (median) of the repeats:")
     for scene, n in zip(BASELINE_SCENES, trials_per_scene):
         config = bc.load_scenario(ROOT / "configs" / f"{scene}.json")
         book = bc.build_codebook(config.array.num_antennas)
@@ -470,13 +495,13 @@ def bench_searches(trials_per_scene, repeat: int) -> None:
             with (mock.patch.object(harness, name, counted_search),
                   mock.patch.object(strategy, "probe_episodes", counted_probe)):
                 call()
-            records, best_b, _ = bench(call, repeat=repeat)
-            want, best_o, _ = bench(per_episode, repeat=repeat)
+            records, best_b, med_b = bench(call, repeat=repeat)
+            want, best_o, med_o = bench(per_episode, repeat=repeat)
             assert records == want, f"batched and per-episode {algo} disagree on {scene}"
             print(f"  {scene:5s} {algo}  trials={n}  episode rounds={counts['rounds']} "
                   f"in {counts['groups']} probing array rounds  "
-                  f"batched={best_b / n * 1e3:6.3f} ms/trial  "
-                  f"per-episode={best_o / n * 1e3:6.3f} ms/trial  "
+                  f"batched={best_b / n * 1e3:6.3f} ({med_b / n * 1e3:6.3f}) ms/trial  "
+                  f"per-episode={best_o / n * 1e3:6.3f} ({med_o / n * 1e3:6.3f}) ms/trial  "
                   f"speedup={best_o / best_b:5.1f}x  same records: True")
 
 

@@ -20,9 +20,9 @@ alive masks and the fallback flag, and so is the search below it: a
 view keeps its ``plans`` by (layer choice, root layer) and its
 ``children``, the states that fold each observed (layer, index) into
 it.  So the map-aided searches of a sweep walk one tree of cached states
-per user (``strategy.run_searches``), and alg3's episodes, which fold
-copies, read the plans of every view they reach through the bounded
-memo of views that a built state's copies share (``SearchState``).
+per user (``strategy.run_searches``), and alg3 (``multiuser``) folds
+copies of the distinct states its episodes reach with ``fold``, which
+derives all of their missing views in one ``np.bincount`` pass.
 """
 
 from __future__ import annotations
@@ -75,13 +75,14 @@ class SearchState:
     form the ``view``: a pure function of ``(point_alive, beam_alive,
     uniform_fallback)`` over the read-only arrays, so every ``copy()``
     shares one memo of views keyed by ``np.packbits`` of both masks plus
-    the flag.  A hit hands out what a miss computes from the same masks by
-    the same numpy calls, bit for bit.  The memo stores the first
-    ``_MAX_VIEWS`` (512) views, at most about 6 kB each at N=128 (3.1 MB
-    per user) and 19 kB at N=512 (9.6 MB) by ``tracemalloc``; later ones
-    are derived each time they recur.  The copies share ``multiuser``'s
-    memo of pruning profiles by probed rows too, bounded in bytes
-    (``multiuser._PROFILE_BYTES``).  Masks and ``root`` are each copy's own.
+    the flag (``_keys``).  A miss derives the view in one pass with the
+    other missing views of its ``fold`` (``_derive_view``), with the bits
+    of one view at a time.  The memo stores the first ``_MAX_VIEWS`` (512)
+    views, at most about 6 kB each at N=128 (3.1 MB per user) and 19 kB
+    at N=512 (9.6 MB) by ``tracemalloc``; later ones are derived each time
+    they recur.  The copies share ``multiuser``'s memo of pruning profiles
+    by probed rows too, bounded in bytes (``multiuser._PROFILE_BYTES``).
+    Masks and ``root`` are each copy's own.
     """
 
     def __init__(
@@ -120,18 +121,20 @@ class SearchState:
             order = np.argsort(-bottom, axis=1, kind="stable")
             np.put_along_axis(rank, order, np.arange(nb)[None, :], axis=1)
             keep &= rank < retain_beams
-        # fixed per-point contribution to each bottom beam's weight
+        # fixed per-point contribution to each bottom beam's weight, and its
+        # nonzero entries in row-major order (see _derive_view)
         self.contrib = self.point_mass[:, None] * bottom * keep
+        nonzero = np.nonzero(self.contrib)
+        self._nonzero = tuple(map(_read_only, (*nonzero, self.contrib[nonzero])))
         # first codebook row of layers 1..L+1 (the last is one past the bottom)
         self._first_rows = layer_start(np.arange(1, num_layers + 2))
-        # per layer pair 1 <= p < q <= L: p, q, and as columns the ancestor
-        # shift L-p, the subtree widening q-p and the first row of layer q
+        # per layer pair 1 <= p < q <= L: p, q, and per bottom beam b the rows
+        # [lo, hi) at q of the subtree under b's ancestor at p
         p, q = np.triu_indices(num_layers, k=1)
         p, q = p + 1, q + 1
-        self._pair_index = tuple(
-            _read_only(a)
-            for a in (p, q, (num_layers - p)[:, None], (q - p)[:, None], layer_start(q)[:, None])
-        )
+        up, widen = (num_layers - p)[:, None], (q - p)[:, None]
+        lo = layer_start(q)[:, None] + ((np.arange(nb) >> up) << widen)
+        self._pair_index = tuple(map(_read_only, (p, q, lo, lo + (1 << widen))))
         for name in ("point_ids", "point_mass", "gains", "contrib", "_first_rows"):
             setattr(self, name, _read_only(getattr(self, name)))
         self.point_alive = np.ones(len(self.point_ids), dtype=bool)
@@ -161,38 +164,87 @@ class SearchState:
         there is one (also when it contradicts an earlier fallback subtree),
         else over the bottom beams still alive.  Observing nothing and
         keeping every alive point of a state with candidates changes
-        nothing, the view included.  The one-state call of ``fold``."""
-        fold([self], np.asarray(point_mask)[None], [observed])
+        nothing, the view included.  ``fold`` folds many states at once."""
+        kept = self.point_alive & point_mask
+        if observed is not None or not self.rows.size or (kept != self.point_alive).any():
+            self._take(kept, observed)
+            self._derive()
+            if self._fall_back(observed):
+                self._derive()
 
-    def _derive(self, key: bytes | None = None) -> None:
-        """Point the state at the view of its masks and flag (memo key ``key``)."""
-        if key is None:
-            key = _keys(self.point_alive[None], self.beam_alive[None], [self.uniform_fallback])[0]
-        view = self._views.get(key) or self._derive_view()
-        if len(self._views) < _MAX_VIEWS:
-            self._views.setdefault(key, view)
+    def _take(self, kept: np.ndarray, observed: BeamId | None) -> None:
+        """Take the alive mask ``kept`` and the ``observed`` beam, if any, as
+        the root and the bound of the alive bottom beams."""
+        self.point_alive = kept
+        if observed is not None:
+            self.root = observed
+            self.beam_alive = self.beam_alive & _spans(self.num_layers)[row_of(observed)]
+
+    def _fall_back(self, observed: BeamId | None) -> bool:
+        """Whether no bottom candidate is left, and then the uniform fallback,
+        over the ``observed`` beam's subtree if there is one."""
+        if self.candidate_rows(self.num_layers).size:
+            return False
+        if observed is not None:
+            self.beam_alive = _spans(self.num_layers)[row_of(observed)]
+        self.uniform_fallback = True
+        return True
+
+    def _derive(self, view: _View | None = None) -> None:
+        """Point the state at ``view``, by default the view of its own masks
+        and flag: the memo's, else derived and stored while the memo holds
+        fewer than ``_MAX_VIEWS``."""
+        if view is None:
+            key = _keys(self.point_alive, self.beam_alive, self.uniform_fallback)
+            view = self._views.get(key)
+            if view is None:
+                flag = [self.uniform_fallback]
+                view = self._derive_view(self.point_alive[None], self.beam_alive[None], flag)[0]
+                if len(self._views) < _MAX_VIEWS:
+                    self._views[key] = view
         self.view = view
         self.weights, self.rows, self._starts = view.weights, view.rows, view.starts
 
-    def _derive_view(self) -> _View:
-        """Weights of the alive points and beams (bottom layer, then pairwise
-        sums upward), the candidate rows and each layer's first among them."""
+    def _derive_view(self, alive: np.ndarray, beams: np.ndarray, fallback) -> list[_View]:
+        """The views of rows of alive masks, beam masks and fallback flags,
+        in one pass: bottom weights (1.0 per alive beam under the fallback),
+        pairwise sums upward, then each view's rows and layer starts.  The
+        alive points' sums are one view-major ``np.bincount`` over the nonzero
+        contributions in row-major order, which keeps the bits of each view's
+        ``contrib[alive].sum(axis=0)``: that adds rows in point order, so
+        does bincount, and a skipped +0.0 changes no bits (contributions
+        are >= 0).  One view takes the same steps in one dimension."""
         L, at = self.num_layers, self._layer_rows
-        flat = np.empty(at[L].stop)
-        if self.uniform_fallback:
-            flat[at[L]] = self.beam_alive
-        else:
-            flat[at[L]] = np.where(
-                self.beam_alive, self.contrib[self.point_alive].sum(axis=0), 0.0
-            )
+        V, nb = len(alive), 2**L
+        r, c, v = self._nonzero
+        if V == 1:  # the same sums and steps in one dimension, which costs less
+            j = np.flatnonzero(alive[0, r])
+            flat = np.empty(at[L].stop)
+            sums = np.bincount(c[j], v[j], nb)
+            flat[at[L]] = beams[0] if fallback[0] else np.where(beams[0], sums, 0.0)
+            for l in range(L - 1, 0, -1):
+                below = flat[at[l + 1]]
+                flat[at[l]] = below[0::2] + below[1::2]
+            rows = np.flatnonzero(flat > 0)
+            flat.flags.writeable = rows.flags.writeable = False
+            return [_View(flat, rows, tuple(np.searchsorted(rows, self._first_rows).tolist()))]
+        vi, ji = np.nonzero(alive[:, r])
+        sums = np.bincount(vi * nb + c[ji], v[ji], V * nb).reshape(V, nb)
+        flat = np.empty((V, at[L].stop))
+        fallback = np.asarray(fallback, dtype=bool)[:, None]
+        flat[:, at[L]] = np.where(fallback, beams, np.where(beams, sums, 0.0))
         for l in range(L - 1, 0, -1):
-            below = flat[at[l + 1]]
-            flat[at[l]] = below[0::2] + below[1::2]
-        flat.flags.writeable = False
-        rows = np.flatnonzero(flat > 0)
-        rows.flags.writeable = False
-        # layer l's candidates are rows[starts[l - 1] : starts[l]]
-        return _View(flat, rows, tuple(np.searchsorted(rows, self._first_rows).tolist()))
+            below = flat[:, at[l + 1]]
+            flat[:, at[l]] = below[:, 0::2] + below[:, 1::2]
+        positive = flat > 0  # the candidates; per layer their count, summed up: its end
+        counts = np.add.reduceat(positive, self._first_rows[:-1], axis=1, dtype=np.int64)
+        rows, views, lo = np.nonzero(positive)[1], [], 0
+        for weights, ends in zip(flat, counts.cumsum(axis=1).tolist()):
+            weights, here = weights.copy(), rows[lo : lo + ends[-1]].copy()
+            weights.flags.writeable = here.flags.writeable = False
+            views.append(_View(weights, here, (0, *ends)))
+            lo += ends[-1]
+        return views
 
     @property
     def alive_points(self) -> np.ndarray:
@@ -224,24 +276,27 @@ class SearchState:
         """
         if self.view.pairs is None:
             L = self.num_layers
-            p, q, up, widen, first = self._pair_index
+            p, q, lo, hi = self._pair_index
             bottom = self.candidate_rows(L)
             w = self.weights[bottom]
-            S = np.zeros(L + 1)
-            S[1:] = w.sum() * np.diff(self._starts)
-            # rows of each bottom candidate's subtree at q under its ancestor at p
-            lo = first + (((bottom - self._layer_rows[L].start) >> up) << widen)
-            below = np.concatenate(([0], np.cumsum(self.weights > 0)))  # candidates before row r
-            cnt = below[lo + (1 << widen)] - below[lo]
+            S, starts = np.zeros(L + 1), self._starts
+            S[1:] = w.sum() * np.array([b - a for a, b in zip(starts, starts[1:])])
+            # candidates at q under each bottom candidate's ancestor at p
+            at = bottom - self._layer_rows[L].start
+            cnt = self.rows.searchsorted(hi[:, at]) - self.rows.searchsorted(lo[:, at])
             G = np.zeros((L + 1, L + 1))
             G[p, q] = np.where(cnt >= 2, cnt, 0) @ w
             self.view.pairs = (_read_only(S), _read_only(G))
         return self.view.pairs
 
 
-def _keys(point_alive: np.ndarray, beam_alive: np.ndarray, fallback) -> list[bytes]:
-    """Each row's view memo key: ``np.packbits`` of its masks and flag."""
-    packed = np.packbits(np.concatenate((point_alive, beam_alive), axis=1), axis=1)
+def _keys(point_alive: np.ndarray, beam_alive: np.ndarray, fallback):
+    """The view memo key of each row of the masks and its flag, or of the
+    masks themselves when they are one row: ``np.packbits`` of both masks,
+    then the flag byte."""
+    packed = np.packbits(np.concatenate((point_alive, beam_alive), axis=-1), axis=-1)
+    if packed.ndim == 1:
+        return packed.tobytes() + (b"\x01" if fallback else b"\x00")
     blob, w = packed.tobytes(), packed.shape[1]
     return [blob[i * w : i * w + w] + (b"\x01" if f else b"\x00") for i, f in enumerate(fallback)]
 
@@ -256,28 +311,38 @@ def _spans(num_layers: int) -> np.ndarray:
 
 def fold(states, point_masks: np.ndarray, observed) -> None:
     """``SearchState.update`` of each of ``states`` (copies of one built state)
-    by its row of ``point_masks`` and ``observed`` beam or None: masks, subtrees
-    and view keys as arrays, then each changed state's view and fallback."""
-    L = states[0].num_layers
+    by its row of ``point_masks`` and ``observed`` beam or None, with the
+    views of the states that change, then of those that fall back, taken
+    in one pass each (``_derive_all``)."""
     alive = np.array([s.point_alive for s in states])
     kept = alive & point_masks
-    rows, spans = [-1 if o is None else row_of(o) for o in observed], _spans(L)
-    span = np.array([spans[r] for r in rows])
-    beams = np.array([s.beam_alive for s in states]) & span
-    keys = _keys(kept, beams, [s.uniform_fallback for s in states])
-    same = (kept == alive).all(axis=1).tolist() if -1 in rows else None
-    for i, (s, o, key) in enumerate(zip(states, observed, keys)):
-        if o is None and same[i] and s.rows.size:
-            continue
-        s.point_alive, s.beam_alive = kept[i], beams[i]
-        if o is not None:
-            s.root = o
-        s._derive(key)
-        if not s.candidate_rows(L).size:
-            if o is not None:
-                s.beam_alive = span[i]
-            s.uniform_fallback = True
-            s._derive()
+    changed = []
+    for s, m, o, same in zip(states, kept, observed, (kept == alive).all(axis=1)):
+        if o is not None or not same or not s.rows.size:
+            s._take(m, o)
+            changed.append((s, o))
+    _derive_all([s for s, _ in changed])
+    _derive_all([s for s, o in changed if s._fall_back(o)])
+
+
+def _derive_all(states) -> None:
+    """Point each of ``states`` (copies of one built state) at the view of
+    its masks and flag: the memo's, else derived with the other missing ones
+    in one pass (``SearchState._derive_view``), stored while there is room."""
+    if not states:
+        return
+    alive = np.array([s.point_alive for s in states])
+    beams = np.array([s.beam_alive for s in states])
+    flags, memo = np.array([s.uniform_fallback for s in states]), states[0]._views
+    keys = _keys(alive, beams, flags)
+    new = {key: i for i, key in enumerate(keys) if key not in memo}  # a row of each
+    at = list(new.values())
+    made = dict(zip(new, states[0]._derive_view(alive[at], beams[at], flags[at]) if at else ()))
+    for key, view in made.items():
+        if len(memo) < _MAX_VIEWS:
+            memo[key] = view
+    for s, key in zip(states, keys):
+        s._derive(made.get(key) or memo[key])
 
 
 def compute_point_weights(

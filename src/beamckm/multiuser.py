@@ -6,13 +6,17 @@ kept in the view of the user's state, so alg1's plans serve here), and
 the earliest of those is probed.  Users whose own choice matches the round
 layer descend on their feedback; everyone else still hears the probes for
 free and prunes its location hypotheses by correlating the measured gain
-profile with the per-point map profile.  An episode folds copies of the
-users' built states and leaves those as they were.
+profile with the per-point map profile.  Episodes leave the users' built
+states as they were.
 
-``run_multi_user`` plays a batch's episodes in lock-step rounds: per trial
-the plans and union rows, per (user, layer, rows) group one probe and one
-stacked product, per user one array cut (``_prune``) and fold
-(``beamtree.fold``).  A stacked matmul whose last dimension is 1 runs one
+``run_multi_user`` plays a batch's episodes in lock-step rounds, once
+per distinct joint state: a trial holds each user's state among the
+distinct states the batch reached, so one joint key (each user's state,
+or none once its search is over) takes the plans, ``joint_layer`` and
+the union rows for all of its trials.  Per (user, layer, rows) group one
+probe and one stacked product, per user one array cut (``_prune``) and
+one fold (``beamtree.fold``) of a copy per distinct (state, fed-back
+row, survivors).  A stacked matmul whose last dimension is 1 runs one
 gemv per item: the bits of one product per episode, which a 2-D gemm lacks.
 
 The map profiles at a round's probed rows depend only on the user's gains
@@ -48,7 +52,10 @@ def joint_layer(own_layers) -> tuple[int, tuple[int, ...]]:
 def union_beams(states, layer: int) -> np.ndarray:
     """Deduplicated, ascending union of the states' candidate codebook rows
     at a layer."""
-    return np.unique(np.concatenate([s.candidate_rows(layer) for s in states]))
+    if len(states) == 1:
+        return states[0].candidate_rows(layer)
+    return np.array(sorted(set().union(*(s.candidate_rows(layer).tolist() for s in states))),
+                    np.int64)
 
 
 _PROFILE_BYTES = 1 << 20  # bytes of profiles one user's memo stores (see _profile)
@@ -74,10 +81,11 @@ def _profile(state: SearchState, rows: np.ndarray):
 
 
 def _prune(state: SearchState, alive: np.ndarray, probes, eta: float) -> np.ndarray:
-    """``prune_user_points``' cut of one user's copies of ``state``, one
-    survivor mask per row of ``alive``.  ``probes`` holds, in row order,
-    each group's probed ``rows``, observations ``G`` (a row per copy) and
-    fed-back rows (-1 for an eavesdropper).  A zero observation cuts none."""
+    """``prune_user_points``' cut of one user's episodes from the built
+    ``state``, one survivor mask per row of ``alive``.  ``probes`` holds, in
+    row order, each group's probed ``rows``, observations ``G`` (a row per
+    episode) and fed-back rows (-1 for an eavesdropper).  A zero
+    observation cuts none."""
     sims, fits, scored = [], [], []
     for rows, G, fed in probes:
         no = np.sqrt((G[:, None, :] @ G[:, :, None])[:, 0, 0])  # math.sqrt(g.dot(g)) per row
@@ -142,8 +150,8 @@ def prune_user_points(
 def run_multi_user(
     states, batch: Episodes, eta: float
 ) -> tuple[list[BeamId], np.ndarray, list[list[ProbeRound]]]:
-    """Joint episodes of a batch, episode e = trial * K + user k from a copy
-    of the built state ``states[k]``, in lock-step rounds (see the module
+    """Joint episodes of a batch, episode e = trial * K + user k from the
+    built state ``states[k]``, in lock-step rounds (see the module
     docstring).  Returns each episode's chosen beam, each trial's probe
     count (charged once per shared round) and each episode's rounds."""
     if not 0.0 < eta <= 1.0:
@@ -151,62 +159,85 @@ def run_multi_user(
     K, E = len(states), len(batch.points)
     if not K or E % K:
         raise ValueError(f"need one episode per (trial, user): {E} episodes for {K} users")
-    cur = [states[e % K].copy() for e in range(E)]
-    chosen: list[BeamId | None] = [None] * E
-    rounds: list[list[ProbeRound]] = [[] for _ in range(E)]
-    totals = np.zeros(E // K, np.int64)
+    at = [list(states) for _ in range(E // K)]  # per trial, each user's state; None once over
+    index = {(s.view, s.root_layer): s for s in states}  # the distinct states reached
+    chosen, rounds, totals = [None] * E, [[] for _ in range(E)], [0] * (E // K)
+    unions, probing, specs = {}, {}, []  # union by descending views; probing group by rows
     live = range(E // K)
-    unions = {}  # (layer, the descending users' views) -> union rows, their indices
     for _ in range(sum(s.num_layers + 2 for s in states) + 2):
-        # per trial: the users' plans and the round's layer and rows, grouped by user
-        groups: list[dict] = [{} for _ in range(K)]
-        playing = []
+        by_key: dict[tuple, list] = {}  # the trials of each joint key
         for t in live:
+            by_key.setdefault(tuple(at[t]), []).append(t)
+        plans, groups, live = {}, [{} for _ in range(K)], []
+        for key, trials in by_key.items():
             active = []
-            for e in range(t * K, t * K + K):
-                if chosen[e] is None:
-                    done, layer = next_round(cur[e], optimal_layer)[:2]
+            for k, s in enumerate(key):
+                if s is not None:
+                    if s not in plans:
+                        plans[s] = next_round(s, optimal_layer)[:2]
+                    done, layer = plans[s]
                     if done is None:
-                        active.append((e, layer))
-                    chosen[e] = done
+                        active.append((k, s, layer))
+                    for t in trials if done else ():
+                        chosen[t * K + k], at[t][k] = done, None
             if not active:
                 continue
-            playing.append(t)
-            l_opt, flags = joint_layer([layer for _, layer in active])
-            descend = [cur[e] for (e, _), f in zip(active, flags) if f]
-            key = (l_opt, *(s.view for s in descend))
-            union = unions.get(key)
+            live += trials
+            l_opt, flags = joint_layer([layer for *_, layer in active])
+            descend = [s for (_, s, _), f in zip(active, flags) if f]
+            union_key = (l_opt, *(s.view for s in descend))
+            union = unions.get(union_key)
             if union is None:
                 rows = union_beams(descend, l_opt)
-                union = unions[key] = (rows, tuple(beam_index(rows, l_opt).tolist()))
-            totals[t] += len(union[1])
-            group = (l_opt, union[0].tobytes())
-            for (e, _), flag in zip(active, flags):
-                groups[e % K].setdefault(group, (*union, []))[2].append((e, flag))
-        live = playing
+                p = probing.setdefault((l_opt, rows.tobytes()), len(specs))
+                if p == len(specs):
+                    specs.append((l_opt, rows, tuple(beam_index(rows, l_opt).tolist())))
+                union = unions[union_key] = len(specs[p][2]), p
+            for t in trials:
+                totals[t] += union[0]
+            for (k, _, _), f in zip(active, flags):
+                groups[k].setdefault(union[1], []).extend((t, f) for t in trials)
         if not live:
             break
-        # per user: one probe and product per group, one cut and fold in all
-        for k, by_rows in enumerate(groups):
-            members, observed, probes = [], [], []
-            for (layer, _), (rows, probed, pairs) in by_rows.items():
-                eps, flags = zip(*pairs)
-                G = probe_episodes(batch, np.array(eps), rows)
-                fed, made = [], {}  # by outcome: its round, observed beam and fed-back row
-                for e, flag, j in zip(eps, flags, np.argmax(G, axis=1).tolist()):
-                    if (flag, j) not in made:
-                        beam = BeamId(layer, probed[j]) if flag else None
-                        rnd = ProbeRound(layer, probed, beam and beam.index, len(probed), flag)
-                        made[flag, j] = rnd, beam, rows[j] if flag else -1
-                    rnd, beam, row = made[flag, j]
-                    rounds[e].append(rnd)
-                    observed.append(beam)
-                    fed.append(row)
-                members += [cur[e] for e in eps]
-                probes.append((rows, G, np.array(fed)))
-            if members:
-                alive = np.array([m.point_alive for m in members])
-                fold(members, _prune(states[k], alive, probes, eta), observed)
+        for k, by_group in enumerate(groups):
+            if by_group:
+                _play(states[k], index, at, k, by_group, specs, batch, rounds, eta)
     else:
         raise RuntimeError("joint search exceeded its round budget")
-    return chosen, totals, rounds
+    return chosen, np.array(totals, np.int64), rounds
+
+
+def _play(built, index, at, k, groups, specs, batch, rounds, eta) -> None:
+    """User ``k``'s part of a round: per probing group one probe of its
+    (trial, descends) members in trial order and their rounds, then one cut
+    of all of them and one fold per distinct (state, fed-back row,
+    survivors), each result replaced by the state in ``index`` it equals."""
+    K, trials, parents, probes, observed, fed = len(at[0]), [], [], [], [], []
+    for p, pairs in groups.items():
+        layer, rows, probed = specs[p]
+        pairs.sort()
+        G = probe_episodes(batch, np.array([t * K + k for t, _ in pairs]), rows)
+        made, row_list = {}, rows.tolist()  # by outcome (-1: eavesdropped): round, beam
+        for (t, f), j in zip(pairs, np.argmax(G, axis=1).tolist()):
+            j = j if f else -1
+            if j not in made:
+                beam = BeamId(layer, probed[j]) if f else None
+                made[j] = ProbeRound(layer, probed, beam and beam.index, len(probed), f), beam
+            rounds[t * K + k].append(made[j][0])
+            observed.append(made[j][1])
+            fed.append(row_list[j] if f else -1)
+            trials.append(t)
+            parents.append(at[t][k])
+        probes.append((rows, G, np.array(fed[len(fed) - len(pairs) :])))
+    surv = _prune(built, np.array([s.point_alive for s in parents]), probes, eta)
+    blob, w = np.packbits(surv, axis=1).tobytes(), (surv.shape[1] + 7) // 8
+    seen, first, slot = {}, [], []
+    for m, key in enumerate(zip(parents, fed)):
+        slot.append(seen.setdefault(key + (blob[m * w : m * w + w],), len(first)))
+        if slot[-1] == len(first):
+            first.append(m)
+    new = [parents[m].copy() for m in first]
+    fold(new, surv[first], [observed[m] for m in first])
+    new = [index.setdefault((s.view, s.root_layer), s) for s in new]
+    for t, j in zip(trials, slot):
+        at[t][k] = new[j]

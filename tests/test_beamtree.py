@@ -7,6 +7,7 @@ module's bookkeeping.
 
 import functools
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -808,3 +809,41 @@ class TestViewMemo:
         state.update(state.point_alive & (np.arange(n) != np.flatnonzero(state.point_alive)[0]))
         assert state.view is not held[0] and "kept" not in state.view.plans
         self.assert_matches_oracle(state)
+
+
+@functools.cache
+def scene_map(name: str):
+    config = bc.load_scenario(Path(__file__).resolve().parent.parent / "configs" / f"{name}.json")
+    book = bc.build_codebook(config.array.num_antennas)
+    return config, bc.build_ckm(config.environment, config.array, book, config.grid)
+
+
+class TestOnePassDerivation:
+    """``fold`` derives all of its missing views in one ``np.bincount`` pass
+    (``SearchState._derive_view``); each view must hold the bits of the
+    dense ``contrib[alive].sum(axis=0)`` that ``oracles.derived_view``
+    takes, at any masks, flags, ``beta`` and ``retain_beams``."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize("name", ["desk", "large", "deep"])
+    def test_views_equal_the_dense_sums(self, name, data):
+        config, ckm = scene_map(name)
+        prior = data.draw(st.sampled_from(config.priors))
+        beta = data.draw(st.sampled_from([0.5, 0.2, 0.05, 1.0]))
+        retain = data.draw(st.sampled_from([None, 1, 2, 5]))
+        built = bc.compute_point_weights(ckm, prior, beta, retain_beams=retain)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        views = data.draw(st.one_of(st.just(1), st.integers(2, 30)))  # one view, or a pass
+        alive = rng.random((views, len(built.point_ids))) < rng.random((views, 1))
+        beams = rng.random((views, built.beam_alive.size)) < rng.uniform(0.5, 1.0, (views, 1))
+        fallback = rng.random(views) < 0.2
+        state = built.copy()
+        derived = built._derive_view(alive, beams, fallback)
+        for view, a, b, f in zip(derived, alive, beams, fallback):
+            state.point_alive, state.beam_alive, state.uniform_fallback = a, b, f
+            weights, rows, starts = derived_view(state)[:3]
+            assert view.weights.tobytes() == weights.tobytes()
+            assert view.rows.dtype == rows.dtype and view.rows.tobytes() == rows.tobytes()
+            assert view.starts == starts
+            assert not (view.weights.flags.writeable or view.rows.flags.writeable)

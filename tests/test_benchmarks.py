@@ -6,9 +6,11 @@ routine and staged build match their references, and that the stream table
 loads the states default_rng seeds.  The map build's BCKM round trip must
 report that the saved map loads back equal, alg3 sweeps, alone and
 beside the other searches, must time the lock-step engine (best and
-median) beside its memo-off variants and the per-episode oracle and
-report equal records, and the batched baselines, alg1 and alg2 the
-records of their per-episode oracles."""
+median) beside its memo-off variants and the per-episode oracle, count
+trial-rounds against joint keys and fold members against the states and
+views they folded into, and report equal records, and the batched
+baselines, alg1 and alg2 the records of their per-episode oracles, each
+time as best (median)."""
 
 import importlib.util
 import re
@@ -50,6 +52,17 @@ def test_bench_kernels_runs(capsys):
     pattern = (f"alg3 engine +{timed} \\(views off +{timed}, profiles off +{timed}; "
                f"per-episode oracle +{timed}, speedup [\\d.]+x\\)")
     assert all(re.search(pattern, l) and "same records: True" in l for l in alg3)
+    # what the grouping buys: trial-rounds against joint keys, fold members against views
+    grouping = (r"trial-rounds=(\d+) in (\d+) joint keys  user-rounds=(\d+) in \d+ probing "
+                r"groups, folded as (\d+) distinct states  views derived=(\d+) in \d+ passes")
+    for line in alg3:
+        trial_rounds, keys, members, folded, views = map(int, re.search(grouping, line).groups())
+        assert 0 < keys <= trial_rounds <= members and 0 < folded <= members and views > 0
+    # the baselines, alg1 and alg2: best (median) per trial of the batched and the oracle runs
+    timed_ms = r"[\d.]+ \( *[\d.]+\) ms/trial"
+    batched = [l for l in out if "batched=" in l]
+    assert len(batched) == 8 and all(
+        re.search(f"batched= *{timed_ms}.*per-episode= *{timed_ms}", l) for l in batched)
 
 
 def test_map_round_trip_reports_same_map(capsys):

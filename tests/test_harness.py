@@ -1294,3 +1294,36 @@ class TestCli:
         rows = bc.read_results_csv(res_path)
         assert len(rows) == 2
         assert all(r.algorithm == "baseline-exhaustive" for r in rows)
+
+
+@pytest.mark.parametrize("name", ["desk", "large", "deep"])
+def test_oracle_gains_hold_the_per_point_bits(monkeypatch, name):
+    """Every drawn point's bottom-beam gains in ``run_trials`` hold the bits
+    of that point's products with the row blocks (128 blocks at N = 512),
+    and the oracle beam is their first argmax, so a faster product (one
+    stacked product for all points is one) must keep these bits."""
+    from beamckm import harness
+
+    config = bc.load_scenario(DESK_CONFIG.parent / f"{name}.json")
+    book = bc.build_codebook(config.array.num_antennas)
+    ckm = bc.build_ckm(config.environment, config.array, book, config.grid)
+    channels, got = [], set()
+    synthesize, finish = harness.synthesize_channel, harness._finish
+
+    def synthesized(*args):
+        channels.append(synthesize(*args))
+        return channels[-1]
+
+    def finished(*args):
+        got.add((args[6], args[7].tobytes()))
+        return finish(*args)
+
+    monkeypatch.setattr(harness, "synthesize_channel", synthesized)
+    monkeypatch.setattr(harness, "_finish", finished)
+    bc.run_trials(config, ckm, algorithms=["baseline-hier"], trials=100, seed=3, snr_db=["inf"])
+    L = ckm.num_layers
+    blocks = np.split(book[layer_rows(L)], max(1, 2**L // max(4, 2048 // 2**L)))
+    assert len(blocks) == {"desk": 1, "large": 8, "deep": 128}[name]
+    per_point = [np.abs(np.concatenate([b @ hc for b in blocks])) for hc in np.conj(channels[0])]
+    want = {(bc.BeamId(L, int(np.argmax(g)) + 1), g.tobytes()) for g in per_point}
+    assert len(want) > 60 and got == want
