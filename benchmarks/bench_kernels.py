@@ -306,7 +306,7 @@ def memo_off_engine(states, batch, eta):
     with mock.patch.object(beamtree, "_MAX_VIEWS", 0):
         for c in copies:
             c._views = {}
-            c._derive()
+            beamtree._derive_all([c])
         return multiuser.run_multi_user(copies, batch, eta)
 
 

@@ -75,14 +75,14 @@ class SearchState:
     form the ``view``: a pure function of ``(point_alive, beam_alive,
     uniform_fallback)`` over the read-only arrays, so every ``copy()``
     shares one memo of views keyed by ``np.packbits`` of both masks plus
-    the flag (``_keys``).  A miss derives the view in one pass with the
-    other missing views of its ``fold`` (``_derive_view``), with the bits
-    of one view at a time.  The memo stores the first ``_MAX_VIEWS`` (512)
-    views, at most about 6 kB each at N=128 (3.1 MB per user) and 19 kB
-    at N=512 (9.6 MB) by ``tracemalloc``; later ones are derived each time
-    they recur.  The copies share ``multiuser``'s memo of pruning profiles
-    by probed rows too, bounded in bytes (``multiuser._PROFILE_BYTES``).
-    Masks and ``root`` are each copy's own.
+    the flag (``_derive_all``).  A miss derives the view in one pass with
+    the other missing views of its update or ``fold`` (``_derive_view``),
+    with the bits of one view at a time.  The memo stores the first
+    ``_MAX_VIEWS`` (512) views, at most about 6 kB each at N=128 (3.1 MB
+    per user) and 19 kB at N=512 (9.6 MB) by ``tracemalloc``; later ones
+    are derived each time they recur.  The copies share ``multiuser``'s
+    memo of pruning profiles by probed rows too, bounded in bytes
+    (``multiuser._PROFILE_BYTES``).  Masks and ``root`` are each copy's own.
     """
 
     def __init__(
@@ -143,7 +143,7 @@ class SearchState:
         self.root: BeamId | None = None
         self._views: dict[bytes, _View] = {}
         self._profiles = _Memo()  # multiuser's pruning profiles, by probed rows
-        self._derive()
+        _derive_all([self])
         self.pair_weights()
 
     def copy(self) -> "SearchState":
@@ -165,20 +165,23 @@ class SearchState:
         else over the bottom beams still alive.  Observing nothing and
         keeping every alive point of a state with candidates changes
         nothing, the view included.  ``fold`` folds many states at once."""
-        kept = self.point_alive & point_mask
-        if observed is not None or not self.rows.size or (kept != self.point_alive).any():
-            self._take(kept, observed)
-            self._derive()
+        if self._take(self.point_alive & point_mask, observed):
+            _derive_all([self])
             if self._fall_back(observed):
-                self._derive()
+                _derive_all([self])
 
-    def _take(self, kept: np.ndarray, observed: BeamId | None) -> None:
-        """Take the alive mask ``kept`` and the ``observed`` beam, if any, as
-        the root and the bound of the alive bottom beams."""
+    def _take(self, kept: np.ndarray, observed: BeamId | None) -> bool:
+        """Whether the alive mask ``kept`` (a subset of the alive points) and
+        the ``observed`` beam, if any, change the state, and if so take them:
+        ``observed`` becomes the root and bounds the alive bottom beams."""
+        if observed is None and self.rows.size:
+            if np.count_nonzero(kept) == np.count_nonzero(self.point_alive):
+                return False
         self.point_alive = kept
         if observed is not None:
             self.root = observed
             self.beam_alive = self.beam_alive & _spans(self.num_layers)[row_of(observed)]
+        return True
 
     def _fall_back(self, observed: BeamId | None) -> bool:
         """Whether no bottom candidate is left, and then the uniform fallback,
@@ -190,18 +193,8 @@ class SearchState:
         self.uniform_fallback = True
         return True
 
-    def _derive(self, view: _View | None = None) -> None:
-        """Point the state at ``view``, by default the view of its own masks
-        and flag: the memo's, else derived and stored while the memo holds
-        fewer than ``_MAX_VIEWS``."""
-        if view is None:
-            key = _keys(self.point_alive, self.beam_alive, self.uniform_fallback)
-            view = self._views.get(key)
-            if view is None:
-                flag = [self.uniform_fallback]
-                view = self._derive_view(self.point_alive[None], self.beam_alive[None], flag)[0]
-                if len(self._views) < _MAX_VIEWS:
-                    self._views[key] = view
+    def _derive(self, view: _View) -> None:
+        """Point the state at ``view``, the view of its masks and flag."""
         self.view = view
         self.weights, self.rows, self._starts = view.weights, view.rows, view.starts
 
@@ -213,21 +206,10 @@ class SearchState:
         contributions in row-major order, which keeps the bits of each view's
         ``contrib[alive].sum(axis=0)``: that adds rows in point order, so
         does bincount, and a skipped +0.0 changes no bits (contributions
-        are >= 0).  One view takes the same steps in one dimension."""
+        are >= 0)."""
         L, at = self.num_layers, self._layer_rows
         V, nb = len(alive), 2**L
         r, c, v = self._nonzero
-        if V == 1:  # the same sums and steps in one dimension, which costs less
-            j = np.flatnonzero(alive[0, r])
-            flat = np.empty(at[L].stop)
-            sums = np.bincount(c[j], v[j], nb)
-            flat[at[L]] = beams[0] if fallback[0] else np.where(beams[0], sums, 0.0)
-            for l in range(L - 1, 0, -1):
-                below = flat[at[l + 1]]
-                flat[at[l]] = below[0::2] + below[1::2]
-            rows = np.flatnonzero(flat > 0)
-            flat.flags.writeable = rows.flags.writeable = False
-            return [_View(flat, rows, tuple(np.searchsorted(rows, self._first_rows).tolist()))]
         vi, ji = np.nonzero(alive[:, r])
         sums = np.bincount(vi * nb + c[ji], v[ji], V * nb).reshape(V, nb)
         flat = np.empty((V, at[L].stop))
@@ -290,17 +272,6 @@ class SearchState:
         return self.view.pairs
 
 
-def _keys(point_alive: np.ndarray, beam_alive: np.ndarray, fallback):
-    """The view memo key of each row of the masks and its flag, or of the
-    masks themselves when they are one row: ``np.packbits`` of both masks,
-    then the flag byte."""
-    packed = np.packbits(np.concatenate((point_alive, beam_alive), axis=-1), axis=-1)
-    if packed.ndim == 1:
-        return packed.tobytes() + (b"\x01" if fallback else b"\x00")
-    blob, w = packed.tobytes(), packed.shape[1]
-    return [blob[i * w : i * w + w] + (b"\x01" if f else b"\x00") for i, f in enumerate(fallback)]
-
-
 @functools.cache
 def _spans(num_layers: int) -> np.ndarray:
     """Row r: the bottom beams under codebook row r; the last row, all of them."""
@@ -309,18 +280,13 @@ def _spans(num_layers: int) -> np.ndarray:
                                       for l in range(1, num_layers + 1)] + [bottom[None] >= 0]))
 
 
-def fold(states, point_masks: np.ndarray, observed) -> None:
+def fold(states, point_masks, observed) -> None:
     """``SearchState.update`` of each of ``states`` (copies of one built state)
     by its row of ``point_masks`` and ``observed`` beam or None, with the
     views of the states that change, then of those that fall back, taken
     in one pass each (``_derive_all``)."""
-    alive = np.array([s.point_alive for s in states])
-    kept = alive & point_masks
-    changed = []
-    for s, m, o, same in zip(states, kept, observed, (kept == alive).all(axis=1)):
-        if o is not None or not same or not s.rows.size:
-            s._take(m, o)
-            changed.append((s, o))
+    changed = [(s, o) for s, m, o in zip(states, point_masks, observed)
+               if s._take(s.point_alive & m, o)]
     _derive_all([s for s, _ in changed])
     _derive_all([s for s, o in changed if s._fall_back(o)])
 
@@ -328,21 +294,22 @@ def fold(states, point_masks: np.ndarray, observed) -> None:
 def _derive_all(states) -> None:
     """Point each of ``states`` (copies of one built state) at the view of
     its masks and flag: the memo's, else derived with the other missing ones
-    in one pass (``SearchState._derive_view``), stored while there is room."""
-    if not states:
-        return
-    alive = np.array([s.point_alive for s in states])
-    beams = np.array([s.beam_alive for s in states])
-    flags, memo = np.array([s.uniform_fallback for s in states]), states[0]._views
-    keys = _keys(alive, beams, flags)
-    new = {key: i for i, key in enumerate(keys) if key not in memo}  # a row of each
-    at = list(new.values())
-    made = dict(zip(new, states[0]._derive_view(alive[at], beams[at], flags[at]) if at else ()))
-    for key, view in made.items():
-        if len(memo) < _MAX_VIEWS:
-            memo[key] = view
+    in one pass (``SearchState._derive_view``) and stored while the memo
+    holds fewer than ``_MAX_VIEWS``.  A memo key is ``np.packbits`` of both
+    masks, then the flag byte."""
+    keys = [np.packbits(np.concatenate((s.point_alive, s.beam_alive))).tobytes()
+            + (b"\x01" if s.uniform_fallback else b"\x00") for s in states]
+    memo = states[0]._views if states else {}
+    new = {key: s for s, key in zip(states, keys) if key not in memo}  # a state of each
+    if new:
+        made = list(new.values())
+        views = made[0]._derive_view(np.array([s.point_alive for s in made]),
+                                     np.array([s.beam_alive for s in made]),
+                                     [s.uniform_fallback for s in made])
+        new = dict(zip(new, views))
+        memo.update(list(new.items())[: max(0, _MAX_VIEWS - len(memo))])
     for s, key in zip(states, keys):
-        s._derive(made.get(key) or memo[key])
+        s._derive(memo.get(key) or new[key])
 
 
 def compute_point_weights(

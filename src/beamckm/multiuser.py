@@ -9,15 +9,15 @@ free and prunes its location hypotheses by correlating the measured gain
 profile with the per-point map profile.  Episodes leave the users' built
 states as they were.
 
-``run_multi_user`` plays a batch's episodes in lock-step rounds, once
-per distinct joint state: a trial holds each user's state among the
-distinct states the batch reached, so one joint key (each user's state,
-or none once its search is over) takes the plans, ``joint_layer`` and
-the union rows for all of its trials.  Per (user, layer, rows) group one
-probe and one stacked product, per user one array cut (``_prune``) and
-one fold (``beamtree.fold``) of a copy per distinct (state, fed-back
-row, survivors).  A stacked matmul whose last dimension is 1 runs one
-gemv per item: the bits of one product per episode, which a 2-D gemm lacks.
+``run_multi_user`` plays a batch's episodes in lock-step rounds, once per
+distinct joint state: each trial holds, per user, one of the distinct
+states the batch reached (None once that search is over), and the trials
+of one joint key share its plans, ``joint_layer`` and union rows.  Per
+(user, layer, rows) group one probe and one stacked product, per user one
+array cut (``_prune``) and one ``beamtree.fold`` of a copy per distinct
+(state, fed-back row, survivors).  A stacked matmul whose last dimension
+is 1 runs one gemv per item: the bits of one product per episode, which
+a 2-D gemm lacks.
 
 The map profiles at a round's probed rows depend only on the user's gains
 and those rows, so a built state's copies share one memo of them
@@ -52,10 +52,7 @@ def joint_layer(own_layers) -> tuple[int, tuple[int, ...]]:
 def union_beams(states, layer: int) -> np.ndarray:
     """Deduplicated, ascending union of the states' candidate codebook rows
     at a layer."""
-    if len(states) == 1:
-        return states[0].candidate_rows(layer)
-    return np.array(sorted(set().union(*(s.candidate_rows(layer).tolist() for s in states))),
-                    np.int64)
+    return np.unique(np.concatenate([s.candidate_rows(layer) for s in states]))
 
 
 _PROFILE_BYTES = 1 << 20  # bytes of profiles one user's memo stores (see _profile)
@@ -117,13 +114,8 @@ def _prune(state: SearchState, alive: np.ndarray, probes, eta: float) -> np.ndar
     return surv
 
 
-def prune_user_points(
-    state: SearchState,
-    rows: np.ndarray,
-    g_obs: np.ndarray,
-    f_obs: BeamId | None,
-    eta: float,
-) -> np.ndarray:
+def prune_user_points(state: SearchState, rows: np.ndarray, g_obs: np.ndarray,
+                      f_obs: BeamId | None, eta: float) -> np.ndarray:
     """Drop location hypotheses inconsistent with a round's measurements.
 
     ``rows`` are the codebook rows of the probed beams, one per entry of
@@ -162,7 +154,7 @@ def run_multi_user(
     at = [list(states) for _ in range(E // K)]  # per trial, each user's state; None once over
     index = {(s.view, s.root_layer): s for s in states}  # the distinct states reached
     chosen, rounds, totals = [None] * E, [[] for _ in range(E)], [0] * (E // K)
-    unions, probing, specs = {}, {}, []  # union by descending views; probing group by rows
+    unions = {}  # by (layer, the descending users' views): the probing group and its beams
     live = range(E // K)
     for _ in range(sum(s.num_layers + 2 for s in states) + 2):
         by_key: dict[tuple, list] = {}  # the trials of each joint key
@@ -186,35 +178,32 @@ def run_multi_user(
             l_opt, flags = joint_layer([layer for *_, layer in active])
             descend = [s for (_, s, _), f in zip(active, flags) if f]
             union_key = (l_opt, *(s.view for s in descend))
-            union = unions.get(union_key)
-            if union is None:
+            if union_key not in unions:
                 rows = union_beams(descend, l_opt)
-                p = probing.setdefault((l_opt, rows.tobytes()), len(specs))
-                if p == len(specs):
-                    specs.append((l_opt, rows, tuple(beam_index(rows, l_opt).tolist())))
-                union = unions[union_key] = len(specs[p][2]), p
+                probed = tuple(beam_index(rows, l_opt).tolist())
+                unions[union_key] = (l_opt, rows.tobytes()), (l_opt, rows, probed)
+            group, spec = unions[union_key]
             for t in trials:
-                totals[t] += union[0]
+                totals[t] += len(spec[2])
             for (k, _, _), f in zip(active, flags):
-                groups[k].setdefault(union[1], []).extend((t, f) for t in trials)
+                groups[k].setdefault(group, (*spec, []))[3].extend((t, f) for t in trials)
         if not live:
             break
         for k, by_group in enumerate(groups):
             if by_group:
-                _play(states[k], index, at, k, by_group, specs, batch, rounds, eta)
+                _play(states[k], index, at, k, by_group.values(), batch, rounds, eta)
     else:
         raise RuntimeError("joint search exceeded its round budget")
     return chosen, np.array(totals, np.int64), rounds
 
 
-def _play(built, index, at, k, groups, specs, batch, rounds, eta) -> None:
+def _play(built, index, at, k, groups, batch, rounds, eta) -> None:
     """User ``k``'s part of a round: per probing group one probe of its
     (trial, descends) members in trial order and their rounds, then one cut
     of all of them and one fold per distinct (state, fed-back row,
     survivors), each result replaced by the state in ``index`` it equals."""
     K, trials, parents, probes, observed, fed = len(at[0]), [], [], [], [], []
-    for p, pairs in groups.items():
-        layer, rows, probed = specs[p]
+    for layer, rows, probed, pairs in groups:
         pairs.sort()
         G = probe_episodes(batch, np.array([t * K + k for t, _ in pairs]), rows)
         made, row_list = {}, rows.tolist()  # by outcome (-1: eavesdropped): round, beam
@@ -230,14 +219,11 @@ def _play(built, index, at, k, groups, specs, batch, rounds, eta) -> None:
             parents.append(at[t][k])
         probes.append((rows, G, np.array(fed[len(fed) - len(pairs) :])))
     surv = _prune(built, np.array([s.point_alive for s in parents]), probes, eta)
-    blob, w = np.packbits(surv, axis=1).tobytes(), (surv.shape[1] + 7) // 8
-    seen, first, slot = {}, [], []
-    for m, key in enumerate(zip(parents, fed)):
-        slot.append(seen.setdefault(key + (blob[m * w : m * w + w],), len(first)))
-        if slot[-1] == len(first):
-            first.append(m)
-    new = [parents[m].copy() for m in first]
-    fold(new, surv[first], [observed[m] for m in first])
-    new = [index.setdefault((s.view, s.root_layer), s) for s in new]
-    for t, j in zip(trials, slot):
-        at[t][k] = new[j]
+    first = {}  # by (state, fed-back row, survivors): its first member
+    slots = [first.setdefault((s, f, m.tobytes()), i)
+             for i, (s, f, m) in enumerate(zip(parents, fed, surv))]
+    new = {i: parents[i].copy() for i in first.values()}
+    fold(list(new.values()), surv[list(new)], [observed[i] for i in new])
+    new = {i: index.setdefault((s.view, s.root_layer), s) for i, s in new.items()}
+    for t, i in zip(trials, slots):
+        at[t][k] = new[i]
