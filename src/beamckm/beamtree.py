@@ -75,14 +75,14 @@ class SearchState:
     form the ``view``: a pure function of ``(point_alive, beam_alive,
     uniform_fallback)`` over the read-only arrays, so every ``copy()``
     shares one memo of views keyed by ``np.packbits`` of both masks plus
-    the flag (``_derive_all``).  A miss derives the view in one pass with
-    the other missing views of its update or ``fold`` (``_derive_view``),
-    with the bits of one view at a time.  The memo stores the first
-    ``_MAX_VIEWS`` (512) views, at most about 6 kB each at N=128 (3.1 MB
-    per user) and 19 kB at N=512 (9.6 MB) by ``tracemalloc``; later ones
-    are derived each time they recur.  The copies share ``multiuser``'s
-    memo of pruning profiles by probed rows too, bounded in bytes
-    (``multiuser._PROFILE_BYTES``).  Masks and ``root`` are each copy's own.
+    the flag (``_derive_all``).  A miss derives the view with the other
+    missing views of its ``fold`` in one pass (``_derive_view``).  The
+    memo stores the first ``_MAX_VIEWS`` (512) views, at most about 6 kB
+    each at N=128 (3.1 MB per user) and 19 kB at N=512 (9.6 MB) by
+    ``tracemalloc``; later ones are derived each time they recur.  The
+    copies share ``multiuser``'s memo of pruning profiles by probed rows
+    too, bounded in bytes (``multiuser._PROFILE_BYTES``).  Masks and
+    ``root`` are each copy's own.
     """
 
     def __init__(
@@ -130,8 +130,7 @@ class SearchState:
         self._first_rows = layer_start(np.arange(1, num_layers + 2))
         # per layer pair 1 <= p < q <= L: p, q, and per bottom beam b the rows
         # [lo, hi) at q of the subtree under b's ancestor at p
-        p, q = np.triu_indices(num_layers, k=1)
-        p, q = p + 1, q + 1
+        p, q = np.array(np.triu_indices(num_layers, k=1)) + 1
         up, widen = (num_layers - p)[:, None], (q - p)[:, None]
         lo = layer_start(q)[:, None] + ((np.arange(nb) >> up) << widen)
         self._pair_index = tuple(map(_read_only, (p, q, lo, lo + (1 << widen))))
@@ -174,9 +173,9 @@ class SearchState:
         """Whether the alive mask ``kept`` (a subset of the alive points) and
         the ``observed`` beam, if any, change the state, and if so take them:
         ``observed`` becomes the root and bounds the alive bottom beams."""
-        if observed is None and self.rows.size:
-            if np.count_nonzero(kept) == np.count_nonzero(self.point_alive):
-                return False
+        same = observed is None and np.count_nonzero(kept) == np.count_nonzero(self.point_alive)
+        if same and self.rows.size:
+            return False
         self.point_alive = kept
         if observed is not None:
             self.root = observed
@@ -199,29 +198,36 @@ class SearchState:
         self.weights, self.rows, self._starts = view.weights, view.rows, view.starts
 
     def _derive_view(self, alive: np.ndarray, beams: np.ndarray, fallback) -> list[_View]:
-        """The views of rows of alive masks, beam masks and fallback flags,
-        in one pass: bottom weights (1.0 per alive beam under the fallback),
-        pairwise sums upward, then each view's rows and layer starts.  The
-        alive points' sums are one view-major ``np.bincount`` over the nonzero
-        contributions in row-major order, which keeps the bits of each view's
-        ``contrib[alive].sum(axis=0)``: that adds rows in point order, so
-        does bincount, and a skipped +0.0 changes no bits (contributions
+        """The views of rows of alive masks, beam masks and fallback flags in
+        one pass, as columns (a lone view, as alg1 and alg2 derive, in one
+        dimension): bottom weights (1.0 per alive beam under the fallback),
+        pairwise sums upward, each view's rows and layer starts.  The bottom
+        sums are one ``np.bincount`` over the nonzero contributions in
+        row-major order, with the bits of ``contrib[alive].sum(axis=0)``: both
+        add in point order, and a skipped +0.0 changes no bits (contributions
         are >= 0)."""
-        L, at = self.num_layers, self._layer_rows
-        V, nb = len(alive), 2**L
+        L, at, nb = self.num_layers, self._layer_rows, 2**self.num_layers
         r, c, v = self._nonzero
-        vi, ji = np.nonzero(alive[:, r])
-        sums = np.bincount(vi * nb + c[ji], v[ji], V * nb).reshape(V, nb)
-        flat = np.empty((V, at[L].stop))
-        fallback = np.asarray(fallback, dtype=bool)[:, None]
-        flat[:, at[L]] = np.where(fallback, beams, np.where(beams, sums, 0.0))
+        if len(alive) == 1:
+            j = np.flatnonzero(alive[0, r])
+            sums, beams, fallback = np.bincount(c[j], v[j], nb), beams[0], fallback[0]
+        else:
+            vi, j = np.nonzero(alive[:, r])
+            sums = np.bincount(c[j] * len(alive) + vi, v[j], nb * len(alive)).reshape(nb, -1)
+            beams, fallback = beams.T, np.asarray(fallback, dtype=bool)
+        flat = np.empty((at[L].stop, *sums.shape[1:]))
+        flat[at[L]] = np.where(fallback, beams, np.where(beams, sums, 0.0))
         for l in range(L - 1, 0, -1):
-            below = flat[:, at[l + 1]]
-            flat[:, at[l]] = below[:, 0::2] + below[:, 1::2]
+            below = flat[at[l + 1]]
+            np.add(below[0::2], below[1::2], out=flat[at[l]])
+        if flat.ndim == 1:
+            rows = np.flatnonzero(flat > 0)
+            flat.flags.writeable = rows.flags.writeable = False
+            return [_View(flat, rows, tuple(np.searchsorted(rows, self._first_rows).tolist()))]
         positive = flat > 0  # the candidates; per layer their count, summed up: its end
-        counts = np.add.reduceat(positive, self._first_rows[:-1], axis=1, dtype=np.int64)
-        rows, views, lo = np.nonzero(positive)[1], [], 0
-        for weights, ends in zip(flat, counts.cumsum(axis=1).tolist()):
+        counts = np.add.reduceat(positive, self._first_rows[:-1], dtype=np.int64)
+        rows, views, lo = np.nonzero(positive.T)[1], [], 0
+        for weights, ends in zip(flat.T, counts.T.cumsum(axis=1).tolist()):
             weights, here = weights.copy(), rows[lo : lo + ends[-1]].copy()
             weights.flags.writeable = here.flags.writeable = False
             views.append(_View(weights, here, (0, *ends)))
@@ -312,12 +318,8 @@ def _derive_all(states) -> None:
         s._derive(memo.get(key) or new[key])
 
 
-def compute_point_weights(
-    ckm: CkmGrid,
-    prior: PositionPrior,
-    beta: float,
-    retain_beams: int | None = None,
-) -> SearchState:
+def compute_point_weights(ckm: CkmGrid, prior: PositionPrior, beta: float,
+                          retain_beams: int | None = None) -> SearchState:
     """Search state from the map gains at the prior's candidate points."""
     point_ids = prior.points
     outside = (point_ids < 0) | (point_ids >= ckm.grid.num_points)

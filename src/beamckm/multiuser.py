@@ -153,9 +153,8 @@ def run_multi_user(
         raise ValueError(f"need one episode per (trial, user): {E} episodes for {K} users")
     at = [list(states) for _ in range(E // K)]  # per trial, each user's state; None once over
     index = {(s.view, s.root_layer): s for s in states}  # the distinct states reached
-    chosen, rounds, totals = [None] * E, [[] for _ in range(E)], [0] * (E // K)
+    chosen, rounds, totals, live = [None] * E, [[] for _ in range(E)], [0] * (E // K), range(E // K)
     unions = {}  # by (layer, the descending users' views): the probing group and its beams
-    live = range(E // K)
     for _ in range(sum(s.num_layers + 2 for s in states) + 2):
         by_key: dict[tuple, list] = {}  # the trials of each joint key
         for t in live:
