@@ -57,3 +57,54 @@ from .position import PositionPrior, SubRegion, sample_true_position
 from .strategy import best_activation, optimal_layer, run_single_user
 
 __version__ = "0.1.0"
+
+__all__ = [
+    "ALGORITHMS",
+    "ArrayConfig",
+    "BeamId",
+    "CkmFormatError",
+    "CkmGrid",
+    "Environment",
+    "Episodes",
+    "GridSpec",
+    "Obstacle",
+    "PositionPrior",
+    "RegionSpec",
+    "Responses",
+    "Scatterer",
+    "ScenarioConfig",
+    "SearchState",
+    "SubRegion",
+    "TrialRecord",
+    "UserSpec",
+    "apply_observation",
+    "baseline_exhaustive",
+    "baseline_hierarchical",
+    "best_activation",
+    "bottom_angles",
+    "build_ckm",
+    "build_codebook",
+    "candidate_beams",
+    "channel_vectors",
+    "compute_point_weights",
+    "load_ckm",
+    "load_scenario",
+    "noise_std_for_snr",
+    "num_layers",
+    "optimal_layer",
+    "probe",
+    "read_results_csv",
+    "region_points",
+    "run_lookahead",
+    "run_multi_user",
+    "run_single_user",
+    "run_trials",
+    "sample_true_position",
+    "save_ckm",
+    "scenario_from_dict",
+    "summarize",
+    "synthesize_channel",
+    "write_cdf_csv",
+    "write_results_csv",
+    "write_summary_csv",
+]

