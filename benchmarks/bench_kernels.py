@@ -35,9 +35,11 @@ si, k])`` per stream against one ``streams.seed_words`` table plus a state
 load into one reused generator per stream.  The comparison asserts that
 every loaded state equals the fresh generator's.
 
-alg3 sweeps: on the desk, large and deep scenes, one ``run_trials`` call of
-alg3 alone and one of the config's own algorithm list (every search in one
-call, as the configs run) at the config's SNR points.  The engine
+alg3 sweeps: on the desk, large and deep scenes, first the set-up of the
+search states (``compute_point_weights`` per user, best and median of
+``--repeat`` builds of every user's state), then one ``run_trials`` call
+of alg3 alone and one of the config's own algorithm list (every search in
+one call, as the configs run) at the config's SNR points.  The engine
 (``multiuser.run_multi_user``) plays each SNR point's episodes in
 lock-step rounds, once per distinct joint state, on the distinct states
 of each user that they reach.  Those share the built state's memo of
@@ -355,6 +357,12 @@ def bench_alg3(trials_per_scene, full_trials_per_scene, repeat: int) -> None:
         config = bc.load_scenario(ROOT / "configs" / f"{scene}.json")
         book = bc.build_codebook(config.array.num_antennas)
         gain_map = bc.build_ckm(config.environment, config.array, book, config.grid)
+        K = len(config.priors)
+        _, best, median = bench(lambda: [
+            bc.compute_point_weights(gain_map, prior, config.beta, config.retain_beams)
+            for prior in config.priors], repeat=repeat)
+        print(f"  {scene:5s} set-up: compute_point_weights {best / K * 1e6:7.1f} "
+              f"({median / K * 1e6:7.1f}) us per user")
         for algorithms, n in ((["alg3"], trials), (list(config.algorithms), full_trials)):
 
             def call():

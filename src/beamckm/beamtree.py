@@ -14,6 +14,8 @@ works on that view, a layer's ``candidate_rows`` and ``weights[row]``;
 only the ``codebook`` module knows which rows hold which beam, and
 (layer, index) pairs appear only where a beam is named (``BeamId``,
 ``strategy.ProbeRound``).  The planner's pair weights follow on first use.
+What depends on the depth alone is built once per depth (``_tables``) and
+shared read-only: a state builds no layout of its own.
 
 Every episode starts from a built state.  A view is a function of the
 alive masks and the fallback flag, and so is the search below it: a
@@ -61,11 +63,12 @@ class SearchState:
     ``gains`` holds one row per point and one column per codeword, so its
     width fixes the depth ``num_layers`` (``codebook.layers_of``).  The
     per-point arrays (ids, masses, gains, contribution matrix) are fixed at
-    construction and read-only.  ``update`` folds in an observation: points
-    and bottom beams drop out and the observed beam becomes the ``root``.
-    ``uniform_fallback`` engages when every contribution is gone (noise
-    pruned everything), after which bottom weights are uniform over the
-    surviving bottom beams so that descent can finish.
+    construction and read-only, as are the tables of its depth (``_tables``).
+    ``update`` folds in an observation: points and bottom beams drop out and
+    the observed beam becomes the ``root``.  ``uniform_fallback`` engages
+    when every contribution is gone (noise pruned everything), after which
+    bottom weights are uniform over the surviving bottom beams so that
+    descent can finish.
 
     Each update derives ``weights``, one weight per codeword in codebook
     row order (``codebook.row_of``), and ``rows``, the ascending rows of
@@ -110,35 +113,22 @@ class SearchState:
                 f"gains {self.gains.shape} must hold one entry or row per point"
             )
         self.num_layers = num_layers = layers_of(self.gains.shape[1])
-        nb = 2**num_layers
-        self._layer_rows = (None, *map(layer_rows, range(1, num_layers + 1)))  # by layer
+        self._layer_rows, self._first_rows, self._pair_index, self._spans = _tables(num_layers)
         bottom = self.gains[:, self._layer_rows[num_layers]]
         # per-point threshold: beta * best bottom gain at that point
         gamma = self.beta * bottom.max(axis=1, keepdims=True)
         keep = bottom >= gamma
-        if retain_beams is not None:
-            rank = np.empty_like(keep, dtype=np.int64)
-            order = np.argsort(-bottom, axis=1, kind="stable")
-            np.put_along_axis(rank, order, np.arange(nb)[None, :], axis=1)
-            keep &= rank < retain_beams
+        if retain_beams is not None:  # each beam's rank at its point, ties to the lower index
+            keep &= np.argsort(np.argsort(-bottom, axis=1, kind="stable"), axis=1) < retain_beams
         # fixed per-point contribution to each bottom beam's weight, and its
         # nonzero entries in row-major order (see _derive_view)
         self.contrib = self.point_mass[:, None] * bottom * keep
         nonzero = np.nonzero(self.contrib)
         self._nonzero = tuple(map(_read_only, (*nonzero, self.contrib[nonzero])))
-        # first codebook row of layers 1..L+1 (the last is one past the bottom)
-        self._first_rows = layer_start(np.arange(1, num_layers + 2))
-        # per layer pair 1 <= p < q <= L: p, q, and per bottom beam b the rows
-        # [lo, hi) at q of the subtree under b's ancestor at p
-        p, q = np.triu_indices(num_layers, k=1)
-        p, q = p + 1, q + 1
-        up, widen = (num_layers - p)[:, None], (q - p)[:, None]
-        lo = layer_start(q)[:, None] + ((np.arange(nb) >> up) << widen)
-        self._pair_index = tuple(map(_read_only, (p, q, lo, lo + (1 << widen))))
-        for name in ("point_ids", "point_mass", "gains", "contrib", "_first_rows"):
+        for name in ("point_ids", "point_mass", "gains", "contrib"):
             setattr(self, name, _read_only(getattr(self, name)))
         self.point_alive = np.ones(len(self.point_ids), dtype=bool)
-        self.beam_alive = np.ones(nb, dtype=bool)
+        self.beam_alive = np.ones(bottom.shape[1], dtype=bool)
         self.uniform_fallback = False
         self.root: BeamId | None = None
         self._views: dict[bytes, _View] = {}
@@ -180,7 +170,7 @@ class SearchState:
         self.point_alive = kept
         if observed is not None:
             self.root = observed
-            self.beam_alive = self.beam_alive & _spans(self.num_layers)[row_of(observed)]
+            self.beam_alive = self.beam_alive & self._spans[row_of(observed)]
         return True
 
     def _fall_back(self, observed: BeamId | None) -> bool:
@@ -189,7 +179,7 @@ class SearchState:
         if self.candidate_rows(self.num_layers).size:
             return False
         if observed is not None:
-            self.beam_alive = _spans(self.num_layers)[row_of(observed)]
+            self.beam_alive = self._spans[row_of(observed)]
         self.uniform_fallback = True
         return True
 
@@ -280,11 +270,22 @@ class SearchState:
 
 
 @functools.cache
-def _spans(num_layers: int) -> np.ndarray:
-    """Row r: the bottom beams under codebook row r; the last row, all of them."""
+def _tables(num_layers: int) -> tuple:
+    """The read-only tables that every state of one depth shares: each
+    layer's codebook rows (a slice by layer, from 1); the first row of
+    layers 1..L+1 (the last is one past the bottom); per layer pair
+    1 <= p < q <= L, p and q and, per bottom beam b, the rows [lo, hi) at
+    q of the subtree under b's ancestor at p (``SearchState.pair_weights``);
+    and per codebook row, the mask of the bottom beams under it."""
+    p, q = (i + 1 for i in np.triu_indices(num_layers, k=1))
+    up, widen = (num_layers - p)[:, None], (q - p)[:, None]
     bottom = np.arange(2**num_layers)
-    return _read_only(np.concatenate([np.arange(2**l)[:, None] == bottom >> (num_layers - l)
-                                      for l in range(1, num_layers + 1)] + [bottom[None] >= 0]))
+    lo = layer_start(q)[:, None] + ((bottom >> up) << widen)
+    spans = np.concatenate([np.arange(2**l)[:, None] == bottom >> (num_layers - l)
+                            for l in range(1, num_layers + 1)])
+    return ((None, *map(layer_rows, range(1, num_layers + 1))),
+            _read_only(layer_start(np.arange(1, num_layers + 2))),
+            tuple(map(_read_only, (p, q, lo, lo + (1 << widen)))), _read_only(spans))
 
 
 def fold(states, point_masks, observed) -> None:

@@ -147,15 +147,15 @@ class ScenarioConfig:
         priors = []
         for i, user in enumerate(self.users):
             # a user's regions are counted before any of their point ids is built
-            regions = list(enumerate(user.subregions))
-            size = sum(_at(i, j, lambda: _region_size(self.grid, r)) for j, r in regions)
+            regions = [(f"users[{i}].subregions[{j}]", r) for j, r in enumerate(user.subregions)]
+            size = sum(_at(at, lambda: _region_size(self.grid, r)) for at, r in regions)
             if size > MAX_REGION_POINTS:
                 raise ValueError(
                     f"users[{i}]: regions cover {size} grid points, more than {MAX_REGION_POINTS}"
                 )
-            subs = [_at(i, j, lambda: SubRegion(region_points(self.grid, r), r.prior))
-                    for j, r in regions]
-            priors.append(PositionPrior(subregions=tuple(subs)))
+            subs = [_at(at, lambda: SubRegion(region_points(self.grid, r), r.prior))
+                    for at, r in regions]
+            priors.append(_at(f"users[{i}]", lambda: PositionPrior(subregions=tuple(subs))))
         object.__setattr__(self, "priors", tuple(priors))
 
 
@@ -254,12 +254,12 @@ def load_scenario(path) -> ScenarioConfig:
         return scenario_from_dict(json.load(fh))
 
 
-def _at(user: int, region: int, fn):
-    """``fn()``; its ValueError names the user's region."""
+def _at(where: str, fn):
+    """``fn()``; its ValueError names ``where`` in the config."""
     try:
         return fn()
     except ValueError as exc:
-        raise ValueError(f"users[{user}].subregions[{region}]: {exc}") from None
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def _rect_axes(grid: GridSpec, rect) -> tuple[np.ndarray, np.ndarray]:

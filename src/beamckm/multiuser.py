@@ -2,7 +2,7 @@
 
 Every round picks one layer for the whole cell: each active user's own
 reward-optimal layer is its single-user plan (``strategy.next_round``,
-kept in the view of the user's state, so alg1's plans serve here), and
+kept only in the view of the user's state, so alg1's plans serve here), and
 the earliest of those is probed.  Users whose own choice matches the round
 layer descend on their feedback; everyone else still hears the probes for
 free and prunes its location hypotheses by correlating the measured gain
@@ -167,14 +167,12 @@ def run_multi_user(
         by_key: dict[tuple, list] = {}  # the trials of each joint key
         for t in live:
             by_key.setdefault(tuple(at[t]), []).append(t)
-        plans, groups, live = {}, [{} for _ in range(K)], []
+        groups, live = [{} for _ in range(K)], []
         for key, trials in by_key.items():
             active = []
             for k, s in enumerate(key):
                 if s is not None:
-                    if s not in plans:
-                        plans[s] = next_round(s, optimal_layer)[:2]
-                    done, layer = plans[s]
+                    done, layer = next_round(s, optimal_layer)[:2]
                     if done is None:
                         active.append((k, s, layer))
                     for t in trials if done else ():

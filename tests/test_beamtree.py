@@ -384,6 +384,56 @@ class TestTableCopies:
         gains[0, 0] = 2.0  # the caller's own array is untouched
 
 
+def ancestor(beam: bc.BeamId, layer: int) -> bc.BeamId:
+    """The beam at ``layer`` whose subtree holds ``beam``: each layer up
+    halves the index, rounding up."""
+    return bc.BeamId(layer, -(-beam.index // 2 ** (beam.layer - layer)))
+
+
+class TestDepthTables:
+    """What depends on the depth alone is built once per depth: every state
+    of that depth holds the same read-only tables."""
+
+    NAMES = ("_layer_rows", "_first_rows", "_pair_index", "_spans")
+
+    def test_states_of_one_depth_share_read_only_tables(self):
+        rng = np.random.default_rng(8)
+        a, b = (bc.SearchState(np.arange(n), np.full(n, 1 / n),
+                               stack_layers(rng.uniform(size=(n, 16))), 0.5) for n in (3, 5))
+        deeper = from_bottom_weights(np.ones(32))
+        for name in self.NAMES:
+            assert getattr(a, name) is getattr(b, name) is getattr(a.copy(), name)
+            assert getattr(deeper, name) is not getattr(a, name)
+        for array in (a._first_rows, *a._pair_index, a._spans):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array.flat[0] = 0
+
+    @pytest.mark.parametrize("L", range(1, 11))
+    def test_tables_equal_an_independent_construction(self, L):
+        layers, first, (p, q, lo, hi), spans = beamtree._tables(L)
+        assert layers == (None, *(slice(layer_start(l), layer_start(l + 1))
+                                  for l in range(1, L + 1)))
+        assert first.tolist() == [layer_start(l) for l in range(1, L + 2)]
+        bottom = [bc.BeamId(L, i) for i in range(1, 2**L + 1)]
+        want = np.zeros((layer_start(L + 1), 2**L), dtype=bool)
+        for b, beam in enumerate(bottom):
+            for l in range(1, L + 1):
+                want[row_of(ancestor(beam, l)), b] = True
+        assert spans.dtype == bool
+        np.testing.assert_array_equal(spans, want)
+        pairs = [(s, t) for s in range(1, L + 1) for t in range(s + 1, L + 1)]
+        assert list(zip(p.tolist(), q.tolist())) == pairs
+        # [lo, hi): the rows at t of the subtree under each bottom beam's ancestor at s
+        want_lo = [[layer_start(t) + (ancestor(beam, s).index - 1) * 2 ** (t - s)
+                    for beam in bottom] for s, t in pairs]
+        want_hi = [[row + 2 ** (t - s) for row in rows] for (s, t), rows in zip(pairs, want_lo)]
+        assert all(a.dtype == np.int64 for a in (p, q, lo, hi))
+        assert lo.reshape(-1).tolist() == sum(want_lo, [])
+        assert hi.reshape(-1).tolist() == sum(want_hi, [])
+        assert lo.shape == hi.shape == (len(pairs), 2**L)
+
+
 def recomputed(state):
     """Flat weights, candidate rows, per-layer candidates, prefix sums and
     pair weights of the state's alive masks and fallback flag, computed

@@ -4,7 +4,8 @@ batched probes read the same magnitudes, that a batched response fill
 reads the values of one ``np.vdot`` per entry, that the map build's channel
 routine and staged build match their references, and that the stream table
 loads the states default_rng seeds.  The map build's BCKM round trip must
-report that the saved map loads back equal, alg3 sweeps, alone and
+report that the saved map loads back equal, the alg3 section must time the
+set-up of one user's search state per scene, alg3 sweeps, alone and
 beside the other searches, must time the lock-step engine (best and
 median) beside its memo-off variants and the per-episode oracle, count
 trial-rounds against joint keys and fold members against the states and
@@ -49,6 +50,10 @@ def test_bench_kernels_runs(capsys):
     timed = r"[\d.]+ \( *[\d.]+\)"
     alg3 = [l for l in out if "per-episode oracle" in l]
     assert [l.split()[:2] for l in alg3] == [[s, a] for s in scenes for a in ("alg3", full)]
+    # each scene's state set-up, best (median) per user of the repeats
+    setup = [l for l in out if "compute_point_weights" in l]
+    assert [l.split()[:2] for l in setup] == [[s, "set-up:"] for s in scenes]
+    assert all(re.search(f"compute_point_weights +{timed} us per user$", l) for l in setup)
     pattern = (f"alg3 engine +{timed} \\(views off +{timed}, profiles off +{timed}; "
                f"per-episode oracle +{timed}, speedup [\\d.]+x\\)")
     assert all(re.search(pattern, l) and "same records: True" in l for l in alg3)

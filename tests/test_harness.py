@@ -296,6 +296,21 @@ class TestScenarioParsing:
             bc.scenario_from_dict(d)
 
     @pytest.mark.parametrize(
+        "regions, message",
+        [
+            (lambda first: [], "prior must contain at least one subregion"),
+            (lambda first: [first, first], "subregion priors sum to 2.0, expected 1"),
+            (lambda first: [dict(first, prior=0.5)] * 2, "subregions overlap or repeat grid points"),
+        ],
+        ids=["empty", "priors-off", "overlap"],
+    )
+    def test_prior_errors_name_the_user(self, regions, message):
+        d = json.loads(DESK_CONFIG.read_text())
+        d["users"][1]["subregions"] = regions(d["users"][1]["subregions"][0])
+        with pytest.raises(ValueError, match=rf"^users\[1\]: {message}"):
+            bc.scenario_from_dict(d)
+
+    @pytest.mark.parametrize(
         "key, value, message",
         [
             ("beta", True, "beta must be a number, got True"),
