@@ -132,7 +132,7 @@ def planning_workload(num_trees: int, num_layers: int, seed: int = 99):
 
 
 def build_states(cases):
-    return [bc.SearchState([0], [1.0], gains, 0.2) for gains in cases]
+    return [bc.beamtree.SearchState([0], [1.0], gains, 0.2) for gains in cases]
 
 
 def plan_by_enumeration(cases, num_layers):
@@ -152,7 +152,7 @@ def plan_by_enumeration(cases, num_layers):
 
 
 def plan_by_shortest_path(cases, num_layers):
-    return [bc.optimal_layer(state) for state in build_states(cases)]
+    return [bc.strategy.optimal_layer(state) for state in build_states(cases)]
 
 
 PROBE_ANTENNAS = (32, 128, 1024)
@@ -162,7 +162,7 @@ def probe_by_scalar(h, codebook, sigma, seed):
     rng = np.random.default_rng(seed)
     L = layers_of(len(codebook))
     return np.array([
-        bc.probe(h, codebook[row_of(bc.BeamId(L, n))], sigma, rng)
+        bc.channel.probe(h, codebook[row_of(bc.BeamId(L, n))], sigma, rng)
         for n in range(1, 2**L + 1)
     ])
 
@@ -174,14 +174,14 @@ def probe_by_rows(resp, rows, sigma, seed):
 
 
 def probe_cold(h, codebook, rows, sigma, seed):
-    return probe_by_rows(bc.Responses(h, codebook), rows, sigma, seed)
+    return probe_by_rows(bc.channel.Responses(h, codebook), rows, sigma, seed)
 
 
 FILL_CHANNELS = 40
 
 
 def fill_by_take(hs, codebook, points, rows):
-    return bc.Responses(hs, codebook).take(points, rows)
+    return bc.channel.Responses(hs, codebook).take(points, rows)
 
 
 MAP_STAGES = ("trace", "synthesis", "gain product")
@@ -359,7 +359,7 @@ def bench_alg3(trials_per_scene, full_trials_per_scene, repeat: int) -> None:
         gain_map = bc.build_ckm(config.environment, config.array, book, config.grid)
         K = len(config.priors)
         _, best, median = bench(lambda: [
-            bc.compute_point_weights(gain_map, prior, config.beta, config.retain_beams)
+            bc.beamtree.compute_point_weights(gain_map, prior, config.beta, config.retain_beams)
             for prior in config.priors], repeat=repeat)
         print(f"  {scene:5s} set-up: compute_point_weights {best / K * 1e6:7.1f} "
               f"({median / K * 1e6:7.1f}) us per user")
@@ -395,7 +395,7 @@ def bench_alg3(trials_per_scene, full_trials_per_scene, repeat: int) -> None:
                 counts["views"] += len(alive)
                 return derive_views(state, alive, *args)
 
-            prune_profile, state, patch = multiuser._profile, bc.SearchState, mock.patch.object
+            prune_profile, state, patch = multiuser._profile, bc.beamtree.SearchState, mock.patch.object
             fold_states, derive_views = multiuser.fold, state._derive_view
             with (
                 patch(harness, "run_multi_user", engine),
@@ -552,7 +552,7 @@ def main(argv=None) -> int:
         draw = np.random.default_rng(n)
         h = draw.standard_normal(n) + 1j * draw.standard_normal(n)
         rows = np.arange(len(codebook))[layer_rows(layers_of(len(codebook)))]
-        resp = bc.Responses(h, codebook)
+        resp = bc.channel.Responses(h, codebook)
         want, best_s, _ = bench(probe_by_scalar, h, codebook, 0.1, 11, repeat=args.repeat)
         cold, best_c, _ = bench(probe_cold, h, codebook, rows, 0.1, 11, repeat=args.repeat)
         warm, best_w, _ = bench(probe_by_rows, resp, rows, 0.1, 11, repeat=args.repeat)

@@ -175,11 +175,17 @@ def _check_sweep(algorithms, trials: int, seed: int, snr_db) -> None:
         raise ValueError(f"seed must be >= 0, got {seed}")
     if not snr_db:
         raise ValueError("snr_db needs at least one SNR point")
+    _check_snr(snr_db)
+    if len(set(snr_db)) != len(snr_db):
+        raise ValueError(f"SNR points must not repeat, got {list(snr_db)}")
+
+
+def _check_snr(snr_db) -> None:
+    """SNR points of a sweep or of a results file: NaN or -inf is no point
+    that ``run_trials`` runs or ``summarize`` groups."""
     bad = [s for s in snr_db if math.isnan(s) or s == -math.inf]
     if bad:
         raise ValueError(f"SNR entries must be numbers or 'inf', got {bad}")
-    if len(set(snr_db)) != len(snr_db):
-        raise ValueError(f"SNR points must not repeat, got {list(snr_db)}")
 
 
 @functools.cache
@@ -512,19 +518,24 @@ def read_results_csv(path) -> list[TrialRecord]:
             try:
                 if len(row) != len(CSV_FIELDS):
                     raise ValueError(f"{len(row)} fields, expected {len(CSV_FIELDS)}")
-                out.append(
-                    TrialRecord(
-                        trial_id=int(row[0]),
-                        algorithm=row[1],
-                        snr_db=float(row[2]),
-                        user_id=int(row[3]),
-                        overhead=float(row[4]),
-                        chosen=BeamId(int(row[5]), int(row[6])),
-                        oracle=BeamId(int(row[7]), int(row[8])),
-                        gain_ratio_db=float(row[9]),
-                        se_bps_hz=float(row[10]),
-                    )
+                r = TrialRecord(
+                    trial_id=int(row[0]),
+                    algorithm=row[1],
+                    snr_db=float(row[2]),
+                    user_id=int(row[3]),
+                    overhead=float(row[4]),
+                    chosen=BeamId(int(row[5]), int(row[6])),
+                    oracle=BeamId(int(row[7]), int(row[8])),
+                    gain_ratio_db=float(row[9]),
+                    se_bps_hz=float(row[10]),
                 )
+                # what summarize could not group or average
+                _check_snr([r.snr_db])
+                if not (math.isfinite(r.overhead) and r.overhead >= 0.0):
+                    raise ValueError(f"overhead must be a finite number >= 0, got {r.overhead}")
+                if math.isnan(r.gain_ratio_db) or math.isnan(r.se_bps_hz):
+                    raise ValueError("gain ratio and spectral efficiency must not be NaN")
+                out.append(r)
             except ValueError as exc:
                 raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     return out

@@ -49,7 +49,7 @@ def uniform_prior(ids) -> bc.PositionPrior:
     return bc.PositionPrior((bc.SubRegion(ids, 1.0),))
 
 
-def from_bottom_weights(weights, root: bc.BeamId | None = None) -> bc.SearchState:
+def from_bottom_weights(weights, root: bc.BeamId | None = None) -> bc.beamtree.SearchState:
     """Toy search state whose bottom weights are exactly ``weights``: one
     point whose bottom map gains are the weights, with beta low enough to
     keep every positive one.  ``root`` sets the layer that planning starts
@@ -65,40 +65,40 @@ def from_bottom_weights(weights, root: bc.BeamId | None = None) -> bc.SearchStat
         w[root.index << shift :] = 0.0
     positive = w[w > 0]
     beta = 0.5 * positive.min() / positive.max() if positive.size else 1.0
-    state = bc.SearchState(np.zeros(1), np.ones(1), stack_layers(w[None, :]), beta)
+    state = bc.beamtree.SearchState(np.zeros(1), np.ones(1), stack_layers(w[None, :]), beta)
     state.root = root
     return state
 
 
-def built_state(ckm: bc.CkmGrid, prior, beta: float = 0.5, retain_beams=None) -> bc.SearchState:
+def built_state(ckm: bc.CkmGrid, prior, beta: float = 0.5, retain_beams=None) -> bc.beamtree.SearchState:
     """The search state every map-aided episode starts from: the prior's
     points, built once on the map."""
-    return bc.compute_point_weights(ckm, prior, beta, retain_beams)
+    return bc.beamtree.compute_point_weights(ckm, prior, beta, retain_beams)
 
 
-def candidates(state: bc.SearchState, layer: int) -> np.ndarray:
+def candidates(state: bc.beamtree.SearchState, layer: int) -> np.ndarray:
     """1-based candidate indices at a layer, ascending."""
     return beam_index(state.candidate_rows(layer), layer)
 
 
-def bottom_candidates(state: bc.SearchState) -> np.ndarray:
+def bottom_candidates(state: bc.beamtree.SearchState) -> np.ndarray:
     return candidates(state, state.num_layers)
 
 
-def layer_weights(state: bc.SearchState, layer: int) -> np.ndarray:
+def layer_weights(state: bc.beamtree.SearchState, layer: int) -> np.ndarray:
     """Weights of the beams at a layer, index order."""
     return state.weights[layer_rows(layer)]
 
 
-def bottom_weights(state: bc.SearchState) -> np.ndarray:
+def bottom_weights(state: bc.beamtree.SearchState) -> np.ndarray:
     return layer_weights(state, state.num_layers)
 
 
-def candidate_count(state: bc.SearchState, layer: int) -> int:
+def candidate_count(state: bc.beamtree.SearchState, layer: int) -> int:
     return len(state.candidate_rows(layer))
 
 
-def layer_masks(state: bc.SearchState) -> list[np.ndarray]:
+def layer_masks(state: bc.beamtree.SearchState) -> list[np.ndarray]:
     """Candidate mask of each layer 1..L, from the state's weights."""
     return [layer_weights(state, l) > 0 for l in range(1, state.num_layers + 1)]
 
@@ -137,13 +137,13 @@ def small_scene():
 def scene_channel(scene, point: int) -> np.ndarray:
     """Ground-truth channel vector at a grid point of the small scene."""
     pos = scene["grid"].positions([point])[0]
-    return bc.synthesize_channel(scene["env"], scene["array"], pos)
+    return bc.channel.synthesize_channel(scene["env"], scene["array"], pos)
 
 
-def responses_of(h: np.ndarray) -> bc.Responses:
+def responses_of(h: np.ndarray) -> bc.channel.Responses:
     """The episode input for a channel vector: its (initially empty) cache
     of responses to the codebook of its array size."""
-    return bc.Responses(h, bc.build_codebook(len(h)))
+    return bc.channel.Responses(h, bc.build_codebook(len(h)))
 
 
 def noise_of(seed, pairs: int = 3) -> tuple[np.ndarray, np.ndarray]:
@@ -162,29 +162,29 @@ def link_of(h: np.ndarray, noise_std: float = 0.0, seed=None) -> Link:
     return Link(responses_of(h), noise_std, *(noise_of(seed) if noise_std else ()))
 
 
-def episode(search, state: bc.SearchState, link: Link):
-    """One episode of a batched search (``bc.run_single_user``,
-    ``bc.run_lookahead`` or ``strategy.run_searches`` with a layer choice)
+def episode(search, state: bc.beamtree.SearchState, link: Link):
+    """One episode of a batched search (``bc.strategy.run_single_user``,
+    ``bc.lookahead.run_lookahead`` or ``strategy.run_searches`` with a layer choice)
     from a built state over a link, as a batch of one: (chosen beam,
     probe count, rounds)."""
     noisy = link.noise_std > 0.0
-    batch = bc.Episodes(link.resp, link.noise_std, [link.point],
+    batch = bc.channel.Episodes(link.resp, link.noise_std, [link.point],
                         link.block[None] if noisy else None, link.words[None] if noisy else None)
     chosen, probes, rounds = search([state], batch)
     return chosen[0], int(probes[0]), rounds
 
 
 def joint_episode(states, links, eta: float):
-    """One trial of ``bc.run_multi_user`` from the users' built states over
+    """One trial of ``bc.multiuser.run_multi_user`` from the users' built states over
     one link per user, as a batch of one trial: (chosen beams, probe
     count, per-user rounds)."""
     noisy = links[0].noise_std > 0.0
-    resp = bc.Responses(np.stack([l.resp.channels[l.point] for l in links]),
+    resp = bc.channel.Responses(np.stack([l.resp.channels[l.point] for l in links]),
                         links[0].resp.codewords)
-    batch = bc.Episodes(resp, links[0].noise_std, np.arange(len(links)),
+    batch = bc.channel.Episodes(resp, links[0].noise_std, np.arange(len(links)),
                         np.stack([l.block for l in links]) if noisy else None,
                         np.stack([l.words for l in links]) if noisy else None)
-    chosen, totals, rounds = bc.run_multi_user(states, batch, eta)
+    chosen, totals, rounds = bc.multiuser.run_multi_user(states, batch, eta)
     return chosen, int(totals.sum()), rounds
 
 

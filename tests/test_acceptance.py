@@ -323,19 +323,19 @@ class TestStructuralInvariants:
             return bool(np.allclose(sums, sums[-1], rtol=1e-9, atol=0.0))
 
         # 1. weight conservation through a full descent with pruning
-        state = bc.compute_point_weights(ckm, desk["priors"][0], beta=cfg.beta)
+        state = bc.beamtree.compute_point_weights(ckm, desk["priors"][0], beta=cfg.beta)
         conserved = layers_conserved(state)
         for layer in range(1, ckm.num_layers + 1):
             cands = candidates(state, layer)
             node = bc.BeamId(layer, int(cands[0]))
-            bc.apply_observation(state, node)
+            bc.beamtree.apply_observation(state, node)
             conserved &= layers_conserved(state)
         notes.append(f"layer sums conserved through descent: {conserved}")
 
         # 2. monotone point-set shrinkage: feed one hypothesis's own map
         # profile (plus noise) as the observation; survivors must only
         # ever shrink, toward that hypothesis
-        table = bc.compute_point_weights(ckm, desk["priors"][0], beta=cfg.beta)
+        table = bc.beamtree.compute_point_weights(ckm, desk["priors"][0], beta=cfg.beta)
         rng = np.random.default_rng(11)
         row = int(np.flatnonzero(table.point_alive)[7])
         L = ckm.num_layers

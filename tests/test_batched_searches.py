@@ -119,18 +119,18 @@ def test_episodes_read_past_their_blocks(scenes, choose_layer):
     config, ckm = scenes["desk"]
     K, E = len(config.users), 90
     rng = np.random.default_rng(5)
-    points = [bc.sample_true_position(config.priors[e % K], rng) for e in range(E)]
-    channels = bc.synthesize_channel(
+    points = [bc.position.sample_true_position(config.priors[e % K], rng) for e in range(E)]
+    channels = bc.channel.synthesize_channel(
         config.environment, config.array, config.grid.positions(np.array(points))
     )
-    resp = bc.Responses(channels, bc.build_codebook(config.array.num_antennas))
+    resp = bc.channel.Responses(channels, bc.build_codebook(config.array.num_antennas))
     words = seed_words([7919, 202], np.arange(E)[:, None])
-    sigma = bc.noise_std_for_snr(0.0, ckm.reference_gain)
+    sigma = bc.harness.noise_std_for_snr(0.0, ckm.reference_gain)
     runs, batches = [], []
     for search in (lambda s, b: strategy.run_searches(s, b, choose_layer),
                    oracles.one_search_at_a_time(choose_layer)):
-        states = [bc.compute_point_weights(ckm, p, config.beta) for p in config.priors]
-        batches.append(bc.Episodes(resp, sigma, np.arange(E), normal_blocks(words, 1), words))
+        states = [bc.beamtree.compute_point_weights(ckm, p, config.beta) for p in config.priors]
+        batches.append(bc.channel.Episodes(resp, sigma, np.arange(E), normal_blocks(words, 1), words))
         chosen, probes, rounds = search(states, batches[-1])
         runs.append((chosen, probes.tolist(), sorted(map(repr, rounds))))
     assert runs[0] == runs[1]

@@ -74,32 +74,32 @@ def four_point_ckm():
 class TestThresholdRetention:
     def test_half_threshold_keeps_only_dominant_beam(self):
         ckm = toy_ckm(np.array([[1.0, 0.3, 0.05, 0.0]]))
-        table = bc.compute_point_weights(ckm, uniform_prior(np.array([0])), beta=0.5)
+        table = bc.beamtree.compute_point_weights(ckm, uniform_prior(np.array([0])), beta=0.5)
         np.testing.assert_allclose(bottom_weights(table), [1.0, 0.0, 0.0, 0.0])
         np.testing.assert_array_equal(
-            bottom_candidates(bc.candidate_beams(table)), [1]
+            bottom_candidates(bc.beamtree.candidate_beams(table)), [1]
         )
 
     def test_low_threshold_keeps_all_nonzero(self):
         ckm = toy_ckm(np.array([[1.0, 0.3, 0.05, 0.0]]))
-        table = bc.compute_point_weights(ckm, uniform_prior(np.array([0])), beta=0.04)
+        table = bc.beamtree.compute_point_weights(ckm, uniform_prior(np.array([0])), beta=0.04)
         np.testing.assert_allclose(bottom_weights(table), [1.0, 0.3, 0.05, 0.0])
 
     def test_beta_one_keeps_only_argmax(self):
         ckm = toy_ckm(np.array([[0.9, 1.0, 0.3, 0.0]]))
-        table = bc.compute_point_weights(ckm, uniform_prior(np.array([0])), beta=1.0)
+        table = bc.beamtree.compute_point_weights(ckm, uniform_prior(np.array([0])), beta=1.0)
         np.testing.assert_allclose(bottom_weights(table), [0.0, 1.0, 0.0, 0.0])
 
     def test_beta_one_exact_tie_keeps_both(self):
         ckm = toy_ckm(np.array([[1.0, 1.0, 0.3, 0.0]]))
-        table = bc.compute_point_weights(ckm, uniform_prior(np.array([0])), beta=1.0)
+        table = bc.beamtree.compute_point_weights(ckm, uniform_prior(np.array([0])), beta=1.0)
         np.testing.assert_array_equal(bottom_weights(table) > 0, [True, True, False, False])
 
     def test_retain_cap_keeps_strongest_stable(self):
         ckm = toy_ckm(np.array([[0.5, 1.0, 1.0, 0.9]]))
-        table = bc.compute_point_weights(ckm, uniform_prior([0]), beta=0.1, retain_beams=2)
+        table = bc.beamtree.compute_point_weights(ckm, uniform_prior([0]), beta=0.1, retain_beams=2)
         np.testing.assert_array_equal(
-            bottom_candidates(bc.candidate_beams(table)), [2, 3]
+            bottom_candidates(bc.beamtree.candidate_beams(table)), [2, 3]
         )
 
     def test_retention_matches_oracle_on_random_gains(self):
@@ -107,7 +107,7 @@ class TestThresholdRetention:
         ckm = toy_ckm(rng.uniform(0.0, 1.0, size=(6, 8)))
         stored = ckm.gains[layer_rows(ckm.num_layers)].T.astype(np.float64)  # what the table reads
         for beta, retain in [(0.3, None), (0.7, None), (0.5, 3), (1.0, 1)]:
-            table = bc.compute_point_weights(
+            table = bc.beamtree.compute_point_weights(
                 ckm, uniform_prior(np.arange(6)), beta=beta, retain_beams=retain
             )
             keep = threshold_keep_oracle(stored, beta, retain)
@@ -117,26 +117,26 @@ class TestThresholdRetention:
     def test_parameter_validation(self):
         ckm = toy_ckm(np.ones((1, 4)))
         with pytest.raises(ValueError):
-            bc.compute_point_weights(ckm, uniform_prior(np.array([0])), beta=0.0)
+            bc.beamtree.compute_point_weights(ckm, uniform_prior(np.array([0])), beta=0.0)
         with pytest.raises(ValueError):
-            bc.compute_point_weights(ckm, uniform_prior(np.array([0])), beta=1.5)
+            bc.beamtree.compute_point_weights(ckm, uniform_prior(np.array([0])), beta=1.5)
         with pytest.raises(ValueError):
-            bc.compute_point_weights(ckm, uniform_prior([0]), beta=0.5, retain_beams=0)
+            bc.beamtree.compute_point_weights(ckm, uniform_prior([0]), beta=0.5, retain_beams=0)
         with pytest.raises(ValueError):
-            bc.compute_point_weights(ckm, uniform_prior(np.array([], dtype=int)), beta=0.5)
+            bc.beamtree.compute_point_weights(ckm, uniform_prior(np.array([], dtype=int)), beta=0.5)
 
 
 class TestLayerRecursion:
     def test_pairwise_sum_example(self):
         ckm = toy_ckm(np.array([[1.0, 0.0, 2.0, 0.0]]))
-        table = bc.compute_point_weights(ckm, uniform_prior(np.array([0])), beta=0.1)
+        table = bc.beamtree.compute_point_weights(ckm, uniform_prior(np.array([0])), beta=0.1)
         np.testing.assert_allclose(layer_weights(table, 2), [1.0, 0.0, 2.0, 0.0])
         np.testing.assert_allclose(layer_weights(table, 1), [1.0, 2.0])
 
     def test_total_weight_identical_across_layers(self):
         rng = np.random.default_rng(23)
         ckm = toy_ckm(rng.uniform(0.0, 1.0, size=(5, 16)))
-        table = bc.compute_point_weights(ckm, uniform_prior(np.arange(5)), beta=0.2)
+        table = bc.beamtree.compute_point_weights(ckm, uniform_prior(np.arange(5)), beta=0.2)
         layers = [layer_weights(table, l) for l in range(1, 5)]
         totals = [w.sum() for w in layers]
         np.testing.assert_allclose(totals, totals[-1], rtol=1e-12)
@@ -145,8 +145,8 @@ class TestLayerRecursion:
 
     def test_weights_scale_with_gains(self):
         bottom = np.random.default_rng(1).uniform(0.1, 1.0, size=(3, 8))
-        t1 = bc.compute_point_weights(toy_ckm(bottom), uniform_prior(range(3)), beta=0.4)
-        t2 = bc.compute_point_weights(toy_ckm(5.0 * bottom), uniform_prior(range(3)), beta=0.4)
+        t1 = bc.beamtree.compute_point_weights(toy_ckm(bottom), uniform_prior(range(3)), beta=0.4)
+        t2 = bc.beamtree.compute_point_weights(toy_ckm(5.0 * bottom), uniform_prior(range(3)), beta=0.4)
         np.testing.assert_allclose(
             bottom_weights(t2), 5.0 * bottom_weights(t1), rtol=1e-6
         )
@@ -156,8 +156,8 @@ class TestLayerRecursion:
         bottom = np.random.default_rng(2).uniform(0.0, 1.0, size=(4, 16))
         counts = []
         for beta in [0.1, 0.3, 0.5, 0.7, 0.9, 1.0]:
-            table = bc.compute_point_weights(toy_ckm(bottom), uniform_prior(range(4)), beta=beta)
-            counts.append(len(bottom_candidates(bc.candidate_beams(table))))
+            table = bc.beamtree.compute_point_weights(toy_ckm(bottom), uniform_prior(range(4)), beta=beta)
+            counts.append(len(bottom_candidates(bc.beamtree.candidate_beams(table))))
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
 
@@ -184,9 +184,9 @@ class TestPrunedTree:
             from_bottom_weights(np.ones(6))
         # the state itself needs gains over the whole codebook of its depth
         with pytest.raises(ValueError, match="full codebook"):
-            bc.SearchState(np.arange(1), np.ones(1), np.ones((1, 10)), 0.5)
+            bc.beamtree.SearchState(np.arange(1), np.ones(1), np.ones((1, 10)), 0.5)
         with pytest.raises(ValueError, match="shape"):
-            bc.SearchState(np.arange(1), np.ones(1), np.ones(14), 0.5)
+            bc.beamtree.SearchState(np.arange(1), np.ones(1), np.ones(14), 0.5)
 
     @pytest.mark.parametrize(
         "ids, mass, rows",
@@ -195,7 +195,7 @@ class TestPrunedTree:
     )
     def test_misaligned_point_arrays_named(self, ids, mass, rows):
         with pytest.raises(ValueError, match=r"point_ids .*, point_mass .* and gains .* per point"):
-            bc.SearchState(np.zeros(ids, dtype=int), np.ones(mass), np.ones((rows, 14)), 0.5)
+            bc.beamtree.SearchState(np.zeros(ids, dtype=int), np.ones(mass), np.ones((rows, 14)), 0.5)
 
     def test_candidate_trees_are_ancestor_closed(self):
         rng = np.random.default_rng(31)
@@ -210,17 +210,17 @@ class TestPrunedTree:
 class TestApplyObservation:
     def test_observing_right_half_leaves_single_leaf(self):
         ckm = four_point_ckm()
-        state = bc.compute_point_weights(ckm, uniform_prior(np.arange(4)), beta=0.5)
-        np.testing.assert_array_equal(bottom_candidates(bc.candidate_beams(state)), [1, 2, 3, 5])
-        bc.apply_observation(state, bc.BeamId(1, 2))
+        state = bc.beamtree.compute_point_weights(ckm, uniform_prior(np.arange(4)), beta=0.5)
+        np.testing.assert_array_equal(bottom_candidates(bc.beamtree.candidate_beams(state)), [1, 2, 3, 5])
+        bc.beamtree.apply_observation(state, bc.BeamId(1, 2))
         np.testing.assert_array_equal(bottom_candidates(state), [5])
         assert state.root == bc.BeamId(1, 2)
         np.testing.assert_array_equal(state.alive_points, [3])
 
     def test_points_drop_when_argmax_disagrees(self):
         ckm = four_point_ckm()
-        state = bc.compute_point_weights(ckm, uniform_prior(np.arange(4)), beta=0.5)
-        bc.apply_observation(state, bc.BeamId(1, 1))
+        state = bc.beamtree.compute_point_weights(ckm, uniform_prior(np.arange(4)), beta=0.5)
+        bc.beamtree.apply_observation(state, bc.BeamId(1, 1))
         # points backing beams 1, 2, 3 stay; the beam-5 point is gone
         np.testing.assert_array_equal(state.alive_points, [0, 1, 2])
         np.testing.assert_array_equal(bottom_candidates(state), [1, 2, 3])
@@ -229,24 +229,24 @@ class TestApplyObservation:
         # both layer-1 wide beams read the same gain for this point: the
         # tie votes for beam 1, so observing beam 2 discards the point
         bottom = np.array([[1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]])
-        state = bc.compute_point_weights(toy_ckm(bottom), uniform_prior(np.array([0])), beta=0.5)
-        bc.apply_observation(state, bc.BeamId(1, 2))
+        state = bc.beamtree.compute_point_weights(toy_ckm(bottom), uniform_prior(np.array([0])), beta=0.5)
+        bc.beamtree.apply_observation(state, bc.BeamId(1, 2))
         assert state.alive_points.size == 0
         assert state.uniform_fallback
 
     def test_non_candidate_observation_rejected(self):
         ckm = four_point_ckm()
-        state = bc.compute_point_weights(ckm, uniform_prior(np.arange(4)), beta=0.5)
+        state = bc.beamtree.compute_point_weights(ckm, uniform_prior(np.arange(4)), beta=0.5)
         with pytest.raises(ValueError):
-            bc.apply_observation(state, bc.BeamId(3, 4))
+            bc.beamtree.apply_observation(state, bc.BeamId(3, 4))
 
     def test_contradictory_observation_falls_back_to_uniform_subtree(self):
         # both points bet on the left half; observing the right half wipes
         # them out and the subtree reverts to uniform weights
         bottom = np.tile(np.array([[1.0, 0.0, 0.0, 0.6]]), (2, 1))
-        state = bc.compute_point_weights(toy_ckm(bottom), uniform_prior(np.arange(2)), beta=0.5)
+        state = bc.beamtree.compute_point_weights(toy_ckm(bottom), uniform_prior(np.arange(2)), beta=0.5)
         np.testing.assert_array_equal(bottom_candidates(state), [1, 4])
-        bc.apply_observation(state, bc.BeamId(1, 2))
+        bc.beamtree.apply_observation(state, bc.BeamId(1, 2))
         assert state.uniform_fallback
         np.testing.assert_array_equal(bottom_candidates(state), [3, 4])
         np.testing.assert_allclose(bottom_weights(state), [0.0, 0.0, 1.0, 1.0])
@@ -256,41 +256,41 @@ class TestApplyObservation:
         # fallback subtree must re-anchor on the new subtree instead of
         # leaving no candidates at all
         bottom = np.tile(np.array([[1.0, 0.0, 0.0, 0.6]]), (2, 1))
-        state = bc.compute_point_weights(toy_ckm(bottom), uniform_prior(np.arange(2)), beta=0.5)
-        bc.apply_observation(state, bc.BeamId(1, 2))
+        state = bc.beamtree.compute_point_weights(toy_ckm(bottom), uniform_prior(np.arange(2)), beta=0.5)
+        bc.beamtree.apply_observation(state, bc.BeamId(1, 2))
         assert state.uniform_fallback
         state.update(np.ones(2, dtype=bool), bc.BeamId(2, 1))
         np.testing.assert_allclose(bottom_weights(state), [1.0, 0.0, 0.0, 0.0])
-        np.testing.assert_array_equal(bottom_candidates(bc.candidate_beams(state)), [1])
+        np.testing.assert_array_equal(bottom_candidates(bc.beamtree.candidate_beams(state)), [1])
         assert state.root == bc.BeamId(2, 1)
 
     def test_descent_chain_reaches_bottom(self):
         rng = np.random.default_rng(7)
         bottom = rng.uniform(0.05, 1.0, size=(6, 16))
-        state = bc.compute_point_weights(toy_ckm(bottom), uniform_prior(np.arange(6)), beta=0.3)
+        state = bc.beamtree.compute_point_weights(toy_ckm(bottom), uniform_prior(np.arange(6)), beta=0.3)
         node = bc.BeamId(1, 1)
-        bc.apply_observation(state, node)
+        bc.beamtree.apply_observation(state, node)
         for layer in range(2, 5):
             cands = candidates(state, layer)
             assert cands.size >= 1
             node = bc.BeamId(layer, int(cands[0]))
-            bc.apply_observation(state, node)
+            bc.beamtree.apply_observation(state, node)
         assert bottom_candidates(state).size >= 1
         assert state.root.layer == 4
 
     def test_all_zero_weights_have_no_candidates(self):
         # a prior whose only point has no map gain backs no beam at all
         ckm = toy_ckm(np.zeros((1, 4)))
-        state = bc.compute_point_weights(ckm, uniform_prior(np.array([0])), beta=0.5)
+        state = bc.beamtree.compute_point_weights(ckm, uniform_prior(np.array([0])), beta=0.5)
         with pytest.raises(ValueError):
-            bc.candidate_beams(state)
+            bc.beamtree.candidate_beams(state)
         # an update never leaves that state: dropping every point engages
         # the uniform fallback instead
         ckm = toy_ckm(np.array([[1.0, 0.0, 0.0, 0.0]]))
-        state = bc.compute_point_weights(ckm, uniform_prior([0]), 0.5)
+        state = bc.beamtree.compute_point_weights(ckm, uniform_prior([0]), 0.5)
         state.update(np.array([False]))
         assert state.uniform_fallback
-        np.testing.assert_array_equal(bottom_candidates(bc.candidate_beams(state)), [1, 2, 3, 4])
+        np.testing.assert_array_equal(bottom_candidates(bc.beamtree.candidate_beams(state)), [1, 2, 3, 4])
 
 
 class TestWeightTableState:
@@ -299,7 +299,7 @@ class TestWeightTableState:
         prior = bc.PositionPrior(
             (bc.SubRegion((0,), 0.75), bc.SubRegion((1,), 0.25))
         )
-        table = bc.compute_point_weights(ckm, prior, beta=0.5)
+        table = bc.beamtree.compute_point_weights(ckm, prior, beta=0.5)
         np.testing.assert_allclose(bottom_weights(table), [0.75, 0.25, 0.0, 0.0])
 
     @pytest.mark.parametrize(
@@ -316,17 +316,17 @@ class TestWeightTableState:
         # a two-point grid: -1 would read the last point, 2 is past the end
         ckm = toy_ckm(np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]))
         with pytest.raises(ValueError, match=rf"grid-point id {bad} outside \[0, 2\)"):
-            bc.compute_point_weights(ckm, points, beta=0.5)
+            bc.beamtree.compute_point_weights(ckm, points, beta=0.5)
 
     def test_raw_indices_default_to_uniform_mass(self):
         ckm = toy_ckm(np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]))
-        table = bc.compute_point_weights(ckm, uniform_prior(np.array([0, 1])), beta=0.5)
+        table = bc.beamtree.compute_point_weights(ckm, uniform_prior(np.array([0, 1])), beta=0.5)
         np.testing.assert_allclose(bottom_weights(table), [0.5, 0.5, 0.0, 0.0])
 
     def test_candidate_rows_index_the_gain_columns(self):
         rng = np.random.default_rng(11)
         bottom = rng.uniform(size=(3, 8)) * (rng.random((3, 8)) < 0.5)
-        table = bc.compute_point_weights(toy_ckm(bottom), uniform_prior(np.arange(3)), beta=0.5)
+        table = bc.beamtree.compute_point_weights(toy_ckm(bottom), uniform_prior(np.arange(3)), beta=0.5)
         rows = table.candidate_rows(3)
         np.testing.assert_array_equal(rows, 6 + np.flatnonzero(table.contrib.sum(axis=0) > 0))
         np.testing.assert_array_equal(candidates(table, 3), rows - 5)
@@ -334,7 +334,7 @@ class TestWeightTableState:
 
     def test_restrict_without_kill_keeps_weights(self):
         bottom = np.array([[0.2, 0.3, 0.4, 0.1]])
-        state = bc.compute_point_weights(toy_ckm(bottom), uniform_prior(np.array([0])), beta=0.1)
+        state = bc.beamtree.compute_point_weights(toy_ckm(bottom), uniform_prior(np.array([0])), beta=0.1)
         state.update(np.ones(1, dtype=bool), bc.BeamId(1, 1))
         np.testing.assert_allclose(bottom_weights(state), [0.2, 0.3, 0.0, 0.0])
         assert not state.uniform_fallback
@@ -347,7 +347,7 @@ class TestTableCopies:
     def setup_method(self):
         bottom = np.random.default_rng(5).uniform(0.0, 1.0, size=(6, 8))
         self.ckm = toy_ckm(bottom)
-        self.built = bc.compute_point_weights(
+        self.built = bc.beamtree.compute_point_weights(
             self.ckm, uniform_prior(range(6)), beta=0.3, retain_beams=3
         )
 
@@ -379,7 +379,7 @@ class TestTableCopies:
 
     def test_caller_arrays_stay_writable(self):
         gains = stack_layers(np.eye(4))
-        table = bc.SearchState(np.arange(4), np.full(4, 0.25), gains, 0.5)
+        table = bc.beamtree.SearchState(np.arange(4), np.full(4, 0.25), gains, 0.5)
         assert not table.gains.flags.writeable
         gains[0, 0] = 2.0  # the caller's own array is untouched
 
@@ -398,7 +398,7 @@ class TestDepthTables:
 
     def test_states_of_one_depth_share_read_only_tables(self):
         rng = np.random.default_rng(8)
-        a, b = (bc.SearchState(np.arange(n), np.full(n, 1 / n),
+        a, b = (bc.beamtree.SearchState(np.arange(n), np.full(n, 1 / n),
                                stack_layers(rng.uniform(size=(n, 16))), 0.5) for n in (3, 5))
         deeper = from_bottom_weights(np.ones(32))
         for name in self.NAMES:
@@ -498,7 +498,7 @@ def observation_runs(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     bottom = rng.uniform(0.0, 1.0, (P, 2**L)) * (rng.random((P, 2**L)) < 0.5)
     mass = rng.dirichlet(np.ones(P))
-    state = bc.SearchState(
+    state = bc.beamtree.SearchState(
         np.arange(P),
         mass,
         stack_layers(bottom),
@@ -557,7 +557,7 @@ class TestSearchStateCache:
         initial = recomputed(built)
         if bottom_weights(built).max() <= 0.0:
             with pytest.raises(ValueError):
-                bc.candidate_beams(built)
+                bc.beamtree.candidate_beams(built)
             return
         state = built.copy()
         old = OldRules(state)
@@ -573,7 +573,7 @@ class TestSearchStateCache:
                 observed = bc.BeamId(layer, int(cands[pick % cands.size]))
                 winners_before = state.gains[:, state.candidate_rows(layer)]
                 won = cands[np.argmax(winners_before, axis=1)]
-                bc.apply_observation(state, observed)
+                bc.beamtree.apply_observation(state, observed)
                 old.fold(won == observed.index, observed)
             else:
                 if not state.point_alive.any():
@@ -615,7 +615,7 @@ def folded_states(state, steps):
             return
         if kind == "observe":
             cands = candidates(state, layer)
-            bc.apply_observation(state, bc.BeamId(layer, int(cands[pick % cands.size])))
+            bc.beamtree.apply_observation(state, bc.BeamId(layer, int(cands[pick % cands.size])))
         else:
             rng = np.random.default_rng(seed)
             rows = np.arange(layer_start(layer), layer_start(layer + 1))
@@ -682,10 +682,10 @@ class TestSearchTreeCache:
         often contradict every point and the uniform fallback engages."""
         rng = np.random.default_rng(seed)
         bottom = rng.uniform(0.0, 1.0, (6, 16)) * (rng.random((6, 16)) < 0.3)
-        built = bc.compute_point_weights(toy_ckm(bottom), uniform_prior(np.arange(6)), beta=0.5)
+        built = bc.beamtree.compute_point_weights(toy_ckm(bottom), uniform_prior(np.arange(6)), beta=0.5)
         cb = bc.build_codebook(16)
         for k in range(30):
-            resp = bc.Responses(rng.normal(size=16) + 1j * rng.normal(size=16), cb)
+            resp = bc.channel.Responses(rng.normal(size=16) + 1j * rng.normal(size=16), cb)
             for choose in (optimal_layer, next_layer):
                 search = functools.partial(run_searches, choose_layer=choose)
                 episode(search, built, oracles.Link(resp, 10.0, *noise_of(k)))
@@ -700,7 +700,7 @@ class TestSearchTreeCache:
         for path, child in walked:
             replay = built.copy()
             for observed in path:
-                bc.apply_observation(replay, observed)
+                bc.beamtree.apply_observation(replay, observed)
             for name in ("weights", "rows", "point_alive", "beam_alive"):
                 np.testing.assert_array_equal(getattr(child, name), getattr(replay, name))
             assert child.root == replay.root == path[-1]
@@ -719,7 +719,7 @@ class TestSearchTreeCache:
         copy = built.copy()
         assert copy.view is built.view and built.view.children and built.view.plans
         (layer, index), child = next(iter(built.view.children.items()))
-        bc.apply_observation(copy, bc.BeamId(layer, index))
+        bc.beamtree.apply_observation(copy, bc.BeamId(layer, index))
         # the fold reaches the cached child's masks, so its view and the search below
         assert copy.view is child.view is not built.view
         assert built.copy().view is built.view
@@ -770,7 +770,7 @@ class TestViewMemo:
         rng = np.random.default_rng(seed)
         bottom = rng.uniform(0.0, 1.0, (points, beams)) * (rng.random((points, beams)) < 0.5)
         prior = uniform_prior(np.arange(points))
-        return bc.compute_point_weights(toy_ckm(bottom), prior, beta=0.3)
+        return bc.beamtree.compute_point_weights(toy_ckm(bottom), prior, beta=0.3)
 
     @staticmethod
     def assert_matches_oracle(state):
@@ -882,7 +882,7 @@ class TestOnePassDerivation:
         prior = data.draw(st.sampled_from(config.priors))
         beta = data.draw(st.sampled_from([0.5, 0.2, 0.05, 1.0]))
         retain = data.draw(st.sampled_from([None, 1, 2, 5]))
-        built = bc.compute_point_weights(ckm, prior, beta, retain_beams=retain)
+        built = bc.beamtree.compute_point_weights(ckm, prior, beta, retain_beams=retain)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         views = data.draw(st.one_of(st.just(1), st.integers(2, 30)))  # one view, or a pass
         alive = rng.random((views, len(built.point_ids))) < rng.random((views, 1))

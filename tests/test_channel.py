@@ -72,7 +72,7 @@ class TestSynthesizeChannel:
         assert len(angles) == 1
         assert angles[0] == 0.0
         # a broadside plane wave reaches every antenna with the same phase
-        h = bc.synthesize_channel(env, array, (8.0, 10.0))
+        h = bc.channel.synthesize_channel(env, array, (8.0, 10.0))
         np.testing.assert_allclose(h, np.full(16, h[0]), rtol=1e-12)
         np.testing.assert_allclose(abs(h[0]), amps[0], rtol=1e-12)
 
@@ -95,8 +95,8 @@ class TestSynthesizeChannel:
         env = bc.Environment(
             scatterers=(bc.Scatterer((3.0, 9.0), 0.6),), rng_seed=12
         )
-        a = bc.synthesize_channel(env, array, (5.0, 5.0))
-        b = bc.synthesize_channel(env, array, (5.0, 5.0))
+        a = bc.channel.synthesize_channel(env, array, (5.0, 5.0))
+        b = bc.channel.synthesize_channel(env, array, (5.0, 5.0))
         assert a.shape == (16,) and a.dtype == np.complex128
         assert a.tobytes() == b.tobytes()
 
@@ -126,12 +126,12 @@ class TestSynthesizeChannel:
         array = make_array(bs=(0.0, 0.0))
         env = bc.Environment(obstacles=(bc.Obstacle((-5.0, 5.0), (5.0, 5.0)),))
         with pytest.raises(ValueError):
-            bc.synthesize_channel(env, array, (0.0, 10.0))
+            bc.channel.synthesize_channel(env, array, (0.0, 10.0))
 
     def test_position_at_bs_raises(self):
         array = make_array(bs=(2.0, 2.0))
         with pytest.raises(ValueError):
-            bc.synthesize_channel(bc.Environment(), array, (2.0, 2.0))
+            bc.channel.synthesize_channel(bc.Environment(), array, (2.0, 2.0))
 
     def test_max_paths_keeps_strongest(self):
         array = make_array(bs=(0.0, 0.0))
@@ -174,7 +174,7 @@ class TestTracePointPaths:
     def test_malformed_positions_rejected(self, positions):
         # these once traced made-up points, dropped points or failed in reshape
         array, env = make_array(), bc.Environment()
-        for fn in (bc.synthesize_channel, trace_point_paths):
+        for fn in (bc.channel.synthesize_channel, trace_point_paths):
             with pytest.raises(ValueError, match=r"shape \(2,\) or \(P, 2\)"):
                 fn(env, array, positions)
 
@@ -210,7 +210,7 @@ def lattice_scenes(draw):
 def map_field(env, array, grid):
     """The channel field behind build_ckm: one row per grid point."""
     traced = trace_point_paths(env, array, grid.positions(np.arange(grid.num_points)))
-    return bc.channel_vectors(*traced[:3], array.num_antennas), traced
+    return bc.channel.channel_vectors(*traced[:3], array.num_antennas), traced
 
 
 class TestChannelField:
@@ -226,10 +226,10 @@ class TestChannelField:
             pos = grid.positions([p])[0]
             if counts[p] == 0:
                 with pytest.raises(ValueError, match="no propagation path"):
-                    bc.synthesize_channel(env, array, pos)
+                    bc.channel.synthesize_channel(env, array, pos)
                 np.testing.assert_array_equal(field[p], 0.0)
             else:
-                h = bc.synthesize_channel(env, array, pos)
+                h = bc.channel.synthesize_channel(env, array, pos)
                 assert h.tobytes() == field[p].tobytes()
 
     @settings(max_examples=80, deadline=None)
@@ -260,13 +260,13 @@ class TestChannelField:
         one_point = []
         for pos in coords:
             try:
-                one_point.append(bc.synthesize_channel(env, array, pos))
+                one_point.append(bc.channel.synthesize_channel(env, array, pos))
             except ValueError as exc:
                 with pytest.raises(ValueError) as batch_exc:
-                    bc.synthesize_channel(env, array, coords)
+                    bc.channel.synthesize_channel(env, array, coords)
                 assert str(batch_exc.value) == str(exc)
                 return
-        batch = bc.synthesize_channel(env, array, coords)
+        batch = bc.channel.synthesize_channel(env, array, coords)
         assert batch.shape == (len(order), array.num_antennas)
         for h, row in zip(one_point, batch):
             assert h.shape == (array.num_antennas,)
@@ -280,7 +280,7 @@ class TestChannelVectorsOracle:
         coords = config.grid.positions(np.arange(config.grid.num_points))
         traced = trace_point_paths(config.environment, config.array, coords)[:3]
         n_ant = config.array.num_antennas
-        got = bc.channel_vectors(*traced, n_ant)
+        got = bc.channel.channel_vectors(*traced, n_ant)
         assert got.tobytes() == oracles.channel_vectors(*traced, n_ant).tobytes()
 
     def test_repeated_angles_and_empty_slots_match_oracle(self):
@@ -296,7 +296,7 @@ class TestChannelVectorsOracle:
         angles[empty], amps[empty], phases[empty] = 0.0, 0.0, 0.0
         assert len(np.unique(angles)) == len(pool)
         for n_ant in (4, 32, 128):
-            got = bc.channel_vectors(angles, amps, phases, n_ant)
+            got = bc.channel.channel_vectors(angles, amps, phases, n_ant)
             assert got.tobytes() == oracles.channel_vectors(angles, amps, phases, n_ant).tobytes()
             np.testing.assert_array_equal(got[:20], 0.0)
 
@@ -305,30 +305,30 @@ class TestProbe:
     def test_noiseless_is_exact_inner_product(self):
         h = steering_vector(0.25, 8) * (0.3 - 0.1j)
         f = steering_vector(0.25, 8) / np.sqrt(8)
-        np.testing.assert_allclose(bc.probe(h, f, 0.0), abs(0.3 - 0.1j) * np.sqrt(8))
+        np.testing.assert_allclose(bc.channel.probe(h, f, 0.0), abs(0.3 - 0.1j) * np.sqrt(8))
 
     def test_matched_beam_wins_single_path(self):
         cb = bc.build_codebook(16)
-        angle = bc.bottom_angles(16)[6]
+        angle = bc.codebook.bottom_angles(16)[6]
         h = 0.8 * steering_vector(angle, 16)
-        mags = [bc.probe(h, cb[row_of(bc.BeamId(4, i))], 0.0) for i in range(1, 17)]
+        mags = [bc.channel.probe(h, cb[row_of(bc.BeamId(4, i))], 0.0) for i in range(1, 17)]
         assert int(np.argmax(mags)) + 1 == 7
 
     def test_orthogonal_beam_reads_zero(self):
         n = 8
         h = steering_vector(0.0, n)
         f = steering_vector(2.0 / n, n) / np.sqrt(n)
-        assert bc.probe(h, f, 0.0) < 1e-12
+        assert bc.channel.probe(h, f, 0.0) < 1e-12
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            bc.probe(np.ones(8, dtype=complex), np.ones(4, dtype=complex), 0.0)
+            bc.channel.probe(np.ones(8, dtype=complex), np.ones(4, dtype=complex), 0.0)
 
     def test_noise_without_rng_rejected(self):
         h = np.ones(4, dtype=complex)
-        assert bc.probe(h, h / 2.0, 0.0) == 2.0
+        assert bc.channel.probe(h, h / 2.0, 0.0) == 2.0
         with pytest.raises(ValueError, match="needs an rng"):
-            bc.probe(h, h / 2.0, 0.1)
+            bc.channel.probe(h, h / 2.0, 0.1)
 
     def test_zero_channel_noise_magnitude_is_rayleigh(self):
         # |n| with n ~ CN(0, sigma^2) has mean sigma * sqrt(pi) / 2
@@ -336,7 +336,7 @@ class TestProbe:
         rng = np.random.default_rng(123)
         h = np.zeros(4, dtype=complex)
         f = np.ones(4, dtype=complex) / 2.0
-        draws = np.array([bc.probe(h, f, sigma, rng) for _ in range(100_000)])
+        draws = np.array([bc.channel.probe(h, f, sigma, rng) for _ in range(100_000)])
         np.testing.assert_allclose(draws.mean(), sigma * np.sqrt(np.pi) / 2, rtol=0.01)
 
 
@@ -355,7 +355,7 @@ class TestProbeRows:
         cb = bc.build_codebook(n)
         draw = np.random.default_rng(seed)
         h = draw.standard_normal(n) + 1j * draw.standard_normal(n)
-        resp = bc.Responses(h, cb)
+        resp = bc.channel.Responses(h, cb)
         scalar_rng = np.random.default_rng(seed + 1)
         # a block of 3 pairs: most second rounds read past it and draw more
         link = oracles.Link(resp, sigma, *noise_of(seed + 1))
@@ -363,7 +363,7 @@ class TestProbeRows:
         for _ in range(2):
             size = data.draw(st.sampled_from([1, 2, int(draw.integers(1, 2 * n - 1))]))
             rows = np.sort(draw.choice(2 * n - 2, size=size, replace=False))
-            want = np.array([bc.probe(h, cb[r], sigma, scalar_rng) for r in rows])
+            want = np.array([bc.channel.probe(h, cb[r], sigma, scalar_rng) for r in rows])
             got = oracles.probe_rows(link, rows)
             assert got.dtype == np.float64
             assert got.tobytes() == want.tobytes()
@@ -374,7 +374,7 @@ class TestProbeRows:
 
     def test_noise_without_block_rejected(self):
         cb = bc.build_codebook(16)
-        resp = bc.Responses(np.ones(16, dtype=complex), cb)
+        resp = bc.channel.Responses(np.ones(16, dtype=complex), cb)
         rows = np.array([0, 1])
         assert oracles.probe_rows(oracles.Link(resp, 0.0), rows).shape == (2,)
         # a noisy link is rejected when it is made, before any probe
@@ -399,7 +399,7 @@ class TestProbeRows:
             return out
 
         monkeypatch.setattr(np, "vecdot", counting_vecdot)
-        resp = bc.Responses(h, cb)
+        resp = bc.channel.Responses(h, cb)
         for rows in ([1, 2, 5], [2, 5, 7, 9], [1, 2, 5, 7, 9], [9]):
             got = resp.take(0, np.array(rows))
             assert got.tolist() == [vdot(h, cb[r]) for r in rows]
@@ -424,7 +424,7 @@ class TestProbeRows:
             return out
 
         monkeypatch.setattr(np, "vecdot", counting_vecdot)
-        resp = bc.Responses(hs, cb)
+        resp = bc.channel.Responses(hs, cb)
         points = np.array([[2], [0], [2], [3]])
         for rows in (np.array([[1, 2], [1, 2], [3, 4], [29, 0]]), np.arange(30)):
             got = resp.take(points, rows)
@@ -437,9 +437,9 @@ class TestProbeRows:
     def test_shape_mismatch_rejected(self):
         cb = bc.build_codebook(16)
         with pytest.raises(ValueError, match="dimension mismatch"):
-            bc.Responses(np.ones(8, dtype=complex), cb)
+            bc.channel.Responses(np.ones(8, dtype=complex), cb)
         with pytest.raises(ValueError, match="dimension mismatch"):
-            bc.Responses(np.ones(16, dtype=complex), cb[0])
+            bc.channel.Responses(np.ones(16, dtype=complex), cb[0])
 
 
 def random_channels(draw, count: int, n: int) -> np.ndarray:
@@ -463,7 +463,7 @@ class TestResponseFill:
         draw = np.random.default_rng(n)
         cb = bc.build_codebook(n)
         hs = random_channels(draw, 3, n)
-        resp = bc.Responses(hs, cb)
+        resp = bc.channel.Responses(hs, cb)
         want_mask = np.zeros(resp.values.shape, dtype=bool)
         for _ in range(4):
             p = int(draw.integers(3))
@@ -480,7 +480,7 @@ class TestResponseFill:
         draw = np.random.default_rng(n + 1)
         cb = bc.build_codebook(n)
         hs = random_channels(draw, 5, n)
-        resp = bc.Responses(hs, cb)
+        resp = bc.channel.Responses(hs, cb)
         want_mask = np.zeros(resp.values.shape, dtype=bool)
         for width in (1, 3, n):
             # points repeat across episodes, rows within and across them
@@ -497,7 +497,7 @@ class TestResponseFill:
         n = 512
         cb = bc.build_codebook(n)
         hs = random_channels(np.random.default_rng(9), 12, n)
-        resp = bc.Responses(hs, cb)
+        resp = bc.channel.Responses(hs, cb)
         points, rows = np.arange(12)[:, None], np.arange(len(cb))[None]
         # the fill gathers rows in slices of _FILL_BYTES: this one takes dozens
         assert points.size * rows.size * 16 * n > 20 * channel._FILL_BYTES
@@ -511,13 +511,13 @@ class TestResponseFill:
         ids = np.arange(config.grid.num_points)
         counts = trace_point_paths(config.environment, config.array, config.grid.positions(ids))[3]
         pick = np.random.default_rng(4).choice(ids[counts > 0], size=24, replace=False)
-        hs = bc.synthesize_channel(config.environment, config.array, config.grid.positions(pick))
+        hs = bc.channel.synthesize_channel(config.environment, config.array, config.grid.positions(pick))
         cb = bc.build_codebook(config.array.num_antennas)
         points, rows = np.arange(24)[:, None], np.arange(len(cb))[None]
         # a link's round on the first channel, then the whole table batched
-        first = bc.Responses(hs, cb).take(0, rows[0])
+        first = bc.channel.Responses(hs, cb).take(0, rows[0])
         assert first.tobytes() == oracles.responses_by_vdot(hs, cb, 0, rows[0]).tobytes()
-        got = bc.Responses(hs, cb).take(points, rows)
+        got = bc.channel.Responses(hs, cb).take(points, rows)
         assert got.tobytes() == oracles.responses_by_vdot(hs, cb, points, rows).tobytes()
 
     def test_batched_fill_memory_is_bounded(self):
@@ -525,7 +525,7 @@ class TestResponseFill:
         slices: gathered whole, each of its two gathers would take 31 MB."""
         n = 128
         cb = bc.build_codebook(n)
-        resp = bc.Responses(random_channels(np.random.default_rng(2), 120, n), cb)
+        resp = bc.channel.Responses(random_channels(np.random.default_rng(2), 120, n), cb)
         points = np.arange(120)[:, None]
         rows = np.arange(len(cb))[layer_rows(7)][None]
         tracemalloc.start()
@@ -544,10 +544,10 @@ class TestGeometryEdgeCases:
         array = make_array(bs=(0.0, 0.0))
         env = bc.Environment(obstacles=(bc.Obstacle((0.0, 5.0), (3.0, 5.0)),))
         with pytest.raises(ValueError):
-            bc.synthesize_channel(env, array, (0.0, 10.0))
+            bc.channel.synthesize_channel(env, array, (0.0, 10.0))
 
     def test_collinear_overlap_blocks(self):
         array = make_array(bs=(0.0, 0.0))
         env = bc.Environment(obstacles=(bc.Obstacle((0.0, 2.0), (0.0, 6.0)),))
         with pytest.raises(ValueError):
-            bc.synthesize_channel(env, array, (0.0, 10.0))
+            bc.channel.synthesize_channel(env, array, (0.0, 10.0))

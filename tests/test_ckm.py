@@ -138,7 +138,7 @@ class TestBuildCkm:
         ckm = bc.build_ckm(env, array, cb, grid)
         assert ckm.gains.shape == (2 * 8 - 2, grid.num_points)
         for p in range(grid.num_points):
-            h = bc.synthesize_channel(env, array, grid.positions([p])[0])
+            h = bc.channel.synthesize_channel(env, array, grid.positions([p])[0])
             direct = np.abs(cb @ h.conj())
             np.testing.assert_allclose(ckm.gains[:, p], direct, rtol=1e-5, atol=1e-12)
 
@@ -168,7 +168,7 @@ class TestBuildCkm:
         blocked = visible = 0
         for p in range(grid.num_points):
             try:
-                bc.synthesize_channel(env, array, grid.positions([p])[0])
+                bc.channel.synthesize_channel(env, array, grid.positions([p])[0])
             except ValueError:
                 np.testing.assert_array_equal(ckm.gains[:, p], 0.0)
                 blocked += 1
@@ -473,7 +473,7 @@ class TestMapConsistency:
         checked = 0
         for p in range(grid.num_points):
             try:
-                h = bc.synthesize_channel(
+                h = bc.channel.synthesize_channel(
                     small_scene["env"], small_scene["array"], grid.positions([p])[0]
                 )
             except ValueError:

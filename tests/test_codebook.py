@@ -53,9 +53,9 @@ class TestBeamId:
 
 class TestLayerCount:
     def test_values(self):
-        assert bc.num_layers(128) == 7
-        assert bc.num_layers(8) == 3
-        assert bc.num_layers(4) == 2
+        assert bc.codebook.num_layers(128) == 7
+        assert bc.codebook.num_layers(8) == 3
+        assert bc.codebook.num_layers(4) == 2
 
 
 class TestBeamSupport:
@@ -88,7 +88,7 @@ class TestBottomAngles:
     def test_each_center_inside_its_support(self):
         for num in (8, 16):
             angles = bottom_angles(num)
-            depth = bc.num_layers(num)
+            depth = bc.codebook.num_layers(num)
             for n, angle in enumerate(angles, start=1):
                 lo, hi = beam_support(bc.BeamId(depth, n))
                 assert lo <= angle < hi

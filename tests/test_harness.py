@@ -424,7 +424,7 @@ class TestRegions:
     def test_rect_selects_enclosed_centers(self):
         grid = self.grid()
         region = bc.RegionSpec(prior=1.0, rect=(2.0, 2.0, 8.0, 3.0))
-        idx = bc.region_points(grid, region)
+        idx = bc.harness.region_points(grid, region)
         coords = grid.positions(np.arange(grid.num_points))
         inside = np.flatnonzero(
             (coords[:, 0] >= 2.0)
@@ -438,14 +438,14 @@ class TestRegions:
     def test_rect_bounds_are_closed(self):
         grid = self.grid()
         exact = bc.RegionSpec(prior=1.0, rect=(2.5, 2.5, 2.5, 2.5))
-        np.testing.assert_array_equal(bc.region_points(grid, exact), [34])
+        np.testing.assert_array_equal(bc.harness.region_points(grid, exact), [34])
 
     def test_degenerate_rects_rejected(self):
         grid = self.grid()
         with pytest.raises(ValueError, match="negative"):
-            bc.region_points(grid, bc.RegionSpec(prior=1.0, rect=(5.0, 5.0, 4.0, 6.0)))
+            bc.harness.region_points(grid, bc.RegionSpec(prior=1.0, rect=(5.0, 5.0, 4.0, 6.0)))
         with pytest.raises(ValueError, match="covers no grid point"):
-            bc.region_points(grid, bc.RegionSpec(prior=1.0, rect=(2.1, 2.1, 2.4, 2.4)))
+            bc.harness.region_points(grid, bc.RegionSpec(prior=1.0, rect=(2.1, 2.1, 2.4, 2.4)))
 
     def test_rect_ids_match_every_center_test(self):
         # an offset, non-square grid whose rects cut through rows and columns
@@ -457,7 +457,7 @@ class TestRegions:
                 (coords[:, 0] >= x0) & (coords[:, 0] <= x1)
                 & (coords[:, 1] >= y0) & (coords[:, 1] <= y1)
             )
-            idx = bc.region_points(grid, bc.RegionSpec(prior=1.0, rect=rect))
+            idx = bc.harness.region_points(grid, bc.RegionSpec(prior=1.0, rect=rect))
             np.testing.assert_array_equal(idx, np.flatnonzero(inside))
 
     def test_rect_lookup_memory_follows_the_axes(self):
@@ -466,7 +466,7 @@ class TestRegions:
         region = bc.RegionSpec(prior=1.0, rect=(100.0, 200.0, 107.0, 207.0))
         tracemalloc.start()
         try:
-            idx = bc.region_points(grid, region)
+            idx = bc.harness.region_points(grid, region)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -478,7 +478,7 @@ class TestRegions:
         grid = self.grid()
         region = bc.RegionSpec(prior=1.0, points=((12.0, 8.5), (12.9, 9.4)))
         np.testing.assert_array_equal(
-            bc.region_points(grid, region), [8 * 16 + 11, 9 * 16 + 12]
+            bc.harness.region_points(grid, region), [8 * 16 + 11, 9 * 16 + 12]
         )
 
     def test_bad_geometry_rejected_when_built(self):
@@ -527,7 +527,7 @@ class TestRegions:
         grid = self.grid()
         region = bc.RegionSpec(prior=1.0, points=((12.0, 8.5), (11.6, 8.4)))
         with pytest.raises(ValueError, match="duplicate"):
-            bc.region_points(grid, region)
+            bc.harness.region_points(grid, region)
 
     def test_fine_grid_loads_in_memory_of_its_covered_points(self):
         # 4.1e7 grid points, 1.6e6 of them in a prior: the priors hold
@@ -608,16 +608,16 @@ class TestNoiseScale:
         assert ckm.reference_gain == ref
 
     def test_noise_std_follows_snr(self):
-        assert bc.noise_std_for_snr(0.0, 0.5) == pytest.approx(0.5)
-        assert bc.noise_std_for_snr(20.0, 0.5) == pytest.approx(0.05)
-        assert bc.noise_std_for_snr(-20.0, 0.5) == pytest.approx(5.0)
-        assert bc.noise_std_for_snr(math.inf, 0.5) == 0.0
+        assert bc.harness.noise_std_for_snr(0.0, 0.5) == pytest.approx(0.5)
+        assert bc.harness.noise_std_for_snr(20.0, 0.5) == pytest.approx(0.05)
+        assert bc.harness.noise_std_for_snr(-20.0, 0.5) == pytest.approx(5.0)
+        assert bc.harness.noise_std_for_snr(math.inf, 0.5) == 0.0
 
     @pytest.mark.parametrize("snr_db, ref", [(-6200.0, 0.5), (-6170.0, 1.0), (-200.0, 1e300)])
     def test_snr_with_no_finite_noise_std_rejected(self, snr_db, ref):
         # 10 ** 310 and 10 ** 308.5 overflow a float; 1e300 * 1e10 is inf
         with pytest.raises(ValueError, match=f"SNR point {snr_db!r} dB"):
-            bc.noise_std_for_snr(snr_db, ref)
+            bc.harness.noise_std_for_snr(snr_db, ref)
 
 
 class TestBaselines:
@@ -625,10 +625,10 @@ class TestBaselines:
 
     def test_hierarchical_costs_two_per_layer(self, small_scene):
         cb = small_scene["codebook"]
-        h = 0.7 * steering_vector(bc.bottom_angles(16)[4], 16)
-        link = oracles.Link(bc.Responses(h, cb), 0.0)
+        h = 0.7 * steering_vector(bc.codebook.bottom_angles(16)[4], 16)
+        link = oracles.Link(bc.channel.Responses(h, cb), 0.0)
         chosen, overhead, rounds = oracles.baseline_hierarchical(link)
-        assert bc.baseline_hierarchical(bc.Responses(h, cb), np.array([0]), 0.0, None) == [5]
+        assert bc.harness.baseline_hierarchical(bc.channel.Responses(h, cb), np.array([0]), 0.0, None) == [5]
         assert chosen == bc.BeamId(4, 5)
         assert overhead == 2 * 4
         assert [r.layer for r in rounds] == [1, 2, 3, 4]
@@ -641,10 +641,10 @@ class TestBaselines:
 
     def test_exhaustive_probes_everything_once(self, small_scene):
         cb = small_scene["codebook"]
-        h = 0.7 * steering_vector(bc.bottom_angles(16)[11], 16)
-        link = oracles.Link(bc.Responses(h, cb), 0.0)
+        h = 0.7 * steering_vector(bc.codebook.bottom_angles(16)[11], 16)
+        link = oracles.Link(bc.channel.Responses(h, cb), 0.0)
         chosen, overhead, rounds = oracles.baseline_exhaustive(link)
-        assert bc.baseline_exhaustive(bc.Responses(h, cb), np.array([0]), 0.0, None) == [12]
+        assert bc.harness.baseline_exhaustive(bc.channel.Responses(h, cb), np.array([0]), 0.0, None) == [12]
         assert chosen == bc.BeamId(4, 12)
         assert overhead == 16
         assert rounds[0].probed == tuple(range(1, 17))
@@ -822,9 +822,9 @@ class TestUnreachedPosition:
         for t in range(cfg.trials):
             rng = np.random.default_rng([cfg.seed, 101, t])
             for prior in cfg.priors:
-                p = bc.sample_true_position(prior, rng)
+                p = bc.position.sample_true_position(prior, rng)
                 try:
-                    bc.synthesize_channel(env, array, grid.positions([p])[0])
+                    bc.channel.synthesize_channel(env, array, grid.positions([p])[0])
                 except ValueError as exc:
                     unreached.append((p, str(exc)))
         assert len({p for p, _ in unreached}) > 1
@@ -1068,7 +1068,7 @@ class TestSweepInvariants:
         replay = []
         for t in range(trials):
             rng = np.random.default_rng([seed, 101, t])
-            replay += [bc.sample_true_position(prior, rng) for prior in cfg.priors]
+            replay += [bc.position.sample_true_position(prior, rng) for prior in cfg.priors]
         assert drawn == replay
         # per (trial, SNR index, user), in that order: the rounds' noise
         episodes = [(t, si, k) for t in range(trials) for si in range(len(snrs)) for k in range(K)]

@@ -127,17 +127,17 @@ def test_episodes_read_past_their_blocks(scenes):
     config, ckm = scenes["large"]
     K, E = len(config.users), 60
     rng = np.random.default_rng(5)
-    points = [bc.sample_true_position(config.priors[e % K], rng) for e in range(E)]
-    channels = bc.synthesize_channel(
+    points = [bc.position.sample_true_position(config.priors[e % K], rng) for e in range(E)]
+    channels = bc.channel.synthesize_channel(
         config.environment, config.array, config.grid.positions(np.array(points))
     )
-    resp = bc.Responses(channels, bc.build_codebook(config.array.num_antennas))
+    resp = bc.channel.Responses(channels, bc.build_codebook(config.array.num_antennas))
     words = seed_words([7919, 202], np.arange(E)[:, None])
-    sigma = bc.noise_std_for_snr(0.0, ckm.reference_gain)
+    sigma = bc.harness.noise_std_for_snr(0.0, ckm.reference_gain)
     runs, batches = [], []
     for engine in (mu.run_multi_user, oracles.one_trial_at_a_time):
-        states = [bc.compute_point_weights(ckm, p, config.beta) for p in config.priors]
-        batches.append(bc.Episodes(resp, sigma, np.arange(E), normal_blocks(words, 1), words))
+        states = [bc.beamtree.compute_point_weights(ckm, p, config.beta) for p in config.priors]
+        batches.append(bc.channel.Episodes(resp, sigma, np.arange(E), normal_blocks(words, 1), words))
         chosen, totals, rounds = engine(states, batches[-1], config.eta)
         runs.append((chosen, totals.tolist(), rounds))
     assert runs[0] == runs[1]
@@ -151,7 +151,7 @@ def test_all_zero_observation_prunes_nothing(scenes):
     alive point, raises no RuntimeWarning, and each row is cut as one
     ``prune_user_points`` cuts it."""
     config, ckm = scenes["large"]
-    built = bc.compute_point_weights(ckm, config.priors[0], config.beta)
+    built = bc.beamtree.compute_point_weights(ckm, config.priors[0], config.beta)
     L = built.num_layers
     rows = built.candidate_rows(L)
     # map profiles of the first and last points, none, and noise
@@ -176,10 +176,10 @@ def test_all_zero_observation_prunes_nothing(scenes):
 def test_round_budget_still_holds(scenes, monkeypatch):
     """A plan that never finishes runs the joint rounds out of budget."""
     config, ckm = scenes["desk"]
-    states = [bc.compute_point_weights(ckm, p, config.beta) for p in config.priors]
-    resp = bc.Responses(np.ones((1, config.array.num_antennas), complex),
+    states = [bc.beamtree.compute_point_weights(ckm, p, config.beta) for p in config.priors]
+    resp = bc.channel.Responses(np.ones((1, config.array.num_antennas), complex),
                         bc.build_codebook(config.array.num_antennas))
-    batch = bc.Episodes(resp, 0.0, np.zeros(2 * len(states), np.int64))
+    batch = bc.channel.Episodes(resp, 0.0, np.zeros(2 * len(states), np.int64))
     monkeypatch.setattr(mu, "next_round", lambda state, choose: (None, 1, None, None))
     with pytest.raises(RuntimeError, match="round budget"):
         mu.run_multi_user(states, batch, config.eta)

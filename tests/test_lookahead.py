@@ -137,7 +137,7 @@ class TestRunLookahead:
         ckm = one_hot_ckm()
         h = steering_vector(-1 + 9 / 8, 8)  # center of bottom beam 5
         built = built_state(ckm, _prior4())
-        chosen, overhead, rounds = episode(bc.run_lookahead, built, link_of(h))
+        chosen, overhead, rounds = episode(bc.lookahead.run_lookahead, built, link_of(h))
         assert chosen == bc.BeamId(3, 5)
         assert overhead == 3
         assert [r.layer for r in rounds] == [2]
@@ -147,7 +147,7 @@ class TestRunLookahead:
         ckm = one_hot_ckm()
         h = steering_vector(-1 + 1 / 8, 8)  # center of bottom beam 1
         built = built_state(ckm, _prior4())
-        chosen, overhead, rounds = episode(bc.run_lookahead, built, link_of(h))
+        chosen, overhead, rounds = episode(bc.lookahead.run_lookahead, built, link_of(h))
         assert chosen == bc.BeamId(3, 1)
         assert overhead == 5
         assert [r.layer for r in rounds] == [2, 3]
@@ -155,8 +155,8 @@ class TestRunLookahead:
     def test_complete_tree_costs_two_per_layer(self):
         ckm = toy_ckm(np.ones((1, 16)))
         prior = bc.PositionPrior((bc.SubRegion((0,), 1.0),))
-        h = 0.9 * steering_vector(bc.bottom_angles(16)[10], 16)
-        chosen, overhead, rounds = episode(bc.run_lookahead, built_state(ckm, prior), link_of(h))
+        h = 0.9 * steering_vector(bc.codebook.bottom_angles(16)[10], 16)
+        chosen, overhead, rounds = episode(bc.lookahead.run_lookahead, built_state(ckm, prior), link_of(h))
         assert chosen == bc.BeamId(4, 11)
         assert overhead == 2 * 4
         assert [r.layer for r in rounds] == [1, 2, 3, 4]
@@ -168,8 +168,8 @@ class TestRunLookahead:
         bottom[1, 5] = 1.0  # bottom beam 6
         ckm = toy_ckm(bottom)
         prior = bc.PositionPrior((bc.SubRegion((0, 1), 1.0),))
-        h = steering_vector(bc.bottom_angles(16)[5], 16)
-        chosen, overhead, rounds = episode(bc.run_lookahead, built_state(ckm, prior), link_of(h))
+        h = steering_vector(bc.codebook.bottom_angles(16)[5], 16)
+        chosen, overhead, rounds = episode(bc.lookahead.run_lookahead, built_state(ckm, prior), link_of(h))
         assert chosen == bc.BeamId(4, 6)
         assert overhead == 2
         free = [r for r in rounds if r.probes == 0]
@@ -181,8 +181,8 @@ class TestRunLookahead:
         bottom[0, 9] = 1.0
         ckm = toy_ckm(bottom)
         prior = bc.PositionPrior((bc.SubRegion((0,), 1.0),))
-        h = steering_vector(bc.bottom_angles(16)[9], 16)
-        chosen, overhead, rounds = episode(bc.run_lookahead, built_state(ckm, prior), link_of(h))
+        h = steering_vector(bc.codebook.bottom_angles(16)[9], 16)
+        chosen, overhead, rounds = episode(bc.lookahead.run_lookahead, built_state(ckm, prior), link_of(h))
         assert chosen == bc.BeamId(4, 10)
         assert overhead == 0
         assert rounds == []
@@ -191,9 +191,9 @@ class TestRunLookahead:
         ckm = toy_ckm(np.ones((1, 16)))
         built = built_state(ckm, bc.PositionPrior((bc.SubRegion((0,), 1.0),)))
         for leaf in [0, 3, 8, 15]:
-            h = steering_vector(bc.bottom_angles(16)[leaf], 16)
-            a = episode(bc.run_single_user, built, link_of(h))
-            b = episode(bc.run_lookahead, built, link_of(h))
+            h = steering_vector(bc.codebook.bottom_angles(16)[leaf], 16)
+            a = episode(bc.strategy.run_single_user, built, link_of(h))
+            b = episode(bc.lookahead.run_lookahead, built, link_of(h))
             assert a[0] == b[0]
             assert a[1] == b[1] == 8
 
@@ -205,9 +205,9 @@ class TestRunLookahead:
         )
         built = built_state(ckm, prior)
         for _ in range(25):
-            point = bc.sample_true_position(prior, rng)
+            point = bc.position.sample_true_position(prior, rng)
             h = scene_channel(small_scene, point)
-            chosen, overhead, rounds = episode(bc.run_lookahead, built, link_of(h))
+            chosen, overhead, rounds = episode(bc.lookahead.run_lookahead, built, link_of(h))
             assert chosen == exhaustive_best_beam(small_scene, h)
             assert overhead == sum(r.probes for r in rounds)
             assert overhead <= 2 * ckm.num_layers
@@ -219,7 +219,7 @@ class TestRunLookahead:
         # two fresh states, then one whose tree the first run cached
         built = built_state(ckm, prior)
         states = (built, built_state(ckm, prior), built)
-        runs = [episode(bc.run_lookahead, state, link_of(h, 0.05, 42)) for state in states]
+        runs = [episode(bc.lookahead.run_lookahead, state, link_of(h, 0.05, 42)) for state in states]
         assert runs[0] == runs[1] == runs[2]
 
 

@@ -37,7 +37,7 @@ def make_table(profiles, beta=0.5):
     """Search state over hand-written full gain rows (P, 2^(L+1) - 2)."""
     gains = np.asarray(profiles, dtype=np.float64)
     n = len(gains)
-    return bc.SearchState(
+    return bc.beamtree.SearchState(
         point_ids=np.arange(n),
         point_mass=np.full(n, 1.0 / n),
         gains=gains,
@@ -244,7 +244,7 @@ def pruning_rounds(draw):
     gains = rng.uniform(0.0, 1.0, (P, layer_start(L + 1)))
     gains *= rng.random(gains.shape) < draw(st.sampled_from([0.3, 0.7, 1.0]))
     gains[rng.random(P) < 0.1] = 0.0
-    state = bc.SearchState(np.arange(P), np.full(P, 1.0 / P), gains, 0.5)
+    state = bc.beamtree.SearchState(np.arange(P), np.full(P, 1.0 / P), gains, 0.5)
     alive = rng.random(P) < draw(st.sampled_from([0.5, 1.0]))
     alive[rng.integers(P)] = True
     state.update(alive)
@@ -303,7 +303,7 @@ def survivors_by_gather(state, rows, g_obs, f_obs, eta):
 
 def rebuilt(state):
     """A state over the same arrays and alive points, with memos of its own."""
-    out = bc.SearchState(state.point_ids, state.point_mass, state.gains, state.beta)
+    out = bc.beamtree.SearchState(state.point_ids, state.point_mass, state.gains, state.beta)
     out.update(state.point_alive.copy())
     return out
 
@@ -318,7 +318,7 @@ def memo_rounds(draw):
         gains = state.gains.copy()
         gains[np.ix_(np.arange(len(gains)) % 3 == 0, rows)] = 0.0
         alive = state.point_alive
-        state = bc.SearchState(state.point_ids, state.point_mass, gains, 0.5)
+        state = bc.beamtree.SearchState(state.point_ids, state.point_mass, gains, 0.5)
         state.update(alive)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return state, rows, g_obs, f_obs, eta, rng.uniform(0.1, 2.0, len(rows))
@@ -355,7 +355,7 @@ class TestProfileMemo:
         L, P = 5, 40
         gains = rng.uniform(0.0, 1.0, (P, layer_start(L + 1)))
         gains[::4, layer_start(L) :: 2] = 0.0  # some all-zero profiles at some rows
-        built = bc.SearchState(np.arange(P), np.full(P, 1.0 / P), gains, 0.5)
+        built = bc.beamtree.SearchState(np.arange(P), np.full(P, 1.0 / P), gains, 0.5)
         row_sets = [
             (l, np.sort(rng.choice(np.arange(layer_start(l), layer_start(l + 1)), w,
                                    replace=False)))
@@ -364,7 +364,7 @@ class TestProfileMemo:
         # room for the first two profiles and half of the first again
         sizes = []
         for _, rows in row_sets[:2]:
-            probe = bc.SearchState(np.arange(P), np.full(P, 1.0 / P), gains, 0.5)
+            probe = bc.beamtree.SearchState(np.arange(P), np.full(P, 1.0 / P), gains, 0.5)
             mu.prune_user_points(probe, rows, np.ones(len(rows)), None, 0.9)
             sizes.append(probe._profiles.nbytes)
         budget = sum(sizes) + sizes[0] // 2
@@ -397,9 +397,9 @@ class TestRunMultiUser:
         )
         built = built_state(ckm, prior)
         for _ in range(15):
-            point = bc.sample_true_position(prior, rng)
+            point = bc.position.sample_true_position(prior, rng)
             h = scene_channel(small_scene, point)
-            solo = episode(bc.run_single_user, built, link_of(h))
+            solo = episode(bc.strategy.run_single_user, built, link_of(h))
             joint = joint_episode([built], [link_of(h)], 0.9)
             assert joint[0][0] == solo[0]
             assert joint[1] <= solo[1]
@@ -430,7 +430,7 @@ class TestRunMultiUser:
         for k in range(3):
             assert chosen[k] == exhaustive_best_beam(small_scene, hs[k])
         assert total > 0
-        solo_total = sum(episode(bc.run_single_user, states[k], links[k])[1] for k in range(3))
+        solo_total = sum(episode(bc.strategy.run_single_user, states[k], links[k])[1] for k in range(3))
         assert total <= solo_total
 
     def test_eavesdropping_rounds_occur_and_are_free_rides(self, small_scene):
@@ -531,7 +531,7 @@ class TestSharedViews:
         cfg = bc.load_scenario(CONFIGS / f"{scene}.json")
         book = bc.build_codebook(cfg.array.num_antennas)
         ckm = bc.build_ckm(cfg.environment, cfg.array, book, cfg.grid)
-        derive, derive_view = bc.SearchState._derive, bc.SearchState._derive_view
+        derive, derive_view = bc.beamtree.SearchState._derive, bc.beamtree.SearchState._derive_view
         counts = {"derived": 0, "computed": 0}
 
         def counted(fn, key):
@@ -540,8 +540,8 @@ class TestSharedViews:
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(bc.SearchState, "_derive", counted(derive, "derived"))
-        monkeypatch.setattr(bc.SearchState, "_derive_view", counted(derive_view, "computed"))
+        monkeypatch.setattr(bc.beamtree.SearchState, "_derive", counted(derive, "derived"))
+        monkeypatch.setattr(bc.beamtree.SearchState, "_derive_view", counted(derive_view, "computed"))
 
         def play(engine):
             played = []

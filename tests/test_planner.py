@@ -79,11 +79,11 @@ class TestSingleUserPlanner:
         L = tree.num_layers
         for from_layer in range(L):
             want_act, want_reward = oracle_best(tree, weights, from_layer)
-            act, got_reward = bc.best_activation(planning_from(tree, from_layer))
+            act, got_reward = bc.strategy.best_activation(planning_from(tree, from_layer))
             assert act[0] == want_act[0], (from_layer, act, want_act)
             assert got_reward == pytest.approx(want_reward, rel=1e-12, abs=0.0)
             if len(bottom_candidates(tree)) > 1:
-                assert bc.optimal_layer(tree) == want_act[0]
+                assert bc.strategy.optimal_layer(tree) == want_act[0]
 
     @PROPERTY
     @given(st.integers(2, 9).flatmap(lambda L: trees(L)), st.randoms(use_true_random=False))
@@ -106,7 +106,7 @@ class TestSingleUserPlanner:
         acts = enumerate_activations(0, 3)
         rewards = dict(zip(acts, enumerated_rewards(four_leaf_tree, FOUR_LEAF_WEIGHTS, acts)))
         assert rewards[(2, 3)] == rewards[(3,)] == -16.0
-        act, reward = bc.best_activation(four_leaf_tree)
+        act, reward = bc.strategy.best_activation(four_leaf_tree)
         assert (act, reward) == ((3,), -16.0)
 
     def test_rounding_level_difference_is_a_tie(self):
@@ -135,4 +135,4 @@ class TestSingleUserPlanner:
 
     def test_no_layers_left_rejected(self, four_leaf_tree):
         with pytest.raises(ValueError):
-            bc.best_activation(planning_from(four_leaf_tree, 3))
+            bc.strategy.best_activation(planning_from(four_leaf_tree, 3))

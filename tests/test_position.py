@@ -74,7 +74,7 @@ class TestSampling:
         prior = two_region_prior()
         rng = np.random.default_rng(99)
         draws = np.array(
-            [bc.sample_true_position(prior, rng) for _ in range(100_000)]
+            [bc.position.sample_true_position(prior, rng) for _ in range(100_000)]
         )
         pts = prior.points
         masses = prior.masses
@@ -84,8 +84,8 @@ class TestSampling:
 
     def test_deterministic_under_seed(self):
         prior = two_region_prior()
-        a = [bc.sample_true_position(prior, np.random.default_rng(3)) for _ in range(5)]
-        b = [bc.sample_true_position(prior, np.random.default_rng(3)) for _ in range(5)]
+        a = [bc.position.sample_true_position(prior, np.random.default_rng(3)) for _ in range(5)]
+        b = [bc.position.sample_true_position(prior, np.random.default_rng(3)) for _ in range(5)]
         assert a == b
 
     def test_draws_what_choice_then_integers_draws(self):
@@ -106,4 +106,4 @@ class TestSampling:
             for _ in range(5):
                 s = ref.choice(len(sizes), p=p / p.sum())
                 want = int(prior.subregions[s].points[ref.integers(sizes[s])])
-                assert bc.sample_true_position(prior, ours) == want
+                assert bc.position.sample_true_position(prior, ours) == want

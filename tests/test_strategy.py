@@ -192,23 +192,23 @@ class TestReward:
 class TestOptimalLayer:
     def test_unit_weights_tiebreak_prefers_single_late_layer(self, four_leaf_tree):
         # {2,3} and {3} tie at -16; fewest layers picks {3}
-        act, rew = bc.best_activation(four_leaf_tree)
+        act, rew = bc.strategy.best_activation(four_leaf_tree)
         assert act == (3,)
         np.testing.assert_allclose(rew, -16.0)
-        assert bc.optimal_layer(four_leaf_tree) == 3
+        assert bc.strategy.optimal_layer(four_leaf_tree) == 3
 
     def test_weights_favoring_isolated_leaf_pick_top_layer(self):
         state = from_bottom_weights([1.0, 1.0, 1.0, 0.0, 10.0, 0.0, 0.0, 0.0])
-        act, _ = bc.best_activation(state)
+        act, _ = bc.strategy.best_activation(state)
         assert act == (1, 3)
-        assert bc.optimal_layer(state) == 1
+        assert bc.strategy.optimal_layer(state) == 1
 
     def test_weights_concentrated_in_shared_subtree_skip_top(self):
         # leaves 1 and 2 share every upper ancestor: probing layer 1 wastes
         # probes, so the bottom-only plan wins
         state = from_bottom_weights([10.0, 10.0, 0.1, 0.0, 0.1, 0.0, 0.0, 0.0])
         np.testing.assert_array_equal(bottom_candidates(state), [1, 2, 3, 5])
-        assert bc.optimal_layer(state) > 1
+        assert bc.strategy.optimal_layer(state) > 1
 
     def test_choice_invariant_to_weight_scale(self):
         rng = np.random.default_rng(5)
@@ -216,8 +216,8 @@ class TestOptimalLayer:
             tree, weights = random_tree(rng, 4)
             if len(bottom_candidates(tree)) == 1:
                 continue
-            a = bc.best_activation(tree)[0]
-            b = bc.best_activation(from_bottom_weights(weights * 37.5))[0]
+            a = bc.strategy.best_activation(tree)[0]
+            b = bc.strategy.best_activation(from_bottom_weights(weights * 37.5))[0]
             assert a == b
 
     def test_enumeration_always_contains_bottom_layer(self):
@@ -250,7 +250,7 @@ class TestRunSingleUser:
         ckm = self._one_hot_ckm()
         h = steering_vector(-1 + 9 / 8, 8)  # center angle of bottom beam 5
         chosen, overhead, rounds = episode(
-            bc.run_single_user, built_state(ckm, uniform_prior(range(4))), link_of(h)
+            bc.strategy.run_single_user, built_state(ckm, uniform_prior(range(4))), link_of(h)
         )
         assert chosen == bc.BeamId(3, 5)
         assert overhead == 4  # the frozen bottom-only plan
@@ -263,7 +263,7 @@ class TestRunSingleUser:
         prior = bc.PositionPrior(
             (bc.SubRegion((0, 1, 2), 3 / 13), bc.SubRegion((3,), 10 / 13))
         )
-        chosen, overhead, rounds = episode(bc.run_single_user, built_state(ckm, prior), link_of(h))
+        chosen, overhead, rounds = episode(bc.strategy.run_single_user, built_state(ckm, prior), link_of(h))
         assert chosen == bc.BeamId(3, 5)
         assert overhead == 2  # probe the two top beams, then free descent
         assert [r.layer for r in rounds if r.probes] == [1]
@@ -277,9 +277,9 @@ class TestRunSingleUser:
         )
         built = built_state(ckm, prior)
         for _ in range(25):
-            point = bc.sample_true_position(prior, rng)
+            point = bc.position.sample_true_position(prior, rng)
             h = scene_channel(small_scene, point)
-            chosen, overhead, rounds = episode(bc.run_single_user, built, link_of(h))
+            chosen, overhead, rounds = episode(bc.strategy.run_single_user, built, link_of(h))
             assert chosen == exhaustive_best_beam(small_scene, h)
             assert overhead == sum(r.probes for r in rounds)
             assert overhead <= 2 * ckm.num_layers
@@ -289,7 +289,7 @@ class TestRunSingleUser:
         prior = bc.PositionPrior((bc.SubRegion(tuple(range(64, 96)), 1.0),))
         h = scene_channel(small_scene, 70)
         state = built_state(ckm, prior)
-        chosen, overhead, _ = episode(bc.run_single_user, state, link_of(h, 1e9, 0))
+        chosen, overhead, _ = episode(bc.strategy.run_single_user, state, link_of(h, 1e9, 0))
         assert chosen.layer == ckm.num_layers
         # never worse than probing every candidate at every layer once
         bound = sum(candidate_count(state, l) for l in range(1, ckm.num_layers + 1))
@@ -302,7 +302,7 @@ class TestRunSingleUser:
         # two fresh states, then one whose tree the first run cached
         built = built_state(ckm, prior)
         states = (built, built_state(ckm, prior), built)
-        runs = [episode(bc.run_single_user, state, link_of(h, 0.05, 42)) for state in states]
+        runs = [episode(bc.strategy.run_single_user, state, link_of(h, 0.05, 42)) for state in states]
         for run in runs[1:]:
             assert runs[0][0] == run[0]
             assert runs[0][1] == run[1]
@@ -315,8 +315,8 @@ class TestSharedEpisodeLoop:
     checked on noisy episodes of the small scene."""
 
     EPISODES = {
-        "alg1": functools.partial(episode, bc.run_single_user),
-        "alg2": functools.partial(episode, bc.run_lookahead),
+        "alg1": functools.partial(episode, bc.strategy.run_single_user),
+        "alg2": functools.partial(episode, bc.lookahead.run_lookahead),
         "baseline-hier": lambda state, link: oracles.baseline_hierarchical(link),
         "baseline-exhaustive": lambda state, link: oracles.baseline_exhaustive(link),
     }
@@ -331,11 +331,11 @@ class TestSharedEpisodeLoop:
         prior = bc.PositionPrior(
             (bc.SubRegion(tuple(range(34, 40)), 0.5), bc.SubRegion(tuple(range(120, 128)), 0.5))
         )
-        sigma = bc.noise_std_for_snr(snr_db, ckm.reference_gain)
+        sigma = bc.harness.noise_std_for_snr(snr_db, ckm.reference_gain)
         built = built_state(ckm, prior)
         sole_candidate_endings = 0
         for seed in range(8):
-            point = bc.sample_true_position(prior, np.random.default_rng(seed))
+            point = bc.position.sample_true_position(prior, np.random.default_rng(seed))
             h = scene_channel(small_scene, point)
             chosen, overhead, rounds = self.EPISODES[algo](built, link_of(h, sigma, seed))
             assert overhead == sum(r.probes for r in rounds)
@@ -362,7 +362,7 @@ class TestSharedEpisodeLoop:
             sole_candidate_endings += 1
             state = built.copy()
             for r in rounds:
-                bc.apply_observation(state, bc.BeamId(r.layer, r.feedback))
+                bc.beamtree.apply_observation(state, bc.BeamId(r.layer, r.feedback))
             assert bottom_candidates(state).tolist() == [chosen.index]
         if algo in ("alg1", "alg2"):
             assert sole_candidate_endings > 0
@@ -377,7 +377,7 @@ class TestSearchTreeCache:
         (bc.SubRegion(tuple(range(34, 40)), 0.5), bc.SubRegion(tuple(range(120, 128)), 0.5))
     )
 
-    @pytest.mark.parametrize("choose_layer", [bc.optimal_layer, next_layer])
+    @pytest.mark.parametrize("choose_layer", [bc.strategy.optimal_layer, next_layer])
     def test_episode_leaves_its_state_unchanged(self, small_scene, choose_layer):
         ckm, cb = small_scene["ckm"], small_scene["codebook"]
         names = ("point_alive", "beam_alive", "weights", "rows")
@@ -385,8 +385,8 @@ class TestSearchTreeCache:
             # a built state, a copy of it, and a state already folded once
             built = built_state(ckm, self.PRIOR)
             folded = built.copy()
-            bc.apply_observation(folded, bc.BeamId(1, int(candidates(folded, 1)[seed % 2 - 1])))
-            resp = bc.Responses(scene_channel(small_scene, 36 + seed), cb)
+            bc.beamtree.apply_observation(folded, bc.BeamId(1, int(candidates(folded, 1)[seed % 2 - 1])))
+            resp = bc.channel.Responses(scene_channel(small_scene, 36 + seed), cb)
             for state in (built, built.copy(), folded):
                 before = {name: getattr(state, name).copy() for name in names}
                 root, fallback = state.root, state.uniform_fallback
@@ -410,10 +410,10 @@ class TestSearchTreeCache:
             original(state, observed)
 
         monkeypatch.setattr(strategy, "apply_observation", counted)
-        resp = bc.Responses(scene_channel(small_scene, 37), cb)
+        resp = bc.channel.Responses(scene_channel(small_scene, 37), cb)
 
         def search_once():
-            return episode(bc.run_single_user, built, oracles.Link(resp, 0.05, *noise_of(9)))
+            return episode(bc.strategy.run_single_user, built, oracles.Link(resp, 0.05, *noise_of(9)))
 
         def path(rounds):
             node, nodes = built, []
