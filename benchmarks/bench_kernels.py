@@ -8,17 +8,11 @@ search states anew (copies of one state would share its pair weights), so
 both planners pay for the states and their pair weights in every call; the
 enumeration also builds its prefix sums (``oracles.prefix_sums``).
 
-Probing: one exhaustive round over the bottom layer at N = 32, 128 and
-1024 antennas, by one scalar ``probe`` per beam and by one
-``oracles.probe_rows`` call over an ``oracles.Link`` on a fresh noise
-block of the same stream, on an empty response cache (every response
-computed) and on a filled one (as a further SNR point or algorithm of a
-sweep finds it).
-The comparison asserts equal magnitudes bit for bit under the same noise.
-Then, at the same sizes, the cold fill of a baseline chunk: one batched
-``Responses.take`` of 40 drawn channels against every bottom row, which
-takes ``np.vecdot`` over gathered rows, against one ``np.vdot`` per entry
-(``oracles.responses_by_vdot``), asserting equal values bit for bit.
+Probing: at N = 32, 128 and 1024 antennas, the cold fill of a baseline
+chunk: one batched ``Responses.take`` of 40 drawn channels against every
+bottom row, which takes ``np.vecdot`` over gathered rows, against one
+``np.vdot`` per entry (``oracles.responses_by_vdot``), asserting equal
+values bit for bit.
 
 Map build: on the large scene's grid at ``--map-spacing`` (0.5 m, 65,536
 points, by default), ``channel_vectors`` with one steering vector per
@@ -41,24 +35,21 @@ search states (``compute_point_weights`` per user, best and median of
 of alg3 alone and one of the config's own algorithm list (every search in
 one call, as the configs run) at the config's SNR points.  The engine
 (``multiuser.run_multi_user``) plays each SNR point's episodes in
-lock-step rounds, once per distinct joint state, on the distinct states
-of each user that they reach.  Those share the built state's memo of
-derived views and the plans kept in them (which the map-aided trees of
-alg1 and alg2 also fill) and its memo of pruning profiles.  Prints the
-trial-rounds played and the distinct joint keys (``joint_layer`` calls)
-that played them, alg3's user-rounds, the probing groups that played
-them and the distinct states they folded into, the views derived, in how
-many passes, for how many state derivations, and the memo's hit rate,
-the pruning profiles looked up, their memo's hit rate and the bytes each
-user's memo keeps, the time inside alg3 per user-round, best and median
-of ``--repeat`` alternated calls: the engine, the engine with a view memo
-that stores nothing (every view and its plans derived, as before the
-memo) and with a profile memo that stores nothing (every group gathers
-its profile), and the per-episode oracle (``oracles.run_multi_user``, one
+lock-step rounds, once per joint key, and folds a copy per (state,
+fed-back row, survivors) of each round.  The copies share the built
+state's memo of derived views and the plans kept in them (which the
+map-aided trees of alg1 and alg2 also fill) and its memo of pruning
+profiles.  Prints the trial-rounds played and the joint keys
+(``joint_layer`` calls) that played them, alg3's user-rounds, the probing
+groups that played them and the states they folded into, the views
+derived, in how many passes, for how many state derivations, and the
+memo's hit rate, the pruning profiles looked up, their memo's hit rate
+and the bytes each user's memo keeps, the time inside alg3 per
+user-round, best and median of ``--repeat`` alternated calls of the
+engine and of the per-episode oracle (``oracles.run_multi_user``, one
 trial at a time over a ``Link`` per user), and for alg3 alone the call's
-``tracemalloc`` peak.  The comparison asserts that all four, and the
-oracle with every trial on states rebuilt from scratch, give equal
-records.
+``tracemalloc`` peak.  The comparison asserts that both, and the oracle
+with every trial on states rebuilt from scratch, give equal records.
 
 Baselines: on the desk and large scenes, one ``run_trials`` call of each
 map-blind baseline at the config's SNR points, which runs every (trial,
@@ -88,10 +79,10 @@ from unittest import mock
 import numpy as np
 
 import beamckm as bc
-from beamckm import beamtree, ckm, harness, kernels, lookahead, multiuser, strategy
-from beamckm.streams import normal_blocks, pcg64_state, seed_words
+from beamckm import ckm, harness, kernels, lookahead, multiuser, strategy
+from beamckm.streams import pcg64_state, seed_words
 from beamckm.channel import channel_vectors, trace_point_paths
-from beamckm.codebook import beam_index, layer_rows, layer_start, layers_of, row_of
+from beamckm.codebook import beam_index, layer_rows, layer_start, layers_of
 
 ROOT = Path(__file__).resolve().parent.parent
 # the enumeration planner is a test oracle; this script is run by path
@@ -156,27 +147,6 @@ def plan_by_shortest_path(cases, num_layers):
 
 
 PROBE_ANTENNAS = (32, 128, 1024)
-
-
-def probe_by_scalar(h, codebook, sigma, seed):
-    rng = np.random.default_rng(seed)
-    L = layers_of(len(codebook))
-    return np.array([
-        bc.channel.probe(h, codebook[row_of(bc.BeamId(L, n))], sigma, rng)
-        for n in range(1, 2**L + 1)
-    ])
-
-
-def probe_by_rows(resp, rows, sigma, seed):
-    words = seed_words([seed], np.empty((1, 0), np.int64))
-    link = oracles.Link(resp, sigma, normal_blocks(words, len(rows))[0], words[0])
-    return oracles.probe_rows(link, rows)
-
-
-def probe_cold(h, codebook, rows, sigma, seed):
-    return probe_by_rows(bc.channel.Responses(h, codebook), rows, sigma, seed)
-
-
 FILL_CHANNELS = 40
 
 
@@ -300,29 +270,6 @@ def counted(fn, counts, key):
     return wrapper
 
 
-def memo_off_engine(states, batch, eta):
-    """``run_multi_user`` on copies of the built states with an empty memo
-    of views of their own, which stores nothing: every view of every
-    episode, and every plan in it, is derived, as before the memo."""
-    copies = [s.copy() for s in states]
-    with mock.patch.object(beamtree, "_MAX_VIEWS", 0):
-        for c in copies:
-            c._views = {}
-            beamtree._derive_all([c])
-        return multiuser.run_multi_user(copies, batch, eta)
-
-
-def profiles_off_engine(states, batch, eta):
-    """``run_multi_user`` on copies of the built states with an empty memo
-    of pruning profiles of their own, which stores nothing: every group of
-    a round gathers its profile, as before that memo."""
-    copies = [s.copy() for s in states]
-    for c in copies:
-        c._profiles = beamtree._Memo()
-    with mock.patch.object(multiuser, "_PROFILE_BYTES", 0):
-        return multiuser.run_multi_user(copies, batch, eta)
-
-
 def alg3_seconds(call, engines, repeat: int):
     """Records of ``call`` and the least and median time inside alg3 with
     each of ``engines`` as the ``run_multi_user`` it runs, over ``repeat``
@@ -409,33 +356,31 @@ def bench_alg3(trials_per_scene, full_trials_per_scene, repeat: int) -> None:
                 patch(state, "_derive_view", derive_view),
             ):
                 warm = call()
-            timings = alg3_seconds(call, (multiuser.run_multi_user, memo_off_engine,
-                                          profiles_off_engine, oracles.one_trial_at_a_time),
+            timings = alg3_seconds(call, (multiuser.run_multi_user, oracles.one_trial_at_a_time),
                                    repeat)
             with patch(harness, "run_multi_user",
                        functools.partial(oracles.one_trial_at_a_time, fresh=True)):
                 fresh = call()
             assert all(records == warm == fresh for records, _, _ in timings), (
-                f"engine, memo-off engines and per-episode oracle disagree on {scene}"
+                f"engine and per-episode oracle disagree on {scene}"
             )
             peak = f"peak {traced_peak(call) * 1e-6:5.1f} MB  " if algorithms == ["alg3"] else ""
             rounds, kept = counts["rounds"], [m.nbytes for m in memos.values()]
-            engine_t, views_off, profiles_off, oracle_t = (
+            engine_t, oracle_t = (
                 f"{best / rounds * 1e6:6.1f} ({median / rounds * 1e6:6.1f})"
                 for _, best, median in timings
             )
             print(f"  {scene:5s} {'+'.join(algorithms)}  trials={n}  "
                   f"trial-rounds={counts['trial-rounds']} in {counts['joint keys']} joint keys  "
                   f"user-rounds={rounds} in {counts['groups']} probing groups, folded as "
-                  f"{counts['folded']} distinct states  views derived={counts['views']} in "
+                  f"{counts['folded']} states  views derived={counts['views']} in "
                   f"{counts['passes']} passes for {counts['derived']} states  "
                   f"memo hit rate={1 - counts['views'] / counts['derived']:.2f}  "
                   f"profiles hit rate={counts['hits'] / max(1, counts['profiles']):.2f} "
                   f"of {counts['profiles']}, kept {sum(kept) * 1e-3:.0f} kB "
                   f"(max {max(kept, default=0) * 1e-3:.0f} kB a user)  "
-                  f"alg3 engine {engine_t} (views off {views_off}, profiles off "
-                  f"{profiles_off}; per-episode oracle {oracle_t}, speedup "
-                  f"{timings[3][1] / timings[0][1]:4.2f}x)  {peak}same records: True")
+                  f"alg3 engine {engine_t} (per-episode oracle {oracle_t}, speedup "
+                  f"{timings[1][1] / timings[0][1]:4.2f}x)  {peak}same records: True")
 
 
 BASELINE_SCENES = ("desk", "large")
@@ -545,22 +490,6 @@ def main(argv=None) -> int:
               f"enumeration={best_e / n * 1e3:8.3f} ms  "
               f"shortest path={best_d / n * 1e3:7.3f} ms  "
               f"speedup={best_e / best_d:6.1f}x  same layer: True")
-
-    print("probing, one exhaustive bottom-layer round, noise sigma 0.1:")
-    for n in PROBE_ANTENNAS:
-        codebook = bc.build_codebook(n)
-        draw = np.random.default_rng(n)
-        h = draw.standard_normal(n) + 1j * draw.standard_normal(n)
-        rows = np.arange(len(codebook))[layer_rows(layers_of(len(codebook)))]
-        resp = bc.channel.Responses(h, codebook)
-        want, best_s, _ = bench(probe_by_scalar, h, codebook, 0.1, 11, repeat=args.repeat)
-        cold, best_c, _ = bench(probe_cold, h, codebook, rows, 0.1, 11, repeat=args.repeat)
-        warm, best_w, _ = bench(probe_by_rows, resp, rows, 0.1, 11, repeat=args.repeat)
-        assert want.tobytes() == cold.tobytes() == warm.tobytes(), f"probes disagree at N={n}"
-        print(f"  N={n}  scalar probe={best_s * 1e3:7.3f} ms  "
-              f"probe_rows empty cache={best_c * 1e3:7.3f} ms  "
-              f"filled cache={best_w * 1e3:7.3f} ms  "
-              f"speedup={best_s / best_c:5.1f}x / {best_s / best_w:6.1f}x  same magnitudes: True")
 
     print(f"probing, a cold fill of {FILL_CHANNELS} drawn channels x every bottom row:")
     for n in PROBE_ANTENNAS:

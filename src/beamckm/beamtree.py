@@ -22,9 +22,9 @@ alive masks and the fallback flag, and so is the search below it: a
 view keeps its ``plans`` by (layer choice, root layer) and its
 ``children``, the states that fold each observed (layer, index) into
 it.  So the map-aided searches of a sweep walk one tree of cached states
-per user (``strategy.run_searches``), and alg3 (``multiuser``) folds
-copies of the distinct states its episodes reach with ``fold``, which
-derives all of their missing views in one ``np.bincount`` pass.
+per user (``strategy.run_searches``), and alg3 (``multiuser``) folds a
+copy per state, fed-back row and survivors of a round with ``fold``,
+which derives all of their missing views in one ``np.bincount`` pass.
 """
 
 from __future__ import annotations

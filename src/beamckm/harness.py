@@ -508,7 +508,7 @@ def write_results_csv(records, path) -> None:
 
 
 def read_results_csv(path) -> list[TrialRecord]:
-    out = []
+    out, lines = [], {}  # the first line of each (trial, algorithm, SNR, user)
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -530,11 +530,14 @@ def read_results_csv(path) -> list[TrialRecord]:
                     se_bps_hz=float(row[10]),
                 )
                 # what summarize could not group or average
-                _check_snr([r.snr_db])
+                _check_sweep([r.algorithm], trials=1, seed=0, snr_db=[r.snr_db])
                 if not (math.isfinite(r.overhead) and r.overhead >= 0.0):
                     raise ValueError(f"overhead must be a finite number >= 0, got {r.overhead}")
                 if math.isnan(r.gain_ratio_db) or math.isnan(r.se_bps_hz):
                     raise ValueError("gain ratio and spectral efficiency must not be NaN")
+                key = (r.trial_id, r.algorithm, r.snr_db, r.user_id)
+                if lines.setdefault(key, reader.line_num) != reader.line_num:
+                    raise ValueError(f"same trial, algorithm, SNR and user as line {lines[key]}")
                 out.append(r)
             except ValueError as exc:
                 raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None

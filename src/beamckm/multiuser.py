@@ -10,14 +10,14 @@ profile with the per-point map profile.  Episodes leave the users' built
 states as they were.
 
 ``run_multi_user`` plays a batch's episodes in lock-step rounds, once per
-distinct joint state: each trial holds, per user, one of the distinct
-states the batch reached (None once that search is over), and the trials
-of one joint key share its plans, ``joint_layer`` and union rows.  Per
-(user, layer, rows) group one probe and one stacked product, per user one
-array cut (``_prune``) and one ``beamtree.fold`` of a copy per distinct
-(state, fed-back row, survivors).  A stacked matmul whose last dimension
-is 1 runs one gemv per item: the bits of one product per episode, which
-a 2-D gemm lacks.
+joint key: each trial holds, per user, the state its last round folded
+(None once that search is over), and the trials that hold the same states
+share their plans, ``joint_layer`` and union rows.  Per (user, layer,
+rows) group one probe and one stacked product, per user one array cut
+(``_prune``) and one ``beamtree.fold`` of a copy per (state, fed-back row,
+survivors), which the trials that made that transition hold next.  A
+stacked matmul whose last dimension is 1 runs one gemv per item: the bits
+of one product per episode, which a 2-D gemm lacks.
 
 The map profiles at a round's probed rows depend only on the user's gains
 and those rows, so a built state's copies share one memo of them
@@ -80,11 +80,11 @@ def _profile(state: SearchState, rows: np.ndarray):
 
 
 def _prune(state: SearchState, alive: np.ndarray, probes, eta: float) -> np.ndarray:
-    """``prune_user_points``' cut of one user's episodes from the built
-    ``state``, one survivor mask per row of ``alive``.  ``probes`` holds, in
-    row order, each group's probed ``rows``, observations ``G`` (a row per
-    episode) and fed-back rows (-1 for an eavesdropper).  A zero
-    observation cuts none."""
+    """``prune_user_points``' cut of one user's episodes from copies of
+    ``state``'s built state, one survivor mask per row of ``alive``.
+    ``probes`` holds, in row order, each group's probed ``rows``,
+    observations ``G`` (a row per episode) and fed-back rows (-1 for an
+    eavesdropper).  A zero observation cuts none."""
     sims, fits, scored = [], [], []
     for rows, G, fed in probes:
         no = np.sqrt((G[:, None, :] @ G[:, :, None])[:, 0, 0])  # math.sqrt(g.dot(g)) per row
@@ -159,9 +159,7 @@ def run_multi_user(
     if not K or E % K:
         raise ValueError(f"need one episode per (trial, user): {E} episodes for {K} users")
     at = [list(states) for _ in range(E // K)]  # per trial, each user's state; None once over
-    index = {(s.view, s.root_layer): s for s in states}  # the distinct states reached
     chosen, rounds, totals = [None] * E, [[] for _ in range(E)], [0] * (E // K)
-    unions = {}  # by (layer, the descending users' views): the probing group and its beams
     live = range(E // K)
     for _ in range(sum(s.num_layers + 2 for s in states) + 2):
         by_key: dict[tuple, list] = {}  # the trials of each joint key
@@ -181,32 +179,28 @@ def run_multi_user(
                 continue
             live += trials
             l_opt, flags = joint_layer([layer for *_, layer in active])
-            descend = [s for (_, s, _), f in zip(active, flags) if f]
-            union_key = (l_opt, *(s.view for s in descend))
-            if union_key not in unions:
-                rows = union_beams(descend, l_opt)
-                probed = tuple(beam_index(rows, l_opt).tolist())
-                unions[union_key] = (l_opt, rows.tobytes()), (l_opt, rows, probed)
-            group, spec = unions[union_key]
+            rows = union_beams([s for (_, s, _), f in zip(active, flags) if f], l_opt)
+            probed = tuple(beam_index(rows, l_opt).tolist())
             for t in trials:
-                totals[t] += len(spec[2])
+                totals[t] += len(probed)
             for (k, _, _), f in zip(active, flags):
-                groups[k].setdefault(group, (*spec, []))[3].extend((t, f) for t in trials)
+                spec = groups[k].setdefault((l_opt, rows.tobytes()), (l_opt, rows, probed, []))
+                spec[3].extend((t, f) for t in trials)
         if not live:
             break
         for k, by_group in enumerate(groups):
             if by_group:
-                _play(states[k], index, at, k, by_group.values(), batch, rounds, eta)
+                _play(at, k, by_group.values(), batch, rounds, eta)
     else:
         raise RuntimeError("joint search exceeded its round budget")
     return chosen, np.array(totals, np.int64), rounds
 
 
-def _play(built, index, at, k, groups, batch, rounds, eta) -> None:
+def _play(at, k, groups, batch, rounds, eta) -> None:
     """User ``k``'s part of a round: per probing group one probe of its
     (trial, descends) members in trial order and their rounds, then one cut
-    of all of them and one fold per distinct (state, fed-back row,
-    survivors), each result replaced by the state in ``index`` it equals."""
+    of all of them and one fold of a copy per (state, fed-back row,
+    survivors), which each member with those holds in ``at`` next."""
     K, trials, parents, probes, observed, fed = len(at[0]), [], [], [], [], []
     for layer, rows, probed, pairs in groups:
         pairs.sort()
@@ -223,12 +217,11 @@ def _play(built, index, at, k, groups, batch, rounds, eta) -> None:
             trials.append(t)
             parents.append(at[t][k])
         probes.append((rows, G, np.array(fed[len(fed) - len(pairs) :])))
-    surv = _prune(built, np.array([s.point_alive for s in parents]), probes, eta)
+    surv = _prune(parents[0], np.array([s.point_alive for s in parents]), probes, eta)
     first = {}  # by (state, fed-back row, survivors): its first member
     slots = [first.setdefault((s, f, m.tobytes()), i)
              for i, (s, f, m) in enumerate(zip(parents, fed, surv))]
     new = {i: parents[i].copy() for i in first.values()}
     fold(list(new.values()), surv[list(new)], [observed[i] for i in new])
-    new = {i: index.setdefault((s.view, s.root_layer), s) for i, s in new.items()}
     for t, i in zip(trials, slots):
         at[t][k] = new[i]

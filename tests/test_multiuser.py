@@ -6,6 +6,7 @@ the same layers as the standalone reward search.
 """
 
 import functools
+import math
 from pathlib import Path
 
 import numpy as np
@@ -561,3 +562,34 @@ class TestSharedViews:
         assert len(warm[0]) == 1 and len(warm[0][0][1]) == trials  # one batch of the trials
         fresh = play(functools.partial(oracles.one_trial_at_a_time, fresh=True))
         assert fresh == warm  # beams, totals, rounds and records
+
+
+class TestEqualStatesStayApart:
+    """Each round folds one copy per (state, fed-back row, survivors) and
+    merges no result into an equal state of another transition, so
+    trials whose users reached equal states play apart and must still
+    play the per-episode oracle's episodes."""
+
+    def test_a_round_keeps_two_states_of_one_view_and_plays_the_oracle(self, monkeypatch):
+        from beamckm import harness
+
+        cfg = bc.load_scenario(CONFIGS / "large.json")
+        book = bc.build_codebook(cfg.array.num_antennas)
+        ckm = bc.build_ckm(cfg.environment, cfg.array, book, cfg.grid)
+        play, twins = mu._play, []
+
+        def watched(at, k, *args):
+            play(at, k, *args)
+            held = {id(row[k]): row[k] for row in at if row[k] is not None}.values()
+            keys = [(s.view, s.root_layer) for s in held]
+            twins.append(len(keys) - len(set(keys)))
+
+        def run():
+            return bc.run_trials(cfg, ckm, algorithms=["alg3"], trials=20, seed=0,
+                                 snr_db=[math.inf, 10.0, 0.0])
+
+        monkeypatch.setattr(mu, "_play", watched)
+        engine = run()
+        assert any(twins)  # some user holds two distinct states of one (view, root layer)
+        monkeypatch.setattr(harness, "run_multi_user", oracles.one_trial_at_a_time)
+        assert run() == engine
