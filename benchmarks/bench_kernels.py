@@ -53,10 +53,11 @@ with every trial on states rebuilt from scratch, give equal records.
 
 Baselines: on the desk and large scenes, one ``run_trials`` call of each
 map-blind baseline at the config's SNR points, which runs every (trial,
-user) episode of an SNR point as one batch of array rounds, against the
-same call with one per-episode oracle (``tests/oracles.py``) per episode
-over a ``Link``, each best and median of ``--repeat`` calls.  The
-comparison asserts equal records.
+user) episode of an SNR point as array rounds over one ``Episodes``
+batch, against the same call with ``oracles.one_episode_at_a_time``
+swapped in, which runs one per-episode oracle (``tests/oracles.py``)
+over a ``Link`` per episode of the batch, each best and median of
+``--repeat`` calls.  The comparison asserts equal records.
 
 alg1 and alg2: on the desk and large scenes, one ``run_trials`` call of
 each at the config's SNR points, which runs every (trial, user) episode

@@ -10,10 +10,10 @@ so repeated calls are bit-identical.
 Probing reads noiseless codeword responses from a ``Responses`` table, which
 fills each on first use by ``np.vecdot`` (the bits of ``np.vdot``): the same
 number at every SNR and algorithm, so a sweep computes it once per point.
-An ``Episodes`` batch pairs channels of the table with the users' blocks
-of probe noise at one SNR point, one per (trial, user) episode, as
-arrays; every map-aided search probes it a group of episodes at a time
-(``probe_episodes``).
+An ``Episodes`` batch pairs channels of the table with blocks of probe
+noise at one SNR point, one per (trial, user) episode; every algorithm
+probes it a group of episodes at a time (``probe_episodes``), counting
+each episode's probes.
 """
 
 from __future__ import annotations
@@ -273,21 +273,12 @@ class Responses:
         return vals[codes]
 
 
-def received(y: np.ndarray, noise_std: float, z: np.ndarray | None) -> np.ndarray:
-    """Magnitudes ``|y + n|``, n = ``noise_std`` / sqrt(2) (z[..., 0] + j z[..., 1])
-    for contiguous normal pairs ``z`` (read as complex, bit for bit the same)."""
-    if noise_std > 0.0:
-        n = noise_std / np.sqrt(2.0) * z.view(np.complex128)[..., 0]
-        n += y
-        y = n
-    return np.abs(y)
-
-
 class Episodes:
     """E episodes at one SNR point: episode e probes channel ``points[e]``
     of a ``Responses`` table with noise CN(0, ``noise_std``^2) read in
     order from ``block[e]``, the first normal pairs of the stream seeded
-    by ``words[e]`` (past it, a longer prefix is drawn from the words)."""
+    by ``words[e]`` (past it, a longer prefix is drawn from the words).
+    ``used[e]`` counts the probes episode e has heard, noiseless or not."""
 
     __slots__ = ("resp", "noise_std", "points", "block", "words", "used")
 
@@ -300,19 +291,21 @@ class Episodes:
 
 
 def probe_episodes(batch: Episodes, eps: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Received pilot magnitudes ``|h^H f + n|`` of distinct codeword
-    ``rows`` over each episode ``eps`` of a batch, one row each, with the
-    episode's next ``len(rows)`` noise pairs."""
-    y = batch.resp.take(batch.points[eps, None], rows[None])
+    """Received pilot magnitudes ``|h^H f + n|`` over episodes ``eps`` of a
+    batch, one row each, of distinct codeword ``rows``, shared (m,) or per
+    episode (len(eps), m).  Each episode hears m more probes, with noise
+    ``noise_std`` / sqrt(2) (z[..., 0] + j z[..., 1]) of its next m pairs z."""
+    m = rows.shape[-1]
+    y = batch.resp.take(batch.points[eps, None], rows)
+    start = batch.used[eps]
+    batch.used[eps] = end = start + m
     if batch.noise_std <= 0.0:
         return np.abs(y)
-    start = batch.used[eps]
-    batch.used[eps] = end = start + len(rows)
     if end.max() > batch.block.shape[1]:  # a longer prefix of every stream
         width = max(int(end.max()), 2 * batch.block.shape[1])
         batch.block = normal_blocks(batch.words, width)
-    z = batch.block[eps[:, None], start[:, None] + np.arange(len(rows))]
-    return received(y, batch.noise_std, z)
+    z = batch.block.view(np.complex128)[..., 0][eps[:, None], start[:, None] + np.arange(m)]
+    return np.abs(y + batch.noise_std / np.sqrt(2.0) * z)
 
 
 def probe(

@@ -26,6 +26,7 @@ _HEADER_V1 = "<4sIIIIIddddI"
 _EXTENTS = "<dd"  # v2 only, right after the v1 fields
 # grid points traced, synthesized and multiplied at a time by build_ckm
 _CHUNK_POINTS = 1024
+MAX_GRID_POINTS = (2**31 - 5) // 4  # numpy sizes a BCKM record, 4 + 4 bytes a point, in a C int
 
 
 class CkmFormatError(ValueError):
@@ -58,10 +59,12 @@ class GridSpec:
             raise ValueError("grid spacings must be positive")
         if self.extent_x <= 0 or self.extent_y <= 0:
             raise ValueError("grid extents must be positive")
-        if not math.isfinite(self.extent_x / self.spacing_x * (self.extent_y / self.spacing_y)):
+        cells = self.extent_x / self.spacing_x * (self.extent_y / self.spacing_y)
+        count = self.num_points if math.isfinite(cells) else cells  # inf or nan: uncountable
+        if not count <= MAX_GRID_POINTS:
             raise ValueError(
                 f"grid of extents ({self.extent_x}, {self.extent_y}) at spacings "
-                f"({self.spacing_x}, {self.spacing_y}) has too many points to count"
+                f"({self.spacing_x}, {self.spacing_y}) has too many points for a map ({count})"
             )
 
     @property

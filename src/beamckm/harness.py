@@ -14,9 +14,9 @@ which reproduce numpy's seeding bit for bit: the positions in one, the
 noise streams in one per chunk of ``CHUNK_TRIALS`` trials.  It draws each
 noise stream once per chunk, as a block of its first normals that every
 algorithm reads from the start.  Every algorithm runs as array rounds
-over all (trial, user) episodes of the chunk at one SNR point at once,
-the map-aided ones from each user's built search state over one
-``channel.Episodes``.
+over one ``channel.Episodes`` batch of all (trial, user) episodes of the
+chunk at one SNR point, which counts their probes, the overheads; the
+map-aided ones start from each user's built search state.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .channel import (
     Responses,
     Scatterer,
     _check_point,
-    received,
+    probe_episodes,
     synthesize_channel,
     trace_point_paths,
 )
@@ -175,17 +175,11 @@ def _check_sweep(algorithms, trials: int, seed: int, snr_db) -> None:
         raise ValueError(f"seed must be >= 0, got {seed}")
     if not snr_db:
         raise ValueError("snr_db needs at least one SNR point")
-    _check_snr(snr_db)
-    if len(set(snr_db)) != len(snr_db):
-        raise ValueError(f"SNR points must not repeat, got {list(snr_db)}")
-
-
-def _check_snr(snr_db) -> None:
-    """SNR points of a sweep or of a results file: NaN or -inf is no point
-    that ``run_trials`` runs or ``summarize`` groups."""
     bad = [s for s in snr_db if math.isnan(s) or s == -math.inf]
     if bad:
         raise ValueError(f"SNR entries must be numbers or 'inf', got {bad}")
+    if len(set(snr_db)) != len(snr_db):
+        raise ValueError(f"SNR points must not repeat, got {list(snr_db)}")
 
 
 @functools.cache
@@ -333,28 +327,25 @@ def noise_std_for_snr(snr_db: float, ref_gain: float) -> float:
     return sigma
 
 
-def baseline_hierarchical(resp: Responses, points, noise_std: float, noise) -> np.ndarray:
-    """Map-blind bisection of episodes on channels ``points`` of ``resp``: at
-    each layer l probe both children with block pairs 2l-2 and 2l-1, keep
-    the stronger (the first on ties); returns each episode's bottom index."""
-    L = layers_of(resp.codewords.shape[0])
-    pts = points[:, None]
-    idx = np.ones_like(pts)
+def baseline_hierarchical(batch: Episodes) -> tuple[list[BeamId], np.ndarray]:
+    """Map-blind bisection of a batch's episodes: at each layer probe both
+    children of the kept beam and keep the stronger (the first on ties).
+    Returns each episode's bottom beam and probe count, 2L."""
+    L = layers_of(batch.resp.codewords.shape[0])
+    eps = np.arange(len(batch.points))
+    idx = np.ones((len(eps), 1), np.int64)
     for layer in range(1, L + 1):
         rows = layer_start(layer) + 2 * idx - 2 + np.arange(2)
-        z = None if noise is None else noise[:, 2 * layer - 2 : 2 * layer]
-        mags = received(resp.take(pts, rows), noise_std, z)
-        idx = 2 * idx - 1 + np.argmax(mags, axis=1)[:, None]
-    return idx[:, 0]
+        idx = 2 * idx - 1 + np.argmax(probe_episodes(batch, eps, rows), axis=1)[:, None]
+    return [BeamId(L, i) for i in idx[:, 0].tolist()], batch.used
 
 
-def baseline_exhaustive(resp: Responses, points, noise_std: float, noise) -> np.ndarray:
-    """Probe every bottom beam once per episode, with its block's first N
-    pairs, keep the strongest (the first on ties); returns each bottom index."""
-    L = layers_of(resp.codewords.shape[0])
-    rows = layer_start(L) + np.arange(2**L)
-    z = None if noise is None else noise[:, : 2**L]
-    return np.argmax(received(resp.take(points[:, None], rows), noise_std, z), axis=1) + 1
+def baseline_exhaustive(batch: Episodes) -> tuple[list[BeamId], np.ndarray]:
+    """Probe every bottom beam once per episode of a batch, keep the strongest
+    (the first on ties); returns each episode's bottom beam and probe count, N."""
+    L = layers_of(batch.resp.codewords.shape[0])
+    mags = probe_episodes(batch, np.arange(len(batch.points)), layer_start(L) + np.arange(2**L))
+    return [BeamId(L, i) for i in (np.argmax(mags, axis=1) + 1).tolist()], batch.used
 
 
 def _finish(
@@ -445,8 +436,14 @@ def run_trials(
     # a stream's block holds the baselines' probes, and 4L for a map-aided
     # search, which probes fewer on the bundled configs
     pairs = max(4 * L, 2**L if "baseline-exhaustive" in algos else 0)
-    batched = {"baseline-hier": (baseline_hierarchical, 2 * L),
-               "baseline-exhaustive": (baseline_exhaustive, 2**L)}
+    # beams and probe counts first; looked up per call, where tests and tracer swap them
+    searches = {
+        "alg1": lambda batch: run_single_user(states, batch),
+        "alg2": lambda batch: run_lookahead(states, batch),
+        "alg3": lambda batch: run_multi_user(states, batch, config.eta),
+        "baseline-hier": baseline_hierarchical,
+        "baseline-exhaustive": baseline_exhaustive,
+    }
     records: list[TrialRecord] = []
     for start in range(0, n_trials, CHUNK_TRIALS):
         chunk = trial_points[start : start + CHUNK_TRIALS]
@@ -461,19 +458,11 @@ def run_trials(
         picks = {}  # by (algorithm, SNR index): the chunk's beams and overheads
         for si, sigma in enumerate(sigmas):
             for algo in algos:
-                if algo in batched:
-                    search, probes = batched[algo]
-                    beams = search(resp, points.ravel(), sigma, normals.get(si)).tolist()
-                    picks[algo, si] = [BeamId(L, i) for i in beams], [float(probes)] * points.size
-                    continue
                 batch = Episodes(resp, sigma, points.ravel(), normals.get(si), words.get(si))
+                chosen, probes = searches[algo](batch)[:2]
                 if algo == "alg3":  # each user carries an equal share of the trial's total
-                    chosen, totals, _ = run_multi_user(states, batch, config.eta)
-                    picks[algo, si] = chosen, np.repeat(totals / K, K).tolist()
-                else:
-                    search = run_single_user if algo == "alg1" else run_lookahead
-                    chosen, probes, _ = search(states, batch)
-                    picks[algo, si] = chosen, probes.astype(float).tolist()
+                    probes = np.repeat(probes / K, K)
+                picks[algo, si] = chosen, probes.astype(float).tolist()
         for t, rows in enumerate(points.tolist(), start):
             e = (t - start) * K  # the trial's first episode in the chunk
             for si, (snr, sigma) in enumerate(zip(snrs, sigmas)):

@@ -152,14 +152,15 @@ def run_multi_user(
     """Joint episodes of a batch, episode e = trial * K + user k from the
     built state ``states[k]``, in lock-step rounds (see the module
     docstring).  Returns each episode's chosen beam, each trial's probe
-    count (charged once per shared round) and each episode's rounds."""
+    count, the most one of its users heard (an active user hears each probe
+    of its round, a finished one never rejoins), and each episode's rounds."""
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"eta must lie in (0, 1], got {eta}")
     K, E = len(states), len(batch.points)
     if not K or E % K:
         raise ValueError(f"need one episode per (trial, user): {E} episodes for {K} users")
     at = [list(states) for _ in range(E // K)]  # per trial, each user's state; None once over
-    chosen, rounds, totals = [None] * E, [[] for _ in range(E)], [0] * (E // K)
+    chosen, rounds = [None] * E, [[] for _ in range(E)]
     live = range(E // K)
     for _ in range(sum(s.num_layers + 2 for s in states) + 2):
         by_key: dict[tuple, list] = {}  # the trials of each joint key
@@ -181,8 +182,6 @@ def run_multi_user(
             l_opt, flags = joint_layer([layer for *_, layer in active])
             rows = union_beams([s for (_, s, _), f in zip(active, flags) if f], l_opt)
             probed = tuple(beam_index(rows, l_opt).tolist())
-            for t in trials:
-                totals[t] += len(probed)
             for (k, _, _), f in zip(active, flags):
                 spec = groups[k].setdefault((l_opt, rows.tobytes()), (l_opt, rows, probed, []))
                 spec[3].extend((t, f) for t in trials)
@@ -193,7 +192,7 @@ def run_multi_user(
                 _play(at, k, by_group.values(), batch, rounds, eta)
     else:
         raise RuntimeError("joint search exceeded its round budget")
-    return chosen, np.array(totals, np.int64), rounds
+    return chosen, batch.used.reshape(-1, K).max(axis=1), rounds
 
 
 def _play(at, k, groups, batch, rounds, eta) -> None:

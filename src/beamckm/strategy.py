@@ -163,10 +163,10 @@ def run_searches(states, batch: Episodes, choose_layer) -> tuple[list, np.ndarra
     keeps each one's strongest (the first on ties; a lone candidate is a
     free descent) and moves the episodes of each feedback to the child
     that folds it in (``apply_observation`` on a copy).  Returns each
-    episode's chosen bottom beam and probe count, and a ``ProbeRound`` per
-    round of each episode, grouped by state (in order for one episode)."""
+    episode's chosen bottom beam, its probe count ``batch.used``, and a
+    ``ProbeRound`` per round of each episode, grouped by state (in order)."""
     E = len(batch.points)
-    chosen, probes, rounds = [None] * E, np.zeros(E, np.int64), []
+    chosen, rounds = [None] * E, []
     frontier = [(state, np.arange(k, E, len(states))) for k, state in enumerate(states)]
     while frontier:
         state, eps = frontier.pop()
@@ -179,7 +179,6 @@ def run_searches(states, batch: Episodes, choose_layer) -> tuple[list, np.ndarra
         branches = [(probed[0], eps)]
         if n:
             won = np.argmax(probe_episodes(batch, eps, rows), axis=1)
-            probes[eps] += n
             branches = [(probed[j], eps[won == j]) for j in np.unique(won).tolist()]
         children = state.view.children
         for feedback, sub in branches:
@@ -190,7 +189,7 @@ def run_searches(states, batch: Episodes, choose_layer) -> tuple[list, np.ndarra
                 apply_observation(child, BeamId(layer, feedback))
                 children[layer, feedback] = child
             frontier.append((child, sub))
-    return chosen, probes, rounds
+    return chosen, batch.used, rounds
 
 
 def run_single_user(states, batch: Episodes) -> tuple[list, np.ndarray, list]:

@@ -19,7 +19,7 @@ import numpy as np
 
 from beamckm import kernels
 from beamckm.beamtree import SearchState, apply_observation
-from beamckm.channel import Responses, received
+from beamckm.channel import Responses
 from beamckm.codebook import (
     BeamId,
     beam_index,
@@ -291,7 +291,8 @@ def probe_rows(link: Link, rows: np.ndarray) -> np.ndarray:
         if link.words is None:
             raise ValueError("the link read past its noise block and has no seed words")
         link.block = normal_blocks(link.words[None], max(link.used, 2 * len(link.block)))[0]
-    return received(y, link.noise_std, link.block[start : link.used])
+    z = link.block[start : link.used]
+    return np.abs(y + link.noise_std / np.sqrt(2.0) * (z[:, 0] + 1j * z[:, 1]))
 
 
 def links_of(batch, eps=None) -> list:
@@ -384,14 +385,13 @@ def baseline_exhaustive(link: Link) -> tuple[BeamId, int, list[ProbeRound]]:
 
 def one_episode_at_a_time(baseline):
     """A batched baseline of ``harness`` that runs the per-episode
-    ``baseline`` of this module over one ``Link`` per episode of the batch,
-    reading the episode's noise block."""
+    ``baseline`` of this module over one ``Link`` per episode of the
+    batch, reading the episode's noise block and seed words; returns each
+    episode's beam and probe count."""
 
-    def run(resp, points: np.ndarray, noise_std: float, noise: np.ndarray | None) -> np.ndarray:
-        return np.array([
-            baseline(Link(resp, noise_std, None if noise is None else noise[e], point=p))[0].index
-            for e, p in enumerate(points.tolist())
-        ])
+    def run(batch):
+        runs = [baseline(link) for link in links_of(batch)]
+        return [r[0] for r in runs], np.array([r[1] for r in runs], np.int64)
 
     return run
 

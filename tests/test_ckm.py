@@ -85,6 +85,15 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="too many points"):
             bc.GridSpec(*args)
 
+    def test_rejects_more_points_than_a_map_record_holds(self):
+        most = bc.ckm.MAX_GRID_POINTS
+        assert bc.GridSpec(most, 1.0, 1.0, 1.0).num_points == most
+        assert bc.ckm._records(most).itemsize == 4 + 4 * most  # numpy's C-int bound
+        with pytest.raises(ValueError, match=rf"too many points for a map \({most + 1}\)"):
+            bc.GridSpec(most + 1, 1.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match=r"too many points for a map \(4900000000\)"):
+            bc.GridSpec(70_000.0, 70_000.0, 1.0, 1.0)
+
     def test_counts_round_up_partial_cells(self):
         grid = bc.GridSpec(extent_x=10.0, extent_y=7.0, spacing_x=3.0, spacing_y=2.0)
         assert (grid.nx, grid.ny, grid.num_points) == (4, 4, 16)
@@ -333,6 +342,15 @@ class TestBinaryFormat:
         struct.pack_into("<I", data, 16, 0)  # nx = 0
         with pytest.raises(bc.CkmFormatError, match="grid"):
             bc.load_ckm(bytes(data))
+
+    def test_grid_no_map_holds_rejected(self):
+        """A header for a 70,000 x 70,000 grid, 4.9e9 points, more than a
+        record's gains field holds."""
+        header = bytearray(bc.save_ckm(self.make())[:RECORDS])
+        struct.pack_into("<IIdd", header, 16, 70_000, 70_000, 1.0, 1.0)
+        struct.pack_into("<dd", header, V1_HEADER, 70_000.0, 70_000.0)
+        with pytest.raises(bc.CkmFormatError, match=r"too many points for a map \(4900000000\)"):
+            bc.load_ckm(bytes(header))
 
     def test_wrong_codeword_count_rejected(self):
         data = bytearray(bc.save_ckm(self.make()))

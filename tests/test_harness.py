@@ -9,6 +9,9 @@ import dataclasses
 import functools
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -628,7 +631,9 @@ class TestBaselines:
         h = 0.7 * steering_vector(bc.codebook.bottom_angles(16)[4], 16)
         link = oracles.Link(bc.channel.Responses(h, cb), 0.0)
         chosen, overhead, rounds = oracles.baseline_hierarchical(link)
-        assert bc.harness.baseline_hierarchical(bc.channel.Responses(h, cb), np.array([0]), 0.0, None) == [5]
+        batch = bc.channel.Episodes(bc.channel.Responses(h, cb), 0.0, [0])
+        beams, used = bc.harness.baseline_hierarchical(batch)
+        assert beams == [chosen] and used.tolist() == [overhead]
         assert chosen == bc.BeamId(4, 5)
         assert overhead == 2 * 4
         assert [r.layer for r in rounds] == [1, 2, 3, 4]
@@ -644,7 +649,9 @@ class TestBaselines:
         h = 0.7 * steering_vector(bc.codebook.bottom_angles(16)[11], 16)
         link = oracles.Link(bc.channel.Responses(h, cb), 0.0)
         chosen, overhead, rounds = oracles.baseline_exhaustive(link)
-        assert bc.harness.baseline_exhaustive(bc.channel.Responses(h, cb), np.array([0]), 0.0, None) == [12]
+        batch = bc.channel.Episodes(bc.channel.Responses(h, cb), 0.0, [0])
+        beams, used = bc.harness.baseline_exhaustive(batch)
+        assert beams == [chosen] and used.tolist() == [overhead]
         assert chosen == bc.BeamId(4, 12)
         assert overhead == 16
         assert rounds[0].probed == tuple(range(1, 17))
@@ -1012,57 +1019,36 @@ class TestSweepInvariants:
             drawn.append(sample(prior, rng))
             return drawn[-1]
 
-        # the rounds of an episode e of an alg1, alg2 or alg3 batch, as
-        # (batch, e), each the noise pairs it read; each search's batches,
-        # in call order
+        # the rounds of an episode e of a batch, as (batch, e), each the
+        # noise pairs it read; each algorithm's batches, in call order
         reads, batches_of = {}, {algo: [] for algo in bc.ALGORITHMS}
         probe_episodes = strategy.probe_episodes
 
         def probe_batch_recorded(batch, eps, rows):
             start = batch.used[eps]
             mags = probe_episodes(batch, eps, rows)
+            assert (batch.used[eps] - start == rows.shape[-1]).all()
             if batch.noise_std:
-                assert (batch.used[eps] - start == len(rows)).all()
                 for e, first in zip(eps.tolist(), start.tolist()):
-                    read = batch.block[e, first : first + len(rows)]
+                    read = batch.block[e, first : first + rows.shape[-1]]
                     reads.setdefault((batch, e), []).append(np.array(read))
             return mags
 
         def episode_recorded(algo, episode):
             def run(*args, **kwargs):
-                batches_of[algo].append(args[1])
+                batch = next(a for a in args if isinstance(a, bc.channel.Episodes))
+                batches_of[algo].append(batch)
                 return episode(*args, **kwargs)
 
             return run
 
-        # a batched baseline's rounds, each the noise of its (trial, user) episodes
-        batches = {"baseline-hier": [], "baseline-exhaustive": []}
-        received = harness.received
-
-        def received_recorded(y, noise_std, z):
-            batches[current[0]][-1].append(None if z is None else np.array(z))
-            return received(y, noise_std, z)
-
-        current = []
-
-        def batch_recorded(algo, search):
-            def run(*args):
-                current[:] = [algo]
-                batches[algo].append([])
-                return search(*args)
-
-            return run
-
         monkeypatch.setattr(harness, "sample_true_position", sample_recorded)
-        monkeypatch.setattr(harness, "received", received_recorded)
-        monkeypatch.setattr(multiuser, "probe_episodes", probe_batch_recorded)
-        monkeypatch.setattr(strategy, "probe_episodes", probe_batch_recorded)
+        for module in (harness, multiuser, strategy):
+            monkeypatch.setattr(module, "probe_episodes", probe_batch_recorded)
         for algo, name in (("alg1", "run_single_user"), ("alg2", "run_lookahead"),
-                           ("alg3", "run_multi_user")):
-            monkeypatch.setattr(harness, name, episode_recorded(algo, getattr(harness, name)))
-        for algo, name in (("baseline-hier", "baseline_hierarchical"),
+                           ("alg3", "run_multi_user"), ("baseline-hier", "baseline_hierarchical"),
                            ("baseline-exhaustive", "baseline_exhaustive")):
-            monkeypatch.setattr(harness, name, batch_recorded(algo, getattr(harness, name)))
+            monkeypatch.setattr(harness, name, episode_recorded(algo, getattr(harness, name)))
         bc.run_trials(cfg, small_scene["ckm"], algorithms=bc.ALGORITHMS,
                       trials=trials, seed=seed, snr_db=snrs)
         replay = []
@@ -1073,21 +1059,11 @@ class TestSweepInvariants:
         # per (trial, SNR index, user), in that order: the rounds' noise
         episodes = [(t, si, k) for t in range(trials) for si in range(len(snrs)) for k in range(K)]
         got = {}
-        for algo in ("alg1", "alg2", "alg3"):
+        for algo in bc.ALGORITHMS:
             # one batch per SNR index, over the (trial, user) episodes
             assert len(batches_of[algo]) == len(snrs)
             got[algo] = [reads.pop((batches_of[algo][si], t * K + k), []) for t, si, k in episodes]
         assert not reads
-        for algo, calls in batches.items():
-            # one call per SNR index, over the (trial, user) episodes
-            assert len(calls) == len(snrs)
-            rounds = {(t, si, k): [] for t, si, k in episodes}
-            for si, call in enumerate(calls):
-                for z in call:
-                    assert (z is None) == (si == 0)
-                    for e, ze in enumerate([] if z is None else z):
-                        rounds[e // K, si, e % K].append(ze)
-            got[algo] = [rounds[e] for e in episodes]
         for algo, per_episode in got.items():
             assert len(per_episode) == len(episodes), algo
             for (t, si, k), rounds in zip(episodes, per_episode):
@@ -1246,6 +1222,25 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("beamckm: error: ") and named in err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_grid_no_map_holds_fails_in_one_line_under_a_memory_cap(self, tmp_path):
+        """A 1e12 m grid at 1 m spacing is rejected as a grid before any axis
+        is built (at 8 bytes a column that would be 7.28 TiB); the child
+        process may map at most 1 GiB."""
+        d = scenario_dict()
+        d["grid"]["extent_x"] = 1e12
+        cfg = tmp_path / "scene.json"
+        cfg.write_text(json.dumps(d))
+        cap = "import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+        run = "import sys; from beamckm import cli; sys.exit(cli.main(sys.argv[1:]))"
+        argv = ["build-ckm", "--config", str(cfg), "--out", str(tmp_path / "scene.ckm")]
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": str(Path(bc.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", cap + run, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("beamckm: error: grid: ") and done.stderr.count("\n") == 1
+        assert "too many points for a map (16000000000000)" in done.stderr
 
     def test_full_pipeline(self, tmp_path, capsys):
         cfg_path = tmp_path / "scene.json"
