@@ -64,6 +64,8 @@ class SearchState:
     width fixes the depth ``num_layers`` (``codebook.layers_of``).  The
     per-point arrays (ids, masses, gains, contribution matrix) are fixed at
     construction and read-only, as are the tables of its depth (``_tables``).
+    The contribution matrix is built from the kept (point, bottom beam)
+    entries only, scattered into zeros, with the dense product's bits.
     ``update`` folds in an observation: points and bottom beams drop out and
     the observed beam becomes the ``root``.  ``uniform_fallback`` engages
     when every contribution is gone (noise pruned everything), after which
@@ -122,9 +124,11 @@ class SearchState:
             keep &= np.argsort(np.argsort(-bottom, axis=1, kind="stable"), axis=1) < retain_beams
         # fixed per-point contribution to each bottom beam's weight, and its
         # nonzero entries in row-major order (see _derive_view)
-        self.contrib = self.point_mass[:, None] * bottom * keep
-        nonzero = np.nonzero(self.contrib)
-        self._nonzero = tuple(map(_read_only, (*nonzero, self.contrib[nonzero])))
+        r, c = np.nonzero(keep)
+        v = self.point_mass[r] * bottom[r, c]
+        self._nonzero = tuple(_read_only(a[v != 0]) for a in (r, c, v))
+        self.contrib = np.zeros(bottom.shape)
+        self.contrib[self._nonzero[:2]] = self._nonzero[2]
         for name in ("point_ids", "point_mass", "gains", "contrib"):
             setattr(self, name, _read_only(getattr(self, name)))
         self.point_alive = np.ones(len(self.point_ids), dtype=bool)

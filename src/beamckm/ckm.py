@@ -61,10 +61,11 @@ class GridSpec:
             raise ValueError("grid extents must be positive")
         cells = self.extent_x / self.spacing_x * (self.extent_y / self.spacing_y)
         count = self.num_points if math.isfinite(cells) else cells  # inf or nan: uncountable
-        if not count <= MAX_GRID_POINTS:
+        if not 0 < count <= MAX_GRID_POINTS:
             raise ValueError(
                 f"grid of extents ({self.extent_x}, {self.extent_y}) at spacings "
-                f"({self.spacing_x}, {self.spacing_y}) has too many points for a map ({count})"
+                f"({self.spacing_x}, {self.spacing_y}) has "
+                f"{'no' if count == 0 else 'too many'} points for a map ({count})"
             )
 
     @property

@@ -13,14 +13,17 @@ stream.  ``run_trials`` seeds them with ``streams.seed_words`` tables,
 which reproduce numpy's seeding bit for bit: the positions in one, the
 noise streams in one per chunk of ``CHUNK_TRIALS`` trials.  It draws each
 noise stream once per chunk, as a block of its first normals that every
-algorithm reads from the start.  Every algorithm runs as array rounds
-over one ``channel.Episodes`` batch of all (trial, user) episodes of the
-chunk at one SNR point, which counts their probes, the overheads; the
-map-aided ones start from each user's built search state.
+algorithm reads from the start.  The oracle gains of every drawn point come
+from one product stacked over points and codebook row blocks.  Every
+algorithm runs as array rounds over one ``channel.Episodes`` batch of all
+(trial, user) episodes of the chunk at one SNR point, which counts their
+probes, the overheads; the map-aided ones start from each user's built
+search state.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import dataclasses
 import functools
@@ -262,17 +265,20 @@ def _at(where: str, fn):
         raise ValueError(f"{where}: {exc}") from None
 
 
-def _rect_axes(grid: GridSpec, rect) -> tuple[np.ndarray, np.ndarray]:
-    """Column and row indices of the grid cells whose centers a rect covers."""
-    x0, y0, x1, y1 = rect
-    x, y = grid.cell_center(np.arange(grid.nx), np.arange(grid.ny))
-    ix = np.flatnonzero((x >= x0) & (x <= x1))
-    iy = np.flatnonzero((y >= y0) & (y <= y1))
-    if ix.size == 0 or iy.size == 0:
+def _rect_axes(grid: GridSpec, rect) -> tuple[range, range]:
+    """Column and row ranges of the grid cells whose centers a rect covers, by
+    bisection without axis arrays: a center never decreases with its index."""
+    def covered(n: int, lo: float, hi: float, axis: int) -> range:
+        cells, at = range(n), lambda i: grid.cell_center(i, i)[axis]
+        return range(bisect.bisect_left(cells, lo, key=at), bisect.bisect_right(cells, hi, key=at))
+
+    x0, y0, x1, y1 = map(float, rect)
+    ix, iy = covered(grid.nx, x0, x1, 0), covered(grid.ny, y0, y1, 1)
+    if not ix or not iy:
         raise ValueError(f"rect {rect} covers no grid point")
-    if ix.size * iy.size > MAX_REGION_POINTS:
+    if len(ix) * len(iy) > MAX_REGION_POINTS:
         raise ValueError(
-            f"rect {rect} covers {ix.size * iy.size} grid points, more than {MAX_REGION_POINTS}"
+            f"rect {rect} covers {len(ix) * len(iy)} grid points, more than {MAX_REGION_POINTS}"
         )
     return ix, iy
 
@@ -282,13 +288,13 @@ def _region_size(grid: GridSpec, region: RegionSpec) -> int:
     if region.rect is None:
         return len(region.points)
     ix, iy = _rect_axes(grid, region.rect)
-    return ix.size * iy.size
+    return len(ix) * len(iy)
 
 
 def region_points(grid: GridSpec, region: RegionSpec) -> np.ndarray:
     """Grid-point indices covered by one region, ascending."""
     if region.rect is not None:
-        ix, iy = _rect_axes(grid, region.rect)
+        ix, iy = (np.arange(r.start, r.stop) for r in _rect_axes(grid, region.rect))
         return (iy[:, None] * grid.nx + ix).ravel()
     idx = np.array([grid.snap_index(p) for p in region.points], dtype=np.int64)
     if len(np.unique(idx)) != len(idx):
@@ -401,8 +407,9 @@ def run_trials(
     for snr, sigma in zip(snrs, sigmas):  # alg3 sums up to 2N-2 squared magnitudes
         if not math.isfinite((64.0 * sigma) * (64.0 * sigma) * len(codebook)):
             raise ValueError(f"SNR point {snr!r} dB is too low: probe magnitudes would overflow")
-    # row blocks OpenBLAS multiplies on this thread, bit for bit as one product
-    row_blocks = np.split(codebook[layer_rows(L)], max(1, 2**L // max(4, 2048 // 2**L)))
+    # row blocks OpenBLAS multiplies on this thread, bit for bit as one product;
+    # one product stacked over points and blocks keeps each (point, block)'s bits
+    blocks = codebook[layer_rows(L)].reshape(max(1, 2**L // max(4, 2048 // 2**L)), -1, 2**L)
     # Every trial's positions first, then one traced batch of the distinct
     # grid points, in order of first draw, so an unreachable point is
     # reported as the first trial to draw it would.
@@ -419,11 +426,11 @@ def run_trials(
     channels = synthesize_channel(
         config.environment, config.array, ckm.grid.positions(np.fromiter(row_of, np.int64))
     )
-    gains = [np.abs(np.concatenate([b @ hc for b in row_blocks])) for hc in np.conj(channels)]
+    gains = np.abs(blocks[None] @ np.conj(channels)[:, None, :, None]).reshape(len(channels), -1)
     # the codeword responses of every drawn point, each computed on first
     # use and shared by every SNR and algorithm of this call
     resp = Responses(channels, codebook)
-    best = [BeamId(L, int(np.argmax(g)) + 1) for g in gains]
+    best = [BeamId(L, i) for i in (np.argmax(gains, axis=1) + 1).tolist()]
     # each user's search state is built once: every episode starts from it,
     # alg1 and alg2 walk the tree cached in its views, alg3 folds copies
     states = [

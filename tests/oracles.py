@@ -6,13 +6,16 @@ from per-layer prefix sums, its plan by enumerating every activation, the
 pruning kernel's cosine one profile at a time, the channel vectors with one
 steering vector per (point, slot), the codebook with one ``norm`` per
 upper-layer row, the codeword responses with one ``np.vdot`` per entry,
-the array response and beam support in closed form, a search state's
-derived view from scratch on every call, without the memo of views its
-copies share, the per-episode probe input (``Link``, ``probe_rows``),
-the map-blind baselines and the map-aided single-user searches one
-episode at a time over a ``Link``, one ``probe_round`` per round, and
-the joint alg3 search one trial at a time, one ``prune_user_points`` per
-user and round.  None of them runs in a sweep or a map build.
+the array response and beam support in closed form, the oracle gains of
+drawn channels with one product per (point, row block), a search state's
+contributions as one dense product, its derived view from scratch on
+every call, without the memo of views its copies share, a prior rect's
+covered cells by testing every axis center, the batched probe with every
+group's noise gathered through an index array, the per-episode probe
+input (``Link``, ``probe_rows``), the map-blind baselines and the
+map-aided single-user searches one episode at a time over a ``Link``, one
+``probe_round`` per round, and the joint alg3 search one trial at a time,
+one ``prune_user_points`` per user and round.  None of them runs in a sweep or a map build.
 """
 
 import numpy as np
@@ -78,6 +81,47 @@ def responses_by_vdot(channels: np.ndarray, codewords: np.ndarray, points, rows)
     ps, rs = np.broadcast_arrays(points, rows)
     out = [np.vdot(table[p], codewords[r]) for p, r in zip(ps.ravel().tolist(), rs.ravel().tolist())]
     return np.array(out, dtype=np.complex128).reshape(ps.shape)
+
+
+def gains_per_point(blocks: np.ndarray, channels: np.ndarray) -> np.ndarray:
+    """``run_trials``' oracle gains, one product per (point, block) of the
+    bottom layer's codeword row ``blocks`` ((n_blocks, rows, N)), one row of
+    bottom-beam gains per channel."""
+    return np.array([np.abs(np.concatenate([b @ hc for b in blocks]))
+                     for hc in np.conj(channels)])
+
+
+def dense_contributions(point_mass: np.ndarray, bottom: np.ndarray, keep: np.ndarray):
+    """``SearchState``'s contribution matrix and its nonzero (row, column,
+    value) entries in row-major order, from the dense product of every
+    point's mass, bottom-beam gains and kept mask."""
+    contrib = point_mass[:, None] * bottom * keep
+    nonzero = np.nonzero(contrib)
+    return contrib, (*nonzero, contrib[nonzero])
+
+
+def rect_axes(grid, rect) -> tuple[np.ndarray, np.ndarray]:
+    """Column and row indices of the grid cells whose centers a rect covers
+    (bounds closed), by testing every center of both axes."""
+    x0, y0, x1, y1 = rect
+    x, y = grid.cell_center(np.arange(grid.nx), np.arange(grid.ny))
+    return np.flatnonzero((x >= x0) & (x <= x1)), np.flatnonzero((y >= y0) & (y <= y1))
+
+
+def probe_by_gather(batch, eps: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``channel.probe_episodes`` gathering every group's noise through an
+    (episodes x probes) index array, whether its episodes share one offset
+    or not."""
+    m = rows.shape[-1]
+    y = batch.resp.take(batch.points[eps, None], rows)
+    start = batch.used[eps]
+    batch.used[eps] = end = start + m
+    if batch.noise_std <= 0.0:
+        return np.abs(y)
+    if end.max() > batch.block.shape[1]:
+        batch.block = normal_blocks(batch.words, max(int(end.max()), 2 * batch.block.shape[1]))
+    z = batch.block.view(np.complex128)[..., 0][eps[:, None], start[:, None] + np.arange(m)]
+    return np.abs(y + batch.noise_std / np.sqrt(2.0) * z)
 
 
 def beam_support(beam: BeamId) -> tuple[float, float]:

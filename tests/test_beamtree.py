@@ -897,3 +897,42 @@ class TestOnePassDerivation:
             assert view.rows.dtype == rows.dtype and view.rows.tobytes() == rows.tobytes()
             assert view.starts == starts
             assert not (view.weights.flags.writeable or view.rows.flags.writeable)
+
+
+def assert_dense_contributions(state, retain):
+    """The state's ``contrib`` and ``_nonzero`` triple hold the bytes of the
+    dense product over the retention rule's kept mask."""
+    bottom = state.gains[:, layer_rows(state.num_layers)]
+    keep = threshold_keep_oracle(bottom, state.beta, retain)
+    contrib, nonzero = oracles.dense_contributions(state.point_mass, bottom, keep)
+    assert state.contrib.shape == contrib.shape and state.contrib.tobytes() == contrib.tobytes()
+    for got, want in zip(state._nonzero, nonzero, strict=True):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+    assert not state.contrib.flags.writeable
+    return keep
+
+
+class TestSparseContributions:
+    """A state builds its contributions from the kept (point, beam) entries
+    only and scatters them into zeros; they keep the bytes of the dense
+    ``point_mass[:, None] * bottom * keep`` (``oracles.dense_contributions``)."""
+
+    @pytest.mark.parametrize("retain", [None, 1, 2])
+    @pytest.mark.parametrize("name", ["desk", "large", "deep"])
+    def test_scene_priors(self, name, retain):
+        config, ckm = scene_map(name)
+        for prior in config.priors:
+            state = bc.beamtree.compute_point_weights(ckm, prior, config.beta, retain_beams=retain)
+            assert_dense_contributions(state, retain)
+
+    @pytest.mark.parametrize("retain", [None, 1, 2])
+    def test_point_without_gain_keeps_every_beam_and_contributes_nothing(self, retain):
+        gains = np.zeros((3, layer_start(4)))
+        gains[0, layer_rows(3)] = [0.0, 1.0, 0.7, 0.2, 0.0, 0.6, 0.9, 0.1]
+        gains[2, layer_rows(3)] = [0.3, 0.0, 0.0, 0.8, 0.8, 0.0, 0.0, 0.5]
+        state = beamtree.SearchState([4, 5, 6], [0.25, 0.5, 0.25], gains, 0.5, retain)
+        keep = assert_dense_contributions(state, retain)
+        assert keep[1].sum() == (8 if retain is None else retain)
+        assert not state.contrib[1].any() and 1 not in state._nonzero[0]
+        assert state.contrib[[0, 2]].any(axis=1).all()

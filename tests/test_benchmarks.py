@@ -10,7 +10,10 @@ engine (best and median) beside the per-episode oracle, count
 trial-rounds against joint keys and fold members against the states and
 views they folded into, and report equal records, and the batched
 baselines, alg1 and alg2 the records of their per-episode oracles, each
-time as best (median)."""
+time as best (median).  The call set-up section must time, per scene,
+the cold against the cached codebook, the per-point against the stacked
+oracle gains, the dense against the sparse contributions and the
+gathered against the sliced baseline noise, each pair with equal bytes."""
 
 import importlib.util
 import re
@@ -25,7 +28,8 @@ def test_bench_kernels_runs(capsys):
     spec.loader.exec_module(module)
     argv = ["--trees", "2", "--layers", "5", "7", "--repeat", "1", "--map-spacing", "8",
             "--streams", "7", "50", "--alg3-trials", "2", "2", "1",
-            "--alg3-full-trials", "2", "1", "1", "--baseline-trials", "3", "2"]
+            "--alg3-full-trials", "2", "1", "1", "--baseline-trials", "3", "2",
+            "--setup-trials", "2", "2", "1"]
     assert module.main(argv) == 0
     out = capsys.readouterr().out.splitlines()
     lines = [l.split() for l in out if "same layer: True" in l]
@@ -64,6 +68,13 @@ def test_bench_kernels_runs(capsys):
     batched = [l for l in out if "batched=" in l]
     assert len(batched) == 8 and all(
         re.search(f"batched= *{timed_ms}.*per-episode= *{timed_ms}", l) for l in batched)
+    # the call set-up: each stage's old form against its new one, best (median) in ms
+    setup = [l for l in out if "same bytes: True" in l]
+    assert [l.split()[0] for l in setup] == list(scenes)
+    pairs = [("build_codebook cold", "cached"), ("oracle gains per point", "stacked"),
+             ("contributions dense", "sparse"), ("baseline-exhaustive noise gathered", "sliced")]
+    pattern = "  ".join(f"{old}= *{timed} {new}= *{timed} ms" for old, new in pairs)
+    assert all(re.search(pattern, l) for l in setup)
 
 
 def test_map_round_trip_reports_same_map(capsys):

@@ -23,6 +23,7 @@ import beamckm as bc
 from beamckm import channel
 from beamckm.channel import trace_point_paths
 from beamckm.codebook import layer_rows, row_of
+from beamckm.streams import normal_blocks, seed_words
 
 import oracles
 from conftest import noise_of
@@ -440,6 +441,37 @@ class TestProbeRows:
             bc.channel.Responses(np.ones(8, dtype=complex), cb)
         with pytest.raises(ValueError, match="dimension mismatch"):
             bc.channel.Responses(np.ones(16, dtype=complex), cb[0])
+
+
+class TestProbeEpisodes:
+    """``probe_episodes`` reads a group's noise as one slice when all its
+    episodes start at one offset, and gathers it otherwise; both keep the
+    bytes of the index gather (``oracles.probe_by_gather``)."""
+
+    def test_shared_and_differing_offsets_keep_the_gathered_bytes(self):
+        n, E = 16, 6
+        draw = np.random.default_rng(17)
+        resp = bc.channel.Responses(random_channels(draw, E, n), bc.build_codebook(n))
+        words = seed_words([5, 202], np.arange(E)[:, None])
+        batches = [bc.channel.Episodes(resp, 0.3, np.arange(E) % 4, normal_blocks(words, 8), words)
+                   for _ in range(2)]
+        every, odd, even = np.arange(E), np.arange(1, E, 2), np.arange(0, E, 2)
+        calls = [
+            (every, np.array([2, 3]), True),  # all at offset 0
+            (even, np.array([[6, 7, 8], [8, 9, 10], [0, 1, 2]]), True),  # even ones at 2
+            (every, np.array([4, 5, 6, 7]), False),  # at 5 and 2
+            (odd, np.array([11, 12]), True),  # odd ones at 6
+            (every, np.arange(14, 20), False),  # at 9 and 8, past the block of 8 pairs
+            (every[::-1], np.arange(20, 23), False),
+        ]
+        for eps, rows, shared in calls:
+            start = batches[0].used[eps]
+            assert (start == start[0]).all() == shared
+            got = bc.channel.probe_episodes(batches[0], eps, rows)
+            want = oracles.probe_by_gather(batches[1], eps, rows)
+            assert got.shape == (len(eps), rows.shape[-1]) and got.tobytes() == want.tobytes()
+            assert batches[0].used.tolist() == batches[1].used.tolist()
+        assert batches[0].block.shape[1] > 8
 
 
 def random_channels(draw, count: int, n: int) -> np.ndarray:

@@ -6,6 +6,7 @@ contents by probing a freshly synthesized channel at every grid point.
 
 import dataclasses
 import math
+import re
 import struct
 import tracemalloc
 from pathlib import Path
@@ -93,6 +94,15 @@ class TestGridSpec:
             bc.GridSpec(most + 1, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError, match=r"too many points for a map \(4900000000\)"):
             bc.GridSpec(70_000.0, 70_000.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("args", [(1e-300, 1.0, 1e300, 1.0), (1.0, 1e-300, 1.0, 1e300)])
+    def test_rejects_a_grid_without_points(self, args):
+        """Positive extents whose ratio to the spacing underflows count no
+        cell; the grid is rejected with its extents and spacings named."""
+        ex, ey, sx, sy = args
+        named = f"extents ({ex}, {ey}) at spacings ({sx}, {sy}) has no points for a map (0)"
+        with pytest.raises(ValueError, match=re.escape(named)):
+            bc.GridSpec(*args)
 
     def test_counts_round_up_partial_cells(self):
         grid = bc.GridSpec(extent_x=10.0, extent_y=7.0, spacing_x=3.0, spacing_y=2.0)

@@ -477,6 +477,63 @@ class TestRegions:
         want = (np.arange(200, 207)[:, None] * 2000 + np.arange(100, 107)).ravel()
         np.testing.assert_array_equal(idx, want)
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_rect_ranges_equal_the_axis_tests(self, data):
+        """The bisected column and row ranges cover exactly the cells whose
+        centers pass the closed bound tests over both axes
+        (``oracles.rect_axes``), on grids whose far origins collapse
+        neighbouring centers onto one float, with rect edges on centers,
+        one float off them, or anywhere."""
+        sizes = [data.draw(st.floats(1e-3, 1e3)) for _ in range(2)]
+        spacings = [data.draw(st.floats(e / 400, e * 2)) for e in sizes]
+        origin = tuple(data.draw(st.one_of(st.floats(-1e3, 1e3), st.sampled_from([1e15, -3e16])))
+                       for _ in range(2))
+        grid = bc.GridSpec(*sizes, *spacings, origin=origin)
+        edges = []
+        for axis, n in enumerate((grid.nx, grid.ny)):
+            centers = grid.cell_center(np.arange(n), np.arange(n))[axis]
+            lo, hi = float(centers[0]), float(centers[-1])
+            edge = st.one_of(
+                st.sampled_from(centers.tolist()),
+                st.sampled_from(centers.tolist()).map(lambda c: float(np.nextafter(c, -np.inf))),
+                st.sampled_from(centers.tolist()).map(lambda c: float(np.nextafter(c, np.inf))),
+                st.floats(lo - abs(lo) - 1.0, hi + abs(hi) + 1.0),
+            )
+            edges.append(sorted(data.draw(edge) for _ in range(2)))
+        rect = (edges[0][0], edges[1][0], edges[0][1], edges[1][1])
+        want = oracles.rect_axes(grid, rect)
+        if not (want[0].size and want[1].size):
+            with pytest.raises(ValueError, match="covers no grid point"):
+                bc.harness._rect_axes(grid, rect)
+            return
+        got = bc.harness._rect_axes(grid, rect)
+        assert [list(r) for r in got] == [w.tolist() for w in want]
+        region = bc.RegionSpec(prior=1.0, rect=rect)
+        assert bc.harness._region_size(grid, region) == want[0].size * want[1].size
+        ids = bc.harness.region_points(grid, region)
+        assert ids.dtype == np.int64
+        assert ids.tolist() == (want[1][:, None] * grid.nx + want[0]).ravel().tolist()
+
+    def test_long_grid_loads_without_axis_arrays(self):
+        """A 4e8 x 1-point grid fits a map record, and a scenario on it
+        loads in well under a megabyte: no axis of cell centers is built
+        (one would take 3.2 GB)."""
+        d = scenario_dict()
+        d["grid"]["extent_x"], d["grid"]["extent_y"] = 4e8, 1.0
+        d["users"][0]["subregions"] = [{"prior": 0.5, "rect": [2.0, 0.0, 8.0, 1.0]},
+                                       {"prior": 0.5, "rect": [3.9e8, 0.0, 3.9e8 + 7.0, 1.0]}]
+        bc.scenario_from_dict(scenario_dict())  # numpy's lazy imports are not the grid's
+        tracemalloc.start()
+        try:
+            cfg = bc.scenario_from_dict(d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert cfg.grid.num_points == 400_000_000
+        assert cfg.priors[0].points.tolist() == [*range(2, 8), *range(390_000_000, 390_000_007)]
+
     def test_points_snap_to_grid(self):
         grid = self.grid()
         region = bc.RegionSpec(prior=1.0, points=((12.0, 8.5), (12.9, 9.4)))
@@ -534,8 +591,8 @@ class TestRegions:
 
     def test_fine_grid_loads_in_memory_of_its_covered_points(self):
         # 4.1e7 grid points, 1.6e6 of them in a prior: the priors hold
-        # about 25 MB of int64 ids and float64 masses, and the per-axis rect
-        # tests about 10 MB; a Python int per covered point would take more
+        # about 25 MB of int64 ids and float64 masses; a Python int per
+        # covered point would take more
         d = copy.deepcopy(DESK)
         d["grid"]["spacing_x"] = 1e-4
         tracemalloc.start()
@@ -552,7 +609,7 @@ class TestRegions:
     def test_region_covering_too_many_points_rejected(self):
         # 7e5 columns x 17 rows: about 1.2e7 covered points, whose ids and
         # masses alone would take 190 MB; the count is checked from the
-        # per-axis hits before any id array is built
+        # per-axis ranges before any id array is built
         d = copy.deepcopy(DESK)
         d["grid"]["spacing_x"] = 1e-5
         d["users"] = [{"subregions": [{"prior": 1.0, "rect": [10.0, 38.0, 17.0, 55.0]}]}]
