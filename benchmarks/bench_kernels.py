@@ -61,20 +61,16 @@ over a ``Link`` per episode of the batch, each best and median of
 ``--repeat`` calls.  The comparison asserts equal records.
 
 Call set-up: on the desk, large and deep scenes, at the trial counts of
-perfbench's timed calls (30 desk, 20 large, 16 deep by default), the
-stages that one ``run_trials`` call pays before its searches, each
-against the form it replaced, best and median of ``--repeat`` alternated
-calls: ``build_codebook`` cold (``build_codebook.__wrapped__``) against
-its cached matrix; the call's drawn points' oracle gains, one product
-per (point, row block) (``oracles.gains_per_point``) against one product
-stacked over both; every user's contributions from the dense product
-(``oracles.dense_contributions``) against the products of the kept
-entries scattered into zeros; and a 10 dB baseline-exhaustive batch of
-the call's episodes, one group at one offset that reads N noise pairs
-per episode, probing with the noise sliced against gathered through an
-index array (``oracles.probe_by_gather``).  Each pair must give equal
-bytes (both contribution builds those of the built states, the baseline
-the same beams and probe counts).
+perfbench's timed calls (30 desk, 20 large, 16 deep by default), two
+stages that one ``run_trials`` call pays before its searches, best and
+median of ``--repeat`` alternated calls: the call's drawn points' oracle
+gains, one product per (point, row block) (``oracles.gains_per_point``)
+against ``harness._bottom_gains``, one product stacked over both; and
+every user's ``SearchState`` built from its prior's points, masses and
+gains, beside the dense contribution product alone
+(``oracles.dense_contributions``) that the state's sparse build replaced.
+Each pair must give equal bytes (the dense product those of the built
+states' contributions).
 
 alg1 and alg2: on the desk and large scenes, one ``run_trials`` call of
 each at the config's SNR points, which runs every (trial, user) episode
@@ -98,7 +94,7 @@ import numpy as np
 
 import beamckm as bc
 from beamckm import ckm, harness, kernels, lookahead, multiuser, strategy
-from beamckm.streams import normal_blocks, pcg64_state, seed_words
+from beamckm.streams import pcg64_state, seed_words
 from beamckm.channel import channel_vectors, trace_point_paths
 from beamckm.codebook import beam_index, layer_rows, layer_start, layers_of
 
@@ -434,33 +430,6 @@ def bench_baselines(trials_per_scene, repeat: int) -> None:
 SETUP_SCENES = ("desk", "large", "deep")
 
 
-def stacked_gains(blocks, channels):
-    """``run_trials``' oracle gains: one product stacked over points and blocks."""
-    return np.abs(blocks[None] @ np.conj(channels)[:, None, :, None]).reshape(len(channels), -1)
-
-
-def kept_entries(state):
-    """A built state's point masses, bottom-beam gains and kept mask: each
-    point's beams within ``beta`` of its best, capped to ``retain_beams``."""
-    bottom = state.gains[:, layer_rows(state.num_layers)]
-    keep = bottom >= state.beta * bottom.max(axis=1, keepdims=True)
-    if state.retain_beams is not None:
-        rank = np.argsort(np.argsort(-bottom, axis=1, kind="stable"), axis=1)
-        keep &= rank < state.retain_beams
-    return state.point_mass, bottom, keep
-
-
-def sparse_contributions(point_mass, bottom, keep):
-    """``SearchState``'s contribution build: the products of the kept
-    entries, their nonzero ones scattered into zeros."""
-    r, c = np.nonzero(keep)
-    v = point_mass[r] * bottom[r, c]
-    nonzero = tuple(a[v != 0] for a in (r, c, v))
-    contrib = np.zeros(bottom.shape)
-    contrib[nonzero[:2]] = nonzero[2]
-    return contrib, nonzero
-
-
 def alternated(pairs, repeat: int):
     """Each ``(fn, args)`` of ``pairs`` called once per round for ``repeat``
     rounds: the last output, and the least and median time of each."""
@@ -474,63 +443,42 @@ def alternated(pairs, repeat: int):
 
 
 def bench_call_setup(trials_per_scene, repeat: int) -> None:
-    print("call set-up, per run_trials call at perfbench's call sizes, old form against "
-          "new, best (median) of the alternated repeats:")
+    print("call set-up, per run_trials call at perfbench's call sizes, "
+          "best (median) of the alternated repeats:")
     for scene, n in zip(SETUP_SCENES, trials_per_scene):
         config = bc.load_scenario(ROOT / "configs" / f"{scene}.json")
         n_ant, K = config.array.num_antennas, len(config.priors)
-        bc.build_codebook(n_ant)  # the cache holds it before the first timed call
-        (cold, *t_cold), (book, *t_hit) = alternated(
-            [(bc.build_codebook.__wrapped__, (n_ant,)), (bc.build_codebook, (n_ant,))], repeat)
-        assert cold.tobytes() == book.tobytes(), f"cold and cached codebooks differ on {scene}"
+        book = bc.build_codebook(n_ant)
         gain_map = bc.build_ckm(config.environment, config.array, book, config.grid)
         rng = np.random.default_rng(0)
         drawn = [bc.position.sample_true_position(config.priors[e % K], rng) for e in range(n * K)]
-        points = np.array(list(dict.fromkeys(drawn)))  # distinct, in order of first draw
+        points = list(dict.fromkeys(drawn))  # distinct, in order of first draw
         channels = bc.channel.synthesize_channel(
-            config.environment, config.array, config.grid.positions(points))
+            config.environment, config.array, config.grid.positions(np.array(points)))
         L = gain_map.num_layers
-        blocks = book[layer_rows(L)].reshape(max(1, 2**L // max(4, 2048 // 2**L)), -1, 2**L)
         (per_point, *t_pp), (stacked, *t_st) = alternated(
-            [(oracles.gains_per_point, (blocks, channels)), (stacked_gains, (blocks, channels))],
-            repeat)
+            [(oracles.gains_per_point, (book, channels, L)),
+             (harness._bottom_gains, (book, channels, L))], repeat)
         assert per_point.tobytes() == stacked.tobytes(), f"oracle gains differ on {scene}"
-        states = [bc.beamtree.compute_point_weights(gain_map, p, config.beta, config.retain_beams)
-                  for p in config.priors]
-        entries = [kept_entries(s) for s in states]
-        (dense, *t_dense), (sparse, *t_sparse) = alternated(
-            [(lambda: [oracles.dense_contributions(*e) for e in entries], ()),
-             (lambda: [sparse_contributions(*e) for e in entries], ())], repeat)
-        for state, d, sp in zip(states, dense, sparse):
-            for arrays in (d, sp):
-                assert arrays[0].tobytes() == state.contrib.tobytes() and all(
-                    a.tobytes() == b.tobytes() for a, b in zip(arrays[1], state._nonzero)
-                ), f"contributions differ from the dense product on {scene}"
-        resp = bc.channel.Responses(channels, book)
-        sigma = harness.noise_std_for_snr(10.0, gain_map.reference_gain)
-        row = {p: i for i, p in enumerate(points.tolist())}
-        episodes = np.array([row[p] for p in drawn])  # each episode's channel
-        words = seed_words([0, 202], np.arange(len(episodes))[:, None])
-        block = normal_blocks(words, 2**L)
-
-        def exhaustive(probe):
-            with mock.patch.object(harness, "probe_episodes", probe):
-                batch = bc.channel.Episodes(resp, sigma, episodes, block, words)
-                return harness.baseline_exhaustive(batch)
-
-        (gathered, *t_ga), (sliced, *t_sl) = alternated(
-            [(exhaustive, (oracles.probe_by_gather,)), (exhaustive, (bc.channel.probe_episodes,))],
-            repeat)
-        assert gathered[0] == sliced[0] and gathered[1].tolist() == sliced[1].tolist()
+        inputs = [(s.point_ids, s.point_mass, s.gains, s.beta, s.retain_beams) for s in (
+            bc.beamtree.compute_point_weights(gain_map, p, config.beta, config.retain_beams)
+            for p in config.priors)]
+        kept = [(ids, mass, gains[:, layer_rows(L)], oracles.threshold_keep(
+            gains[:, layer_rows(L)], beta, retain)) for ids, mass, gains, beta, retain in inputs]
+        (states, *t_state), (dense, *t_dense) = alternated(
+            [(lambda: [bc.beamtree.SearchState(*i) for i in inputs], ()),
+             (lambda: [oracles.dense_contributions(m, b, k) for _, m, b, k in kept], ())], repeat)
+        for state, (contrib, nonzero) in zip(states, dense):
+            assert contrib.tobytes() == state.contrib.tobytes() and all(
+                a.tobytes() == b.tobytes() for a, b in zip(nonzero, state._nonzero, strict=True)
+            ), f"contributions differ from the dense product on {scene}"
 
         def ms(best, median):
             return f"{best * 1e3:7.3f} ({median * 1e3:7.3f})"
 
         print(f"  {scene:5s} N={n_ant} trials={n} points={len(points)} users={K}  "
-              f"build_codebook cold={ms(*t_cold)} cached={ms(*t_hit)} ms  "
               f"oracle gains per point={ms(*t_pp)} stacked={ms(*t_st)} ms  "
-              f"contributions dense={ms(*t_dense)} sparse={ms(*t_sparse)} ms  "
-              f"baseline-exhaustive noise gathered={ms(*t_ga)} sliced={ms(*t_sl)} ms  "
+              f"states built={ms(*t_state)} dense contributions alone={ms(*t_dense)} ms  "
               "same bytes: True")
 
 

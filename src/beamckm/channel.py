@@ -304,10 +304,7 @@ def probe_episodes(batch: Episodes, eps: np.ndarray, rows: np.ndarray) -> np.nda
     if end.max() > batch.block.shape[1]:  # a longer prefix of every stream
         width = max(int(end.max()), 2 * batch.block.shape[1])
         batch.block = normal_blocks(batch.words, width)
-    z, s0 = batch.block.view(np.complex128)[..., 0], start[0]
-    # a slice when the group shares one offset, as every baseline and alg1/alg2 group does
-    z = z[eps, s0 : s0 + m] if (start == s0).all() else (
-        z[eps[:, None], start[:, None] + np.arange(m)])
+    z = batch.block.view(np.complex128)[..., 0][eps[:, None], start[:, None] + np.arange(m)]
     return np.abs(y + batch.noise_std / np.sqrt(2.0) * z)
 
 

@@ -16,7 +16,6 @@ other module spells it out.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -81,13 +80,11 @@ def beam_index(rows, layer: int):
     return rows - (layer_start(layer) - 1)
 
 
-@functools.cache
 def build_codebook(num_antennas: int) -> np.ndarray:
     """All codewords of the hierarchy for a power-of-two array size N >= 4:
     a read-only (2N-2, N) complex matrix, one unit-norm codeword per row in
     canonical order (layer 1 first, indices ascending within a layer;
-    ``row_of``).  Cached per N, 32 (N - 1) N bytes (8.4 MB at N=512), as a view
-    over a read-only base that no caller can make writeable; a bad N always raises."""
+    ``row_of``)."""
     if num_antennas < 4 or num_antennas & (num_antennas - 1) != 0:
         raise ValueError(f"num_antennas must be a power of two >= 4, got {num_antennas}")
     n_ant = num_antennas
@@ -108,4 +105,4 @@ def build_codebook(num_antennas: int) -> np.ndarray:
         norms = np.sqrt(np.vecdot(block.real, block.real) + np.vecdot(block.imag, block.imag))
         cw[layer_rows(layer)] = block / norms[:, None]
     cw.flags.writeable = False
-    return cw.view()
+    return cw

@@ -375,6 +375,15 @@ def _finish(
     return TrialRecord(trial, algo, snr, user, overhead, chosen, oracle, ratio_db, se)
 
 
+def _bottom_gains(codebook: np.ndarray, channels: np.ndarray, num_layers: int) -> np.ndarray:
+    """Every channel's bottom-layer oracle gains, one row each: one product
+    stacked over channels and the row blocks OpenBLAS multiplies on this
+    thread bit for bit as one product, so each keeps its own product's bits."""
+    L = num_layers
+    blocks = codebook[layer_rows(L)].reshape(max(1, 2**L // max(4, 2048 // 2**L)), -1, 2**L)
+    return np.abs(blocks[None] @ np.conj(channels)[:, None, :, None]).reshape(len(channels), -1)
+
+
 def run_trials(
     config: ScenarioConfig,
     ckm: CkmGrid,
@@ -407,9 +416,6 @@ def run_trials(
     for snr, sigma in zip(snrs, sigmas):  # alg3 sums up to 2N-2 squared magnitudes
         if not math.isfinite((64.0 * sigma) * (64.0 * sigma) * len(codebook)):
             raise ValueError(f"SNR point {snr!r} dB is too low: probe magnitudes would overflow")
-    # row blocks OpenBLAS multiplies on this thread, bit for bit as one product;
-    # one product stacked over points and blocks keeps each (point, block)'s bits
-    blocks = codebook[layer_rows(L)].reshape(max(1, 2**L // max(4, 2048 // 2**L)), -1, 2**L)
     # Every trial's positions first, then one traced batch of the distinct
     # grid points, in order of first draw, so an unreachable point is
     # reported as the first trial to draw it would.
@@ -426,7 +432,7 @@ def run_trials(
     channels = synthesize_channel(
         config.environment, config.array, ckm.grid.positions(np.fromiter(row_of, np.int64))
     )
-    gains = np.abs(blocks[None] @ np.conj(channels)[:, None, :, None]).reshape(len(channels), -1)
+    gains = _bottom_gains(codebook, channels, L)
     # the codeword responses of every drawn point, each computed on first
     # use and shared by every SNR and algorithm of this call
     resp = Responses(channels, codebook)

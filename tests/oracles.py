@@ -8,14 +8,14 @@ steering vector per (point, slot), the codebook with one ``norm`` per
 upper-layer row, the codeword responses with one ``np.vdot`` per entry,
 the array response and beam support in closed form, the oracle gains of
 drawn channels with one product per (point, row block), a search state's
-contributions as one dense product, its derived view from scratch on
-every call, without the memo of views its copies share, a prior rect's
-covered cells by testing every axis center, the batched probe with every
-group's noise gathered through an index array, the per-episode probe
-input (``Link``, ``probe_rows``), the map-blind baselines and the
-map-aided single-user searches one episode at a time over a ``Link``, one
-``probe_round`` per round, and the joint alg3 search one trial at a time,
-one ``prune_user_points`` per user and round.  None of them runs in a sweep or a map build.
+kept beams one point at a time and its contributions as one dense
+product, its derived view from scratch on every call, without the memo of
+views its copies share, a prior rect's covered cells by testing every
+axis center, the per-episode probe input (``Link``, ``probe_rows``), the
+map-blind baselines and the map-aided single-user searches one episode at
+a time over a ``Link``, one ``probe_round`` per round, and the joint alg3
+search one trial at a time, one ``prune_user_points`` per user and round.
+None of them runs in a sweep or a map build.
 """
 
 import numpy as np
@@ -83,12 +83,28 @@ def responses_by_vdot(channels: np.ndarray, codewords: np.ndarray, points, rows)
     return np.array(out, dtype=np.complex128).reshape(ps.shape)
 
 
-def gains_per_point(blocks: np.ndarray, channels: np.ndarray) -> np.ndarray:
+def gains_per_point(codebook: np.ndarray, channels: np.ndarray, num_layers: int) -> np.ndarray:
     """``run_trials``' oracle gains, one product per (point, block) of the
-    bottom layer's codeword row ``blocks`` ((n_blocks, rows, N)), one row of
-    bottom-beam gains per channel."""
+    bottom layer's codeword rows, in the blocks OpenBLAS multiplies on this
+    thread, one row of bottom-beam gains per channel."""
+    L = num_layers
+    blocks = np.split(codebook[layer_rows(L)], max(1, 2**L // max(4, 2048 // 2**L)))
     return np.array([np.abs(np.concatenate([b @ hc for b in blocks]))
                      for hc in np.conj(channels)])
+
+
+def threshold_keep(bottom_gains, beta, retain=None):
+    """``SearchState``'s retention rule: per point keep beams within beta of
+    its best, optionally capped to the top-``retain`` (stable order)."""
+    g = np.asarray(bottom_gains, dtype=float)
+    keep = g >= beta * g.max(axis=1, keepdims=True)
+    if retain is not None:
+        for r in range(g.shape[0]):
+            order = np.argsort(-g[r], kind="stable")
+            cut = np.zeros(g.shape[1], dtype=bool)
+            cut[order[:retain]] = True
+            keep[r] &= cut
+    return keep
 
 
 def dense_contributions(point_mass: np.ndarray, bottom: np.ndarray, keep: np.ndarray):
@@ -106,22 +122,6 @@ def rect_axes(grid, rect) -> tuple[np.ndarray, np.ndarray]:
     x0, y0, x1, y1 = rect
     x, y = grid.cell_center(np.arange(grid.nx), np.arange(grid.ny))
     return np.flatnonzero((x >= x0) & (x <= x1)), np.flatnonzero((y >= y0) & (y <= y1))
-
-
-def probe_by_gather(batch, eps: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``channel.probe_episodes`` gathering every group's noise through an
-    (episodes x probes) index array, whether its episodes share one offset
-    or not."""
-    m = rows.shape[-1]
-    y = batch.resp.take(batch.points[eps, None], rows)
-    start = batch.used[eps]
-    batch.used[eps] = end = start + m
-    if batch.noise_std <= 0.0:
-        return np.abs(y)
-    if end.max() > batch.block.shape[1]:
-        batch.block = normal_blocks(batch.words, max(int(end.max()), 2 * batch.block.shape[1]))
-    z = batch.block.view(np.complex128)[..., 0][eps[:, None], start[:, None] + np.arange(m)]
-    return np.abs(y + batch.noise_std / np.sqrt(2.0) * z)
 
 
 def beam_support(beam: BeamId) -> tuple[float, float]:

@@ -40,20 +40,6 @@ from conftest import (
 from oracles import derived_view, pair_weights, prefix_sums
 
 
-def threshold_keep_oracle(bottom_gains, beta, retain=None):
-    """Reference retention rule: per point keep beams within beta of its
-    best, optionally capped to the top-``retain`` (stable order)."""
-    g = np.asarray(bottom_gains, dtype=float)
-    keep = g >= beta * g.max(axis=1, keepdims=True)
-    if retain is not None:
-        for r in range(g.shape[0]):
-            order = np.argsort(-g[r], kind="stable")
-            cut = np.zeros(g.shape[1], dtype=bool)
-            cut[order[:retain]] = True
-            keep[r] &= cut
-    return keep
-
-
 def layer_sum_oracle(bottom_weights):
     """Reference recursion: each upper weight is the sum of its two kids."""
     out = [np.asarray(bottom_weights, dtype=float)]
@@ -110,7 +96,7 @@ class TestThresholdRetention:
             table = bc.beamtree.compute_point_weights(
                 ckm, uniform_prior(np.arange(6)), beta=beta, retain_beams=retain
             )
-            keep = threshold_keep_oracle(stored, beta, retain)
+            keep = oracles.threshold_keep(stored, beta, retain)
             expected = (np.full(6, 1.0 / 6)[:, None] * stored * keep).sum(axis=0)
             np.testing.assert_allclose(bottom_weights(table), expected, rtol=1e-12)
 
@@ -903,7 +889,7 @@ def assert_dense_contributions(state, retain):
     """The state's ``contrib`` and ``_nonzero`` triple hold the bytes of the
     dense product over the retention rule's kept mask."""
     bottom = state.gains[:, layer_rows(state.num_layers)]
-    keep = threshold_keep_oracle(bottom, state.beta, retain)
+    keep = oracles.threshold_keep(bottom, state.beta, retain)
     contrib, nonzero = oracles.dense_contributions(state.point_mass, bottom, keep)
     assert state.contrib.shape == contrib.shape and state.contrib.tobytes() == contrib.tobytes()
     for got, want in zip(state._nonzero, nonzero, strict=True):

@@ -11,9 +11,9 @@ trial-rounds against joint keys and fold members against the states and
 views they folded into, and report equal records, and the batched
 baselines, alg1 and alg2 the records of their per-episode oracles, each
 time as best (median).  The call set-up section must time, per scene,
-the cold against the cached codebook, the per-point against the stacked
-oracle gains, the dense against the sparse contributions and the
-gathered against the sliced baseline noise, each pair with equal bytes."""
+the per-point against the stacked oracle gains and the built search
+states beside the dense contribution product, each pair with equal
+bytes."""
 
 import importlib.util
 import re
@@ -68,11 +68,11 @@ def test_bench_kernels_runs(capsys):
     batched = [l for l in out if "batched=" in l]
     assert len(batched) == 8 and all(
         re.search(f"batched= *{timed_ms}.*per-episode= *{timed_ms}", l) for l in batched)
-    # the call set-up: each stage's old form against its new one, best (median) in ms
+    # the call set-up: per-point against stacked gains, built states beside the dense
+    # product, best (median) in ms
     setup = [l for l in out if "same bytes: True" in l]
     assert [l.split()[0] for l in setup] == list(scenes)
-    pairs = [("build_codebook cold", "cached"), ("oracle gains per point", "stacked"),
-             ("contributions dense", "sparse"), ("baseline-exhaustive noise gathered", "sliced")]
+    pairs = [("oracle gains per point", "stacked"), ("states built", "dense contributions alone")]
     pattern = "  ".join(f"{old}= *{timed} {new}= *{timed} ms" for old, new in pairs)
     assert all(re.search(pattern, l) for l in setup)
 

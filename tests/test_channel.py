@@ -444,17 +444,17 @@ class TestProbeRows:
 
 
 class TestProbeEpisodes:
-    """``probe_episodes`` reads a group's noise as one slice when all its
-    episodes start at one offset, and gathers it otherwise; both keep the
-    bytes of the index gather (``oracles.probe_by_gather``)."""
+    """``probe_episodes`` reads each episode's next noise pairs, whether a
+    group's episodes share one offset or not, with the bytes of one
+    ``oracles.probe_rows`` per episode over its own ``Link``."""
 
-    def test_shared_and_differing_offsets_keep_the_gathered_bytes(self):
+    def test_shared_and_differing_offsets_keep_the_per_episode_bytes(self):
         n, E = 16, 6
         draw = np.random.default_rng(17)
         resp = bc.channel.Responses(random_channels(draw, E, n), bc.build_codebook(n))
         words = seed_words([5, 202], np.arange(E)[:, None])
-        batches = [bc.channel.Episodes(resp, 0.3, np.arange(E) % 4, normal_blocks(words, 8), words)
-                   for _ in range(2)]
+        batch = bc.channel.Episodes(resp, 0.3, np.arange(E) % 4, normal_blocks(words, 8), words)
+        links = oracles.links_of(batch)
         every, odd, even = np.arange(E), np.arange(1, E, 2), np.arange(0, E, 2)
         calls = [
             (every, np.array([2, 3]), True),  # all at offset 0
@@ -465,13 +465,14 @@ class TestProbeEpisodes:
             (every[::-1], np.arange(20, 23), False),
         ]
         for eps, rows, shared in calls:
-            start = batches[0].used[eps]
+            start = batch.used[eps]
             assert (start == start[0]).all() == shared
-            got = bc.channel.probe_episodes(batches[0], eps, rows)
-            want = oracles.probe_by_gather(batches[1], eps, rows)
-            assert got.shape == (len(eps), rows.shape[-1]) and got.tobytes() == want.tobytes()
-            assert batches[0].used.tolist() == batches[1].used.tolist()
-        assert batches[0].block.shape[1] > 8
+            got = bc.channel.probe_episodes(batch, eps, rows)
+            per_episode = np.broadcast_to(rows, (len(eps), rows.shape[-1]))
+            want = np.array([oracles.probe_rows(links[e], r) for e, r in zip(eps, per_episode)])
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert batch.used.tolist() == [link.used for link in links]
+        assert batch.block.shape[1] > 8
 
 
 def random_channels(draw, count: int, n: int) -> np.ndarray:
