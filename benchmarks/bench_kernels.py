@@ -1,6 +1,6 @@
 """Benchmark two stages of a search round, the map build, stream seeding,
-alg3 sweeps, the batched baselines, a call's set-up and the batched alg1
-and alg2.
+alg3 sweeps, the batched baselines, a call's set-up, the batched alg1
+and alg2, and full-size sweeps.
 
 Layer planning: the shortest-path planner against the exhaustive
 enumeration of activations it replaces.  The comparison asserts that both
@@ -35,9 +35,9 @@ search states (``compute_point_weights`` per user, best and median of
 ``--repeat`` builds of every user's state), then one ``run_trials`` call
 of alg3 alone and one of the config's own algorithm list (every search in
 one call, as the configs run) at the config's SNR points.  The engine
-(``multiuser.run_multi_user``) plays each SNR point's episodes in
-lock-step rounds, once per joint key, and folds a copy per (state,
-fed-back row, survivors) of each round.  The copies share the built
+(``multiuser.run_multi_user``) plays a chunk's episodes at every SNR
+point in lock-step rounds, once per joint key, and folds a copy per
+(state, fed-back row, survivors) of each round.  The copies share the built
 state's memo of derived views and the plans kept in them (which the
 map-aided trees of alg1 and alg2 also fill) and its memo of pruning
 profiles.  Prints the trial-rounds played and the joint keys
@@ -54,11 +54,12 @@ with every trial on states rebuilt from scratch, give equal records.
 
 Baselines: on the desk and large scenes, one ``run_trials`` call of each
 map-blind baseline at the config's SNR points, which runs every (trial,
-user) episode of an SNR point as array rounds over one ``Episodes``
-batch, against the same call with ``oracles.one_episode_at_a_time``
-swapped in, which runs one per-episode oracle (``tests/oracles.py``)
-over a ``Link`` per episode of the batch, each best and median of
-``--repeat`` calls.  The comparison asserts equal records.
+user) episode of a chunk at every SNR point as array rounds over one
+``Episodes`` batch, against the same call with
+``oracles.one_episode_at_a_time`` swapped in, which runs one per-episode
+oracle (``tests/oracles.py``) over a ``Link`` per episode of the batch,
+each best and median of ``--repeat`` calls.  The comparison asserts equal
+records.
 
 Call set-up: on the desk, large and deep scenes, at the trial counts of
 perfbench's timed calls (30 desk, 20 large, 16 deep by default), two
@@ -74,12 +75,20 @@ states' contributions).
 
 alg1 and alg2: on the desk and large scenes, one ``run_trials`` call of
 each at the config's SNR points, which runs every (trial, user) episode
-of an SNR point as array rounds over the episodes at each cached search
-state (``strategy.run_searches``), against the same call with the
-per-episode oracle (``oracles.run_episode``) over a ``Link`` per episode.
-Prints the episode rounds played and the array rounds that played them,
-and each time best and median of ``--repeat`` calls.  The comparison
-asserts equal records.
+of a chunk at every SNR point as array rounds over the episodes at each
+cached search state (``strategy.run_searches``), against the same call
+with the per-episode oracle (``oracles.run_episode``) over a ``Link`` per
+episode.  Prints the episode rounds played and the array rounds that
+played them, and each time best and median of ``--repeat`` calls.  The
+comparison asserts equal records.
+
+Full size: on the desk and large scenes at the config's 1,000 trials and
+on the deep scene at 300 (``--full-trials``), one ``run_trials`` call per
+algorithm at the config's six SNR points, as a sweep runs them: best and
+median of ``--repeat`` calls, and the call's ``tracemalloc`` peak.  A
+call merges the SNR points of each chunk of ``harness.CHUNK_TRIALS``
+trials into one batch, so these calls run batches that a short call
+never builds.
 """
 
 import argparse
@@ -527,6 +536,27 @@ def bench_searches(trials_per_scene, repeat: int) -> None:
                   f"speedup={best_o / best_b:5.1f}x  same records: True")
 
 
+FULL_SCENES = ("desk", "large", "deep")
+
+
+def bench_full_size(trials_per_scene, repeat: int) -> None:
+    print("full size, one run_trials call per algorithm at the config's SNR points, seed 0: "
+          "best (median) of the repeats, and the call's tracemalloc peak:")
+    for scene, n in zip(FULL_SCENES, trials_per_scene):
+        config = bc.load_scenario(ROOT / "configs" / f"{scene}.json")
+        book = bc.build_codebook(config.array.num_antennas)
+        gain_map = bc.build_ckm(config.environment, config.array, book, config.grid)
+        for algo in config.algorithms:
+
+            def call():
+                return bc.run_trials(config, gain_map, algorithms=[algo], trials=n, seed=0)
+
+            _, best, median = bench(call, repeat=repeat)
+            print(f"  {scene:5s} {algo:19s} trials={n} snr points={len(config.snr_db)}  "
+                  f"{best * 1e3:8.1f} ({median * 1e3:8.1f}) ms  "
+                  f"peak {traced_peak(call) * 1e-6:6.1f} MB")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--trees", type=int, default=20,
@@ -547,6 +577,8 @@ def main(argv=None) -> int:
                         help="trials of the baseline, alg1 and alg2 calls per scene")
     parser.add_argument("--setup-trials", type=int, nargs=3, default=[30, 20, 16],
                         metavar=SETUP_SCENES, help="trials of one call's set-up per scene")
+    parser.add_argument("--full-trials", type=int, nargs=3, default=[1000, 1000, 300],
+                        metavar=FULL_SCENES, help="trials of the full-size calls per scene")
     parser.add_argument("--repeat", type=int, default=5)
     args = parser.parse_args(argv)
 
@@ -583,6 +615,7 @@ def main(argv=None) -> int:
     bench_baselines(args.baseline_trials, args.repeat)
     bench_call_setup(args.setup_trials, args.repeat)
     bench_searches(args.baseline_trials, args.repeat)
+    bench_full_size(args.full_trials, args.repeat)
     return 0
 
 

@@ -10,10 +10,10 @@ so repeated calls are bit-identical.
 Probing reads noiseless codeword responses from a ``Responses`` table, which
 fills each on first use by ``np.vecdot`` (the bits of ``np.vdot``): the same
 number at every SNR and algorithm, so a sweep computes it once per point.
-An ``Episodes`` batch pairs channels of the table with blocks of probe
-noise at one SNR point, one per (trial, user) episode; every algorithm
-probes it a group of episodes at a time (``probe_episodes``), counting
-each episode's probes.
+An ``Episodes`` batch pairs channels of the table with (trial, user)
+episodes at any SNR points, each noisy one with its noise std and block
+of probe noise; every algorithm probes it a group of episodes at a time
+(``probe_episodes``), counting each episode's probes.
 """
 
 from __future__ import annotations
@@ -263,8 +263,10 @@ class Responses:
         vals, done = self.values.reshape(-1), self.computed.reshape(-1)  # by code p * R + r
         codes = points * len(self.codewords) + rows
         todo = codes[~done[codes]]
-        if todo.size:
-            todo = np.unique(todo)
+        if todo.size:  # each missing entry once, ascending, by a mask over the table
+            need = np.zeros(done.shape, bool)
+            need[todo] = True
+            todo = np.flatnonzero(need)
             step = max(1, _FILL_BYTES // self.codewords[0].nbytes)  # rows per slice
             for part in (todo[lo : lo + step] for lo in range(0, todo.size, step)):
                 ps, rs = np.divmod(part, len(self.codewords))
@@ -274,18 +276,24 @@ class Responses:
 
 
 class Episodes:
-    """E episodes at one SNR point: episode e probes channel ``points[e]``
-    of a ``Responses`` table with noise CN(0, ``noise_std``^2) read in
-    order from ``block[e]``, the first normal pairs of the stream seeded
-    by ``words[e]`` (past it, a longer prefix is drawn from the words).
-    ``used[e]`` counts the probes episode e has heard, noiseless or not."""
+    """E episodes: episode e probes channel ``points[e]`` of a ``Responses``
+    table, the first ones, one per ``noise_std``, with noise CN(0,
+    ``noise_std[e]``^2) read in order from ``block[e]``, the first normal
+    pairs of the stream seeded by ``words[e]`` (past it, a longer prefix
+    is drawn from the words), the rest noiselessly.  ``used[e]`` counts
+    the probes episode e has heard, noiseless or not."""
 
-    __slots__ = ("resp", "noise_std", "points", "block", "words", "used")
+    __slots__ = ("resp", "points", "noise_std", "block", "words", "used")
 
-    def __init__(self, resp: Responses, noise_std: float, points, block=None, words=None):
-        if noise_std > 0.0 and (block is None or words is None):
+    def __init__(self, resp: Responses, points, noise_std=(), block=None, words=None):
+        self.resp, self.points = resp, np.asarray(points)
+        self.noise_std = np.asarray(noise_std, dtype=np.float64).reshape(-1)
+        noisy = len(self.noise_std)
+        if noisy and (block is None or words is None):
             raise ValueError("noisy episodes need noise blocks and seed words")
-        self.resp, self.noise_std, self.points = resp, noise_std, np.asarray(points)
+        if noisy and noisy > min(len(block), len(words)):
+            raise ValueError(f"{noisy} noise stds, but {len(block)} noise block rows "
+                             f"and {len(words)} seed word rows")
         self.block, self.words = block, words
         self.used = np.zeros(len(self.points), np.int64)
 
@@ -293,19 +301,33 @@ class Episodes:
 def probe_episodes(batch: Episodes, eps: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Received pilot magnitudes ``|h^H f + n|`` over episodes ``eps`` of a
     batch, one row each, of distinct codeword ``rows``, shared (m,) or per
-    episode (len(eps), m).  Each episode hears m more probes, with noise
-    ``noise_std`` / sqrt(2) (z[..., 0] + j z[..., 1]) of its next m pairs z."""
+    episode (len(eps), m).  Each episode hears m more probes; a noisy one
+    with noise ``noise_std[e]`` / sqrt(2) (z[..., 0] + j z[..., 1]) of its
+    next m pairs z.  Works through slices of about 2^15 (episode, row)
+    entries, so that its temporaries stay in cache."""
     m = rows.shape[-1]
-    y = batch.resp.take(batch.points[eps, None], rows)
     start = batch.used[eps]
-    batch.used[eps] = end = start + m
-    if batch.noise_std <= 0.0:
-        return np.abs(y)
-    if end.max() > batch.block.shape[1]:  # a longer prefix of every stream
-        width = max(int(end.max()), 2 * batch.block.shape[1])
-        batch.block = normal_blocks(batch.words, width)
-    z = batch.block.view(np.complex128)[..., 0][eps[:, None], start[:, None] + np.arange(m)]
-    return np.abs(y + batch.noise_std / np.sqrt(2.0) * z)
+    batch.used[eps] = start + m
+    noisy = eps < len(batch.noise_std)
+    out = np.empty((len(eps), m))
+    step = max(1, 2**15 // m)
+    for lo in range(0, len(eps), step):
+        at, n = slice(lo, lo + step), noisy[lo : lo + step]
+        y = batch.resp.take(batch.points[eps[at], None], rows if rows.ndim == 1 else rows[at])
+        k = np.count_nonzero(n)
+        if k:
+            e, s = eps[at][n], start[at][n]
+            end = int(s.max()) + m
+            if end > batch.block.shape[1]:  # a longer prefix of every stream
+                batch.block = normal_blocks(batch.words, max(end, 2 * batch.block.shape[1]))
+            z = batch.block.view(np.complex128)[..., 0][e[:, None], s[:, None] + np.arange(m)]
+            z = (batch.noise_std[e] / np.sqrt(2.0))[:, None] * z
+            if n[:k].all():  # the noisy episodes lead, as ascending ones do: no masked copy
+                y[:k] += z
+            else:
+                y[n] += z
+        np.abs(y, out=out[at])
+    return out
 
 
 def probe(

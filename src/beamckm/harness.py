@@ -16,9 +16,11 @@ noise stream once per chunk, as a block of its first normals that every
 algorithm reads from the start.  The oracle gains of every drawn point come
 from one product stacked over points and codebook row blocks.  Every
 algorithm runs as array rounds over one ``channel.Episodes`` batch of all
-(trial, user) episodes of the chunk at one SNR point, which counts their
-probes, the overheads; the map-aided ones start from each user's built
-search state.
+(SNR point, trial, user) episodes of the chunk, the noisy points' first,
+which read the chunk's noise blocks in place, and counts their probes,
+the overheads; the map-aided ones start from each user's built search
+state, so trials at different SNR points that reach equal states share
+their rounds.
 """
 
 from __future__ import annotations
@@ -457,6 +459,8 @@ def run_trials(
         "baseline-hier": baseline_hierarchical,
         "baseline-exhaustive": baseline_exhaustive,
     }
+    # a batch's SNR points: the noisy ones in the order of their blocks first
+    order = noisy + [si for si, sigma in enumerate(sigmas) if not sigma]
     records: list[TrialRecord] = []
     for start in range(0, n_trials, CHUNK_TRIALS):
         chunk = trial_points[start : start + CHUNK_TRIALS]
@@ -464,23 +468,22 @@ def run_trials(
         # each noisy SNR point's stream words and blocks, by (trial, user)
         # episode: meshgrid's default indexing puts the SNR points first
         idx = np.meshgrid(np.arange(start, start + len(chunk)), np.array(noisy, int), np.arange(K))
-        w = seed_words([base_seed, 202], np.stack(idx, -1).reshape(-1, 3))
-        blocks = normal_blocks(w, pairs).reshape(len(noisy), points.size, pairs, 2)
-        w = w.reshape(len(noisy), points.size, 4)
-        words, normals = dict(zip(noisy, w)), dict(zip(noisy, blocks))
-        picks = {}  # by (algorithm, SNR index): the chunk's beams and overheads
-        for si, sigma in enumerate(sigmas):
-            for algo in algos:
-                batch = Episodes(resp, sigma, points.ravel(), normals.get(si), words.get(si))
-                chosen, probes = searches[algo](batch)[:2]
-                if algo == "alg3":  # each user carries an equal share of the trial's total
-                    probes = np.repeat(probes / K, K)
-                picks[algo, si] = chosen, probes.astype(float).tolist()
+        words = seed_words([base_seed, 202], np.stack(idx, -1).reshape(-1, 3))
+        blocks = normal_blocks(words, pairs)
+        stds = np.repeat([sigmas[si] for si in noisy], points.size)
+        first = {si: j * points.size for j, si in enumerate(order)}  # each SNR point's episodes
+        picks = {}  # by algorithm: the batch's beams and overheads
+        for algo in algos:
+            batch = Episodes(resp, np.tile(points.ravel(), len(order)), stds, blocks, words)
+            chosen, probes = searches[algo](batch)[:2]
+            if algo == "alg3":  # each user carries an equal share of the trial's total
+                probes = np.repeat(probes / K, K)
+            picks[algo] = chosen, probes.astype(float).tolist()
         for t, rows in enumerate(points.tolist(), start):
-            e = (t - start) * K  # the trial's first episode in the chunk
             for si, (snr, sigma) in enumerate(zip(snrs, sigmas)):
+                e = first[si] + (t - start) * K  # the trial's first episode at this SNR point
                 for algo in algos:
-                    chosen, overheads = (col[e : e + K] for col in picks[algo, si])
+                    chosen, overheads = (col[e : e + K] for col in picks[algo])
                     records.extend(
                         _finish(t, algo, snr, k, overheads[k], chosen[k], best[r], gains[r], sigma)
                         for k, r in enumerate(rows)

@@ -168,7 +168,7 @@ def episode(search, state: bc.beamtree.SearchState, link: Link):
     from a built state over a link, as a batch of one: (chosen beam,
     probe count, rounds)."""
     noisy = link.noise_std > 0.0
-    batch = bc.channel.Episodes(link.resp, link.noise_std, [link.point],
+    batch = bc.channel.Episodes(link.resp, [link.point], [link.noise_std] if noisy else (),
                         link.block[None] if noisy else None, link.words[None] if noisy else None)
     chosen, probes, rounds = search([state], batch)
     return chosen[0], int(probes[0]), rounds
@@ -181,7 +181,8 @@ def joint_episode(states, links, eta: float):
     noisy = links[0].noise_std > 0.0
     resp = bc.channel.Responses(np.stack([l.resp.channels[l.point] for l in links]),
                         links[0].resp.codewords)
-    batch = bc.channel.Episodes(resp, links[0].noise_std, np.arange(len(links)),
+    batch = bc.channel.Episodes(resp, np.arange(len(links)),
+                        [l.noise_std for l in links] if noisy else (),
                         np.stack([l.block for l in links]) if noisy else None,
                         np.stack([l.words for l in links]) if noisy else None)
     chosen, totals, rounds = bc.multiuser.run_multi_user(states, batch, eta)

@@ -341,12 +341,12 @@ def probe_rows(link: Link, rows: np.ndarray) -> np.ndarray:
 
 def links_of(batch, eps=None) -> list:
     """One ``Link`` per episode of an ``Episodes`` batch (or of its
-    episodes ``eps``), each over the episode's channel, noise block and
-    seed words, read from the start."""
-    noisy = batch.noise_std > 0.0
+    episodes ``eps``), each over the episode's channel and, for a noisy
+    episode, its noise std, noise block and seed words, read from the start."""
+    noisy = len(batch.noise_std)
     return [
-        Link(batch.resp, batch.noise_std, batch.block[e] if noisy else None,
-             batch.words[e] if noisy else None, int(batch.points[e]))
+        Link(batch.resp, float(batch.noise_std[e]), batch.block[e], batch.words[e],
+             int(batch.points[e])) if e < noisy else Link(batch.resp, 0.0, point=int(batch.points[e]))
         for e in (range(len(batch.points)) if eps is None else eps)
     ]
 

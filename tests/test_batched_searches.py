@@ -2,18 +2,19 @@
 oracles.
 
 ``run_trials`` runs alg1 and alg2 as array rounds over every (trial, user)
-episode of a chunk of trials at one SNR point, grouped by the cached
-search state they have reached (``strategy.run_searches``).  Each case
-here runs a sweep of both and the same sweep with ``harness.run_single_user``
-and ``harness.run_lookahead`` replaced by ``tests/oracles.py``'s
-``run_episode`` over a ``Link`` per episode, and asks for equal records,
-bit for bit: on the desk, large and deep scenes, at three seeds (2^40 is
-two uint32 words), at SNR points down to -20 dB, on a stale map, with a
-low ``beta`` and ``retain_beams`` 2 (the uniform fallback engages),
-across chunk boundaries, and on a desk sweep long enough that ``np.abs``
-and ``argmax`` take numpy's SIMD paths.  One more case runs the engine
-itself on noise blocks of one pair, so that episodes read past their
-blocks and draw longer prefixes from their seed words.
+episode of a chunk of trials at every SNR point, the noisy ones first,
+grouped by the cached search state they have reached
+(``strategy.run_searches``).  Each case here runs a sweep of both and the
+same sweep with ``harness.run_single_user`` and ``harness.run_lookahead``
+replaced by ``tests/oracles.py``'s ``run_episode`` over a ``Link`` per
+episode, and asks for equal records, bit for bit: on the desk, large and
+deep scenes, at three seeds (2^40 is two uint32 words), at SNR points
+down to -20 dB (with +inf first, in the middle or absent), on a stale
+map, with a low ``beta`` and ``retain_beams`` 2 (the uniform fallback
+engages), across chunk boundaries, and on a desk sweep long enough that
+``np.abs`` and ``argmax`` take numpy's SIMD paths.  One more case runs
+the engine itself on noise blocks of one pair, so that episodes read
+past their blocks and draw longer prefixes from their seed words.
 """
 
 import dataclasses
@@ -33,6 +34,8 @@ from test_harness import record_weight_tables, tree_states
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 SNRS = (math.inf, 10.0, 0.0, -20.0)
+# SNR lists whose noiseless point, if any, is not first
+REORDERED = {"inf-inside": (10.0, math.inf, -20.0), "no-inf": (10.0, 0.0)}
 SEARCHES = ("alg1", "alg2")
 TRIALS = {"desk": 20, "large": 10, "deep": 3}
 
@@ -51,13 +54,13 @@ def scenes():
     return {name: scene(name) for name in TRIALS}
 
 
-def sweep_pair(monkeypatch, config, ckm, trials, seed):
+def sweep_pair(monkeypatch, config, ckm, trials, seed, snrs=SNRS):
     """Records of the batched searches, then of their oracles, each as
     the ``repr`` of every record."""
 
     def run():
         records = bc.run_trials(config, ckm, algorithms=SEARCHES, trials=trials, seed=seed,
-                                snr_db=SNRS)
+                                snr_db=snrs)
         return [repr(r) for r in records]
 
     batched = run()
@@ -77,8 +80,17 @@ def test_records_equal_the_oracles(scenes, monkeypatch, name, seed):
     assert batched == oracle
 
 
+@pytest.mark.parametrize("snrs", REORDERED.values(), ids=REORDERED.keys())
+@pytest.mark.parametrize("name", sorted(TRIALS))
+def test_snr_lists_without_inf_first(scenes, monkeypatch, name, snrs):
+    config, ckm = scenes[name]
+    batched, oracle = sweep_pair(monkeypatch, config, ckm, TRIALS[name], 7919, snrs)
+    assert len(batched) == TRIALS[name] * len(snrs) * len(SEARCHES) * len(config.users)
+    assert batched == oracle
+
+
 def test_long_desk_sweep_crosses_a_chunk(scenes, monkeypatch):
-    """300 trials: 768 episodes per batch, and a second chunk of 44 trials."""
+    """300 trials: 3,072 episodes per batch, and a second chunk of 44 trials."""
     config, ckm = scenes["desk"]
     assert 300 > harness.CHUNK_TRIALS
     batched, oracle = sweep_pair(monkeypatch, config, ckm, 300, 0)
@@ -130,7 +142,8 @@ def test_episodes_read_past_their_blocks(scenes, choose_layer):
     for search in (lambda s, b: strategy.run_searches(s, b, choose_layer),
                    oracles.one_search_at_a_time(choose_layer)):
         states = [bc.beamtree.compute_point_weights(ckm, p, config.beta) for p in config.priors]
-        batches.append(bc.channel.Episodes(resp, sigma, np.arange(E), normal_blocks(words, 1), words))
+        batches.append(bc.channel.Episodes(resp, np.arange(E), np.full(E, sigma),
+                                           normal_blocks(words, 1), words))
         chosen, probes, rounds = search(states, batches[-1])
         runs.append((chosen, probes.tolist(), sorted(map(repr, rounds))))
     assert runs[0] == runs[1]

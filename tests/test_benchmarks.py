@@ -13,11 +13,14 @@ baselines, alg1 and alg2 the records of their per-episode oracles, each
 time as best (median).  The call set-up section must time, per scene,
 the per-point against the stacked oracle gains and the built search
 states beside the dense contribution product, each pair with equal
-bytes."""
+bytes, and the full-size section one call per (scene, algorithm) as best
+(median) with its peak."""
 
 import importlib.util
 import re
 from pathlib import Path
+
+import beamckm as bc
 
 SCRIPT = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_kernels.py"
 
@@ -29,7 +32,7 @@ def test_bench_kernels_runs(capsys):
     argv = ["--trees", "2", "--layers", "5", "7", "--repeat", "1", "--map-spacing", "8",
             "--streams", "7", "50", "--alg3-trials", "2", "2", "1",
             "--alg3-full-trials", "2", "1", "1", "--baseline-trials", "3", "2",
-            "--setup-trials", "2", "2", "1"]
+            "--setup-trials", "2", "2", "1", "--full-trials", "2", "1", "1"]
     assert module.main(argv) == 0
     out = capsys.readouterr().out.splitlines()
     lines = [l.split() for l in out if "same layer: True" in l]
@@ -75,6 +78,11 @@ def test_bench_kernels_runs(capsys):
     pairs = [("oracle gains per point", "stacked"), ("states built", "dense contributions alone")]
     pattern = "  ".join(f"{old}= *{timed} {new}= *{timed} ms" for old, new in pairs)
     assert all(re.search(pattern, l) for l in setup)
+    # full size: one call per scene and algorithm, best (median) and its peak
+    pattern = f"snr points=6 +{timed} ms +peak +[\\d.]+ MB$"
+    full_size = [l.split()[:3] for l in out if re.search(pattern, l)]
+    assert full_size == [[s, a, f"trials={n}"]
+                         for s, n in zip(scenes, (2, 1, 1)) for a in bc.ALGORITHMS]
 
 
 def test_map_round_trip_reports_same_map(capsys):

@@ -453,7 +453,8 @@ class TestProbeEpisodes:
         draw = np.random.default_rng(17)
         resp = bc.channel.Responses(random_channels(draw, E, n), bc.build_codebook(n))
         words = seed_words([5, 202], np.arange(E)[:, None])
-        batch = bc.channel.Episodes(resp, 0.3, np.arange(E) % 4, normal_blocks(words, 8), words)
+        batch = bc.channel.Episodes(resp, np.arange(E) % 4, np.full(E, 0.3),
+                                    normal_blocks(words, 8), words)
         links = oracles.links_of(batch)
         every, odd, even = np.arange(E), np.arange(1, E, 2), np.arange(0, E, 2)
         calls = [
@@ -473,6 +474,47 @@ class TestProbeEpisodes:
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
             assert batch.used.tolist() == [link.used for link in links]
         assert batch.block.shape[1] > 8
+
+    def test_mixed_noise_levels_keep_each_levels_bytes(self):
+        """One batch of episodes at two noise levels (its first ones) and
+        noiseless ones, as a sweep merges its SNR points, gives each
+        episode the magnitudes and probe count of a batch at its level only,
+        also when one noisy episode reads past its block."""
+        n, E, levels = 16, 5, (0.3, 1.7)
+        draw = np.random.default_rng(23)
+        resp = bc.channel.Responses(random_channels(draw, E, n), bc.build_codebook(n))
+        words = seed_words([9, 202], np.arange(len(levels) * E)[:, None])
+        blocks = normal_blocks(words, 6)
+        mixed = bc.channel.Episodes(resp, np.tile(np.arange(E), 3), np.repeat(levels, E), blocks,
+                                    words)
+        alone = [bc.channel.Episodes(resp, np.arange(E), np.full(E, s), blocks[j * E : (j + 1) * E],
+                                     words[j * E : (j + 1) * E]) for j, s in enumerate(levels)]
+        alone.append(bc.channel.Episodes(resp, np.arange(E)))
+        scrambled = np.array([12, 3, 7, 0, 14, 9, 5, 11])
+        calls = [
+            (np.arange(3 * E), np.array([2, 3])),  # every episode at offset 0
+            (scrambled, np.arange(8)[:, None] + np.array([4, 6, 9])),  # rows per episode
+            (np.array([13, 6, 1]), np.arange(20, 25)),  # episode 6 reads past its 6 pairs
+            (np.arange(3 * E)[::-1], np.arange(26, 29)),  # and every one past its block
+        ]
+        for eps, rows in calls:
+            got = bc.channel.probe_episodes(mixed, eps, rows)
+            for j, batch in enumerate(alone):
+                at = np.flatnonzero(eps // E == j)
+                want = bc.channel.probe_episodes(
+                    batch, eps[at] - j * E, rows if rows.ndim == 1 else rows[at])
+                assert got[at].tobytes() == want.tobytes()
+            assert mixed.used.tolist() == [u for batch in alone for u in batch.used.tolist()]
+        assert mixed.block.shape[1] > 6 and all(b.block.shape[1] > 6 for b in alone[:2])
+
+    def test_more_noise_stds_than_blocks_rejected(self):
+        resp = bc.channel.Responses(np.ones((1, 16), complex), bc.build_codebook(16))
+        words = seed_words([9, 202], np.arange(2)[:, None])
+        with pytest.raises(ValueError, match="3 noise stds, but 2 noise block rows"):
+            bc.channel.Episodes(resp, np.zeros(4, np.int64), np.full(3, 0.3),
+                                normal_blocks(words, 4), words)
+        with pytest.raises(ValueError, match="need noise blocks"):
+            bc.channel.Episodes(resp, np.zeros(4, np.int64), np.full(3, 0.3))
 
 
 def random_channels(draw, count: int, n: int) -> np.ndarray:
@@ -525,6 +567,38 @@ class TestResponseFill:
             assert got.tobytes() == want.tobytes()
             want_mask |= asked(want_mask.shape, points, rows)
             assert np.array_equal(resp.computed, want_mask)
+
+    def test_codes_repeated_across_a_merged_batch_fill_once(self, monkeypatch):
+        """Episodes that share a channel at several SNR points, as one merged
+        batch holds them, ask for the same entries many times in one call:
+        each missing entry is filled once, with the bytes of one ``np.vdot``,
+        on a table wider than one ``_FILL_BYTES`` slice."""
+        n = 512
+        cb = bc.build_codebook(n)
+        hs = random_channels(np.random.default_rng(31), 3, n)
+        assert 3 * len(cb) * cb[0].nbytes > 4 * channel._FILL_BYTES
+        vecdot, computed = np.vecdot, []
+
+        def counting_vecdot(a, b):
+            out = vecdot(a, b)
+            # one (channel, codeword) pair per entry computed
+            shape = out.shape + a.shape[-1:]
+            pairs = zip(np.broadcast_to(a, shape), np.broadcast_to(b, shape))
+            computed.extend((h.tobytes(), f.tobytes()) for h, f in pairs)
+            return out
+
+        resp = bc.channel.Responses(hs, cb)
+        draw = np.random.default_rng(32)
+        points = np.tile([0, 2, 1, 2], 4)[:, None]  # 4 episodes at each of 4 SNR points
+        for rows in (np.arange(200, 300), np.tile(draw.integers(0, len(cb), (4, 90)), (4, 1))):
+            before = resp.computed.sum()
+            with monkeypatch.context() as m:
+                m.setattr(np, "vecdot", counting_vecdot)
+                got = resp.take(points, rows)
+            want = oracles.responses_by_vdot(hs, cb, points, rows)
+            assert got.tobytes() == want.tobytes()
+            assert len(computed) == len(set(computed)) == resp.computed.sum() - before
+            computed.clear()
 
     def test_fill_larger_than_its_slice_budget(self):
         n = 512

@@ -688,7 +688,7 @@ class TestBaselines:
         h = 0.7 * steering_vector(bc.codebook.bottom_angles(16)[4], 16)
         link = oracles.Link(bc.channel.Responses(h, cb), 0.0)
         chosen, overhead, rounds = oracles.baseline_hierarchical(link)
-        batch = bc.channel.Episodes(bc.channel.Responses(h, cb), 0.0, [0])
+        batch = bc.channel.Episodes(bc.channel.Responses(h, cb), [0])
         beams, used = bc.harness.baseline_hierarchical(batch)
         assert beams == [chosen] and used.tolist() == [overhead]
         assert chosen == bc.BeamId(4, 5)
@@ -706,7 +706,7 @@ class TestBaselines:
         h = 0.7 * steering_vector(bc.codebook.bottom_angles(16)[11], 16)
         link = oracles.Link(bc.channel.Responses(h, cb), 0.0)
         chosen, overhead, rounds = oracles.baseline_exhaustive(link)
-        batch = bc.channel.Episodes(bc.channel.Responses(h, cb), 0.0, [0])
+        batch = bc.channel.Episodes(bc.channel.Responses(h, cb), [0])
         beams, used = bc.harness.baseline_exhaustive(batch)
         assert beams == [chosen] and used.tolist() == [overhead]
         assert chosen == bc.BeamId(4, 12)
@@ -960,6 +960,21 @@ class TestSweepInvariants:
             alone = run(algorithms=[algo], trials=short + extra)
             assert alone == [r for r in full if r.algorithm == algo]
 
+    @pytest.mark.parametrize("snrs", [(10.0, math.inf, -15.0), (math.inf, 0.0),
+                                      (20.0, 0.0, math.inf), (0.0, 20.0)])
+    def test_a_points_records_keep_to_its_index(self, small_scene, snrs):
+        """A call runs one batch of every SNR point per chunk, the noisy
+        points first, and slices each point's picks back: a point's records
+        equal those of a sweep in which it keeps its index (its noise
+        streams) and every other point differs, so the batch's layout
+        differs too."""
+        run = functools.partial(bc.run_trials, self.config(), small_scene["ckm"], trials=5, seed=11)
+        full = run(snr_db=snrs)
+        for i, snr in enumerate(snrs):
+            others = iter(v for v in (math.inf, -5.0, 25.0, 3.0) if v not in snrs)
+            moved = run(snr_db=[snr if j == i else next(others) for j in range(len(snrs))])
+            assert [r for r in moved if r.snr_db == snr] == [r for r in full if r.snr_db == snr]
+
     def test_shared_tables_stay_in_their_initial_state(self, small_scene, monkeypatch):
         from beamckm import harness
 
@@ -1085,8 +1100,8 @@ class TestSweepInvariants:
             start = batch.used[eps]
             mags = probe_episodes(batch, eps, rows)
             assert (batch.used[eps] - start == rows.shape[-1]).all()
-            if batch.noise_std:
-                for e, first in zip(eps.tolist(), start.tolist()):
+            for e, first in zip(eps.tolist(), start.tolist()):
+                if e < len(batch.noise_std):
                     read = batch.block[e, first : first + rows.shape[-1]]
                     reads.setdefault((batch, e), []).append(np.array(read))
             return mags
@@ -1115,11 +1130,14 @@ class TestSweepInvariants:
         assert drawn == replay
         # per (trial, SNR index, user), in that order: the rounds' noise
         episodes = [(t, si, k) for t in range(trials) for si in range(len(snrs)) for k in range(K)]
+        # one batch over every (SNR index, trial, user) episode, the noisy
+        # SNR indices first
+        at = {si: j * trials * K for j, si in enumerate([1, 2, 0])}
         got = {}
         for algo in bc.ALGORITHMS:
-            # one batch per SNR index, over the (trial, user) episodes
-            assert len(batches_of[algo]) == len(snrs)
-            got[algo] = [reads.pop((batches_of[algo][si], t * K + k), []) for t, si, k in episodes]
+            (batch,) = batches_of[algo]
+            assert len(batch.noise_std) == 2 * trials * K
+            got[algo] = [reads.pop((batch, at[si] + t * K + k), []) for t, si, k in episodes]
         assert not reads
         for algo, per_episode in got.items():
             assert len(per_episode) == len(episodes), algo

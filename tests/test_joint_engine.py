@@ -1,20 +1,22 @@
 """The lock-step alg3 engine writes the records of its per-episode oracle.
 
 ``run_trials`` runs alg3 as lock-step rounds over every (trial, user)
-episode of a chunk of trials at one SNR point (``multiuser.run_multi_user``):
-one probe and stacked product per (user, layer, probed rows) group, one
-array cut and fold per user.  Each case here runs an alg3 sweep and the
-same sweep with ``harness.run_multi_user`` replaced by ``tests/oracles.py``'s
-``run_multi_user``, one trial at a time over a ``Link`` per user, and asks
-for equal records, bit for bit: on the desk, large and deep scenes, at
-three seeds (2^40 is two uint32 words), at SNR points from +inf down to
--20 dB, on a stale map, with a low ``beta`` and ``retain_beams`` 2, with
-``eta`` 1.0, and across chunk boundaries.  The large and deep sweeps take
-rounds in which a user eavesdrops (desk's users never do), and every
-scene's -20 dB point engages the uniform fallback.  One more case runs
-the engine itself on noise blocks of one pair, so that episodes read past
-their blocks; others check that an all-zero observation prunes nothing
-and that the round budget still holds.
+episode of a chunk of trials at every SNR point, the noisy ones first
+(``multiuser.run_multi_user``): one probe and stacked product per (user,
+layer, probed rows) group, one array cut and fold per user.  Each case
+here runs an alg3 sweep and the same sweep with
+``harness.run_multi_user`` replaced by ``tests/oracles.py``'s
+``run_multi_user``, one trial at a time over a ``Link`` per user, and
+asks for equal records, bit for bit: on the desk, large and deep scenes,
+at three seeds (2^40 is two uint32 words), at SNR points from +inf down
+to -20 dB (and with +inf in the middle or absent), on a stale map, with
+a low ``beta`` and ``retain_beams`` 2, with ``eta`` 1.0, and across
+chunk boundaries.  The large and deep sweeps take rounds in which a user
+eavesdrops (desk's users never do), and every scene's -20 dB point
+engages the uniform fallback.  One more case runs the engine itself on
+noise blocks of one pair, so that episodes read past their blocks;
+others check that an all-zero observation prunes nothing and that the
+round budget still holds.
 """
 
 import dataclasses
@@ -36,6 +38,8 @@ import oracles
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 SNRS = (math.inf, 20.0, 10.0, 0.0, -10.0, -20.0)
+# SNR lists whose noiseless point, if any, is not first
+REORDERED = {"inf-inside": (10.0, math.inf, -20.0), "no-inf": (10.0, 0.0)}
 TRIALS = {"desk": 12, "large": 6, "deep": 3}
 
 
@@ -53,7 +57,7 @@ def scenes():
     return {name: scene(name) for name in TRIALS}
 
 
-def sweep_pair(monkeypatch, config, ckm, trials, seed):
+def sweep_pair(monkeypatch, config, ckm, trials, seed, snrs=SNRS):
     """Records of the engine, then of the per-episode oracle, each as the
     ``repr`` of every record, and whether the engine had an eavesdropper
     in any round and engaged the uniform fallback in any fold."""
@@ -62,7 +66,7 @@ def sweep_pair(monkeypatch, config, ckm, trials, seed):
 
     def run():
         records = bc.run_trials(config, ckm, algorithms=["alg3"], trials=trials, seed=seed,
-                                snr_db=SNRS)
+                                snr_db=snrs)
         return [repr(r) for r in records]
 
     def watched_engine(*args):
@@ -92,6 +96,15 @@ def test_records_equal_the_oracle(scenes, monkeypatch, name, seed):
     assert batched == oracle
     # desk never eavesdrops; -20 dB noise engages the uniform fallback
     assert seen == {"eavesdrop": name != "desk", "fallback": True}
+
+
+@pytest.mark.parametrize("snrs", REORDERED.values(), ids=REORDERED.keys())
+@pytest.mark.parametrize("name", sorted(TRIALS))
+def test_snr_lists_without_inf_first(scenes, monkeypatch, name, snrs):
+    config, ckm = scenes[name]
+    batched, oracle, _ = sweep_pair(monkeypatch, config, ckm, TRIALS[name], 7919, snrs)
+    assert len(batched) == TRIALS[name] * len(snrs) * len(config.users)
+    assert batched == oracle
 
 
 @pytest.mark.parametrize("name", ["desk", "large"])
@@ -137,7 +150,8 @@ def test_episodes_read_past_their_blocks(scenes):
     runs, batches = [], []
     for engine in (mu.run_multi_user, oracles.one_trial_at_a_time):
         states = [bc.beamtree.compute_point_weights(ckm, p, config.beta) for p in config.priors]
-        batches.append(bc.channel.Episodes(resp, sigma, np.arange(E), normal_blocks(words, 1), words))
+        batches.append(bc.channel.Episodes(resp, np.arange(E), np.full(E, sigma),
+                                           normal_blocks(words, 1), words))
         chosen, totals, rounds = engine(states, batches[-1], config.eta)
         runs.append((chosen, totals.tolist(), rounds))
     assert runs[0] == runs[1]
@@ -179,7 +193,7 @@ def test_round_budget_still_holds(scenes, monkeypatch):
     states = [bc.beamtree.compute_point_weights(ckm, p, config.beta) for p in config.priors]
     resp = bc.channel.Responses(np.ones((1, config.array.num_antennas), complex),
                         bc.build_codebook(config.array.num_antennas))
-    batch = bc.channel.Episodes(resp, 0.0, np.zeros(2 * len(states), np.int64))
+    batch = bc.channel.Episodes(resp, np.zeros(2 * len(states), np.int64))
     monkeypatch.setattr(mu, "next_round", lambda state, choose: (None, 1, None, None))
     with pytest.raises(RuntimeError, match="round budget"):
         mu.run_multi_user(states, batch, config.eta)

@@ -45,9 +45,9 @@ def new_batch(scene, snr_db):
     E = len(resp.channels)
     sigma = harness.noise_std_for_snr(snr_db, ckm.reference_gain)
     if not sigma:
-        return bc.channel.Episodes(resp, 0.0, np.arange(E))
+        return bc.channel.Episodes(resp, np.arange(E))
     words = seed_words([3, 202], np.arange(E)[:, None])
-    return bc.channel.Episodes(resp, sigma, np.arange(E), normal_blocks(words, 8), words)
+    return bc.channel.Episodes(resp, np.arange(E), np.full(E, sigma), normal_blocks(words, 8), words)
 
 
 def built_states(scene):
