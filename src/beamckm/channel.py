@@ -263,10 +263,9 @@ class Responses:
         vals, done = self.values.reshape(-1), self.computed.reshape(-1)  # by code p * R + r
         codes = points * len(self.codewords) + rows
         todo = codes[~done[codes]]
-        if todo.size:  # each missing entry once, ascending, by a mask over the table
-            need = np.zeros(done.shape, bool)
-            need[todo] = True
-            todo = np.flatnonzero(need)
+        if todo.size:  # each missing entry once, ascending: sorted, cost grows with the misses
+            todo = np.sort(todo)
+            todo = todo[np.concatenate(([True], todo[1:] != todo[:-1]))]
             step = max(1, _FILL_BYTES // self.codewords[0].nbytes)  # rows per slice
             for part in (todo[lo : lo + step] for lo in range(0, todo.size, step)):
                 ps, rs = np.divmod(part, len(self.codewords))
@@ -287,8 +286,11 @@ class Episodes:
 
     def __init__(self, resp: Responses, points, noise_std=(), block=None, words=None):
         self.resp, self.points = resp, np.asarray(points)
-        self.noise_std = np.asarray(noise_std, dtype=np.float64).reshape(-1)
-        noisy = len(self.noise_std)
+        self.noise_std = np.asarray(noise_std, dtype=np.float64)
+        noisy = self.noise_std.size
+        if self.noise_std.ndim != 1 or noisy > len(self.points):
+            raise ValueError(f"noise_std must list one std per noisy episode: shape "
+                             f"{self.noise_std.shape} for {len(self.points)} episodes")
         if noisy and (block is None or words is None):
             raise ValueError("noisy episodes need noise blocks and seed words")
         if noisy and noisy > min(len(block), len(words)):
@@ -314,18 +316,13 @@ def probe_episodes(batch: Episodes, eps: np.ndarray, rows: np.ndarray) -> np.nda
     for lo in range(0, len(eps), step):
         at, n = slice(lo, lo + step), noisy[lo : lo + step]
         y = batch.resp.take(batch.points[eps[at], None], rows if rows.ndim == 1 else rows[at])
-        k = np.count_nonzero(n)
-        if k:
+        if n.any():
             e, s = eps[at][n], start[at][n]
             end = int(s.max()) + m
             if end > batch.block.shape[1]:  # a longer prefix of every stream
                 batch.block = normal_blocks(batch.words, max(end, 2 * batch.block.shape[1]))
             z = batch.block.view(np.complex128)[..., 0][e[:, None], s[:, None] + np.arange(m)]
-            z = (batch.noise_std[e] / np.sqrt(2.0))[:, None] * z
-            if n[:k].all():  # the noisy episodes lead, as ascending ones do: no masked copy
-                y[:k] += z
-            else:
-                y[n] += z
+            y[n] += (batch.noise_std[e] / np.sqrt(2.0))[:, None] * z
         np.abs(y, out=out[at])
     return out
 

@@ -515,6 +515,16 @@ class TestProbeEpisodes:
                                 normal_blocks(words, 4), words)
         with pytest.raises(ValueError, match="need noise blocks"):
             bc.channel.Episodes(resp, np.zeros(4, np.int64), np.full(3, 0.3))
+        # A scalar std, or more stds than episodes, cannot say which
+        # episodes are noisy: it is rejected, not read as a prefix.
+        words = seed_words([9, 202], np.arange(8)[:, None])
+        block = normal_blocks(words, 4)
+        with pytest.raises(ValueError, match=r"shape \(\) for 4 episodes"):
+            bc.channel.Episodes(resp, np.zeros(4, np.int64), 0.3, block, words)
+        with pytest.raises(ValueError, match=r"shape \(1, 4\) for 4 episodes"):
+            bc.channel.Episodes(resp, np.zeros(4, np.int64), np.full((1, 4), 0.3), block, words)
+        with pytest.raises(ValueError, match=r"shape \(5,\) for 4 episodes"):
+            bc.channel.Episodes(resp, np.zeros(4, np.int64), np.full(5, 0.3), block, words)
 
 
 def random_channels(draw, count: int, n: int) -> np.ndarray:
