@@ -76,11 +76,14 @@ states' contributions).
 alg1 and alg2: on the desk and large scenes, one ``run_trials`` call of
 each at the config's SNR points, which runs every (trial, user) episode
 of a chunk at every SNR point as array rounds over the episodes at each
-cached search state (``strategy.run_searches``), against the same call
-with the per-episode oracle (``oracles.run_episode``) over a ``Link`` per
-episode.  Prints the episode rounds played and the array rounds that
-played them, and each time best and median of ``--repeat`` calls.  The
-comparison asserts equal records.
+cached search state, level by level (``strategy.run_searches``), against
+the same call with the per-episode oracle (``oracles.run_episode``) over
+a ``Link`` per episode.  Prints the episode rounds played, the array
+rounds that played them and the levels they walked, the views derived,
+in how many passes (one per state build, at most one per user and
+level, and one more where some of its new states fall back), for how
+many state derivations, and each time best and median of ``--repeat``
+calls.  The comparison asserts equal records.
 
 Full size: on the desk and large scenes at the config's 1,000 trials and
 on the deep scene at 300 (``--full-trials``), one ``run_trials`` call per
@@ -511,26 +514,35 @@ def bench_searches(trials_per_scene, repeat: int) -> None:
                 with mock.patch.object(harness, name, oracles.one_search_at_a_time(choose_layer)):
                     return call()
 
-            counts = dict.fromkeys(("rounds", "groups"), 0)
+            counts = dict.fromkeys(("rounds", "groups", "levels", "derived", "passes", "views"), 0)
 
             def counted_search(states, batch):
                 result = search(states, batch)
                 counts["rounds"] += len(result[2])
                 return result
 
-            def counted_probe(*args):
-                counts["groups"] += 1
-                return probe(*args)
+            def derive_view(state, alive, *args):
+                counts["passes"] += 1
+                counts["views"] += len(alive)
+                return derive_views(state, alive, *args)
 
-            search, probe = getattr(harness, name), strategy.probe_episodes
-            with (mock.patch.object(harness, name, counted_search),
-                  mock.patch.object(strategy, "probe_episodes", counted_probe)):
+            search, state, patch = getattr(harness, name), bc.beamtree.SearchState, mock.patch.object
+            derive_views = state._derive_view
+            with (patch(harness, name, counted_search),
+                  patch(strategy, "probe_episodes",
+                        counted(strategy.probe_episodes, counts, "groups")),
+                  patch(strategy, "apply_observation",
+                        counted(strategy.apply_observation, counts, "levels")),
+                  patch(state, "_derive", counted(state._derive, counts, "derived")),
+                  patch(state, "_derive_view", derive_view)):
                 call()
             records, best_b, med_b = bench(call, repeat=repeat)
             want, best_o, med_o = bench(per_episode, repeat=repeat)
             assert records == want, f"batched and per-episode {algo} disagree on {scene}"
             print(f"  {scene:5s} {algo}  trials={n}  episode rounds={counts['rounds']} "
-                  f"in {counts['groups']} probing array rounds  "
+                  f"in {counts['groups']} probing array rounds over {counts['levels']} levels  "
+                  f"views derived={counts['views']} in {counts['passes']} passes "
+                  f"for {counts['derived']} states  "
                   f"batched={best_b / n * 1e3:6.3f} ({med_b / n * 1e3:6.3f}) ms/trial  "
                   f"per-episode={best_o / n * 1e3:6.3f} ({med_o / n * 1e3:6.3f}) ms/trial  "
                   f"speedup={best_o / best_b:5.1f}x  same records: True")

@@ -7,24 +7,27 @@ gain, optionally capped to the top-k survivors).  Upper-layer weights are
 pairwise sums of the layer below, so a beam is a search candidate exactly
 when some surviving point still backs a bottom beam underneath it.
 
-A ``SearchState`` is one user's search over that tree.  Each observation
-updates it once, and the update derives one flat view of the tree: the
-weights and the candidate rows, both in codebook row order.  Every search
-works on that view, a layer's ``candidate_rows`` and ``weights[row]``;
-only the ``codebook`` module knows which rows hold which beam, and
-(layer, index) pairs appear only where a beam is named (``BeamId``,
-``strategy.ProbeRound``).  The planner's pair weights follow on first use.
-What depends on the depth alone is built once per depth (``_tables``) and
-shared read-only: a state builds no layout of its own.
+A ``SearchState`` is one user's search over that tree.  Every change of
+a state goes through ``fold``, which derives one flat view of the tree
+per changed state: the weights and the candidate rows, both in codebook
+row order.  Every search works on that view, a layer's
+``candidate_rows`` and ``weights[row]``; only the ``codebook`` module
+knows which rows hold which beam, and (layer, index) pairs appear only
+where a beam is named (``BeamId``, ``strategy.ProbeRound``).  The
+planner's pair weights follow on first use.  What depends on the depth
+alone is built once per depth (``_tables``) and shared read-only: a
+state builds no layout of its own.
 
 Every episode starts from a built state.  A view is a function of the
 alive masks and the fallback flag, and so is the search below it: a
 view keeps its ``plans`` by (layer choice, root layer) and its
 ``children``, the states that fold each observed (layer, index) into
 it.  So the map-aided searches of a sweep walk one tree of cached states
-per user (``strategy.run_searches``), and alg3 (``multiuser``) folds a
-copy per state, fed-back row and survivors of a round with ``fold``,
-which derives all of their missing views in one ``np.bincount`` pass.
+per user, a level at a time (``strategy.run_searches``, with
+``apply_observation``), and alg3 (``multiuser``) folds a copy per state,
+fed-back row and survivors of a round.  Either way a step's new states
+of a user take one ``fold``: one ``np.bincount`` pass over their missing
+views, and one more if some fall back.
 """
 
 from __future__ import annotations
@@ -66,13 +69,13 @@ class SearchState:
     construction and read-only, as are the tables of its depth (``_tables``).
     The contribution matrix is built from the kept (point, bottom beam)
     entries only, scattered into zeros, with the dense product's bits.
-    ``update`` folds in an observation: points and bottom beams drop out and
+    ``fold`` takes in an observation: points and bottom beams drop out and
     the observed beam becomes the ``root``.  ``uniform_fallback`` engages
     when every contribution is gone (noise pruned everything), after which
     bottom weights are uniform over the surviving bottom beams so that
     descent can finish.
 
-    Each update derives ``weights``, one weight per codeword in codebook
+    Each fold derives ``weights``, one weight per codeword in codebook
     row order (``codebook.row_of``), and ``rows``, the ascending rows of
     positive weight: the candidates of every layer.  Both are read-only,
     as is everything sliced or computed from them (``candidate_rows``,
@@ -142,27 +145,11 @@ class SearchState:
 
     def copy(self) -> "SearchState":
         """This state with its own alive masks over the shared read-only
-        arrays and view memo: an update of the copy leaves this state alone."""
+        arrays and view memo: a fold of the copy leaves this state alone."""
         out = object.__new__(SearchState)
         out.__dict__.update(self.__dict__)
         out.point_alive, out.beam_alive = self.point_alive.copy(), self.beam_alive.copy()
         return out
-
-    def update(self, point_mask: np.ndarray, observed: BeamId | None = None) -> None:
-        """Fold one observation into the state.
-
-        Points not flagged in ``point_mask`` (aligned with the full point
-        list) leave the alive set.  An ``observed`` beam becomes the root and
-        restricts the bottom layer to its subtree.  If no bottom weight is
-        left, the uniform fallback engages: over the observed subtree when
-        there is one (also when it contradicts an earlier fallback subtree),
-        else over the bottom beams still alive.  Observing nothing and
-        keeping every alive point of a state with candidates changes
-        nothing, the view included.  ``fold`` folds many states at once."""
-        if self._take(self.point_alive & point_mask, observed):
-            _derive_all([self])
-            if self._fall_back(observed):
-                _derive_all([self])
 
     def _take(self, kept: np.ndarray, observed: BeamId | None) -> bool:
         """Whether the alive mask ``kept`` (a subset of the alive points) and
@@ -194,31 +181,21 @@ class SearchState:
 
     def _derive_view(self, alive: np.ndarray, beams: np.ndarray, fallback) -> list[_View]:
         """The views of rows of alive masks, beam masks and fallback flags in
-        one pass, as columns (a lone view, as alg1 and alg2 derive, in one
-        dimension): bottom weights (1.0 per alive beam under the fallback),
-        pairwise sums upward, each view's rows and layer starts.  The bottom
-        sums are one ``np.bincount`` over the nonzero contributions in
-        row-major order, with the bits of ``contrib[alive].sum(axis=0)``: both
-        add in point order, and a skipped +0.0 changes no bits (contributions
-        are >= 0)."""
+        one pass, as columns: bottom weights (1.0 per alive beam under the
+        fallback), pairwise sums upward, each view's rows and layer starts.
+        The bottom sums are one ``np.bincount`` over the nonzero
+        contributions in row-major order, with the bits of
+        ``contrib[alive].sum(axis=0)``: both add in point order, and a skipped
+        +0.0 changes no bits (contributions are >= 0)."""
         L, at, nb = self.num_layers, self._layer_rows, 2**self.num_layers
         r, c, v = self._nonzero
-        if len(alive) == 1:
-            j = np.flatnonzero(alive[0, r])
-            sums, beams, fallback = np.bincount(c[j], v[j], nb), beams[0], fallback[0]
-        else:
-            vi, j = np.nonzero(alive[:, r])
-            sums = np.bincount(c[j] * len(alive) + vi, v[j], nb * len(alive)).reshape(nb, -1)
-            beams, fallback = beams.T, np.asarray(fallback, dtype=bool)
-        flat = np.empty((at[L].stop, *sums.shape[1:]))
-        flat[at[L]] = np.where(fallback, beams, np.where(beams, sums, 0.0))
+        vi, j = np.nonzero(alive[:, r])
+        sums = np.bincount(c[j] * len(alive) + vi, v[j], nb * len(alive)).reshape(nb, -1)
+        flat, beams = np.empty((at[L].stop, len(alive))), beams.T
+        flat[at[L]] = np.where(np.asarray(fallback, dtype=bool), beams, np.where(beams, sums, 0.0))
         for l in range(L - 1, 0, -1):
             below = flat[at[l + 1]]
             np.add(below[0::2], below[1::2], out=flat[at[l]])
-        if flat.ndim == 1:
-            rows = np.flatnonzero(flat > 0)
-            flat.flags.writeable = rows.flags.writeable = False
-            return [_View(flat, rows, tuple(np.searchsorted(rows, self._first_rows).tolist()))]
         positive = flat > 0  # the candidates; per layer their count, summed up: its end
         counts = np.add.reduceat(positive, self._first_rows[:-1], dtype=np.int64)
         rows, views, lo = np.nonzero(positive.T)[1], [], 0
@@ -240,7 +217,7 @@ class SearchState:
         return 0 if self.root is None else self.root.layer
 
     def candidate_rows(self, layer: int) -> np.ndarray:
-        """Codebook rows of the candidates at a layer, ascending.  An update
+        """Codebook rows of the candidates at a layer, ascending.  A fold
         keeps every alive bottom beam under the root, so below the root's
         layer these are all descendants of the root."""
         return self.rows[self._starts[layer - 1] : self._starts[layer]]
@@ -293,10 +270,17 @@ def _tables(num_layers: int) -> tuple:
 
 
 def fold(states, point_masks, observed) -> None:
-    """``SearchState.update`` of each of ``states`` (copies of one built state)
-    by its row of ``point_masks`` and ``observed`` beam or None, with the
-    views of the states that change, then of those that fall back, taken
-    in one pass each (``_derive_all``)."""
+    """Fold an observation into each of ``states`` (copies of one built
+    state) in place.  Points not flagged in a state's row of
+    ``point_masks`` (aligned with the full point list) leave its alive
+    set; an ``observed`` beam (or None) becomes the root and restricts the
+    bottom layer to its subtree.  If no bottom weight is left, the uniform
+    fallback engages: over the observed subtree when there is one (also
+    when it contradicts an earlier fallback subtree), else over the bottom
+    beams still alive.  Observing nothing and keeping every alive point of
+    a state with candidates changes nothing, the view included.  The views
+    of the states that change, then of those that fall back, are taken in
+    one pass each (``_derive_all``)."""
     changed = [(s, o) for s, m, o in zip(states, point_masks, observed)
                if s._take(s.point_alive & m, o)]
     _derive_all([s for s, _ in changed])
@@ -350,16 +334,27 @@ def candidate_beams(state: SearchState) -> SearchState:
     return state
 
 
-def apply_observation(state: SearchState, observed: BeamId) -> None:
-    """Fold one feedback result into the state.
-
-    Points whose map-argmax among the candidates at the observed layer
-    disagrees with the observation are dropped, and the state descends to
-    the observed beam (``SearchState.update``).
-    """
-    row = row_of(observed) if observed.layer <= state.num_layers else None
-    if row is None or not state.weights[row] > 0:
-        raise ValueError(f"observed beam {observed} is not a candidate")
-    rows = state.candidate_rows(observed.layer)
-    winners = rows[np.argmax(state.gains[:, rows], axis=1)]  # ties resolve to smaller index
-    state.update(winners == row, observed)
+def apply_observation(moves) -> list[SearchState]:
+    """The child state of each ``(state, observed beam)`` move: the state
+    without the points whose map-argmax among the candidates at the
+    observed layer disagrees, descended to the observed beam.  A child is
+    kept in the state's view (``view.children``) by (layer, index); the
+    missing ones are new copies, and those of each built state fold in one
+    ``fold``.  A move whose beam is not a candidate of its state raises
+    ``ValueError`` before any child is folded or kept."""
+    made, by_built = {}, {}  # the new child of each (view, observed beam); by built state
+    for state, observed in moves:
+        if observed.layer > state.num_layers or not state.weights[row_of(observed)] > 0:
+            raise ValueError(f"observed beam {observed} is not a candidate")
+        key = observed.layer, observed.index
+        if key in state.view.children or (state.view, key) in made:
+            continue
+        rows = state.candidate_rows(observed.layer)  # points' argmax, ties to the smaller index
+        agree = rows[np.argmax(state.gains[:, rows], axis=1)] == row_of(observed)
+        made[state.view, key] = child = state.copy()  # copies share the built state's memo
+        by_built.setdefault(id(state._views), []).append((child, agree, observed))
+    for folds in by_built.values():
+        fold(*zip(*folds))
+    for (view, key), child in made.items():
+        view.children[key] = child
+    return [state.view.children[o.layer, o.index] for state, o in moves]

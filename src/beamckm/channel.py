@@ -27,6 +27,7 @@ from .streams import normal_blocks
 
 SPEED_OF_LIGHT = 299_792_458.0
 _FILL_BYTES = 2**18  # channel (and codeword) row bytes a batched fill gathers at once
+MAX_ANTENNAS = 2**15  # the most whose bottom beam indices (1..N) a BCKM record's u16 ids hold
 
 
 def _check_point(value, name: str) -> None:
@@ -46,8 +47,9 @@ class ArrayConfig:
 
     def __post_init__(self):
         n = self.num_antennas
-        if n < 4 or n & (n - 1) != 0:
-            raise ValueError(f"num_antennas must be a power of two >= 4, got {n}")
+        if not 4 <= n <= MAX_ANTENNAS or n & (n - 1) != 0:
+            raise ValueError(f"num_antennas must be a power of two in [4, {MAX_ANTENNAS}] "
+                             f"(a map's u16 beam ids hold no more), got {n}")
         f = self.carrier_frequency_hz
         if not (math.isfinite(f) and f > 0):
             raise ValueError(f"carrier_frequency_hz must be finite and positive, got {f}")

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import ArrayConfig, Environment, channel_vectors, trace_point_paths
+from .channel import MAX_ANTENNAS, ArrayConfig, Environment, channel_vectors, trace_point_paths
 from .codebook import beam_index, layer_rows, layer_start, layers_of, num_layers
 
 FORMAT_MAGIC = b"BCKM"
@@ -236,8 +236,8 @@ def load_ckm(data: bytes) -> CkmGrid:
         header += struct.calcsize(_EXTENTS)
     else:
         raise CkmFormatError(f"unsupported format version {version}")
-    # n_ant is a uint32: bound the layers before building 2**n_layers
-    if not 1 <= n_layers <= 31 or n_ant != 2**n_layers:
+    # bound the layers before building 2**n_layers: the u16 ids stop at MAX_ANTENNAS
+    if not 1 <= n_layers <= MAX_ANTENNAS.bit_length() - 1 or n_ant != 2**n_layers:
         raise CkmFormatError(
             f"antenna count {n_ant} inconsistent with {n_layers} layers"
         )

@@ -131,8 +131,8 @@ def prune_user_points(
     on ``f_obs``, a map profile peaking on that same beam.  If nothing
     passes, the best-similarity points are kept; an all-zero ``g_obs``
     prunes nothing.  Applies the cut (the one-row call of ``_prune``), and
-    the descent to ``f_obs`` if any, in one ``SearchState.update``; returns
-    the surviving grid-point ids."""
+    the descent to ``f_obs`` if any, in one ``beamtree.fold``; returns the
+    surviving grid-point ids."""
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"eta must lie in (0, 1], got {eta}")
     g_obs = np.asarray(g_obs, dtype=np.float64)
@@ -142,7 +142,7 @@ def prune_user_points(
         raise ValueError("no alive points to prune")
     fed = np.array([-1 if f_obs is None else row_of(f_obs)])
     surv = _prune(state, state.point_alive[None], [(rows, g_obs.reshape(1, -1), fed)], eta)
-    state.update(surv[0], f_obs)
+    fold([state], surv, [f_obs])
     return state.alive_points
 
 

@@ -20,10 +20,12 @@ was.  A state's next round (``next_round``) depends only on its view,
 its root layer and the layer choice, and the state after a round only
 on the view and the observed beam; noise only picks the branch.  So
 both live in the view (``beamtree._View``), and ``run_searches`` walks
-a tree of cached states with a batch of episodes: one array round per
-state reached, over the episodes there, whose feedback splits them among
-its children.  A later batch that reaches a view reuses its plans and
-children, and alg3 (``multiuser``) reads the plans that alg1 made.
+a tree of cached states with a batch of episodes, level by level: one
+array round per state of a level, over the episodes there, whose
+feedback splits them among its children, and one ``apply_observation``
+call for the level's moves.  A later batch that reaches a view reuses
+its plans and children, and alg3 (``multiuser``) reads the plans that
+alg1 made.
 
 Tie rule: plans are ordered by lowest cost, where costs within a relative
 ``PLAN_RTOL`` of each other tie, then by fewest layers, then by the
@@ -131,7 +133,7 @@ def optimal_layer(state: SearchState) -> int:
 def episode_outcome(state: SearchState) -> BeamId | None:
     """The chosen bottom beam once the search is over: the sole bottom
     candidate, else None.  A root at the bottom layer is always the sole
-    candidate (``SearchState.update`` keeps only its span)."""
+    candidate (``beamtree.fold`` keeps only its span)."""
     L = state.num_layers
     bottom = state.candidate_rows(L)
     return BeamId(L, int(beam_index(bottom[0], L))) if len(bottom) == 1 else None
@@ -158,37 +160,36 @@ def next_round(state: SearchState, choose_layer) -> tuple:
 
 def run_searches(states, batch: Episodes, choose_layer) -> tuple[list, np.ndarray, list]:
     """Map-aided searches of a batch's episodes, episode e from the built
-    state ``states[e % len(states)]``.  Each round probes, for the episodes
-    at one state, the candidates under its root at ``choose_layer(state)``,
-    keeps each one's strongest (the first on ties; a lone candidate is a
-    free descent) and moves the episodes of each feedback to the child
-    that folds it in (``apply_observation`` on a copy).  Returns each
-    episode's chosen bottom beam, its probe count ``batch.used``, and a
-    ``ProbeRound`` per round of each episode, grouped by state (in order)."""
+    state ``states[e % len(states)]``, level by level.  Each round probes,
+    for the episodes at one state of the level, the candidates under its
+    root at ``choose_layer(state)`` and keeps each one's strongest (the
+    first on ties; a lone candidate is a free descent); the episodes of
+    each feedback make up the next level at the child that folds it in,
+    from one ``apply_observation`` call per level.  Returns each episode's
+    chosen bottom beam, its probe count ``batch.used``, and a
+    ``ProbeRound`` per round of each episode, grouped by level, then by
+    state (in order)."""
     E = len(batch.points)
     chosen, rounds = [None] * E, []
-    frontier = [(state, np.arange(k, E, len(states))) for k, state in enumerate(states)]
-    while frontier:
-        state, eps = frontier.pop()
-        done, layer, rows, probed = next_round(state, choose_layer)
-        if done is not None:
-            for e in eps.tolist():
-                chosen[e] = done
-            continue
-        n = len(probed) if len(probed) > 1 else 0
-        branches = [(probed[0], eps)]
-        if n:
-            won = np.argmax(probe_episodes(batch, eps, rows), axis=1)
-            branches = [(probed[j], eps[won == j]) for j in np.unique(won).tolist()]
-        children = state.view.children
-        for feedback, sub in branches:
-            rounds += [ProbeRound(layer, probed, feedback, n)] * len(sub)
-            child = children.get((layer, feedback))
-            if child is None:
-                child = state.copy()
-                apply_observation(child, BeamId(layer, feedback))
-                children[layer, feedback] = child
-            frontier.append((child, sub))
+    level = [(state, np.arange(k, E, len(states))) for k, state in enumerate(states)]
+    while level:
+        moves, subs = [], []
+        for state, eps in level:
+            done, layer, rows, probed = next_round(state, choose_layer)
+            if done is not None:
+                for e in eps.tolist():
+                    chosen[e] = done
+                continue
+            n = len(probed) if len(probed) > 1 else 0
+            branches = [(probed[0], eps)]
+            if n:
+                won = np.argmax(probe_episodes(batch, eps, rows), axis=1)
+                branches = [(probed[j], eps[won == j]) for j in np.unique(won).tolist()]
+            for feedback, sub in branches:
+                rounds += [ProbeRound(layer, probed, feedback, n)] * len(sub)
+                moves.append((state, BeamId(layer, feedback)))
+                subs.append(sub)
+        level = list(zip(apply_observation(moves), subs)) if moves else []
     return chosen, batch.used, rounds
 
 

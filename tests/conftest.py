@@ -76,6 +76,13 @@ def built_state(ckm: bc.CkmGrid, prior, beta: float = 0.5, retain_beams=None) ->
     return bc.beamtree.compute_point_weights(ckm, prior, beta, retain_beams)
 
 
+def observe(state: bc.beamtree.SearchState, observed: bc.BeamId) -> bc.beamtree.SearchState:
+    """A state of its own after one observation: a copy of the child that
+    ``beamtree.apply_observation`` gives for the move, which a test may
+    fold further in place without touching the child cached in the view."""
+    return bc.beamtree.apply_observation([(state, observed)])[0].copy()
+
+
 def candidates(state: bc.beamtree.SearchState, layer: int) -> np.ndarray:
     """1-based candidate indices at a layer, ascending."""
     return beam_index(state.candidate_rows(layer), layer)

@@ -379,13 +379,7 @@ def run_episode(
             return chosen, sum(r.probes for r in transcript), transcript
         r = probe_round(link, layer, rows, probed)
         transcript.append(r)
-        children = state.view.children
-        child = children.get((layer, r.feedback))
-        if child is None:
-            child = state.copy()
-            apply_observation(child, BeamId(layer, r.feedback))
-            children[layer, r.feedback] = child
-        state = child
+        state = apply_observation([(state, BeamId(layer, r.feedback))])[0]
 
 
 def one_search_at_a_time(choose_layer):

@@ -25,7 +25,7 @@ from beamckm.codebook import layer_start
 from beamckm.multiuser import prune_user_points
 from beamckm.position import sample_true_position
 
-from conftest import ACCEPTANCE_LINES, candidates, layer_weights
+from conftest import ACCEPTANCE_LINES, candidates, layer_weights, observe
 from oracles import enumerate_activations, overhead_for_target, similarity
 from test_strategy import random_tree, simulated_probe_count
 
@@ -328,7 +328,7 @@ class TestStructuralInvariants:
         for layer in range(1, ckm.num_layers + 1):
             cands = candidates(state, layer)
             node = bc.BeamId(layer, int(cands[0]))
-            bc.beamtree.apply_observation(state, node)
+            state = observe(state, node)
             conserved &= layers_conserved(state)
         notes.append(f"layer sums conserved through descent: {conserved}")
 

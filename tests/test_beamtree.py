@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import beamckm as bc
 from beamckm import beamtree
+from beamckm.beamtree import fold
 from beamckm.codebook import layer_rows, layer_start, row_of
 from beamckm.lookahead import next_layer
 from beamckm.multiuser import prune_user_points
@@ -33,6 +34,7 @@ from conftest import (
     layer_masks,
     layer_weights,
     noise_of,
+    observe,
     stack_layers,
     toy_ckm,
     uniform_prior,
@@ -198,7 +200,7 @@ class TestApplyObservation:
         ckm = four_point_ckm()
         state = bc.beamtree.compute_point_weights(ckm, uniform_prior(np.arange(4)), beta=0.5)
         np.testing.assert_array_equal(bottom_candidates(bc.beamtree.candidate_beams(state)), [1, 2, 3, 5])
-        bc.beamtree.apply_observation(state, bc.BeamId(1, 2))
+        state = observe(state, bc.BeamId(1, 2))
         np.testing.assert_array_equal(bottom_candidates(state), [5])
         assert state.root == bc.BeamId(1, 2)
         np.testing.assert_array_equal(state.alive_points, [3])
@@ -206,7 +208,7 @@ class TestApplyObservation:
     def test_points_drop_when_argmax_disagrees(self):
         ckm = four_point_ckm()
         state = bc.beamtree.compute_point_weights(ckm, uniform_prior(np.arange(4)), beta=0.5)
-        bc.beamtree.apply_observation(state, bc.BeamId(1, 1))
+        state = observe(state, bc.BeamId(1, 1))
         # points backing beams 1, 2, 3 stay; the beam-5 point is gone
         np.testing.assert_array_equal(state.alive_points, [0, 1, 2])
         np.testing.assert_array_equal(bottom_candidates(state), [1, 2, 3])
@@ -216,7 +218,7 @@ class TestApplyObservation:
         # tie votes for beam 1, so observing beam 2 discards the point
         bottom = np.array([[1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]])
         state = bc.beamtree.compute_point_weights(toy_ckm(bottom), uniform_prior(np.array([0])), beta=0.5)
-        bc.beamtree.apply_observation(state, bc.BeamId(1, 2))
+        state = observe(state, bc.BeamId(1, 2))
         assert state.alive_points.size == 0
         assert state.uniform_fallback
 
@@ -224,7 +226,54 @@ class TestApplyObservation:
         ckm = four_point_ckm()
         state = bc.beamtree.compute_point_weights(ckm, uniform_prior(np.arange(4)), beta=0.5)
         with pytest.raises(ValueError):
-            bc.beamtree.apply_observation(state, bc.BeamId(3, 4))
+            observe(state, bc.BeamId(3, 4))
+
+    def test_a_bad_move_makes_no_child(self):
+        # every move is checked before any child is made: a call whose last
+        # move is not a candidate leaves every view's children as they were
+        ckm, prior = four_point_ckm(), uniform_prior(np.arange(4))
+        one, two = (bc.beamtree.compute_point_weights(ckm, prior, beta=0.5) for _ in range(2))
+        kept = bc.beamtree.apply_observation([(one, bc.BeamId(1, 1))])[0]
+        before = [dict(s.view.children) for s in (one, two)]
+        moves = [(one, bc.BeamId(1, 2)), (two, bc.BeamId(1, 1)), (one, bc.BeamId(1, 1)),
+                 (two, bc.BeamId(3, 4))]
+        with pytest.raises(ValueError, match="not a candidate"):
+            bc.beamtree.apply_observation(moves)
+        assert [s.view.children for s in (one, two)] == before
+        assert one.view.children[1, 1] is kept and not two.view.children
+        for bad in (bc.BeamId(3, 4), bc.BeamId(4, 1)):  # not a candidate; below the bottom
+            with pytest.raises(ValueError, match="not a candidate"):
+                bc.beamtree.apply_observation([(two, bc.BeamId(1, 1)), (two, bad)])
+            assert not two.view.children
+
+    def test_one_fold_per_built_state(self, monkeypatch):
+        # a call folds the new children of each built state in one fold, and
+        # gives one child per (view, observed beam)
+        ckm, prior = four_point_ckm(), uniform_prior(np.arange(4))
+        one, two = (bc.beamtree.compute_point_weights(ckm, prior, beta=0.5) for _ in range(2))
+        folded = []
+
+        def recorded(states, *args):
+            folded.append(len(states))
+            fold(states, *args)
+
+        monkeypatch.setattr(beamtree, "fold", recorded)
+        left, right = bc.BeamId(1, 1), bc.BeamId(1, 2)
+        moves = [(one, left), (two, left), (one.copy(), left), (one, right), (two, left)]
+        children = bc.beamtree.apply_observation(moves)
+        assert sorted(folded) == [1, 2]
+        assert children[0] is children[2] is one.view.children[1, 1]
+        assert children[1] is children[4] is two.view.children[1, 1] is not children[0]
+        assert children[3] is one.view.children[1, 2]
+        for (state, observed), child in zip(moves, children):
+            want = observe(bc.beamtree.compute_point_weights(ckm, prior, beta=0.5), observed)
+            assert child.root == observed == want.root
+            np.testing.assert_array_equal(child.point_alive, want.point_alive)
+            np.testing.assert_array_equal(child.weights, want.weights)
+        # a later call finds every child in the views and folds nothing
+        calls = len(folded)
+        again = bc.beamtree.apply_observation(moves)
+        assert all(a is b for a, b in zip(again, children)) and len(folded) == calls
 
     def test_contradictory_observation_falls_back_to_uniform_subtree(self):
         # both points bet on the left half; observing the right half wipes
@@ -232,7 +281,7 @@ class TestApplyObservation:
         bottom = np.tile(np.array([[1.0, 0.0, 0.0, 0.6]]), (2, 1))
         state = bc.beamtree.compute_point_weights(toy_ckm(bottom), uniform_prior(np.arange(2)), beta=0.5)
         np.testing.assert_array_equal(bottom_candidates(state), [1, 4])
-        bc.beamtree.apply_observation(state, bc.BeamId(1, 2))
+        state = observe(state, bc.BeamId(1, 2))
         assert state.uniform_fallback
         np.testing.assert_array_equal(bottom_candidates(state), [3, 4])
         np.testing.assert_allclose(bottom_weights(state), [0.0, 0.0, 1.0, 1.0])
@@ -243,9 +292,9 @@ class TestApplyObservation:
         # leaving no candidates at all
         bottom = np.tile(np.array([[1.0, 0.0, 0.0, 0.6]]), (2, 1))
         state = bc.beamtree.compute_point_weights(toy_ckm(bottom), uniform_prior(np.arange(2)), beta=0.5)
-        bc.beamtree.apply_observation(state, bc.BeamId(1, 2))
+        state = observe(state, bc.BeamId(1, 2))
         assert state.uniform_fallback
-        state.update(np.ones(2, dtype=bool), bc.BeamId(2, 1))
+        fold([state], [np.ones(2, dtype=bool)], [bc.BeamId(2, 1)])
         np.testing.assert_allclose(bottom_weights(state), [1.0, 0.0, 0.0, 0.0])
         np.testing.assert_array_equal(bottom_candidates(bc.beamtree.candidate_beams(state)), [1])
         assert state.root == bc.BeamId(2, 1)
@@ -255,12 +304,12 @@ class TestApplyObservation:
         bottom = rng.uniform(0.05, 1.0, size=(6, 16))
         state = bc.beamtree.compute_point_weights(toy_ckm(bottom), uniform_prior(np.arange(6)), beta=0.3)
         node = bc.BeamId(1, 1)
-        bc.beamtree.apply_observation(state, node)
+        state = observe(state, node)
         for layer in range(2, 5):
             cands = candidates(state, layer)
             assert cands.size >= 1
             node = bc.BeamId(layer, int(cands[0]))
-            bc.beamtree.apply_observation(state, node)
+            state = observe(state, node)
         assert bottom_candidates(state).size >= 1
         assert state.root.layer == 4
 
@@ -270,11 +319,11 @@ class TestApplyObservation:
         state = bc.beamtree.compute_point_weights(ckm, uniform_prior(np.array([0])), beta=0.5)
         with pytest.raises(ValueError):
             bc.beamtree.candidate_beams(state)
-        # an update never leaves that state: dropping every point engages
+        # a fold never leaves that state: dropping every point engages
         # the uniform fallback instead
         ckm = toy_ckm(np.array([[1.0, 0.0, 0.0, 0.0]]))
         state = bc.beamtree.compute_point_weights(ckm, uniform_prior([0]), 0.5)
-        state.update(np.array([False]))
+        fold([state], [np.array([False])], [None])
         assert state.uniform_fallback
         np.testing.assert_array_equal(bottom_candidates(bc.beamtree.candidate_beams(state)), [1, 2, 3, 4])
 
@@ -321,7 +370,7 @@ class TestWeightTableState:
     def test_restrict_without_kill_keeps_weights(self):
         bottom = np.array([[0.2, 0.3, 0.4, 0.1]])
         state = bc.beamtree.compute_point_weights(toy_ckm(bottom), uniform_prior(np.array([0])), beta=0.1)
-        state.update(np.ones(1, dtype=bool), bc.BeamId(1, 1))
+        fold([state], [np.ones(1, dtype=bool)], [bc.BeamId(1, 1)])
         np.testing.assert_allclose(bottom_weights(state), [0.2, 0.3, 0.0, 0.0])
         assert not state.uniform_fallback
 
@@ -340,8 +389,8 @@ class TestTableCopies:
     def test_copy_starts_fresh_and_leaves_the_source_alone(self):
         first = self.built.copy()
         assert first is not self.built
-        first.update(np.arange(6) < 2, bc.BeamId(1, 2))
-        first.update(np.zeros(6, dtype=bool))
+        fold([first], [np.arange(6) < 2], [bc.BeamId(1, 2)])
+        fold([first], [np.zeros(6, dtype=bool)], [None])
         assert first.uniform_fallback
         second = self.built.copy()
         for state in (self.built, second):
@@ -507,7 +556,7 @@ def observation_runs(draw):
 
 
 class TestSearchStateCache:
-    """After every update the derived arrays equal a from-scratch
+    """After every fold the derived arrays equal a from-scratch
     computation on the same masks, bit for bit, and are read-only."""
 
     @staticmethod
@@ -559,7 +608,7 @@ class TestSearchStateCache:
                 observed = bc.BeamId(layer, int(cands[pick % cands.size]))
                 winners_before = state.gains[:, state.candidate_rows(layer)]
                 won = cands[np.argmax(winners_before, axis=1)]
-                bc.beamtree.apply_observation(state, observed)
+                state = observe(state, observed)
                 old.fold(won == observed.index, observed)
             else:
                 if not state.point_alive.any():
@@ -601,7 +650,7 @@ def folded_states(state, steps):
             return
         if kind == "observe":
             cands = candidates(state, layer)
-            bc.beamtree.apply_observation(state, bc.BeamId(layer, int(cands[pick % cands.size])))
+            state = observe(state, bc.BeamId(layer, int(cands[pick % cands.size])))
         else:
             rng = np.random.default_rng(seed)
             rows = np.arange(layer_start(layer), layer_start(layer + 1))
@@ -683,10 +732,12 @@ class TestSearchTreeCache:
         assert len(walked) > 10
         assert any(child.uniform_fallback for _, child in walked)
         assert any(not child.uniform_fallback for _, child in walked)
+        # replayed from a state rebuilt on the same arrays: its own memo, no cached child
+        fresh = bc.beamtree.SearchState(built.point_ids, built.point_mass, built.gains, built.beta)
         for path, child in walked:
-            replay = built.copy()
+            replay = fresh
             for observed in path:
-                bc.beamtree.apply_observation(replay, observed)
+                replay = observe(replay, observed)
             for name in ("weights", "rows", "point_alive", "beam_alive"):
                 np.testing.assert_array_equal(getattr(child, name), getattr(replay, name))
             assert child.root == replay.root == path[-1]
@@ -705,8 +756,9 @@ class TestSearchTreeCache:
         copy = built.copy()
         assert copy.view is built.view and built.view.children and built.view.plans
         (layer, index), child = next(iter(built.view.children.items()))
-        bc.beamtree.apply_observation(copy, bc.BeamId(layer, index))
-        # the fold reaches the cached child's masks, so its view and the search below
+        assert bc.beamtree.apply_observation([(copy, bc.BeamId(layer, index))])[0] is child
+        # a fold of the copy to the child's masks reaches its view, and so the search below
+        fold([copy], [child.point_alive], [child.root])
         assert copy.view is child.view is not built.view
         assert built.copy().view is built.view
 
@@ -717,7 +769,7 @@ class TestSearchTreeCache:
         view = node.view
         copy = node.copy()
         assert copy.root == node.root == path[-1]
-        copy.update(np.zeros(len(copy.point_ids), dtype=bool))
+        fold([copy], [np.zeros(len(copy.point_ids), dtype=bool)], [None])
         assert copy.uniform_fallback
         # a fold that drops no alive point keeps the view and the search below it
         assert (copy.view is view) == (not node.point_alive.any())
@@ -748,7 +800,7 @@ class TestSearchTreeCache:
 
 class TestViewMemo:
     """A user's state copies share one memo of derived views, keyed by the
-    alive masks and the fallback flag: a state reached along any update path
+    alive masks and the fallback flag: a state reached along any fold path
     holds the view that ``oracles.derived_view`` computes from scratch."""
 
     @staticmethod
@@ -783,9 +835,9 @@ class TestViewMemo:
             layer = int(rng.integers(1, L + 1))
             observed = bc.BeamId(layer, int(rng.integers(1, 2**layer + 1)))
             steps, once = built.copy(), built.copy()
-            steps.update(first)
-            steps.update(second, observed)
-            once.update(first & second, observed)
+            fold([steps], [first], [None])
+            fold([steps], [second], [observed])
+            fold([once], [first & second], [observed])
             for name in ("point_alive", "beam_alive", "uniform_fallback", "root"):
                 assert np.array_equal(getattr(steps, name), getattr(once, name))
             assert steps.view is once.view
@@ -800,8 +852,8 @@ class TestViewMemo:
         assert one.point_alive is not two.point_alive is not built.point_alive
         assert one.beam_alive is not two.beam_alive is not built.beam_alive
         drop = np.arange(len(built.point_ids)) % 3 > 0
-        one.update(drop)
-        two.update(drop)
+        fold([one], [drop], [None])
+        fold([two], [drop], [None])
         assert one.view is two.view and one.weights is two.weights
         assert one.view is not built.view and one.view.plans is not built.view.plans
         assert built.point_alive.all()
@@ -815,13 +867,13 @@ class TestViewMemo:
         states = []
         for i in range(n):
             state = built.copy()
-            state.update(np.arange(n) != i)
+            fold([state], [np.arange(n) != i], [None])
             states.append(state)
         assert len(built._views) == 3
         stored = [v for v in built._views.values()]
         assert sum(any(s.view is v for v in stored) for s in states) == 2
         again = built.copy()
-        again.update(np.arange(n) != n - 1)
+        fold([again], [np.arange(n) != n - 1], [None])
         assert again.view is not states[-1].view and len(built._views) == 3
         for state in (*states, again):
             self.assert_matches_oracle(state)
@@ -830,19 +882,20 @@ class TestViewMemo:
         built = self.built()
         n = len(built.point_ids)
         state = built.copy()
-        state.update(np.arange(n) % 2 == 0, bc.BeamId(1, 1))
+        fold([state], [np.arange(n) % 2 == 0], [bc.BeamId(1, 1)])
         optimal_layer(state)
         state.view.plans["kept"] = state.view.children["kept"] = True
         held = (state.view, state.weights, state.rows, state.view.children, state.view.plans)
         # dead points may be flagged either way; every alive one is kept
         for mask in (state.point_alive.copy(), np.ones(n, dtype=bool), np.arange(n) < n - 1):
             mask |= state.point_alive
-            state.update(mask)
+            fold([state], [mask], [None])
             assert all(a is b for a, b in zip(held, (state.view, state.weights, state.rows,
                                                       state.view.children, state.view.plans)))
         self.assert_matches_oracle(state)
-        # dropping an alive point is an update
-        state.update(state.point_alive & (np.arange(n) != np.flatnonzero(state.point_alive)[0]))
+        # dropping an alive point is a change
+        fold([state], [state.point_alive & (np.arange(n) != np.flatnonzero(state.point_alive)[0])],
+             [None])
         assert state.view is not held[0] and "kept" not in state.view.plans
         self.assert_matches_oracle(state)
 

@@ -10,7 +10,8 @@ engine (best and median) beside the per-episode oracle, count
 trial-rounds against joint keys and fold members against the states and
 views they folded into, and report equal records, and the batched
 baselines, alg1 and alg2 the records of their per-episode oracles, each
-time as best (median).  The call set-up section must time, per scene,
+time as best (median); alg1 and alg2 must count the levels they walked
+and the views they derived against the passes that derived them.  The call set-up section must time, per scene,
 the per-point against the stacked oracle gains and the built search
 states beside the dense contribution product, each pair with equal
 bytes, and the full-size section one call per (scene, algorithm) as best
@@ -71,6 +72,14 @@ def test_bench_kernels_runs(capsys):
     batched = [l for l in out if "batched=" in l]
     assert len(batched) == 8 and all(
         re.search(f"batched= *{timed_ms}.*per-episode= *{timed_ms}", l) for l in batched)
+    # alg1 and alg2: the levels walked, the views derived and the passes that derived them
+    searched = (r"probing array rounds over (\d+) levels  views derived=(\d+) in (\d+) passes "
+                r"for (\d+) states")
+    searches = [l for l in out if re.search(searched, l)]
+    assert [l.split()[:2] for l in searches] == [[s, a] for s in scenes[:2] for a in ("alg1", "alg2")]
+    for line in searches:
+        levels, views, passes, derived = map(int, re.search(searched, line).groups())
+        assert 0 < levels and 0 < passes <= views <= derived
     # the call set-up: per-point against stacked gains, built states beside the dense
     # product, best (median) in ms
     setup = [l for l in out if "same bytes: True" in l]

@@ -334,6 +334,17 @@ class TestBinaryFormat:
         with pytest.raises(bc.CkmFormatError, match="antenna"):
             bc.load_ckm(bytes(data))
 
+    def test_more_layers_than_u16_ids_hold_rejected(self):
+        # a 16-layer header with a consistent antenna count: bottom index
+        # 65,536 would not fit a record's u16 id, so no such map is read
+        header = bytearray(bc.save_ckm(self.make())[:RECORDS])
+        struct.pack_into("<II", header, 8, 2**16, 16)
+        with pytest.raises(bc.CkmFormatError, match="antenna count 65536 inconsistent with 16 layers"):
+            bc.load_ckm(bytes(header))
+        struct.pack_into("<II", header, 8, 2**15, 15)  # 15 layers pass this check
+        with pytest.raises(bc.CkmFormatError, match="codeword count"):
+            bc.load_ckm(bytes(header))
+
     def test_huge_layer_count_rejected_cheaply(self):
         # a 76-byte header; computing 2**n_layers alone would take 12.5 MB
         header = bytearray(bc.save_ckm(self.make())[:RECORDS])

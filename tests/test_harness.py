@@ -212,6 +212,7 @@ class TestScenarioParsing:
             ("seed", -1),
             ("array.num_antennas", 2),
             ("array.num_antennas", 32.9),
+            ("array.num_antennas", 2**16),  # a map's u16 ids would write bottom index 65,536 as 0
             ("trials", 1.7),
             ("environment.max_paths", 2.5),
             ("algorithms", []),

@@ -206,7 +206,7 @@ class TestPrunePoints:
             mu.prune_user_points(table, rows, np.ones(2), None, 1.5)
         with pytest.raises(ValueError):
             mu.prune_user_points(table, rows, np.ones(3), None, 0.9)
-        table.update(np.array([False]))
+        bc.beamtree.fold([table], [np.array([False])], [None])
         with pytest.raises(ValueError, match="no alive points"):
             mu.prune_user_points(table, rows, np.ones(2), None, 0.9)
 
@@ -248,7 +248,7 @@ def pruning_rounds(draw):
     state = bc.beamtree.SearchState(np.arange(P), np.full(P, 1.0 / P), gains, 0.5)
     alive = rng.random(P) < draw(st.sampled_from([0.5, 1.0]))
     alive[rng.integers(P)] = True
-    state.update(alive)
+    bc.beamtree.fold([state], [alive], [None])
     layer = draw(st.integers(1, L))
     width = draw(st.integers(2, 2**layer))
     indices = np.sort(rng.choice(np.arange(1, 2**layer + 1), width, replace=False))
@@ -305,7 +305,7 @@ def survivors_by_gather(state, rows, g_obs, f_obs, eta):
 def rebuilt(state):
     """A state over the same arrays and alive points, with memos of its own."""
     out = bc.beamtree.SearchState(state.point_ids, state.point_mass, state.gains, state.beta)
-    out.update(state.point_alive.copy())
+    bc.beamtree.fold([out], [state.point_alive.copy()], [None])
     return out
 
 
@@ -320,7 +320,7 @@ def memo_rounds(draw):
         gains[np.ix_(np.arange(len(gains)) % 3 == 0, rows)] = 0.0
         alive = state.point_alive
         state = bc.beamtree.SearchState(state.point_ids, state.point_mass, gains, 0.5)
-        state.update(alive)
+        bc.beamtree.fold([state], [alive], [None])
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return state, rows, g_obs, f_obs, eta, rng.uniform(0.1, 2.0, len(rows))
 

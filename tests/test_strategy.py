@@ -29,6 +29,7 @@ from conftest import (
     from_bottom_weights,
     link_of,
     noise_of,
+    observe,
     scene_channel,
     toy_ckm,
     uniform_prior,
@@ -362,7 +363,7 @@ class TestSharedEpisodeLoop:
             sole_candidate_endings += 1
             state = built.copy()
             for r in rounds:
-                bc.beamtree.apply_observation(state, bc.BeamId(r.layer, r.feedback))
+                state = observe(state, bc.BeamId(r.layer, r.feedback))
             assert bottom_candidates(state).tolist() == [chosen.index]
         if algo in ("alg1", "alg2"):
             assert sole_candidate_endings > 0
@@ -384,8 +385,7 @@ class TestSearchTreeCache:
         for seed in range(6):
             # a built state, a copy of it, and a state already folded once
             built = built_state(ckm, self.PRIOR)
-            folded = built.copy()
-            bc.beamtree.apply_observation(folded, bc.BeamId(1, int(candidates(folded, 1)[seed % 2 - 1])))
+            folded = observe(built, bc.BeamId(1, int(candidates(built, 1)[seed % 2 - 1])))
             resp = bc.channel.Responses(scene_channel(small_scene, 36 + seed), cb)
             for state in (built, built.copy(), folded):
                 before = {name: getattr(state, name).copy() for name in names}
@@ -398,18 +398,16 @@ class TestSearchTreeCache:
                 assert state.root == root and state.uniform_fallback == fallback
 
     def test_second_episode_reuses_the_cached_children(self, small_scene, monkeypatch):
-        from beamckm import strategy
-
         ckm, cb = small_scene["ckm"], small_scene["codebook"]
         built = built_state(ckm, self.PRIOR)
         derived = []
-        original = strategy.apply_observation
+        fold = bc.beamtree.fold
 
-        def counted(state, observed):
-            derived.append(observed)
-            original(state, observed)
+        def counted(states, *args):
+            derived.extend(states)
+            fold(states, *args)
 
-        monkeypatch.setattr(strategy, "apply_observation", counted)
+        monkeypatch.setattr(bc.beamtree, "fold", counted)
         resp = bc.channel.Responses(scene_channel(small_scene, 37), cb)
 
         def search_once():
@@ -425,36 +423,82 @@ class TestSearchTreeCache:
         first = search_once()
         assert len(derived) == len(first[2]) >= 2
         nodes = path(first[2])
+        assert nodes == derived
         second = search_once()
         assert second == first
         assert len(derived) == len(first[2])
         assert all(a is b for a, b in zip(path(second[2]), nodes, strict=True))
 
-    def test_desk_sweep_derives_fewer_children_than_it_plays_rounds(self, monkeypatch):
-        from beamckm import harness, strategy
-
+    @staticmethod
+    def desk():
         cfg = bc.load_scenario(Path(__file__).resolve().parent.parent / "configs" / "desk.json")
         ckm = bc.build_ckm(
             cfg.environment, cfg.array, bc.build_codebook(cfg.array.num_antennas), cfg.grid
         )
-        derived, rounds = [], []
-        apply_observation, run_single_user = strategy.apply_observation, harness.run_single_user
+        return cfg, ckm
 
-        def counted_fold(state, observed):
-            derived.append(observed)
-            apply_observation(state, observed)
+    def test_desk_sweep_derives_fewer_children_than_it_plays_rounds(self, monkeypatch):
+        from beamckm import harness
+
+        cfg, ckm = self.desk()
+        derived, rounds = [], []
+        fold, run_single_user = bc.beamtree.fold, harness.run_single_user
+
+        def counted_fold(states, *args):
+            derived.extend(states)
+            fold(states, *args)
 
         def counted_batch(*args, **kwargs):
             result = run_single_user(*args, **kwargs)
             rounds.append(len(result[2]))  # every episode's rounds
             return result
 
-        monkeypatch.setattr(strategy, "apply_observation", counted_fold)
+        monkeypatch.setattr(bc.beamtree, "fold", counted_fold)
         monkeypatch.setattr(harness, "run_single_user", counted_batch)
         records = bc.run_trials(cfg, ckm, algorithms=["alg1"], trials=200, seed=0)
         assert len(records) == 200 * len(cfg.snr_db) * len(cfg.users)
         assert len(rounds) == 1  # one batch over every SNR point of the one chunk
         assert 0 < len(derived) < sum(rounds)
+
+    @pytest.mark.parametrize("algo", ["alg1", "alg2"])
+    def test_desk_sweep_derives_views_once_per_level_and_user(self, monkeypatch, algo):
+        """Beyond the state builds, a sweep takes at most one ``_derive_view``
+        pass per (level, user), and one more where some of them fall back:
+        each level's new children of a user fold in one ``fold``."""
+        from beamckm import strategy
+
+        cfg, ckm = self.desk()
+        state = bc.beamtree.SearchState
+        derive_view, fall_back, fold = state._derive_view, state._fall_back, bc.beamtree.fold
+        apply_observation = strategy.apply_observation
+        passes, levels, falls = [0], [], []  # falls: per fold, whether a state fell back
+
+        def counted_derive(*args):
+            passes[0] += 1
+            return derive_view(*args)
+
+        def counted_level(moves):
+            levels.append(len({id(state._views) for state, _ in moves}))  # the users moving
+            return apply_observation(moves)
+
+        def counted_fold(*args):
+            falls.append(False)
+            fold(*args)
+
+        def counted_fall_back(*args):
+            fell = fall_back(*args)
+            falls[-1] |= fell
+            return fell
+
+        monkeypatch.setattr(state, "_derive_view", counted_derive)
+        monkeypatch.setattr(state, "_fall_back", counted_fall_back)
+        monkeypatch.setattr(strategy, "apply_observation", counted_level)
+        monkeypatch.setattr(bc.beamtree, "fold", counted_fold)
+        bc.run_trials(cfg, ckm, algorithms=[algo], trials=200, seed=0)
+        users = len(cfg.users)
+        assert any(falls)  # the noisy points' feedback engages the fallback
+        assert len(falls) == sum(levels) and all(0 < n <= users for n in levels)
+        assert users < passes[0] <= users + sum(levels) + sum(falls)
 
 
 class TestFreeDescents:
